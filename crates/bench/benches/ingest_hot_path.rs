@@ -1,11 +1,17 @@
-//! `ingest_hot_path` — the two hottest loops in the system, measured:
+//! `ingest_hot_path` — the hottest loops in the system, measured:
 //!
 //! 1. **Ingestion kernel** (mem regime): tuples/sec through the
 //!    validated-once batched `HistAccumulator::accumulate` kernel versus
 //!    the per-tuple `accumulate_one` path, over realistic block-sized
 //!    batches with clear-and-reuse cycles (the shard-worker access
 //!    pattern).
-//! 2. **Storage scan** (file regime): `FastMatch` over one persisted
+//! 2. **Per-block ingest by histogram width**: ns/tuple to get one
+//!    150-tuple block into `HistSim`, through the fused
+//!    `HistSim::ingest_block` kernel (what the executors do) and through
+//!    `accumulate` + `merge_ref` + `clear` (what an outside walker does),
+//!    at |V_X| ∈ {2, 24, 351} — the wide-histogram cliff as a layer
+//!    number of its own: both must stay flat in |V_X|.
+//! 3. **Storage scan** (file regime): `FastMatch` over one persisted
 //!    table through a bounded cache, with the demand-aware readahead
 //!    pool on versus off — the I/O-compute overlap the prefetch
 //!    pipeline exists for, with `pages_prefetched` / `prefetched_hits`
@@ -22,7 +28,7 @@
 use std::time::{Duration, Instant};
 
 use fastmatch_bench::report::render_table;
-use fastmatch_core::histsim::{HistAccumulator, HistSimConfig};
+use fastmatch_core::histsim::{HistAccumulator, HistSim, HistSimConfig};
 use fastmatch_data::gen::{conditional_with_planted_pool, generate_table, ColumnGen, ColumnSpec};
 use fastmatch_data::shapes::{far_pool, uniform};
 use fastmatch_engine::exec::{Executor, FastMatchExec};
@@ -50,6 +56,17 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> Duration {
     best
 }
 
+/// A 31-bit LCG stream, deterministic in the seed.
+fn lcg(seed: u64) -> impl FnMut() -> u64 {
+    let mut state = seed | 1;
+    move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    }
+}
+
 fn tuples_per_sec(tuples: u64, wall: Duration) -> f64 {
     tuples as f64 / wall.as_secs_f64()
 }
@@ -70,14 +87,8 @@ fn bench_kernel(total_tuples: usize, seed: u64) -> KernelResult {
     const TPB: usize = 150; // the paper's block size
     const BATCH_BLOCKS: usize = 32; // ParallelMatch's default batch
 
-    // Synthetic Zipf-ish codes, deterministic in the seed.
-    let mut state = seed | 1;
-    let mut next = || {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        state >> 33
-    };
+    // Synthetic uniform codes, deterministic in the seed.
+    let mut next = lcg(seed);
     let zs: Vec<u32> = (0..total_tuples)
         .map(|_| (next() % NC as u64) as u32)
         .collect();
@@ -120,6 +131,69 @@ fn bench_kernel(total_tuples: usize, seed: u64) -> KernelResult {
         per_tuple: tuples_per_sec(total_tuples as u64, wall_per_tuple),
         batch: tuples_per_sec(total_tuples as u64, wall_batch),
     }
+}
+
+// -------------------------------------------------------- block-ingest part
+
+/// Per-block ingest cost at one histogram width.
+struct WidthResult {
+    groups: usize,
+    fused_ns_per_tuple: f64,
+    merge_ns_per_tuple: f64,
+}
+
+/// One 150-tuple block at a time into a `HistSim` that stays in stage 1
+/// (so every block lands in one matrix and nothing is pruned): FLIGHTS'
+/// 347 candidates, skewed so a block holds ~60 distinct ones, against
+/// each Table 3 histogram width.
+fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
+    const NC: usize = 347;
+    const TPB: usize = 150;
+    let mut next = lcg(seed);
+    [2usize, 24, 351]
+        .into_iter()
+        .map(|ng| {
+            let zs: Vec<u32> = (0..total_tuples)
+                .map(|_| {
+                    let u = (next() % 1_000_000) as f64 / 1e6;
+                    (u * u * u * NC as f64) as u32
+                })
+                .collect();
+            let xs: Vec<u32> = (0..total_tuples)
+                .map(|_| (next() % ng as u64) as u32)
+                .collect();
+            let cfg = HistSimConfig {
+                stage1_samples: u64::MAX,
+                ..HistSimConfig::default()
+            };
+            let mk = || HistSim::new(cfg.clone(), NC, ng, u64::MAX, &vec![1.0; ng]).unwrap();
+
+            let mut hs = mk();
+            let mut distinct = 0usize;
+            let fused = best_of(3, || {
+                for (zb, xb) in zs.chunks(TPB).zip(xs.chunks(TPB)) {
+                    distinct += hs.ingest_block(zb, xb).len();
+                }
+            });
+            let mut hs = mk();
+            let mut acc = HistAccumulator::new(NC, ng);
+            let merge = best_of(3, || {
+                for (zb, xb) in zs.chunks(TPB).zip(xs.chunks(TPB)) {
+                    acc.accumulate(zb, xb);
+                    hs.merge_ref(&acc);
+                    distinct += acc.touched().len();
+                    acc.clear();
+                }
+            });
+            assert!(distinct > 0, "ingest work must not be optimized away");
+            let per_tuple = |wall: Duration| wall.as_secs_f64() * 1e9 / total_tuples as f64;
+            WidthResult {
+                groups: ng,
+                fused_ns_per_tuple: per_tuple(fused),
+                merge_ns_per_tuple: per_tuple(merge),
+            }
+        })
+        .collect()
 }
 
 // --------------------------------------------------------------- scan part
@@ -260,6 +334,26 @@ fn main() {
         )
     );
 
+    let widths = bench_block_ingest(kernel_tuples, seed);
+    println!(
+        "{}",
+        render_table(
+            &[
+                "150-tuple block into HistSim",
+                "fused ingest_block ns/tuple",
+                "accumulate+merge_ref+clear ns/tuple",
+            ],
+            &widths
+                .iter()
+                .map(|w| vec![
+                    format!("|V_X| = {}", w.groups),
+                    format!("{:.2}", w.fused_ns_per_tuple),
+                    format!("{:.2}", w.merge_ns_per_tuple),
+                ])
+                .collect::<Vec<_>>(),
+        )
+    );
+
     let (off, on) = bench_scan(rows, cache_blocks, latency_ns, seed);
     let scan_rows: Vec<Vec<String>> = [&off, &on]
         .iter()
@@ -306,6 +400,7 @@ fn main() {
             "    \"batch_tuples_per_sec\": {:.0},\n",
             "    \"batch_speedup\": {:.4}\n",
             "  }},\n",
+            "  \"block_ingest_by_width\": [\n{}\n  ],\n",
             "  \"scan\": {{\n",
             "    \"rows\": {},\n",
             "    \"cache_blocks\": {},\n",
@@ -321,6 +416,14 @@ fn main() {
         k.per_tuple,
         k.batch,
         k.batch / k.per_tuple,
+        widths
+            .iter()
+            .map(|w| format!(
+                "    {{\"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}}}",
+                w.groups, w.fused_ns_per_tuple, w.merge_ns_per_tuple
+            ))
+            .collect::<Vec<_>>()
+            .join(",\n"),
         rows,
         cache_blocks,
         off.wall.as_secs_f64() * 1e3,

@@ -10,12 +10,77 @@
 //!
 //! Counts are kept dense (candidate-major, like
 //! [`super::state::CountState`]) so accumulation itself is two array
-//! increments per tuple, plus a *touched-candidate* list so that merging
-//! and clearing cost `O(touched × groups)` rather than
-//! `O(candidates × groups)` — essential when a 150-tuple block meets a
-//! multi-thousand-candidate domain. Accumulators are meant to be reused:
-//! [`HistAccumulator::clear`] resets in `O(touched × groups)` without
-//! freeing the backing storage.
+//! increments per tuple, plus two *first-touch lists* — the non-zero
+//! cells and the candidates with `n > 0` — so that merging and clearing
+//! cost `O(non-zero cells)`, never `O(touched × groups)`: a 150-tuple
+//! block over a 351-group histogram moves ~150 cells, not ~60 whole rows.
+//! Accumulators are meant to be reused: [`HistAccumulator::clear`] zeroes
+//! only the listed cells and keeps the backing storage, and
+//! [`HistAccumulator::reshape`] lets one buffer serve queries of
+//! different domains.
+
+/// A list the hot loops append to *without branching*: every item is
+/// written into the next free slot and the length advances only when the
+/// item is new (`len += is_new as usize`). First-touch detection is then
+/// a compare and an add; as a data-dependent branch it mispredicted about
+/// once per distinct candidate per block, which cost more than the two
+/// count increments together (EXPERIMENTS.md, PR 15).
+#[derive(Clone, Default)]
+pub(super) struct Slots<T> {
+    buf: Vec<T>,
+    len: usize,
+}
+
+impl<T: Copy + Default> Slots<T> {
+    /// The committed items, in first-touch order.
+    pub fn as_slice(&self) -> &[T] {
+        &self.buf[..self.len]
+    }
+
+    /// Forgets every item, keeping the storage.
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// `extra` writable slots past the committed end. Storage only grows
+    /// past its high-water mark, so steady-state calls allocate nothing.
+    pub fn spare(&mut self, extra: usize) -> &mut [T] {
+        let need = self.len + extra;
+        if self.buf.len() < need {
+            self.buf.resize(need, T::default());
+        }
+        &mut self.buf[self.len..need]
+    }
+
+    /// Commits the first `added` slots handed out by [`Self::spare`].
+    pub fn commit(&mut self, added: usize) {
+        self.len += added;
+    }
+
+    /// Appends one item (the branching form, for the cold paths).
+    pub fn push(&mut self, item: T) {
+        self.spare(1)[0] = item;
+        self.len += 1;
+    }
+}
+
+/// Checks one block's codes against a `num_candidates × groups` domain
+/// **once** (a branch-free max-fold), so the ingestion kernels run
+/// without per-tuple asserts. The panic message names the offending
+/// code, matching the per-tuple contract.
+///
+/// # Panics
+/// Panics on length mismatch or out-of-domain codes.
+pub(super) fn check_block(zs: &[u32], xs: &[u32], num_candidates: usize, groups: usize) {
+    assert_eq!(zs.len(), xs.len(), "column slices must align");
+    if let (Some(max_c), Some(max_g)) = (zs.iter().copied().max(), xs.iter().copied().max()) {
+        assert!(
+            (max_c as usize) < num_candidates,
+            "candidate {max_c} out of domain"
+        );
+        assert!((max_g as usize) < groups, "group {max_g} out of domain");
+    }
+}
 
 /// A mergeable batch of per-candidate/per-group count deltas.
 ///
@@ -25,40 +90,34 @@
 /// executor's shard workers rely on.
 #[derive(Clone)]
 pub struct HistAccumulator {
+    num_candidates: usize,
     groups: usize,
     /// Dense per-(candidate, group) deltas, `candidate * groups + g`.
+    /// Storage never shrinks ([`Self::reshape`]); everything outside
+    /// `cells` is zero.
     counts: Vec<u64>,
-    /// Per-candidate delta totals.
+    /// Per-candidate delta totals (same storage rule as `counts`).
     n: Vec<u64>,
+    /// The non-zero cells as `(candidate, group)`, in first-touch order.
+    cells: Slots<(u32, u32)>,
     /// Candidates with `n > 0`, in first-touch order.
-    touched: Vec<u32>,
-    /// Epoch stamps backing the touched list: candidate `c` is touched
-    /// iff `stamp[c] == epoch`. A [`Self::clear`] invalidates every
-    /// stamp by bumping the epoch (O(1)), and the batch kernel's inner
-    /// loop tests a stamp instead of branching on `n[c] == 0` — the
-    /// stamp is written exactly once per (candidate, batch) while `n`
-    /// is written per tuple, which keeps the first-touch check off the
-    /// increment dependency chain.
-    stamp: Vec<u32>,
-    /// Current stamp generation (never 0 for an untouched slot's value).
-    epoch: u32,
+    touched: Slots<u32>,
     /// Total tuples accumulated.
     tuples: u64,
 }
 
-/// Manual `Debug` over the *logical* state only. The `stamp`/`epoch`
-/// bookkeeping is an implementation detail of `clear()` whose values
-/// depend on how often an accumulator was reused — including it would
-/// break the byte-identical `Debug`-repr equivalence the shard-merge
-/// property tests assert between differently-driven but logically equal
-/// states.
+/// Manual `Debug` over the *logical* state only. The first-touch cell
+/// order and the spare storage depend on how an accumulator was driven
+/// and reused — including them would break the byte-identical
+/// `Debug`-repr equivalence the batch-kernel property tests assert
+/// between differently-driven but logically equal states.
 impl std::fmt::Debug for HistAccumulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistAccumulator")
             .field("groups", &self.groups)
-            .field("counts", &self.counts)
-            .field("n", &self.n)
-            .field("touched", &self.touched)
+            .field("counts", &&self.counts[..self.num_candidates * self.groups])
+            .field("n", &&self.n[..self.num_candidates])
+            .field("touched", &self.touched())
             .field("tuples", &self.tuples)
             .finish()
     }
@@ -68,21 +127,43 @@ impl HistAccumulator {
     /// Creates a zeroed accumulator for a `num_candidates × groups`
     /// domain.
     pub fn new(num_candidates: usize, groups: usize) -> Self {
-        assert!(groups > 0, "histograms must have at least one group");
-        HistAccumulator {
-            groups,
-            counts: vec![0; num_candidates * groups],
-            n: vec![0; num_candidates],
-            touched: Vec::new(),
-            stamp: vec![0; num_candidates],
-            epoch: 1,
+        let mut acc = HistAccumulator {
+            num_candidates: 0,
+            groups: 1,
+            counts: Vec::new(),
+            n: Vec::new(),
+            cells: Slots::default(),
+            touched: Slots::default(),
             tuples: 0,
+        };
+        acc.reshape(num_candidates, groups);
+        acc
+    }
+
+    /// Re-dimensions an **empty** accumulator to another domain, reusing
+    /// its storage: nothing is allocated or zeroed unless the new domain
+    /// is larger than any this accumulator has served (a cleared
+    /// accumulator is all zeros whatever its shape). This is what lets a
+    /// service worker keep one accumulator across the queries it serves.
+    ///
+    /// # Panics
+    /// Panics if the accumulator holds tuples or `groups` is zero.
+    pub fn reshape(&mut self, num_candidates: usize, groups: usize) {
+        assert!(groups > 0, "histograms must have at least one group");
+        assert!(self.is_empty(), "reshape of a non-empty accumulator");
+        self.num_candidates = num_candidates;
+        self.groups = groups;
+        if self.counts.len() < num_candidates * groups {
+            self.counts.resize(num_candidates * groups, 0);
+        }
+        if self.n.len() < num_candidates {
+            self.n.resize(num_candidates, 0);
         }
     }
 
     /// Number of candidates in the domain.
     pub fn num_candidates(&self) -> usize {
-        self.n.len()
+        self.num_candidates
     }
 
     /// Number of groups per histogram.
@@ -103,28 +184,44 @@ impl HistAccumulator {
     /// Candidates with at least one accumulated tuple, in first-touch
     /// order.
     pub fn touched(&self) -> &[u32] {
-        &self.touched
+        self.touched.as_slice()
     }
 
     /// The delta row of one candidate (all `groups` cells).
     pub fn candidate_counts(&self, candidate: usize) -> &[u64] {
+        assert!(candidate < self.num_candidates, "candidate out of domain");
         &self.counts[candidate * self.groups..(candidate + 1) * self.groups]
     }
 
     /// Delta total for one candidate.
     pub fn n(&self, candidate: usize) -> u64 {
-        self.n[candidate]
+        self.n[..self.num_candidates][candidate]
     }
 
-    /// Marks candidate `c` touched if it is not already (first-touch
-    /// bookkeeping shared by every accumulation path).
+    /// The non-zero cells as `(candidate, group, delta)` — what a merge
+    /// has to move.
+    pub(super) fn cells(&self) -> impl Iterator<Item = (usize, usize, u64)> + '_ {
+        self.cells.as_slice().iter().map(move |&(c, g)| {
+            let (c, g) = (c as usize, g as usize);
+            (c, g, self.counts[c * self.groups + g])
+        })
+    }
+
+    /// Adds `delta > 0` to one cell and its candidate's total, listing
+    /// either on first touch (the branching form shared by the cold
+    /// paths).
     #[inline]
-    fn touch(&mut self, c: u32) {
-        let s = &mut self.stamp[c as usize];
-        if *s != self.epoch {
-            *s = self.epoch;
+    fn add(&mut self, c: u32, g: u32, delta: u64) {
+        let cell = &mut self.counts[c as usize * self.groups + g as usize];
+        if *cell == 0 {
+            self.cells.push((c, g));
+        }
+        *cell += delta;
+        let n = &mut self.n[c as usize];
+        if *n == 0 {
             self.touched.push(c);
         }
+        *n += delta;
     }
 
     /// Accumulates one tuple: candidate `c` observed with group `g`.
@@ -133,99 +230,75 @@ impl HistAccumulator {
     /// Panics if `c`/`g` are outside the declared domain.
     #[inline]
     pub fn accumulate_one(&mut self, c: u32, g: u32) {
-        let ci = c as usize;
-        let gi = g as usize;
-        assert!(ci < self.n.len(), "candidate {c} out of domain");
-        assert!(gi < self.groups, "group {g} out of domain");
-        self.touch(c);
-        self.counts[ci * self.groups + gi] += 1;
-        self.n[ci] += 1;
+        assert!(
+            (c as usize) < self.num_candidates,
+            "candidate {c} out of domain"
+        );
+        assert!((g as usize) < self.groups, "group {g} out of domain");
+        self.add(c, g, 1);
         self.tuples += 1;
     }
 
     /// Accumulates one block's worth of samples: `zs[i]`/`xs[i]` are the
     /// candidate and group codes of the i-th tuple. Equivalent to calling
     /// [`Self::accumulate_one`] per tuple, but implemented as the batched
-    /// ingestion kernel: the whole batch is bounds-checked against the
-    /// domain **once** (a branch-free max-fold), after which the fused
-    /// inner loop runs without per-tuple asserts, with the first-touch
-    /// check reduced to an epoch-stamp compare.
+    /// ingestion kernel: the whole batch is checked against the domain
+    /// once, after which the inner loop is two increments and two
+    /// branchless first-touch appends per tuple.
     ///
     /// # Panics
     /// Panics on length mismatch or out-of-domain codes.
     pub fn accumulate(&mut self, zs: &[u32], xs: &[u32]) {
-        assert_eq!(zs.len(), xs.len(), "column slices must align");
-        if zs.is_empty() {
-            return;
-        }
-        // Validate once: fold both columns to their maxima, so the hot
-        // loop below never takes (and the optimizer can hoist) a domain
-        // check. The panic message names the offending code, matching
-        // the per-tuple contract.
-        let max_c = zs.iter().copied().max().expect("non-empty");
-        let max_g = xs.iter().copied().max().expect("non-empty");
-        assert!(
-            (max_c as usize) < self.n.len(),
-            "candidate {max_c} out of domain"
-        );
-        assert!(
-            (max_g as usize) < self.groups,
-            "group {max_g} out of domain"
-        );
+        check_block(zs, xs, self.num_candidates, self.groups);
         let groups = self.groups;
-        let epoch = self.epoch;
+        let cells = self.cells.spare(zs.len());
+        let touched = self.touched.spare(zs.len());
+        let (mut new_cells, mut new_touched) = (0, 0);
         for (&c, &g) in zs.iter().zip(xs) {
-            let ci = c as usize;
-            self.counts[ci * groups + g as usize] += 1;
-            self.n[ci] += 1;
-            let s = &mut self.stamp[ci];
-            if *s != epoch {
-                *s = epoch;
-                self.touched.push(c);
-            }
+            let cell = &mut self.counts[c as usize * groups + g as usize];
+            cells[new_cells] = (c, g);
+            new_cells += (*cell == 0) as usize;
+            *cell += 1;
+            let n = &mut self.n[c as usize];
+            touched[new_touched] = c;
+            new_touched += (*n == 0) as usize;
+            *n += 1;
         }
+        self.cells.commit(new_cells);
+        self.touched.commit(new_touched);
         self.tuples += zs.len() as u64;
     }
 
     /// Folds another accumulator's deltas into this one (shard merge /
-    /// tree reduction). The other accumulator is left untouched.
+    /// tree reduction) in `O(other's non-zero cells)`. The other
+    /// accumulator is left untouched.
     ///
     /// # Panics
     /// Panics if the domains differ.
     pub fn merge_from(&mut self, other: &HistAccumulator) {
         assert_eq!(self.groups, other.groups, "group domains must match");
-        assert_eq!(self.n.len(), other.n.len(), "candidate domains must match");
-        for &c in &other.touched {
-            let ci = c as usize;
-            self.touch(c);
-            self.n[ci] += other.n[ci];
-            let base = ci * self.groups;
-            for g in 0..self.groups {
-                self.counts[base + g] += other.counts[base + g];
-            }
+        assert_eq!(
+            self.num_candidates, other.num_candidates,
+            "candidate domains must match"
+        );
+        for (c, g, delta) in other.cells() {
+            self.add(c as u32, g as u32, delta);
         }
         self.tuples += other.tuples;
     }
 
-    /// Resets to the zeroed state in `O(touched × groups)`, keeping the
+    /// Resets to the zeroed state in `O(non-zero cells)`, keeping the
     /// backing storage for reuse.
     pub fn clear(&mut self) {
-        for &c in &self.touched {
-            let ci = c as usize;
-            self.n[ci] = 0;
-            let base = ci * self.groups;
-            self.counts[base..base + self.groups].fill(0);
+        for &(c, g) in self.cells.as_slice() {
+            self.counts[c as usize * self.groups + g as usize] = 0;
         }
+        for &c in self.touched.as_slice() {
+            self.n[c as usize] = 0;
+        }
+        self.cells.clear();
         self.touched.clear();
         self.tuples = 0;
-        // One epoch bump invalidates every stamp in O(1). On the
-        // (billions-of-clears) wrap, fall back to an O(candidates) stamp
-        // reset so a stale stamp can never collide with a live epoch.
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.stamp.fill(0);
-            self.epoch = 1;
-        }
     }
 }
 
@@ -284,6 +357,36 @@ mod tests {
         a.accumulate_one(2, 1);
         assert_eq!(a.n(2), 1);
         assert_eq!(a.touched(), &[2]);
+    }
+
+    /// One buffer serves domains of different shapes: re-dimensioning a
+    /// cleared accumulator within its high-water size keeps the storage
+    /// (no allocation, nothing to zero), and stale shape never leaks into
+    /// the new one.
+    #[test]
+    fn reshape_reuses_storage_across_domains() {
+        let mut a = HistAccumulator::new(8, 16);
+        let storage = a.candidate_counts(0).as_ptr();
+        a.accumulate(&[7, 7, 3], &[15, 15, 0]);
+        a.clear();
+        a.reshape(4, 3);
+        assert_eq!((a.num_candidates(), a.groups()), (4, 3));
+        a.accumulate(&[3, 0], &[2, 1]);
+        assert_eq!(a.candidate_counts(3), &[0, 0, 1]);
+        assert_eq!(a.candidate_counts(0), &[0, 1, 0]);
+        assert_eq!(a.touched(), &[3, 0]);
+        a.clear();
+        a.reshape(8, 16);
+        assert_eq!(a.candidate_counts(0).as_ptr(), storage);
+        assert!((0..8).all(|c| a.n(c) == 0 && a.candidate_counts(c) == [0; 16]));
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty")]
+    fn reshape_of_a_filled_accumulator_panics() {
+        let mut a = HistAccumulator::new(2, 2);
+        a.accumulate_one(1, 1);
+        a.reshape(3, 3);
     }
 
     #[test]

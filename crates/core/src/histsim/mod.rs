@@ -42,13 +42,15 @@
 //! consumed, pass `exhausted = true` and HistSim finishes with exact
 //! results.
 //!
-//! Ingestion itself is split in two: phase-free delta *accumulation*
-//! ([`accumulator::HistAccumulator`], shareable across threads) and a
-//! phase-aware *merge* into the authoritative state ([`HistSim::merge`]).
-//! [`HistSim::ingest`] / [`HistSim::ingest_block`] are thin
-//! accumulate-then-merge wrappers preserving the original single-threaded
-//! API; parallel drivers fill accumulators on worker threads and feed the
-//! statistics thread batches to merge.
+//! There are three ingestion paths, all leaving byte-identical state for
+//! the same tuples: per tuple ([`HistSim::ingest`]); per block
+//! ([`HistSim::ingest_block`], the fused kernel every single-threaded
+//! executor uses — it adds the block straight into the phase's count
+//! matrix and does the demand bookkeeping once per *distinct* candidate);
+//! and, for parallel drivers, phase-free delta *accumulation* on worker
+//! threads ([`accumulator::HistAccumulator`]) followed by a phase-aware
+//! *merge* on the statistics thread ([`HistSim::merge`]), which moves
+//! only the accumulator's non-zero cells.
 
 pub mod accumulator;
 pub mod config;
@@ -56,6 +58,8 @@ pub mod state;
 
 pub use accumulator::HistAccumulator;
 pub use config::HistSimConfig;
+
+use accumulator::{check_block, Slots};
 
 use crate::error::{CoreError, Result};
 use crate::histogram::Histogram;
@@ -149,7 +153,7 @@ pub struct Diagnostics {
 
 /// The HistSim state machine. See the [module docs](self) for the driving
 /// contract.
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HistSim {
     cfg: HistSimConfig,
     bound: DeviationBound,
@@ -165,9 +169,35 @@ pub struct HistSim {
     phase: Phase,
     members: Vec<u32>,
     diag: Diagnostics,
-    /// Reused delta buffer backing the single-threaded ingestion wrappers;
-    /// always cleared outside of [`Self::ingest`] / [`Self::ingest_block`].
-    scratch: HistAccumulator,
+    /// Distinct candidates of the block last given to
+    /// [`Self::ingest_block`], in first-touch order.
+    block: Slots<u32>,
+    /// Per-candidate tuple counts of the block being ingested; all zero
+    /// outside [`Self::ingest_block`].
+    block_n: Vec<u64>,
+}
+
+/// Manual `Debug` over the *logical* state only: the per-block scratch
+/// (`block`, `block_n`) says which block came last, not what has been
+/// ingested, and would break the byte-identical `Debug`-repr equivalence
+/// the ingestion property tests assert between the three paths.
+impl std::fmt::Debug for HistSim {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("HistSim")
+            .field("cfg", &self.cfg)
+            .field("bound", &self.bound)
+            .field("n_total_rows", &self.n_total_rows)
+            .field("target", &self.target)
+            .field("counts", &self.counts)
+            .field("pruned", &self.pruned)
+            .field("exact", &self.exact)
+            .field("remaining", &self.remaining)
+            .field("active_count", &self.active_count)
+            .field("phase", &self.phase)
+            .field("members", &self.members)
+            .field("diag", &self.diag)
+            .finish()
+    }
 }
 
 impl HistSim {
@@ -219,7 +249,8 @@ impl HistSim {
                 effective_k,
                 ..Diagnostics::default()
             },
-            scratch: HistAccumulator::new(num_candidates, groups),
+            block: Slots::default(),
+            block_n: vec![0; num_candidates],
         })
     }
 
@@ -272,69 +303,103 @@ impl HistSim {
         self.cfg.stage1_samples.min(self.n_total_rows)
     }
 
-    /// Ingests one sampled tuple: candidate `c` (its `Z` code) observed
-    /// with group `g` (its `X` code) — the degenerate single-delta case of
-    /// [`Self::merge`], specialized to two array increments because a
-    /// one-tuple accumulator round-trip would touch a whole group row per
-    /// tuple on this per-tuple hot path (equivalence with the merge path
-    /// is covered by the shard-merge property tests).
+    /// Accounts `tuples` incoming samples to the current phase and says
+    /// which count matrix they land in: round-fresh (`true`) during
+    /// stage-2 I/O, cumulative otherwise.
     ///
     /// # Panics
-    /// Panics if `c`/`g` are outside the declared domain (hot path; use
-    /// [`Self::try_ingest`] for checked ingestion).
+    /// Panics after completion.
     #[inline]
-    pub fn ingest(&mut self, c: u32, g: u32) {
+    fn landing(&mut self, tuples: u64) -> bool {
         match &mut self.phase {
             Phase::Stage1 { taken } => {
-                *taken += 1;
-                self.counts.record_cumulative(c, g);
+                *taken += tuples;
+                false
             }
-            Phase::Stage2 { .. } => {
-                if self.pruned[c as usize] {
-                    return;
-                }
-                self.counts.record_round(c, g);
-                let r = &mut self.remaining[c as usize];
-                if *r > 0 {
-                    *r -= 1;
-                    if *r == 0 {
-                        self.active_count -= 1;
-                    }
-                }
-            }
-            Phase::Stage3 => {
-                if self.pruned[c as usize] {
-                    return;
-                }
-                self.counts.record_cumulative(c, g);
-                let r = &mut self.remaining[c as usize];
-                if *r > 0 {
-                    *r -= 1;
-                    if *r == 0 {
-                        self.active_count -= 1;
-                    }
-                }
-            }
+            Phase::Stage2 { .. } => true,
+            Phase::Stage3 => false,
             Phase::Done => panic!("ingest after completion"),
         }
     }
 
+    /// Spends `added` fresh samples against candidate `ci`'s outstanding
+    /// demand — saturating, because a block or batch may overshoot it.
+    /// (Takes the two fields rather than `&mut self` so callers can hold
+    /// a count matrix or the block list across the call.)
+    #[inline]
+    fn spend(remaining: &mut [u64], active_count: &mut usize, ci: usize, added: u64) {
+        let r = &mut remaining[ci];
+        if *r > 0 {
+            *r = r.saturating_sub(added);
+            if *r == 0 {
+                *active_count -= 1;
+            }
+        }
+    }
+
+    /// Ingests one sampled tuple: candidate `c` (its `Z` code) observed
+    /// with group `g` (its `X` code). Stage 1 has nothing pruned and no
+    /// per-candidate demand, so one path serves all three stages.
+    ///
+    /// # Panics
+    /// Panics if `c`/`g` are outside the declared domain (hot path; use
+    /// [`Self::try_ingest`] for checked ingestion) or after completion.
+    #[inline]
+    pub fn ingest(&mut self, c: u32, g: u32) {
+        let round = self.landing(1);
+        if self.pruned[c as usize] {
+            return;
+        }
+        if round {
+            self.counts.record_round(c, g);
+        } else {
+            self.counts.record_cumulative(c, g);
+        }
+        Self::spend(&mut self.remaining, &mut self.active_count, c as usize, 1);
+    }
+
     /// Ingests one block's worth of samples at once: `zs[i]`/`xs[i]` are
     /// the candidate and group codes of the i-th tuple. Equivalent to
-    /// calling [`Self::ingest`] per tuple; implemented as
-    /// accumulate-then-[`Self::merge`] over a reused scratch accumulator —
-    /// the single-threaded engine hot path.
+    /// calling [`Self::ingest`] per tuple, as one fused kernel whose cost
+    /// is `O(tuples)` whatever the histogram width: each tuple is one
+    /// increment into the phase's count matrix (pruned candidates add 0,
+    /// branch-free) and one into the block's per-candidate tally, whose
+    /// zero test lists the candidate on first touch, branch-free; the
+    /// totals and the demand are then settled once per distinct
+    /// candidate.
+    ///
+    /// Returns the block's distinct candidates in first-touch order,
+    /// pruned ones included — what consumption tracking needs.
     ///
     /// # Panics
     /// Panics on length mismatch, out-of-domain codes, or after
     /// completion.
-    pub fn ingest_block(&mut self, zs: &[u32], xs: &[u32]) {
-        assert_eq!(zs.len(), xs.len(), "column slices must align");
-        let mut acc = std::mem::replace(&mut self.scratch, HistAccumulator::new(0, 1));
-        acc.accumulate(zs, xs);
-        self.merge_ref(&acc);
-        acc.clear();
-        self.scratch = acc;
+    pub fn ingest_block(&mut self, zs: &[u32], xs: &[u32]) -> &[u32] {
+        let groups = self.counts.groups();
+        check_block(zs, xs, self.counts.num_candidates(), groups);
+        let round = self.landing(zs.len() as u64);
+        self.block.clear();
+        let cells = self.counts.cells_mut(round);
+        let slots = self.block.spare(zs.len());
+        let mut distinct = 0;
+        for (&c, &g) in zs.iter().zip(xs) {
+            let ci = c as usize;
+            cells[ci * groups + g as usize] += u64::from(!self.pruned[ci]);
+            let tally = &mut self.block_n[ci];
+            slots[distinct] = c;
+            distinct += (*tally == 0) as usize;
+            *tally += 1;
+        }
+        self.block.commit(distinct);
+        for &c in self.block.as_slice() {
+            let ci = c as usize;
+            let added = std::mem::take(&mut self.block_n[ci]);
+            if !self.pruned[ci] {
+                self.counts.add_n(round, ci, added);
+                Self::spend(&mut self.remaining, &mut self.active_count, ci, added);
+            }
+        }
+        self.block.as_slice()
     }
 
     /// Folds a batch of phase-free count deltas (see [`HistAccumulator`])
@@ -351,6 +416,7 @@ impl HistSim {
 
     /// [`Self::merge`] by reference, leaving the accumulator intact so
     /// callers can [`HistAccumulator::clear`] and reuse its storage.
+    /// Costs `O(non-zero cells)` of the accumulator.
     ///
     /// # Panics
     /// Panics if the accumulator's domain differs from this run's, or
@@ -366,52 +432,21 @@ impl HistSim {
             self.counts.groups(),
             "group domains must match"
         );
-        match &mut self.phase {
-            Phase::Stage1 { taken } => {
-                *taken += acc.tuples();
-                for &c in acc.touched() {
-                    let ci = c as usize;
-                    self.counts
-                        .record_cumulative_row(ci, acc.candidate_counts(ci), acc.n(ci));
-                }
+        let round = self.landing(acc.tuples());
+        let groups = acc.groups();
+        let cells = self.counts.cells_mut(round);
+        for (c, g, delta) in acc.cells() {
+            if !self.pruned[c] {
+                cells[c * groups + g] += delta;
             }
-            Phase::Stage2 { .. } => {
-                for &c in acc.touched() {
-                    let ci = c as usize;
-                    if self.pruned[ci] {
-                        continue;
-                    }
-                    let added = acc.n(ci);
-                    self.counts
-                        .record_round_row(ci, acc.candidate_counts(ci), added);
-                    let r = &mut self.remaining[ci];
-                    if *r > 0 {
-                        *r = r.saturating_sub(added);
-                        if *r == 0 {
-                            self.active_count -= 1;
-                        }
-                    }
-                }
+        }
+        for &c in acc.touched() {
+            let ci = c as usize;
+            if !self.pruned[ci] {
+                let added = acc.n(ci);
+                self.counts.add_n(round, ci, added);
+                Self::spend(&mut self.remaining, &mut self.active_count, ci, added);
             }
-            Phase::Stage3 => {
-                for &c in acc.touched() {
-                    let ci = c as usize;
-                    if self.pruned[ci] {
-                        continue;
-                    }
-                    let added = acc.n(ci);
-                    self.counts
-                        .record_cumulative_row(ci, acc.candidate_counts(ci), added);
-                    let r = &mut self.remaining[ci];
-                    if *r > 0 {
-                        *r = r.saturating_sub(added);
-                        if *r == 0 {
-                            self.active_count -= 1;
-                        }
-                    }
-                }
-            }
-            Phase::Done => panic!("ingest after completion"),
         }
     }
 
@@ -808,9 +843,10 @@ impl HistSim {
     /// (cumulative plus in-flight round counts). Once the run is done
     /// this equals the guaranteed output's matched set; before that it is
     /// a progressive, guarantee-free preview — exactly what a serving
-    /// layer shows while a query is still refining. Cheap enough to call
-    /// per merge (one `τ` evaluation per candidate), but not meant for
-    /// per-tuple hot loops.
+    /// layer shows while a query is still refining. One `τ` evaluation
+    /// per candidate (`|V_Z|·|V_X|` float operations): call it when the
+    /// estimate can have moved materially — a phase or round boundary —
+    /// not per merged batch.
     pub fn current_topk(&self) -> Vec<u32> {
         if self.is_done() {
             return self.members.clone();
@@ -823,6 +859,12 @@ impl HistSim {
             .into_iter()
             .map(|i| i as u32)
             .collect()
+    }
+
+    /// Samples ingested so far over all unpruned candidates — a running
+    /// counter, cheap enough for per-quantum progress reporting.
+    pub fn samples(&self) -> u64 {
+        self.counts.total_samples()
     }
 
     /// The cumulative sample count for a candidate (diagnostics).

@@ -23,6 +23,8 @@ pub struct CountState {
     n_round: Vec<u64>,
     /// Cumulative distance estimates `τᵢ` (recomputed on accumulation).
     tau: Vec<f64>,
+    /// Running total of every sample recorded (cumulative plus round).
+    total: u64,
 }
 
 impl CountState {
@@ -36,6 +38,7 @@ impl CountState {
             round_counts: vec![0; num_candidates * groups],
             n_round: vec![0; num_candidates],
             tau: vec![f64::INFINITY; num_candidates],
+            total: 0,
         }
     }
 
@@ -56,6 +59,7 @@ impl CountState {
         let g = group as usize;
         self.counts[c * self.groups + g] += 1;
         self.n[c] += 1;
+        self.total += 1;
     }
 
     /// Records a sample into the round-fresh counts (stage 2 I/O phases).
@@ -65,40 +69,33 @@ impl CountState {
         let g = group as usize;
         self.round_counts[c * self.groups + g] += 1;
         self.n_round[c] += 1;
+        self.total += 1;
     }
 
-    /// Adds a whole delta row (one per group, totalling `n_delta`) to one
-    /// candidate's cumulative counts — the bulk form of
-    /// [`Self::record_cumulative`] used when merging accumulators.
-    ///
-    /// # Panics
-    /// Panics if `deltas` does not have exactly `groups` entries.
+    /// The cell matrix bulk ingestion writes into — round-fresh
+    /// (`round`) during stage-2 I/O, cumulative otherwise — indexed
+    /// `candidate * groups + g`. The block kernel and the accumulator
+    /// merge add their cells here directly and then settle each touched
+    /// candidate's total once through [`Self::add_n`].
     #[inline]
-    pub fn record_cumulative_row(&mut self, candidate: usize, deltas: &[u64], n_delta: u64) {
-        assert_eq!(deltas.len(), self.groups, "delta row arity");
-        let base = candidate * self.groups;
-        for (cell, &d) in self.counts[base..base + self.groups].iter_mut().zip(deltas) {
-            *cell += d;
+    pub fn cells_mut(&mut self, round: bool) -> &mut [u64] {
+        if round {
+            &mut self.round_counts
+        } else {
+            &mut self.counts
         }
-        self.n[candidate] += n_delta;
     }
 
-    /// Adds a whole delta row to one candidate's round-fresh counts — the
-    /// bulk form of [`Self::record_round`] used when merging accumulators.
-    ///
-    /// # Panics
-    /// Panics if `deltas` does not have exactly `groups` entries.
+    /// Adds `added` samples to one candidate's total in the matrix
+    /// selected as in [`Self::cells_mut`].
     #[inline]
-    pub fn record_round_row(&mut self, candidate: usize, deltas: &[u64], n_delta: u64) {
-        assert_eq!(deltas.len(), self.groups, "delta row arity");
-        let base = candidate * self.groups;
-        for (cell, &d) in self.round_counts[base..base + self.groups]
-            .iter_mut()
-            .zip(deltas)
-        {
-            *cell += d;
+    pub fn add_n(&mut self, round: bool, candidate: usize, added: u64) {
+        if round {
+            self.n_round[candidate] += added;
+        } else {
+            self.n[candidate] += added;
         }
-        self.n_round[candidate] += n_delta;
+        self.total += added;
     }
 
     /// Cumulative sample count `nᵢ`.
@@ -112,9 +109,9 @@ impl CountState {
     }
 
     /// Total samples taken so far across all candidates (cumulative plus
-    /// any un-accumulated round samples).
+    /// any un-accumulated round samples) — a running counter, O(1).
     pub fn total_samples(&self) -> u64 {
-        self.n.iter().sum::<u64>() + self.n_round.iter().sum::<u64>()
+        self.total
     }
 
     /// Cumulative per-group counts for one candidate.
@@ -275,11 +272,14 @@ mod tests {
     }
 
     #[test]
-    fn row_records_equal_repeated_single_records() {
+    fn bulk_records_equal_repeated_single_records() {
         let mut bulk = CountState::new(2, 3);
         let mut single = CountState::new(2, 3);
-        bulk.record_cumulative_row(1, &[2, 0, 1], 3);
-        bulk.record_round_row(0, &[0, 4, 0], 4);
+        bulk.cells_mut(false)[3] += 2;
+        bulk.cells_mut(false)[5] += 1;
+        bulk.add_n(false, 1, 3);
+        bulk.cells_mut(true)[1] += 4;
+        bulk.add_n(true, 0, 4);
         for _ in 0..2 {
             single.record_cumulative(1, 0);
         }
@@ -287,10 +287,11 @@ mod tests {
         for _ in 0..4 {
             single.record_round(0, 1);
         }
-        assert_eq!(bulk.candidate_counts(1), single.candidate_counts(1));
-        assert_eq!(bulk.n(1), single.n(1));
-        assert_eq!(bulk.n_round(0), single.n_round(0));
-        assert_eq!(bulk.total_samples(), single.total_samples());
+        assert_eq!(format!("{bulk:?}"), format!("{single:?}"));
+        assert_eq!(bulk.total_samples(), 7);
+        bulk.accumulate_round();
+        assert_eq!(bulk.total_samples(), 7, "folding a round moves no samples");
+        assert_eq!(bulk.n(0), 4);
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Property tests for the batched ingestion kernel: the validated-once
-//! `HistAccumulator::accumulate` batch path must produce **bit-identical**
-//! accumulator state — counts, n, touched list, tuples — to per-tuple
-//! `accumulate_one` over arbitrary batch streams, including
-//! clear-and-reuse cycles (which exercise the epoch-stamped touched
-//! marks that replaced the `n == 0` first-touch branch).
+//! Property tests for the batched ingestion kernels.
+//!
+//! The validated-once `HistAccumulator::accumulate` batch path must
+//! produce **bit-identical** accumulator state — counts, n, touched list,
+//! tuples — to per-tuple `accumulate_one` over arbitrary batch streams,
+//! including clear, re-dimension and reuse cycles (which exercise the
+//! non-zero-cell lists that `clear` and the merges walk instead of whole
+//! rows). And the three ways into `HistSim` — the fused `ingest_block`
+//! kernel, `accumulate` + `merge_ref`, per-tuple `ingest` — must leave
+//! byte-identical state through all three stages.
 
 use proptest::prelude::*;
 
-use fastmatch_core::histsim::HistAccumulator;
+use fastmatch_core::histsim::{HistAccumulator, HistSim, HistSimConfig, PhaseKind};
 
 /// Expands raw picks into domain-valid tuples.
 fn stream_for(nc: usize, ng: usize, picks: &[(u32, u32)]) -> Vec<(u32, u32)> {
@@ -58,8 +62,8 @@ proptest! {
 
     /// Many batches with interleaved clear-and-reuse cycles: after every
     /// batch — and after every clear — the two paths stay bit-identical,
-    /// so a stale epoch stamp can never resurrect a cleared touched
-    /// entry or drop a fresh one.
+    /// so a clear can never leave a stale cell or touched entry behind
+    /// or drop a fresh one.
     #[test]
     fn batch_equals_per_tuple_across_clear_cycles(
         picks in prop::collection::vec((0u32..1000, 0u32..1000), 8..160),
@@ -132,5 +136,154 @@ proptest! {
             assert_eq!(a.n(c), joint.n(c), "n[{c}]");
             assert_eq!(a.candidate_counts(c), joint.candidate_counts(c), "counts[{c}]");
         }
+    }
+
+    /// A reused accumulator is indistinguishable from a fresh one: after
+    /// being filled (batch kernel plus a `merge_from`), cleared and
+    /// re-dimensioned — smaller or larger, so spare storage from the old
+    /// shape lies inside or beyond the new one — it takes a second
+    /// stream to exactly the state a new accumulator reaches, and merges
+    /// into `HistSim` identically.
+    #[test]
+    fn reused_accumulator_equals_fresh(
+        picks in prop::collection::vec((0u32..1000, 0u32..1000), 4..160),
+        nc1 in 1usize..30,
+        ng1 in 1usize..12,
+        nc2 in 1usize..30,
+        ng2 in 1usize..12,
+        split in 0usize..160,
+    ) {
+        let split = split.min(picks.len());
+        let cols = |nc, ng, part: &[(u32, u32)]| -> (Vec<u32>, Vec<u32>) {
+            stream_for(nc, ng, part).into_iter().unzip()
+        };
+
+        let mut reused = HistAccumulator::new(nc1, ng1);
+        let (zs, xs) = cols(nc1, ng1, &picks[..split]);
+        reused.accumulate(&zs, &xs);
+        let mut other = HistAccumulator::new(nc1, ng1);
+        let (zs, xs) = cols(nc1, ng1, &picks[split..]);
+        other.accumulate(&zs, &xs);
+        reused.merge_from(&other);
+        reused.clear();
+        assert_identical(&reused, &HistAccumulator::new(nc1, ng1));
+
+        reused.reshape(nc2, ng2);
+        let mut fresh = HistAccumulator::new(nc2, ng2);
+        assert_identical(&reused, &fresh);
+        let (zs, xs) = cols(nc2, ng2, &picks);
+        reused.accumulate(&zs, &xs);
+        fresh.accumulate(&zs, &xs);
+        assert_identical(&reused, &fresh);
+
+        let target = vec![1.0; ng2];
+        let mk = || HistSim::new(HistSimConfig::default(), nc2, ng2, 1_000_000, &target).unwrap();
+        let (mut a, mut b) = (mk(), mk());
+        a.merge_ref(&reused);
+        b.merge_ref(&fresh);
+        prop_assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Fused `ingest_block` ≡ `accumulate` + `merge_ref` (one accumulator,
+    /// cleared and reused per block) ≡ per-tuple `ingest`: three runs fed
+    /// the same blocks in lockstep stay byte-identical (`Debug` dumps the
+    /// whole logical state) after every block and every phase transition,
+    /// from stage 1 through stage 2's rounds and stage 3 to the output.
+    ///
+    /// The stream is built so that every stage is reached and every
+    /// branch of the bookkeeping runs: candidate `nc − 1` is rare and gets
+    /// pruned by stage 1 but keeps appearing afterwards (its tuples must
+    /// be dropped, its code still reported); candidate 0 matches the
+    /// uniform target and the rest sit on one group each, so stage 2
+    /// separates them in a few rounds; and blocks overshoot the
+    /// outstanding demand, so the decrement saturates. Histogram widths
+    /// are the narrow, medium and wide cases of Table 3.
+    #[test]
+    fn fused_block_equals_merge_equals_per_tuple_through_all_stages(
+        seed in 0u64..u64::MAX,
+        ng in (0usize..3).prop_map(|i| [2, 24, 351][i]),
+        nc in 4usize..10,
+        block in 1usize..120,
+    ) {
+        let config = HistSimConfig {
+            k: 1,
+            epsilon: 1.0,
+            epsilon_reconstruction: Some(1.5),
+            delta: 0.05,
+            sigma: 0.05,
+            stage1_samples: 400,
+            ..HistSimConfig::default()
+        };
+        let target = vec![1.0; ng];
+        let mk = || HistSim::new(config.clone(), nc, ng, 10_000_000, &target).unwrap();
+        let (mut fused, mut merged, mut single) = (mk(), mk(), mk());
+        let mut acc = HistAccumulator::new(nc, ng);
+
+        let rare = (nc - 1) as u32;
+        let mut state = seed | 1;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        let mut drawn = 0u32;
+        let mut tuple = move || {
+            drawn += 1;
+            if drawn.is_multiple_of(100) {
+                return (rare, next() % ng as u32);
+            }
+            let c = next() % rare;
+            (c, if c == 0 { next() % ng as u32 } else { c % ng as u32 })
+        };
+
+        let (mut stages, mut dropped, mut saturated) = (Vec::new(), false, false);
+        let mut blocks = 0;
+        while !fused.is_done() {
+            blocks += 1;
+            prop_assert!(blocks < 20_000, "run failed to terminate");
+            let (zs, xs): (Vec<u32>, Vec<u32>) = (0..block).map(|_| tuple()).unzip();
+            if stages.last() != Some(&fused.phase()) {
+                stages.push(fused.phase());
+            }
+            dropped |= fused.is_pruned(rare) && zs.contains(&rare);
+            let before: Vec<u64> = fused.remaining_slice().to_vec();
+
+            acc.accumulate(&zs, &xs);
+            prop_assert_eq!(fused.ingest_block(&zs, &xs), acc.touched());
+            merged.merge_ref(&acc);
+            acc.clear();
+            for (&c, &g) in zs.iter().zip(&xs) {
+                single.ingest(c, g);
+            }
+            saturated |= before.iter().enumerate().any(|(c, &r)| {
+                r > 0 && (zs.iter().filter(|&&z| z as usize == c).count() as u64) > r
+            });
+
+            let want = format!("{single:?}");
+            prop_assert_eq!(format!("{fused:?}"), want.clone());
+            prop_assert_eq!(format!("{merged:?}"), want);
+            if fused.io_satisfied() {
+                for hs in [&mut fused, &mut merged, &mut single] {
+                    hs.complete_io_phase(false).unwrap();
+                }
+                let want = format!("{single:?}");
+                prop_assert_eq!(format!("{fused:?}"), want.clone());
+                prop_assert_eq!(format!("{merged:?}"), want);
+            }
+        }
+        prop_assert_eq!(
+            stages,
+            vec![PhaseKind::Stage1, PhaseKind::Stage2, PhaseKind::Stage3]
+        );
+        prop_assert!(dropped, "no pruned candidate's tuple was ever offered");
+        prop_assert!(saturated || block < 40, "no block overshot its demand");
+        let want = format!("{:?}", single.output().unwrap());
+        prop_assert_eq!(format!("{:?}", fused.output().unwrap()), want.clone());
+        prop_assert_eq!(format!("{:?}", merged.output().unwrap()), want);
     }
 }

@@ -21,15 +21,55 @@ use crate::query::QueryJob;
 use crate::result::{MatchOutput, RunStats};
 use crate::shared::{DemandMode, SharedDemand};
 
-/// Distinct candidates of one block delivered by a shard worker, so the
-/// statistics thread can maintain consumption tracking without re-reading
-/// the block.
+/// What one shard walker (a `ParallelMatch` worker, or one service
+/// quantum) has ingested since its last merge: the phase-free count
+/// deltas of every block read, plus each block's id and raw candidate
+/// codes so the statistics side can maintain consumption tracking
+/// without re-reading the block. Cleared and reused by its owner —
+/// steady-state pushes allocate nothing.
 #[derive(Debug)]
-pub(crate) struct BlockTouch {
-    /// Block id.
-    pub id: u32,
-    /// Distinct candidate codes appearing in the block.
-    pub candidates: Vec<u32>,
+pub(crate) struct ShardBatch {
+    /// Count deltas of every pushed block.
+    pub acc: HistAccumulator,
+    /// `(block id, end of its codes in zs)` per pushed block, in read
+    /// order.
+    blocks: Vec<(u32, usize)>,
+    /// The pushed blocks' candidate codes, concatenated
+    /// ([`ConsumptionTracker::block_read`] de-duplicates).
+    zs: Vec<u32>,
+}
+
+impl ShardBatch {
+    /// An empty batch over a `num_candidates × groups` domain.
+    pub fn new(num_candidates: usize, groups: usize) -> Self {
+        ShardBatch {
+            acc: HistAccumulator::new(num_candidates, groups),
+            blocks: Vec::new(),
+            zs: Vec::new(),
+        }
+    }
+
+    /// The per-block ingestion step both shard walkers share: one pass
+    /// of the accumulate kernel over block `b`'s tuples, and a note of
+    /// which candidates it held.
+    #[inline]
+    pub fn push_block(&mut self, b: usize, zs: &[u32], xs: &[u32]) {
+        self.acc.accumulate(zs, xs);
+        self.zs.extend_from_slice(zs);
+        self.blocks.push((b as u32, self.zs.len()));
+    }
+
+    /// Blocks pushed since the last [`Self::clear`].
+    pub fn len(&self) -> usize {
+        self.blocks.len()
+    }
+
+    /// Empties the batch, keeping its storage.
+    pub fn clear(&mut self) {
+        self.acc.clear();
+        self.blocks.clear();
+        self.zs.clear();
+    }
 }
 
 /// The statistics engine shared by all HistSim executors: the state
@@ -39,8 +79,8 @@ pub(crate) struct Driver {
     /// The state machine being driven.
     pub hs: HistSim,
     tracker: ConsumptionTracker,
-    /// Reused per-block delta buffer backing the fused ingestion path.
-    scratch: HistAccumulator,
+    /// Candidates the block being ingested just ran out of (reused).
+    consumed: Vec<u32>,
     t0: Instant,
 }
 
@@ -61,58 +101,60 @@ impl Driver {
         for c in absent {
             hs.mark_exact(c);
         }
-        let scratch = HistAccumulator::new(job.num_candidates(), job.num_groups());
         Ok(Driver {
             hs,
             tracker,
-            scratch,
+            consumed: Vec::new(),
             t0,
         })
     }
 
     /// Ingests one read block and updates consumption tracking — the
-    /// synchronous ingestion path, fused so the block's tuples are
-    /// traversed exactly once: the batch kernel accumulates the deltas,
-    /// whose touched list *is* the block's distinct-candidate set, so
-    /// consumption tracking runs over `O(distinct)` candidates instead of
-    /// re-walking all tuples.
+    /// synchronous ingestion path. The block's tuples are traversed
+    /// exactly once, by [`HistSim::ingest_block`]; the distinct-candidate
+    /// list it returns drives consumption tracking in `O(distinct)`.
     #[inline]
     pub fn ingest_block(&mut self, b: usize, zs: &[u32], xs: &[u32]) {
-        self.scratch.accumulate(zs, xs);
-        self.hs.merge_ref(&self.scratch);
-        let hs = &mut self.hs;
+        let consumed = &mut self.consumed;
         self.tracker
-            .block_read(b, self.scratch.touched(), |c| hs.mark_exact(c));
-        self.scratch.clear();
+            .block_read(b, self.hs.ingest_block(zs, xs), |c| consumed.push(c));
+        for c in consumed.drain(..) {
+            self.hs.mark_exact(c);
+        }
     }
 
     /// Merges a shard batch: folds the accumulated deltas into the state
     /// machine and updates consumption tracking from the per-block
-    /// distinct-candidate lists — the parallel ingestion path.
-    pub fn merge_batch(&mut self, acc: HistAccumulator, blocks: &[BlockTouch]) {
-        self.hs.merge(acc);
+    /// candidate codes — the parallel ingestion path.
+    pub fn merge_batch(&mut self, batch: &ShardBatch) {
+        self.hs.merge_ref(&batch.acc);
         let hs = &mut self.hs;
-        for bt in blocks {
+        let mut from = 0;
+        for &(b, to) in &batch.blocks {
             self.tracker
-                .block_read(bt.id as usize, &bt.candidates, |c| hs.mark_exact(c));
+                .block_read(b as usize, &batch.zs[from..to], |c| hs.mark_exact(c));
+            from = to;
         }
     }
 
     /// Advances the state machine through every phase whose demand is
-    /// already satisfied.
-    pub fn advance(&mut self) -> Result<()> {
+    /// already satisfied; `true` if that completed at least one phase or
+    /// stage-2 round.
+    pub fn advance(&mut self) -> Result<bool> {
+        let mut stepped = false;
         while self.hs.io_satisfied() && !self.hs.is_done() {
             self.hs.complete_io_phase(false)?;
+            stepped = true;
         }
-        Ok(())
+        Ok(stepped)
     }
 
     /// [`Self::advance`], then publishes the resulting demand snapshot for
     /// sampling-engine / shard-worker threads — as one atomic publication
     /// (single epoch bump), so a woken reader never sees a fresh mode
     /// with stale demand or vice versa.
-    pub fn advance_and_publish(&mut self, shared: &SharedDemand) -> Result<()> {
-        self.advance()?;
+    pub fn advance_and_publish(&mut self, shared: &SharedDemand) -> Result<bool> {
+        let stepped = self.advance()?;
         match self.hs.phase() {
             PhaseKind::Stage1 => shared.publish(DemandMode::ReadAll, None),
             PhaseKind::Stage2 | PhaseKind::Stage3 => {
@@ -120,7 +162,7 @@ impl Driver {
             }
             PhaseKind::Done => shared.publish(DemandMode::Stop, None),
         }
-        Ok(())
+        Ok(stepped)
     }
 
     /// Finishes the run in exact mode: the entire table has been consumed.

@@ -12,11 +12,12 @@
 //!   marked blocks, ingests tuples into HistSim, advances its stages, and
 //!   publishes fresh per-candidate demand through [`SharedDemand`].
 //!
-//! The channel's capacity equals the lookahead amount, so block selection
-//! runs at most one window ahead of I/O — exactly the freshness/decoupling
-//! trade-off of §4.2 Challenge 4. Active states seen by the sampling
-//! engine may be slightly stale; correctness is unaffected (stale reads
-//! only deliver extra valid samples), only efficiency is at stake.
+//! The channel carries one message per marked window and holds two, so
+//! block selection runs at most two windows (`2 × lookahead` blocks)
+//! ahead of I/O — the freshness/decoupling trade-off of §4.2 Challenge 4.
+//! Active states seen by the sampling engine may be slightly stale;
+//! correctness is unaffected (stale reads only deliver extra valid
+//! samples), only efficiency is at stake.
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
@@ -276,8 +277,9 @@ fn io_and_stats_loop(
                     // Several idle passes in a row can be legitimate: the
                     // sampling engine may queue PassEnd messages faster
                     // than fresh demand propagates to it. Only a long
-                    // sustained streak (the engine sleeps 100µs per idle
-                    // pass) indicates a genuine bug.
+                    // sustained streak (the engine polls for a new epoch
+                    // every 20 µs after an idle pass) indicates a genuine
+                    // bug.
                     idle_passes += 1;
                     if idle_passes >= 1000 && !d.hs.is_done() {
                         return Err(CoreError::PhaseViolation(

@@ -26,15 +26,14 @@
 //! exits. When every shard is exhausted the table has been fully
 //! consumed and the run finishes with exact results.
 
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::time::Duration;
 
 use fastmatch_core::error::{CoreError, Result};
-use fastmatch_core::histsim::HistAccumulator;
 use fastmatch_store::io::{IoStats, ShardedBlockReader};
 
-use crate::exec::driver::{BlockTouch, Driver};
+use crate::exec::driver::{Driver, ShardBatch};
 use crate::exec::Executor;
 use crate::policy::mark_lookahead;
 use crate::query::QueryJob;
@@ -104,14 +103,11 @@ impl ParallelMatchExec {
 /// track exactly which workers are parked versus gone — counting
 /// anonymous messages is not enough (see `stats_loop`).
 enum Msg {
-    /// A batch of accumulated deltas plus the per-block distinct-candidate
-    /// lists (for consumption tracking).
-    Batch {
-        /// Phase-free count deltas of every block in `blocks`.
-        acc: HistAccumulator,
-        /// Distinct candidates per read block, in read order.
-        blocks: Vec<BlockTouch>,
-    },
+    /// Worker `.0`'s next batch of ingested blocks. The statistics engine
+    /// merges it and hands the storage back over the worker's return
+    /// channel, so a run allocates a few batches per worker, not one per
+    /// message.
+    Batch(usize, ShardBatch),
     /// Worker `.0` finished a full pass over its shard without reading a
     /// single block and is parking until demand changes.
     IdlePass(usize),
@@ -149,8 +145,11 @@ impl Executor for ParallelMatchExec {
         let mut result: Option<Result<()>> = None;
         let mut io = IoStats::default();
         std::thread::scope(|scope| {
+            let mut recycle = Vec::with_capacity(shards);
             let handles: Vec<_> = (0..shards)
                 .map(|w| {
+                    let (back_tx, back_rx) = channel::<ShardBatch>();
+                    recycle.push(back_tx);
                     let shard_reader = reader.shard(w, shards);
                     // Seed-derived start offset within the shard: repeated
                     // runs draw different samples, mirroring the random
@@ -161,13 +160,14 @@ impl Executor for ParallelMatchExec {
                     );
                     let tx = tx.clone();
                     let shared = Arc::clone(&shared);
+                    let link = (tx, back_rx);
                     scope.spawn(move || {
-                        shard_worker(job, w, shard_reader, &shared, tx, batch_blocks, start)
+                        shard_worker(job, w, shard_reader, &shared, link, batch_blocks, start)
                     })
                 })
                 .collect();
             drop(tx); // the statistics engine holds only the receiver
-            let r = stats_loop(&mut d, &shared, rx, shards);
+            let r = stats_loop(&mut d, &shared, rx, &recycle);
             shared.set_mode(DemandMode::Stop);
             // Workers are unblocked (receiver dropped, mode = Stop): join
             // them and aggregate the per-shard I/O accounting, wasted
@@ -188,9 +188,11 @@ impl Executor for ParallelMatchExec {
 /// accumulator batches. Returns the shard's I/O accounting.
 ///
 /// KEEP IN SYNC with `run_quantum` in `service/mod.rs`, which runs the
-/// same walk in resumable bounded quanta for the multi-query service —
-/// a behavioral fix to demand marking or pass bookkeeping here almost
-/// certainly applies there too.
+/// same walk in resumable bounded quanta for the multi-query service: the
+/// per-block ingestion step is shared ([`ShardBatch::push_block`]), but
+/// demand marking, skip runs and pass/cursor bookkeeping are written out
+/// in both — a behavioral fix to those here almost certainly applies
+/// there too.
 ///
 /// An **empty** shard (possible when a caller shards a reader more ways
 /// than there are blocks) reports exhaustion and exits immediately — it
@@ -201,7 +203,7 @@ fn shard_worker(
     w: usize,
     mut reader: ShardedBlockReader<'_>,
     shared: &SharedDemand,
-    tx: SyncSender<Msg>,
+    (tx, recycled): (SyncSender<Msg>, Receiver<ShardBatch>),
     batch_blocks: usize,
     start: usize,
 ) -> IoStats {
@@ -218,13 +220,21 @@ fn shard_worker(
     let mut visited_count = 0usize;
     let mut marks = vec![false; MARK_WINDOW];
 
-    let mut acc = HistAccumulator::new(nc, ng);
-    // Per-block delta buffer: its touched list after accumulating one
-    // block *is* that block's distinct-candidate set (for consumption
-    // tracking), so the tuples are traversed exactly once — no more
-    // sort-and-dedup second pass.
-    let mut block_acc = HistAccumulator::new(nc, ng);
-    let mut blocks: Vec<BlockTouch> = Vec::new();
+    let mut batch = ShardBatch::new(nc, ng);
+    // Ships the current batch and continues on recycled storage (cleared
+    // here, off the statistics thread) when the statistics engine has
+    // already handed one back. `false` once the receiver is gone.
+    let send = |batch: &mut ShardBatch| {
+        let next = match recycled.try_recv() {
+            Ok(mut used) => {
+                used.clear();
+                used
+            }
+            Err(_) => ShardBatch::new(nc, ng),
+        };
+        tx.send(Msg::Batch(w, std::mem::replace(batch, next)))
+            .is_ok()
+    };
 
     // A pass walks the shard from its rotated start as two contiguous
     // segments (local offsets), so window marking never wraps.
@@ -283,21 +293,9 @@ fn shard_worker(
                                 break 'outer;
                             }
                         };
-                        block_acc.accumulate(zs, xs);
-                        blocks.push(BlockTouch {
-                            id: b as u32,
-                            candidates: block_acc.touched().to_vec(),
-                        });
-                        acc.merge_from(&block_acc);
-                        block_acc.clear();
-                        if blocks.len() >= batch_blocks {
-                            let msg = Msg::Batch {
-                                acc: std::mem::replace(&mut acc, HistAccumulator::new(nc, ng)),
-                                blocks: std::mem::take(&mut blocks),
-                            };
-                            if tx.send(msg).is_err() {
-                                break 'outer;
-                            }
+                        batch.push_block(b, zs, xs);
+                        if batch.len() >= batch_blocks && !send(&mut batch) {
+                            break 'outer;
                         }
                     } else if skip_from.is_none() {
                         skip_from = Some(li);
@@ -311,14 +309,8 @@ fn shard_worker(
         }
         // Flush the pass's partial batch so the statistics engine always
         // sees completed passes promptly.
-        if !acc.is_empty() {
-            let msg = Msg::Batch {
-                acc: std::mem::replace(&mut acc, HistAccumulator::new(nc, ng)),
-                blocks: std::mem::take(&mut blocks),
-            };
-            if tx.send(msg).is_err() {
-                break;
-            }
+        if batch.len() > 0 && !send(&mut batch) {
+            break;
         }
         if visited_count == n_local {
             let _ = tx.send(Msg::ShardExhausted(w));
@@ -347,8 +339,9 @@ fn stats_loop(
     d: &mut Driver,
     shared: &SharedDemand,
     rx: Receiver<Msg>,
-    shards: usize,
+    recycle: &[Sender<ShardBatch>],
 ) -> Result<()> {
+    let shards = recycle.len();
     // Per-worker liveness: which workers have exited (shard consumed or
     // empty) and which are currently parked after an idle pass. Both are
     // tracked by worker id — an anonymous tally would go stale the moment
@@ -388,13 +381,15 @@ fn stats_loop(
             }
         };
         match msg {
-            Msg::Batch { acc, blocks } => {
+            Msg::Batch(w, batch) => {
                 // The merge below republishes (bumping the epoch), which
                 // wakes every parked worker for a fresh pass.
                 idle.iter_mut().for_each(|f| *f = false);
                 stuck_rounds = 0;
-                d.merge_batch(acc, &blocks);
+                d.merge_batch(&batch);
                 d.advance_and_publish(shared)?;
+                // A worker that already exited just drops it.
+                let _ = recycle[w].send(batch);
             }
             Msg::IdlePass(w) => {
                 idle[w] = true;
@@ -471,7 +466,8 @@ fn wake_if_all_parked(
             "no readable blocks for outstanding demand".into(),
         ));
     }
-    d.advance_and_publish(shared)
+    d.advance_and_publish(shared)?;
+    Ok(())
 }
 
 #[cfg(test)]
@@ -522,14 +518,14 @@ mod tests {
         assert_eq!(reader.num_blocks(), 0);
         // Never publish any demand: a parking worker would hang forever,
         // so returning at all proves the early exit.
-        let stats = shard_worker(&job, 3, reader, &shared, tx, 8, 0);
+        let stats = shard_worker(&job, 3, reader, &shared, (tx, channel().1), 8, 0);
         assert_eq!(stats, IoStats::default());
         match rx.try_recv() {
             Ok(Msg::ShardExhausted(3)) => {}
             other => panic!(
                 "expected ShardExhausted(3), got {:?}",
                 other.map(|m| match m {
-                    Msg::Batch { .. } => "Batch",
+                    Msg::Batch(..) => "Batch",
                     Msg::IdlePass(_) => "IdlePass",
                     Msg::ShardExhausted(_) => "ShardExhausted",
                     Msg::Failed(_) => "Failed",

@@ -59,16 +59,19 @@ impl GuaranteeState {
     }
 }
 
-/// A progressive snapshot of one running query, refreshed after every
-/// merged ingestion quantum.
+/// A progressive snapshot of one running query. `phase`, `guarantee`,
+/// `samples` and `io` are refreshed after every merged ingestion
+/// quantum; `current_topk` when a merge completes a phase or a stage-2
+/// round (and at completion), since recomputing the preview is a
+/// `|V_Z|·|V_X|` pass and its ranking moves materially only there.
 #[derive(Debug, Clone)]
 pub struct QueryProgress {
     /// The stage the query's state machine is in.
     pub phase: PhaseKind,
     /// The guarantee attached to `current_topk` right now.
     pub guarantee: GuaranteeState,
-    /// The current best estimate of the top-k (closest first). Empty
-    /// until the first quantum merges.
+    /// The best estimate of the top-k (closest first) as of the last
+    /// phase or round boundary. Empty until stage 1 completes.
     pub current_topk: Vec<u32>,
     /// Samples ingested so far.
     pub samples: u64,
@@ -148,12 +151,25 @@ impl QueryShared {
         self.cancel.load(Ordering::Relaxed)
     }
 
-    pub(crate) fn set_progress(&self, progress: QueryProgress) {
+    /// Updates the progressive snapshot; `topk: None` keeps the last
+    /// preview.
+    pub(crate) fn set_progress(
+        &self,
+        phase: PhaseKind,
+        guarantee: GuaranteeState,
+        samples: u64,
+        io: IoStats,
+        topk: Option<Vec<u32>>,
+    ) {
         let mut inner = self.inner.lock().unwrap();
         // Never regress a terminal snapshot (a late quantum's update must
         // not overwrite the outcome-time progress).
         if inner.outcome.is_none() {
-            inner.progress = progress;
+            let p = &mut inner.progress;
+            (p.phase, p.guarantee, p.samples, p.io) = (phase, guarantee, samples, io);
+            if let Some(topk) = topk {
+                p.current_topk = topk;
+            }
         }
     }
 

@@ -30,17 +30,19 @@
 //!   (`state` module docs, crate-internal).
 //! * **Per-query protocol** — each query runs the same demand protocol
 //!   as `ParallelMatch`: shard quanta fill phase-free
-//!   [`HistAccumulator`] batches, merge into the authoritative driver
-//!   under the query's
+//!   [`HistAccumulator`](fastmatch_core::histsim::HistAccumulator)
+//!   batches, merge into the authoritative driver under the query's
 //!   engine mutex, advance phases and republish demand. The paper's
 //!   correctness argument carries over unchanged: any set of blocks of
 //!   the pre-permuted table is a uniform without-replacement sample, so
 //!   quantum scheduling changes *latency*, never the guarantee.
 //! * **Progressive results** — after every merged quantum the handle's
-//!   snapshot is refreshed: current top-k preview, phase,
-//!   [`GuaranteeState`], samples so far, and the query's attributed
+//!   snapshot is refreshed: phase, [`GuaranteeState`], samples so far,
+//!   and the query's attributed
 //!   [`IoStats`](fastmatch_store::io::IoStats) — including its private
-//!   hit/miss view of the *shared* block cache.
+//!   hit/miss view of the *shared* block cache. The top-k preview, a
+//!   `|V_Z|·|V_X|` pass, is recomputed when the state machine completes
+//!   a phase or a stage-2 round.
 //! * **Cancellation & deadlines** — cooperative: workers observe the
 //!   cancel flag and the deadline at quantum boundaries, so a stuck
 //!   disk read is never interrupted mid-page, and a cancelled query's
@@ -63,12 +65,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fastmatch_core::error::CoreError;
-use fastmatch_core::histsim::{HistAccumulator, HistSimConfig};
+use fastmatch_core::histsim::HistSimConfig;
 use fastmatch_store::backend::StorageBackend;
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::live::{LiveTable, Snapshot};
 
-use crate::exec::driver::{BlockTouch, Driver};
+use crate::exec::driver::{Driver, ShardBatch};
 use crate::policy::mark_lookahead;
 use crate::query::QueryJob;
 use crate::service::handle::QueryShared;
@@ -620,8 +622,12 @@ enum Next {
 }
 
 fn worker_loop(svc: &QueryService<'_>, worker: usize) {
+    // One batch per worker, re-dimensioned to each quantum's query: the
+    // resident ingestion storage is `workers` accumulators, however many
+    // queries and shards are admitted.
+    let mut batch = ShardBatch::new(0, 1);
     while let Some(task) = svc.sched.pop(worker) {
-        run_quantum(svc, task);
+        run_quantum(svc, task, &mut batch);
     }
 }
 
@@ -656,7 +662,9 @@ const EWMA_ALPHA: f64 = 0.3;
 
 /// Runs one scheduling quantum of one shard task, then routes the task
 /// (requeue / park / retire) and performs any terminal bookkeeping.
-fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
+/// `batch` is the calling worker's reused ingestion storage: empty on
+/// entry, empty again on return.
+fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch: &mut ShardBatch) {
     let query = Arc::clone(&task.query);
 
     // Terminal and cooperative checks, once per quantum.
@@ -690,17 +698,15 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
     // detection), differing only in that it is *resumable* — bounded by
     // the quantum and re-entered with the cursor where it left off —
     // where ParallelMatch's worker owns its thread and runs passes to
-    // exhaustion. A behavioral fix to demand marking or pass-epoch
-    // bookkeeping in either walker almost certainly applies to both.
+    // exhaustion. The per-block ingestion step is shared
+    // (`ShardBatch::push_block`); a behavioral fix to demand marking or
+    // pass-epoch bookkeeping in either walker almost certainly applies
+    // to both.
     let job = &query.job;
     let lo = task.reader.blocks().start;
-    let mut acc = HistAccumulator::new(job.num_candidates(), job.num_groups());
-    // Per-block delta buffer; its touched list is the block's distinct
-    // candidates (one traversal per block, as in `shard_worker`).
-    let mut block_acc = HistAccumulator::new(job.num_candidates(), job.num_groups());
-    let mut touches: Vec<BlockTouch> = Vec::new();
+    batch.acc.reshape(job.num_candidates(), job.num_groups());
     let mut reads = 0usize;
-    let mut marks = vec![false; MARK_WINDOW];
+    let mut marks = [false; MARK_WINDOW];
     let mut park_epoch: Option<u64> = None;
     let mut failure: Option<CoreError> = None;
     let budget = quantum_budget(&svc.config, task.ewma_ns_per_block);
@@ -770,13 +776,7 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
                         break 'quantum;
                     }
                 };
-                block_acc.accumulate(zs, xs);
-                touches.push(BlockTouch {
-                    id: b as u32,
-                    candidates: block_acc.touched().to_vec(),
-                });
-                acc.merge_from(&block_acc);
-                block_acc.clear();
+                batch.push_block(b, zs, xs);
             } else if skip_from.is_none() {
                 skip_from = Some(li);
             }
@@ -820,25 +820,27 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
         if let Some(e) = failure {
             eng.set_verdict(Verdict::Failed(e));
             query.demand.set_mode(DemandMode::Stop);
-        } else if eng.verdict.is_none() && !touches.is_empty() {
+        } else if eng.verdict.is_none() && batch.len() > 0 {
             eng.stuck_rounds = 0;
             let d = eng.driver.as_mut().expect("driver taken before verdict");
-            d.merge_batch(acc, &touches);
+            d.merge_batch(batch);
             let advanced = d.advance_and_publish(&query.demand);
             let done = advanced.is_ok() && d.hs.is_done();
-            match advanced {
-                Ok(()) => {
+            let stepped = match advanced {
+                Ok(stepped) => {
                     if done {
                         eng.set_verdict(Verdict::Completed);
                     }
+                    stepped
                 }
                 Err(e) => {
                     eng.set_verdict(Verdict::Failed(e));
                     query.demand.set_mode(DemandMode::Stop);
+                    false
                 }
-            }
+            };
             merged = true;
-            refresh_progress(&query, &mut eng);
+            refresh_progress(&query, &eng, stepped);
         }
         if eng.verdict.is_some() || task.visited_count == n_local {
             Next::Retire
@@ -862,6 +864,9 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
             }
         }
     }
+    // Last, so the task is back with the scheduler before this worker
+    // spends time zeroing the cells it touched.
+    batch.clear();
 }
 
 /// Records a terminal reason (cancel / deadline), publishes `Stop`, and
@@ -904,24 +909,19 @@ fn stuck_valve(svc: &QueryService<'_>, query: &QueryState<'_>) {
 }
 
 /// Refreshes the handle's progressive snapshot (caller holds the engine
-/// mutex).
-fn refresh_progress(query: &QueryState<'_>, eng: &mut EngineState) {
-    let d = match &eng.driver {
-        Some(d) => d,
-        None => return,
-    };
+/// mutex). Every merged quantum pays only for the O(1) fields; the
+/// top-k preview is recomputed when the merge `stepped` the state
+/// machine over a phase or round boundary — which includes completion.
+fn refresh_progress(query: &QueryState<'_>, eng: &EngineState, stepped: bool) {
+    let Some(d) = &eng.driver else { return };
     let phase = d.hs.phase();
-    let exact = d.hs.diagnostics().exact_finish;
-    let samples = (0..query.job.num_candidates() as u32)
-        .map(|c| d.hs.samples_for(c))
-        .sum();
-    query.shared.set_progress(QueryProgress {
+    query.shared.set_progress(
         phase,
-        guarantee: GuaranteeState::from_phase(phase, exact),
-        current_topk: d.hs.current_topk(),
-        samples,
-        io: eng.io,
-    });
+        GuaranteeState::from_phase(phase, d.hs.diagnostics().exact_finish),
+        d.hs.samples(),
+        eng.io,
+        stepped.then(|| d.hs.current_topk()),
+    );
 }
 
 /// Retires one shard task: folds its remaining I/O into the query and,
@@ -1224,6 +1224,64 @@ mod tests {
         });
         assert_eq!(stats.steals, 0, "{stats:?}");
         assert!(stats.quanta > 0);
+    }
+
+    /// Drives one query's quanta by hand (no worker threads) and checks
+    /// what a quantum may cost and what it must publish: the worker's
+    /// accumulator storage is allocated once and then only reused —
+    /// no `|V_Z|·|V_X|`-sized allocation per quantum; `samples` advances
+    /// with every merged quantum (σ = 0: every tuple read counts); the
+    /// top-k preview appears once stage 1 is over and equals the output
+    /// at completion.
+    #[test]
+    fn quanta_reuse_worker_storage_and_refresh_progress() {
+        use fastmatch_core::histsim::PhaseKind;
+        let t = table();
+        let layout = BlockLayout::new(t.n_rows(), 16);
+        let backend = MemBackend::new(&t, layout);
+        let bitmap = BitmapIndex::build(&t, 0, &layout);
+        let config = ServiceConfig::default()
+            .with_workers(1)
+            .with_shards_per_query(2)
+            .with_quantum_blocks(4);
+        let svc = QueryService {
+            backend: &backend,
+            config,
+            sched: Scheduler::new(config.workers, config.work_stealing),
+            next_id: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
+            next_home: AtomicUsize::new(0),
+        };
+        let h = svc
+            .submit(QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], cfg()))
+            .unwrap();
+
+        let mut batch = ShardBatch::new(0, 1);
+        let mut storage = None;
+        let (mut merged_quanta, mut previews) = (0, 0);
+        let mut last = h.progress();
+        while !h.is_done() {
+            let task = svc.sched.pop(0).expect("a live query keeps a task queued");
+            run_quantum(&svc, task, &mut batch);
+            assert_eq!(batch.len(), 0, "a quantum must hand the batch back empty");
+            let at = batch.acc.candidate_counts(0).as_ptr();
+            assert_eq!(*storage.get_or_insert(at), at, "accumulator reallocated");
+
+            let now = h.progress();
+            if now.io.blocks_read > last.io.blocks_read && !h.is_done() {
+                merged_quanta += 1;
+                assert!(now.samples > last.samples, "{now:?} after {last:?}");
+            }
+            if now.phase != PhaseKind::Stage1 {
+                previews += 1;
+                assert_eq!(now.current_topk.len(), 2, "{now:?}");
+            }
+            last = now;
+        }
+        assert!(merged_quanta > 10, "only {merged_quanta} merged quanta");
+        assert!(previews > 1, "the preview was never seen before completion");
+        let out = h.wait();
+        assert_eq!(last.current_topk, out.finished().unwrap().candidate_ids());
     }
 
     #[test]
