@@ -1,6 +1,8 @@
 //! Criterion microbenchmarks of the algorithmic kernels: hypergeometric
 //! P-values (stage 1), Theorem-1 bounds (stage 2/3), distance evaluation,
-//! Holm–Bonferroni, bitmap probing and lookahead marking.
+//! Holm–Bonferroni, bitmap probing and lookahead marking — and of the
+//! file backend's page load (`file_page_load`, ns per 600-byte page by
+//! read path).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -8,10 +10,14 @@ use fastmatch_core::stats::deviation::DeviationBound;
 use fastmatch_core::stats::holm_bonferroni::HolmBonferroni;
 use fastmatch_core::stats::hypergeometric::underrepresentation_pvalues;
 use fastmatch_core::Metric;
+use fastmatch_store::backend::StorageBackend;
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
+use fastmatch_store::checksum::fnv1a64;
+use fastmatch_store::file::FileBackend;
 use fastmatch_store::schema::{AttrDef, Schema};
 use fastmatch_store::table::Table;
+use fastmatch_store::tempfile::TempBlockFile;
 
 fn bench_hypergeometric(c: &mut Criterion) {
     // TAXI-scale stage 1: 7641 candidates, 500k draws from 600M rows.
@@ -103,9 +109,106 @@ fn bench_bitmap(c: &mut Criterion) {
     });
 }
 
+/// ns per page of the file backend's read paths over a page-cached
+/// file of the paper's 600-byte pages. Every iteration loads the same
+/// `PAGES` pages, so the printed time divided by `PAGES` is the figure;
+/// the three miss paths run against a cache too small to ever hit. The
+/// file is 3.2 MB, so the whole group is smoke-sized as it stands.
+fn bench_file_page_load(c: &mut Criterion) {
+    const TPB: usize = 150;
+    let rows = 400_000usize;
+    let cols: Vec<Vec<u32>> = (0..2u32)
+        .map(|a| {
+            (0..rows as u32)
+                .map(|r| r.wrapping_mul(40503 + a) % 97)
+                .collect()
+        })
+        .collect();
+    let table = Table::new(
+        Schema::new(vec![AttrDef::new("z", 97), AttrDef::new("x", 97)]),
+        cols,
+    );
+    let scratch = TempBlockFile::new("micro_page_load");
+    let open = |cache_pages: usize| {
+        FileBackend::create(scratch.path(), &table, TPB)
+            .expect("persist failed")
+            .with_cache_blocks(cache_pages)
+            .with_prefetch_workers(0)
+    };
+    let nb = table.n_rows().div_ceil(TPB);
+    const BLOCKS: usize = 1024;
+    const PAGES: usize = 2 * BLOCKS;
+    let (mut zs, mut xs) = (Vec::new(), Vec::new());
+
+    // What one page costs before any of this PR's batching: the
+    // single-stream checksum alone, and the single-page read.
+    let page = vec![0x5au8; TPB * 4];
+    c.bench_function("file_page_load/serial_fnv1a64_only_x2048", |b| {
+        b.iter(|| (0..PAGES as u64).fold(0, |acc, i| acc ^ fnv1a64(i, black_box(&page))))
+    });
+    let cold = open(8);
+    let mut start = 0usize;
+    let mut next_window = move || {
+        // A fresh window each iteration: nothing of it is still cached.
+        start = (start + BLOCKS) % (nb - BLOCKS);
+        start
+    };
+    c.bench_function("file_page_load/miss_single_page_x2048", |b| {
+        b.iter(|| {
+            let s = next_window();
+            for blk in s..s + BLOCKS {
+                cold.read_block_into(blk, 0, &mut zs).expect("read failed");
+                cold.read_block_into(blk, 1, &mut xs).expect("read failed");
+            }
+        })
+    });
+    c.bench_function("file_page_load/miss_pair_path_x2048", |b| {
+        b.iter(|| {
+            let s = next_window();
+            for blk in s..s + BLOCKS {
+                cold.read_block_pair_into(blk, 0, 1, &mut zs, &mut xs)
+                    .expect("read failed");
+            }
+        })
+    });
+    c.bench_function("file_page_load/miss_run_path_x2048", |b| {
+        b.iter(|| {
+            let s = next_window();
+            cold.read_run_pair_into(s..s + BLOCKS, 0, 1, &mut zs, &mut xs, &mut |_, z, _, _| {
+                black_box(z);
+                true
+            })
+            .expect("read failed")
+        })
+    });
+    drop(cold);
+    let warm = open(2 * nb.next_multiple_of(8));
+    for blk in 0..BLOCKS {
+        warm.read_block_pair_into(blk, 0, 1, &mut zs, &mut xs)
+            .expect("warm-up failed");
+    }
+    c.bench_function("file_page_load/hit_pair_path_x2048", |b| {
+        b.iter(|| {
+            for blk in 0..BLOCKS {
+                warm.read_block_pair_into(blk, 0, 1, &mut zs, &mut xs)
+                    .expect("read failed");
+            }
+        })
+    });
+    c.bench_function("file_page_load/hit_run_path_x2048", |b| {
+        b.iter(|| {
+            warm.read_run_pair_into(0..BLOCKS, 0, 1, &mut zs, &mut xs, &mut |_, z, _, _| {
+                black_box(z);
+                true
+            })
+            .expect("read failed")
+        })
+    });
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_hypergeometric, bench_deviation, bench_distance, bench_holm_bonferroni, bench_bitmap
+    targets = bench_hypergeometric, bench_deviation, bench_distance, bench_holm_bonferroni, bench_bitmap, bench_file_page_load
 }
 criterion_main!(benches);

@@ -8,9 +8,19 @@
 //!   skipping with Algorithm 3 (one pass over each active candidate's
 //!   bitmap row per window), and streams read decisions through a bounded
 //!   channel;
-//! * the **I/O manager + statistics engine** (caller thread) consumes the
-//!   marked blocks, ingests tuples into HistSim, advances its stages, and
+//! * the **I/O manager + statistics engine** (caller thread) reads each
+//!   marked run *as a run* ([`BlockReader::read_run`]), ingests its
+//!   blocks into HistSim one at a time, advances its stages, and
 //!   publishes fresh per-candidate demand through [`SharedDemand`].
+//!
+//! Figure 6's three stages each run ahead of the next: **marking** runs
+//! at most two windows ahead of I/O (below); **I/O** runs one chunk of
+//! the current run ahead of ingestion, inside the storage backend — a
+//! run read tells it exactly which blocks of which two attributes come
+//! next, so over a medium with latency the file backend's readahead
+//! pool loads the next chunk while this thread ingests the current one,
+//! and no hint is computed here; **ingestion** is the visitor the run
+//! read calls per block.
 //!
 //! The channel carries one message per marked window and holds two, so
 //! block selection runs at most two windows (`2 × lookahead` blocks)
@@ -24,6 +34,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use fastmatch_core::error::{CoreError, Result};
+#[cfg(doc)]
+use fastmatch_store::io::BlockReader;
 use fastmatch_store::io::IoStats;
 
 use crate::exec::driver::Driver;
@@ -117,14 +129,9 @@ impl Executor for FastMatchExec {
 }
 
 /// The lookahead thread: Algorithm 3 over windows, multi-pass with a
-/// visited set so skipped blocks stay eligible for later rounds.
-///
-/// This is also where the lookahead decisions start paying twice: each
-/// window's read-runs are forwarded to the backend's prefetcher *before*
-/// the window is shipped to the I/O manager, so by the time the consumer
-/// reaches a run its pages are (ideally) already warm — selection runs
-/// ahead of I/O, and I/O runs ahead of ingestion. Skipped blocks are
-/// never hinted (demand-aware readahead).
+/// visited set so skipped blocks stay eligible for later rounds. Each
+/// window's decisions are shipped as maximal contiguous runs, which is
+/// the shape the I/O manager reads them in.
 fn sampling_engine(
     job: &QueryJob<'_>,
     shared: &SharedDemand,
@@ -194,11 +201,6 @@ fn sampling_engine(
             if run_len > 0 {
                 runs.push((run_start as u32, run_len));
             }
-            // Warm the cache for exactly the blocks this window decided
-            // to read, before handing the window to the I/O manager.
-            for &(s, l) in &runs {
-                job.prefetch(s as usize..s as usize + l as usize);
-            }
             if (!runs.is_empty() || skipped > 0) && tx.send(Msg::Batch { runs, skipped }).is_err() {
                 break 'outer;
             }
@@ -253,20 +255,23 @@ fn io_and_stats_loop(
                 reader.skip_blocks(skipped as u64);
                 for (start, len) in runs {
                     had_read_since_pass_end = true;
-                    for b in start..start + len {
-                        if d.hs.is_done() {
-                            break;
-                        }
-                        let (zs, xs) = reader
-                            .try_block_slices(b as usize, job.z_attr, job.x_attr)
-                            .map_err(storage_err)?;
-                        d.ingest_block(b as usize, zs, xs);
-                        reads_since_publish += 1;
-                        if d.hs.io_satisfied() || reads_since_publish >= PUBLISH_EVERY {
-                            d.advance_and_publish(shared)?;
-                            reads_since_publish = 0;
-                        }
+                    if d.hs.is_done() {
+                        break;
                     }
+                    let run = start as usize..(start + len) as usize;
+                    let mut published = Ok(false);
+                    reader
+                        .read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
+                            d.ingest_block(b, zs, xs);
+                            reads_since_publish += 1;
+                            if d.hs.io_satisfied() || reads_since_publish >= PUBLISH_EVERY {
+                                published = d.advance_and_publish(shared);
+                                reads_since_publish = 0;
+                            }
+                            published.is_ok() && !d.hs.is_done()
+                        })
+                        .map_err(storage_err)?;
+                    published?;
                 }
             }
             Msg::PassEnd => {

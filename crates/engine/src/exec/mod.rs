@@ -59,35 +59,17 @@ pub(crate) fn start_block(num_blocks: usize, seed: u64) -> usize {
     StdRng::seed_from_u64(seed).gen_range(0..num_blocks)
 }
 
-/// Forwards one marked lookahead window to the backend's prefetcher:
-/// every maximal run of blocks that is *marked for reading* and *not yet
-/// visited* becomes one readahead hint, issued before the caller starts
-/// ingesting the window — so the backend warms the window's later blocks
-/// while the earlier ones are being accumulated. Skipped (unmarked) and
-/// already-read blocks are never hinted: that is the demand-aware half
-/// of the prefetch pipeline.
-///
-/// `marks[i]` describes local block `seg_off + i`, whose global id is
-/// `base + seg_off + i`; `visited` is indexed by local block id.
-pub(crate) fn prefetch_marked(
-    job: &QueryJob<'_>,
-    base: usize,
-    seg_off: usize,
-    marks: &[bool],
-    visited: &[bool],
-) {
-    let mut run_start: Option<usize> = None;
-    for (i, &marked) in marks.iter().enumerate() {
-        let li = seg_off + i;
-        if marked && !visited[li] {
-            run_start.get_or_insert(li);
-        } else if let Some(s) = run_start.take() {
-            job.prefetch(base + s..base + li);
-        }
-    }
-    if let Some(s) = run_start.take() {
-        job.prefetch(base + s..base + seg_off + marks.len());
-    }
+/// Where the run that starts at position `i` of a marked window ends:
+/// the first position whose block is already visited or marked
+/// differently from position `i`. `marks[i]` describes local block
+/// `seg_off + i`, `visited` is indexed by local block id, and position
+/// `i` must be unvisited. Both shard walkers split their windows with
+/// this — runs of marked blocks are *read* as runs
+/// (`ShardedBlockReader::read_run`), runs of unmarked ones skipped in
+/// bulk.
+pub(crate) fn run_end(marks: &[bool], visited: &[bool], seg_off: usize, i: usize) -> usize {
+    let tail = marks[i + 1..].iter().zip(&visited[seg_off + i + 1..]);
+    i + 1 + tail.take_while(|&(&m, &v)| !v && m == marks[i]).count()
 }
 
 /// Per-block read/skip decision for the synchronous executors.

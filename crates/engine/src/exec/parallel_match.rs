@@ -34,7 +34,7 @@ use fastmatch_core::error::{CoreError, Result};
 use fastmatch_store::io::{IoStats, ShardedBlockReader};
 
 use crate::exec::driver::{Driver, ShardBatch};
-use crate::exec::Executor;
+use crate::exec::{run_end, Executor};
 use crate::policy::mark_lookahead;
 use crate::query::QueryJob;
 use crate::result::MatchOutput;
@@ -189,10 +189,10 @@ impl Executor for ParallelMatchExec {
 ///
 /// KEEP IN SYNC with `run_quantum` in `service/mod.rs`, which runs the
 /// same walk in resumable bounded quanta for the multi-query service: the
-/// per-block ingestion step is shared ([`ShardBatch::push_block`]), but
-/// demand marking, skip runs and pass/cursor bookkeeping are written out
-/// in both — a behavioral fix to those here almost certainly applies
-/// there too.
+/// per-block ingestion step ([`ShardBatch::push_block`]) and the split
+/// of a marked window into runs ([`run_end`]) are shared, but demand
+/// marking and pass/cursor bookkeeping are written out in both — a
+/// behavioral fix to those here almost certainly applies there too.
 ///
 /// An **empty** shard (possible when a caller shards a reader more ways
 /// than there are blocks) reports exhaustion and exits immediately — it
@@ -259,50 +259,45 @@ fn shard_worker(
                         mark_lookahead(&job.bitmap, &active, lo + seg_off, &mut marks[..win]);
                     }
                 }
-                // Hint this window's read-runs to the backend's
-                // prefetcher before ingesting it: the readahead workers
-                // warm the window's later blocks while this worker
-                // accumulates the earlier ones.
-                crate::exec::prefetch_marked(job, lo, seg_off, &marks[..win], &visited);
-                // Unvisited-unmarked blocks are skipped in maximal
-                // contiguous runs through the range-validated bulk API.
-                let mut skip_from: Option<usize> = None;
-                for (i, &marked) in marks[..win].iter().enumerate() {
-                    let li = seg_off + i;
-                    if visited[li] || marked {
-                        if let Some(s) = skip_from.take() {
-                            reader.skip_blocks(lo + s..lo + li);
-                        }
-                    }
-                    if visited[li] {
+                // Split the window into maximal runs of unvisited blocks
+                // with one decision: marked runs are read as runs (the
+                // backend fetches them together and reads ahead within
+                // them), unmarked ones skipped through the
+                // range-validated bulk API.
+                let mut i = 0usize;
+                while i < win {
+                    if visited[seg_off + i] {
+                        i += 1;
                         continue;
                     }
-                    let b = lo + li;
-                    if marked {
-                        visited[li] = true;
-                        visited_count += 1;
-                        read_this_pass = true;
-                        // A storage failure (I/O error, corrupt page) ends
-                        // the worker and fails the whole run through the
-                        // statistics engine — same error contract as the
-                        // sequential executors, no panic.
-                        let (zs, xs) = match reader.try_block_slices(b, job.z_attr, job.x_attr) {
-                            Ok(pair) => pair,
-                            Err(e) => {
-                                let _ = tx.send(Msg::Failed(crate::exec::storage_err(e)));
-                                break 'outer;
-                            }
-                        };
-                        batch.push_block(b, zs, xs);
-                        if batch.len() >= batch_blocks && !send(&mut batch) {
-                            break 'outer;
-                        }
-                    } else if skip_from.is_none() {
-                        skip_from = Some(li);
+                    let end = run_end(&marks[..win], &visited, seg_off, i);
+                    let run = lo + seg_off + i..lo + seg_off + end;
+                    let marked = marks[i];
+                    i = end;
+                    if !marked {
+                        reader.skip_blocks(run);
+                        continue;
                     }
-                }
-                if let Some(s) = skip_from.take() {
-                    reader.skip_blocks(lo + s..lo + seg_off + win);
+                    read_this_pass = true;
+                    let mut receiver_gone = false;
+                    let read = reader.read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
+                        visited[b - lo] = true;
+                        visited_count += 1;
+                        batch.push_block(b, zs, xs);
+                        receiver_gone = batch.len() >= batch_blocks && !send(&mut batch);
+                        !receiver_gone
+                    });
+                    // A storage failure (I/O error, corrupt page) ends
+                    // the worker and fails the whole run through the
+                    // statistics engine — same error contract as the
+                    // sequential executors, no panic.
+                    if let Err(e) = read {
+                        let _ = tx.send(Msg::Failed(crate::exec::storage_err(e)));
+                        break 'outer;
+                    }
+                    if receiver_gone {
+                        break 'outer;
+                    }
                 }
                 off += win;
             }

@@ -1,9 +1,9 @@
 //! The exact `Scan` baseline (paper §5.2).
 //!
-//! A single heap scan over every block: exact candidate histograms, exact
-//! selectivity pruning at σ, exact top-k. Trivially satisfies both
-//! guarantees; its latency is the denominator of every speedup the
-//! evaluation reports.
+//! A single heap scan over every block — one run read of the whole
+//! table: exact candidate histograms, exact selectivity pruning at σ,
+//! exact top-k. Trivially satisfies both guarantees; its latency is the
+//! denominator of every speedup the evaluation reports.
 
 use std::time::Instant;
 
@@ -32,15 +32,21 @@ impl Executor for ScanExec {
         let mut counts = vec![0u64; vz * vx];
         let mut totals = vec![0u64; vz];
         let mut reader = job.reader();
-        for b in 0..job.layout.num_blocks() {
-            let (zs, xs) = reader
-                .try_block_slices(b, job.z_attr, job.x_attr)
-                .map_err(storage_err)?;
-            for (&zc, &xc) in zs.iter().zip(xs) {
-                counts[zc as usize * vx + xc as usize] += 1;
-                totals[zc as usize] += 1;
-            }
-        }
+        let all = 0..job.layout.num_blocks();
+        // The visitor owns plain slices (moved in, not borrowed through
+        // the `Vec`s): behind a borrowed `Vec` every count store might
+        // alias the `Vec`'s own pointer, which the tuple loop would then
+        // reload per tuple (measured: scan_p50_ms +12 % on `mem_table4`).
+        let (cells, sums) = (counts.as_mut_slice(), totals.as_mut_slice());
+        reader
+            .read_run(all, job.z_attr, job.x_attr, move |_, zs, xs| {
+                for (&zc, &xc) in zs.iter().zip(xs) {
+                    cells[zc as usize * vx + xc as usize] += 1;
+                    sums[zc as usize] += 1;
+                }
+                true
+            })
+            .map_err(storage_err)?;
 
         let n = job.n_rows() as f64;
         let sigma_threshold = job.cfg.sigma * n;

@@ -233,21 +233,6 @@ impl<'a> QueryJob<'a> {
         self.cardinality(self.x_attr) as usize
     }
 
-    /// Forwards a demand-aware readahead hint to the underlying backend:
-    /// the caller has *marked* every block of `blocks` for reading and
-    /// will request them soon, so a caching backend (e.g. the file
-    /// backend's readahead pool) may warm its cache ahead of the demand
-    /// reads. A no-op for in-memory sources, and always advisory — see
-    /// [`StorageBackend::prefetch`].
-    #[inline]
-    pub fn prefetch(&self, blocks: std::ops::Range<usize>) {
-        match &self.source {
-            Source::Mem(_) => {}
-            Source::Backend(backend) => backend.prefetch(blocks),
-            Source::Shared(backend) => backend.prefetch(blocks),
-        }
-    }
-
     /// A fresh block reader over the job's source, with the job's
     /// simulated latency applied. Executors obtain all their I/O through
     /// this, so they run unchanged over any storage regime.

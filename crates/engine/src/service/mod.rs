@@ -71,6 +71,7 @@ use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::live::{LiveTable, Snapshot};
 
 use crate::exec::driver::{Driver, ShardBatch};
+use crate::exec::run_end;
 use crate::policy::mark_lookahead;
 use crate::query::QueryJob;
 use crate::service::handle::QueryShared;
@@ -698,10 +699,10 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch:
     // detection), differing only in that it is *resumable* — bounded by
     // the quantum and re-entered with the cursor where it left off —
     // where ParallelMatch's worker owns its thread and runs passes to
-    // exhaustion. The per-block ingestion step is shared
-    // (`ShardBatch::push_block`); a behavioral fix to demand marking or
-    // pass-epoch bookkeeping in either walker almost certainly applies
-    // to both.
+    // exhaustion. The per-block ingestion step (`ShardBatch::push_block`)
+    // and the split of a window into runs (`run_end`) are shared; a
+    // behavioral fix to demand marking or pass-epoch bookkeeping in
+    // either walker almost certainly applies to both.
     let job = &query.job;
     let lo = task.reader.blocks().start;
     batch.acc.reshape(job.num_candidates(), job.num_groups());
@@ -738,51 +739,42 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch:
                 mark_lookahead(&job.bitmap, &active, lo + seg_off, &mut marks[..win]);
             }
         }
-        // Hint the window's read-runs ahead of ingestion — the whole
-        // window, not just this quantum's budget: blocks past the budget
-        // are precisely "the shard's next ingestion quantum", and warming
-        // them now is what overlaps their I/O with this quantum's
-        // compute. (Skipped blocks are never hinted.)
-        crate::exec::prefetch_marked(job, lo, seg_off, &marks[..win], &task.visited);
+        // Split the window into maximal runs of unvisited blocks with
+        // one decision, stopping right behind the budget's last read:
+        // marked runs are read as runs (cut to the budget left), unmarked
+        // ones skipped through the range-validated bulk API — only over
+        // blocks this quantum actually examined.
         let mut processed = 0usize;
-        // Unvisited-unmarked blocks are skipped in maximal contiguous
-        // runs via the range-validated bulk API; a run may only extend
-        // over blocks this quantum actually examined.
-        let mut skip_from: Option<usize> = None;
-        for (i, &marked) in marks[..win].iter().enumerate() {
-            let li = seg_off + i;
-            if reads >= budget {
-                break;
-            }
-            processed += 1;
-            if task.visited[li] || marked {
-                if let Some(s) = skip_from.take() {
-                    task.reader.skip_blocks(lo + s..lo + li);
-                }
-            }
-            if task.visited[li] {
+        while processed < win && reads < budget {
+            if task.visited[seg_off + processed] {
+                processed += 1;
                 continue;
             }
-            let b = lo + li;
-            if marked {
-                task.visited[li] = true;
-                task.visited_count += 1;
-                task.read_this_pass = true;
-                reads += 1;
-                let (zs, xs) = match task.reader.try_block_slices(b, job.z_attr, job.x_attr) {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        failure = Some(crate::exec::storage_err(e));
-                        break 'quantum;
-                    }
-                };
-                batch.push_block(b, zs, xs);
-            } else if skip_from.is_none() {
-                skip_from = Some(li);
+            let end = run_end(&marks[..win], &task.visited, seg_off, processed);
+            if !marks[processed] {
+                task.reader
+                    .skip_blocks(lo + seg_off + processed..lo + seg_off + end);
+                processed = end;
+                continue;
             }
-        }
-        if let Some(s) = skip_from.take() {
-            task.reader.skip_blocks(lo + s..lo + seg_off + processed);
+            let take = (end - processed).min(budget - reads);
+            let run = lo + seg_off + processed..lo + seg_off + processed + take;
+            task.read_this_pass = true;
+            processed += take;
+            let (visited, visited_count) = (&mut task.visited, &mut task.visited_count);
+            let read = task
+                .reader
+                .read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
+                    visited[b - lo] = true;
+                    *visited_count += 1;
+                    reads += 1;
+                    batch.push_block(b, zs, xs);
+                    true
+                });
+            if let Err(e) = read {
+                failure = Some(crate::exec::storage_err(e));
+                break 'quantum;
+            }
         }
         task.cursor += processed;
         if task.cursor >= n_local {

@@ -28,7 +28,8 @@ pub enum PageOrigin {
     /// Served from the backend's block cache.
     CacheHit,
     /// Served from the backend's block cache, from a page a readahead
-    /// worker loaded ([`StorageBackend::prefetch`]) that had not yet been
+    /// worker loaded (ahead of a run read, or on a
+    /// [`StorageBackend::prefetch`] hint) that had not yet been
     /// demand-hit. Each prefetched page reports this at most once — its
     /// first demand hit — so the count measures *useful* prefetches;
     /// later re-hits are plain [`Self::CacheHit`]s.
@@ -36,6 +37,11 @@ pub enum PageOrigin {
     /// Fetched from the underlying medium (disk, network, …).
     CacheMiss,
 }
+
+/// What a run read ([`StorageBackend::read_run_pair_into`]) hands each
+/// block to: `(block id, z codes, x codes, [z page origin, x page
+/// origin]) -> keep going?`.
+pub type BlockVisitor<'a> = dyn FnMut(usize, &[u32], &[u32], [PageOrigin; 2]) -> bool + 'a;
 
 /// A source of table blocks: schema + block geometry + a fallible
 /// block-page read primitive.
@@ -73,6 +79,40 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
         Ok([oz, ox])
     }
 
+    /// Reads a contiguous **run** of blocks, delivering them to `visit`
+    /// one at a time and in order: `visit(b, z codes, x codes, origins)`
+    /// sees exactly what [`Self::read_block_pair_into`] would have
+    /// produced for block `b`, and returns whether to go on. `zs`/`xs`
+    /// are working storage (contents unspecified afterwards). Returns
+    /// `Ok(true)` when the whole run was delivered and `Ok(false)` when
+    /// the visitor stopped it; blocks after a stop are never delivered,
+    /// and neither are blocks from a failing one on — every block
+    /// *before* a failure is delivered intact first.
+    ///
+    /// The contract is the per-block one, block for block; what a
+    /// backend gains is the knowledge that the blocks are wanted
+    /// *together*. The default implementation is the loop over
+    /// [`Self::read_block_pair_into`]; [`crate::file::FileBackend`]
+    /// serves a run with one positioned read per attribute and chunk and
+    /// uses the rest of the run as its own readahead hint.
+    fn read_run_pair_into(
+        &self,
+        blocks: std::ops::Range<usize>,
+        z_attr: usize,
+        x_attr: usize,
+        zs: &mut Vec<u32>,
+        xs: &mut Vec<u32>,
+        visit: &mut BlockVisitor<'_>,
+    ) -> Result<bool> {
+        for b in blocks {
+            let origins = self.read_block_pair_into(b, z_attr, x_attr, zs, xs)?;
+            if !visit(b, zs, xs, origins) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
+
     /// Advisory readahead hint: the caller expects to read every block of
     /// `blocks` soon, so the backend may warm whatever cache tier it has
     /// ahead of the demand reads. Purely an optimization seam:
@@ -84,9 +124,10 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     ///   worst warms pages nobody reads; demand reads never depend on a
     ///   hint having been honored.
     ///
-    /// Callers are expected to be *demand-aware*: hint only blocks that
-    /// block-selection policies actually marked for reading, never blocks
-    /// they decided to skip.
+    /// The executors do not call this: a run read
+    /// ([`Self::read_run_pair_into`]) tells the backend all a hint could,
+    /// for exactly the attributes and blocks that will be read. It stays
+    /// for callers that know their future reads some other way.
     fn prefetch(&self, blocks: std::ops::Range<usize>) {
         let _ = blocks;
     }

@@ -3,9 +3,10 @@
 //! A block file persists one (pre-shuffled) [`Table`] in the same
 //! geometry the engine reads it: fixed-size blocks of dictionary codes,
 //! laid out attribute-major so one block's page for one attribute is a
-//! single contiguous read. Every page carries a position-keyed checksum,
-//! so bit rot *and* misplaced pages surface as [`StoreError::Corrupt`]
-//! rather than silently wrong histograms.
+//! single contiguous read — and a *run* of blocks is one contiguous span
+//! per attribute. Every page carries a position-keyed checksum, so bit
+//! rot *and* misplaced pages surface as [`StoreError::Corrupt`] rather
+//! than silently wrong histograms.
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -29,40 +30,88 @@
 //! cache** with clock (second-chance) eviction: each cache shard is an
 //! independently locked clock ring, so the engine's per-shard workers
 //! rarely contend on the same lock, and the cache's footprint is capped
-//! at a fixed number of pages regardless of table size. Cache misses
-//! read the file with *positioned* reads (`pread` on Unix, no lock) and
-//! with the cache-shard lock released, so concurrent workers overlap
-//! their disk fetches instead of serializing on a file mutex.
+//! at a fixed number of pages regardless of table size.
 //!
-//! On top of the cache sits a **demand-aware readahead pipeline**:
-//! [`StorageBackend::prefetch`] hints (contiguous runs of blocks that a
-//! block-selection policy has marked for reading) land in a bounded
-//! queue, and a small pool of background workers drains it, warming the
-//! cache with every attribute page of the hinted blocks before the
-//! demand reads arrive — block *selection* runs ahead of block *I/O*
-//! (paper §4, Figure 6), so storage latency hides behind compute.
-//! Hints are advisory: a full queue drops the oldest hint (the reader
-//! has most likely caught up with it), a stale hint at worst warms pages
-//! nobody reads, and a prefetch hitting a corrupt page stays silent —
-//! the demand read rediscovers and reports the error. Prefetch
-//! attribution ([`CacheStats::pages_prefetched`],
-//! [`CacheStats::prefetched_hits`], and per-reader
-//! [`crate::io::IoStats::pages_prefetch_hit`]) makes the overlap
-//! measurable.
+//! # One read path: chunks
+//!
+//! Every demand read — one page ([`StorageBackend::read_block_into`]),
+//! one block pair ([`StorageBackend::read_block_pair_into`]) or a run of
+//! blocks ([`StorageBackend::read_run_pair_into`]) — is served a *chunk*
+//! at a time (at most [`RUN_CHUNK_BLOCKS`] blocks of the requested
+//! attributes) by the same four steps:
+//!
+//! 1. **probe** the cache per page, copying hits straight into the
+//!    caller's buffers;
+//! 2. **fetch** each maximal span of uncached pages of one attribute
+//!    with a *single* positioned read (`pread` on Unix, no lock, cache
+//!    locks released) into a per-thread byte buffer that is reused from
+//!    read to read;
+//! 3. **verify** the fetched pages' checksums [`LANES`] at a time
+//!    ([`fnv1a64_each`]: same values, same `FMCOL001` file, about a
+//!    quarter of the single-stream cost per page — a block pair verifies
+//!    its two pages as two lanes);
+//! 4. **decode** each verified page into the caller's buffer and fill a
+//!    cache slot by overwriting the clock victim's storage. A page that
+//!    fails verification is never cached; the blocks before it are still
+//!    delivered, then the read fails with [`StoreError::Corrupt`] naming
+//!    the page.
+//!
+//! # A run is its own hint
+//!
+//! Readahead is demand-exact: while it serves one chunk of a run, the
+//! backend — which sees the remainder of the run — hands its readahead
+//! pool the *next* chunk of exactly the two requested attributes, never
+//! more than a quarter of the cache, and nothing at all when the chunk
+//! just served came entirely from pages earlier demand reads had paid
+//! for (a warm cache stays silent). The pool's workers run steps 2–4
+//! into the cache, so selection runs ahead of I/O and I/O ahead of
+//! ingestion (paper §4, Figure 6) without any caller computing hints.
+//!
+//! A run hints only over a medium that *has* latency to hide
+//! ([`FileBackend::with_simulated_medium_latency_ns`] — the one slow
+//! medium this crate has). Over a page-cached file a chunk's two reads
+//! are a tenth of its verify-and-decode time, and handing the next chunk
+//! to a worker on another core costs more than it saves, so the pool is
+//! left asleep. The rule is a fact about the backend, not a measurement
+//! of the read in flight, on purpose: whether the pool runs moves a
+//! query's time by up to a fifth, so the same run must hint the same
+//! chunks every time it is read (EXPERIMENTS.md § PR 19 has the measured
+//! gate this replaced, and what it did to run-to-run spread).
+//!
+//! [`StorageBackend::prefetch`] remains as the advisory, all-attribute
+//! entry point. Hints carry no obligation: a full queue drops the oldest
+//! one, a stale one at worst warms pages nobody reads, and readahead
+//! meeting a corrupt page stays silent — the demand read rediscovers and
+//! reports the error.
+//!
+//! # What the counters count
+//!
+//! [`CacheStats::hits`] / [`CacheStats::misses`] (and the per-reader
+//! [`crate::io::IoStats`] page counters) count pages *delivered* to a
+//! demand reader, two per block: a run whose visitor stops mid-chunk has
+//! fetched pages it is not charged for. Readahead loads are counted only
+//! as [`CacheStats::pages_prefetched`], and a prefetched page's first
+//! delivery as [`CacheStats::prefetched_hits`].
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::File;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 #[cfg(not(unix))]
 use std::io::{Seek, SeekFrom};
 
-use crate::backend::{PageOrigin, StorageBackend};
+use crate::backend::{BlockVisitor, PageOrigin, StorageBackend};
 use crate::block::BlockLayout;
+#[cfg(doc)]
+use crate::checksum::LANES;
+use crate::checksum::{fnv1a64, fnv1a64_each, FNV_BASIS};
 use crate::error::{Result, StoreError};
 use crate::schema::{AttrDef, Schema};
 use crate::table::Table;
@@ -71,7 +120,7 @@ use crate::table::Table;
 const MAGIC: &[u8; 8] = b"FMCOL001";
 
 /// Bytes of the per-page checksum.
-const PAGE_CHECKSUM_BYTES: u64 = 8;
+const PAGE_CHECKSUM_BYTES: usize = 8;
 
 /// Default block-cache capacity, in pages (≈ 2.4 MB at the paper's
 /// 600-byte pages).
@@ -90,28 +139,50 @@ pub const DEFAULT_PREFETCH_WORKERS: usize = 2;
 /// overtaken by its own demand reads already.
 const PREFETCH_QUEUE_HINTS: usize = 64;
 
-// ---------------------------------------------------------------- checksum
+/// Blocks served per chunk of a run read (and encoded per write of the
+/// table writer): one positioned read per attribute covers this many
+/// pages. At the paper's 600-byte pages a chunk is 38 KB of file bytes
+/// and 75 KB of decoded codes — inside L2, and 64 pages amortize the
+/// read call to well under its per-page cost.
+pub const RUN_CHUNK_BLOCKS: usize = 64;
 
-/// FNV-1a (64-bit) over `bytes`, starting from a caller-chosen basis so
-/// page checksums are position-keyed: a page copied verbatim to another
-/// slot still fails verification. Shared with the live table's WAL
-/// (`crate::live::wal`), which keys record checksums by sequence number
-/// under the same discipline.
-pub(crate) fn fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
-    let mut h = basis;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The standard FNV-1a offset basis.
-pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+// ---------------------------------------------------------------- pages
 
 /// Position key mixed into a page's checksum basis.
 fn page_basis(attr: usize, block: usize) -> u64 {
     FNV_BASIS ^ ((attr as u64) << 32) ^ block as u64
+}
+
+/// Bytes of one full page: its codes and its checksum.
+fn page_stride(tuples_per_block: usize) -> usize {
+    tuples_per_block * 4 + PAGE_CHECKSUM_BYTES
+}
+
+/// Decodes a little-endian `u32` from the first 4 bytes of `bytes`
+/// (callers bound-check first; the decode itself is infallible).
+pub(crate) fn le_u32(bytes: &[u8]) -> u32 {
+    u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]])
+}
+
+/// Decodes a little-endian `u64` from the first 8 bytes of `bytes`.
+pub(crate) fn le_u64(bytes: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word.copy_from_slice(&bytes[..8]);
+    u64::from_le_bytes(word)
+}
+
+/// Little-endian encodes `codes` into `bytes` (`4 × codes.len()` long).
+fn encode_codes(codes: &[u32], bytes: &mut [u8]) {
+    for (dst, code) in bytes.chunks_exact_mut(4).zip(codes) {
+        dst.copy_from_slice(&code.to_le_bytes());
+    }
+}
+
+/// Inverse of [`encode_codes`].
+fn decode_codes(bytes: &[u8], codes: &mut [u32]) {
+    for (code, src) in codes.iter_mut().zip(bytes.chunks_exact(4)) {
+        *code = le_u32(src);
+    }
 }
 
 // ---------------------------------------------------------------- writer
@@ -209,18 +280,45 @@ fn write_table_impl(
     let mut out = BufWriter::new(File::create(path)?);
     out.write_all(&header)?;
     let mut written = header.len() as u64;
-    let mut page = Vec::with_capacity(tuples_per_block * 4 + 8);
+    // A chunk of pages at a time: encode the codes in bulk, checksum the
+    // chunk's pages in lanes, patch the checksums in, write once.
+    let stride = page_stride(tuples_per_block);
+    let nb = layout.num_blocks();
+    let mut chunk = Vec::new();
+    let mut sums = [0u64; RUN_CHUNK_BLOCKS];
     for a in 0..table.schema().len() {
         let col = table.column(a);
-        for b in 0..layout.num_blocks() {
-            page.clear();
-            for &code in &col[layout.rows_of_block(b)] {
-                page.extend_from_slice(&code.to_le_bytes());
+        for b0 in (0..nb).step_by(RUN_CHUNK_BLOCKS) {
+            let b1 = (b0 + RUN_CHUNK_BLOCKS).min(nb);
+            let code_bytes = |b: usize| layout.block_len(b) * 4;
+            chunk.clear();
+            chunk.resize(
+                (b1 - b0 - 1) * stride + code_bytes(b1 - 1) + PAGE_CHECKSUM_BYTES,
+                0,
+            );
+            for b in b0..b1 {
+                let at = (b - b0) * stride;
+                encode_codes(
+                    &col[layout.rows_of_block(b)],
+                    &mut chunk[at..at + code_bytes(b)],
+                );
             }
-            let ck = fnv1a64(page_basis(a, b), &page);
-            page.extend_from_slice(&ck.to_le_bytes());
-            out.write_all(&page)?;
-            written += page.len() as u64;
+            fnv1a64_each(
+                b1 - b0,
+                |i| {
+                    (
+                        page_basis(a, b0 + i),
+                        &chunk[i * stride..][..code_bytes(b0 + i)],
+                    )
+                },
+                |i, sum| sums[i] = sum,
+            );
+            for b in b0..b1 {
+                let at = (b - b0) * stride + code_bytes(b);
+                chunk[at..at + PAGE_CHECKSUM_BYTES].copy_from_slice(&sums[b - b0].to_le_bytes());
+            }
+            out.write_all(&chunk)?;
+            written += chunk.len() as u64;
         }
     }
     out.flush()?;
@@ -235,9 +333,9 @@ fn write_table_impl(
 /// Block-cache observability counters (monotone since backend creation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Page requests served from the cache.
+    /// Pages delivered to demand readers from the cache.
     pub hits: u64,
-    /// Page requests that went to disk.
+    /// Pages delivered to demand readers that went to disk.
     pub misses: u64,
     /// Pages evicted to make room.
     pub evictions: u64,
@@ -248,11 +346,12 @@ pub struct CacheStats {
     /// combined working set past capacity, which makes it the leading
     /// indicator of hit-rate collapse under multi-query load.
     pub pressure: u64,
-    /// Pages the readahead workers loaded into the cache on a
+    /// Pages the readahead workers loaded into the cache — on the hint a
+    /// run read gives for its own next chunk, or on a
     /// [`StorageBackend::prefetch`] hint. Prefetch loads are **not**
     /// misses: [`Self::hits`]` + `[`Self::misses`] keeps counting exactly
-    /// the demand reads, so hit-rate semantics are unchanged by turning
-    /// prefetching on.
+    /// the pages delivered on demand, so hit-rate semantics are unchanged
+    /// by turning prefetching on.
     pub pages_prefetched: u64,
     /// Demand hits served by a prefetched page that had not been
     /// demand-hit before (each prefetched page counts at most once).
@@ -286,6 +385,33 @@ impl CacheStats {
     }
 }
 
+/// Hasher of the cache's page keys. A key is `(attr << 32) | block`
+/// with both halves validated against the file's geometry, so SipHash's
+/// flood resistance buys nothing here and its ~20 ns are paid under the
+/// shard lock; one multiply, folded so the table's low index bits and
+/// its high tag bits both see every key bit, is enough.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageKeyHasher(u64);
+
+impl Hasher for PageKeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(self.0 ^ b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type PageMap = HashMap<u64, usize, BuildHasherDefault<PageKeyHasher>>;
+
 #[derive(Debug)]
 struct Slot {
     key: u64,
@@ -297,10 +423,10 @@ struct Slot {
     prefetched: bool,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CacheShard {
     slots: Vec<Slot>,
-    map: HashMap<u64, usize>,
+    map: PageMap,
     hand: usize,
     cap: usize,
 }
@@ -316,17 +442,16 @@ struct InsertOutcome {
 }
 
 impl CacheShard {
-    /// Inserts a page, clock-evicting if the shard is full.
-    fn insert(&mut self, key: u64, page: Vec<u32>, prefetched: bool) -> InsertOutcome {
+    /// Inserts a page (the shard must have capacity), clock-evicting if
+    /// it is full. The victim's storage is overwritten in place, so a
+    /// full shard allocates nothing.
+    fn insert(&mut self, key: u64, codes: &[u32], prefetched: bool) -> InsertOutcome {
         let mut outcome = InsertOutcome::default();
-        if self.cap == 0 {
-            return outcome;
-        }
         if self.slots.len() < self.cap {
             self.map.insert(key, self.slots.len());
             self.slots.push(Slot {
                 key,
-                page,
+                page: codes.to_vec(),
                 referenced: true,
                 prefetched,
             });
@@ -334,23 +459,45 @@ impl CacheShard {
         }
         loop {
             let victim = &mut self.slots[self.hand];
+            let at = self.hand;
+            self.hand = (self.hand + 1) % self.cap;
             if victim.referenced {
                 victim.referenced = false;
                 outcome.second_chances_revoked += 1;
-                self.hand = (self.hand + 1) % self.cap;
             } else {
                 self.map.remove(&victim.key);
-                self.map.insert(key, self.hand);
-                *victim = Slot {
-                    key,
-                    page,
-                    referenced: true,
-                    prefetched,
-                };
-                self.hand = (self.hand + 1) % self.cap;
+                self.map.insert(key, at);
+                victim.key = key;
+                victim.page.clear();
+                victim.page.extend_from_slice(codes);
+                victim.referenced = true;
+                victim.prefetched = prefetched;
                 outcome.evicted = true;
                 return outcome;
             }
+        }
+    }
+}
+
+/// Pages delivered to one demand read, by origin — tallied locally and
+/// added to the shared counters once per chunk.
+#[derive(Debug, Default)]
+struct DemandTally {
+    hits: u64,
+    misses: u64,
+    prefetched_hits: u64,
+}
+
+impl DemandTally {
+    fn add(&mut self, origin: PageOrigin) {
+        match origin {
+            PageOrigin::CacheHit => self.hits += 1,
+            PageOrigin::PrefetchedHit => {
+                self.hits += 1;
+                self.prefetched_hits += 1;
+            }
+            PageOrigin::CacheMiss => self.misses += 1,
+            PageOrigin::Memory => {}
         }
     }
 }
@@ -359,6 +506,7 @@ impl CacheShard {
 #[derive(Debug)]
 struct BlockCache {
     shards: Vec<Mutex<CacheShard>>,
+    capacity: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -370,16 +518,8 @@ struct BlockCache {
 impl BlockCache {
     fn new(capacity_blocks: usize) -> Self {
         let cache = BlockCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| {
-                    Mutex::new(CacheShard {
-                        slots: Vec::new(),
-                        map: HashMap::new(),
-                        hand: 0,
-                        cap: 0,
-                    })
-                })
-                .collect(),
+            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
+            capacity: AtomicUsize::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -404,12 +544,11 @@ impl BlockCache {
                 capacity_blocks / CACHE_SHARDS + usize::from(i < capacity_blocks % CACHE_SHARDS);
             let mut guard = shard.lock().unwrap();
             *guard = CacheShard {
-                slots: Vec::new(),
-                map: HashMap::new(),
-                hand: 0,
                 cap,
+                ..CacheShard::default()
             };
         }
+        self.capacity.store(capacity_blocks, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
@@ -418,7 +557,58 @@ impl BlockCache {
         self.prefetched_hits.store(0, Ordering::Relaxed);
     }
 
-    fn record_insert_outcome(&self, outcome: InsertOutcome) {
+    /// Consecutive block ids land in different shards, so the engine's
+    /// contiguous-range shard workers spread over all locks.
+    fn shard_of(&self, key: u64) -> &Mutex<CacheShard> {
+        &self.shards[(key % CACHE_SHARDS as u64) as usize]
+    }
+
+    /// Demand probe: copies the cached page for `key` into `dest` (which
+    /// must be exactly the page's length) and says whether this was the
+    /// page's first demand hit since a readahead worker loaded it.
+    /// `None` on a miss.
+    fn copy_out(&self, key: u64, dest: &mut [u32]) -> Option<PageOrigin> {
+        let shard = self.shard_of(key);
+        let mut guard = shard.lock().unwrap();
+        let i = *guard.map.get(&key)?;
+        let slot = &mut guard.slots[i];
+        slot.referenced = true;
+        dest.copy_from_slice(&slot.page);
+        Some(if std::mem::take(&mut slot.prefetched) {
+            PageOrigin::PrefetchedHit
+        } else {
+            PageOrigin::CacheHit
+        })
+    }
+
+    /// Readahead probe: would loading the page for `key` add anything?
+    fn lacks(&self, key: u64) -> bool {
+        let shard = self.shard_of(key);
+        let guard = shard.lock().unwrap();
+        guard.cap > 0 && !guard.map.contains_key(&key)
+    }
+
+    /// Caches a verified page unless it is already present. The page was
+    /// fetched with the shard lock released, so two racing loaders of one
+    /// page may both have hit the disk; that is benign — whoever arrives
+    /// second finds the key and leaves it (a demand-loaded page is never
+    /// re-flagged prefetched, a prefetched one stays so).
+    fn fill(&self, key: u64, codes: &[u32], prefetched: bool) {
+        let shard = self.shard_of(key);
+        let mut guard = shard.lock().unwrap();
+        if guard.cap == 0 || guard.map.contains_key(&key) {
+            return;
+        }
+        let outcome = guard.insert(key, codes, prefetched);
+        if prefetched {
+            // Count the page BEFORE releasing the shard lock: a demand
+            // hit on this page can only happen after acquiring the same
+            // lock, so its `prefetched_hits` increment is ordered after
+            // this one — `prefetched_hits <= pages_prefetched` holds for
+            // any observer synchronized with a hit.
+            self.prefetched.fetch_add(1, Ordering::Relaxed);
+        }
+        drop(guard);
         if outcome.evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -428,90 +618,16 @@ impl BlockCache {
         }
     }
 
-    /// Copies the cached page for `key` into `dest`, or loads it with
-    /// `load`, caches a copy, and leaves the loaded page in `dest`.
-    /// Returns where the page came from (always `CacheHit`,
-    /// `PrefetchedHit` or `CacheMiss`).
-    fn get_or_load(
-        &self,
-        key: u64,
-        dest: &mut Vec<u32>,
-        load: impl FnOnce(&mut Vec<u32>) -> Result<()>,
-    ) -> Result<PageOrigin> {
-        // Consecutive block ids land in different shards, so the engine's
-        // contiguous-range shard workers spread over all locks.
-        let shard = &self.shards[(key % CACHE_SHARDS as u64) as usize];
-        {
-            let mut guard = shard.lock().unwrap();
-            if let Some(&i) = guard.map.get(&key) {
-                let slot = &mut guard.slots[i];
-                slot.referenced = true;
-                let first_prefetched_hit = std::mem::take(&mut slot.prefetched);
-                dest.clear();
-                dest.extend_from_slice(&slot.page);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(if first_prefetched_hit {
-                    self.prefetched_hits.fetch_add(1, Ordering::Relaxed);
-                    PageOrigin::PrefetchedHit
-                } else {
-                    PageOrigin::CacheHit
-                });
+    fn record_demand(&self, tally: DemandTally) {
+        for (counter, n) in [
+            (&self.hits, tally.hits),
+            (&self.misses, tally.misses),
+            (&self.prefetched_hits, tally.prefetched_hits),
+        ] {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
             }
         }
-        // Load with the shard lock RELEASED: misses on different pages
-        // proceed fully in parallel. Two racing readers of the same page
-        // may both hit the disk; that is benign (whoever inserts second
-        // finds the key present and skips the insert).
-        load(dest)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut guard = shard.lock().unwrap();
-        if !guard.map.contains_key(&key) {
-            let outcome = guard.insert(key, dest.clone(), false);
-            drop(guard);
-            self.record_insert_outcome(outcome);
-        }
-        Ok(PageOrigin::CacheMiss)
-    }
-
-    /// Readahead-side entry: loads the page for `key` into the cache if
-    /// it is not already present, marking the slot prefetched. Unlike
-    /// [`Self::get_or_load`] this counts neither a hit nor a miss —
-    /// prefetch traffic must not distort demand hit rates — only
-    /// `pages_prefetched`. Returns whether a page was actually loaded.
-    fn prefetch(
-        &self,
-        key: u64,
-        scratch: &mut Vec<u32>,
-        load: impl FnOnce(&mut Vec<u32>) -> Result<()>,
-    ) -> Result<bool> {
-        let shard = &self.shards[(key % CACHE_SHARDS as u64) as usize];
-        {
-            let guard = shard.lock().unwrap();
-            if guard.cap == 0 || guard.map.contains_key(&key) {
-                return Ok(false);
-            }
-        }
-        // Same lock discipline as the demand path: fetch with the shard
-        // lock released; racing demand reads of the same page may
-        // duplicate the disk fetch, which is benign.
-        load(scratch)?;
-        let mut guard = shard.lock().unwrap();
-        if guard.map.contains_key(&key) {
-            // A demand read won the race: that page is already counted
-            // (as a miss) and must not be re-flagged prefetched.
-            return Ok(false);
-        }
-        let outcome = guard.insert(key, scratch.clone(), true);
-        // Count the page BEFORE releasing the shard lock: a demand hit
-        // on this page can only happen after acquiring the same lock, so
-        // its `prefetched_hits` increment is ordered after this one —
-        // `prefetched_hits <= pages_prefetched` holds for any observer
-        // synchronized with a hit (counting after the unlock would let a
-        // racing hit make a stats snapshot violate the invariant).
-        self.prefetched.fetch_add(1, Ordering::Relaxed);
-        drop(guard);
-        self.record_insert_outcome(outcome);
-        Ok(true)
     }
 
     fn stats(&self) -> CacheStats {
@@ -568,6 +684,45 @@ impl PageFile {
     }
 }
 
+/// One page fetched from the file and awaiting verification.
+#[derive(Debug, Clone, Copy)]
+struct Fetched {
+    /// Which of the requesting read's attributes (index into its
+    /// attribute array) the page belongs to.
+    lane: usize,
+    attr: usize,
+    block: usize,
+    /// Offset of the page's first code byte in [`Scratch::bytes`].
+    off: usize,
+}
+
+/// Per-thread working storage of the chunk read path, reused from read
+/// to read so a steady-state read allocates nothing. Borrowed only while
+/// a chunk is fetched, verified and decoded — never across a visitor
+/// call, so a visitor may itself read from a backend.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Raw bytes of every span fetched for the current chunk, back to
+    /// back (`..used`; the storage beyond is stale and never shrinks).
+    bytes: Vec<u8>,
+    used: usize,
+    /// The pages inside `bytes`, in fetch order.
+    pages: Vec<Fetched>,
+    /// `pages[i]`'s computed checksum.
+    sums: Vec<u64>,
+}
+
+impl Scratch {
+    fn start_chunk(&mut self) {
+        self.used = 0;
+        self.pages.clear();
+    }
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
 /// The shared, immutable heart of a [`FileBackend`]: everything both the
 /// demand read path and the readahead workers need. Lives behind an
 /// `Arc` so the workers (plain `std::thread`s, which need `'static`
@@ -582,60 +737,192 @@ struct FileInner {
     /// Bytes of one attribute's page region.
     attr_stride: u64,
     cache: BlockCache,
-    /// Simulated extra latency per page *fetch from the medium*, in
+    /// Simulated extra latency per page *fetched from the medium*, in
     /// nanoseconds (0 = off). Unlike the reader-side
     /// [`crate::io::BlockReader::with_simulated_latency`] (which charges
     /// every block access), this models a slow storage medium: cache
     /// hits skip it, and readahead workers absorb it in the background —
     /// exactly the cost structure prefetching exists to hide, so
     /// experiments can reproduce disk-like regimes on a page-cached
-    /// file. Implemented as a blocking `sleep`, like real I/O: the core
-    /// is released, not burned.
+    /// file. A span of `n` pages fetched by one read is charged `n`
+    /// times, so figures stay comparable with the page-at-a-time reader
+    /// they were first drawn with. Implemented as a blocking `sleep`,
+    /// like real I/O: the core is released, not burned.
     medium_latency_ns: AtomicU64,
 }
 
 impl FileInner {
-    /// Reads one page from disk into `dest`, verifying its checksum.
-    fn load_page(&self, attr: usize, b: usize, dest: &mut Vec<u32>) -> Result<()> {
-        let latency = self.medium_latency_ns.load(Ordering::Relaxed);
-        if latency > 0 {
-            std::thread::sleep(std::time::Duration::from_nanos(latency));
-        }
-        let block_len = self.layout.block_len(b);
-        let page_bytes = block_len * 4 + PAGE_CHECKSUM_BYTES as usize;
-        let off = self.data_off
-            + attr as u64 * self.attr_stride
-            + b as u64 * (self.layout.tuples_per_block() as u64 * 4 + PAGE_CHECKSUM_BYTES);
-        let mut buf = vec![0u8; page_bytes];
-        self.file.read_exact_at(&mut buf, off)?;
-        let (codes, ck) = buf.split_at(block_len * 4);
-        let stored = u64::from_le_bytes(ck.try_into().unwrap());
-        let computed = fnv1a64(page_basis(attr, b), codes);
-        if stored != computed {
-            return Err(StoreError::Corrupt {
-                attr,
-                block: b,
-                detail: format!("checksum mismatch (stored {stored:#x}, computed {computed:#x})"),
-            });
-        }
-        dest.clear();
-        dest.reserve(block_len);
-        for chunk in codes.chunks_exact(4) {
-            dest.push(u32::from_le_bytes(chunk.try_into().unwrap()));
-        }
-        Ok(())
+    fn code_bytes(&self, b: usize) -> usize {
+        self.layout.block_len(b) * 4
     }
 
-    /// Warms the cache with every attribute page of block `b`. Failures
-    /// are deliberately swallowed: a prefetch must never take a backend
-    /// down, and a corrupt page will surface — as the proper
-    /// [`StoreError::Corrupt`] — on the demand read that needs it.
-    fn prefetch_block(&self, b: usize, scratch: &mut Vec<u32>) {
-        for attr in 0..self.schema.len() {
-            let key = page_key(attr, b);
-            let _ = self
-                .cache
-                .prefetch(key, scratch, |dest| self.load_page(attr, b, dest));
+    /// Fetches the pages of `attr` in `blocks` that `lacks(i, b)` (`i`
+    /// counting from the range's start) says are wanted — one positioned
+    /// read per maximal span of wanted pages — appending them to
+    /// `scratch`.
+    fn fetch_lacking(
+        &self,
+        scratch: &mut Scratch,
+        lane: usize,
+        attr: usize,
+        blocks: Range<usize>,
+        mut lacks: impl FnMut(usize, usize) -> bool,
+    ) -> std::io::Result<()> {
+        let stride = page_stride(self.layout.tuples_per_block());
+        let mut fetch = |span: Range<usize>| {
+            let len =
+                (span.len() - 1) * stride + self.code_bytes(span.end - 1) + PAGE_CHECKSUM_BYTES;
+            let at = scratch.used;
+            if scratch.bytes.len() < at + len {
+                scratch.bytes.resize(at + len, 0);
+            }
+            let file_off =
+                self.data_off + attr as u64 * self.attr_stride + (span.start * stride) as u64;
+            let latency = self.medium_latency_ns.load(Ordering::Relaxed);
+            if latency > 0 {
+                std::thread::sleep(Duration::from_nanos(latency * span.len() as u64));
+            }
+            self.file
+                .read_exact_at(&mut scratch.bytes[at..at + len], file_off)?;
+            scratch.used += len;
+            scratch
+                .pages
+                .extend(span.enumerate().map(|(i, block)| Fetched {
+                    lane,
+                    attr,
+                    block,
+                    off: at + i * stride,
+                }));
+            Ok(())
+        };
+        let mut span_start = None;
+        for (i, b) in blocks.clone().enumerate() {
+            if lacks(i, b) {
+                span_start.get_or_insert(b);
+            } else if let Some(s) = span_start.take() {
+                fetch(s..b)?;
+            }
+        }
+        match span_start {
+            Some(s) => fetch(s..blocks.end),
+            None => Ok(()),
+        }
+    }
+
+    /// Verifies every fetched page — checksums computed in lanes — and
+    /// hands each good one's code bytes to `good`. Returns the corrupt
+    /// page that a page-at-a-time reader going block by block, lane by
+    /// lane, would have met first, if any.
+    fn verify_fetched(
+        &self,
+        scratch: &mut Scratch,
+        mut good: impl FnMut(&Fetched, &[u8]),
+    ) -> Option<(usize, StoreError)> {
+        let Scratch {
+            bytes, pages, sums, ..
+        } = scratch;
+        sums.clear();
+        sums.resize(pages.len(), 0);
+        fnv1a64_each(
+            pages.len(),
+            |i| {
+                let p = &pages[i];
+                (
+                    page_basis(p.attr, p.block),
+                    &bytes[p.off..p.off + self.code_bytes(p.block)],
+                )
+            },
+            |i, sum| sums[i] = sum,
+        );
+        let mut first_bad: Option<(&Fetched, u64, u64)> = None;
+        for (p, &computed) in pages.iter().zip(sums.iter()) {
+            let (codes, rest) = bytes[p.off..].split_at(self.code_bytes(p.block));
+            let stored = le_u64(rest);
+            if stored == computed {
+                good(p, codes);
+            } else if first_bad.is_none_or(|(q, ..)| (p.block, p.lane) < (q.block, q.lane)) {
+                first_bad = Some((p, stored, computed));
+            }
+        }
+        first_bad.map(|(p, stored, computed)| {
+            (
+                p.block,
+                StoreError::Corrupt {
+                    attr: p.attr,
+                    block: p.block,
+                    detail: format!(
+                        "checksum mismatch (stored {stored:#x}, computed {computed:#x})"
+                    ),
+                },
+            )
+        })
+    }
+
+    /// Serves one chunk (see the [module docs](self)): the pages of
+    /// `attrs[k]` over `blocks` land in `outs[k]`, block `blocks.start +
+    /// i` at code offset `i × tuples_per_block`, and `origins[i][k]` says
+    /// where each came from. On failure the error carries how many
+    /// leading blocks are intact in every `outs[k]`.
+    fn load_chunk<const A: usize>(
+        &self,
+        attrs: [usize; A],
+        blocks: Range<usize>,
+        mut outs: [&mut Vec<u32>; A],
+        origins: &mut [[PageOrigin; A]],
+    ) -> std::result::Result<(), (usize, StoreError)> {
+        let tpb = self.layout.tuples_per_block();
+        let codes = self.layout.rows_of_block(blocks.end - 1).end
+            - self.layout.rows_of_block(blocks.start).start;
+        SCRATCH.with_borrow_mut(|scratch| {
+            scratch.start_chunk();
+            for (lane, &attr) in attrs.iter().enumerate() {
+                let out = &mut *outs[lane];
+                out.resize(codes, 0);
+                self.fetch_lacking(scratch, lane, attr, blocks.clone(), |i, b| {
+                    let dest = &mut out[i * tpb..][..self.layout.block_len(b)];
+                    let hit = self.cache.copy_out(page_key(attr, b), dest);
+                    origins[i][lane] = hit.unwrap_or(PageOrigin::CacheMiss);
+                    hit.is_none()
+                })
+                .map_err(|e| (0, e.into()))?;
+            }
+            let bad = self.verify_fetched(scratch, |p, bytes| {
+                let dest = &mut outs[p.lane][(p.block - blocks.start) * tpb..][..bytes.len() / 4];
+                decode_codes(bytes, dest);
+                self.cache.fill(page_key(p.attr, p.block), dest, false);
+            });
+            match bad {
+                None => Ok(()),
+                Some((block, e)) => Err((block - blocks.start, e)),
+            }
+        })
+    }
+
+    /// Warms the cache with the pages of `hint` it lacks, a chunk at a
+    /// time (steps 2–4 of the chunk read path, into cache slots instead
+    /// of a caller's buffers). Failures are deliberately swallowed: a
+    /// prefetch must never take a backend down, and a corrupt page will
+    /// surface — as the proper [`StoreError::Corrupt`] — on the demand
+    /// read that needs it.
+    fn readahead(&self, hint: &Hint, codes: &mut Vec<u32>) {
+        for b0 in hint.blocks.clone().step_by(RUN_CHUNK_BLOCKS) {
+            let chunk = b0..(b0 + RUN_CHUNK_BLOCKS).min(hint.blocks.end);
+            SCRATCH.with_borrow_mut(|scratch| {
+                scratch.start_chunk();
+                for attr in hint.attrs.clone() {
+                    let fetched = self.fetch_lacking(scratch, 0, attr, chunk.clone(), |_, b| {
+                        self.cache.lacks(page_key(attr, b))
+                    });
+                    if fetched.is_err() {
+                        return;
+                    }
+                }
+                self.verify_fetched(scratch, |p, bytes| {
+                    codes.resize(bytes.len() / 4, 0);
+                    decode_codes(bytes, codes);
+                    self.cache.fill(page_key(p.attr, p.block), codes, true);
+                });
+            });
         }
     }
 }
@@ -645,8 +932,16 @@ fn page_key(attr: usize, b: usize) -> u64 {
     ((attr as u64) << 32) | b as u64
 }
 
-/// Hint queue between [`StorageBackend::prefetch`] callers and the
-/// readahead workers: bounded FIFO of block runs plus a shutdown flag.
+/// One readahead request: the pages of attributes `attrs` over `blocks`.
+#[derive(Debug, Clone)]
+struct Hint {
+    blocks: Range<usize>,
+    attrs: Range<usize>,
+}
+
+/// Hint queue between the demand path (and [`StorageBackend::prefetch`]
+/// callers) and the readahead workers: bounded FIFO of hints plus a
+/// shutdown flag.
 #[derive(Debug)]
 struct PrefetchQueue {
     state: Mutex<PrefetchState>,
@@ -655,7 +950,7 @@ struct PrefetchQueue {
 
 #[derive(Debug)]
 struct PrefetchState {
-    hints: VecDeque<Range<usize>>,
+    hints: VecDeque<Hint>,
     shutdown: bool,
 }
 
@@ -672,7 +967,7 @@ impl PrefetchQueue {
 
     /// Enqueues a hint, dropping the oldest one under backlog (hints are
     /// advisory; see [`PREFETCH_QUEUE_HINTS`]).
-    fn push(&self, hint: Range<usize>) {
+    fn push(&self, hint: Hint) {
         let mut s = self.state.lock().unwrap();
         if s.shutdown {
             return;
@@ -686,7 +981,7 @@ impl PrefetchQueue {
     }
 
     /// Blocks for the next hint; `None` once shutdown is requested.
-    fn pop(&self) -> Option<Range<usize>> {
+    fn pop(&self) -> Option<Hint> {
         let mut s = self.state.lock().unwrap();
         loop {
             if s.shutdown {
@@ -735,11 +1030,9 @@ impl PrefetchPool {
                 let inner = Arc::clone(inner);
                 let queue = Arc::clone(&queue);
                 std::thread::spawn(move || {
-                    let mut scratch = Vec::new();
+                    let mut codes = Vec::new();
                     while let Some(hint) = queue.pop() {
-                        for b in hint {
-                            inner.prefetch_block(b, &mut scratch);
-                        }
+                        inner.readahead(&hint, &mut codes);
                     }
                 })
             })
@@ -759,7 +1052,7 @@ impl PrefetchPool {
 }
 
 /// A read-only [`StorageBackend`] over a block file written by
-/// [`write_table`], with a bounded block cache and a demand-aware
+/// [`write_table`], with a bounded block cache and a demand-exact
 /// readahead pool (see the [module docs](self)).
 ///
 /// Cloning is not supported; share one backend across threads by
@@ -792,9 +1085,9 @@ impl FileBackend {
         if &header[..8] != MAGIC {
             return Err(StoreError::Format("bad magic".into()));
         }
-        let tuples_per_block = u32::from_le_bytes(header[8..12].try_into().unwrap()) as usize;
-        let n_rows = u64::from_le_bytes(header[12..20].try_into().unwrap());
-        let n_attrs = u32::from_le_bytes(header[20..24].try_into().unwrap()) as usize;
+        let tuples_per_block = le_u32(&header[8..]) as usize;
+        let n_rows = le_u64(&header[12..]);
+        let n_attrs = le_u32(&header[20..]) as usize;
         if tuples_per_block == 0 {
             return Err(StoreError::Format("zero block size".into()));
         }
@@ -820,7 +1113,7 @@ impl FileBackend {
             let name = std::str::from_utf8(&rest[..name_len])
                 .map_err(|_| StoreError::Format("attribute name is not UTF-8".into()))?
                 .to_string();
-            let cardinality = u32::from_le_bytes(rest[name_len..].try_into().unwrap());
+            let cardinality = le_u32(&rest[name_len..]);
             attrs.push(AttrDef::new(name, cardinality));
         }
         let mut ck_buf = [0u8; 8];
@@ -841,7 +1134,7 @@ impl FileBackend {
         // overflow panic.
         let attr_stride = n_rows
             .checked_mul(4)
-            .and_then(|codes| codes.checked_add(nb.checked_mul(PAGE_CHECKSUM_BYTES)?))
+            .and_then(|codes| codes.checked_add(nb.checked_mul(PAGE_CHECKSUM_BYTES as u64)?))
             .ok_or_else(|| StoreError::Format("geometry overflows u64".into()))?;
         let expected_len = (n_attrs as u64)
             .checked_mul(attr_stride)
@@ -882,13 +1175,14 @@ impl FileBackend {
     }
 
     /// Sets a simulated per-page *medium* latency in nanoseconds: every
-    /// page fetch from the file — demand miss or readahead — blocks
+    /// page fetched from the file — demand miss or readahead — blocks
     /// (sleeps, releasing the core, like real I/O) this long before
     /// reading; cache hits pay nothing. Unlike the reader-side
     /// [`crate::io::BlockReader::with_simulated_latency`] this models a
     /// slow *medium*, which is exactly the cost prefetching can hide —
-    /// use it to reproduce disk-like regimes on a page-cached file.
-    /// `0` turns it off.
+    /// use it to reproduce disk-like regimes on a page-cached file. It is
+    /// also what tells run reads to read ahead of themselves (see the
+    /// [module docs](self)). `0` turns it off.
     pub fn with_simulated_medium_latency_ns(self, ns: u64) -> Self {
         self.inner.medium_latency_ns.store(ns, Ordering::Relaxed);
         self
@@ -910,6 +1204,60 @@ impl FileBackend {
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.stats()
     }
+
+    fn check_request(&self, attrs: &[usize], blocks: &Range<usize>) {
+        for &attr in attrs {
+            assert!(
+                attr < self.inner.schema.len(),
+                "attribute {attr} out of range"
+            );
+        }
+        assert!(
+            blocks.end <= self.inner.layout.num_blocks(),
+            "block {} out of range",
+            blocks.end.saturating_sub(1)
+        );
+    }
+
+    /// The per-block read path: a chunk of one block, its `A` pages
+    /// verified as `A` lanes.
+    fn read_chunk_of_one<const A: usize>(
+        &self,
+        attrs: [usize; A],
+        b: usize,
+        outs: [&mut Vec<u32>; A],
+    ) -> Result<[PageOrigin; A]> {
+        self.check_request(&attrs, &(b..b + 1));
+        let mut origins = [[PageOrigin::CacheMiss; A]];
+        self.inner
+            .load_chunk(attrs, b..b + 1, outs, &mut origins)
+            .map_err(|(_, e)| e)?;
+        let mut tally = DemandTally::default();
+        origins[0].iter().for_each(|&o| tally.add(o));
+        self.inner.cache.record_demand(tally);
+        Ok(origins[0])
+    }
+
+    /// A run is its own hint: `rest` is what remains of a run after the
+    /// chunk being served, and its head — one chunk, but never more
+    /// pages than a quarter of the cache, so readahead cannot evict what
+    /// it or the demand path just loaded — goes to the pool, one hint
+    /// per attribute so two workers can share it.
+    fn hint_next_chunk(&self, rest: Range<usize>, attrs: [usize; 2]) {
+        let Some(pool) = &self.prefetch else {
+            return;
+        };
+        let quarter_cache = self.inner.cache.capacity.load(Ordering::Relaxed) / 4;
+        let blocks = rest.len().min(RUN_CHUNK_BLOCKS).min(quarter_cache / 2);
+        if blocks > 0 {
+            for attr in attrs {
+                pool.queue.push(Hint {
+                    blocks: rest.start..rest.start + blocks,
+                    attrs: attr..attr + 1,
+                });
+            }
+        }
+    }
 }
 
 impl StorageBackend for FileBackend {
@@ -922,12 +1270,74 @@ impl StorageBackend for FileBackend {
     }
 
     fn read_block_into(&self, b: usize, attr: usize, out: &mut Vec<u32>) -> Result<PageOrigin> {
+        let [origin] = self.read_chunk_of_one([attr], b, [out])?;
+        Ok(origin)
+    }
+
+    fn read_block_pair_into(
+        &self,
+        b: usize,
+        z_attr: usize,
+        x_attr: usize,
+        zs: &mut Vec<u32>,
+        xs: &mut Vec<u32>,
+    ) -> Result<[PageOrigin; 2]> {
+        self.read_chunk_of_one([z_attr, x_attr], b, [zs, xs])
+    }
+
+    fn read_run_pair_into(
+        &self,
+        blocks: Range<usize>,
+        z_attr: usize,
+        x_attr: usize,
+        zs: &mut Vec<u32>,
+        xs: &mut Vec<u32>,
+        visit: &mut BlockVisitor<'_>,
+    ) -> Result<bool> {
         let inner = &*self.inner;
-        assert!(attr < inner.schema.len(), "attribute {attr} out of range");
-        assert!(b < inner.layout.num_blocks(), "block {b} out of range");
-        inner.cache.get_or_load(page_key(attr, b), out, |dest| {
-            inner.load_page(attr, b, dest)
-        })
+        let attrs = [z_attr, x_attr];
+        self.check_request(&attrs, &blocks);
+        let tpb = inner.layout.tuples_per_block();
+        let mut origins = [[PageOrigin::CacheMiss; 2]; RUN_CHUNK_BLOCKS];
+        for first in blocks.clone().step_by(RUN_CHUNK_BLOCKS) {
+            let chunk = first..(first + RUN_CHUNK_BLOCKS).min(blocks.end);
+            let outs = [&mut *zs, &mut *xs];
+            let loaded = inner.load_chunk(attrs, chunk.clone(), outs, &mut origins);
+            let intact = match &loaded {
+                Ok(()) => chunk.len(),
+                Err((intact, _)) => *intact,
+            };
+            // A run is its own hint — when the medium has latency to hide
+            // and the cache did not already hold the chunk. Both are
+            // facts, not measurements: the same run hints the same chunks
+            // every time (see the module docs).
+            let resident = origins[..intact]
+                .iter()
+                .flatten()
+                .all(|&o| o == PageOrigin::CacheHit);
+            if loaded.is_ok() && !resident && inner.medium_latency_ns.load(Ordering::Relaxed) > 0 {
+                self.hint_next_chunk(chunk.end..blocks.end, attrs);
+            }
+            let mut tally = DemandTally::default();
+            let mut stopped = false;
+            for (i, b) in (first..first + intact).enumerate() {
+                let rows = i * tpb..i * tpb + inner.layout.block_len(b);
+                tally.add(origins[i][0]);
+                tally.add(origins[i][1]);
+                if !visit(b, &zs[rows.clone()], &xs[rows], origins[i]) {
+                    stopped = true;
+                    break;
+                }
+            }
+            inner.cache.record_demand(tally);
+            if stopped {
+                return Ok(false);
+            }
+            if let Err((_, e)) = loaded {
+                return Err(e);
+            }
+        }
+        Ok(true)
     }
 
     fn prefetch(&self, blocks: Range<usize>) {
@@ -936,10 +1346,13 @@ impl StorageBackend for FileBackend {
         };
         // Clamp rather than assert: hints are advisory and may be
         // computed from slightly stale state.
-        let clamped = blocks.start.min(self.inner.layout.num_blocks())
-            ..blocks.end.min(self.inner.layout.num_blocks());
+        let nb = self.inner.layout.num_blocks();
+        let clamped = blocks.start.min(nb)..blocks.end.min(nb);
         if !clamped.is_empty() {
-            pool.queue.push(clamped);
+            pool.queue.push(Hint {
+                blocks: clamped,
+                attrs: 0..self.inner.schema.len(),
+            });
         }
     }
 }
@@ -949,6 +1362,7 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
+    use std::time::Instant;
 
     static UNIQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -1165,14 +1579,14 @@ mod tests {
     /// Polls until the backend's prefetched-page counter reaches `want`
     /// (readahead is asynchronous; generous timeout, fails loudly).
     fn wait_for_prefetched(be: &FileBackend, want: u64) {
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        let deadline = Instant::now() + Duration::from_secs(10);
         while be.cache_stats().pages_prefetched < want {
             assert!(
-                std::time::Instant::now() < deadline,
+                Instant::now() < deadline,
                 "prefetcher stalled: {} of {want} pages after 10s",
                 be.cache_stats().pages_prefetched
             );
-            std::thread::sleep(std::time::Duration::from_millis(1));
+            std::thread::sleep(Duration::from_millis(1));
         }
     }
 
@@ -1214,11 +1628,34 @@ mod tests {
             .unwrap()
             .with_prefetch_workers(0);
         be.prefetch(0..be.layout().num_blocks());
-        std::thread::sleep(std::time::Duration::from_millis(20));
+        std::thread::sleep(Duration::from_millis(20));
         assert_eq!(be.cache_stats().pages_prefetched, 0);
         let mut buf = Vec::new();
         let origin = be.read_block_into(0, 0, &mut buf).unwrap();
         assert_eq!(origin, PageOrigin::CacheMiss);
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn cold_run_over_a_memory_speed_medium_leaves_the_pool_asleep() {
+        // No declared medium latency: a run hints nothing, however cold
+        // the cache (the latency case is `page_verification`'s
+        // `a_run_reads_ahead_of_itself_…`).
+        let nb = 3 * RUN_CHUNK_BLOCKS + 5;
+        let t = table(nb * 8);
+        let path = tmp_path("coldrun");
+        let be = FileBackend::create(&path, &t, 8).unwrap();
+        let (mut zs, mut xs) = (Vec::new(), Vec::new());
+        let done = be
+            .read_run_pair_into(0..nb, 0, 1, &mut zs, &mut xs, &mut |b, _, _, origins| {
+                assert_eq!(origins, [PageOrigin::CacheMiss; 2], "block {b}");
+                true
+            })
+            .unwrap();
+        assert!(done);
+        std::thread::sleep(Duration::from_millis(20));
+        let s = be.cache_stats();
+        assert_eq!((s.pages_prefetched, s.misses), (0, 2 * nb as u64));
         std::fs::remove_file(&path).unwrap();
     }
 

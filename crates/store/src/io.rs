@@ -9,6 +9,15 @@
 //! [`crate::file::FileBackend`], where block reads are disk reads through
 //! a bounded cache and can fail ([`BlockReader::try_block_slices`]).
 //!
+//! Blocks are requested one at a time ([`BlockReader::try_block_slices`],
+//! for executors that decide block by block) or as a contiguous **run**
+//! ([`BlockReader::read_run`], for executors that marked a window ahead
+//! of reading it). A run delivers the same blocks, in the same order,
+//! with the same accounting — [`IoStats::blocks_read`] counts blocks
+//! *delivered* to the visitor, the page counters count two pages per
+//! delivered block — but lets a backend fetch them together and read
+//! ahead of the visitor within the run.
+//!
 //! For multi-core executors, [`BlockReader::shard`] splits the block
 //! sequence into `n` disjoint contiguous ranges, each served by its own
 //! [`ShardedBlockReader`] with independent [`IoStats`]; per-shard stats
@@ -70,6 +79,27 @@ impl IoStats {
         } else {
             self.pages_cache_hit as f64 / total as f64
         }
+    }
+
+    /// Accounts one delivered block of `tuples` tuples whose two pages
+    /// came from `origins`.
+    fn note_block(&mut self, tuples: usize, origins: [PageOrigin; 2]) {
+        for origin in origins {
+            match origin {
+                PageOrigin::CacheHit => self.pages_cache_hit += 1,
+                PageOrigin::PrefetchedHit => {
+                    // A prefetched page's first demand hit is still a
+                    // cache hit; the extra counter attributes it to the
+                    // readahead pipeline.
+                    self.pages_cache_hit += 1;
+                    self.pages_prefetch_hit += 1;
+                }
+                PageOrigin::CacheMiss => self.pages_cache_miss += 1,
+                PageOrigin::Memory => {}
+            }
+        }
+        self.blocks_read += 1;
+        self.tuples_read += tuples as u64;
     }
 
     /// Folds another accounting record into this one (shard aggregation).
@@ -279,8 +309,7 @@ impl<'a> BlockReader<'a> {
                 let range = self.layout.rows_of_block(b);
                 let z = &table.column(z_attr)[range.clone()];
                 let x = &table.column(x_attr)[range];
-                self.stats.blocks_read += 1;
-                self.stats.tuples_read += z.len() as u64;
+                self.stats.note_block(z.len(), [PageOrigin::Memory; 2]);
                 return Ok((z, x));
             }
             Source::Backend(backend) => *backend,
@@ -288,23 +317,58 @@ impl<'a> BlockReader<'a> {
         };
         let origins =
             backend.read_block_pair_into(b, z_attr, x_attr, &mut self.zbuf, &mut self.xbuf)?;
-        for origin in origins {
-            match origin {
-                PageOrigin::CacheHit => self.stats.pages_cache_hit += 1,
-                PageOrigin::PrefetchedHit => {
-                    // A prefetched page's first demand hit is still
-                    // a cache hit; the extra counter attributes it
-                    // to the readahead pipeline.
-                    self.stats.pages_cache_hit += 1;
-                    self.stats.pages_prefetch_hit += 1;
-                }
-                PageOrigin::CacheMiss => self.stats.pages_cache_miss += 1,
-                PageOrigin::Memory => {}
-            }
-        }
-        self.stats.blocks_read += 1;
-        self.stats.tuples_read += self.zbuf.len() as u64;
+        self.stats.note_block(self.zbuf.len(), origins);
         Ok((&self.zbuf, &self.xbuf))
+    }
+
+    /// Reads the contiguous run `blocks`, calling `visit(b, z codes, x
+    /// codes)` for each block in order until it returns `false` or the
+    /// run ends — block for block what [`Self::try_block_slices`] would
+    /// have delivered (zero-copy on the in-memory path), with the
+    /// simulated per-block latency charged before each delivery.
+    /// Statistics count the blocks `visit` was given, however many the
+    /// backend fetched to serve them. A storage failure surfaces after
+    /// every block before the failing one has been delivered.
+    pub fn read_run(
+        &mut self,
+        blocks: Range<usize>,
+        z_attr: usize,
+        x_attr: usize,
+        mut visit: impl FnMut(usize, &[u32], &[u32]) -> bool,
+    ) -> Result<()> {
+        let latency = self.latency_ns_per_block;
+        let stats = &mut self.stats;
+        let mut deliver = |b: usize, zs: &[u32], xs: &[u32], origins: [PageOrigin; 2]| {
+            if latency > 0 {
+                busy_wait_ns(latency);
+            }
+            stats.note_block(zs.len(), origins);
+            visit(b, zs, xs)
+        };
+        let backend: &dyn StorageBackend = match &self.source {
+            Source::Mem(table) => {
+                let (z, x) = (table.column(z_attr), table.column(x_attr));
+                for b in blocks {
+                    let range = self.layout.rows_of_block(b);
+                    if !deliver(b, &z[range.clone()], &x[range], [PageOrigin::Memory; 2]) {
+                        break;
+                    }
+                }
+                return Ok(());
+            }
+            Source::Backend(backend) => *backend,
+            Source::Shared(backend) => &**backend,
+        };
+        backend
+            .read_run_pair_into(
+                blocks,
+                z_attr,
+                x_attr,
+                &mut self.zbuf,
+                &mut self.xbuf,
+                &mut deliver,
+            )
+            .map(|_| ())
     }
 
     /// Records that block `b` was deliberately skipped.
@@ -416,6 +480,28 @@ impl<'a> ShardedBlockReader<'a> {
             self.blocks
         );
         self.inner.try_block_slices(b, z_attr, x_attr)
+    }
+
+    /// Reads a contiguous run of the shard's blocks; see
+    /// [`BlockReader::read_run`].
+    ///
+    /// # Panics
+    /// Panics if any block of a non-empty `blocks` lies outside the
+    /// shard's range.
+    pub fn read_run(
+        &mut self,
+        blocks: Range<usize>,
+        z_attr: usize,
+        x_attr: usize,
+        visit: impl FnMut(usize, &[u32], &[u32]) -> bool,
+    ) -> Result<()> {
+        assert!(
+            blocks.is_empty()
+                || (blocks.start >= self.blocks.start && blocks.end <= self.blocks.end),
+            "blocks {blocks:?} outside shard range {:?}",
+            self.blocks
+        );
+        self.inner.read_run(blocks, z_attr, x_attr, visit)
     }
 
     /// Records that block `b` (which must belong to the shard) was

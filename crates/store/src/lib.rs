@@ -18,11 +18,12 @@
 //! * a pluggable storage abstraction ([`backend::StorageBackend`]) with
 //!   two implementations — the in-memory table view
 //!   ([`backend::MemBackend`]) and a checksummed on-disk columnar block
-//!   file with a bounded, sharded block cache and a demand-aware
-//!   background readahead pool fed by advisory
-//!   [`backend::StorageBackend::prefetch`] hints
-//!   ([`file::FileBackend`]) — plus fallible storage errors
-//!   ([`error::StoreError`]);
+//!   file ([`file::FileBackend`]) with a bounded, sharded block cache,
+//!   read a page, a block pair or a whole run of blocks at a time
+//!   ([`backend::StorageBackend::read_run_pair_into`]: one positioned
+//!   read per attribute and chunk, page checksums verified in lanes —
+//!   [`checksum`]), with a readahead pool a run feeds itself — plus
+//!   fallible storage errors ([`error::StoreError`]);
 //! * **live tables** ([`live::LiveTable`]): append ingestion into an
 //!   in-memory delta that seals into immutable checksummed segments,
 //!   serving cheap snapshot-isolated [`live::Snapshot`] views that
@@ -31,7 +32,8 @@
 //!   appending;
 //! * a block reader over any backend that accounts blocks read/skipped
 //!   and tuples touched, with an optional simulated per-block latency so
-//!   storage-media cost models can be explored ([`io::BlockReader`]), and
+//!   storage-media cost models can be explored ([`io::BlockReader`]),
+//!   block by block or a marked run at a time, and
 //!   shardable into disjoint block-range views with per-shard,
 //!   aggregatable statistics for multi-core executors
 //!   ([`io::ShardedBlockReader`]).
@@ -43,6 +45,7 @@ pub mod backend;
 pub mod binning;
 pub mod bitmap;
 pub mod block;
+pub mod checksum;
 pub mod density;
 pub mod error;
 pub mod file;

@@ -994,6 +994,7 @@ impl LiveTable {
             sealed_rows: s.sealed_rows,
             tail: s.mem.columns().to_vec(),
             n_rows,
+            num_blocks,
             bitmaps,
             zones,
             pin: Arc::new(snapshot::SnapshotPin::new(

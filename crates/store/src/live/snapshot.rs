@@ -7,8 +7,8 @@
 //! [`BitmapIndex`]es covering precisely those rows. It implements
 //! [`StorageBackend`], so everything built on the reading contract —
 //! all five executors, [`crate::io::BlockReader`] /
-//! [`crate::io::ShardedBlockReader`], prefetch hinting, the engine's
-//! query service — runs over a snapshot **unchanged**, while writers
+//! [`crate::io::ShardedBlockReader`], run reads, the engine's query
+//! service — runs over a snapshot **unchanged**, while writers
 //! keep appending to the live table underneath.
 //!
 //! Consistency argument: every sealed segment is immutable from the
@@ -29,7 +29,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::backend::{PageOrigin, StorageBackend};
+use crate::backend::{BlockVisitor, PageOrigin, StorageBackend};
 use crate::bitmap::BitmapIndex;
 use crate::block::BlockLayout;
 use crate::error::Result;
@@ -94,6 +94,8 @@ pub struct Snapshot {
     /// attribute; all rows past `sealed_rows`).
     pub(crate) tail: Vec<Vec<u32>>,
     pub(crate) n_rows: usize,
+    /// Blocks covering `n_rows` (sealed + tail), fixed at snapshot time.
+    pub(crate) num_blocks: usize,
     /// Exact presence indexes over this snapshot's rows, one per
     /// attribute, shared so a service can hand them to `'static` tasks.
     pub(crate) bitmaps: Vec<Arc<BitmapIndex>>,
@@ -229,7 +231,7 @@ impl StorageBackend for Snapshot {
 
     fn read_block_into(&self, b: usize, attr: usize, out: &mut Vec<u32>) -> Result<PageOrigin> {
         assert!(attr < self.schema.len(), "attribute {attr} out of range");
-        assert!(b < self.layout().num_blocks(), "block {b} out of range");
+        assert!(b < self.num_blocks, "block {b} out of range");
         match self.locate(b) {
             BlockHome::Segment {
                 entry: SegmentEntry::Mem(t),
@@ -250,6 +252,56 @@ impl StorageBackend for Snapshot {
                 Ok(PageOrigin::Memory)
             }
         }
+    }
+
+    fn read_run_pair_into(
+        &self,
+        blocks: Range<usize>,
+        z_attr: usize,
+        x_attr: usize,
+        zs: &mut Vec<u32>,
+        xs: &mut Vec<u32>,
+        visit: &mut BlockVisitor<'_>,
+    ) -> Result<bool> {
+        assert!(blocks.end <= self.num_blocks, "run {blocks:?} out of range");
+        // Forward the run piecewise to whatever it spans: file segments
+        // serve their part as a run of their own (local block ids), and
+        // in-memory segments and the tail lend their columns directly.
+        let tpb = self.tuples_per_block;
+        let mut b = blocks.start;
+        while b < blocks.end {
+            let seg = (b < self.sealed_blocks()).then(|| locate_segment(&self.seg_starts, b));
+            let piece_end = seg.map_or(blocks.end, |i| self.seg_starts[i + 1].min(blocks.end));
+            let (z, x, first_row) = match seg.map(|i| (&self.entries[i], self.seg_starts[i])) {
+                Some((SegmentEntry::File(be), start)) => {
+                    let local = b - start..piece_end - start;
+                    let mut globalize = |lb: usize, zs: &[u32], xs: &[u32], origins| {
+                        visit(lb + start, zs, xs, origins)
+                    };
+                    if !be.read_run_pair_into(local, z_attr, x_attr, zs, xs, &mut globalize)? {
+                        return Ok(false);
+                    }
+                    b = piece_end;
+                    continue;
+                }
+                Some((SegmentEntry::Mem(t), start)) => {
+                    (t.column(z_attr), t.column(x_attr), start * tpb)
+                }
+                None => (
+                    self.tail[z_attr].as_slice(),
+                    self.tail[x_attr].as_slice(),
+                    self.sealed_rows,
+                ),
+            };
+            for b in b..piece_end {
+                let rows = b * tpb - first_row..((b + 1) * tpb).min(self.n_rows) - first_row;
+                if !visit(b, &z[rows.clone()], &x[rows], [PageOrigin::Memory; 2]) {
+                    return Ok(false);
+                }
+            }
+            b = piece_end;
+        }
+        Ok(true)
     }
 
     fn prefetch(&self, blocks: Range<usize>) {

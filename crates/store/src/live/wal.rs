@@ -54,8 +54,9 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
+use crate::checksum::{fnv1a64, FNV_BASIS};
 use crate::error::{Result, StoreError};
-use crate::file::{fnv1a64, fsync_dir, tmp_sibling, FNV_BASIS};
+use crate::file::{fsync_dir, le_u32, le_u64, tmp_sibling};
 
 /// WAL file magic: identifies format and version.
 const WAL_MAGIC: &[u8; 8] = b"FMWAL001";
@@ -76,22 +77,6 @@ const HEADER_LEN: usize = 8 + 8 + 4 + 8;
 /// checksums are position-keyed, and disjoint from the header basis.
 fn record_basis(seq: u64) -> u64 {
     FNV_BASIS ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x57414c
-}
-
-/// Decodes a little-endian `u32` from the first 4 bytes of `b`.
-/// Callers bound-check via `get` before calling; slicing keeps the
-/// decode itself infallible.
-fn le_u32(b: &[u8]) -> u32 {
-    let mut a = [0u8; 4];
-    a.copy_from_slice(&b[..4]);
-    u32::from_le_bytes(a)
-}
-
-/// Decodes a little-endian `u64` from the first 8 bytes of `b`.
-fn le_u64(b: &[u8]) -> u64 {
-    let mut a = [0u8; 8];
-    a.copy_from_slice(&b[..8]);
-    u64::from_le_bytes(a)
 }
 
 // ------------------------------------------------------------- decisions

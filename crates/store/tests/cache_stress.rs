@@ -106,11 +106,12 @@ fn concurrent_eviction_churn_never_corrupts_reads() {
     );
 }
 
-/// Concurrent demand readers racing the readahead pool over a bounded
-/// cache: prefetched-page attribution must sum exactly — per-reader
-/// `pages_prefetch_hit` to the global `prefetched_hits`, per-reader
-/// hit/miss to the global demand counters — and prefetch loads must
-/// never leak into the demand hit/miss accounting.
+/// Concurrent demand readers, block by block and in runs, racing the
+/// readahead pool over a bounded cache: prefetched-page attribution must
+/// sum exactly — per-reader `pages_prefetch_hit` to the global
+/// `prefetched_hits`, per-reader hit/miss to the global demand counters
+/// — and prefetch loads must never leak into the demand hit/miss
+/// accounting.
 #[test]
 fn prefetch_attribution_sums_exactly_under_churn() {
     const THREADS: usize = 4;
@@ -134,15 +135,29 @@ fn prefetch_attribution_sums_exactly_under_churn() {
                     let mut reader = fastmatch_store::io::BlockReader::over_backend(backend);
                     for round in 0..ROUNDS {
                         let mut b = (w * 29 + round * 17) % nb;
-                        for _ in 0..nb {
+                        for step in 0..nb {
                             // Hint a short run ahead of the read cursor,
                             // racing the other readers' demand fetches
                             // and the pool's own inserts for the same
                             // pages.
                             backend.prefetch(b..(b + 8).min(nb));
-                            let (zs, xs) = reader.block_slices(b, 0, 1);
-                            assert_eq!(zs, &table.column(0)[layout.rows_of_block(b)]);
-                            assert_eq!(xs, &table.column(1)[layout.rows_of_block(b)]);
+                            if (w + step) % 5 == 0 {
+                                // Every fifth access is a run read — of
+                                // up to 1.5 chunks, so it straddles chunk
+                                // boundaries — racing the same pages.
+                                let run = b..(b + 1 + (step * 13) % 96).min(nb);
+                                reader
+                                    .read_run(run, 0, 1, |rb, zs, xs| {
+                                        assert_eq!(zs, &table.column(0)[layout.rows_of_block(rb)]);
+                                        assert_eq!(xs, &table.column(1)[layout.rows_of_block(rb)]);
+                                        true
+                                    })
+                                    .unwrap();
+                            } else {
+                                let (zs, xs) = reader.block_slices(b, 0, 1);
+                                assert_eq!(zs, &table.column(0)[layout.rows_of_block(b)]);
+                                assert_eq!(xs, &table.column(1)[layout.rows_of_block(b)]);
+                            }
                             b = (b + 1 + w) % nb;
                         }
                     }
@@ -188,8 +203,9 @@ fn prefetch_attribution_sums_exactly_under_churn() {
     );
 }
 
-/// The same churn through `BlockReader`s (the engine's read path): the
-/// per-reader `IoStats` attribution must account for every page exactly.
+/// The same churn through `BlockReader`s (the engine's read path), half
+/// of the passes as run reads: the per-reader `IoStats` attribution must
+/// account for every page exactly.
 #[test]
 fn reader_attribution_is_exact_under_churn() {
     let rows = 12_000;
@@ -208,6 +224,15 @@ fn reader_attribution_is_exact_under_churn() {
                 scope.spawn(move || {
                     let mut reader = fastmatch_store::io::BlockReader::over_backend(backend);
                     for round in 0..3 {
+                        if (w + round) % 2 == 1 {
+                            // Half the passes go through the run path —
+                            // the same blocks, as two wrapping runs.
+                            let first = (w * 13 + round * 7) % nb;
+                            for run in [first..nb, 0..first] {
+                                reader.read_run(run, 0, 1, |_, _, _| true).unwrap();
+                            }
+                            continue;
+                        }
                         for b in 0..nb {
                             let bb = (b + w * 13 + round * 7) % nb;
                             reader.block_slices(bb, 0, 1);

@@ -1,0 +1,380 @@
+//! Every check kept: reading pages many at a time — one positioned read
+//! per span, checksums computed in interleaved lanes — must reject
+//! exactly what the page-at-a-time reader rejected, name the same page,
+//! and never let a bad page into the cache. The format is unchanged, so
+//! the writer is pinned byte for byte against a serial reference too.
+
+use std::time::{Duration, Instant};
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use fastmatch_store::backend::{PageOrigin, StorageBackend};
+use fastmatch_store::block::BlockLayout;
+use fastmatch_store::checksum::{fnv1a64, fnv1a64_each, FNV_BASIS, LANES};
+use fastmatch_store::error::StoreError;
+use fastmatch_store::file::{write_table, FileBackend, RUN_CHUNK_BLOCKS};
+use fastmatch_store::schema::{AttrDef, Schema};
+use fastmatch_store::table::Table;
+use fastmatch_store::tempfile::TempBlockFile;
+
+/// An independent FNV-1a, so the reference does not share a line with
+/// the code under test.
+fn reference_fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(basis, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn table(rows: usize, seed: u64) -> Table {
+    let schema = Schema::new(vec![AttrDef::new("z", 1000), AttrDef::new("x", 9)]);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let z = (0..rows).map(|_| rng.gen_range(0..1000u32)).collect();
+    let x = (0..rows).map(|_| rng.gen_range(0..9u32)).collect();
+    Table::new(schema, vec![z, x])
+}
+
+/// The `FMCOL001` image of `t`, page by page with single-stream
+/// checksums — what `write_table` wrote before it learned lanes.
+fn serial_reference_image(t: &Table, tpb: usize) -> Vec<u8> {
+    let layout = BlockLayout::new(t.n_rows(), tpb);
+    let mut out = Vec::new();
+    out.extend_from_slice(b"FMCOL001");
+    out.extend_from_slice(&(tpb as u32).to_le_bytes());
+    out.extend_from_slice(&(t.n_rows() as u64).to_le_bytes());
+    out.extend_from_slice(&(t.schema().len() as u32).to_le_bytes());
+    for attr in t.schema().attrs() {
+        out.extend_from_slice(&(attr.name.len() as u16).to_le_bytes());
+        out.extend_from_slice(attr.name.as_bytes());
+        out.extend_from_slice(&attr.cardinality.to_le_bytes());
+    }
+    let header_sum = reference_fnv1a64(0xcbf2_9ce4_8422_2325, &out);
+    out.extend_from_slice(&header_sum.to_le_bytes());
+    for a in 0..t.schema().len() {
+        for b in 0..layout.num_blocks() {
+            let from = out.len();
+            for &code in &t.column(a)[layout.rows_of_block(b)] {
+                out.extend_from_slice(&code.to_le_bytes());
+            }
+            let basis = 0xcbf2_9ce4_8422_2325 ^ ((a as u64) << 32) ^ b as u64;
+            let sum = reference_fnv1a64(basis, &out[from..]);
+            out.extend_from_slice(&sum.to_le_bytes());
+        }
+    }
+    out
+}
+
+/// Offset of page (`attr`, `b`) in an image and its length in bytes.
+fn page_span(t: &Table, tpb: usize, attr: usize, b: usize) -> (usize, usize) {
+    let layout = BlockLayout::new(t.n_rows(), tpb);
+    let header: usize = 8
+        + 4
+        + 8
+        + 4
+        + t.schema()
+            .attrs()
+            .iter()
+            .map(|a| 2 + a.name.len() + 4)
+            .sum::<usize>()
+        + 8;
+    let region = t.n_rows() * 4 + layout.num_blocks() * 8;
+    (
+        header + attr * region + b * (tpb * 4 + 8),
+        layout.block_len(b) * 4 + 8,
+    )
+}
+
+#[test]
+fn lane_kernel_equals_reference_for_every_lane_count_and_ragged_lanes() {
+    let mut rng = StdRng::seed_from_u64(0x1a9e5);
+    for n in 0..=3 * LANES + 1 {
+        for ragged in [false, true] {
+            let pages: Vec<(u64, Vec<u8>)> = (0..n)
+                .map(|i| {
+                    // Equal lengths, or every lane its own (one empty).
+                    let len = if ragged { (i * 37) % 90 } else { 64 };
+                    let bytes = (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect();
+                    (rng.gen_range(0..u64::MAX), bytes)
+                })
+                .collect();
+            let mut seen = vec![None; n];
+            fnv1a64_each(
+                n,
+                |i| (pages[i].0, pages[i].1.as_slice()),
+                |i, sum| {
+                    assert!(seen[i].replace(sum).is_none(), "page {i} reported twice");
+                },
+            );
+            for (i, (basis, bytes)) in pages.iter().enumerate() {
+                let want = reference_fnv1a64(*basis, bytes);
+                assert_eq!(fnv1a64(*basis, bytes), want);
+                assert_eq!(seen[i], Some(want), "n={n} ragged={ragged} page {i}");
+            }
+        }
+    }
+    assert_eq!(FNV_BASIS, 0xcbf2_9ce4_8422_2325);
+}
+
+#[test]
+fn writer_output_is_byte_identical_to_the_serial_reference() {
+    // Block counts below, at and past a chunk, with and without a short
+    // last block, and an empty table.
+    for (rows, tpb, seed) in [
+        (0usize, 4usize, 1u64),
+        (1, 1, 2),
+        (103, 10, 3),
+        (RUN_CHUNK_BLOCKS * 6, 6, 4),
+        (RUN_CHUNK_BLOCKS * 6 + 1, 6, 5),
+        (3 * RUN_CHUNK_BLOCKS * 5 - 2, 5, 6),
+        (20_011, 150, 7),
+    ] {
+        let t = table(rows, seed);
+        let scratch = TempBlockFile::new("verify_writer");
+        let written = write_table(scratch.path(), &t, tpb).unwrap();
+        let bytes = std::fs::read(scratch.path()).unwrap();
+        assert_eq!(written as usize, bytes.len());
+        assert!(
+            bytes == serial_reference_image(&t, tpb),
+            "rows={rows} tpb={tpb}: image differs from the serial writer's"
+        );
+    }
+}
+
+/// Writes `image` to a fresh file and opens it with a cache big enough
+/// to hold a bad page if one were (wrongly) inserted.
+fn open_image(image: &[u8]) -> (TempBlockFile, FileBackend) {
+    let scratch = TempBlockFile::new("verify_image");
+    std::fs::write(scratch.path(), image).unwrap();
+    let be = FileBackend::open(scratch.path())
+        .unwrap()
+        .with_cache_blocks(512);
+    (scratch, be)
+}
+
+/// Both demand paths over a file whose page (`attr`, `bad`) is damaged:
+/// each must deliver the blocks before it intact, fail naming exactly
+/// that page, and fail again on a second attempt.
+fn assert_both_paths_reject(image: &[u8], t: &Table, tpb: usize, attr: usize, bad: usize) {
+    let layout = BlockLayout::new(t.n_rows(), tpb);
+    let nb = layout.num_blocks();
+    let names_the_page = |e: &StoreError| matches!(e, StoreError::Corrupt { attr: a, block, .. } if *a == attr && *block == bad);
+    let (_scratch, be) = open_image(image);
+    let (mut zs, mut xs) = (Vec::new(), Vec::new());
+    for attempt in 0..2 {
+        // Pair path, block by block.
+        for b in 0..nb {
+            let got = be.read_block_pair_into(b, 0, 1, &mut zs, &mut xs);
+            if b == bad {
+                let e = got.unwrap_err();
+                assert!(names_the_page(&e), "pair path, attempt {attempt}: {e}");
+            } else {
+                got.unwrap();
+                assert_eq!(zs, &t.column(0)[layout.rows_of_block(b)]);
+                assert_eq!(xs, &t.column(1)[layout.rows_of_block(b)]);
+            }
+        }
+        // Run path, crossing the page.
+        let mut delivered = 0usize;
+        let e = be
+            .read_run_pair_into(0..nb, 0, 1, &mut zs, &mut xs, &mut |b, z, x, _| {
+                assert_eq!(b, delivered);
+                assert_eq!(z, &t.column(0)[layout.rows_of_block(b)], "z of {b}");
+                assert_eq!(x, &t.column(1)[layout.rows_of_block(b)], "x of {b}");
+                delivered += 1;
+                true
+            })
+            .unwrap_err();
+        assert!(names_the_page(&e), "run path, attempt {attempt}: {e}");
+        assert_eq!(delivered, bad, "every block before the bad page, no more");
+    }
+    // The bad page's healthy sibling may be cached; the bad page is not,
+    // or a re-read would have served it as a hit instead of failing.
+    let got = be.read_block_into(bad, attr, &mut zs).unwrap_err();
+    assert!(names_the_page(&got), "{got}");
+}
+
+#[test]
+fn every_single_bit_flip_of_a_page_is_reported_naming_that_page() {
+    let (rows, tpb) = (9 * 6 - 2, 6usize); // 9 blocks, the last one short
+    let t = table(rows, 11);
+    let image = serial_reference_image(&t, tpb);
+    // Every bit — codes and checksum — of one page per lane position of
+    // the run's z lanes, and of the short last page of x.
+    for (attr, bad) in [(0usize, 5usize), (1, 8)] {
+        let (off, len) = page_span(&t, tpb, attr, bad);
+        for bit in 0..len * 8 {
+            let mut damaged = image.clone();
+            damaged[off + bit / 8] ^= 1 << (bit % 8);
+            assert_both_paths_reject(&damaged, &t, tpb, attr, bad);
+        }
+    }
+    // One bit of *every* page: whichever lane a page is verified in, the
+    // mismatch must be pinned on it and not on a lane neighbour.
+    for attr in 0..2 {
+        for bad in 0..9 {
+            let (off, len) = page_span(&t, tpb, attr, bad);
+            let mut damaged = image.clone();
+            damaged[off + (bad * 7 + attr) % len] ^= 0x10;
+            assert_both_paths_reject(&damaged, &t, tpb, attr, bad);
+        }
+    }
+}
+
+#[test]
+fn a_page_copied_verbatim_to_another_slot_fails_its_position_key() {
+    let (rows, tpb) = (8 * 6, 6usize);
+    let t = table(rows, 12);
+    let image = serial_reference_image(&t, tpb);
+    // Within an attribute, and across attributes at the same block id.
+    for ((from_attr, from_b), (to_attr, to_b)) in [((0, 1), (0, 2)), ((0, 3), (1, 3))] {
+        let (from, len) = page_span(&t, tpb, from_attr, from_b);
+        let (to, _) = page_span(&t, tpb, to_attr, to_b);
+        let mut moved = image.clone();
+        moved.copy_within(from..from + len, to);
+        assert_both_paths_reject(&moved, &t, tpb, to_attr, to_b);
+    }
+}
+
+#[test]
+fn of_several_bad_pages_the_one_a_block_by_block_reader_meets_first_is_reported() {
+    let (rows, tpb) = (12 * 6, 6usize);
+    let t = table(rows, 15);
+    let image = serial_reference_image(&t, tpb);
+    // (damaged pages, the one to report): an earlier block wins whatever
+    // its attribute; within a block the z page is read before the x page.
+    for (damaged, (attr, bad)) in [
+        (vec![(0usize, 7usize), (1, 4), (0, 9)], (1usize, 4usize)),
+        (vec![(1, 6), (0, 6)], (0, 6)),
+        (vec![(1, 10), (0, 11), (1, 11)], (1, 10)),
+    ] {
+        let mut image = image.clone();
+        for (a, b) in damaged {
+            let (off, _) = page_span(&t, tpb, a, b);
+            image[off + 1] ^= 0x04;
+        }
+        let (_scratch, be) = open_image(&image);
+        let (mut zs, mut xs) = (Vec::new(), Vec::new());
+        let mut delivered = 0usize;
+        let by_run = be
+            .read_run_pair_into(0..12, 0, 1, &mut zs, &mut xs, &mut |_, _, _, _| {
+                delivered += 1;
+                true
+            })
+            .unwrap_err();
+        let by_pair = be
+            .read_block_pair_into(bad, 0, 1, &mut zs, &mut xs)
+            .unwrap_err();
+        for e in [by_run, by_pair] {
+            assert!(
+                matches!(e, StoreError::Corrupt { attr: a, block, .. } if a == attr && block == bad),
+                "want attr {attr} block {bad}: {e}"
+            );
+        }
+        assert_eq!(delivered, bad);
+    }
+}
+
+#[test]
+fn readahead_meeting_a_corrupt_page_is_silent_until_the_demand_read() {
+    let tpb = 4usize;
+    let nb = 3 * RUN_CHUNK_BLOCKS;
+    let t = table(nb * tpb, 13);
+    let layout = BlockLayout::new(t.n_rows(), tpb);
+    let bad = 2 * RUN_CHUNK_BLOCKS + 3;
+    let mut image = serial_reference_image(&t, tpb);
+    let (off, _) = page_span(&t, tpb, 1, bad);
+    image[off] ^= 0x01;
+    let (_scratch, be) = open_image(&image);
+
+    // Advisory readahead over the whole file: every healthy page
+    // arrives, the damaged one is skipped without a sound.
+    be.prefetch(0..nb);
+    wait_for_prefetched(&be, 2 * nb as u64 - 1);
+
+    // The demand run is served from the readahead's pages up to the bad
+    // one, which it fetches itself — and reports.
+    let (mut zs, mut xs) = (Vec::new(), Vec::new());
+    let mut delivered = 0usize;
+    let e = be
+        .read_run_pair_into(0..nb, 0, 1, &mut zs, &mut xs, &mut |b, z, x, origins| {
+            assert_eq!(origins, [PageOrigin::PrefetchedHit; 2], "block {b}");
+            assert_eq!(z, &t.column(0)[layout.rows_of_block(b)]);
+            assert_eq!(x, &t.column(1)[layout.rows_of_block(b)]);
+            delivered += 1;
+            true
+        })
+        .unwrap_err();
+    assert!(
+        matches!(e, StoreError::Corrupt { attr: 1, block, .. } if block == bad),
+        "{e}"
+    );
+    assert_eq!(delivered, bad);
+    let cs = be.cache_stats();
+    assert_eq!(cs.prefetched_hits, 2 * bad as u64);
+    assert_eq!((cs.hits, cs.misses), (2 * bad as u64, 0));
+}
+
+/// Polls until the readahead pool has loaded `want` pages.
+fn wait_for_prefetched(be: &FileBackend, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while be.cache_stats().pages_prefetched < want {
+        assert!(
+            Instant::now() < deadline,
+            "readahead stalled at {} of {want} pages",
+            be.cache_stats().pages_prefetched
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// With a slow medium a run is its own hint: while the visitor holds
+/// the first block of a chunk, the pool loads the next chunk, which is
+/// then served as prefetched hits — and a corrupt page that only
+/// readahead has touched still surfaces on the demand read, after every
+/// block before it.
+#[test]
+fn a_run_reads_ahead_of_itself_and_still_reports_the_corrupt_page() {
+    let tpb = 4usize;
+    let nb = 4 * RUN_CHUNK_BLOCKS;
+    let t = table(nb * tpb, 14);
+    let layout = BlockLayout::new(t.n_rows(), tpb);
+    let bad = 3 * RUN_CHUNK_BLOCKS + 1;
+    let mut image = serial_reference_image(&t, tpb);
+    let (off, len) = page_span(&t, tpb, 0, bad);
+    image[off + len - 1] ^= 0x80; // in the stored checksum
+    let scratch = TempBlockFile::new("verify_selfhint");
+    std::fs::write(scratch.path(), &image).unwrap();
+    let be = FileBackend::open(scratch.path())
+        .unwrap()
+        .with_cache_blocks(2048)
+        .with_simulated_medium_latency_ns(20_000);
+    let (mut zs, mut xs) = (Vec::new(), Vec::new());
+    let mut delivered = 0usize;
+    let e = be
+        .read_run_pair_into(0..nb, 0, 1, &mut zs, &mut xs, &mut |b, z, x, origins| {
+            assert_eq!(z, &t.column(0)[layout.rows_of_block(b)]);
+            assert_eq!(x, &t.column(1)[layout.rows_of_block(b)]);
+            let chunk = b / RUN_CHUNK_BLOCKS;
+            if b % RUN_CHUNK_BLOCKS == 0 && chunk < 3 {
+                // The hint for the next chunk is out before this chunk's
+                // first block is delivered; hold the run until the pool
+                // has honoured it (all but the damaged page, which is in
+                // the last chunk).
+                let healthy = 2 * RUN_CHUNK_BLOCKS as u64 * (chunk as u64 + 1);
+                wait_for_prefetched(&be, healthy - u64::from(chunk == 2));
+            }
+            let want = match chunk {
+                0 => PageOrigin::CacheMiss,
+                _ => PageOrigin::PrefetchedHit,
+            };
+            assert_eq!(origins, [want; 2], "block {b}");
+            delivered += 1;
+            true
+        })
+        .unwrap_err();
+    assert!(
+        matches!(e, StoreError::Corrupt { attr: 0, block, .. } if block == bad),
+        "{e}"
+    );
+    assert_eq!(delivered, bad);
+}
