@@ -6,9 +6,9 @@
 //! queue and notify the worker condvar. Workers pop-or-wait
 //! atomically (the real `Scheduler::pop` holds the queue mutex),
 //! scanning queues in exactly the extracted [`queue_scan_order`] —
-//! own queue first, the others only when stealing is on or shutdown
-//! drains. Multi-quantum tasks requeue themselves and notify again;
-//! shutdown wakes everyone and turns every pop into a drain. Named
+//! own queue first, then every sibling's. Multi-quantum tasks requeue
+//! themselves and notify again; shutdown wakes everyone and turns
+//! every pop into a drain. Named
 //! invariants (DESIGN.md § "Concurrency protocols"):
 //!
 //! * `admission-bounded` — at no interleaving of concurrent submits
@@ -19,12 +19,13 @@
 //! * `shutdown-drains-all-queues` — once shutdown fires, quiescence
 //!   means empty queues, exited workers and zero admitted tasks.
 //!
-//! The model doubles as the proof obligation for the scheduler's
-//! `notify_all`: with stealing off, [`AdmissionSteal::with_notify_one`]
-//! deadlocks (the explorer produces the exact schedule — see
-//! `notify_one_without_stealing_loses_wakeups` and DESIGN.md), while
-//! `notify_one` *with* stealing and `notify_all` in any configuration
-//! pass exhaustively.
+//! The model also clears the scheduler's wakeup: because every worker
+//! scans every queue, [`AdmissionSteal::with_notify_one`] passes
+//! exhaustively beside the production `notify_all`
+//! (`notify_one_with_stealing_is_safe`). The interleaving that made
+//! `notify_all` load-bearing needed a worker that served its own queue
+//! only; that configuration (`work_stealing = false`) was deleted with
+//! the model branch describing it.
 
 use std::collections::VecDeque;
 
@@ -75,8 +76,8 @@ pub struct State {
     shutdown: bool,
 }
 
-/// The admission/steal model. Defaults mirror production: stealing
-/// on, `notify_all`, a shutdown drain at the end.
+/// The admission/steal model. Defaults mirror production:
+/// `notify_all`, a shutdown drain at the end.
 #[derive(Debug)]
 pub struct AdmissionSteal {
     workers: usize,
@@ -84,7 +85,6 @@ pub struct AdmissionSteal {
     task_quanta: Vec<u8>,
     /// Admission bound.
     limit: u8,
-    stealing: bool,
     notify_all: bool,
     with_shutdown: bool,
 }
@@ -96,23 +96,16 @@ impl AdmissionSteal {
             workers,
             task_quanta,
             limit,
-            stealing: true,
             notify_all: true,
             with_shutdown: true,
         }
     }
 
     /// Replaces the enqueue-side `notify_all` with `notify_one` (the
-    /// candidate "optimization" the model rules out when stealing is
-    /// off).
+    /// alternative the model clears now that any woken worker can run
+    /// any queued task).
     pub fn with_notify_one(mut self) -> Self {
         self.notify_all = false;
-        self
-    }
-
-    /// Turns work stealing off (`ServiceConfig::with_stealing(false)`).
-    pub fn without_stealing(mut self) -> Self {
-        self.stealing = false;
         self
     }
 
@@ -248,8 +241,7 @@ impl Model for AdmissionSteal {
             if step.id == POP {
                 // Atomic pop-or-wait under the queue mutex, scanning in
                 // the real protocol's order.
-                let hit = queue_scan_order(w, self.workers, self.stealing, s.shutdown)
-                    .find(|&q| !s.queues[q].is_empty());
+                let hit = queue_scan_order(w, self.workers).find(|&q| !s.queues[q].is_empty());
                 match hit {
                     Some(q) => {
                         let t = n.queues[q].pop_front().expect("scan found a task");
@@ -363,37 +355,6 @@ mod tests {
     }
 
     #[test]
-    fn steady_state_without_stealing_is_clean_with_notify_all() {
-        let model = AdmissionSteal::new(2, vec![1, 2], 2)
-            .without_stealing()
-            .without_shutdown();
-        Explorer::new(model)
-            .explore()
-            .unwrap_or_else(|f| panic!("{f}"));
-    }
-
-    /// The schedule that makes the scheduler's `notify_all` load-bearing
-    /// (DESIGN.md § "Concurrency protocols"): with stealing off, waking
-    /// one arbitrary worker can pick one that will never scan the
-    /// task's home queue.
-    #[test]
-    fn notify_one_without_stealing_loses_wakeups() {
-        let model = AdmissionSteal::new(2, vec![1], 1)
-            .with_notify_one()
-            .without_stealing()
-            .without_shutdown();
-        let failure = Explorer::new(model)
-            .explore()
-            .expect_err("notify_one without stealing must deadlock");
-        assert_eq!(failure.violation.invariant, "no-lost-wakeup");
-        let trace = failure.to_string();
-        assert!(
-            trace.contains("notify-one wakes w1"),
-            "the trace must wake the worker that cannot serve queue 0:\n{trace}"
-        );
-    }
-
-    #[test]
     fn notify_one_with_stealing_is_safe() {
         // Any woken worker can steal, so no wakeup is lost — the model
         // clears the alternative before we keep paying for notify_all.
@@ -421,13 +382,14 @@ mod tests {
             .walk(0x5c4e_d001, 500)
             .unwrap_or_else(|f| panic!("{f}"));
         assert_eq!(stats.schedules, 500);
-        let model = AdmissionSteal::new(2, vec![1], 1)
+        // … and on the notify_one alternative, which exhaustion clears
+        // (`notify_one_with_stealing_is_safe`).
+        let model = AdmissionSteal::new(2, vec![1, 2], 2)
             .with_notify_one()
-            .without_stealing()
             .without_shutdown();
-        let failure = Explorer::new(model)
+        let stats = Explorer::new(model)
             .walk(0x5c4e_d001, 500)
-            .expect_err("soak mode must also find the lost wakeup");
-        assert_eq!(failure.violation.invariant, "no-lost-wakeup");
+            .unwrap_or_else(|f| panic!("{f}"));
+        assert_eq!(stats.schedules, 500);
     }
 }

@@ -3,18 +3,20 @@
 //!
 //! Two threads, mirroring Figure 6:
 //!
-//! * the **sampling engine** (lookahead thread) walks the block sequence in
-//!   windows of `lookahead` blocks, marking each window for reading or
-//!   skipping with Algorithm 3 (one pass over each active candidate's
-//!   bitmap row per window), and streams read decisions through a bounded
-//!   channel;
+//! * the **sampling engine** (lookahead thread) steps one
+//!   [`ShardWalk`] over the whole table in windows of `lookahead`
+//!   blocks — Algorithm 3 marks each window for reading or skipping, one
+//!   pass over each active candidate's bitmap row per window — and
+//!   streams each window's decisions through a bounded channel;
 //! * the **I/O manager + statistics engine** (caller thread) reads each
 //!   marked run *as a run* ([`BlockReader::read_run`]), ingests its
 //!   blocks into HistSim one at a time, advances its stages, and
 //!   publishes fresh per-candidate demand through [`SharedDemand`].
 //!
-//! Figure 6's three stages each run ahead of the next: **marking** runs
-//! at most two windows ahead of I/O (below); **I/O** runs one chunk of
+//! Figure 6's three stages each run ahead of the next: **marking**
+//! (`ShardWalk::step`, the same walk `ParallelMatch` and the query
+//! service drive) runs at most two windows ahead of I/O (below);
+//! **I/O** runs one chunk of
 //! the current run ahead of ingestion, inside the storage backend — a
 //! run read tells it exactly which blocks of which two attributes come
 //! next, so over a medium with latency the file backend's readahead
@@ -31,16 +33,16 @@
 
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::Arc;
-use std::time::Duration;
 
 use fastmatch_core::error::{CoreError, Result};
+use fastmatch_store::bitmap::BitmapIndex;
 #[cfg(doc)]
 use fastmatch_store::io::BlockReader;
 use fastmatch_store::io::IoStats;
 
 use crate::exec::driver::Driver;
+use crate::exec::walk::{ShardWalk, Step};
 use crate::exec::{start_block, storage_err, Executor};
-use crate::policy::mark_lookahead;
 use crate::query::QueryJob;
 use crate::result::MatchOutput;
 use crate::shared::{DemandMode, SharedDemand};
@@ -112,13 +114,13 @@ impl Executor for FastMatchExec {
         // engine at most two windows ahead of I/O (§4.2 Challenge 4's
         // freshness bound).
         let (tx, rx) = sync_channel::<Msg>(2);
-        let lookahead = self.lookahead;
+        let walk = ShardWalk::new(0..nb, start, self.lookahead, job.num_candidates());
         let shared_for_marker = Arc::clone(&shared);
 
         let mut result: Option<Result<IoStats>> = None;
         std::thread::scope(|scope| {
             scope.spawn(move || {
-                sampling_engine(job, &shared_for_marker, tx, nb, start, lookahead);
+                sampling_engine(&job.bitmap, &shared_for_marker, tx, walk);
             });
             let r = io_and_stats_loop(job, &mut d, &shared, rx);
             shared.set_mode(DemandMode::Stop);
@@ -128,99 +130,44 @@ impl Executor for FastMatchExec {
     }
 }
 
-/// The lookahead thread: Algorithm 3 over windows, multi-pass with a
-/// visited set so skipped blocks stay eligible for later rounds. Each
-/// window's decisions are shipped as maximal contiguous runs, which is
-/// the shape the I/O manager reads them in.
+/// The lookahead thread: steps the walk one `lookahead` window at a time
+/// and ships each window's decisions as one message — marked runs in the
+/// shape the I/O manager reads them in, skipped blocks as a count.
 fn sampling_engine(
-    job: &QueryJob<'_>,
+    bitmap: &BitmapIndex,
     shared: &SharedDemand,
     tx: SyncSender<Msg>,
-    nb: usize,
-    start: usize,
-    lookahead: usize,
+    mut walk: ShardWalk,
 ) {
-    let bitmap = &job.bitmap;
-    let mut visited = vec![false; nb];
-    let mut visited_count = 0usize;
-    let mut marks = vec![false; lookahead];
-    'outer: loop {
-        if shared.mode() == DemandMode::Stop {
+    loop {
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        let mut skipped = 0u32;
+        let step = walk.step(bitmap, shared, usize::MAX, |run, marked| {
+            if marked {
+                runs.push((run.start as u32, run.len() as u32));
+            } else {
+                skipped += run.len() as u32;
+            }
+            true
+        });
+        if (!runs.is_empty() || skipped > 0) && tx.send(Msg::Batch { runs, skipped }).is_err() {
             break;
         }
-        let pass_epoch = shared.epoch();
-        let mut sent_this_pass = false;
-        let mut off = 0usize;
-        while off < nb {
-            let mode = shared.mode();
-            if mode == DemandMode::Stop {
-                break 'outer;
-            }
-            let win = lookahead.min(nb - off);
-            match mode {
-                DemandMode::Stop => break 'outer,
-                DemandMode::ReadAll => marks[..win].iter_mut().for_each(|m| *m = true),
-                DemandMode::AnyActive => {
-                    marks[..win].iter_mut().for_each(|m| *m = false);
-                    let active = shared.active_candidates();
-                    // The window's offsets map to at most two contiguous
-                    // block ranges (wrap at nb).
-                    let s0 = (start + off) % nb;
-                    let first_len = win.min(nb - s0);
-                    mark_lookahead(bitmap, &active, s0, &mut marks[..first_len]);
-                    if first_len < win {
-                        mark_lookahead(bitmap, &active, 0, &mut marks[first_len..win]);
-                    }
+        match step {
+            Step::Window => {}
+            Step::PassEnd { fruitless, epoch } => {
+                if tx.send(Msg::PassEnd).is_err() {
+                    break;
+                }
+                if fruitless {
+                    shared.wait_past(epoch);
                 }
             }
-            // Collect the window's decisions as maximal contiguous runs
-            // and ship them as a single message.
-            let mut skipped = 0u32;
-            let mut runs: Vec<(u32, u32)> = Vec::new();
-            let mut run_start = 0usize;
-            let mut run_len = 0u32;
-            for (i, &marked) in marks[..win].iter().enumerate() {
-                let b = (start + off + i) % nb;
-                if !visited[b] && marked {
-                    visited[b] = true;
-                    visited_count += 1;
-                    sent_this_pass = true;
-                    if run_len > 0 && b == run_start + run_len as usize {
-                        run_len += 1;
-                    } else {
-                        if run_len > 0 {
-                            runs.push((run_start as u32, run_len));
-                        }
-                        run_start = b;
-                        run_len = 1;
-                    }
-                } else if !visited[b] {
-                    skipped += 1;
-                }
+            Step::Exhausted => {
+                let _ = tx.send(Msg::Exhausted);
+                break;
             }
-            if run_len > 0 {
-                runs.push((run_start as u32, run_len));
-            }
-            if (!runs.is_empty() || skipped > 0) && tx.send(Msg::Batch { runs, skipped }).is_err() {
-                break 'outer;
-            }
-            off += win;
-        }
-        if visited_count == nb {
-            let _ = tx.send(Msg::Exhausted);
-            break;
-        }
-        if tx.send(Msg::PassEnd).is_err() {
-            break;
-        }
-        if !sent_this_pass {
-            // Nothing readable under the demand snapshot this pass saw:
-            // re-marking the whole sequence with identical demand would be
-            // wasted work, so wait for the statistics engine to publish a
-            // new epoch (or stop).
-            while shared.epoch() == pass_epoch && shared.mode() != DemandMode::Stop {
-                std::thread::sleep(Duration::from_micros(20));
-            }
+            Step::Stop => break,
         }
     }
 }

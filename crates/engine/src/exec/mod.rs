@@ -16,6 +16,7 @@ mod parallel_match;
 mod scan;
 mod scan_match;
 mod sync_match;
+pub(crate) mod walk;
 
 pub use fast_match::FastMatchExec;
 pub use parallel_match::{all_live_parked, ParallelMatchExec};
@@ -57,19 +58,6 @@ pub(crate) fn start_block(num_blocks: usize, seed: u64) -> usize {
         return 0;
     }
     StdRng::seed_from_u64(seed).gen_range(0..num_blocks)
-}
-
-/// Where the run that starts at position `i` of a marked window ends:
-/// the first position whose block is already visited or marked
-/// differently from position `i`. `marks[i]` describes local block
-/// `seg_off + i`, `visited` is indexed by local block id, and position
-/// `i` must be unvisited. Both shard walkers split their windows with
-/// this — runs of marked blocks are *read* as runs
-/// (`ShardedBlockReader::read_run`), runs of unmarked ones skipped in
-/// bulk.
-pub(crate) fn run_end(marks: &[bool], visited: &[bool], seg_off: usize, i: usize) -> usize {
-    let tail = marks[i + 1..].iter().zip(&visited[seg_off + i + 1..]);
-    i + 1 + tail.take_while(|&(&m, &v)| !v && m == marks[i]).count()
 }
 
 /// Per-block read/skip decision for the synchronous executors.

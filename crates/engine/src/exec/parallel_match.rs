@@ -5,9 +5,10 @@
 //! `ParallelMatch` removes that ceiling by splitting ingestion itself:
 //!
 //! * `N` **shard workers** each own a disjoint contiguous block range
-//!   (a [`ShardedBlockReader`]), walk it in lookahead windows applying the
-//!   same AnyActive marking as FastMatch's sampling engine (Algorithm 3),
-//!   and fold the tuples of read blocks into phase-free
+//!   (a [`ShardedBlockReader`]), step the same [`ShardWalk`] over it that
+//!   FastMatch's sampling engine steps over the whole table (Figure 6's
+//!   marking stage, Algorithm 3), read the marked runs themselves (its
+//!   I/O stage) and fold their tuples (ingestion) into phase-free
 //!   [`HistAccumulator`] deltas — no locks, no shared mutable state;
 //! * the **statistics engine** (caller thread) receives accumulator
 //!   batches over a bounded channel, merges them into the authoritative
@@ -28,14 +29,13 @@
 
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
-use std::time::Duration;
 
 use fastmatch_core::error::{CoreError, Result};
 use fastmatch_store::io::{IoStats, ShardedBlockReader};
 
 use crate::exec::driver::{Driver, ShardBatch};
-use crate::exec::{run_end, Executor};
-use crate::policy::mark_lookahead;
+use crate::exec::walk::{ShardWalk, Step};
+use crate::exec::Executor;
 use crate::query::QueryJob;
 use crate::result::MatchOutput;
 use crate::shared::{DemandMode, SharedDemand};
@@ -48,18 +48,13 @@ pub const DEFAULT_SHARDS: usize = 4;
 /// Blocks accumulated per batch message. Larger batches amortize channel
 /// and merge overhead; smaller ones bound demand staleness and stage
 /// overshoot. 32 blocks ≈ 4800 tuples at the paper's block size.
-pub const DEFAULT_BATCH_BLOCKS: usize = 32;
-
-/// Lookahead window used for AnyActive marking inside each shard.
-const MARK_WINDOW: usize = 256;
+const BATCH_BLOCKS: usize = 32;
 
 /// The shard-parallel executor.
 #[derive(Debug, Clone, Copy)]
 pub struct ParallelMatchExec {
     /// Number of shard workers (and block-range shards).
     pub shards: usize,
-    /// Blocks per accumulator batch.
-    pub batch_blocks: usize,
 }
 
 impl Default for ParallelMatchExec {
@@ -69,7 +64,6 @@ impl Default for ParallelMatchExec {
             .unwrap_or(DEFAULT_SHARDS);
         ParallelMatchExec {
             shards: cores.clamp(1, 8),
-            batch_blocks: DEFAULT_BATCH_BLOCKS,
         }
     }
 }
@@ -81,20 +75,7 @@ impl ParallelMatchExec {
     /// Panics if `shards` is zero.
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards > 0, "shard count must be positive");
-        ParallelMatchExec {
-            shards,
-            batch_blocks: DEFAULT_BATCH_BLOCKS,
-        }
-    }
-
-    /// Sets the number of blocks per accumulator batch.
-    ///
-    /// # Panics
-    /// Panics if `batch_blocks` is zero.
-    pub fn with_batch_blocks(mut self, batch_blocks: usize) -> Self {
-        assert!(batch_blocks > 0, "batch size must be positive");
-        self.batch_blocks = batch_blocks;
-        self
+        ParallelMatchExec { shards }
     }
 }
 
@@ -132,7 +113,6 @@ impl Executor for ParallelMatchExec {
         // `shard_worker` — it reports exhaustion and exits immediately —
         // but correctness should not depend on this clamp alone.)
         let shards = self.shards.min(nb).max(1);
-        let batch_blocks = self.batch_blocks;
 
         let shared = Arc::new(SharedDemand::new(job.num_candidates()));
         shared.set_mode(DemandMode::ReadAll); // stage 1
@@ -151,19 +131,10 @@ impl Executor for ParallelMatchExec {
                     let (back_tx, back_rx) = channel::<ShardBatch>();
                     recycle.push(back_tx);
                     let shard_reader = reader.shard(w, shards);
-                    // Seed-derived start offset within the shard: repeated
-                    // runs draw different samples, mirroring the random
-                    // scan start of the sequential executors.
-                    let start = crate::exec::start_block(
-                        shard_reader.num_blocks(),
-                        seed.wrapping_add(w as u64).wrapping_mul(0x9e37_79b9),
-                    );
                     let tx = tx.clone();
                     let shared = Arc::clone(&shared);
                     let link = (tx, back_rx);
-                    scope.spawn(move || {
-                        shard_worker(job, w, shard_reader, &shared, link, batch_blocks, start)
-                    })
+                    scope.spawn(move || shard_worker(job, w, shard_reader, &shared, link, seed))
                 })
                 .collect();
             drop(tx); // the statistics engine holds only the receiver
@@ -183,16 +154,11 @@ impl Executor for ParallelMatchExec {
     }
 }
 
-/// One shard worker: multi-pass AnyActive walk over its block range
-/// (rotated by `start` so the seed varies the sample), producing
-/// accumulator batches. Returns the shard's I/O accounting.
-///
-/// KEEP IN SYNC with `run_quantum` in `service/mod.rs`, which runs the
-/// same walk in resumable bounded quanta for the multi-query service: the
-/// per-block ingestion step ([`ShardBatch::push_block`]) and the split
-/// of a marked window into runs ([`run_end`]) are shared, but demand
-/// marking and pass/cursor bookkeeping are written out in both — a
-/// behavioral fix to those here almost certainly applies there too.
+/// One shard worker: steps a [`ShardWalk`] over its block range (rotated
+/// by a `seed`-derived start, so the seed varies the sample), reads each
+/// marked run into
+/// the current accumulator batch and ships a batch every
+/// [`BATCH_BLOCKS`]. Returns the shard's I/O accounting.
 ///
 /// An **empty** shard (possible when a caller shards a reader more ways
 /// than there are blocks) reports exhaustion and exits immediately — it
@@ -204,21 +170,11 @@ fn shard_worker(
     mut reader: ShardedBlockReader<'_>,
     shared: &SharedDemand,
     (tx, recycled): (SyncSender<Msg>, Receiver<ShardBatch>),
-    batch_blocks: usize,
-    start: usize,
+    seed: u64,
 ) -> IoStats {
-    let range = reader.blocks();
-    let lo = range.start;
-    let n_local = range.len();
-    if n_local == 0 {
-        let _ = tx.send(Msg::ShardExhausted(w));
-        return reader.stats();
-    }
     let nc = job.num_candidates();
     let ng = job.num_groups();
-    let mut visited = vec![false; n_local];
-    let mut visited_count = 0usize;
-    let mut marks = vec![false; MARK_WINDOW];
+    let mut walk = ShardWalk::for_shard(reader.blocks(), w, seed, nc);
 
     let mut batch = ShardBatch::new(nc, ng);
     // Ships the current batch and continues on recycled storage (cleared
@@ -236,92 +192,58 @@ fn shard_worker(
             .is_ok()
     };
 
-    // A pass walks the shard from its rotated start as two contiguous
-    // segments (local offsets), so window marking never wraps.
-    let start = start % n_local;
-    let segments = [(start, n_local - start), (0, start)];
-
-    'outer: loop {
-        let pass_epoch = shared.epoch();
-        let mut read_this_pass = false;
-        for &(seg_start, seg_len) in &segments {
-            let mut off = 0usize;
-            while off < seg_len {
-                let mode = shared.mode();
-                let win = MARK_WINDOW.min(seg_len - off);
-                let seg_off = seg_start + off;
-                match mode {
-                    DemandMode::Stop => break 'outer,
-                    DemandMode::ReadAll => marks[..win].fill(true),
-                    DemandMode::AnyActive => {
-                        marks[..win].fill(false);
-                        let active = shared.active_candidates();
-                        mark_lookahead(&job.bitmap, &active, lo + seg_off, &mut marks[..win]);
-                    }
-                }
-                // Split the window into maximal runs of unvisited blocks
-                // with one decision: marked runs are read as runs (the
-                // backend fetches them together and reads ahead within
-                // them), unmarked ones skipped through the
-                // range-validated bulk API.
-                let mut i = 0usize;
-                while i < win {
-                    if visited[seg_off + i] {
-                        i += 1;
-                        continue;
-                    }
-                    let end = run_end(&marks[..win], &visited, seg_off, i);
-                    let run = lo + seg_off + i..lo + seg_off + end;
-                    let marked = marks[i];
-                    i = end;
-                    if !marked {
-                        reader.skip_blocks(run);
-                        continue;
-                    }
-                    read_this_pass = true;
-                    let mut receiver_gone = false;
-                    let read = reader.read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
-                        visited[b - lo] = true;
-                        visited_count += 1;
-                        batch.push_block(b, zs, xs);
-                        receiver_gone = batch.len() >= batch_blocks && !send(&mut batch);
-                        !receiver_gone
-                    });
-                    // A storage failure (I/O error, corrupt page) ends
-                    // the worker and fails the whole run through the
-                    // statistics engine — same error contract as the
-                    // sequential executors, no panic.
-                    if let Err(e) = read {
-                        let _ = tx.send(Msg::Failed(crate::exec::storage_err(e)));
-                        break 'outer;
-                    }
-                    if receiver_gone {
-                        break 'outer;
-                    }
-                }
-                off += win;
+    loop {
+        // Marked runs are read as runs (the backend fetches them together
+        // and reads ahead within them), unmarked ones skipped through the
+        // range-validated bulk API.
+        let step = walk.step(&job.bitmap, shared, usize::MAX, |run, marked| {
+            if !marked {
+                reader.skip_blocks(run);
+                return true;
             }
-        }
-        // Flush the pass's partial batch so the statistics engine always
-        // sees completed passes promptly.
-        if batch.len() > 0 && !send(&mut batch) {
+            let mut receiver_gone = false;
+            let read = reader.read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
+                batch.push_block(b, zs, xs);
+                receiver_gone = batch.len() >= BATCH_BLOCKS && !send(&mut batch);
+                !receiver_gone
+            });
+            // A storage failure (I/O error, corrupt page) ends the worker
+            // and fails the whole run through the statistics engine —
+            // same error contract as the sequential executors, no panic.
+            if let Err(e) = read {
+                let _ = tx.send(Msg::Failed(crate::exec::storage_err(e)));
+                return false;
+            }
+            !receiver_gone
+        });
+        // Flush a finished pass's partial batch so the statistics engine
+        // always sees completed passes promptly.
+        if matches!(step, Step::PassEnd { .. } | Step::Exhausted)
+            && batch.len() > 0
+            && !send(&mut batch)
+        {
             break;
         }
-        if visited_count == n_local {
-            let _ = tx.send(Msg::ShardExhausted(w));
-            break;
-        }
-        if !read_this_pass {
+        match step {
             // Nothing readable under the demand snapshot this pass saw:
             // tell the statistics engine (its stuck-detection valve) and
             // wait for a new epoch (or stop) instead of re-marking
             // identical state.
-            if tx.send(Msg::IdlePass(w)).is_err() {
+            Step::PassEnd {
+                fruitless: true,
+                epoch,
+            } => {
+                if tx.send(Msg::IdlePass(w)).is_err() {
+                    break;
+                }
+                shared.wait_past(epoch);
+            }
+            Step::Window | Step::PassEnd { .. } => {}
+            Step::Exhausted => {
+                let _ = tx.send(Msg::ShardExhausted(w));
                 break;
             }
-            while shared.epoch() == pass_epoch && shared.mode() != DemandMode::Stop {
-                std::thread::sleep(Duration::from_micros(20));
-            }
+            Step::Stop => break,
         }
     }
     reader.stats()
@@ -513,7 +435,7 @@ mod tests {
         assert_eq!(reader.num_blocks(), 0);
         // Never publish any demand: a parking worker would hang forever,
         // so returning at all proves the early exit.
-        let stats = shard_worker(&job, 3, reader, &shared, (tx, channel().1), 8, 0);
+        let stats = shard_worker(&job, 3, reader, &shared, (tx, channel().1), 0);
         assert_eq!(stats, IoStats::default());
         match rx.try_recv() {
             Ok(Msg::ShardExhausted(3)) => {}

@@ -18,18 +18,17 @@
 //!   queue's FIFO tail. Queries therefore multiplex over shards at
 //!   quantum granularity — 16 queries × 4 shards is 64 interleaved
 //!   tasks on the same pool, not 16 private pools — and no query can
-//!   monopolize a worker for longer than one quantum. The quantum
-//!   budget is either a fixed block count
-//!   ([`ServiceConfig::quantum_blocks`]) or sized *adaptively* from
-//!   each shard's observed per-block cost so quanta approximate a
-//!   fixed time slice ([`QuantumPolicy::Adaptive`]). Idle workers
-//!   steal queued tasks from busy siblings
-//!   ([`ServiceConfig::work_stealing`]), and shards with nothing
-//!   readable under the query's current demand *park* and stop
-//!   consuming pool capacity until the query's demand epoch moves
-//!   (`state` module docs, crate-internal).
+//!   monopolize a worker for longer than one quantum. A quantum reads
+//!   at most [`ServiceConfig::quantum_blocks`] blocks — a declared
+//!   count, never a clocked estimate. Idle workers steal queued tasks
+//!   from busy siblings, and shards with nothing readable under the
+//!   query's current demand *park* and stop consuming pool capacity
+//!   until the query's demand epoch moves (`state` module docs,
+//!   crate-internal).
 //! * **Per-query protocol** — each query runs the same demand protocol
-//!   as `ParallelMatch`: shard quanta fill phase-free
+//!   as `ParallelMatch`, over the same walk (Figure 6's marking stage is
+//!   `exec::walk::ShardWalk::step`, called with what is left of the
+//!   quantum's budget as its limit): shard quanta fill phase-free
 //!   [`HistAccumulator`](fastmatch_core::histsim::HistAccumulator)
 //!   batches, merge into the authoritative driver under the query's
 //!   engine mutex, advance phases and republish demand. The paper's
@@ -71,55 +70,16 @@ use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::live::{LiveTable, Snapshot};
 
 use crate::exec::driver::{Driver, ShardBatch};
-use crate::exec::run_end;
-use crate::policy::mark_lookahead;
+use crate::exec::walk::{ShardWalk, Step};
 use crate::query::QueryJob;
 use crate::service::handle::QueryShared;
 use crate::service::state::{EngineState, QueryState, Scheduler, ShardTask, Verdict};
 use crate::shared::{DemandMode, SharedDemand};
 
-/// Lookahead window for AnyActive marking inside a quantum (identical to
-/// `ParallelMatch`'s, for the same bitmap cache-locality reasons).
-const MARK_WINDOW: usize = 256;
-
 /// Consecutive all-parked valve rounds (demand republished, every shard
 /// still finds nothing readable) after which a query fails loudly
 /// instead of cycling forever.
 const MAX_STUCK_ROUNDS: u32 = 16;
-
-/// How the per-quantum block budget is chosen.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum QuantumPolicy {
-    /// Every quantum reads at most [`ServiceConfig::quantum_blocks`]
-    /// blocks, regardless of how fast those reads are.
-    Fixed,
-    /// Size each quantum from the shard's *observed* per-block cost so
-    /// quanta approximate a fixed **time** slice: budget =
-    /// `target / ewma_ns_per_block`, clamped to `[min_blocks,
-    /// max_blocks]`. Cache-hot shards take big bites (less scheduling
-    /// overhead per block); cold/slow-medium shards stay preemptible
-    /// (no quantum hogs a worker for a multiple of the slice). The
-    /// first quantum of a shard, with no observation yet, uses
-    /// [`ServiceConfig::quantum_blocks`] clamped to the same bounds.
-    Adaptive {
-        /// The time slice each quantum aims for.
-        target: Duration,
-        /// Budget floor, blocks (keeps progress under pathological
-        /// cost estimates).
-        min_blocks: usize,
-        /// Budget ceiling, blocks (bounds the error when a shard
-        /// suddenly gets slower than its EWMA).
-        max_blocks: usize,
-    },
-}
-
-/// Default adaptive time slice: long enough to amortize a merge under
-/// the engine mutex, short enough that a 16-query box still feels
-/// interactive.
-pub const DEFAULT_QUANTUM_SLICE: Duration = Duration::from_micros(500);
-
-/// Default adaptive budget bounds, in blocks.
-pub const DEFAULT_QUANTUM_BOUNDS: (usize, usize) = (8, 4096);
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -128,14 +88,8 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Ingestion shards per query (clamped to the block count).
     pub shards_per_query: usize,
-    /// Maximum blocks read per scheduling quantum under
-    /// [`QuantumPolicy::Fixed`]; the pre-observation initial budget
-    /// under [`QuantumPolicy::Adaptive`].
+    /// Maximum blocks read per scheduling quantum.
     pub quantum_blocks: usize,
-    /// How quantum budgets are sized.
-    pub quantum: QuantumPolicy,
-    /// Whether an idle worker may steal tasks from a sibling's queue.
-    pub work_stealing: bool,
     /// Maximum queries admitted and not yet terminal.
     pub max_admitted: usize,
 }
@@ -149,8 +103,6 @@ impl Default for ServiceConfig {
             workers: cores.clamp(1, 8),
             shards_per_query: 4,
             quantum_blocks: 64,
-            quantum: QuantumPolicy::Fixed,
-            work_stealing: true,
             max_admitted: 4096,
         }
     }
@@ -194,46 +146,6 @@ impl ServiceConfig {
     pub fn with_max_admitted(mut self, max_admitted: usize) -> Self {
         assert!(max_admitted > 0, "admission bound must be positive");
         self.max_admitted = max_admitted;
-        self
-    }
-
-    /// Switches to adaptive quantum sizing with time slice `target` and
-    /// the default block bounds ([`DEFAULT_QUANTUM_BOUNDS`]).
-    ///
-    /// # Panics
-    /// Panics if `target` is zero.
-    pub fn with_adaptive_quantum(self, target: Duration) -> Self {
-        let (min_blocks, max_blocks) = DEFAULT_QUANTUM_BOUNDS;
-        self.with_quantum_policy(QuantumPolicy::Adaptive {
-            target,
-            min_blocks,
-            max_blocks,
-        })
-    }
-
-    /// Sets the quantum policy explicitly.
-    ///
-    /// # Panics
-    /// Panics on a degenerate adaptive policy (zero target, zero
-    /// `min_blocks`, or `min_blocks > max_blocks`).
-    pub fn with_quantum_policy(mut self, policy: QuantumPolicy) -> Self {
-        if let QuantumPolicy::Adaptive {
-            target,
-            min_blocks,
-            max_blocks,
-        } = policy
-        {
-            assert!(!target.is_zero(), "quantum time slice must be positive");
-            assert!(min_blocks > 0, "quantum floor must be positive");
-            assert!(min_blocks <= max_blocks, "quantum bounds must be ordered");
-        }
-        self.quantum = policy;
-        self
-    }
-
-    /// Enables or disables work-stealing across worker queues.
-    pub fn with_work_stealing(mut self, stealing: bool) -> Self {
-        self.work_stealing = stealing;
         self
     }
 }
@@ -395,20 +307,10 @@ impl<'env> QueryService<'env> {
         assert!(config.shards_per_query > 0, "shard count must be positive");
         assert!(config.quantum_blocks > 0, "quantum must be positive");
         assert!(config.max_admitted > 0, "admission bound must be positive");
-        if let QuantumPolicy::Adaptive {
-            target,
-            min_blocks,
-            max_blocks,
-        } = config.quantum
-        {
-            assert!(!target.is_zero(), "quantum time slice must be positive");
-            assert!(min_blocks > 0, "quantum floor must be positive");
-            assert!(min_blocks <= max_blocks, "quantum bounds must be ordered");
-        }
         let svc = QueryService {
             backend,
             config,
-            sched: Scheduler::new(config.workers, config.work_stealing),
+            sched: Scheduler::new(config.workers),
             next_id: AtomicU64::new(0),
             active: AtomicUsize::new(0),
             next_home: AtomicUsize::new(0),
@@ -444,6 +346,12 @@ impl<'env> QueryService<'env> {
     /// bound, [`ServiceError::Invalid`] when the driver cannot be built —
     /// and never blocks.
     pub fn submit(&self, req: QueryRequest<'env>) -> Result<QueryHandle, ServiceError> {
+        validate(
+            self.backend,
+            Some(req.bitmap),
+            (req.z_attr, req.x_attr),
+            &req.target,
+        )?;
         self.reserve_slot()?;
         let job = QueryJob::from_backend(
             self.backend,
@@ -468,24 +376,9 @@ impl<'env> QueryService<'env> {
         snapshot: Arc<Snapshot>,
         req: SnapshotRequest,
     ) -> Result<QueryHandle, ServiceError> {
-        // Pre-validate what `QueryJob`'s constructor would otherwise
-        // assert: a service must reject malformed requests, not panic.
-        let schema = fastmatch_store::backend::StorageBackend::schema(&*snapshot);
-        if req.z_attr >= schema.len() || req.x_attr >= schema.len() {
-            return Err(ServiceError::Invalid(CoreError::InvalidConfig(format!(
-                "attribute out of range (z {}, x {}, schema {})",
-                req.z_attr,
-                req.x_attr,
-                schema.len()
-            ))));
-        }
-        if req.target.len() != schema.attr(req.x_attr).cardinality as usize {
-            return Err(ServiceError::Invalid(CoreError::InvalidTarget(format!(
-                "target arity {} != |V_X| {}",
-                req.target.len(),
-                schema.attr(req.x_attr).cardinality
-            ))));
-        }
+        // The snapshot's own index covers `z_attr` under its own layout
+        // by construction; only the request's shape needs checking.
+        validate(&*snapshot, None, (req.z_attr, req.x_attr), &req.target)?;
         self.reserve_slot()?;
         let job =
             QueryJob::from_snapshot_shared(snapshot, req.z_attr, req.x_attr, req.target, req.cfg);
@@ -588,28 +481,61 @@ impl<'env> QueryService<'env> {
         // outcome is published (the last shard's retire).
         for w in 0..shards {
             let shard_reader = reader.shard(w, shards);
-            let start = crate::exec::start_block(
-                shard_reader.num_blocks(),
-                seed.wrapping_add(w as u64).wrapping_mul(0x9e37_79b9),
-            );
-            let n_local = shard_reader.num_blocks();
+            let walk =
+                ShardWalk::for_shard(shard_reader.blocks(), w, seed, query.job.num_candidates());
             let home = self.next_home.fetch_add(1, Ordering::Relaxed) % self.config.workers;
             self.sched.enqueue(ShardTask {
                 query: Arc::clone(&query),
                 reader: shard_reader,
-                visited: vec![false; n_local],
-                visited_count: 0,
-                start,
-                cursor: 0,
-                pass_epoch: 0,
-                read_this_pass: false,
+                walk,
                 flushed: Default::default(),
                 home,
-                ewma_ns_per_block: 0.0,
             });
         }
         Ok(QueryHandle { shared })
     }
+}
+
+/// Checks, before an admission slot is taken, everything `QueryJob`'s
+/// constructors would otherwise assert — a service must reject a
+/// malformed request, not unwind through the pool that is serving every
+/// other admitted query.
+fn validate(
+    backend: &dyn StorageBackend,
+    bitmap: Option<&BitmapIndex>,
+    (z_attr, x_attr): (usize, usize),
+    target: &[f64],
+) -> Result<(), ServiceError> {
+    let schema = backend.schema();
+    let invalid = |what: String| Err(ServiceError::Invalid(CoreError::InvalidConfig(what)));
+    if z_attr >= schema.len() || x_attr >= schema.len() {
+        return invalid(format!(
+            "attribute out of range (z {z_attr}, x {x_attr}, schema {})",
+            schema.len()
+        ));
+    }
+    let groups = schema.attr(x_attr).cardinality as usize;
+    if target.len() != groups {
+        return Err(ServiceError::Invalid(CoreError::InvalidTarget(format!(
+            "target arity {} != |V_X| {groups}",
+            target.len()
+        ))));
+    }
+    let Some(bitmap) = bitmap else { return Ok(()) };
+    let (values, blocks) = (bitmap.num_values(), bitmap.num_blocks());
+    if values != schema.attr(z_attr).cardinality as usize {
+        return invalid(format!(
+            "bitmap indexes {values} values, attribute {z_attr} has {}",
+            schema.attr(z_attr).cardinality
+        ));
+    }
+    if blocks != backend.layout().num_blocks() {
+        return invalid(format!(
+            "bitmap covers {blocks} blocks, the backend has {}",
+            backend.layout().num_blocks()
+        ));
+    }
+    Ok(())
 }
 
 /// What a finished quantum wants the scheduler to do with its task.
@@ -631,35 +557,6 @@ fn worker_loop(svc: &QueryService<'_>, worker: usize) {
         run_quantum(svc, task, &mut batch);
     }
 }
-
-/// The per-quantum block budget for a shard whose smoothed cost
-/// estimate is `ewma_ns_per_block` (`0.0` = no observation yet), under
-/// the configured policy; see [`QuantumPolicy`]. Pure — exposed so the
-/// `admission_steal` model in `fastmatch-check` can bound quanta with
-/// the real policy arithmetic rather than a parallel reimplementation.
-pub fn quantum_budget(config: &ServiceConfig, ewma_ns_per_block: f64) -> usize {
-    match config.quantum {
-        QuantumPolicy::Fixed => config.quantum_blocks,
-        QuantumPolicy::Adaptive {
-            target,
-            min_blocks,
-            max_blocks,
-        } => {
-            if ewma_ns_per_block > 0.0 {
-                let blocks = target.as_nanos() as f64 / ewma_ns_per_block;
-                (blocks as usize).clamp(min_blocks, max_blocks)
-            } else {
-                config.quantum_blocks.clamp(min_blocks, max_blocks)
-            }
-        }
-    }
-}
-
-/// EWMA smoothing factor for observed per-block cost: new observations
-/// get 30% weight, so one cache-anomalous quantum cannot whipsaw the
-/// budget, while a genuine regime change (the shard's pages went cold)
-/// converges within a few quanta.
-const EWMA_ALPHA: f64 = 0.3;
 
 /// Runs one scheduling quantum of one shard task, then routes the task
 /// (requeue / park / retire) and performs any terminal bookkeeping.
@@ -683,123 +580,52 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch:
         retire(svc, task);
         return;
     }
-    let n_local = task.reader.num_blocks();
-    if n_local == 0 || task.visited_count == n_local {
+    if task.walk.exhausted() {
         retire(svc, task);
         return;
     }
 
-    // The ingestion quantum: walk the shard in rotated pass order,
-    // reading demand-marked unvisited blocks into an accumulator, at
-    // most `quantum_blocks` of them.
-    //
-    // KEEP IN SYNC with `shard_worker` in exec/parallel_match.rs: this is
-    // the same demand-marked shard walk (rotated two-segment order,
-    // MARK_WINDOW lookahead marking, visited set, fruitless-pass
-    // detection), differing only in that it is *resumable* — bounded by
-    // the quantum and re-entered with the cursor where it left off —
-    // where ParallelMatch's worker owns its thread and runs passes to
-    // exhaustion. The per-block ingestion step (`ShardBatch::push_block`)
-    // and the split of a window into runs (`run_end`) are shared; a
-    // behavioral fix to demand marking or pass-epoch bookkeeping in
-    // either walker almost certainly applies to both.
+    // The ingestion quantum: step the shard's walk, reading the marked
+    // runs it hands out into the worker's accumulator, until the budget
+    // is spent or the walk has nothing more to give right now. The walk
+    // keeps its place, so the next quantum resumes where this one stops.
     let job = &query.job;
-    let lo = task.reader.blocks().start;
     batch.acc.reshape(job.num_candidates(), job.num_groups());
+    let budget = svc.config.quantum_blocks;
     let mut reads = 0usize;
-    let mut marks = [false; MARK_WINDOW];
     let mut park_epoch: Option<u64> = None;
     let mut failure: Option<CoreError> = None;
-    let budget = quantum_budget(&svc.config, task.ewma_ns_per_block);
-    let adaptive = matches!(svc.config.quantum, QuantumPolicy::Adaptive { .. });
-    let walk_started = adaptive.then(Instant::now);
     svc.sched.note_quantum();
 
-    'quantum: while reads < budget {
-        if task.cursor == 0 {
-            task.pass_epoch = query.demand.epoch();
-            task.read_this_pass = false;
-        }
-        // Rotated order: position `cursor` maps to local block
-        // `(start + cursor) % n_local`; windows never cross the wrap
-        // point, so bitmap marking stays contiguous.
-        let first_len = n_local - task.start;
-        let (seg_off, seg_remaining) = if task.cursor < first_len {
-            (task.start + task.cursor, first_len - task.cursor)
-        } else {
-            (task.cursor - first_len, n_local - task.cursor)
-        };
-        let win = MARK_WINDOW.min(seg_remaining);
-        match query.demand.mode() {
-            DemandMode::Stop => break 'quantum,
-            DemandMode::ReadAll => marks[..win].fill(true),
-            DemandMode::AnyActive => {
-                marks[..win].fill(false);
-                let active = query.demand.active_candidates();
-                mark_lookahead(&job.bitmap, &active, lo + seg_off, &mut marks[..win]);
+    let (walk, reader) = (&mut task.walk, &mut task.reader);
+    while reads < budget {
+        // Marked runs are read as runs (the walk cuts them to the budget
+        // left), unmarked ones skipped through the range-validated bulk
+        // API — only over blocks this quantum actually examined.
+        let left = budget - reads;
+        let step = walk.step(&job.bitmap, &query.demand, left, |run, marked| {
+            if !marked {
+                reader.skip_blocks(run);
+                return true;
             }
-        }
-        // Split the window into maximal runs of unvisited blocks with
-        // one decision, stopping right behind the budget's last read:
-        // marked runs are read as runs (cut to the budget left), unmarked
-        // ones skipped through the range-validated bulk API — only over
-        // blocks this quantum actually examined.
-        let mut processed = 0usize;
-        while processed < win && reads < budget {
-            if task.visited[seg_off + processed] {
-                processed += 1;
-                continue;
+            let read = reader.read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
+                reads += 1;
+                batch.push_block(b, zs, xs);
+                true
+            });
+            failure = read.err().map(crate::exec::storage_err);
+            failure.is_none()
+        });
+        match step {
+            Step::PassEnd {
+                fruitless: true,
+                epoch,
+            } => {
+                park_epoch = Some(epoch);
+                break;
             }
-            let end = run_end(&marks[..win], &task.visited, seg_off, processed);
-            if !marks[processed] {
-                task.reader
-                    .skip_blocks(lo + seg_off + processed..lo + seg_off + end);
-                processed = end;
-                continue;
-            }
-            let take = (end - processed).min(budget - reads);
-            let run = lo + seg_off + processed..lo + seg_off + processed + take;
-            task.read_this_pass = true;
-            processed += take;
-            let (visited, visited_count) = (&mut task.visited, &mut task.visited_count);
-            let read = task
-                .reader
-                .read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
-                    visited[b - lo] = true;
-                    *visited_count += 1;
-                    reads += 1;
-                    batch.push_block(b, zs, xs);
-                    true
-                });
-            if let Err(e) = read {
-                failure = Some(crate::exec::storage_err(e));
-                break 'quantum;
-            }
-        }
-        task.cursor += processed;
-        if task.cursor >= n_local {
-            let pass_epoch = task.pass_epoch;
-            let had_reads = task.read_this_pass;
-            task.cursor = 0;
-            if !had_reads {
-                park_epoch = Some(pass_epoch);
-                break 'quantum;
-            }
-        }
-    }
-
-    // Fold the observed per-block cost into the shard's estimate (only
-    // quanta that actually read carry signal; walk overhead over
-    // skipped blocks is charged to the blocks that were read, which is
-    // what the budget should account for anyway).
-    if let Some(t0) = walk_started {
-        if reads > 0 {
-            let per_block = t0.elapsed().as_nanos() as f64 / reads as f64;
-            task.ewma_ns_per_block = if task.ewma_ns_per_block > 0.0 {
-                (1.0 - EWMA_ALPHA) * task.ewma_ns_per_block + EWMA_ALPHA * per_block
-            } else {
-                per_block
-            };
+            Step::Exhausted | Step::Stop => break,
+            Step::Window | Step::PassEnd { .. } => {}
         }
     }
 
@@ -834,7 +660,7 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch:
             merged = true;
             refresh_progress(&query, &eng, stepped);
         }
-        if eng.verdict.is_some() || task.visited_count == n_local {
+        if eng.verdict.is_some() || task.walk.exhausted() {
             Next::Retire
         } else if let Some(pass_epoch) = park_epoch {
             Next::Park { pass_epoch }
@@ -1145,47 +971,14 @@ mod tests {
     }
 
     #[test]
-    fn quantum_budget_follows_policy() {
-        let fixed = ServiceConfig::default().with_quantum_blocks(48);
-        assert_eq!(quantum_budget(&fixed, 0.0), 48);
-        assert_eq!(quantum_budget(&fixed, 1e9), 48, "fixed ignores the EWMA");
-        let adaptive = ServiceConfig::default()
-            .with_quantum_blocks(48)
-            .with_quantum_policy(QuantumPolicy::Adaptive {
-                target: Duration::from_micros(100),
-                min_blocks: 8,
-                max_blocks: 512,
-            });
-        // No observation yet: initial guess, clamped.
-        assert_eq!(quantum_budget(&adaptive, 0.0), 48);
-        // 100 µs target / 1 µs per block = 100 blocks.
-        assert_eq!(quantum_budget(&adaptive, 1_000.0), 100);
-        // Cache-hot shard (1 ns/block) hits the ceiling, cold shard
-        // (1 ms/block) the floor.
-        assert_eq!(quantum_budget(&adaptive, 1.0), 512);
-        assert_eq!(quantum_budget(&adaptive, 1_000_000.0), 8);
-    }
-
-    #[test]
-    #[should_panic(expected = "quantum bounds must be ordered")]
-    fn degenerate_adaptive_policy_is_rejected() {
-        let _ = ServiceConfig::default().with_quantum_policy(QuantumPolicy::Adaptive {
-            target: Duration::from_micros(100),
-            min_blocks: 64,
-            max_blocks: 8,
-        });
-    }
-
-    #[test]
-    fn adaptive_service_completes_and_counts_quanta() {
+    fn service_counts_quanta() {
         let t = table();
         let layout = BlockLayout::new(t.n_rows(), 64);
         let backend = MemBackend::new(&t, layout);
         let bitmap = BitmapIndex::build(&t, 0, &layout);
         let config = ServiceConfig::default()
             .with_workers(2)
-            .with_quantum_blocks(8)
-            .with_adaptive_quantum(Duration::from_micros(200));
+            .with_quantum_blocks(8);
         let (outcome, stats) = QueryService::serve(&backend, config, |svc| {
             let h = svc
                 .submit(QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], cfg()))
@@ -1196,32 +989,12 @@ mod tests {
         assert!(stats.quanta > 0, "quanta must be counted: {stats:?}");
     }
 
-    #[test]
-    fn disabled_stealing_never_steals() {
-        let t = table();
-        let layout = BlockLayout::new(t.n_rows(), 64);
-        let backend = MemBackend::new(&t, layout);
-        let bitmap = BitmapIndex::build(&t, 0, &layout);
-        let config = ServiceConfig::default()
-            .with_workers(4)
-            .with_work_stealing(false);
-        let stats = QueryService::serve(&backend, config, |svc| {
-            for seed in 0..4 {
-                let h = svc
-                    .submit(QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], cfg()).with_seed(seed))
-                    .unwrap();
-                h.wait();
-            }
-            svc.sched_stats()
-        });
-        assert_eq!(stats.steals, 0, "{stats:?}");
-        assert!(stats.quanta > 0);
-    }
-
     /// Drives one query's quanta by hand (no worker threads) and checks
     /// what a quantum may cost and what it must publish: the worker's
     /// accumulator storage is allocated once and then only reused —
-    /// no `|V_Z|·|V_X|`-sized allocation per quantum; `samples` advances
+    /// no `|V_Z|·|V_X|`-sized allocation per quantum — and so are each
+    /// shard walk's mark window and active-candidate buffer (no
+    /// allocation per window either); `samples` advances
     /// with every merged quantum (σ = 0: every tuple read counts); the
     /// top-k preview appears once stage 1 is over and equals the output
     /// at completion.
@@ -1239,7 +1012,7 @@ mod tests {
         let svc = QueryService {
             backend: &backend,
             config,
-            sched: Scheduler::new(config.workers, config.work_stealing),
+            sched: Scheduler::new(config.workers),
             next_id: AtomicU64::new(0),
             active: AtomicUsize::new(0),
             next_home: AtomicUsize::new(0),
@@ -1250,10 +1023,18 @@ mod tests {
 
         let mut batch = ShardBatch::new(0, 1);
         let mut storage = None;
+        let mut walk_storage = std::collections::HashMap::new();
         let (mut merged_quanta, mut previews) = (0, 0);
         let mut last = h.progress();
         while !h.is_done() {
             let task = svc.sched.pop(0).expect("a live query keeps a task queued");
+            let buffers = task.walk.buffers();
+            let shard = task.reader.blocks().start;
+            assert_eq!(
+                *walk_storage.entry(shard).or_insert(buffers),
+                buffers,
+                "shard at block {shard}: walk buffers reallocated"
+            );
             run_quantum(&svc, task, &mut batch);
             assert_eq!(batch.len(), 0, "a quantum must hand the batch back empty");
             let at = batch.acc.candidate_counts(0).as_ptr();

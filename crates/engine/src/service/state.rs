@@ -2,16 +2,16 @@
 //!
 //! One admitted query is decomposed into `shards_per_query` *shard
 //! tasks*, each owning a disjoint contiguous block range of the shared
-//! backend (a [`ShardedBlockReader`]) plus its own visited set and pass
-//! cursor. Tasks are the scheduler's unit of work: each worker pops
-//! FIFO from its own ready queue (stealing from a sibling's queue when
-//! its own runs dry), runs one bounded ingestion quantum, and requeues
-//! the task at its home queue's tail — so concurrent queries interleave
-//! at quantum granularity over one pool instead of each spawning its
-//! own threads. Stealing is safe because a task is self-contained: it
-//! owns its reader/cursor state outright and every cross-task effect
-//! (merge, demand publication) is serialized by the query's engine
-//! mutex, so *which* worker runs a quantum is immaterial.
+//! backend (a [`ShardedBlockReader`]) plus the [`ShardWalk`] that keeps
+//! its place in it. Tasks are the scheduler's unit of work: each worker
+//! pops FIFO from its own ready queue (stealing from a sibling's queue
+//! when its own runs dry), runs one bounded ingestion quantum, and
+//! requeues the task at its home queue's tail — so concurrent queries
+//! interleave at quantum granularity over one pool instead of each
+//! spawning its own threads. Stealing is safe because a task is
+//! self-contained: it owns its reader and walk outright and every
+//! cross-task effect (merge, demand publication) is serialized by the
+//! query's engine mutex, so *which* worker runs a quantum is immaterial.
 //!
 //! A task that completes a full pass over its shard without finding a
 //! readable block under the query's current demand snapshot *parks*:
@@ -37,6 +37,7 @@ use fastmatch_core::error::CoreError;
 use fastmatch_store::io::{IoStats, ShardedBlockReader};
 
 use crate::exec::driver::Driver;
+use crate::exec::walk::ShardWalk;
 use crate::query::QueryJob;
 use crate::service::handle::QueryShared;
 use crate::shared::SharedDemand;
@@ -112,8 +113,8 @@ impl QueryState<'_> {
     }
 }
 
-/// One schedulable unit: a shard of one query, with its multi-pass walk
-/// state. Owned by exactly one of {ready queue, parked list, a worker}
+/// One schedulable unit: a shard of one query, with its resumable walk.
+/// Owned by exactly one of {ready queue, parked list, a worker}
 /// at any time, so none of its fields need locks.
 #[derive(Debug)]
 pub(crate) struct ShardTask<'a> {
@@ -122,31 +123,15 @@ pub(crate) struct ShardTask<'a> {
     /// Reader over this shard's contiguous block range, with per-shard
     /// [`IoStats`].
     pub reader: ShardedBlockReader<'a>,
-    /// Per-local-block visited flags (blocks are never re-read).
-    pub visited: Vec<bool>,
-    /// Number of visited blocks.
-    pub visited_count: usize,
-    /// Seed-derived rotation offset: local block `(start + i) % n` is
-    /// the `i`-th in pass order, so repeated runs draw different samples.
-    pub start: usize,
-    /// Position in rotated pass order (`0..n`); `0` means a new pass is
-    /// about to begin.
-    pub cursor: usize,
-    /// Demand epoch observed when the current pass started.
-    pub pass_epoch: u64,
-    /// Whether the current pass has read at least one block.
-    pub read_this_pass: bool,
+    /// The multi-pass demand-marked walk over the reader's range, kept
+    /// across quanta: each quantum resumes where the last one stopped.
+    pub walk: ShardWalk,
     /// The part of `reader.stats()` already charged to the query.
     pub flushed: IoStats,
     /// Home worker queue (round-robin at admission). The task prefers
     /// its home worker — quantum-to-quantum cache affinity — but any
     /// idle worker may steal it.
     pub home: usize,
-    /// Smoothed observed ingestion cost of this shard, ns per block
-    /// (`0.0` until the first timed quantum). Feeds adaptive quantum
-    /// sizing; per-*shard* because cost is dominated by where the
-    /// shard's blocks live (cache-hot memory vs cold file pages).
-    pub ewma_ns_per_block: f64,
 }
 
 impl<'a> ShardTask<'a> {
@@ -160,32 +145,19 @@ impl<'a> ShardTask<'a> {
 }
 
 /// The order in which worker `own` of `n` scans the per-worker ready
-/// queues: always its own queue first, then — only when stealing is
-/// enabled or shutdown is draining — every sibling queue round-robin
+/// queues: its own queue first, then every sibling queue round-robin
 /// from its right neighbor.
 ///
 /// Extracted as a pure function because this scan order *is* the
 /// scheduler's liveness contract, shared verbatim with
-/// `fastmatch-check`'s `admission_steal` model: during shutdown every
-/// worker must serve every queue (or a task re-enqueued after its home
-/// worker exited is stranded forever — invariant
-/// `shutdown-drains-all-queues`), and with stealing disabled a wakeup
-/// must reach the home worker specifically, which is why
-/// `Scheduler::enqueue` uses `notify_all` (invariant
-/// `no-lost-wakeup`; the model shows the `notify_one` interleaving that
-/// deadlocks, documented in DESIGN.md).
-pub fn queue_scan_order(
-    own: usize,
-    n: usize,
-    stealing: bool,
-    shutdown: bool,
-) -> impl Iterator<Item = usize> {
+/// `fastmatch-check`'s `admission_steal` model: every worker serves
+/// every queue, so a task re-enqueued after its home worker exited is
+/// never stranded (invariant `shutdown-drains-all-queues`) and whichever
+/// worker a wakeup reaches can run the task it announces (invariant
+/// `no-lost-wakeup`).
+pub fn queue_scan_order(own: usize, n: usize) -> impl Iterator<Item = usize> {
     let own = own.min(n.saturating_sub(1));
-    std::iter::once(own).chain(
-        (1..n)
-            .filter(move |_| stealing || shutdown)
-            .map(move |off| (own + off) % n),
-    )
+    (0..n).map(move |off| (own + off) % n)
 }
 
 /// Whether a query with `live` still-unretired shards, `parked` of them
@@ -223,7 +195,7 @@ pub struct SchedStats {
     /// Scheduling quanta executed across all workers and queries.
     pub quanta: u64,
     /// Tasks a worker popped from another worker's queue because its
-    /// own had run dry. Zero when work-stealing is disabled.
+    /// own had run dry.
     pub steals: u64,
 }
 
@@ -236,19 +208,18 @@ struct SchedState<'a> {
     shutdown: bool,
 }
 
-/// The shared scheduler: per-worker FIFO ready queues (with optional
-/// work-stealing) and one parked list for the whole service.
+/// The shared scheduler: per-worker FIFO ready queues with
+/// work-stealing, and one parked list for the whole service.
 #[derive(Debug)]
 pub(crate) struct Scheduler<'a> {
     state: Mutex<SchedState<'a>>,
     cv: Condvar,
-    stealing: bool,
     quanta: AtomicU64,
     steals: AtomicU64,
 }
 
 impl<'a> Scheduler<'a> {
-    pub fn new(workers: usize, stealing: bool) -> Self {
+    pub fn new(workers: usize) -> Self {
         Scheduler {
             state: Mutex::new(SchedState {
                 queues: (0..workers).map(|_| VecDeque::new()).collect(),
@@ -256,7 +227,6 @@ impl<'a> Scheduler<'a> {
                 shutdown: false,
             }),
             cv: Condvar::new(),
-            stealing,
             quanta: AtomicU64::new(0),
             steals: AtomicU64::new(0),
         }
@@ -287,29 +257,27 @@ impl<'a> Scheduler<'a> {
         let home = task.home.min(s.queues.len() - 1);
         s.queues[home].push_back(task);
         drop(s);
-        // notify_all, not notify_one: with per-worker queues a single
-        // wakeup can land on a worker that (stealing disabled) will not
-        // serve this queue and would strand the task.
+        // Every worker serves every queue, so whichever one wakes can run
+        // this task and `notify_one` would not strand it (the model's
+        // `notify_one_with_stealing_is_safe`). `notify_all` stays: it
+        // needs no single-consumer argument on the `wakeup` lint's
+        // allowlist, and the pool is a handful of threads.
         self.cv.notify_all();
     }
 
     /// Blocks for worker `worker`'s next runnable task — from its own
-    /// queue first, else (when stealing is enabled) from the first
-    /// non-empty queue scanning round-robin from its right neighbor.
-    /// `None` once shutdown is requested *and* every queue this worker
-    /// may serve has drained (parked tasks are moved to ready by
-    /// [`Self::shutdown`], so nothing is stranded).
+    /// queue first, else from the first non-empty queue scanning
+    /// round-robin from its right neighbor. `None` once shutdown is
+    /// requested *and* every queue has drained (parked tasks are moved
+    /// to ready by [`Self::shutdown`], so nothing is stranded).
     pub fn pop(&self, worker: usize) -> Option<ShardTask<'a>> {
         let mut s = self.state.lock().unwrap();
         loop {
             let n = s.queues.len();
             let own = worker.min(n - 1);
-            // During shutdown every worker serves every queue even with
-            // stealing disabled: a task re-enqueued late could land on
-            // a queue whose worker already exited and would otherwise
-            // be stranded unretired. (The scan order is the extracted
-            // [`queue_scan_order`] the model checks.)
-            for q in queue_scan_order(own, n, self.stealing, s.shutdown) {
+            // The scan order is the extracted [`queue_scan_order`] the
+            // model checks.
+            for q in queue_scan_order(own, n) {
                 if let Some(task) = s.queues[q].pop_front() {
                     if q != own && !s.shutdown {
                         self.steals.fetch_add(1, Ordering::Relaxed);

@@ -145,6 +145,16 @@ impl SharedDemand {
         self.epoch.load(Ordering::Acquire)
     }
 
+    /// Sleeps the calling thread until a publication moves the epoch
+    /// past `epoch` (or the mode is `Stop`) — what a thread-owning reader
+    /// does after a pass that found nothing readable, since re-marking
+    /// under identical demand would be wasted work.
+    pub(crate) fn wait_past(&self, epoch: u64) {
+        while self.epoch() == epoch && self.mode() != DemandMode::Stop {
+            std::thread::sleep(std::time::Duration::from_micros(20));
+        }
+    }
+
     /// Reads the current mode.
     pub fn mode(&self) -> DemandMode {
         decode_mode(self.mode.load(Ordering::Acquire))
@@ -163,14 +173,16 @@ impl SharedDemand {
         self.remaining[c].load(Ordering::Relaxed)
     }
 
-    /// Snapshot of the active candidate ids (used per lookahead window).
-    pub fn active_candidates(&self) -> Vec<u32> {
-        self.remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| r.load(Ordering::Relaxed) > 0)
-            .map(|(c, _)| c as u32)
-            .collect()
+    /// Overwrites `out` with a snapshot of the active candidate ids
+    /// (taken per lookahead window, into the walk's reused buffer).
+    pub fn active_into(&self, out: &mut Vec<u32>) {
+        out.clear();
+        let active = self.remaining.iter().enumerate();
+        out.extend(
+            active
+                .filter(|(_, r)| r.load(Ordering::Relaxed) > 0)
+                .map(|(c, _)| c as u32),
+        );
     }
 
     /// Number of candidates tracked.
@@ -223,12 +235,15 @@ mod tests {
     #[test]
     fn demand_publication() {
         let s = SharedDemand::new(4);
-        assert!(s.active_candidates().is_empty());
+        let mut active = vec![9];
+        s.active_into(&mut active);
+        assert!(active.is_empty());
         s.publish(DemandMode::AnyActive, Some(&[0, 5, 0, 2]));
         assert!(!s.is_active(0));
         assert!(s.is_active(1));
         assert_eq!(s.remaining(1), 5);
-        assert_eq!(s.active_candidates(), vec![1, 3]);
+        s.active_into(&mut active);
+        assert_eq!(active, vec![1, 3]);
         assert_eq!(s.len(), 4);
     }
 

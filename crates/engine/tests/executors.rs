@@ -434,23 +434,17 @@ fn executor_backend_dataset_layout_matrix() {
                     }
                     assert!(out.stats.io.blocks_read > 0, "{cell}: no blocks read");
                 }
-                // Two service rows per backend — fixed and adaptive
-                // quantum sizing. Adaptive scheduling must change
-                // latency only, never the matched set or guarantees.
-                let policies = [
-                    ("service-fixed", ServiceConfig::default()),
-                    (
-                        "service-adaptive",
-                        ServiceConfig::default()
-                            .with_adaptive_quantum(std::time::Duration::from_micros(200)),
-                    ),
-                ];
-                for (policy_name, svc_cfg) in policies {
+                // One service row per backend: quantum scheduling must
+                // change latency only, never the matched set or
+                // guarantees.
+                {
                     let cell = format!(
-                        "{} × {} × tpb{} × {}",
-                        policy_name, backend_name, tuples_per_block, ds.name
+                        "service × {} × tpb{} × {}",
+                        backend_name, tuples_per_block, ds.name
                     );
-                    let svc_cfg = svc_cfg.with_workers(2).with_quantum_blocks(16);
+                    let svc_cfg = ServiceConfig::default()
+                        .with_workers(2)
+                        .with_quantum_blocks(16);
                     let outcome = QueryService::serve(backend, svc_cfg, |svc| {
                         svc.submit(
                             QueryRequest::new(&bitmap, 0, 1, uniform(8), ds.cfg.clone())

@@ -1,5 +1,5 @@
-//! Scheduler-level integration tests for the query service: adaptive
-//! quantum sizing must be invisible to results (only latency may
+//! Scheduler-level integration tests for the query service: the
+//! scheduler's knobs must be invisible to results (only latency may
 //! change), work-stealing must actually redistribute queued tasks, and
 //! no admitted query may starve while others run.
 
@@ -12,9 +12,7 @@ use fastmatch_data::gen::{conditional_with_planted, generate_table, ColumnGen, C
 use fastmatch_data::shapes::uniform;
 use fastmatch_engine::exec::{Executor, SyncMatchExec};
 use fastmatch_engine::query::QueryJob;
-use fastmatch_engine::service::{
-    QuantumPolicy, QueryOutcome, QueryRequest, QueryService, ServiceConfig,
-};
+use fastmatch_engine::service::{QueryOutcome, QueryRequest, QueryService, ServiceConfig};
 use fastmatch_store::backend::MemBackend;
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
@@ -76,19 +74,18 @@ fn serve_one(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Adaptive quantum sizing preserves the executor-equivalence
-    /// property across randomized workloads and scheduler parameters:
-    /// the matched set and final guarantee level equal those of the
-    /// fixed-quantum service and of the single-threaded reference
-    /// executor. (The deterministic 5-executors × 4-backends matrix in
-    /// `executors.rs` carries service-fixed and service-adaptive rows
-    /// over every backend; this property randomizes the knobs.)
+    /// The service preserves the executor-equivalence property across
+    /// randomized workloads and scheduler parameters: whatever the
+    /// quantum, pool and shard count, the matched set equals the
+    /// single-threaded reference executor's and the guarantee level
+    /// that of the default quantum. (The deterministic 5-executors ×
+    /// 4-backends matrix in `executors.rs` carries a service row over
+    /// every backend; this property randomizes the knobs.)
     #[test]
-    fn adaptive_quanta_preserve_matched_sets(
+    fn randomized_quanta_preserve_matched_sets(
         rows in 30_000usize..80_000,
         seed in 0u64..1_000,
         quantum_blocks in 4usize..96,
-        target_us in 20u64..2_000,
         workers in 1usize..5,
         shards in 1usize..6,
     ) {
@@ -104,21 +101,20 @@ proptest! {
 
         let base = ServiceConfig::default()
             .with_workers(workers)
-            .with_shards_per_query(shards)
-            .with_quantum_blocks(quantum_blocks);
-        let (fixed_ids, fixed_g) =
+            .with_shards_per_query(shards);
+        let (default_ids, default_g) =
             serve_one(&backend, &bitmap, config(), base, seed);
-        let (adaptive_ids, adaptive_g) = serve_one(
+        let (ids, g) = serve_one(
             &backend,
             &bitmap,
             config(),
-            base.with_adaptive_quantum(Duration::from_micros(target_us)),
+            base.with_quantum_blocks(quantum_blocks),
             seed,
         );
 
-        prop_assert_eq!(&fixed_ids, &ref_ids, "fixed-quantum service diverged");
-        prop_assert_eq!(&adaptive_ids, &ref_ids, "adaptive-quantum service diverged");
-        prop_assert_eq!(fixed_g, adaptive_g, "guarantee level diverged");
+        prop_assert_eq!(&default_ids, &ref_ids, "default-quantum service diverged");
+        prop_assert_eq!(&ids, &ref_ids, "{}-block-quantum service diverged", quantum_blocks);
+        prop_assert_eq!(default_g, g, "guarantee level diverged");
     }
 }
 
@@ -137,12 +133,7 @@ fn no_admitted_query_starves() {
     let svc_cfg = ServiceConfig::default()
         .with_workers(2)
         .with_shards_per_query(2)
-        .with_quantum_blocks(4)
-        .with_quantum_policy(QuantumPolicy::Adaptive {
-            target: Duration::from_micros(100),
-            min_blocks: 2,
-            max_blocks: 64,
-        });
+        .with_quantum_blocks(4);
     QueryService::serve(&backend, svc_cfg, |svc| {
         let handles: Vec<_> = (0..QUERIES)
             .map(|i| {
@@ -195,8 +186,7 @@ fn no_admitted_query_starves() {
 /// With one single-shard query homed on worker 0 and a second worker
 /// whose own queue stays empty, the only way worker 1 ever runs a
 /// quantum is by stealing — over thousands of requeues it practically
-/// always does. (The deterministic converse — stealing disabled means
-/// zero steals — is a service unit test.)
+/// always does.
 #[test]
 fn idle_workers_steal_queued_tasks() {
     let table = test_table(250_000, 7);

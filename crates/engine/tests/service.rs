@@ -343,6 +343,58 @@ fn admission_bound_is_enforced_and_recovers() {
     );
 }
 
+/// Malformed requests on the plain `submit` path are rejected as
+/// `Invalid` — the four things `QueryJob`'s constructor would assert —
+/// without taking an admission slot and without disturbing the pool:
+/// a query admitted before them and one admitted after them both finish.
+#[test]
+fn service_rejects_malformed_requests_and_keeps_serving() {
+    let table = test_table(20_000, 11);
+    let scratch = TempBlockFile::new("service_malformed");
+    let backend = FileBackend::create(scratch.path(), &table, 64).unwrap();
+    let layout = backend.layout();
+    let bitmap = BitmapIndex::build(&table, 0, &layout);
+    let over_x = BitmapIndex::build(&table, 1, &layout);
+    let coarse = fastmatch_store::block::BlockLayout::new(table.n_rows(), 128);
+    let other_layout = BitmapIndex::build(&table, 0, &coarse);
+    let good = |seed| QueryRequest::new(&bitmap, 0, 1, uniform(GROUPS), config()).with_seed(seed);
+    let svc_cfg = ServiceConfig::default()
+        .with_workers(2)
+        .with_max_admitted(2);
+    QueryService::serve(&backend, svc_cfg, |svc| {
+        let before = svc.submit(good(1)).unwrap();
+        let malformed = [
+            (
+                "attribute out of range",
+                QueryRequest::new(&bitmap, 0, 9, uniform(GROUPS), config()),
+            ),
+            (
+                "target arity != |V_X|",
+                QueryRequest::new(&bitmap, 0, 1, uniform(GROUPS + 1), config()),
+            ),
+            (
+                "bitmap over the wrong attribute",
+                QueryRequest::new(&over_x, 0, 1, uniform(GROUPS), config()),
+            ),
+            (
+                "bitmap over the wrong layout",
+                QueryRequest::new(&other_layout, 0, 1, uniform(GROUPS), config()),
+            ),
+        ];
+        for (what, req) in malformed {
+            let err = svc.submit(req).expect_err(what);
+            assert!(matches!(err, ServiceError::Invalid(_)), "{what}: {err}");
+        }
+        assert!(svc.active_queries() <= 1, "a rejection kept its slot");
+        // The second of two slots is still free, and the pool alive.
+        let after = svc.submit(good(2)).expect("admission after rejections");
+        for h in [before, after] {
+            let outcome = h.wait();
+            assert!(matches!(outcome, QueryOutcome::Finished(_)), "{outcome:?}");
+        }
+    });
+}
+
 /// Tiny tables: one block, and one fewer block than the shard count —
 /// shard clamping, instant-retiring shards and parked-sibling wakeups
 /// must all terminate with the exact answer, at every pool size.

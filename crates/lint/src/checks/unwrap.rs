@@ -1,4 +1,4 @@
-//! Check 6: the unwrap gate, absorbed from `ci/lint_unwrap.sh`. Same
+//! Check 6: the unwrap gate, absorbed from the PR-7 shell gate. Same
 //! policy, same scope (`crates/engine/src`, `crates/store/src`), same
 //! one-finding-per-line granularity as the old awk scan, so the 48
 //! frozen sites migrate 1:1 into the fingerprint allowlist. New

@@ -15,7 +15,7 @@
 //! | `wakeup`         | `notify_one` only at allowlisted single-consumer sites |
 //! | `invariant_xref` | model invariants ⇔ DESIGN.md § Concurrency protocols; every `finds_*` mutation test wired in CI |
 //! | `stats_attr`     | every pub counter on the Stats structs has a production write site and a test mention |
-//! | `unwrap_gate`    | no new `.unwrap()`/`.expect(` in engine/store hot paths (absorbs `ci/lint_unwrap.sh`) |
+//! | `unwrap_gate`    | no new `.unwrap()`/`.expect(` in engine/store hot paths (absorbed the PR-7 shell gate) |
 //!
 //! Intentional exceptions live in `ci/lint_allowlist.txt`
 //! ([`allowlist`]), fingerprinted by (check, path, source text) so

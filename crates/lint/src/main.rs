@@ -1,8 +1,8 @@
 //! CLI for the analyzer. CI runs `cargo run -p fastmatch-lint -- --deny`
 //! from the workspace root; `--refresh` regenerates the allowlist in
-//! place (freezing every current finding), and `--check <id>` narrows
-//! the run — which is how the `ci/lint_unwrap.sh` shim keeps its old
-//! interface.
+//! place (freezing every current finding, keeping justifications),
+//! and `--check <id>` narrows the run (`--check unwrap_gate` is the
+//! old shell gate).
 
 use std::path::PathBuf;
 use std::process::ExitCode;

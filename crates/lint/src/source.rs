@@ -7,7 +7,7 @@
 //! stats-attribution and invariant cross-reference checks read but
 //! never lint.
 //!
-//! Test exemption follows the same convention `ci/lint_unwrap.sh`
+//! Test exemption follows the convention the PR-7 shell gate
 //! enforced: everything at or below the first `#[cfg(test)]` line of a
 //! source file is test code (the repo keeps a single trailing
 //! `mod tests`), and files under a crate's `tests/` directory are test
