@@ -79,13 +79,13 @@ struct KernelResult {
     batch: f64,
 }
 
-/// The shard-worker pattern: accumulate block-sized batches, clear every
-/// `batch_blocks` blocks (one channel message's worth).
+/// The shard-quantum pattern: accumulate block-sized batches, clear every
+/// `BATCH_BLOCKS` blocks (one merge's worth).
 fn bench_kernel(total_tuples: usize, seed: u64) -> KernelResult {
     const NC: usize = 64;
     const NG: usize = 8;
     const TPB: usize = 150; // the paper's block size
-    const BATCH_BLOCKS: usize = 32; // ParallelMatch's default batch
+    const BATCH_BLOCKS: usize = 32; // kept at 32 so the figure stays comparable across runs
 
     // Synthetic uniform codes, deterministic in the seed.
     let mut next = lcg(seed);

@@ -1,4 +1,5 @@
-//! Shard-scaling microbenchmark: `ParallelMatch` end-to-end latency at
+//! Shard-scaling microbenchmark: `ParallelMatch` end-to-end latency (the
+//! query alone on a private `QueryService`, one worker per shard) at
 //! 1/2/4/8 shards against the single-core `SyncMatch` baseline, in two
 //! regimes — pure in-memory (measures the coordination overhead sharding
 //! must amortize) and **storage-bound over the real file backend** (the

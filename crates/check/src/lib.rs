@@ -2,9 +2,9 @@
 //!
 //! The engine and store rely on three hand-rolled synchronization
 //! protocols — the lock-free demand snapshot ([`fastmatch_engine::shared`]),
-//! the park/exit accounting of `ParallelMatch` and the shared-scheduler
-//! service, and the live-table append → freeze → seal → snapshot
-//! lifecycle. Unit tests exercise a handful of interleavings of each;
+//! the shared scheduler's admission, stealing and park accounting, and
+//! the live-table append → freeze → seal → snapshot lifecycle. Unit
+//! tests exercise a handful of interleavings of each;
 //! this crate exhaustively enumerates *all* interleavings at small
 //! scopes, loom-style, with no external dependencies:
 //!
@@ -19,13 +19,14 @@
 //! * [`models`] — four models that mirror the real code path for path,
 //!   sharing the extracted pure step functions
 //!   ([`fastmatch_engine::shared::PUBLISH_ORDER`],
-//!   [`fastmatch_engine::exec::all_live_parked`],
+//!   [`fastmatch_engine::service::all_shards_parked`],
 //!   [`fastmatch_engine::service::queue_scan_order`],
 //!   [`fastmatch_store::live::build_seg_starts`], …) so the model and
 //!   the implementation cannot drift apart silently.
 //!
-//! Two historical races — the PR-2 two-bump demand publish and the
-//! PR-2 anonymous park tally — are kept as test-only mutations; the
+//! Two historical races — the two-bump demand publish and the
+//! anonymous park tally (in the service's form: a retire that skips the
+//! all-parked re-check) — are kept as test-only mutations; the
 //! checker demonstrably re-finds both (see the `finds_pr2_*` tests),
 //! which is the evidence that it would catch their recurrence.
 //!

@@ -1,14 +1,13 @@
-//! The five protocol models, each mirroring one concurrency core of
+//! The four protocol models, each mirroring one concurrency core of
 //! the real system path for path:
 //!
 //! * [`demand_publish`] — the lock-free demand snapshot's
 //!   remaining → mode → epoch publication order
 //!   ([`fastmatch_engine::shared`]).
-//! * [`park_exit`] — `ParallelMatch`'s parked/exited worker
-//!   accounting ([`fastmatch_engine::exec::all_live_parked`]).
-//! * [`admission_steal`] — the service's admission bound and
-//!   per-worker queues with stealing
-//!   ([`fastmatch_engine::service::queue_scan_order`]).
+//! * [`admission_steal`] — the service's admission bound, per-worker
+//!   queues with stealing and the park accounting of shard tasks
+//!   ([`fastmatch_engine::service::queue_scan_order`],
+//!   [`fastmatch_engine::service::all_shards_parked`]).
 //! * [`live_lifecycle`] — the live table's append → freeze →
 //!   install-before-seal → snapshot lifecycle
 //!   ([`fastmatch_store::live`]).
@@ -25,11 +24,9 @@
 pub mod admission_steal;
 pub mod demand_publish;
 pub mod live_lifecycle;
-pub mod park_exit;
 pub mod wal_recovery;
 
 pub use admission_steal::AdmissionSteal;
 pub use demand_publish::DemandPublish;
 pub use live_lifecycle::LiveLifecycle;
-pub use park_exit::ParkExit;
 pub use wal_recovery::WalRecovery;

@@ -1,4 +1,4 @@
-//! Randomized-schedule soaks over the five protocol models.
+//! Randomized-schedule soaks over the four protocol models.
 //!
 //! Two tiers:
 //!
@@ -15,9 +15,7 @@
 //! workers, more rounds, more tasks — trading completeness for reach.
 
 use fastmatch_check::explorer::{Explorer, Model};
-use fastmatch_check::models::{
-    AdmissionSteal, DemandPublish, LiveLifecycle, ParkExit, WalRecovery,
-};
+use fastmatch_check::models::{AdmissionSteal, DemandPublish, LiveLifecycle, WalRecovery};
 
 /// Fixed seed for the CI slices; the long soaks perturb it per chunk.
 const SEED: u64 = 0xfa57_4a7c_0dec_0de5;
@@ -58,12 +56,13 @@ fn demand_publish() -> DemandPublish {
     DemandPublish::new(4, 3, 4)
 }
 
-fn park_exit() -> ParkExit {
-    ParkExit::new(vec![(2, 1), (0, 2), (1, 0), (0, 1)])
+fn admission_steal() -> AdmissionSteal {
+    AdmissionSteal::new(3, [2, 1, 3, 1].map(|u| vec![(u, 0)]).to_vec(), 3)
 }
 
-fn admission_steal() -> AdmissionSteal {
-    AdmissionSteal::new(3, vec![2, 1, 3, 1], 3)
+/// Parking shards, one query run to its exact finish.
+fn admission_steal_parking() -> AdmissionSteal {
+    AdmissionSteal::new(4, vec![vec![(2, 1), (0, 2), (1, 0), (0, 1)]], 1).without_shutdown()
 }
 
 fn live_lifecycle() -> LiveLifecycle {
@@ -80,13 +79,13 @@ fn demand_publish_soak_slice() {
 }
 
 #[test]
-fn park_exit_soak_slice() {
-    soak(park_exit(), SLICE);
+fn admission_steal_soak_slice() {
+    soak(admission_steal(), SLICE);
 }
 
 #[test]
-fn admission_steal_soak_slice() {
-    soak(admission_steal(), SLICE);
+fn admission_steal_parking_soak_slice() {
+    soak(admission_steal_parking(), SLICE);
 }
 
 #[test]
@@ -107,14 +106,14 @@ fn demand_publish_soak_long() {
 
 #[test]
 #[ignore = "long soak; run with --ignored, scale with FASTMATCH_CHECK_ITERS"]
-fn park_exit_soak_long() {
-    soak(park_exit(), long_iters());
+fn admission_steal_soak_long() {
+    soak(admission_steal(), long_iters());
 }
 
 #[test]
 #[ignore = "long soak; run with --ignored, scale with FASTMATCH_CHECK_ITERS"]
-fn admission_steal_soak_long() {
-    soak(admission_steal(), long_iters());
+fn admission_steal_parking_soak_long() {
+    soak(admission_steal_parking(), long_iters());
 }
 
 #[test]

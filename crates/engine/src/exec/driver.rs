@@ -6,9 +6,9 @@
 //! advance phases whenever demand is met, publish fresh demand to any
 //! sampling-engine threads, and package the output with run statistics.
 //! [`Driver`] owns exactly that scaffolding so `ScanMatch`/`SyncMatch`
-//! (sequential), `FastMatch` (async lookahead) and `ParallelMatch`
-//! (sharded workers) differ only in *how blocks are chosen and delivered*,
-//! not in how HistSim is driven.
+//! (sequential), `FastMatch` (async lookahead) and the query service
+//! (sharded quanta, which `ParallelMatch` runs on) differ only in *how
+//! blocks are chosen and delivered*, not in how HistSim is driven.
 
 use std::time::Instant;
 
@@ -21,12 +21,11 @@ use crate::query::QueryJob;
 use crate::result::{MatchOutput, RunStats};
 use crate::shared::{DemandMode, SharedDemand};
 
-/// What one shard walker (a `ParallelMatch` worker, or one service
-/// quantum) has ingested since its last merge: the phase-free count
-/// deltas of every block read, plus each block's id and raw candidate
-/// codes so the statistics side can maintain consumption tracking
-/// without re-reading the block. Cleared and reused by its owner —
-/// steady-state pushes allocate nothing.
+/// What one service quantum has ingested since its last merge: the
+/// phase-free count deltas of every block read, plus each block's id and
+/// raw candidate codes so the statistics side can maintain consumption
+/// tracking without re-reading the block. Cleared and reused by its
+/// owner — steady-state pushes allocate nothing.
 #[derive(Debug)]
 pub(crate) struct ShardBatch {
     /// Count deltas of every pushed block.
@@ -49,9 +48,9 @@ impl ShardBatch {
         }
     }
 
-    /// The per-block ingestion step both shard walkers share: one pass
-    /// of the accumulate kernel over block `b`'s tuples, and a note of
-    /// which candidates it held.
+    /// The per-block ingestion step of a quantum: one pass of the
+    /// accumulate kernel over block `b`'s tuples, and a note of which
+    /// candidates it held.
     #[inline]
     pub fn push_block(&mut self, b: usize, zs: &[u32], xs: &[u32]) {
         self.acc.accumulate(zs, xs);

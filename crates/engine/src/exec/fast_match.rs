@@ -14,8 +14,8 @@
 //!   publishes fresh per-candidate demand through [`SharedDemand`].
 //!
 //! Figure 6's three stages each run ahead of the next: **marking**
-//! (`ShardWalk::step`, the same walk `ParallelMatch` and the query
-//! service drive) runs at most two windows ahead of I/O (below);
+//! (`ShardWalk::step`, the same walk the query service drives, and
+//! with it `ParallelMatch`) runs at most two windows ahead of I/O (below);
 //! **I/O** runs one chunk of
 //! the current run ahead of ingestion, inside the storage backend — a
 //! run read tells it exactly which blocks of which two attributes come

@@ -4,7 +4,8 @@
 //! §5.2 comparison ladder (each adds exactly one mechanism):
 //! `Scan` → `ScanMatch` (approximation) → `SyncMatch` (AnyActive block
 //! skipping) → `FastMatch` (asynchronous cache-conscious lookahead) →
-//! `ParallelMatch` (shard-parallel ingestion over mergeable accumulators).
+//! `ParallelMatch` (shard-parallel ingestion over mergeable accumulators,
+//! run as one query on a private [`crate::service::QueryService`]).
 //!
 //! All HistSim executors drive the state machine through the shared
 //! `driver::Driver` (crate-internal); they differ only in how blocks are
@@ -19,7 +20,7 @@ mod sync_match;
 pub(crate) mod walk;
 
 pub use fast_match::FastMatchExec;
-pub use parallel_match::{all_live_parked, ParallelMatchExec};
+pub use parallel_match::ParallelMatchExec;
 pub use scan::ScanExec;
 pub use scan_match::ScanMatchExec;
 pub use sync_match::SyncMatchExec;

@@ -9,12 +9,11 @@
 //! are handed out and never offered again; skipped ones stay eligible for
 //! later passes, when demand may have moved onto them.
 //!
-//! The walk decides *which blocks, in which order*. Its three drivers
+//! The walk decides *which blocks, in which order*. Its two drivers
 //! decide everything else around `step`: FastMatch's sampling engine
-//! ships each window's runs over a channel, a `ParallelMatch` worker
-//! reads them into accumulator batches, a service quantum reads them up
-//! to its block budget and comes back later. Who waits, merges and parks
-//! stays with them.
+//! ships each window's runs over a channel, a service quantum (which is
+//! also how `ParallelMatch` runs) reads them up to its block budget and
+//! comes back later. Who waits, merges and parks stays with them.
 
 use std::ops::Range;
 
@@ -24,10 +23,10 @@ use crate::exec::start_block;
 use crate::policy::mark_lookahead;
 use crate::shared::{DemandMode, SharedDemand};
 
-/// Lookahead window of the shard walkers (`ParallelMatch` workers and
-/// service quanta), in blocks: long enough that every cache line of a
-/// candidate's bitmap row is consumed whole, short enough that demand is
-/// re-read often. FastMatch's window is its `lookahead` option.
+/// Lookahead window of the service's shard walks, in blocks: long
+/// enough that every cache line of a candidate's bitmap row is consumed
+/// whole, short enough that demand is re-read often. FastMatch's window
+/// is its `lookahead` option.
 const MARK_WINDOW: usize = 256;
 
 /// What one [`ShardWalk::step`] came to.

@@ -15,11 +15,11 @@
 //! * [`exec::FastMatchExec`] — AnyActive with asynchronous, cache-conscious
 //!   lookahead on a separate sampling-engine thread, Algorithm 3 style
 //!   (adds *decoupled lookahead*);
-//! * [`exec::ParallelMatchExec`] — shard-parallel ingestion: N workers
+//! * [`exec::ParallelMatchExec`] — shard-parallel ingestion: the query
+//!   runs alone on a private [`service::QueryService`] whose N workers
 //!   fill phase-free [`HistAccumulator`](fastmatch_core::histsim::HistAccumulator)
-//!   batches from disjoint block ranges, merged into the authoritative
-//!   state machine by the statistics thread (adds *multi-core
-//!   ingestion*).
+//!   quanta from disjoint block ranges and merge them into the
+//!   authoritative state machine (adds *multi-core ingestion*).
 //!
 //! All approximate executors provide the same Guarantee 1/2 semantics; they
 //! differ only in how fast they reach HistSim's termination conditions.

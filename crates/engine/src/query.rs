@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use fastmatch_core::histsim::HistSimConfig;
-use fastmatch_store::backend::StorageBackend;
+use fastmatch_store::backend::{MemBackend, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
 use fastmatch_store::io::BlockReader;
@@ -51,7 +51,7 @@ impl std::ops::Deref for BitmapHandle<'_> {
 /// preprocessing — applied before persisting, for file-backed sources);
 /// the bitmap index must cover the candidate attribute under the same
 /// layout.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QueryJob<'a> {
     /// The (shuffled) data source.
     source: Source<'a>,
@@ -243,6 +243,17 @@ impl<'a> QueryJob<'a> {
             Source::Shared(backend) => BlockReader::over_shared(Arc::clone(backend)),
         };
         reader.with_simulated_latency(self.block_latency_ns)
+    }
+
+    /// Calls `f` with the job's source as a [`StorageBackend`] (a
+    /// [`MemBackend`] view of an in-memory table), for a query service
+    /// serving this job alone. The job's own reads keep their source.
+    pub(crate) fn with_backend<R>(&self, f: impl FnOnce(&dyn StorageBackend) -> R) -> R {
+        match &self.source {
+            Source::Mem(table) => f(&MemBackend::new(table, self.layout)),
+            Source::Backend(backend) => f(*backend),
+            Source::Shared(backend) => f(&**backend),
+        }
     }
 }
 

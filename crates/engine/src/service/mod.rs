@@ -25,10 +25,10 @@
 //!   query's current demand *park* and stop consuming pool capacity
 //!   until the query's demand epoch moves (`state` module docs,
 //!   crate-internal).
-//! * **Per-query protocol** — each query runs the same demand protocol
-//!   as `ParallelMatch`, over the same walk (Figure 6's marking stage is
-//!   `exec::walk::ShardWalk::step`, called with what is left of the
-//!   quantum's budget as its limit): shard quanta fill phase-free
+//! * **Per-query protocol** — each query runs the demand protocol of
+//!   the executors, over the walk FastMatch steps too (Figure 6's
+//!   marking stage is `exec::walk::ShardWalk::step`, called with what is
+//!   left of the quantum's budget as its limit): shard quanta fill phase-free
 //!   [`HistAccumulator`](fastmatch_core::histsim::HistAccumulator)
 //!   batches, merge into the authoritative driver under the query's
 //!   engine mutex, advance phases and republish demand. The paper's
@@ -496,6 +496,24 @@ impl<'env> QueryService<'env> {
     }
 }
 
+/// Runs `job` as the only query of a private service over the job's own
+/// source, and waits for its outcome — all there is to `ParallelMatch`.
+/// The pool, its shutdown and the admission are [`QueryService::serve`]'s
+/// and `admit_reserved`'s; only `submit`'s request validation is left
+/// out, the job being built already.
+pub(crate) fn run_job(
+    job: &QueryJob<'_>,
+    config: ServiceConfig,
+    seed: u64,
+) -> Result<QueryOutcome, ServiceError> {
+    job.with_backend(|backend| {
+        QueryService::serve(backend, config, |svc| {
+            svc.reserve_slot()?;
+            Ok(svc.admit_reserved(job.clone(), seed, None)?.wait())
+        })
+    })
+}
+
 /// Checks, before an admission slot is taken, everything `QueryJob`'s
 /// constructors would otherwise assert — a service must reject a
 /// malformed request, not unwind through the pool that is serving every
@@ -795,8 +813,9 @@ fn retire<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
     } else {
         // The live set shrank: the query's remaining shards may all be
         // parked already, and with this shard gone no parking transition
-        // is left to trigger the valve — re-evaluate all-parked here,
-        // exactly as `ParallelMatch` re-checks on `ShardExhausted`.
+        // is left to trigger the valve — re-evaluate all-parked here
+        // (`fastmatch-check`'s `admission_steal` model strands a parked
+        // shard without this re-check).
         let live = query.live_shards_hint.load(Ordering::Relaxed);
         if svc.sched.all_parked(query.id, live) {
             stuck_valve(svc, &query);

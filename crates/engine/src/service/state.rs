@@ -92,7 +92,7 @@ pub(crate) struct QueryState<'a> {
     /// The prepared query (holds the backend + bitmap references).
     pub job: QueryJob<'a>,
     /// Demand snapshot published to all of this query's shard tasks —
-    /// the same protocol `ParallelMatch` workers follow.
+    /// the same protocol FastMatch's sampling engine follows.
     pub demand: SharedDemand,
     /// Driver + accounting, under the query's engine mutex.
     pub engine: Mutex<EngineState>,
@@ -162,8 +162,10 @@ pub fn queue_scan_order(own: usize, n: usize) -> impl Iterator<Item = usize> {
 
 /// Whether a query with `live` still-unretired shards, `parked` of them
 /// currently parked, has its *entire* live set parked — the condition
-/// that must trigger the stuck valve. Shared with the `admission_steal`
-/// and `park_exit` models; the `live == 0` case is "query already
+/// that must trigger the stuck valve, after a park and again after a
+/// retire shrinks the live set. Shared with the `admission_steal`
+/// model (invariants `all-parked-implies-wake`,
+/// `no-all-parked-deadlock`); the `live == 0` case is "query already
 /// fully retired", where there is nobody left to wake.
 pub fn all_shards_parked(parked: usize, live: usize) -> bool {
     live > 0 && parked >= live
@@ -321,8 +323,9 @@ impl<'a> Scheduler<'a> {
     /// Whether every one of the query's `live` still-unretired shards is
     /// currently parked. Called after a shard retires: the live set
     /// shrinking can make an existing parked set become "all of them",
-    /// with no parking transition left to notice it (the same stale-tally
-    /// hazard `ParallelMatch` re-checks for on `ShardExhausted`).
+    /// with no parking transition left to notice it (the historical
+    /// stale-tally deadlock, kept as a mutation in the `admission_steal`
+    /// model).
     pub fn all_parked(&self, query_id: u64, live: usize) -> bool {
         if live == 0 {
             return false;
@@ -371,5 +374,24 @@ impl<'a> Scheduler<'a> {
         }
         drop(s);
         self.cv.notify_all();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn all_shards_parked_tracks_the_live_set() {
+        // Nothing live (not admitted yet, or fully retired): nobody to wake.
+        assert!(!all_shards_parked(0, 0));
+        // Every live shard parked: the stuck valve is due.
+        assert!(all_shards_parked(2, 2));
+        // One live shard still running: no wake yet.
+        assert!(!all_shards_parked(1, 2));
+        // The historical deadlock's shape: of two shards one retired
+        // (live 2 → 1) after the other parked. The live set is now
+        // exactly the parked set, so the retire's re-check must wake it.
+        assert!(all_shards_parked(1, 1));
     }
 }

@@ -513,6 +513,36 @@ fn parallel_match_handles_tiny_tables_across_shard_counts() {
     }
 }
 
+/// `ParallelMatch` at one shard is a single-worker service, so a fixed
+/// seed replays one schedule: everything a run reports but its wall time
+/// is identical across runs, over memory and over files. The table is
+/// large enough for stage 2 to skip blocks, where a timing-dependent
+/// driver would diverge first.
+#[test]
+fn parallel_match_with_one_shard_replays_exactly() {
+    let table = test_table(600_000, 29);
+    let layout = BlockLayout::new(table.n_rows(), 64);
+    let bitmap = BitmapIndex::build(&table, 0, &layout);
+    let mem = MemBackend::new(&table, layout);
+    let tmp = TempBlockFile::new("exec_replay");
+    let file = fastmatch_store::file::FileBackend::create(tmp.path(), &table, 64).unwrap();
+    let backends: [(&str, &dyn StorageBackend); 2] = [("mem", &mem), ("file", &file)];
+    for (name, backend) in backends {
+        let job = QueryJob::from_backend(backend, &bitmap, 0, 1, uniform(8), config());
+        let replay = || {
+            let out = ParallelMatchExec::with_shards(1).run(&job, 13).unwrap();
+            let s = &out.stats;
+            let io = (s.io.blocks_read, s.io.blocks_skipped);
+            (out.candidate_ids(), s.samples, s.stage2_rounds, io)
+        };
+        let first = replay();
+        assert!(first.3 .1 > 0, "{name}: the run must skip blocks");
+        for run in 1..20 {
+            assert_eq!(replay(), first, "{name}: run {run} diverged from run 0");
+        }
+    }
+}
+
 #[test]
 fn empty_table_errors_instead_of_hanging() {
     let table = test_table(0, 3);
@@ -535,8 +565,9 @@ fn empty_table_errors_instead_of_hanging() {
 }
 
 /// Sharding a reader more ways than there are blocks yields empty
-/// shards (the worker-side exhaust-and-exit behavior for such shards is
-/// unit-tested next to `shard_worker` itself).
+/// shards. (A shard task over an empty or fully read range retires at
+/// its next quantum and never parks: `empty_table_errors_instead_of_hanging`
+/// above and `tiny_tables_terminate_across_pool_sizes` in `service.rs`.)
 #[test]
 fn oversharded_reader_yields_empty_shards() {
     let table = test_table(128, 5); // 2 blocks of 64
