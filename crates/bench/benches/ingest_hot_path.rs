@@ -11,32 +11,17 @@
 //!    `accumulate` + `merge_ref` + `clear` (what an outside walker does),
 //!    at |V_X| ∈ {2, 24, 351} — the wide-histogram cliff as a layer
 //!    number of its own: both must stay flat in |V_X|.
-//! 3. **Storage scan** (file regime): `FastMatch` over one persisted
-//!    table through a bounded cache, with the demand-aware readahead
-//!    pool on versus off — the I/O-compute overlap the prefetch
-//!    pipeline exists for, with `pages_prefetched` / `prefetched_hits`
-//!    attribution showing the overlap is real.
 //!
 //! Emits a machine-readable summary to `BENCH_ingest.json` (current
 //! working directory) so CI can archive the perf trajectory.
 //!
 //! Scale knobs: `FASTMATCH_KERNEL_TUPLES` (default 2,000,000),
-//! `FASTMATCH_BENCH_ROWS` (default 300,000 scan rows),
-//! `FASTMATCH_CACHE_BLOCKS` (default 256 pages — far below the scan
-//! working set), `FASTMATCH_SEED` (default 42).
+//! `FASTMATCH_SEED` (default 42).
 
 use std::time::{Duration, Instant};
 
 use fastmatch_bench::report::render_table;
 use fastmatch_core::histsim::{HistAccumulator, HistSim, HistSimConfig};
-use fastmatch_data::gen::{conditional_with_planted_pool, generate_table, ColumnGen, ColumnSpec};
-use fastmatch_data::shapes::{far_pool, uniform};
-use fastmatch_engine::exec::{Executor, FastMatchExec};
-use fastmatch_engine::query::QueryJob;
-use fastmatch_store::backend::StorageBackend;
-use fastmatch_store::bitmap::BitmapIndex;
-use fastmatch_store::file::{write_table, FileBackend};
-use fastmatch_store::tempfile::TempBlockFile;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -196,122 +181,17 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
         .collect()
 }
 
-// --------------------------------------------------------------- scan part
-
-struct ScanResult {
-    label: &'static str,
-    wall: Duration,
-    blocks_read: u64,
-    hit_pct: f64,
-    prefetch_hit: u64,
-    pages_prefetched: u64,
-    prefetched_hits: u64,
-    matched: Vec<u32>,
-}
-
-fn bench_scan(
-    rows: usize,
-    cache_blocks: usize,
-    latency_ns: u64,
-    seed: u64,
-) -> (ScanResult, ScanResult) {
-    let groups = 8usize;
-    let dists = conditional_with_planted_pool(
-        64,
-        &uniform(groups),
-        &[(0, 0.0), (3, 0.02), (7, 0.04), (11, 0.05), (19, 0.06)],
-        &far_pool(groups),
-        0.2,
-        seed ^ 0xf00d,
-    );
-    let specs = vec![
-        ColumnSpec::new("z", 64, ColumnGen::PrimaryZipf { s: 1.1 }),
-        ColumnSpec::new(
-            "x",
-            groups as u32,
-            ColumnGen::Conditional { parent: 0, dists },
-        ),
-    ];
-    let table = generate_table(&specs, rows, seed ^ 0xbeef);
-    let tpb = 150usize;
-    let scratch = TempBlockFile::new("ingest_hot_path");
-    write_table(scratch.path(), &table, tpb).expect("persist failed");
-
-    let cfg = HistSimConfig {
-        k: 5,
-        epsilon: 0.1,
-        delta: 0.05,
-        sigma: 0.001,
-        stage1_samples: (rows as u64 / 10).clamp(10_000, 200_000),
-        ..HistSimConfig::default()
-    };
-
-    // A hint run can span a whole lookahead window, so the lookahead must
-    // stay well inside the cache bound — otherwise readahead evicts its
-    // own pages before the reader arrives (prefetch distance vs cache
-    // size, the classic readahead sizing constraint).
-    let lookahead = (cache_blocks / 4).clamp(8, 256);
-    let run = |label: &'static str, workers: usize| -> ScanResult {
-        let backend = FileBackend::open(scratch.path())
-            .expect("open failed")
-            .with_cache_blocks(cache_blocks)
-            .with_prefetch_workers(workers)
-            // Slow-medium regime: every page *fetch* pays this, cache
-            // hits pay nothing — so readahead that genuinely leads the
-            // reader turns medium latency into background time.
-            .with_simulated_medium_latency_ns(latency_ns);
-        let bitmap = BitmapIndex::build(&table, 0, &backend.layout());
-        let job = QueryJob::from_backend(&backend, &bitmap, 0, 1, uniform(groups), cfg.clone());
-        let t0 = Instant::now();
-        let out = FastMatchExec::with_lookahead(lookahead)
-            .run(&job, seed)
-            .expect("scan run failed");
-        let wall = t0.elapsed();
-        let cs = backend.cache_stats();
-        let mut matched = out.candidate_ids();
-        matched.sort_unstable();
-        ScanResult {
-            label,
-            wall,
-            blocks_read: out.stats.io.blocks_read,
-            hit_pct: out.stats.io.cache_hit_rate() * 100.0,
-            prefetch_hit: out.stats.io.pages_prefetch_hit,
-            pages_prefetched: cs.pages_prefetched,
-            prefetched_hits: cs.prefetched_hits,
-            matched,
-        }
-    };
-
-    let off = run("prefetch-off", 0);
-    let on = run("prefetch-on", 2);
-    assert_eq!(
-        on.matched, off.matched,
-        "prefetching must change timing, never the matched set"
-    );
-    (off, on)
-}
-
 // --------------------------------------------------------------------- main
 
 fn main() {
     let kernel_tuples = env_usize("FASTMATCH_KERNEL_TUPLES", 2_000_000).max(10_000);
-    let rows = env_usize("FASTMATCH_BENCH_ROWS", 300_000).max(50_000);
-    let cache_blocks = env_usize("FASTMATCH_CACHE_BLOCKS", 256).max(1);
-    // Simulated per-page medium latency for the scan regime (paper-era
-    // storage is far slower than this container's OS page cache); paid
-    // by fetches, not cache hits, and — being a blocking sleep — it
-    // releases the core, so readahead overlaps it with ingestion even
-    // on a single-core host.
-    let latency_ns = env_usize("FASTMATCH_MEDIUM_LATENCY_NS", 50_000) as u64;
     let seed = env_usize("FASTMATCH_SEED", 42) as u64;
 
-    println!("== ingest_hot_path: batched kernel + demand-aware prefetch ==\n");
+    println!("== ingest_hot_path: batched kernel + per-block ingest by width ==\n");
     println!(
-        "# host parallelism: {} core(s); kernel {} tuples, scan {} rows, cache {} pages\n",
+        "# host parallelism: {} core(s); kernel {} tuples\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         kernel_tuples,
-        rows,
-        cache_blocks
     );
 
     let k = bench_kernel(kernel_tuples, seed);
@@ -354,41 +234,6 @@ fn main() {
         )
     );
 
-    let (off, on) = bench_scan(rows, cache_blocks, latency_ns, seed);
-    let scan_rows: Vec<Vec<String>> = [&off, &on]
-        .iter()
-        .map(|r| {
-            vec![
-                r.label.to_string(),
-                format!("{:.1}", r.wall.as_secs_f64() * 1e3),
-                r.blocks_read.to_string(),
-                format!("{:.1}", r.hit_pct),
-                r.prefetch_hit.to_string(),
-                r.pages_prefetched.to_string(),
-                r.prefetched_hits.to_string(),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        render_table(
-            &[
-                "FastMatch over FileBackend",
-                "wall ms",
-                "blocks",
-                "hit %",
-                "rdr prefetch-hits",
-                "pages prefetched",
-                "prefetched hits",
-            ],
-            &scan_rows,
-        )
-    );
-    println!(
-        "# identical matched sets with prefetch on/off: {:?}\n",
-        on.matched
-    );
-
     // Machine-readable summary for CI's perf trajectory.
     let json = format!(
         concat!(
@@ -400,16 +245,7 @@ fn main() {
             "    \"batch_tuples_per_sec\": {:.0},\n",
             "    \"batch_speedup\": {:.4}\n",
             "  }},\n",
-            "  \"block_ingest_by_width\": [\n{}\n  ],\n",
-            "  \"scan\": {{\n",
-            "    \"rows\": {},\n",
-            "    \"cache_blocks\": {},\n",
-            "    \"prefetch_off_wall_ms\": {:.3},\n",
-            "    \"prefetch_on_wall_ms\": {:.3},\n",
-            "    \"pages_prefetched\": {},\n",
-            "    \"prefetched_hits\": {},\n",
-            "    \"matched_sets_identical\": true\n",
-            "  }}\n",
+            "  \"block_ingest_by_width\": [\n{}\n  ]\n",
             "}}\n"
         ),
         k.tuples,
@@ -424,12 +260,6 @@ fn main() {
             ))
             .collect::<Vec<_>>()
             .join(",\n"),
-        rows,
-        cache_blocks,
-        off.wall.as_secs_f64() * 1e3,
-        on.wall.as_secs_f64() * 1e3,
-        on.pages_prefetched,
-        on.prefetched_hits,
     );
     std::fs::write("BENCH_ingest.json", &json).expect("writing BENCH_ingest.json failed");
     println!("# wrote BENCH_ingest.json");

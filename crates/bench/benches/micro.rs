@@ -133,7 +133,6 @@ fn bench_file_page_load(c: &mut Criterion) {
         FileBackend::create(scratch.path(), &table, TPB)
             .expect("persist failed")
             .with_cache_blocks(cache_pages)
-            .with_prefetch_workers(0)
     };
     let nb = table.n_rows().div_ceil(TPB);
     const BLOCKS: usize = 1024;

@@ -343,10 +343,7 @@ fn executor_backend_dataset_layout_matrix() {
             let layout = BlockLayout::new(ds.table.n_rows(), tuples_per_block);
             let bitmap = BitmapIndex::build(&ds.table, 0, &layout);
             // A cache far below the block count forces real disk reads
-            // with eviction churn in the file columns of the matrix. The
-            // file backend appears with its readahead pool on (default)
-            // and off, because prefetching must change timing only,
-            // never the matched set or the guarantee level.
+            // with eviction churn in the file columns of the matrix.
             let scratch = TempBlockFile::new("exec_matrix");
             let file_backend = fastmatch_store::file::FileBackend::create(
                 scratch.path(),
@@ -355,18 +352,12 @@ fn executor_backend_dataset_layout_matrix() {
             )
             .unwrap()
             .with_cache_blocks(128);
-            let file_noprefetch = fastmatch_store::file::FileBackend::open(scratch.path())
-                .unwrap()
-                .with_cache_blocks(128)
-                .with_prefetch_workers(0);
             // A cache smaller than one chunk of a run read (64 blocks ×
             // 2 attributes), so every chunk evicts its own pages while it
-            // is being served, over a medium slow enough that runs read
-            // ahead of themselves into that same cache.
+            // is being served.
             let file_tiny_cache = fastmatch_store::file::FileBackend::open(scratch.path())
                 .unwrap()
-                .with_cache_blocks(40)
-                .with_simulated_medium_latency_ns(1_000);
+                .with_cache_blocks(40);
             let mem_backend = MemBackend::new(&ds.table, layout);
             // The live-snapshot column: the same rows appended (in table
             // order, so the shared bitmap stays exact) into a LiveTable
@@ -395,10 +386,9 @@ fn executor_backend_dataset_layout_matrix() {
                 live_snapshot.tail_rows() > 0,
                 "live column has no in-memory tail"
             );
-            let backends: [(&str, &dyn StorageBackend); 5] = [
+            let backends: [(&str, &dyn StorageBackend); 4] = [
                 ("mem", &mem_backend),
-                ("file+prefetch", &file_backend),
-                ("file-noprefetch", &file_noprefetch),
+                ("file", &file_backend),
                 ("file-cache<chunk", &file_tiny_cache),
                 ("live-snapshot", &live_snapshot),
             ];

@@ -50,10 +50,10 @@ const GUARD_ADAPTERS: &[&str] = &["unwrap", "expect", "unwrap_or_else"];
 /// acquisitions and its definition is excluded from the call graph.
 const LOCK_HELPER: &str = "lock_unpoisoned";
 /// Std container/sync method names that are propagation barriers even
-/// when a workspace fn happens to share the name (`PrefetchQueue::push`
-/// is the only workspace `push`, but `.push(` almost always means
-/// `Vec::push` — following it would hang the queue's lockset on every
-/// vector in the tree).
+/// when a workspace fn happens to share the name (the workspace has a
+/// `push` of its own, but `.push(` almost always means `Vec::push` —
+/// following it would hang that fn's lockset on every vector in the
+/// tree).
 const STD_METHODS: &[&str] = &[
     "push", "pop", "insert", "remove", "get", "get_mut", "set", "len", "clear", "extend", "take",
     "swap", "load", "store", "next", "clone", "entry", "last", "first", "contains", "send",

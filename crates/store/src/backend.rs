@@ -8,6 +8,9 @@
 //! future — behind an mmap or async fetch path. Backends are read-side
 //! shared state: they take `&self` and must be [`Sync`], because the
 //! sharded executors hit one backend from many worker threads at once.
+//! Every read is a demand read: the trait has no readahead hint, and a
+//! run read ([`StorageBackend::read_run_pair_into`]) already tells a
+//! backend which blocks are wanted together.
 
 use crate::block::BlockLayout;
 use crate::error::Result;
@@ -27,12 +30,9 @@ pub enum PageOrigin {
     Memory,
     /// Served from the backend's block cache.
     CacheHit,
-    /// Served from the backend's block cache, from a page a readahead
-    /// worker loaded (ahead of a run read, or on a
-    /// [`StorageBackend::prefetch`] hint) that had not yet been
-    /// demand-hit. Each prefetched page reports this at most once — its
-    /// first demand hit — so the count measures *useful* prefetches;
-    /// later re-hits are plain [`Self::CacheHit`]s.
+    /// Never produced: no backend in this crate loads pages ahead of
+    /// demand. Kept for callers that still match on it; count it as a
+    /// [`Self::CacheHit`].
     PrefetchedHit,
     /// Fetched from the underlying medium (disk, network, …).
     CacheMiss,
@@ -93,8 +93,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// backend gains is the knowledge that the blocks are wanted
     /// *together*. The default implementation is the loop over
     /// [`Self::read_block_pair_into`]; [`crate::file::FileBackend`]
-    /// serves a run with one positioned read per attribute and chunk and
-    /// uses the rest of the run as its own readahead hint.
+    /// serves a run with one positioned read per attribute and chunk.
     fn read_run_pair_into(
         &self,
         blocks: std::ops::Range<usize>,
@@ -111,25 +110,6 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
             }
         }
         Ok(true)
-    }
-
-    /// Advisory readahead hint: the caller expects to read every block of
-    /// `blocks` soon, so the backend may warm whatever cache tier it has
-    /// ahead of the demand reads. Purely an optimization seam:
-    ///
-    /// * hints carry **no obligation** — a backend may batch, truncate or
-    ///   drop them entirely (the default implementation, and
-    ///   [`MemBackend`], do nothing);
-    /// * hints carry **no correctness weight** — a stale or wrong hint at
-    ///   worst warms pages nobody reads; demand reads never depend on a
-    ///   hint having been honored.
-    ///
-    /// The executors do not call this: a run read
-    /// ([`Self::read_run_pair_into`]) tells the backend all a hint could,
-    /// for exactly the attributes and blocks that will be read. It stays
-    /// for callers that know their future reads some other way.
-    fn prefetch(&self, blocks: std::ops::Range<usize>) {
-        let _ = blocks;
     }
 
     /// Number of rows stored.

@@ -56,53 +56,33 @@
 //!    delivered, then the read fails with [`StoreError::Corrupt`] naming
 //!    the page.
 //!
-//! # A run is its own hint
+//! # Reads happen on demand only
 //!
-//! Readahead is demand-exact: while it serves one chunk of a run, the
-//! backend — which sees the remainder of the run — hands its readahead
-//! pool the *next* chunk of exactly the two requested attributes, never
-//! more than a quarter of the cache, and nothing at all when the chunk
-//! just served came entirely from pages earlier demand reads had paid
-//! for (a warm cache stays silent). The pool's workers run steps 2–4
-//! into the cache, so selection runs ahead of I/O and I/O ahead of
-//! ingestion (paper §4, Figure 6) without any caller computing hints.
-//!
-//! A run hints only over a medium that *has* latency to hide
-//! ([`FileBackend::with_simulated_medium_latency_ns`] — the one slow
-//! medium this crate has). Over a page-cached file a chunk's two reads
-//! are a tenth of its verify-and-decode time, and handing the next chunk
-//! to a worker on another core costs more than it saves, so the pool is
-//! left asleep. The rule is a fact about the backend, not a measurement
-//! of the read in flight, on purpose: whether the pool runs moves a
-//! query's time by up to a fifth, so the same run must hint the same
-//! chunks every time it is read (EXPERIMENTS.md § PR 19 has the measured
-//! gate this replaced, and what it did to run-to-run spread).
-//!
-//! [`StorageBackend::prefetch`] remains as the advisory, all-attribute
-//! entry point. Hints carry no obligation: a full queue drops the oldest
-//! one, a stale one at worst warms pages nobody reads, and readahead
-//! meeting a corrupt page stays silent — the demand read rediscovers and
-//! reports the error.
+//! The backend runs no threads of its own. A run is read a chunk at a
+//! time as its visitor consumes it; block *selection* running ahead of
+//! I/O (paper §4, Figure 6) is the executors' lookahead marker, not the
+//! backend's business. DESIGN.md § "No readahead pool" has the
+//! measurements behind this.
 //!
 //! # What the counters count
 //!
 //! [`CacheStats::hits`] / [`CacheStats::misses`] (and the per-reader
 //! [`crate::io::IoStats`] page counters) count pages *delivered* to a
 //! demand reader, two per block: a run whose visitor stops mid-chunk has
-//! fetched pages it is not charged for. Readahead loads are counted only
-//! as [`CacheStats::pages_prefetched`], and a prefetched page's first
-//! delivery as [`CacheStats::prefetched_hits`].
+//! fetched pages it is not charged for. Every page is a
+//! [`PageOrigin::CacheHit`] or a [`PageOrigin::CacheMiss`];
+//! [`CacheStats::pages_prefetched`] and [`CacheStats::prefetched_hits`]
+//! are always 0.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs::File;
 use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 #[cfg(not(unix))]
 use std::io::{Seek, SeekFrom};
@@ -128,16 +108,6 @@ pub const DEFAULT_CACHE_BLOCKS: usize = 4096;
 
 /// Number of independently locked cache shards.
 const CACHE_SHARDS: usize = 8;
-
-/// Default readahead worker count (see
-/// [`FileBackend::with_prefetch_workers`]).
-pub const DEFAULT_PREFETCH_WORKERS: usize = 2;
-
-/// Bound on queued (not yet drained) prefetch hints. Beyond it the
-/// *oldest* hint is dropped: hints describe where readers are heading,
-/// so under backlog the oldest one is the most likely to have been
-/// overtaken by its own demand reads already.
-const PREFETCH_QUEUE_HINTS: usize = 64;
 
 /// Blocks served per chunk of a run read (and encoded per write of the
 /// table writer): one positioned read per attribute covers this many
@@ -346,17 +316,10 @@ pub struct CacheStats {
     /// combined working set past capacity, which makes it the leading
     /// indicator of hit-rate collapse under multi-query load.
     pub pressure: u64,
-    /// Pages the readahead workers loaded into the cache — on the hint a
-    /// run read gives for its own next chunk, or on a
-    /// [`StorageBackend::prefetch`] hint. Prefetch loads are **not**
-    /// misses: [`Self::hits`]` + `[`Self::misses`] keeps counting exactly
-    /// the pages delivered on demand, so hit-rate semantics are unchanged
-    /// by turning prefetching on.
+    /// Always 0: nothing loads pages ahead of demand. Kept, with
+    /// [`Self::prefetched_hits`], for callers that still report it.
     pub pages_prefetched: u64,
-    /// Demand hits served by a prefetched page that had not been
-    /// demand-hit before (each prefetched page counts at most once).
-    /// `prefetched_hits / pages_prefetched` is the useful-prefetch ratio;
-    /// the gap to `pages_prefetched` bounds wasted readahead.
+    /// Always 0; see [`Self::pages_prefetched`].
     pub prefetched_hits: u64,
 }
 
@@ -373,7 +336,22 @@ impl CacheStats {
 
     /// The per-field difference `self − earlier` (both monotone), for
     /// windowed measurements over a long-lived backend.
+    ///
+    /// # Panics
+    /// Panics — in **all** build profiles — if any field of `earlier`
+    /// exceeds `self`'s, as it does for a snapshot taken before
+    /// [`FileBackend::with_cache_blocks`] zeroed the counters. A wrapped
+    /// subtraction would otherwise report a huge count as a measurement.
     pub fn since(&self, earlier: CacheStats) -> CacheStats {
+        assert!(
+            self.hits >= earlier.hits
+                && self.misses >= earlier.misses
+                && self.evictions >= earlier.evictions
+                && self.pressure >= earlier.pressure
+                && self.pages_prefetched >= earlier.pages_prefetched
+                && self.prefetched_hits >= earlier.prefetched_hits,
+            "CacheStats::since with a later snapshot: {self:?} since {earlier:?}"
+        );
         CacheStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
@@ -417,10 +395,6 @@ struct Slot {
     key: u64,
     page: Vec<u32>,
     referenced: bool,
-    /// Loaded by a readahead worker and not demand-hit yet; cleared on
-    /// the first demand hit so each prefetched page is attributed as
-    /// useful at most once.
-    prefetched: bool,
 }
 
 #[derive(Debug, Default)]
@@ -445,7 +419,7 @@ impl CacheShard {
     /// Inserts a page (the shard must have capacity), clock-evicting if
     /// it is full. The victim's storage is overwritten in place, so a
     /// full shard allocates nothing.
-    fn insert(&mut self, key: u64, codes: &[u32], prefetched: bool) -> InsertOutcome {
+    fn insert(&mut self, key: u64, codes: &[u32]) -> InsertOutcome {
         let mut outcome = InsertOutcome::default();
         if self.slots.len() < self.cap {
             self.map.insert(key, self.slots.len());
@@ -453,7 +427,6 @@ impl CacheShard {
                 key,
                 page: codes.to_vec(),
                 referenced: true,
-                prefetched,
             });
             return outcome;
         }
@@ -471,7 +444,6 @@ impl CacheShard {
                 victim.page.clear();
                 victim.page.extend_from_slice(codes);
                 victim.referenced = true;
-                victim.prefetched = prefetched;
                 outcome.evicted = true;
                 return outcome;
             }
@@ -485,17 +457,12 @@ impl CacheShard {
 struct DemandTally {
     hits: u64,
     misses: u64,
-    prefetched_hits: u64,
 }
 
 impl DemandTally {
     fn add(&mut self, origin: PageOrigin) {
         match origin {
-            PageOrigin::CacheHit => self.hits += 1,
-            PageOrigin::PrefetchedHit => {
-                self.hits += 1;
-                self.prefetched_hits += 1;
-            }
+            PageOrigin::CacheHit | PageOrigin::PrefetchedHit => self.hits += 1,
             PageOrigin::CacheMiss => self.misses += 1,
             PageOrigin::Memory => {}
         }
@@ -506,55 +473,35 @@ impl DemandTally {
 #[derive(Debug)]
 struct BlockCache {
     shards: Vec<Mutex<CacheShard>>,
-    capacity: AtomicUsize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
     pressure: AtomicU64,
-    prefetched: AtomicU64,
-    prefetched_hits: AtomicU64,
 }
 
 impl BlockCache {
+    /// An empty cache bounded at `capacity_blocks` pages, distributed
+    /// exactly: the first `capacity % SHARDS` shards get one extra slot,
+    /// so the total bound is the requested one (a shard with capacity 0
+    /// simply never caches).
     fn new(capacity_blocks: usize) -> Self {
-        let cache = BlockCache {
-            shards: (0..CACHE_SHARDS).map(|_| Mutex::default()).collect(),
-            capacity: AtomicUsize::new(0),
+        assert!(capacity_blocks > 0, "cache capacity must be positive");
+        let cap_of =
+            |i| capacity_blocks / CACHE_SHARDS + usize::from(i < capacity_blocks % CACHE_SHARDS);
+        BlockCache {
+            shards: (0..CACHE_SHARDS)
+                .map(|i| {
+                    Mutex::new(CacheShard {
+                        cap: cap_of(i),
+                        ..CacheShard::default()
+                    })
+                })
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             pressure: AtomicU64::new(0),
-            prefetched: AtomicU64::new(0),
-            prefetched_hits: AtomicU64::new(0),
-        };
-        cache.reset(capacity_blocks);
-        cache
-    }
-
-    /// Drops every cached page, rebounds the cache at `capacity_blocks`
-    /// and zeroes the counters. Interior mutability (`&self`) because the
-    /// cache is shared with readahead workers through an `Arc`.
-    fn reset(&self, capacity_blocks: usize) {
-        assert!(capacity_blocks > 0, "cache capacity must be positive");
-        // Distribute the capacity exactly: the first `capacity % SHARDS`
-        // shards get one extra slot, so the total bound is the requested
-        // one (a shard with capacity 0 simply never caches).
-        for (i, shard) in self.shards.iter().enumerate() {
-            let cap =
-                capacity_blocks / CACHE_SHARDS + usize::from(i < capacity_blocks % CACHE_SHARDS);
-            let mut guard = shard.lock().unwrap();
-            *guard = CacheShard {
-                cap,
-                ..CacheShard::default()
-            };
         }
-        self.capacity.store(capacity_blocks, Ordering::Relaxed);
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.pressure.store(0, Ordering::Relaxed);
-        self.prefetched.store(0, Ordering::Relaxed);
-        self.prefetched_hits.store(0, Ordering::Relaxed);
     }
 
     /// Consecutive block ids land in different shards, so the engine's
@@ -564,50 +511,30 @@ impl BlockCache {
     }
 
     /// Demand probe: copies the cached page for `key` into `dest` (which
-    /// must be exactly the page's length) and says whether this was the
-    /// page's first demand hit since a readahead worker loaded it.
-    /// `None` on a miss.
-    fn copy_out(&self, key: u64, dest: &mut [u32]) -> Option<PageOrigin> {
+    /// must be exactly the page's length). `false` on a miss.
+    fn copy_out(&self, key: u64, dest: &mut [u32]) -> bool {
         let shard = self.shard_of(key);
         let mut guard = shard.lock().unwrap();
-        let i = *guard.map.get(&key)?;
+        let Some(&i) = guard.map.get(&key) else {
+            return false;
+        };
         let slot = &mut guard.slots[i];
         slot.referenced = true;
         dest.copy_from_slice(&slot.page);
-        Some(if std::mem::take(&mut slot.prefetched) {
-            PageOrigin::PrefetchedHit
-        } else {
-            PageOrigin::CacheHit
-        })
-    }
-
-    /// Readahead probe: would loading the page for `key` add anything?
-    fn lacks(&self, key: u64) -> bool {
-        let shard = self.shard_of(key);
-        let guard = shard.lock().unwrap();
-        guard.cap > 0 && !guard.map.contains_key(&key)
+        true
     }
 
     /// Caches a verified page unless it is already present. The page was
-    /// fetched with the shard lock released, so two racing loaders of one
+    /// fetched with the shard lock released, so two racing readers of one
     /// page may both have hit the disk; that is benign — whoever arrives
-    /// second finds the key and leaves it (a demand-loaded page is never
-    /// re-flagged prefetched, a prefetched one stays so).
-    fn fill(&self, key: u64, codes: &[u32], prefetched: bool) {
+    /// second finds the key and leaves it.
+    fn fill(&self, key: u64, codes: &[u32]) {
         let shard = self.shard_of(key);
         let mut guard = shard.lock().unwrap();
         if guard.cap == 0 || guard.map.contains_key(&key) {
             return;
         }
-        let outcome = guard.insert(key, codes, prefetched);
-        if prefetched {
-            // Count the page BEFORE releasing the shard lock: a demand
-            // hit on this page can only happen after acquiring the same
-            // lock, so its `prefetched_hits` increment is ordered after
-            // this one — `prefetched_hits <= pages_prefetched` holds for
-            // any observer synchronized with a hit.
-            self.prefetched.fetch_add(1, Ordering::Relaxed);
-        }
+        let outcome = guard.insert(key, codes);
         drop(guard);
         if outcome.evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -619,11 +546,7 @@ impl BlockCache {
     }
 
     fn record_demand(&self, tally: DemandTally) {
-        for (counter, n) in [
-            (&self.hits, tally.hits),
-            (&self.misses, tally.misses),
-            (&self.prefetched_hits, tally.prefetched_hits),
-        ] {
+        for (counter, n) in [(&self.hits, tally.hits), (&self.misses, tally.misses)] {
             if n > 0 {
                 counter.fetch_add(n, Ordering::Relaxed);
             }
@@ -636,8 +559,8 @@ impl BlockCache {
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
             pressure: self.pressure.load(Ordering::Relaxed),
-            pages_prefetched: self.prefetched.load(Ordering::Relaxed),
-            prefetched_hits: self.prefetched_hits.load(Ordering::Relaxed),
+            pages_prefetched: 0,
+            prefetched_hits: 0,
         }
     }
 }
@@ -723,12 +646,19 @@ thread_local! {
     static SCRATCH: RefCell<Scratch> = RefCell::default();
 }
 
-/// The shared, immutable heart of a [`FileBackend`]: everything both the
-/// demand read path and the readahead workers need. Lives behind an
-/// `Arc` so the workers (plain `std::thread`s, which need `'static`
-/// captures) can outlive any particular borrow of the backend.
+/// The cache key of one attribute page.
+fn page_key(attr: usize, b: usize) -> u64 {
+    ((attr as u64) << 32) | b as u64
+}
+
+/// A read-only [`StorageBackend`] over a block file written by
+/// [`write_table`], with a bounded block cache (see the
+/// [module docs](self)).
+///
+/// Cloning is not supported; share one backend across threads by
+/// reference (all methods take `&self`).
 #[derive(Debug)]
-struct FileInner {
+pub struct FileBackend {
     file: PageFile,
     schema: Schema,
     layout: BlockLayout,
@@ -737,36 +667,136 @@ struct FileInner {
     /// Bytes of one attribute's page region.
     attr_stride: u64,
     cache: BlockCache,
-    /// Simulated extra latency per page *fetched from the medium*, in
-    /// nanoseconds (0 = off). Unlike the reader-side
-    /// [`crate::io::BlockReader::with_simulated_latency`] (which charges
-    /// every block access), this models a slow storage medium: cache
-    /// hits skip it, and readahead workers absorb it in the background —
-    /// exactly the cost structure prefetching exists to hide, so
-    /// experiments can reproduce disk-like regimes on a page-cached
-    /// file. A span of `n` pages fetched by one read is charged `n`
-    /// times, so figures stay comparable with the page-at-a-time reader
-    /// they were first drawn with. Implemented as a blocking `sleep`,
-    /// like real I/O: the core is released, not burned.
-    medium_latency_ns: AtomicU64,
 }
 
-impl FileInner {
+impl FileBackend {
+    /// Opens a block file, validating its header and overall geometry,
+    /// with the default cache capacity ([`DEFAULT_CACHE_BLOCKS`]).
+    pub fn open(path: &Path) -> Result<Self> {
+        let mut file = File::open(path)?;
+        let mut header = vec![0u8; 8 + 4 + 8 + 4];
+        file.read_exact(&mut header)
+            .map_err(|_| StoreError::Format("truncated header".into()))?;
+        if &header[..8] != MAGIC {
+            return Err(StoreError::Format("bad magic".into()));
+        }
+        let tuples_per_block = le_u32(&header[8..]) as usize;
+        let n_rows = le_u64(&header[12..]);
+        let n_attrs = le_u32(&header[20..]) as usize;
+        if tuples_per_block == 0 {
+            return Err(StoreError::Format("zero block size".into()));
+        }
+        if n_attrs == 0 || n_attrs > u16::MAX as usize {
+            return Err(StoreError::Format(format!(
+                "implausible attr count {n_attrs}"
+            )));
+        }
+        if n_rows > u32::MAX as u64 * tuples_per_block as u64 {
+            return Err(StoreError::Format("row count overflows block ids".into()));
+        }
+        let mut attrs = Vec::with_capacity(n_attrs);
+        for _ in 0..n_attrs {
+            let mut len_buf = [0u8; 2];
+            file.read_exact(&mut len_buf)
+                .map_err(|_| StoreError::Format("truncated attribute table".into()))?;
+            header.extend_from_slice(&len_buf);
+            let name_len = u16::from_le_bytes(len_buf) as usize;
+            let mut rest = vec![0u8; name_len + 4];
+            file.read_exact(&mut rest)
+                .map_err(|_| StoreError::Format("truncated attribute table".into()))?;
+            header.extend_from_slice(&rest);
+            let name = std::str::from_utf8(&rest[..name_len])
+                .map_err(|_| StoreError::Format("attribute name is not UTF-8".into()))?
+                .to_string();
+            let cardinality = le_u32(&rest[name_len..]);
+            attrs.push(AttrDef::new(name, cardinality));
+        }
+        let mut ck_buf = [0u8; 8];
+        file.read_exact(&mut ck_buf)
+            .map_err(|_| StoreError::Format("truncated header checksum".into()))?;
+        let stored = u64::from_le_bytes(ck_buf);
+        let computed = fnv1a64(FNV_BASIS, &header);
+        if stored != computed {
+            return Err(StoreError::Format(format!(
+                "header checksum mismatch (stored {stored:#x}, computed {computed:#x})"
+            )));
+        }
+        let data_off = header.len() as u64 + 8;
+        let layout = BlockLayout::new(n_rows as usize, tuples_per_block);
+        let nb = layout.num_blocks() as u64;
+        // Checked arithmetic throughout: these values come from the file,
+        // and a crafted header must yield a Format error, not an
+        // overflow panic.
+        let attr_stride = n_rows
+            .checked_mul(4)
+            .and_then(|codes| codes.checked_add(nb.checked_mul(PAGE_CHECKSUM_BYTES as u64)?))
+            .ok_or_else(|| StoreError::Format("geometry overflows u64".into()))?;
+        let expected_len = (n_attrs as u64)
+            .checked_mul(attr_stride)
+            .and_then(|pages| pages.checked_add(data_off))
+            .ok_or_else(|| StoreError::Format("geometry overflows u64".into()))?;
+        let actual_len = file.metadata()?.len();
+        if actual_len != expected_len {
+            return Err(StoreError::Format(format!(
+                "file is {actual_len} bytes, geometry requires {expected_len}"
+            )));
+        }
+        Ok(FileBackend {
+            file: PageFile::new(file),
+            schema: Schema::new(attrs),
+            layout,
+            data_off,
+            attr_stride,
+            cache: BlockCache::new(DEFAULT_CACHE_BLOCKS),
+        })
+    }
+
+    /// Writes `table` to `path` and opens it — the one-call persistence
+    /// path used by preprocessing pipelines.
+    pub fn create(path: &Path, table: &Table, tuples_per_block: usize) -> Result<Self> {
+        write_table(path, table, tuples_per_block)?;
+        Self::open(path)
+    }
+
+    /// Rebounds the block cache at `capacity_blocks` pages, dropping
+    /// every cached page and resetting cache statistics.
+    pub fn with_cache_blocks(mut self, capacity_blocks: usize) -> Self {
+        self.cache = BlockCache::new(capacity_blocks);
+        self
+    }
+
+    /// Cache hit/miss/eviction counters since creation (or the last
+    /// [`Self::with_cache_blocks`]).
+    pub fn cache_stats(&self) -> CacheStats {
+        self.cache.stats()
+    }
+
     fn code_bytes(&self, b: usize) -> usize {
         self.layout.block_len(b) * 4
     }
 
-    /// Fetches the pages of `attr` in `blocks` that `lacks(i, b)` (`i`
+    fn check_request(&self, attrs: &[usize], blocks: &Range<usize>) {
+        for &attr in attrs {
+            assert!(attr < self.schema.len(), "attribute {attr} out of range");
+        }
+        assert!(
+            blocks.end <= self.layout.num_blocks(),
+            "block {} out of range",
+            blocks.end.saturating_sub(1)
+        );
+    }
+
+    /// Fetches the pages of `attr` in `blocks` that `uncached(i, b)` (`i`
     /// counting from the range's start) says are wanted — one positioned
     /// read per maximal span of wanted pages — appending them to
     /// `scratch`.
-    fn fetch_lacking(
+    fn fetch_uncached(
         &self,
         scratch: &mut Scratch,
         lane: usize,
         attr: usize,
         blocks: Range<usize>,
-        mut lacks: impl FnMut(usize, usize) -> bool,
+        mut uncached: impl FnMut(usize, usize) -> bool,
     ) -> std::io::Result<()> {
         let stride = page_stride(self.layout.tuples_per_block());
         let mut fetch = |span: Range<usize>| {
@@ -778,10 +808,6 @@ impl FileInner {
             }
             let file_off =
                 self.data_off + attr as u64 * self.attr_stride + (span.start * stride) as u64;
-            let latency = self.medium_latency_ns.load(Ordering::Relaxed);
-            if latency > 0 {
-                std::thread::sleep(Duration::from_nanos(latency * span.len() as u64));
-            }
             self.file
                 .read_exact_at(&mut scratch.bytes[at..at + len], file_off)?;
             scratch.used += len;
@@ -797,7 +823,7 @@ impl FileInner {
         };
         let mut span_start = None;
         for (i, b) in blocks.clone().enumerate() {
-            if lacks(i, b) {
+            if uncached(i, b) {
                 span_start.get_or_insert(b);
             } else if let Some(s) = span_start.take() {
                 fetch(s..b)?;
@@ -878,345 +904,28 @@ impl FileInner {
             for (lane, &attr) in attrs.iter().enumerate() {
                 let out = &mut *outs[lane];
                 out.resize(codes, 0);
-                self.fetch_lacking(scratch, lane, attr, blocks.clone(), |i, b| {
+                self.fetch_uncached(scratch, lane, attr, blocks.clone(), |i, b| {
                     let dest = &mut out[i * tpb..][..self.layout.block_len(b)];
                     let hit = self.cache.copy_out(page_key(attr, b), dest);
-                    origins[i][lane] = hit.unwrap_or(PageOrigin::CacheMiss);
-                    hit.is_none()
+                    origins[i][lane] = if hit {
+                        PageOrigin::CacheHit
+                    } else {
+                        PageOrigin::CacheMiss
+                    };
+                    !hit
                 })
                 .map_err(|e| (0, e.into()))?;
             }
             let bad = self.verify_fetched(scratch, |p, bytes| {
                 let dest = &mut outs[p.lane][(p.block - blocks.start) * tpb..][..bytes.len() / 4];
                 decode_codes(bytes, dest);
-                self.cache.fill(page_key(p.attr, p.block), dest, false);
+                self.cache.fill(page_key(p.attr, p.block), dest);
             });
             match bad {
                 None => Ok(()),
                 Some((block, e)) => Err((block - blocks.start, e)),
             }
         })
-    }
-
-    /// Warms the cache with the pages of `hint` it lacks, a chunk at a
-    /// time (steps 2–4 of the chunk read path, into cache slots instead
-    /// of a caller's buffers). Failures are deliberately swallowed: a
-    /// prefetch must never take a backend down, and a corrupt page will
-    /// surface — as the proper [`StoreError::Corrupt`] — on the demand
-    /// read that needs it.
-    fn readahead(&self, hint: &Hint, codes: &mut Vec<u32>) {
-        for b0 in hint.blocks.clone().step_by(RUN_CHUNK_BLOCKS) {
-            let chunk = b0..(b0 + RUN_CHUNK_BLOCKS).min(hint.blocks.end);
-            SCRATCH.with_borrow_mut(|scratch| {
-                scratch.start_chunk();
-                for attr in hint.attrs.clone() {
-                    let fetched = self.fetch_lacking(scratch, 0, attr, chunk.clone(), |_, b| {
-                        self.cache.lacks(page_key(attr, b))
-                    });
-                    if fetched.is_err() {
-                        return;
-                    }
-                }
-                self.verify_fetched(scratch, |p, bytes| {
-                    codes.resize(bytes.len() / 4, 0);
-                    decode_codes(bytes, codes);
-                    self.cache.fill(page_key(p.attr, p.block), codes, true);
-                });
-            });
-        }
-    }
-}
-
-/// The cache key of one attribute page.
-fn page_key(attr: usize, b: usize) -> u64 {
-    ((attr as u64) << 32) | b as u64
-}
-
-/// One readahead request: the pages of attributes `attrs` over `blocks`.
-#[derive(Debug, Clone)]
-struct Hint {
-    blocks: Range<usize>,
-    attrs: Range<usize>,
-}
-
-/// Hint queue between the demand path (and [`StorageBackend::prefetch`]
-/// callers) and the readahead workers: bounded FIFO of hints plus a
-/// shutdown flag.
-#[derive(Debug)]
-struct PrefetchQueue {
-    state: Mutex<PrefetchState>,
-    cv: Condvar,
-}
-
-#[derive(Debug)]
-struct PrefetchState {
-    hints: VecDeque<Hint>,
-    shutdown: bool,
-}
-
-impl PrefetchQueue {
-    fn new() -> Self {
-        PrefetchQueue {
-            state: Mutex::new(PrefetchState {
-                hints: VecDeque::new(),
-                shutdown: false,
-            }),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Enqueues a hint, dropping the oldest one under backlog (hints are
-    /// advisory; see [`PREFETCH_QUEUE_HINTS`]).
-    fn push(&self, hint: Hint) {
-        let mut s = self.state.lock().unwrap();
-        if s.shutdown {
-            return;
-        }
-        if s.hints.len() >= PREFETCH_QUEUE_HINTS {
-            s.hints.pop_front();
-        }
-        s.hints.push_back(hint);
-        drop(s);
-        self.cv.notify_one();
-    }
-
-    /// Blocks for the next hint; `None` once shutdown is requested.
-    fn pop(&self) -> Option<Hint> {
-        let mut s = self.state.lock().unwrap();
-        loop {
-            if s.shutdown {
-                return None;
-            }
-            if let Some(h) = s.hints.pop_front() {
-                return Some(h);
-            }
-            s = self.cv.wait(s).unwrap();
-        }
-    }
-
-    /// Requests shutdown: pending hints are abandoned and all workers
-    /// wake to exit (each finishes at most its current hint).
-    ///
-    /// Poison-tolerant: this runs from [`FileBackend`]'s `Drop`, so if
-    /// a readahead worker ever panicked while holding the lock, an
-    /// `unwrap` here would panic *inside drop* — a double panic and
-    /// process abort when the backend is dropped during an unwind. A
-    /// poisoned hint queue is still safe to tear down: the flag and
-    /// queue are plain data.
-    fn shutdown(&self) {
-        let mut s = match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        };
-        s.shutdown = true;
-        s.hints.clear();
-        drop(s);
-        self.cv.notify_all();
-    }
-}
-
-/// The running readahead pool of one backend.
-#[derive(Debug)]
-struct PrefetchPool {
-    queue: Arc<PrefetchQueue>,
-    workers: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl PrefetchPool {
-    fn spawn(inner: &Arc<FileInner>, workers: usize) -> Self {
-        let queue = Arc::new(PrefetchQueue::new());
-        let handles = (0..workers)
-            .map(|_| {
-                let inner = Arc::clone(inner);
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    let mut codes = Vec::new();
-                    while let Some(hint) = queue.pop() {
-                        inner.readahead(&hint, &mut codes);
-                    }
-                })
-            })
-            .collect();
-        PrefetchPool {
-            queue,
-            workers: handles,
-        }
-    }
-
-    fn shutdown(&mut self) {
-        self.queue.shutdown();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-/// A read-only [`StorageBackend`] over a block file written by
-/// [`write_table`], with a bounded block cache and a demand-exact
-/// readahead pool (see the [module docs](self)).
-///
-/// Cloning is not supported; share one backend across threads by
-/// reference (all methods take `&self`).
-#[derive(Debug)]
-pub struct FileBackend {
-    inner: Arc<FileInner>,
-    /// `None` when prefetching is disabled
-    /// ([`Self::with_prefetch_workers`]`(0)`).
-    prefetch: Option<PrefetchPool>,
-}
-
-impl Drop for FileBackend {
-    fn drop(&mut self) {
-        if let Some(pool) = &mut self.prefetch {
-            pool.shutdown();
-        }
-    }
-}
-
-impl FileBackend {
-    /// Opens a block file, validating its header and overall geometry,
-    /// with the default cache capacity ([`DEFAULT_CACHE_BLOCKS`]) and
-    /// readahead pool ([`DEFAULT_PREFETCH_WORKERS`]).
-    pub fn open(path: &Path) -> Result<Self> {
-        let mut file = File::open(path)?;
-        let mut header = vec![0u8; 8 + 4 + 8 + 4];
-        file.read_exact(&mut header)
-            .map_err(|_| StoreError::Format("truncated header".into()))?;
-        if &header[..8] != MAGIC {
-            return Err(StoreError::Format("bad magic".into()));
-        }
-        let tuples_per_block = le_u32(&header[8..]) as usize;
-        let n_rows = le_u64(&header[12..]);
-        let n_attrs = le_u32(&header[20..]) as usize;
-        if tuples_per_block == 0 {
-            return Err(StoreError::Format("zero block size".into()));
-        }
-        if n_attrs == 0 || n_attrs > u16::MAX as usize {
-            return Err(StoreError::Format(format!(
-                "implausible attr count {n_attrs}"
-            )));
-        }
-        if n_rows > u32::MAX as u64 * tuples_per_block as u64 {
-            return Err(StoreError::Format("row count overflows block ids".into()));
-        }
-        let mut attrs = Vec::with_capacity(n_attrs);
-        for _ in 0..n_attrs {
-            let mut len_buf = [0u8; 2];
-            file.read_exact(&mut len_buf)
-                .map_err(|_| StoreError::Format("truncated attribute table".into()))?;
-            header.extend_from_slice(&len_buf);
-            let name_len = u16::from_le_bytes(len_buf) as usize;
-            let mut rest = vec![0u8; name_len + 4];
-            file.read_exact(&mut rest)
-                .map_err(|_| StoreError::Format("truncated attribute table".into()))?;
-            header.extend_from_slice(&rest);
-            let name = std::str::from_utf8(&rest[..name_len])
-                .map_err(|_| StoreError::Format("attribute name is not UTF-8".into()))?
-                .to_string();
-            let cardinality = le_u32(&rest[name_len..]);
-            attrs.push(AttrDef::new(name, cardinality));
-        }
-        let mut ck_buf = [0u8; 8];
-        file.read_exact(&mut ck_buf)
-            .map_err(|_| StoreError::Format("truncated header checksum".into()))?;
-        let stored = u64::from_le_bytes(ck_buf);
-        let computed = fnv1a64(FNV_BASIS, &header);
-        if stored != computed {
-            return Err(StoreError::Format(format!(
-                "header checksum mismatch (stored {stored:#x}, computed {computed:#x})"
-            )));
-        }
-        let data_off = header.len() as u64 + 8;
-        let layout = BlockLayout::new(n_rows as usize, tuples_per_block);
-        let nb = layout.num_blocks() as u64;
-        // Checked arithmetic throughout: these values come from the file,
-        // and a crafted header must yield a Format error, not an
-        // overflow panic.
-        let attr_stride = n_rows
-            .checked_mul(4)
-            .and_then(|codes| codes.checked_add(nb.checked_mul(PAGE_CHECKSUM_BYTES as u64)?))
-            .ok_or_else(|| StoreError::Format("geometry overflows u64".into()))?;
-        let expected_len = (n_attrs as u64)
-            .checked_mul(attr_stride)
-            .and_then(|pages| pages.checked_add(data_off))
-            .ok_or_else(|| StoreError::Format("geometry overflows u64".into()))?;
-        let actual_len = file.metadata()?.len();
-        if actual_len != expected_len {
-            return Err(StoreError::Format(format!(
-                "file is {actual_len} bytes, geometry requires {expected_len}"
-            )));
-        }
-        let inner = Arc::new(FileInner {
-            file: PageFile::new(file),
-            schema: Schema::new(attrs),
-            layout,
-            data_off,
-            attr_stride,
-            cache: BlockCache::new(DEFAULT_CACHE_BLOCKS),
-            medium_latency_ns: AtomicU64::new(0),
-        });
-        let prefetch = (DEFAULT_PREFETCH_WORKERS > 0)
-            .then(|| PrefetchPool::spawn(&inner, DEFAULT_PREFETCH_WORKERS));
-        Ok(FileBackend { inner, prefetch })
-    }
-
-    /// Writes `table` to `path` and opens it — the one-call persistence
-    /// path used by preprocessing pipelines.
-    pub fn create(path: &Path, table: &Table, tuples_per_block: usize) -> Result<Self> {
-        write_table(path, table, tuples_per_block)?;
-        Self::open(path)
-    }
-
-    /// Rebounds the block cache at `capacity_blocks` pages, dropping
-    /// every cached page and resetting cache statistics.
-    pub fn with_cache_blocks(self, capacity_blocks: usize) -> Self {
-        self.inner.cache.reset(capacity_blocks);
-        self
-    }
-
-    /// Sets a simulated per-page *medium* latency in nanoseconds: every
-    /// page fetched from the file — demand miss or readahead — blocks
-    /// (sleeps, releasing the core, like real I/O) this long before
-    /// reading; cache hits pay nothing. Unlike the reader-side
-    /// [`crate::io::BlockReader::with_simulated_latency`] this models a
-    /// slow *medium*, which is exactly the cost prefetching can hide —
-    /// use it to reproduce disk-like regimes on a page-cached file. It is
-    /// also what tells run reads to read ahead of themselves (see the
-    /// [module docs](self)). `0` turns it off.
-    pub fn with_simulated_medium_latency_ns(self, ns: u64) -> Self {
-        self.inner.medium_latency_ns.store(ns, Ordering::Relaxed);
-        self
-    }
-
-    /// Resizes the readahead pool to `workers` background threads
-    /// (`0` disables prefetching entirely: hints are dropped at the
-    /// backend boundary). The default is [`DEFAULT_PREFETCH_WORKERS`].
-    pub fn with_prefetch_workers(mut self, workers: usize) -> Self {
-        if let Some(pool) = &mut self.prefetch {
-            pool.shutdown();
-        }
-        self.prefetch = (workers > 0).then(|| PrefetchPool::spawn(&self.inner, workers));
-        self
-    }
-
-    /// Cache hit/miss/eviction/prefetch counters since creation (or the
-    /// last [`Self::with_cache_blocks`]).
-    pub fn cache_stats(&self) -> CacheStats {
-        self.inner.cache.stats()
-    }
-
-    fn check_request(&self, attrs: &[usize], blocks: &Range<usize>) {
-        for &attr in attrs {
-            assert!(
-                attr < self.inner.schema.len(),
-                "attribute {attr} out of range"
-            );
-        }
-        assert!(
-            blocks.end <= self.inner.layout.num_blocks(),
-            "block {} out of range",
-            blocks.end.saturating_sub(1)
-        );
     }
 
     /// The per-block read path: a chunk of one block, its `A` pages
@@ -1229,44 +938,22 @@ impl FileBackend {
     ) -> Result<[PageOrigin; A]> {
         self.check_request(&attrs, &(b..b + 1));
         let mut origins = [[PageOrigin::CacheMiss; A]];
-        self.inner
-            .load_chunk(attrs, b..b + 1, outs, &mut origins)
+        self.load_chunk(attrs, b..b + 1, outs, &mut origins)
             .map_err(|(_, e)| e)?;
         let mut tally = DemandTally::default();
         origins[0].iter().for_each(|&o| tally.add(o));
-        self.inner.cache.record_demand(tally);
+        self.cache.record_demand(tally);
         Ok(origins[0])
-    }
-
-    /// A run is its own hint: `rest` is what remains of a run after the
-    /// chunk being served, and its head — one chunk, but never more
-    /// pages than a quarter of the cache, so readahead cannot evict what
-    /// it or the demand path just loaded — goes to the pool, one hint
-    /// per attribute so two workers can share it.
-    fn hint_next_chunk(&self, rest: Range<usize>, attrs: [usize; 2]) {
-        let Some(pool) = &self.prefetch else {
-            return;
-        };
-        let quarter_cache = self.inner.cache.capacity.load(Ordering::Relaxed) / 4;
-        let blocks = rest.len().min(RUN_CHUNK_BLOCKS).min(quarter_cache / 2);
-        if blocks > 0 {
-            for attr in attrs {
-                pool.queue.push(Hint {
-                    blocks: rest.start..rest.start + blocks,
-                    attrs: attr..attr + 1,
-                });
-            }
-        }
     }
 }
 
 impl StorageBackend for FileBackend {
     fn schema(&self) -> &Schema {
-        &self.inner.schema
+        &self.schema
     }
 
     fn layout(&self) -> BlockLayout {
-        self.inner.layout
+        self.layout
     }
 
     fn read_block_into(&self, b: usize, attr: usize, out: &mut Vec<u32>) -> Result<PageOrigin> {
@@ -1294,34 +981,22 @@ impl StorageBackend for FileBackend {
         xs: &mut Vec<u32>,
         visit: &mut BlockVisitor<'_>,
     ) -> Result<bool> {
-        let inner = &*self.inner;
         let attrs = [z_attr, x_attr];
         self.check_request(&attrs, &blocks);
-        let tpb = inner.layout.tuples_per_block();
+        let tpb = self.layout.tuples_per_block();
         let mut origins = [[PageOrigin::CacheMiss; 2]; RUN_CHUNK_BLOCKS];
         for first in blocks.clone().step_by(RUN_CHUNK_BLOCKS) {
             let chunk = first..(first + RUN_CHUNK_BLOCKS).min(blocks.end);
             let outs = [&mut *zs, &mut *xs];
-            let loaded = inner.load_chunk(attrs, chunk.clone(), outs, &mut origins);
+            let loaded = self.load_chunk(attrs, chunk.clone(), outs, &mut origins);
             let intact = match &loaded {
                 Ok(()) => chunk.len(),
                 Err((intact, _)) => *intact,
             };
-            // A run is its own hint — when the medium has latency to hide
-            // and the cache did not already hold the chunk. Both are
-            // facts, not measurements: the same run hints the same chunks
-            // every time (see the module docs).
-            let resident = origins[..intact]
-                .iter()
-                .flatten()
-                .all(|&o| o == PageOrigin::CacheHit);
-            if loaded.is_ok() && !resident && inner.medium_latency_ns.load(Ordering::Relaxed) > 0 {
-                self.hint_next_chunk(chunk.end..blocks.end, attrs);
-            }
             let mut tally = DemandTally::default();
             let mut stopped = false;
             for (i, b) in (first..first + intact).enumerate() {
-                let rows = i * tpb..i * tpb + inner.layout.block_len(b);
+                let rows = i * tpb..i * tpb + self.layout.block_len(b);
                 tally.add(origins[i][0]);
                 tally.add(origins[i][1]);
                 if !visit(b, &zs[rows.clone()], &xs[rows], origins[i]) {
@@ -1329,7 +1004,7 @@ impl StorageBackend for FileBackend {
                     break;
                 }
             }
-            inner.cache.record_demand(tally);
+            self.cache.record_demand(tally);
             if stopped {
                 return Ok(false);
             }
@@ -1339,22 +1014,6 @@ impl StorageBackend for FileBackend {
         }
         Ok(true)
     }
-
-    fn prefetch(&self, blocks: Range<usize>) {
-        let Some(pool) = &self.prefetch else {
-            return;
-        };
-        // Clamp rather than assert: hints are advisory and may be
-        // computed from slightly stale state.
-        let nb = self.inner.layout.num_blocks();
-        let clamped = blocks.start.min(nb)..blocks.end.min(nb);
-        if !clamped.is_empty() {
-            pool.queue.push(Hint {
-                blocks: clamped,
-                attrs: 0..self.inner.schema.len(),
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1362,7 +1021,6 @@ mod tests {
     use super::*;
     use std::path::PathBuf;
     use std::sync::atomic::AtomicUsize;
-    use std::time::Instant;
 
     static UNIQ: AtomicUsize = AtomicUsize::new(0);
 
@@ -1380,28 +1038,6 @@ mod tests {
         let z: Vec<u32> = (0..rows as u32).map(|r| r.wrapping_mul(13) % 7).collect();
         let x: Vec<u32> = (0..rows as u32).map(|r| r.wrapping_mul(5) % 3).collect();
         Table::new(schema, vec![z, x])
-    }
-
-    #[test]
-    fn prefetch_queue_shutdown_survives_poison() {
-        // Poison the hint-queue mutex the way a panicking readahead
-        // worker would, then shut down: this path runs from
-        // `FileBackend::drop`, where a second panic aborts the process.
-        let q = Arc::new(PrefetchQueue::new());
-        let q2 = Arc::clone(&q);
-        let worker = std::thread::spawn(move || {
-            let _guard = q2.state.lock().unwrap();
-            panic!("simulated readahead worker panic");
-        });
-        assert!(worker.join().is_err(), "worker must poison the lock");
-        assert!(q.state.is_poisoned());
-        q.shutdown();
-        let s = match q.state.lock() {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        };
-        assert!(s.shutdown, "shutdown flag must be set despite poison");
-        assert!(s.hints.is_empty());
     }
 
     #[test]
@@ -1527,6 +1163,27 @@ mod tests {
         std::fs::remove_file(&path).unwrap();
     }
 
+    /// Rebounding the cache zeroes its counters, so a snapshot taken
+    /// before the rebound is *later* than every one taken after it. The
+    /// guard must fire in every build profile: CI also runs this test
+    /// with `--release`, where a wrapped subtraction would otherwise
+    /// hand a caller a count near 2^64.
+    #[test]
+    #[should_panic(expected = "CacheStats::since with a later snapshot")]
+    fn cache_stats_since_panics_on_misordered_snapshots_in_all_builds() {
+        let t = table(80);
+        let path = tmp_path("since");
+        write_table(&path, &t, 8).unwrap();
+        let be = FileBackend::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let mut buf = Vec::new();
+        be.read_block_into(0, 0, &mut buf).unwrap();
+        let before = be.cache_stats();
+        assert_eq!(before.misses, 1);
+        let be = be.with_cache_blocks(16);
+        let _ = be.cache_stats().since(before);
+    }
+
     #[test]
     fn concurrent_readers_see_consistent_pages() {
         let t = table(256);
@@ -1573,122 +1230,6 @@ mod tests {
             FileBackend::open(&path),
             Err(StoreError::Format(_))
         ));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    /// Polls until the backend's prefetched-page counter reaches `want`
-    /// (readahead is asynchronous; generous timeout, fails loudly).
-    fn wait_for_prefetched(be: &FileBackend, want: u64) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while be.cache_stats().pages_prefetched < want {
-            assert!(
-                Instant::now() < deadline,
-                "prefetcher stalled: {} of {want} pages after 10s",
-                be.cache_stats().pages_prefetched
-            );
-            std::thread::sleep(Duration::from_millis(1));
-        }
-    }
-
-    #[test]
-    fn prefetch_warms_cache_and_attributes_first_hits() {
-        let t = table(160); // 20 blocks of 8 per attr
-        let path = tmp_path("prefetch");
-        let be = FileBackend::create(&path, &t, 8).unwrap();
-        let nb = be.layout().num_blocks();
-        be.prefetch(0..nb);
-        wait_for_prefetched(&be, 2 * nb as u64);
-        let s = be.cache_stats();
-        assert_eq!(s.pages_prefetched, 2 * nb as u64);
-        assert_eq!(s.misses, 0, "prefetch loads must not count as misses");
-        assert_eq!(s.hits, 0, "prefetch loads must not count as hits");
-
-        // Every demand read is now a first hit on a prefetched page…
-        let mut buf = Vec::new();
-        for b in 0..nb {
-            let origin = be.read_block_into(b, 0, &mut buf).unwrap();
-            assert_eq!(origin, PageOrigin::PrefetchedHit, "block {b}");
-            assert_eq!(buf.as_slice(), &t.column(0)[be.layout().rows_of_block(b)]);
-        }
-        // …and a re-read is an ordinary cache hit (one attribution each).
-        let origin = be.read_block_into(0, 0, &mut buf).unwrap();
-        assert_eq!(origin, PageOrigin::CacheHit);
-        let s = be.cache_stats();
-        assert_eq!(s.prefetched_hits, nb as u64);
-        assert_eq!(s.hits, nb as u64 + 1);
-        assert_eq!(s.misses, 0);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn disabled_prefetch_drops_hints() {
-        let t = table(80);
-        let path = tmp_path("noprefetch");
-        let be = FileBackend::create(&path, &t, 8)
-            .unwrap()
-            .with_prefetch_workers(0);
-        be.prefetch(0..be.layout().num_blocks());
-        std::thread::sleep(Duration::from_millis(20));
-        assert_eq!(be.cache_stats().pages_prefetched, 0);
-        let mut buf = Vec::new();
-        let origin = be.read_block_into(0, 0, &mut buf).unwrap();
-        assert_eq!(origin, PageOrigin::CacheMiss);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn cold_run_over_a_memory_speed_medium_leaves_the_pool_asleep() {
-        // No declared medium latency: a run hints nothing, however cold
-        // the cache (the latency case is `page_verification`'s
-        // `a_run_reads_ahead_of_itself_…`).
-        let nb = 3 * RUN_CHUNK_BLOCKS + 5;
-        let t = table(nb * 8);
-        let path = tmp_path("coldrun");
-        let be = FileBackend::create(&path, &t, 8).unwrap();
-        let (mut zs, mut xs) = (Vec::new(), Vec::new());
-        let done = be
-            .read_run_pair_into(0..nb, 0, 1, &mut zs, &mut xs, &mut |b, _, _, origins| {
-                assert_eq!(origins, [PageOrigin::CacheMiss; 2], "block {b}");
-                true
-            })
-            .unwrap();
-        assert!(done);
-        std::thread::sleep(Duration::from_millis(20));
-        let s = be.cache_stats();
-        assert_eq!((s.pages_prefetched, s.misses), (0, 2 * nb as u64));
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn out_of_range_hints_are_clamped_not_fatal() {
-        let t = table(80); // 10 blocks
-        let path = tmp_path("clamphint");
-        let be = FileBackend::create(&path, &t, 8).unwrap();
-        let nb = be.layout().num_blocks();
-        be.prefetch(nb..nb + 100); // entirely out of range: dropped
-        be.prefetch(nb - 2..nb + 5); // clamped to the last two blocks
-        wait_for_prefetched(&be, 4);
-        assert_eq!(be.cache_stats().pages_prefetched, 4);
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn prefetch_of_corrupt_page_is_silent_and_demand_read_reports_it() {
-        let t = table(64);
-        let path = tmp_path("prefetch_corrupt");
-        write_table(&path, &t, 8).unwrap();
-        let mut bytes = std::fs::read(&path).unwrap();
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0xff; // damage the very last page (attr 1)
-        std::fs::write(&path, &bytes).unwrap();
-        let be = FileBackend::open(&path).unwrap();
-        let nb = be.layout().num_blocks();
-        be.prefetch(0..nb);
-        // The healthy pages arrive; the damaged one is silently skipped.
-        wait_for_prefetched(&be, 2 * nb as u64 - 1);
-        let mut buf = Vec::new();
-        let err = be.read_block_into(nb - 1, 1, &mut buf).unwrap_err();
-        assert!(matches!(err, StoreError::Corrupt { attr: 1, .. }), "{err}");
         std::fs::remove_file(&path).unwrap();
     }
 

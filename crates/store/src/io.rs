@@ -15,8 +15,8 @@
 //! of reading it). A run delivers the same blocks, in the same order,
 //! with the same accounting — [`IoStats::blocks_read`] counts blocks
 //! *delivered* to the visitor, the page counters count two pages per
-//! delivered block — but lets a backend fetch them together and read
-//! ahead of the visitor within the run.
+//! delivered block — but lets a backend fetch them together, a chunk of
+//! blocks per read call, instead of one block at a time.
 //!
 //! For multi-core executors, [`BlockReader::shard`] splits the block
 //! sequence into `n` disjoint contiguous ranges, each served by its own
@@ -42,7 +42,11 @@ use crate::table::Table;
 pub struct IoStats {
     /// Blocks fully read.
     pub blocks_read: u64,
-    /// Blocks skipped by block-selection policies.
+    /// Skip *events*: one per block a block-selection policy passed over
+    /// unread, counted again on every pass that passes over it. A block
+    /// skipped in one pass and read in a later one counts here *and* in
+    /// [`Self::blocks_read`], so this is not "table blocks − blocks
+    /// read", and `blocks_read + blocks_skipped` can exceed the table.
     pub blocks_skipped: u64,
     /// Tuples delivered to the consumer.
     pub tuples_read: u64,
@@ -50,17 +54,11 @@ pub struct IoStats {
     pub pages_cache_hit: u64,
     /// Attribute pages this reader's requests fetched from the medium.
     pub pages_cache_miss: u64,
-    /// Subset of [`Self::pages_cache_hit`] that were the *first* demand
-    /// hit on a page the backend's readahead pool had prefetched — the
-    /// per-reader measure of how much prefetching actually hid I/O for
-    /// this run (a page only counts once; later re-hits are ordinary
-    /// cache hits).
-    pub pages_prefetch_hit: u64,
 }
 
 impl IoStats {
-    /// Fraction of visited blocks that were read (1.0 when nothing was
-    /// visited).
+    /// Blocks read per block visit, read or skipped (1.0 when nothing was
+    /// visited); see [`Self::blocks_skipped`] for what a visit is.
     pub fn read_fraction(&self) -> f64 {
         let total = self.blocks_read + self.blocks_skipped;
         if total == 0 {
@@ -86,14 +84,7 @@ impl IoStats {
     fn note_block(&mut self, tuples: usize, origins: [PageOrigin; 2]) {
         for origin in origins {
             match origin {
-                PageOrigin::CacheHit => self.pages_cache_hit += 1,
-                PageOrigin::PrefetchedHit => {
-                    // A prefetched page's first demand hit is still a
-                    // cache hit; the extra counter attributes it to the
-                    // readahead pipeline.
-                    self.pages_cache_hit += 1;
-                    self.pages_prefetch_hit += 1;
-                }
+                PageOrigin::CacheHit | PageOrigin::PrefetchedHit => self.pages_cache_hit += 1,
                 PageOrigin::CacheMiss => self.pages_cache_miss += 1,
                 PageOrigin::Memory => {}
             }
@@ -109,7 +100,6 @@ impl IoStats {
         self.tuples_read += other.tuples_read;
         self.pages_cache_hit += other.pages_cache_hit;
         self.pages_cache_miss += other.pages_cache_miss;
-        self.pages_prefetch_hit += other.pages_prefetch_hit;
     }
 
     /// The per-field difference `self − other`; `other` must be an
@@ -129,8 +119,7 @@ impl IoStats {
                 && self.blocks_skipped >= other.blocks_skipped
                 && self.tuples_read >= other.tuples_read
                 && self.pages_cache_hit >= other.pages_cache_hit
-                && self.pages_cache_miss >= other.pages_cache_miss
-                && self.pages_prefetch_hit >= other.pages_prefetch_hit,
+                && self.pages_cache_miss >= other.pages_cache_miss,
             "IoStats::since with a later snapshot: {self:?} since {other:?}"
         );
         IoStats {
@@ -139,7 +128,6 @@ impl IoStats {
             tuples_read: self.tuples_read - other.tuples_read,
             pages_cache_hit: self.pages_cache_hit - other.pages_cache_hit,
             pages_cache_miss: self.pages_cache_miss - other.pages_cache_miss,
-            pages_prefetch_hit: self.pages_prefetch_hit - other.pages_prefetch_hit,
         }
     }
 }
@@ -236,7 +224,9 @@ impl<'a> BlockReader<'a> {
 
     /// Enables a simulated per-block latency (busy-wait of `ns`
     /// nanoseconds on every block read), layered on top of whatever the
-    /// source itself costs.
+    /// source itself costs. It is the crate's only latency model: it
+    /// charges every delivered block alike, cache hit or not, and
+    /// [`crate::file::FileBackend`] has no slow-medium model of its own.
     pub fn with_simulated_latency(mut self, ns: u64) -> Self {
         self.latency_ns_per_block = ns;
         self

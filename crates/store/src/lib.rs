@@ -22,7 +22,7 @@
 //!   read a page, a block pair or a whole run of blocks at a time
 //!   ([`backend::StorageBackend::read_run_pair_into`]: one positioned
 //!   read per attribute and chunk, page checksums verified in lanes —
-//!   [`checksum`]), with a readahead pool a run feeds itself — plus
+//!   [`checksum`]), on demand only and with no background threads — plus
 //!   fallible storage errors ([`error::StoreError`]);
 //! * **live tables** ([`live::LiveTable`]): append ingestion into an
 //!   in-memory delta that seals into immutable checksummed segments,

@@ -152,10 +152,6 @@ pub struct LiveTableConfig {
     pub background_sealer: bool,
     /// Block-cache capacity of each re-opened segment backend.
     pub segment_cache_blocks: usize,
-    /// Readahead workers of each re-opened segment backend. Default 0:
-    /// per-segment worker pools multiply quickly; enable deliberately
-    /// for storage-bound live workloads.
-    pub segment_prefetch_workers: usize,
     /// Appender budget, in rows per second. `None` (default) leaves
     /// appends unthrottled; `Some(rate)` puts every append through a
     /// token bucket so a free-running writer cannot monopolize the box —
@@ -200,7 +196,6 @@ impl Default for LiveTableConfig {
             segment_dir: None,
             background_sealer: true,
             segment_cache_blocks: DEFAULT_SEGMENT_CACHE_BLOCKS,
-            segment_prefetch_workers: 0,
             append_budget_rows_per_sec: None,
             coalesce_segments: DEFAULT_COALESCE_SEGMENTS,
             wal_enabled: true,
@@ -651,7 +646,6 @@ impl LiveTable {
                 dir.clone(),
                 config.tuples_per_block,
                 config.segment_cache_blocks,
-                config.segment_prefetch_workers,
             )
         });
         let n_attrs = schema.len();
@@ -1500,9 +1494,7 @@ fn load_segment(
     rows_per_segment: usize,
     rec: &mut Recovered,
 ) -> Result<usize> {
-    let be = FileBackend::open(path)?
-        .with_cache_blocks(config.segment_cache_blocks)
-        .with_prefetch_workers(config.segment_prefetch_workers);
+    let be = FileBackend::open(path)?.with_cache_blocks(config.segment_cache_blocks);
     if be.schema() != schema {
         return Err(StoreError::Format(format!(
             "segment {index} schema does not match the table"
@@ -1811,7 +1803,6 @@ mod tests {
                 assert_eq!(buf.as_slice(), &t.column(attr)[layout.rows_of_block(b)]);
             }
         }
-        snap.prefetch(0..layout.num_blocks());
     }
 
     #[test]
@@ -1963,9 +1954,6 @@ mod tests {
                 assert_eq!(buf.as_slice(), &t.column(attr)[layout.rows_of_block(b)]);
             }
         }
-        // Prefetch over the whole range (file, mem and tail blocks) is
-        // advisory and must not panic or misroute.
-        snap.prefetch(0..layout.num_blocks() + 3);
     }
 
     #[test]

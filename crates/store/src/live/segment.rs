@@ -53,28 +53,21 @@ impl SegmentEntry {
 }
 
 /// How segment files of one live table are produced: destination paths,
-/// block geometry, and the cache/readahead configuration each re-opened
-/// [`FileBackend`] gets.
+/// block geometry, and the cache bound each re-opened [`FileBackend`]
+/// gets.
 #[derive(Debug, Clone)]
 pub(crate) struct SegmentWriter {
     dir: PathBuf,
     tuples_per_block: usize,
     cache_blocks: usize,
-    prefetch_workers: usize,
 }
 
 impl SegmentWriter {
-    pub fn new(
-        dir: PathBuf,
-        tuples_per_block: usize,
-        cache_blocks: usize,
-        prefetch_workers: usize,
-    ) -> Self {
+    pub fn new(dir: PathBuf, tuples_per_block: usize, cache_blocks: usize) -> Self {
         SegmentWriter {
             dir,
             tuples_per_block,
             cache_blocks,
-            prefetch_workers,
         }
     }
 
@@ -106,9 +99,7 @@ impl SegmentWriter {
     }
 
     fn open(&self, path: &Path) -> Result<FileBackend> {
-        Ok(FileBackend::open(path)?
-            .with_cache_blocks(self.cache_blocks)
-            .with_prefetch_workers(self.prefetch_workers))
+        Ok(FileBackend::open(path)?.with_cache_blocks(self.cache_blocks))
     }
 }
 
@@ -129,7 +120,7 @@ mod tests {
     #[test]
     fn seal_roundtrips_every_page() {
         let dir = TempBlockDir::new("seg_seal");
-        let w = SegmentWriter::new(dir.path().to_path_buf(), 10, 64, 0);
+        let w = SegmentWriter::new(dir.path().to_path_buf(), 10, 64);
         let t = delta();
         let be = w.seal(3, &t).unwrap();
         assert!(w.path_of(3).exists());
@@ -148,7 +139,7 @@ mod tests {
         // Point the writer at a path that cannot be created.
         let dir = TempBlockDir::new("seg_fail");
         let missing = dir.path().join("nonexistent-subdir");
-        let w = SegmentWriter::new(missing.clone(), 10, 64, 0);
+        let w = SegmentWriter::new(missing.clone(), 10, 64);
         let err = w.seal(0, &delta());
         assert!(err.is_err());
         assert!(!missing.join("segment-000000.fmb").exists());
@@ -157,7 +148,7 @@ mod tests {
     #[test]
     fn entry_rows_agree_across_forms() {
         let dir = TempBlockDir::new("seg_forms");
-        let w = SegmentWriter::new(dir.path().to_path_buf(), 10, 64, 0);
+        let w = SegmentWriter::new(dir.path().to_path_buf(), 10, 64);
         let t = Arc::new(delta());
         let mem = SegmentEntry::Mem(Arc::clone(&t));
         let file = SegmentEntry::File(w.seal(0, &t).unwrap());

@@ -303,23 +303,4 @@ impl StorageBackend for Snapshot {
         }
         Ok(true)
     }
-
-    fn prefetch(&self, blocks: Range<usize>) {
-        // Forward each sub-range to the file-backed segment that owns it
-        // (in-memory segments and the tail have nothing to warm). Hints
-        // stay advisory end to end: a segment without readahead workers
-        // simply drops its share.
-        let sealed = self.sealed_blocks();
-        let clamped = blocks.start.min(sealed)..blocks.end.min(sealed);
-        for (i, entry) in self.entries.iter().enumerate() {
-            let (s, e) = (self.seg_starts[i], self.seg_starts[i + 1]);
-            let lo = clamped.start.max(s);
-            let hi = clamped.end.min(e);
-            if lo < hi {
-                if let SegmentEntry::File(be) = entry {
-                    be.prefetch(lo - s..hi - s);
-                }
-            }
-        }
-    }
 }

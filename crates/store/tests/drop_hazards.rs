@@ -1,8 +1,7 @@
-//! Teardown-order hazards: the store's three nontrivial `Drop` impls
-//! (`FileBackend` → prefetch pool shutdown, `LiveTable` → sealer
-//! hangup-and-join, `SnapshotPin` → gauge release) exercised at their
-//! worst moments — mid-seal, with queued readahead hints, with clones
-//! racing drops, and with the snapshot outliving its table.
+//! Teardown-order hazards: the store's two nontrivial `Drop` impls
+//! (`LiveTable` → sealer hangup-and-join, `SnapshotPin` → gauge release)
+//! exercised at their worst moments — mid-seal, with clones racing
+//! drops, and with the snapshot outliving its table.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -11,8 +10,7 @@ use fastmatch_store::file::FileBackend;
 use fastmatch_store::live::wal::WAL_FILE;
 use fastmatch_store::live::{LiveTable, LiveTableConfig};
 use fastmatch_store::schema::{AttrDef, Schema};
-use fastmatch_store::table::Table;
-use fastmatch_store::tempfile::{TempBlockDir, TempBlockFile};
+use fastmatch_store::tempfile::TempBlockDir;
 
 fn schema() -> Schema {
     Schema::new(vec![AttrDef::new("z", 6), AttrDef::new("x", 4)])
@@ -56,30 +54,6 @@ fn live_table_drop_mid_seal_leaves_only_complete_segments() {
         }
         let reopened = LiveTable::open(schema(), cfg).unwrap();
         assert_eq!(reopened.n_rows(), 80, "clean drop must persist every row");
-    }
-}
-
-/// Dropping a backend right after flooding it with readahead hints
-/// must neither hang (lost shutdown wakeup) nor panic (worker racing
-/// the teardown).
-#[test]
-fn file_backend_drop_with_queued_prefetch_hints() {
-    let t = {
-        let z: Vec<u32> = (0..4096).map(|r| r % 6).collect();
-        let x: Vec<u32> = (0..4096).map(|r| (r * 7) % 4).collect();
-        Table::new(schema(), vec![z, x])
-    };
-    for round in 0..8 {
-        let guard = TempBlockFile::new(&format!("drop_prefetch_{round}"));
-        let be = FileBackend::create(guard.path(), &t, 8)
-            .unwrap()
-            .with_prefetch_workers(2)
-            .with_cache_blocks(16);
-        let nb = be.layout().num_blocks();
-        for start in (0..nb).step_by(7) {
-            be.prefetch(start..nb.min(start + 64));
-        }
-        drop(be); // workers mid-hint, queue still full
     }
 }
 

@@ -4,8 +4,6 @@
 //! and never let a bad page into the cache. The format is unchanged, so
 //! the writer is pinned byte for byte against a serial reference too.
 
-use std::time::{Duration, Instant};
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -274,107 +272,41 @@ fn of_several_bad_pages_the_one_a_block_by_block_reader_meets_first_is_reported(
     }
 }
 
+/// A run over three chunks whose third chunk holds a corrupt page:
+/// the first two chunks and the blocks of the third before the page are
+/// delivered intact, the read fails naming the page, and the page is
+/// never cached — a second pass serves every other page of the first
+/// three chunks from the cache and fails on the same page again.
 #[test]
-fn readahead_meeting_a_corrupt_page_is_silent_until_the_demand_read() {
+fn a_run_delivers_every_block_before_a_corrupt_page_in_a_later_chunk() {
     let tpb = 4usize;
     let nb = 3 * RUN_CHUNK_BLOCKS;
-    let t = table(nb * tpb, 13);
-    let layout = BlockLayout::new(t.n_rows(), tpb);
-    let bad = 2 * RUN_CHUNK_BLOCKS + 3;
-    let mut image = serial_reference_image(&t, tpb);
-    let (off, _) = page_span(&t, tpb, 1, bad);
-    image[off] ^= 0x01;
-    let (_scratch, be) = open_image(&image);
-
-    // Advisory readahead over the whole file: every healthy page
-    // arrives, the damaged one is skipped without a sound.
-    be.prefetch(0..nb);
-    wait_for_prefetched(&be, 2 * nb as u64 - 1);
-
-    // The demand run is served from the readahead's pages up to the bad
-    // one, which it fetches itself — and reports.
-    let (mut zs, mut xs) = (Vec::new(), Vec::new());
-    let mut delivered = 0usize;
-    let e = be
-        .read_run_pair_into(0..nb, 0, 1, &mut zs, &mut xs, &mut |b, z, x, origins| {
-            assert_eq!(origins, [PageOrigin::PrefetchedHit; 2], "block {b}");
-            assert_eq!(z, &t.column(0)[layout.rows_of_block(b)]);
-            assert_eq!(x, &t.column(1)[layout.rows_of_block(b)]);
-            delivered += 1;
-            true
-        })
-        .unwrap_err();
-    assert!(
-        matches!(e, StoreError::Corrupt { attr: 1, block, .. } if block == bad),
-        "{e}"
-    );
-    assert_eq!(delivered, bad);
-    let cs = be.cache_stats();
-    assert_eq!(cs.prefetched_hits, 2 * bad as u64);
-    assert_eq!((cs.hits, cs.misses), (2 * bad as u64, 0));
-}
-
-/// Polls until the readahead pool has loaded `want` pages.
-fn wait_for_prefetched(be: &FileBackend, want: u64) {
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while be.cache_stats().pages_prefetched < want {
-        assert!(
-            Instant::now() < deadline,
-            "readahead stalled at {} of {want} pages",
-            be.cache_stats().pages_prefetched
-        );
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// With a slow medium a run is its own hint: while the visitor holds
-/// the first block of a chunk, the pool loads the next chunk, which is
-/// then served as prefetched hits — and a corrupt page that only
-/// readahead has touched still surfaces on the demand read, after every
-/// block before it.
-#[test]
-fn a_run_reads_ahead_of_itself_and_still_reports_the_corrupt_page() {
-    let tpb = 4usize;
-    let nb = 4 * RUN_CHUNK_BLOCKS;
     let t = table(nb * tpb, 14);
     let layout = BlockLayout::new(t.n_rows(), tpb);
-    let bad = 3 * RUN_CHUNK_BLOCKS + 1;
+    let bad = 2 * RUN_CHUNK_BLOCKS + 1;
     let mut image = serial_reference_image(&t, tpb);
     let (off, len) = page_span(&t, tpb, 0, bad);
     image[off + len - 1] ^= 0x80; // in the stored checksum
-    let scratch = TempBlockFile::new("verify_selfhint");
-    std::fs::write(scratch.path(), &image).unwrap();
-    let be = FileBackend::open(scratch.path())
-        .unwrap()
-        .with_cache_blocks(2048)
-        .with_simulated_medium_latency_ns(20_000);
+    let (_scratch, be) = open_image(&image);
     let (mut zs, mut xs) = (Vec::new(), Vec::new());
-    let mut delivered = 0usize;
-    let e = be
-        .read_run_pair_into(0..nb, 0, 1, &mut zs, &mut xs, &mut |b, z, x, origins| {
-            assert_eq!(z, &t.column(0)[layout.rows_of_block(b)]);
-            assert_eq!(x, &t.column(1)[layout.rows_of_block(b)]);
-            let chunk = b / RUN_CHUNK_BLOCKS;
-            if b % RUN_CHUNK_BLOCKS == 0 && chunk < 3 {
-                // The hint for the next chunk is out before this chunk's
-                // first block is delivered; hold the run until the pool
-                // has honoured it (all but the damaged page, which is in
-                // the last chunk).
-                let healthy = 2 * RUN_CHUNK_BLOCKS as u64 * (chunk as u64 + 1);
-                wait_for_prefetched(&be, healthy - u64::from(chunk == 2));
-            }
-            let want = match chunk {
-                0 => PageOrigin::CacheMiss,
-                _ => PageOrigin::PrefetchedHit,
-            };
-            assert_eq!(origins, [want; 2], "block {b}");
-            delivered += 1;
-            true
-        })
-        .unwrap_err();
-    assert!(
-        matches!(e, StoreError::Corrupt { attr: 0, block, .. } if block == bad),
-        "{e}"
-    );
-    assert_eq!(delivered, bad);
+    for (pass, want) in [(0, PageOrigin::CacheMiss), (1, PageOrigin::CacheHit)] {
+        let mut delivered = 0usize;
+        let e = be
+            .read_run_pair_into(0..nb, 0, 1, &mut zs, &mut xs, &mut |b, z, x, origins| {
+                assert_eq!(b, delivered);
+                assert_eq!(z, &t.column(0)[layout.rows_of_block(b)]);
+                assert_eq!(x, &t.column(1)[layout.rows_of_block(b)]);
+                assert_eq!(origins, [want; 2], "pass {pass}, block {b}");
+                delivered += 1;
+                true
+            })
+            .unwrap_err();
+        assert!(
+            matches!(e, StoreError::Corrupt { attr: 0, block, .. } if block == bad),
+            "pass {pass}: {e}"
+        );
+        assert_eq!(delivered, bad, "pass {pass}");
+    }
+    let cs = be.cache_stats();
+    assert_eq!((cs.hits, cs.misses), (2 * bad as u64, 2 * bad as u64));
 }
