@@ -1,8 +1,10 @@
 //! Criterion microbenchmarks of the algorithmic kernels: hypergeometric
 //! P-values (stage 1), Theorem-1 bounds (stage 2/3), distance evaluation,
-//! Holm–Bonferroni, bitmap probing and lookahead marking — and of the
+//! Holm–Bonferroni, bitmap probing and lookahead marking — of the
 //! file backend's page load (`file_page_load`, ns per 600-byte page by
-//! read path).
+//! read path) — and of the per-query costs that grow with |V_Z| or the
+//! table: consumption tracking's start (`tracker_init`), one demand
+//! publication (`publish`) and an in-memory run read (`mem_run_read`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -10,11 +12,14 @@ use fastmatch_core::stats::deviation::DeviationBound;
 use fastmatch_core::stats::holm_bonferroni::HolmBonferroni;
 use fastmatch_core::stats::hypergeometric::underrepresentation_pvalues;
 use fastmatch_core::Metric;
-use fastmatch_store::backend::StorageBackend;
+use fastmatch_engine::progress::ConsumptionTracker;
+use fastmatch_engine::shared::{DemandMode, SharedDemand};
+use fastmatch_store::backend::{MemBackend, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
 use fastmatch_store::checksum::fnv1a64;
 use fastmatch_store::file::FileBackend;
+use fastmatch_store::io::BlockReader;
 use fastmatch_store::schema::{AttrDef, Schema};
 use fastmatch_store::table::Table;
 use fastmatch_store::tempfile::TempBlockFile;
@@ -205,9 +210,81 @@ fn bench_file_page_load(c: &mut Criterion) {
     });
 }
 
+/// TAXI's |V_Z| = 7 641 Locations over 2 M rows of 150-tuple blocks
+/// (13 334 blocks, a 12.7 MB bitmap): what a query pays to start
+/// consumption tracking, and what one demand publication costs — every
+/// count, or 0 for 16 candidates that ran out since the last one.
+fn bench_demand(c: &mut Criterion) {
+    const CANDIDATES: u32 = 7641;
+    let rows = 2_000_000usize;
+    let col: Vec<u32> = (0..rows as u64)
+        .map(|r| (r.wrapping_mul(2654435761) % u64::from(CANDIDATES)) as u32)
+        .collect();
+    let t = Table::new(Schema::new(vec![AttrDef::new("z", CANDIDATES)]), vec![col]);
+    let bitmap = BitmapIndex::build(&t, 0, &BlockLayout::new(rows, 150));
+    drop(t);
+    c.bench_function("tracker_init/7641", |b| {
+        b.iter(|| ConsumptionTracker::new(black_box(&bitmap)))
+    });
+    let shared = SharedDemand::new(CANDIDATES as usize);
+    let remaining: Vec<u64> = (0..u64::from(CANDIDATES)).map(|c| c % 5).collect();
+    c.bench_function("publish/7641_full", |b| {
+        b.iter(|| shared.publish(DemandMode::AnyActive, Some(black_box(&remaining))))
+    });
+    let deactivated: Vec<u32> = (0..16).map(|i| i * 477).collect();
+    c.bench_function("publish/7641_deactivations", |b| {
+        b.iter(|| shared.publish_deactivations(DemandMode::AnyActive, black_box(&deactivated)))
+    });
+}
+
+/// An in-memory run read of 1 024 blocks of 150 tuples, two attributes:
+/// through a `MemBackend` behind `&dyn StorageBackend` (how the repo
+/// benchmark's executors reach an in-memory table) and through the
+/// reader's own in-memory source. The printed time divided by 1 024 is
+/// the per-block figure.
+fn bench_mem_run_read(c: &mut Criterion) {
+    const BLOCKS: usize = 1024;
+    let rows = BLOCKS * 150;
+    let cols: Vec<Vec<u32>> = (0..2u32)
+        .map(|a| {
+            (0..rows as u32)
+                .map(|r| r.wrapping_mul(40503 + a) % 97)
+                .collect()
+        })
+        .collect();
+    let t = Table::new(
+        Schema::new(vec![AttrDef::new("z", 97), AttrDef::new("x", 97)]),
+        cols,
+    );
+    let layout = BlockLayout::new(rows, 150);
+    let backend = MemBackend::new(&t, layout);
+    let readers = [
+        (
+            "mem_run_read/mem_backend_x1024",
+            BlockReader::over_backend(&backend),
+        ),
+        (
+            "mem_run_read/source_mem_x1024",
+            BlockReader::new(&t, layout),
+        ),
+    ];
+    for (name, mut reader) in readers {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                reader
+                    .read_run(0..BLOCKS, 0, 1, |_, z, x| {
+                        black_box((z, x));
+                        true
+                    })
+                    .expect("in-memory reads cannot fail")
+            })
+        });
+    }
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_hypergeometric, bench_deviation, bench_distance, bench_holm_bonferroni, bench_bitmap, bench_file_page_load
+    targets = bench_hypergeometric, bench_deviation, bench_distance, bench_holm_bonferroni, bench_bitmap, bench_file_page_load, bench_demand, bench_mem_run_read
 }
 criterion_main!(benches);

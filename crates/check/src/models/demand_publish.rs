@@ -1,11 +1,23 @@
 //! Model of the lock-free demand publication protocol
-//! ([`fastmatch_engine::shared::SharedDemand`]).
+//! ([`fastmatch_engine::shared::SharedDemand`]) and of what its
+//! publisher, `Driver::advance_and_publish`, stores in it.
 //!
 //! One publisher runs `rounds` publications, each executing the real
-//! [`PUBLISH_ORDER`] action list (remaining → mode → epoch). Parked
-//! readers wait on the epoch and, when woken, read the snapshot;
-//! polling readers read mode then demand without touching the epoch.
-//! Rounds double as ghost values: `rem_round` / `mode_round` track
+//! [`PUBLISH_ORDER`] action list (remaining → mode → epoch). Before each
+//! one it plays the driver over `CANDIDATES` (2) candidates: ingestion
+//! deactivates active candidates one at a time (HistSim's
+//! `deactivated` list), then `advance` completes the phase if no
+//! candidate is active — into a new stage-2 round, stage 3 or done;
+//! the first two raise every candidate's demand again — or leaves it
+//! running. The `StoreRemaining` action then stores every count (a full
+//! publication) or zeroes the counts of the candidates deactivated
+//! since the previous publication (a deactivation publication), as the
+//! real [`needs_full_publication`] decides. The run starts in stage 2
+//! with every candidate active and nothing published: stage 1
+//! publishes no counts, and the step out of it is a step like any
+//! other. Parked readers wait on the epoch and, when woken, read the
+//! snapshot; polling readers read mode then demand without touching
+//! the epoch. Rounds double as ghost values: `rem_round` / `mode_round` track
 //! *which publication's* stores are currently visible, and every epoch
 //! bump records a *claim* — the round it announces as complete. The
 //! named invariants (DESIGN.md § "Concurrency protocols"):
@@ -19,15 +31,41 @@
 //!   pairing in the real code).
 //! * `one-bump-per-publish` — at quiescence the epoch equals the
 //!   number of publications (exactly one bump each).
+//! * `published-activity-matches-demand` — when a publication in stage
+//!   2 or 3 completes, the candidates whose published count is non-zero
+//!   are exactly the ones the ghost HistSim holds active.
 //!
 //! The historical PR-2 protocol bumped the epoch in both `set_mode`
 //! and `publish_remaining`; `DemandPublish::with_two_bump_publish`
 //! reintroduces that order and the `finds_pr2_two_bump_publish_bug`
 //! test asserts the explorer re-finds the race.
+//! `DemandPublish::with_sparse_after_round_change` decides full versus
+//! deactivation publications by the phase alone, so the publication
+//! after a stage-2 round completes zeroes the new round's (empty)
+//! deactivation list instead of re-sending the demand that rose;
+//! `finds_sparse_publication_after_round_change` asserts the explorer
+//! finds a candidate left published inactive.
 
-use fastmatch_engine::shared::{PublishAction, PUBLISH_ORDER};
+use fastmatch_core::histsim::PhaseKind;
+use fastmatch_engine::shared::{needs_full_publication, PublishAction, PUBLISH_ORDER};
 
 use crate::explorer::{Model, Step, Violation};
+
+/// Candidates the ghost driver tracks.
+const CANDIDATES: usize = 2;
+
+/// The full-versus-deactivation decision the publisher runs:
+/// `(stepped, last published phase, phase) -> full?`.
+type FullRule = fn(bool, Option<PhaseKind>, PhaseKind) -> bool;
+
+/// Publisher step ids: a publication action, `advance` outcomes, and
+/// (from [`DEACTIVATE`] on) the deactivation of one candidate.
+const ACTION: usize = 0;
+const ADVANCE_OPEN: usize = 1;
+const NEXT_ROUND: usize = 2;
+const ENTER_STAGE3: usize = 3;
+const FINISH: usize = 4;
+const DEACTIVATE: usize = 5;
 
 /// Reader lifecycle. `Parked` readers are woken only by an epoch they
 /// have not seen; `Woken` readers read the snapshot next.
@@ -70,6 +108,25 @@ pub struct State {
     wake_obs: Option<(u32, u32, u32)>,
     /// Last completed poll observation: (mode_round, rem_round).
     poll_obs: Option<(u32, u32)>,
+    /// Driver ghost: this round's `advance` has run, so the
+    /// publication's actions come next.
+    advanced: bool,
+    /// HistSim's phase.
+    phase: PhaseKind,
+    /// HistSim's active set (`remaining > 0`).
+    active: [bool; CANDIDATES],
+    /// HistSim's deactivation list for the current phase.
+    deactivated: Vec<u8>,
+    /// Whether this round's `advance` completed a phase.
+    stepped: bool,
+    /// The phase the driver last published (`None` before the first).
+    published_phase: Option<PhaseKind>,
+    /// How much of `deactivated` the last publication covered.
+    published_deactivations: usize,
+    /// Which candidates' published counts are non-zero.
+    published: [bool; CANDIDATES],
+    /// A stage-2/3 publication just completed: (published, active).
+    publish_obs: Option<([bool; CANDIDATES], [bool; CANDIDATES])>,
 }
 
 /// The demand publication model. Construct with [`DemandPublish::new`]
@@ -82,6 +139,8 @@ pub struct DemandPublish {
     /// Per-round publisher action list — [`PUBLISH_ORDER`] unless a
     /// test mutation replaced it.
     order: Vec<PublishAction>,
+    /// [`needs_full_publication`] unless a test mutation replaced it.
+    full: FullRule,
 }
 
 impl DemandPublish {
@@ -92,6 +151,7 @@ impl DemandPublish {
             parked_readers,
             polls,
             order: PUBLISH_ORDER.to_vec(),
+            full: needs_full_publication,
         }
     }
 
@@ -110,6 +170,22 @@ impl DemandPublish {
                 PublishAction::StoreRemaining,
                 PublishAction::BumpEpoch,
             ],
+            full: needs_full_publication,
+        }
+    }
+
+    /// Mutation: publishes in full only when the phase *kind* changed,
+    /// not after a stage-2 round — a round completion then goes out as
+    /// a deactivation publication and demand that rose stays unpublished.
+    #[cfg(test)]
+    pub fn with_sparse_after_round_change(
+        rounds: u32,
+        parked_readers: usize,
+        polls: usize,
+    ) -> Self {
+        DemandPublish {
+            full: |_stepped, last, phase| last != Some(phase),
+            ..Self::new(rounds, parked_readers, polls)
         }
     }
 
@@ -126,6 +202,48 @@ impl DemandPublish {
     /// poller.
     fn poller_actor(&self) -> usize {
         1 + self.parked_readers
+    }
+
+    /// The driver's steps before round `round`'s publication: deactivate
+    /// any active candidate, or run `advance` — which completes the
+    /// phase exactly when no candidate is active.
+    fn driver_steps(&self, s: &State, round: usize, steps: &mut Vec<Step>) {
+        for c in (0..CANDIDATES).filter(|&c| s.active[c]) {
+            steps.push(Step::new(
+                0,
+                DEACTIVATE + c,
+                format!("deactivate c{c} r{round}"),
+            ));
+        }
+        let satisfied = !s.active.contains(&true);
+        let outcomes: &[(usize, &str)] = match s.phase {
+            PhaseKind::Stage2 if satisfied => {
+                &[(NEXT_ROUND, "next round"), (ENTER_STAGE3, "stage 3")]
+            }
+            PhaseKind::Stage3 if satisfied => &[(FINISH, "done")],
+            _ => &[(ADVANCE_OPEN, "no step")],
+        };
+        for &(id, what) in outcomes {
+            steps.push(Step::new(0, id, format!("advance: {what} r{round}")));
+        }
+    }
+
+    /// The `StoreRemaining` action of a publication, as
+    /// `advance_and_publish` does it: counts only in stage 2/3, all of
+    /// them or the deactivations since the last publication.
+    fn store_remaining(&self, n: &mut State) {
+        if matches!(n.phase, PhaseKind::Stage2 | PhaseKind::Stage3) {
+            if (self.full)(n.stepped, n.published_phase, n.phase) {
+                n.published = n.active;
+            } else {
+                let since = n.deactivated.get(n.published_deactivations..);
+                for &c in since.unwrap_or_default() {
+                    n.published[c as usize] = false;
+                }
+            }
+        }
+        n.published_phase = Some(n.phase);
+        n.published_deactivations = n.deactivated.len();
     }
 }
 
@@ -148,6 +266,15 @@ impl Model for DemandPublish {
             poll_mode: None,
             wake_obs: None,
             poll_obs: None,
+            advanced: false,
+            phase: PhaseKind::Stage2,
+            active: [true; CANDIDATES],
+            deactivated: Vec::new(),
+            stepped: false,
+            published_phase: None,
+            published_deactivations: 0,
+            published: [false; CANDIDATES],
+            publish_obs: None,
         }
     }
 
@@ -156,12 +283,16 @@ impl Model for DemandPublish {
         let program_len = self.rounds as usize * self.order.len();
         if s.pc < program_len {
             let round = s.pc / self.order.len() + 1;
-            let label = match self.order[s.pc % self.order.len()] {
-                PublishAction::StoreRemaining => format!("store-remaining r{round}"),
-                PublishAction::StoreMode => format!("store-mode r{round}"),
-                PublishAction::BumpEpoch => format!("bump-epoch r{round}"),
-            };
-            steps.push(Step::new(0, 0, label));
+            if s.pc.is_multiple_of(self.order.len()) && !s.advanced {
+                self.driver_steps(s, round, &mut steps);
+            } else {
+                let label = match self.order[s.pc % self.order.len()] {
+                    PublishAction::StoreRemaining => format!("store-remaining r{round}"),
+                    PublishAction::StoreMode => format!("store-mode r{round}"),
+                    PublishAction::BumpEpoch => format!("bump-epoch r{round}"),
+                };
+                steps.push(Step::new(0, ACTION, label));
+            }
         }
         for (i, reader) in s.readers.iter().enumerate() {
             match reader {
@@ -191,10 +322,30 @@ impl Model for DemandPublish {
         // ever judges the transition that just happened.
         n.wake_obs = None;
         n.poll_obs = None;
-        if step.actor == 0 {
+        n.publish_obs = None;
+        if step.actor == 0 && step.id >= DEACTIVATE {
+            let c = step.id - DEACTIVATE;
+            n.active[c] = false;
+            n.deactivated.push(c as u8);
+        } else if step.actor == 0 && step.id != ACTION {
+            n.advanced = true;
+            n.stepped = step.id != ADVANCE_OPEN;
+            if n.stepped {
+                n.deactivated.clear();
+                n.phase = match step.id {
+                    NEXT_ROUND => PhaseKind::Stage2,
+                    ENTER_STAGE3 => PhaseKind::Stage3,
+                    _ => PhaseKind::Done,
+                };
+                n.active = [n.phase != PhaseKind::Done; CANDIDATES];
+            }
+        } else if step.actor == 0 {
             let round = (s.pc / self.order.len() + 1) as u32;
             match self.order[s.pc % self.order.len()] {
-                PublishAction::StoreRemaining => n.rem_round = round,
+                PublishAction::StoreRemaining => {
+                    n.rem_round = round;
+                    self.store_remaining(&mut n);
+                }
                 PublishAction::StoreMode => n.mode_round = round,
                 PublishAction::BumpEpoch => {
                     n.epoch += 1;
@@ -202,6 +353,12 @@ impl Model for DemandPublish {
                 }
             }
             n.pc += 1;
+            if n.pc.is_multiple_of(self.order.len()) {
+                n.advanced = false;
+                if matches!(n.phase, PhaseKind::Stage2 | PhaseKind::Stage3) {
+                    n.publish_obs = Some((n.published, n.active));
+                }
+            }
         } else if step.actor == self.poller_actor() {
             if step.id == 0 {
                 n.poll_mode = Some(s.mode_round);
@@ -251,6 +408,17 @@ impl Model for DemandPublish {
                 return Err(Violation::new(
                     "mode-implies-demand",
                     format!("polled mode of round {mode} but demand of round {rem}"),
+                ));
+            }
+        }
+        if let Some((published, active)) = s.publish_obs {
+            if published != active {
+                return Err(Violation::new(
+                    "published-activity-matches-demand",
+                    format!(
+                        "published active set {published:?}, HistSim's {active:?} in {:?}",
+                        s.phase
+                    ),
                 ));
             }
         }
@@ -307,6 +475,30 @@ mod tests {
             .explore()
             .expect_err("mode published before demand must be observable");
         assert_eq!(failure.violation.invariant, "mode-implies-demand");
+    }
+
+    #[test]
+    fn deactivation_publications_keep_the_active_set_exact() {
+        // Publisher alone, over every driver history of five
+        // publications: rounds, stage changes and deactivations in any
+        // order between them.
+        let stats = Explorer::new(DemandPublish::new(5, 0, 0))
+            .explore()
+            .unwrap_or_else(|f| panic!("{f}"));
+        assert_eq!(stats.truncated, 0, "scope must be fully explored");
+    }
+
+    #[test]
+    fn finds_sparse_publication_after_round_change() {
+        // Three publications suffice: a deactivation goes out sparsely,
+        // then a round completes and raises that candidate's demand.
+        let failure = Explorer::new(DemandPublish::with_sparse_after_round_change(3, 0, 0))
+            .explore()
+            .expect_err("a round change published sparsely must be found");
+        assert_eq!(
+            failure.violation.invariant,
+            "published-activity-matches-demand"
+        );
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! the real system path for path:
 //!
 //! * [`demand_publish`] — the lock-free demand snapshot's
-//!   remaining → mode → epoch publication order
-//!   ([`fastmatch_engine::shared`]).
+//!   remaining → mode → epoch publication order, and the choice between
+//!   full and deactivation publications ([`fastmatch_engine::shared`]).
 //! * [`admission_steal`] — the service's admission bound, per-worker
 //!   queues with stealing and the park accounting of shard tasks
 //!   ([`fastmatch_engine::service::queue_scan_order`],

@@ -71,7 +71,7 @@ use crate::topk::{choose_k_in_range, k_smallest_indices};
 use state::CountState;
 
 /// Which stage the state machine is currently in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PhaseKind {
     /// Stage 1: uniform sampling to prune rare candidates.
     Stage1,
@@ -166,6 +166,11 @@ pub struct HistSim {
     remaining: Vec<u64>,
     /// Number of candidates with `remaining > 0`.
     active_count: usize,
+    /// Candidates whose `remaining` reached 0 during the current I/O
+    /// phase, in that order. Demand rises only when a phase begins, so a
+    /// candidate is listed at most once per phase; the list is cleared
+    /// when the phase completes.
+    deactivated: Vec<u32>,
     phase: Phase,
     members: Vec<u32>,
     diag: Diagnostics,
@@ -179,8 +184,10 @@ pub struct HistSim {
 
 /// Manual `Debug` over the *logical* state only: the per-block scratch
 /// (`block`, `block_n`) says which block came last, not what has been
-/// ingested, and would break the byte-identical `Debug`-repr equivalence
-/// the ingestion property tests assert between the three paths.
+/// ingested, and `deactivated` lists candidates in the order the
+/// ingestion path met them; either would break the byte-identical
+/// `Debug`-repr equivalence the ingestion property tests assert between
+/// the three paths.
 impl std::fmt::Debug for HistSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistSim")
@@ -243,6 +250,7 @@ impl HistSim {
             exact: vec![false; num_candidates],
             remaining: vec![0; num_candidates],
             active_count: 0,
+            deactivated: Vec::new(),
             phase: Phase::Stage1 { taken: 0 },
             members: Vec::new(),
             diag: Diagnostics {
@@ -289,6 +297,17 @@ impl HistSim {
         self.remaining[c as usize] > 0
     }
 
+    /// The candidates that stopped being [active](Self::is_active) during
+    /// the current I/O phase, in the order they did — each at most once,
+    /// because demand rises only when a phase begins. Empty in stage 1,
+    /// once done, and right after a phase completes. A publisher that
+    /// has sent out the whole of [`Self::remaining_slice`] at some point
+    /// of the phase keeps the sign of its copy current by zeroing the
+    /// entries listed since.
+    pub fn deactivated(&self) -> &[u32] {
+        &self.deactivated
+    }
+
     /// True when the current I/O phase's demand is fully met and
     /// [`Self::complete_io_phase`] may be called with `exhausted = false`.
     pub fn io_satisfied(&self) -> bool {
@@ -323,16 +342,24 @@ impl HistSim {
     }
 
     /// Spends `added` fresh samples against candidate `ci`'s outstanding
-    /// demand — saturating, because a block or batch may overshoot it.
-    /// (Takes the two fields rather than `&mut self` so callers can hold
-    /// a count matrix or the block list across the call.)
+    /// demand — saturating, because a block or batch may overshoot it —
+    /// and lists the candidate as deactivated if that met its demand.
+    /// (Takes the fields rather than `&mut self` so callers can hold a
+    /// count matrix or the block list across the call.)
     #[inline]
-    fn spend(remaining: &mut [u64], active_count: &mut usize, ci: usize, added: u64) {
+    fn spend(
+        remaining: &mut [u64],
+        active_count: &mut usize,
+        deactivated: &mut Vec<u32>,
+        ci: usize,
+        added: u64,
+    ) {
         let r = &mut remaining[ci];
         if *r > 0 {
             *r = r.saturating_sub(added);
             if *r == 0 {
                 *active_count -= 1;
+                deactivated.push(ci as u32);
             }
         }
     }
@@ -355,7 +382,13 @@ impl HistSim {
         } else {
             self.counts.record_cumulative(c, g);
         }
-        Self::spend(&mut self.remaining, &mut self.active_count, c as usize, 1);
+        Self::spend(
+            &mut self.remaining,
+            &mut self.active_count,
+            &mut self.deactivated,
+            c as usize,
+            1,
+        );
     }
 
     /// Ingests one block's worth of samples at once: `zs[i]`/`xs[i]` are
@@ -396,7 +429,13 @@ impl HistSim {
             let added = std::mem::take(&mut self.block_n[ci]);
             if !self.pruned[ci] {
                 self.counts.add_n(round, ci, added);
-                Self::spend(&mut self.remaining, &mut self.active_count, ci, added);
+                Self::spend(
+                    &mut self.remaining,
+                    &mut self.active_count,
+                    &mut self.deactivated,
+                    ci,
+                    added,
+                );
             }
         }
         self.block.as_slice()
@@ -445,7 +484,13 @@ impl HistSim {
             if !self.pruned[ci] {
                 let added = acc.n(ci);
                 self.counts.add_n(round, ci, added);
-                Self::spend(&mut self.remaining, &mut self.active_count, ci, added);
+                Self::spend(
+                    &mut self.remaining,
+                    &mut self.active_count,
+                    &mut self.deactivated,
+                    ci,
+                    added,
+                );
             }
         }
     }
@@ -475,6 +520,7 @@ impl HistSim {
             if self.remaining[ci] > 0 {
                 self.remaining[ci] = 0;
                 self.active_count -= 1;
+                self.deactivated.push(c);
             }
         }
     }
@@ -494,14 +540,15 @@ impl HistSim {
                 "complete_io_phase after completion".into(),
             ));
         }
-        if exhausted {
-            self.finish_exact();
-            return Ok(());
-        }
-        if !self.io_satisfied() {
+        if !exhausted && !self.io_satisfied() {
             return Err(CoreError::PhaseViolation(
                 "complete_io_phase called before demand was satisfied".into(),
             ));
+        }
+        self.deactivated.clear();
+        if exhausted {
+            self.finish_exact();
+            return Ok(());
         }
         match &self.phase {
             Phase::Stage1 { taken } => {
@@ -1072,6 +1119,40 @@ mod tests {
             hs.mark_exact(c);
         }
         assert!(hs.io_satisfied());
+    }
+
+    #[test]
+    fn deactivations_are_listed_once_per_phase() {
+        let cfg = HistSimConfig {
+            k: 1,
+            stage1_samples: 8,
+            sigma: 0.0,
+            epsilon: 0.05,
+            ..tiny_config()
+        };
+        let mut hs = HistSim::new(cfg, 3, 2, 100_000, &[0.5, 0.5]).unwrap();
+        for i in 0..8u32 {
+            hs.ingest(i % 3, (i / 3) % 2);
+            hs.mark_exact(2); // stage 1 has no demand to drop
+        }
+        assert!(hs.deactivated().is_empty());
+        hs.complete_io_phase(false).unwrap();
+        assert_eq!(hs.phase(), PhaseKind::Stage2);
+        assert!(hs.deactivated().is_empty());
+        let need = hs.remaining_slice()[0];
+        assert!(need > 0 && hs.is_active(1));
+        // Met by samples (overshooting), then by exhaustion; neither a
+        // second sample nor a second `mark_exact` lists it again.
+        let zs = vec![0; need as usize + 1];
+        hs.ingest_block(&zs, &vec![0; zs.len()]);
+        hs.ingest(0, 1);
+        hs.mark_exact(1);
+        hs.mark_exact(1);
+        hs.mark_exact(0);
+        assert_eq!(hs.deactivated(), &[0, 1]);
+        assert!(hs.io_satisfied());
+        hs.complete_io_phase(false).unwrap();
+        assert!(hs.deactivated().is_empty(), "cleared at phase completion");
     }
 
     #[test]

@@ -19,7 +19,7 @@ use fastmatch_store::io::IoStats;
 use crate::progress::ConsumptionTracker;
 use crate::query::QueryJob;
 use crate::result::{MatchOutput, RunStats};
-use crate::shared::{DemandMode, SharedDemand};
+use crate::shared::{needs_full_publication, DemandMode, SharedDemand};
 
 /// What one service quantum has ingested since its last merge: the
 /// phase-free count deltas of every block read, plus each block's id and
@@ -80,6 +80,11 @@ pub(crate) struct Driver {
     tracker: ConsumptionTracker,
     /// Candidates the block being ingested just ran out of (reused).
     consumed: Vec<u32>,
+    /// The phase [`Self::advance_and_publish`] last published (`None`
+    /// before the first publication).
+    published_phase: Option<PhaseKind>,
+    /// How many of [`HistSim::deactivated`] that publication covered.
+    published_deactivations: usize,
     t0: Instant,
 }
 
@@ -104,6 +109,8 @@ impl Driver {
             hs,
             tracker,
             consumed: Vec::new(),
+            published_phase: None,
+            published_deactivations: 0,
             t0,
         })
     }
@@ -138,7 +145,9 @@ impl Driver {
 
     /// Advances the state machine through every phase whose demand is
     /// already satisfied; `true` if that completed at least one phase or
-    /// stage-2 round.
+    /// stage-2 round. A driver that publishes demand advances only
+    /// through [`Self::advance_and_publish`] (and, at the very end,
+    /// [`Self::finish_exhausted`]), so that no step goes unpublished.
     pub fn advance(&mut self) -> Result<bool> {
         let mut stepped = false;
         while self.hs.io_satisfied() && !self.hs.is_done() {
@@ -151,16 +160,29 @@ impl Driver {
     /// [`Self::advance`], then publishes the resulting demand snapshot for
     /// sampling-engine / shard-worker threads — as one atomic publication
     /// (single epoch bump), so a woken reader never sees a fresh mode
-    /// with stale demand or vice versa.
+    /// with stale demand or vice versa. The per-candidate counts go out
+    /// in full only when [`needs_full_publication`] says demand may have
+    /// risen; otherwise only the candidates deactivated since the last
+    /// publication are zeroed, which keeps the published active set
+    /// equal to HistSim's at a cost of O(deactivations), not O(|V_Z|).
     pub fn advance_and_publish(&mut self, shared: &SharedDemand) -> Result<bool> {
         let stepped = self.advance()?;
-        match self.hs.phase() {
+        let phase = self.hs.phase();
+        let deactivated = self.hs.deactivated();
+        match phase {
             PhaseKind::Stage1 => shared.publish(DemandMode::ReadAll, None),
             PhaseKind::Stage2 | PhaseKind::Stage3 => {
-                shared.publish(DemandMode::AnyActive, Some(self.hs.remaining_slice()));
+                if needs_full_publication(stepped, self.published_phase, phase) {
+                    shared.publish(DemandMode::AnyActive, Some(self.hs.remaining_slice()));
+                } else {
+                    let since = &deactivated[self.published_deactivations..];
+                    shared.publish_deactivations(DemandMode::AnyActive, since);
+                }
             }
             PhaseKind::Done => shared.publish(DemandMode::Stop, None),
         }
+        self.published_phase = Some(phase);
+        self.published_deactivations = deactivated.len();
         Ok(stepped)
     }
 
@@ -185,5 +207,144 @@ impl Driver {
             pruned: output.diagnostics.pruned_candidates,
         };
         Ok(MatchOutput { output, stats })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fastmatch_core::histsim::HistSimConfig;
+    use fastmatch_store::bitmap::BitmapIndex;
+    use fastmatch_store::block::BlockLayout;
+    use fastmatch_store::schema::{AttrDef, Schema};
+    use fastmatch_store::table::Table;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// What the publications of one run went through.
+    #[derive(Default)]
+    struct Seen {
+        /// Publications made in stage 1, 2 and 3.
+        by_stage: [usize; 3],
+        /// Publications after which a candidate whose demand was dropped
+        /// by `mark_exact` (consumed, still short of its demand) was
+        /// listed as deactivated.
+        exact_drops: usize,
+    }
+
+    /// Publishes and checks that the published active set is HistSim's.
+    fn publish_and_check(d: &mut Driver, shared: &SharedDemand, seen: &mut Seen, seed: u64) {
+        d.advance_and_publish(shared).unwrap();
+        match d.hs.phase() {
+            PhaseKind::Stage1 => seen.by_stage[0] += 1,
+            PhaseKind::Stage2 => seen.by_stage[1] += 1,
+            PhaseKind::Stage3 => seen.by_stage[2] += 1,
+            PhaseKind::Done => return,
+        }
+        let hs = &d.hs;
+        if hs.deactivated().iter().any(|&c| hs.is_exact(c)) {
+            seen.exact_drops += 1;
+        }
+        for c in 0..shared.len() {
+            assert_eq!(
+                shared.is_active(c),
+                hs.is_active(c as u32),
+                "seed {seed}: candidate {c} in {:?}",
+                hs.phase()
+            );
+        }
+    }
+
+    /// One random query, read once through in rotated order on the
+    /// `ingest_block` path or in `merge_batch` batches, publishing after
+    /// a random number of blocks each time.
+    fn run(seed: u64, batched: bool, seen: &mut Seen) {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let candidates = rng.gen_range(2..10u32);
+        let groups = rng.gen_range(2..5u32);
+        let rows = rng.gen_range(300..3_000usize);
+        // Skewed towards low codes, so high codes are rare and run out of
+        // blocks mid-phase, short of their demand.
+        let z = (0..rows)
+            .map(|_| (rng.gen::<f64>().powi(3) * candidates as f64) as u32)
+            .collect();
+        let x = (0..rows).map(|_| rng.gen_range(0..groups)).collect();
+        let schema = Schema::new(vec![
+            AttrDef::new("z", candidates),
+            AttrDef::new("x", groups),
+        ]);
+        let table = Table::new(schema, vec![z, x]);
+        let layout = BlockLayout::new(rows, rng.gen_range(1..16));
+        let bitmap = BitmapIndex::build(&table, 0, &layout);
+        let cfg = HistSimConfig {
+            k: rng.gen_range(1..3),
+            epsilon: rng.gen_range(0.2..0.5),
+            delta: 0.05,
+            sigma: 0.0,
+            stage1_samples: rng.gen_range(20..200),
+            ..HistSimConfig::default()
+        };
+        let target = (0..groups).map(|g| 1.0 + g as f64).collect();
+        let job = QueryJob::new(&table, layout, &bitmap, 0, 1, target, cfg);
+        let mut d = Driver::new(&job).unwrap();
+        let shared = SharedDemand::new(job.num_candidates());
+        publish_and_check(&mut d, &shared, seen, seed);
+
+        let mut reader = job.reader();
+        let nb = layout.num_blocks();
+        let start = rng.gen_range(0..nb);
+        let mut batch = ShardBatch::new(job.num_candidates(), job.num_groups());
+        let mut until_publish = rng.gen_range(1..24usize);
+        for b in (start..nb).chain(0..start) {
+            if d.hs.is_done() {
+                break;
+            }
+            let (zs, xs) = reader.block_slices(b, 0, 1);
+            if batched {
+                batch.push_block(b, zs, xs);
+            } else {
+                d.ingest_block(b, zs, xs);
+            }
+            until_publish -= 1;
+            if until_publish == 0 {
+                d.merge_batch(&batch);
+                batch.clear();
+                publish_and_check(&mut d, &shared, seen, seed);
+                until_publish = rng.gen_range(1..24usize);
+            }
+        }
+        if !d.hs.is_done() {
+            d.merge_batch(&batch);
+            publish_and_check(&mut d, &shared, seen, seed);
+            d.finish_exhausted().unwrap();
+        }
+        assert!(d.hs.is_done());
+    }
+
+    /// After every `advance_and_publish` — full or deactivation-only —
+    /// the published active set equals HistSim's, over random tables,
+    /// through all three stages, on both ingestion paths.
+    #[test]
+    fn published_active_set_tracks_histsim() {
+        for batched in [false, true] {
+            let mut seen = Seen::default();
+            for seed in 0..60 {
+                run(seed, batched, &mut seen);
+            }
+            let path = if batched {
+                "merge_batch"
+            } else {
+                "ingest_block"
+            };
+            assert!(
+                seen.by_stage.iter().all(|&n| n > 0),
+                "{path}: publications per stage {:?}",
+                seen.by_stage
+            );
+            assert!(
+                seen.exact_drops > 0,
+                "{path}: no demand dropped by mark_exact"
+            );
+        }
     }
 }

@@ -11,18 +11,17 @@
 //! * the **I/O manager + statistics engine** (caller thread) reads each
 //!   marked run *as a run* ([`BlockReader::read_run`]), ingests its
 //!   blocks into HistSim one at a time, advances its stages, and
-//!   publishes fresh per-candidate demand through [`SharedDemand`].
+//!   publishes which candidates are still active through
+//!   [`SharedDemand`] — every count after a stage or round boundary,
+//!   otherwise only the candidates that have run out since.
 //!
-//! Figure 6's three stages each run ahead of the next: **marking**
-//! (`ShardWalk::step`, the same walk the query service drives, and
-//! with it `ParallelMatch`) runs at most two windows ahead of I/O (below);
-//! **I/O** runs one chunk of
-//! the current run ahead of ingestion, inside the storage backend — a
-//! run read tells it exactly which blocks of which two attributes come
-//! next, so over a medium with latency the file backend's readahead
-//! pool loads the next chunk while this thread ingests the current one,
-//! and no hint is computed here; **ingestion** is the visitor the run
-//! read calls per block.
+//! Of Figure 6's three stages, **marking** (`ShardWalk::step`, the same
+//! walk the query service drives, and with it `ParallelMatch`) runs at
+//! most two windows ahead of I/O (below). **I/O** is a demand read of
+//! the marked run and reads nothing ahead: the file backend fetches it
+//! one positioned read per attribute and 64-block chunk, the in-memory
+//! backend lends the table's own slices. **Ingestion** is the visitor
+//! the run read calls per block.
 //!
 //! The channel carries one message per marked window and holds two, so
 //! block selection runs at most two windows (`2 × lookahead` blocks)

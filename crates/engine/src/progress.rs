@@ -23,7 +23,8 @@ pub struct ConsumptionTracker {
 }
 
 impl ConsumptionTracker {
-    /// Initializes from the bitmap index (one popcount per candidate).
+    /// Initializes from the block counts the bitmap index keeps: one
+    /// lookup per candidate, whatever the table's size.
     pub fn new(bitmap: &BitmapIndex) -> Self {
         let blocks_left = (0..bitmap.num_values() as u32)
             .map(|c| bitmap.blocks_with_value(c) as u32)

@@ -20,8 +20,27 @@
 //! re-reading an entire pass under a stale `ReadAll`, or seeing
 //! `AnyActive` with the previous round's counts. The regression test in
 //! `tests/demand_ordering.rs` fails under that ordering.)
+//!
+//! ## Full and deactivation publications
+//!
+//! Readers act on the *sign* of each count only (AnyActive asks "is
+//! `remaining > 0`?"), so a publisher need not resend every count each
+//! time. A **full** publication ([`SharedDemand::publish`]) stores all
+//! of them; a **deactivation** publication
+//! ([`SharedDemand::publish_deactivations`]) stores 0 for just the
+//! candidates whose demand ran out since the previous one, and costs
+//! what the demand changed, not |V_Z|. Within a phase (a stage, or one
+//! stage-2 round) demand only falls, so deactivations keep the sign of
+//! every published count equal to HistSim's. Demand rises only when a
+//! phase or round completes, and [`needs_full_publication`] makes the
+//! publication after that, like the first one, full. Both kinds follow
+//! [`PUBLISH_ORDER`] with one epoch bump. Between full publications a
+//! published non-zero count is stale in magnitude; only its sign is
+//! exact.
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+
+use fastmatch_core::histsim::PhaseKind;
 
 /// Demand mode published to the lookahead thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,8 +105,24 @@ pub const fn decode_mode(v: u8) -> DemandMode {
     }
 }
 
+/// Whether the next publication must store every per-candidate count
+/// (`true`) or may store 0 for the candidates deactivated since the last
+/// one (`false`): full after the state machine `stepped` over a phase or
+/// stage-2 round boundary, and whenever the `phase` differs from the one
+/// last published (`None` before the first publication). Those are the
+/// only points where demand can rise. Extracted so the `demand_publish`
+/// model in `fastmatch-check` decides with the same function.
+pub fn needs_full_publication(
+    stepped: bool,
+    last_published_phase: Option<PhaseKind>,
+    phase: PhaseKind,
+) -> bool {
+    stepped || last_published_phase != Some(phase)
+}
+
 /// Shared demand snapshot: a mode flag plus per-candidate outstanding
-/// sample counts (0 ⇒ inactive).
+/// sample counts (0 ⇒ inactive; see the module docs for why only the
+/// sign is exact between full publications).
 #[derive(Debug)]
 pub struct SharedDemand {
     mode: AtomicU8,
@@ -110,17 +145,49 @@ impl SharedDemand {
     /// **single** release-ordered epoch bump. Readers woken by the new
     /// epoch are guaranteed to see the whole snapshot; see the module
     /// docs for why the order is load-bearing.
+    ///
+    /// # Panics
+    /// Panics — in every build profile — unless `remaining` has one count
+    /// per candidate. A short slice would otherwise leave the counts past
+    /// its end at their old values, stale demand readers go on acting on.
     pub fn publish(&self, mode: DemandMode, remaining: Option<&[u64]>) {
+        if let Some(rem) = remaining {
+            assert_eq!(
+                rem.len(),
+                self.remaining.len(),
+                "published demand must cover every candidate"
+            );
+        }
+        self.publish_with(mode, |slots| {
+            for (slot, &v) in slots.iter().zip(remaining.unwrap_or_default()) {
+                slot.store(v, Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// Publishes a deactivation snapshot: stores 0 for each candidate of
+    /// `deactivated`, leaving every other count as last published, then
+    /// the mode, then one epoch bump — [`PUBLISH_ORDER`] as for
+    /// [`Self::publish`]. Keeps the published active set exact when
+    /// `deactivated` lists every candidate whose demand ran out since the
+    /// previous publication and demand has not risen since the last full
+    /// one (see [`needs_full_publication`]).
+    ///
+    /// # Panics
+    /// Panics if a listed candidate is out of range.
+    pub fn publish_deactivations(&self, mode: DemandMode, deactivated: &[u32]) {
+        self.publish_with(mode, |slots| {
+            for &c in deactivated {
+                slots[c as usize].store(0, Ordering::Relaxed);
+            }
+        });
+    }
+
+    /// Runs [`PUBLISH_ORDER`], storing the counts with `store_remaining`.
+    fn publish_with(&self, mode: DemandMode, store_remaining: impl Fn(&[AtomicU64])) {
         for action in PUBLISH_ORDER {
             match action {
-                PublishAction::StoreRemaining => {
-                    if let Some(rem) = remaining {
-                        debug_assert_eq!(rem.len(), self.remaining.len());
-                        for (slot, &v) in self.remaining.iter().zip(rem) {
-                            slot.store(v, Ordering::Relaxed);
-                        }
-                    }
-                }
+                PublishAction::StoreRemaining => store_remaining(&self.remaining),
                 // Release on the mode store so even readers that poll
                 // `mode()` without touching the epoch observe the demand
                 // published with (or before) the mode they see.
@@ -167,7 +234,9 @@ impl SharedDemand {
     }
 
     /// The published outstanding count for candidate `c` (possibly
-    /// stale).
+    /// stale). Between full publications it is exact only in sign: a
+    /// deactivation publication zeroes a count, but nothing lowers a
+    /// non-zero one until the next full publication.
     #[inline]
     pub fn remaining(&self, c: usize) -> u64 {
         self.remaining[c].load(Ordering::Relaxed)
@@ -255,6 +324,36 @@ mod tests {
         assert_eq!(s.epoch(), e0 + 1);
         s.set_mode(DemandMode::ReadAll);
         assert_eq!(s.epoch(), e0 + 2);
+        s.publish_deactivations(DemandMode::AnyActive, &[]);
+        assert_eq!(s.epoch(), e0 + 3);
+    }
+
+    #[test]
+    fn deactivation_publication_zeroes_only_the_listed_counts() {
+        let s = SharedDemand::new(4);
+        s.publish(DemandMode::AnyActive, Some(&[3, 5, 0, 2]));
+        s.publish_deactivations(DemandMode::AnyActive, &[3, 2]);
+        let counts: Vec<u64> = (0..4).map(|c| s.remaining(c)).collect();
+        assert_eq!(counts, vec![3, 5, 0, 0]);
+        assert_eq!(s.mode(), DemandMode::AnyActive);
+    }
+
+    #[test]
+    fn full_publication_after_any_step_or_phase_change() {
+        use PhaseKind::*;
+        assert!(needs_full_publication(false, None, Stage1), "first");
+        assert!(needs_full_publication(true, Some(Stage2), Stage2), "round");
+        assert!(needs_full_publication(false, Some(Stage2), Stage3));
+        assert!(!needs_full_publication(false, Some(Stage2), Stage2));
+        assert!(!needs_full_publication(false, Some(Stage3), Stage3));
+    }
+
+    /// Must fire in release builds too; CI also runs it with `--release`.
+    #[test]
+    #[should_panic(expected = "published demand must cover every candidate")]
+    fn short_demand_slice_panics_in_all_builds() {
+        let s = SharedDemand::new(3);
+        s.publish(DemandMode::AnyActive, Some(&[1, 2]));
     }
 
     #[test]

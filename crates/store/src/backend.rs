@@ -93,7 +93,9 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
     /// backend gains is the knowledge that the blocks are wanted
     /// *together*. The default implementation is the loop over
     /// [`Self::read_block_pair_into`]; [`crate::file::FileBackend`]
-    /// serves a run with one positioned read per attribute and chunk.
+    /// serves a run with one positioned read per attribute and chunk,
+    /// and [`MemBackend`] lends the table's column slices without
+    /// copying them.
     fn read_run_pair_into(
         &self,
         blocks: std::ops::Range<usize>,
@@ -126,7 +128,8 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 /// The in-memory backend: a view over a [`Table`] under a chosen layout.
 ///
 /// This is the seed system's original storage regime, now behind the
-/// trait; block "reads" are column-slice copies, so any latency model
+/// trait. Page and pair reads copy column slices into the caller's
+/// buffers; a run read lends the slices themselves. Any latency model
 /// (e.g. [`crate::io::BlockReader::with_simulated_latency`]) is layered
 /// on top by the reader, not the backend.
 #[derive(Debug, Clone, Copy)]
@@ -149,6 +152,28 @@ impl<'a> MemBackend<'a> {
     pub fn table(&self) -> &'a Table {
         self.table
     }
+
+    /// Lends the blocks of the run `blocks` to `visit`, in order, as
+    /// borrowed column slices, until it returns `false`. Returns whether
+    /// the whole run was delivered. The run path of both this backend
+    /// and [`crate::io::BlockReader`]'s in-memory source.
+    #[inline]
+    pub(crate) fn lend_run(
+        &self,
+        blocks: std::ops::Range<usize>,
+        z_attr: usize,
+        x_attr: usize,
+        mut visit: impl FnMut(usize, &[u32], &[u32], [PageOrigin; 2]) -> bool,
+    ) -> bool {
+        let (z, x) = (self.table.column(z_attr), self.table.column(x_attr));
+        for b in blocks {
+            let range = self.layout.rows_of_block(b);
+            if !visit(b, &z[range.clone()], &x[range], [PageOrigin::Memory; 2]) {
+                return false;
+            }
+        }
+        true
+    }
 }
 
 impl StorageBackend for MemBackend<'_> {
@@ -165,6 +190,18 @@ impl StorageBackend for MemBackend<'_> {
         out.clear();
         out.extend_from_slice(&self.table.column(attr)[range]);
         Ok(PageOrigin::Memory)
+    }
+
+    fn read_run_pair_into(
+        &self,
+        blocks: std::ops::Range<usize>,
+        z_attr: usize,
+        x_attr: usize,
+        _zs: &mut Vec<u32>,
+        _xs: &mut Vec<u32>,
+        visit: &mut BlockVisitor<'_>,
+    ) -> Result<bool> {
+        Ok(self.lend_run(blocks, z_attr, x_attr, visit))
     }
 }
 

@@ -13,6 +13,12 @@
 //! blocks into a mark array, consuming each cache line of the bitmap once,
 //! instead of the bit-at-a-time access pattern of Algorithm 2 that evicts
 //! the line between candidates.
+//!
+//! The index also holds each value's block count (the popcount of its
+//! row), computed once when the index is built, so
+//! [`BitmapIndex::blocks_with_value`] — consumption tracking's starting
+//! point, read for every candidate of every query — is a lookup, not a
+//! pass over the row.
 
 use crate::block::BlockLayout;
 use crate::table::Table;
@@ -26,6 +32,8 @@ pub struct BitmapIndex {
     stride: usize,
     /// `words[v * stride + w]` holds blocks `64w .. 64w+63` for value `v`.
     words: Vec<u64>,
+    /// `counts[v]` = set bits of value `v`'s row.
+    counts: Vec<usize>,
 }
 
 impl BitmapIndex {
@@ -44,11 +52,13 @@ impl BitmapIndex {
                 words[v * stride + word] |= 1u64 << bit;
             }
         }
+        let counts = popcounts(&words, num_values, stride);
         BitmapIndex {
             num_values,
             num_blocks,
             stride,
             words,
+            counts,
         }
     }
 
@@ -58,14 +68,22 @@ impl BitmapIndex {
     /// scan. `rows[v]` holds the presence words of value `v` (bit `b%64`
     /// of word `b/64` ⇔ some row with value `v` lies in block `b`); rows
     /// shorter than the stride are zero-padded, longer ones must carry no
-    /// bits at or beyond `num_blocks`.
+    /// bits at or beyond `num_blocks`. `counts[v]` is the number of bits
+    /// set in `rows[v]`, kept by the caller as it sets them, so no
+    /// popcount runs here.
     ///
     /// # Panics
-    /// Panics if `rows.len() != num_values` or a row sets a bit for a
-    /// block `>= num_blocks` (the caller handed over bits from rows that
-    /// are not part of the index's view).
-    pub(crate) fn from_value_rows(num_values: usize, num_blocks: usize, rows: &[Vec<u64>]) -> Self {
+    /// Panics if `rows.len()` or `counts.len()` differs from `num_values`,
+    /// or a row sets a bit for a block `>= num_blocks` (the caller handed
+    /// over bits from rows that are not part of the index's view).
+    pub(crate) fn from_value_rows(
+        num_values: usize,
+        num_blocks: usize,
+        rows: &[Vec<u64>],
+        counts: Vec<usize>,
+    ) -> Self {
         assert_eq!(rows.len(), num_values, "one presence row per value");
+        assert_eq!(counts.len(), num_values, "one block count per value");
         let stride = num_blocks.div_ceil(64);
         let mut words = vec![0u64; num_values * stride];
         for (v, row) in rows.iter().enumerate() {
@@ -85,11 +103,17 @@ impl BitmapIndex {
                 words[v * stride + w] = bits;
             }
         }
+        debug_assert_eq!(
+            counts,
+            popcounts(&words, num_values, stride),
+            "stale block counts"
+        );
         BitmapIndex {
             num_values,
             num_blocks,
             stride,
             words,
+            counts,
         }
     }
 
@@ -138,13 +162,22 @@ impl BitmapIndex {
         self.words.len() * 8
     }
 
-    /// Number of blocks containing value `v` (popcount of its row).
+    /// Number of blocks containing value `v` (the popcount of its row,
+    /// kept since the index was built).
     pub fn blocks_with_value(&self, v: u32) -> usize {
-        self.words[v as usize * self.stride..(v as usize + 1) * self.stride]
-            .iter()
-            .map(|w| w.count_ones() as usize)
-            .sum()
+        self.counts[v as usize]
     }
+}
+
+/// The popcount of each of the `num_values` value rows of `words`, each
+/// `stride` words long (none, over zero blocks).
+fn popcounts(words: &[u64], num_values: usize, stride: usize) -> Vec<usize> {
+    (0..num_values)
+        .map(|v| {
+            let row = &words[v * stride..(v + 1) * stride];
+            row.iter().map(|w| w.count_ones() as usize).sum()
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@
 use std::ops::Range;
 use std::sync::Arc;
 
-use crate::backend::{PageOrigin, StorageBackend};
+use crate::backend::{MemBackend, PageOrigin, StorageBackend};
 use crate::block::BlockLayout;
 use crate::error::Result;
 use crate::table::Table;
@@ -153,7 +153,8 @@ impl std::iter::Sum for IoStats {
 /// data.
 #[derive(Debug, Clone)]
 enum Source<'a> {
-    /// Direct in-memory table access: `block_slices` is zero-copy.
+    /// Direct in-memory table access: `block_slices` and `read_run` are
+    /// zero-copy.
     Mem(&'a Table),
     /// Any pluggable backend: pages are read into the reader's scratch
     /// buffers (and may fail).
@@ -337,13 +338,7 @@ impl<'a> BlockReader<'a> {
         };
         let backend: &dyn StorageBackend = match &self.source {
             Source::Mem(table) => {
-                let (z, x) = (table.column(z_attr), table.column(x_attr));
-                for b in blocks {
-                    let range = self.layout.rows_of_block(b);
-                    if !deliver(b, &z[range.clone()], &x[range], [PageOrigin::Memory; 2]) {
-                        break;
-                    }
-                }
+                MemBackend::new(table, self.layout).lend_run(blocks, z_attr, x_attr, deliver);
                 return Ok(());
             }
             Source::Backend(backend) => *backend,
@@ -731,6 +726,41 @@ mod tests {
         let t = table();
         let mut s = BlockReader::new(&t, BlockLayout::new(20, 5)).shard(0, 2);
         s.skip_blocks(1..3); // block 2 belongs to shard 1
+    }
+
+    #[test]
+    fn mem_backend_runs_lend_what_the_in_memory_source_lends() {
+        let t = table();
+        let layout = BlockLayout::new(20, 3); // 7 blocks, the last short
+        let backend = MemBackend::new(&t, layout);
+        for stop_after in [1, 3, 6, usize::MAX] {
+            let mut runs = Vec::new();
+            for mut reader in [
+                BlockReader::new(&t, layout),
+                BlockReader::over_backend(&backend),
+            ] {
+                reader.skip_block(0);
+                let mut delivered = Vec::new();
+                reader
+                    .read_run(1..7, 0, 1, |b, zs, xs| {
+                        // The table's own memory, not a copy of it.
+                        let rows = layout.rows_of_block(b);
+                        assert_eq!(zs.as_ptr(), t.column(0)[rows.clone()].as_ptr());
+                        assert_eq!(xs.as_ptr(), t.column(1)[rows.clone()].as_ptr());
+                        assert_eq!((zs.len(), xs.len()), (rows.len(), rows.len()));
+                        delivered.push(b);
+                        delivered.len() < stop_after
+                    })
+                    .unwrap();
+                runs.push((delivered, reader.stats()));
+            }
+            assert_eq!(runs[0], runs[1], "stop after {stop_after}");
+            let (delivered, stats) = &runs[0];
+            assert_eq!(delivered.len(), stop_after.min(6));
+            assert_eq!(stats.blocks_read, delivered.len() as u64);
+            assert_eq!(stats.blocks_skipped, 1);
+            assert_eq!((stats.pages_cache_hit, stats.pages_cache_miss), (0, 0));
+        }
     }
 
     #[test]

@@ -81,6 +81,9 @@ impl MemTable {
 pub(crate) struct LiveBitmap {
     /// `rows[v][b / 64] >> (b % 64) & 1` ⇔ block `b` holds value `v`.
     rows: Vec<Vec<u64>>,
+    /// `counts[v]` = bits set in `rows[v]`, kept as they go from 0 to 1
+    /// so that freezing runs no popcount under the append lock.
+    counts: Vec<usize>,
 }
 
 impl LiveBitmap {
@@ -88,6 +91,7 @@ impl LiveBitmap {
     pub fn new(num_values: u32) -> Self {
         LiveBitmap {
             rows: (0..num_values).map(|_| Vec::new()).collect(),
+            counts: vec![0; num_values as usize],
         }
     }
 
@@ -99,7 +103,9 @@ impl LiveBitmap {
         if row.len() <= w {
             row.resize(w + 1, 0);
         }
-        row[w] |= 1u64 << (b % 64);
+        let bit = 1u64 << (b % 64);
+        self.counts[v as usize] += usize::from(row[w] & bit == 0);
+        row[w] |= bit;
     }
 
     /// Assembles the frozen [`crate::bitmap::BitmapIndex`] covering the
@@ -107,7 +113,12 @@ impl LiveBitmap {
     /// `num_blocks` — guaranteed when called under the same lock that
     /// serializes [`Self::set`] with row appends.
     pub fn freeze(&self, num_blocks: usize) -> crate::bitmap::BitmapIndex {
-        crate::bitmap::BitmapIndex::from_value_rows(self.rows.len(), num_blocks, &self.rows)
+        crate::bitmap::BitmapIndex::from_value_rows(
+            self.rows.len(),
+            num_blocks,
+            &self.rows,
+            self.counts.clone(),
+        )
     }
 }
 
@@ -155,6 +166,23 @@ mod tests {
         assert!(idx.block_has(2, 0));
         assert!(idx.block_has(1, 70));
         assert!(!idx.block_has(1, 69));
+    }
+
+    #[test]
+    fn frozen_block_counts_are_row_popcounts() {
+        let mut bm = LiveBitmap::new(3);
+        for (v, b) in [(0, 5), (0, 5), (0, 63), (0, 64), (1, 2), (1, 2), (1, 2)] {
+            bm.set(v, b); // (0, 5) and (1, 2) set the same bit again
+        }
+        let idx = bm.freeze(65);
+        for v in 0..3u32 {
+            let popcount = (0..65).filter(|&b| idx.block_has(v, b)).count();
+            assert_eq!(idx.blocks_with_value(v), popcount, "v {v}");
+        }
+        assert_eq!(
+            (0..3).map(|v| idx.blocks_with_value(v)).collect::<Vec<_>>(),
+            vec![3, 1, 0]
+        );
     }
 
     #[test]

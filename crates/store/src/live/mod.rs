@@ -2028,15 +2028,19 @@ mod tests {
             assert_eq!(t.code(0, k as usize), row_of(k)[0]);
             assert_eq!(t.code(1, k as usize), row_of(k)[1]);
         }
-        // Rebuilt indexes equal scan-built ones.
+        // Rebuilt indexes equal scan-built ones, block counts included.
         let layout = snap.layout();
         for attr in 0..2 {
             let want_bm = crate::bitmap::BitmapIndex::build(&t, attr, &layout);
             let got_bm = snap.bitmap(attr);
             for v in 0..got_bm.num_values() as u32 {
+                let mut popcount = 0;
                 for b in 0..layout.num_blocks() {
                     assert_eq!(got_bm.block_has(v, b), want_bm.block_has(v, b));
+                    popcount += usize::from(got_bm.block_has(v, b));
                 }
+                assert_eq!(got_bm.blocks_with_value(v), popcount, "attr {attr} v {v}");
+                assert_eq!(got_bm.blocks_with_value(v), want_bm.blocks_with_value(v));
             }
             assert_eq!(snap.zone_map(attr), &ZoneMap::build(&t, attr, &layout));
         }

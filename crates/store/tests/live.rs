@@ -456,7 +456,8 @@ fn wal_truncated_at_every_byte_recovers_the_exact_durable_prefix() {
 }
 
 /// A snapshot's frozen bitmap equals a scan-built index over its
-/// materialization — under ongoing appends, for every attribute.
+/// materialization — bits and per-value block counts — under ongoing
+/// appends, for every attribute.
 #[test]
 fn snapshot_bitmaps_are_exact_under_load() {
     let live = LiveTable::new(
@@ -487,6 +488,7 @@ fn snapshot_bitmaps_are_exact_under_load() {
                     for blk in 0..layout.num_blocks() {
                         assert_eq!(got.block_has(v, blk), want.block_has(v, blk));
                     }
+                    assert_eq!(got.blocks_with_value(v), want.blocks_with_value(v));
                 }
             }
         }

@@ -55,7 +55,8 @@ proptest! {
         prop_assert_eq!(a, b);
     }
 
-    /// A bitmap bit is set iff the block actually contains the value.
+    /// A bitmap bit is set iff the block actually contains the value, and
+    /// a value's block count is the popcount of its row.
     #[test]
     fn bitmap_matches_block_contents(
         table in arb_table(300, 9),
@@ -63,11 +64,16 @@ proptest! {
     ) {
         let layout = BlockLayout::new(table.n_rows(), bs);
         let idx = BitmapIndex::build(&table, 0, &layout);
+        let mut blocks_with = [0usize; 9];
         for b in 0..layout.num_blocks() {
             for v in 0..9u32 {
                 let truth = layout.rows_of_block(b).any(|r| table.code(0, r) == v);
                 prop_assert_eq!(idx.block_has(v, b), truth, "v={} b={}", v, b);
+                blocks_with[v as usize] += usize::from(truth);
             }
+        }
+        for (v, &n) in blocks_with.iter().enumerate() {
+            prop_assert_eq!(idx.blocks_with_value(v as u32), n, "v={}", v);
         }
     }
 
