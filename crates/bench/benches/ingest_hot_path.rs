@@ -7,10 +7,14 @@
 //!    pattern).
 //! 2. **Per-block ingest by histogram width**: ns/tuple to get one
 //!    150-tuple block into `HistSim`, through the fused
-//!    `HistSim::ingest_block` kernel (what the executors do) and through
-//!    `accumulate` + `merge_ref` + `clear` (what an outside walker does),
-//!    at |V_X| ∈ {2, 24, 351} — the wide-histogram cliff as a layer
-//!    number of its own: both must stay flat in |V_X|.
+//!    `HistSim::ingest_block` kernel settled after every block and
+//!    settled every 16 blocks (what `FastMatch` does between
+//!    publications), each settlement fed to a per-candidate row counter
+//!    as the engine's consumption tracking is, and through
+//!    `accumulate`, `merge_ref` and `clear` (what an outside walker
+//!    does), at |V_Z| ∈ {347, 7 641} (FLIGHTS and TAXI) × |V_X| ∈
+//!    {2, 24, 351} — the wide-histogram cliff as a layer number of its
+//!    own: every row must stay flat in |V_X|.
 //!
 //! Emits a machine-readable summary to `BENCH_ingest.json` (current
 //! working directory) so CI can archive the perf trajectory.
@@ -120,28 +124,33 @@ fn bench_kernel(total_tuples: usize, seed: u64) -> KernelResult {
 
 // -------------------------------------------------------- block-ingest part
 
-/// Per-block ingest cost at one histogram width.
+/// Per-block ingest cost at one domain.
 struct WidthResult {
+    candidates: usize,
     groups: usize,
-    fused_ns_per_tuple: f64,
+    settle_every_block_ns_per_tuple: f64,
+    settle_every_16_ns_per_tuple: f64,
     merge_ns_per_tuple: f64,
 }
 
+/// Blocks per settlement on the batched row: `FastMatch`'s
+/// `PUBLISH_EVERY`.
+const SETTLE_EVERY: usize = 16;
+
 /// One 150-tuple block at a time into a `HistSim` that stays in stage 1
-/// (so every block lands in one matrix and nothing is pruned): FLIGHTS'
-/// 347 candidates, skewed so a block holds ~60 distinct ones, against
-/// each Table 3 histogram width.
+/// (so every block lands in one matrix and nothing is pruned), against
+/// each Table 3 histogram width, with candidate codes skewed (a cubed
+/// uniform) over FLIGHTS' 347 and TAXI's 7 641 candidates.
 fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
-    const NC: usize = 347;
     const TPB: usize = 150;
     let mut next = lcg(seed);
-    [2usize, 24, 351]
-        .into_iter()
-        .map(|ng| {
+    let mut out = Vec::new();
+    for nc in [347usize, 7_641] {
+        for ng in [2usize, 24, 351] {
             let zs: Vec<u32> = (0..total_tuples)
                 .map(|_| {
                     let u = (next() % 1_000_000) as f64 / 1e6;
-                    (u * u * u * NC as f64) as u32
+                    (u * u * u * nc as f64) as u32
                 })
                 .collect();
             let xs: Vec<u32> = (0..total_tuples)
@@ -151,34 +160,52 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
                 stage1_samples: u64::MAX,
                 ..HistSimConfig::default()
             };
-            let mk = || HistSim::new(cfg.clone(), NC, ng, u64::MAX, &vec![1.0; ng]).unwrap();
+            let mk = || HistSim::new(cfg.clone(), nc, ng, u64::MAX, &vec![1.0; ng]).unwrap();
+            // The engine's consumption tracking: unread rows per
+            // candidate, decremented by each settlement.
+            let mut rows_left = vec![u64::MAX; nc];
 
+            let mut fused = |every: usize| {
+                let mut hs = mk();
+                best_of(3, || {
+                    for (i, (zb, xb)) in zs.chunks(TPB).zip(xs.chunks(TPB)).enumerate() {
+                        hs.ingest_block(zb, xb);
+                        if (i + 1) % every == 0 {
+                            hs.settle(|c, n| rows_left[c as usize] -= n);
+                        }
+                    }
+                    hs.settle(|c, n| rows_left[c as usize] -= n);
+                })
+            };
+            let every_block = fused(1);
+            let every_16 = fused(SETTLE_EVERY);
             let mut hs = mk();
-            let mut distinct = 0usize;
-            let fused = best_of(3, || {
-                for (zb, xb) in zs.chunks(TPB).zip(xs.chunks(TPB)) {
-                    distinct += hs.ingest_block(zb, xb).len();
-                }
-            });
-            let mut hs = mk();
-            let mut acc = HistAccumulator::new(NC, ng);
+            let mut acc = HistAccumulator::new(nc, ng);
             let merge = best_of(3, || {
                 for (zb, xb) in zs.chunks(TPB).zip(xs.chunks(TPB)) {
                     acc.accumulate(zb, xb);
                     hs.merge_ref(&acc);
-                    distinct += acc.touched().len();
+                    for &c in acc.touched() {
+                        rows_left[c as usize] -= acc.n(c as usize);
+                    }
                     acc.clear();
                 }
             });
-            assert!(distinct > 0, "ingest work must not be optimized away");
+            assert!(
+                rows_left.iter().any(|&n| n < u64::MAX),
+                "ingest work must not be optimized away"
+            );
             let per_tuple = |wall: Duration| wall.as_secs_f64() * 1e9 / total_tuples as f64;
-            WidthResult {
+            out.push(WidthResult {
+                candidates: nc,
                 groups: ng,
-                fused_ns_per_tuple: per_tuple(fused),
+                settle_every_block_ns_per_tuple: per_tuple(every_block),
+                settle_every_16_ns_per_tuple: per_tuple(every_16),
                 merge_ns_per_tuple: per_tuple(merge),
-            }
-        })
-        .collect()
+            });
+        }
+    }
+    out
 }
 
 // --------------------------------------------------------------------- main
@@ -220,14 +247,16 @@ fn main() {
         render_table(
             &[
                 "150-tuple block into HistSim",
-                "fused ingest_block ns/tuple",
+                "ingest_block, settle every block ns/tuple",
+                "ingest_block, settle every 16 blocks ns/tuple",
                 "accumulate+merge_ref+clear ns/tuple",
             ],
             &widths
                 .iter()
                 .map(|w| vec![
-                    format!("|V_X| = {}", w.groups),
-                    format!("{:.2}", w.fused_ns_per_tuple),
+                    format!("|V_Z| = {}, |V_X| = {}", w.candidates, w.groups),
+                    format!("{:.2}", w.settle_every_block_ns_per_tuple),
+                    format!("{:.2}", w.settle_every_16_ns_per_tuple),
                     format!("{:.2}", w.merge_ns_per_tuple),
                 ])
                 .collect::<Vec<_>>(),
@@ -255,8 +284,12 @@ fn main() {
         widths
             .iter()
             .map(|w| format!(
-                "    {{\"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}}}",
-                w.groups, w.fused_ns_per_tuple, w.merge_ns_per_tuple
+                "    {{\"candidates\": {}, \"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"fused_settle_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}}}",
+                w.candidates,
+                w.groups,
+                w.settle_every_block_ns_per_tuple,
+                w.settle_every_16_ns_per_tuple,
+                w.merge_ns_per_tuple
             ))
             .collect::<Vec<_>>()
             .join(",\n"),

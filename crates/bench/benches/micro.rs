@@ -211,9 +211,11 @@ fn bench_file_page_load(c: &mut Criterion) {
 }
 
 /// TAXI's |V_Z| = 7 641 Locations over 2 M rows of 150-tuple blocks
-/// (13 334 blocks, a 12.7 MB bitmap): what a query pays to start
-/// consumption tracking, and what one demand publication costs — every
-/// count, or 0 for 16 candidates that ran out since the last one.
+/// (13 334 blocks, a 12.7 MB bitmap): what the block-counted
+/// `ConsumptionTracker` pays to start (the executors' driver copies
+/// `rows_with_value` instead, the same |V_Z| lookups), and what one
+/// demand publication costs — every count, or 0 for 16 candidates that
+/// ran out since the last one.
 fn bench_demand(c: &mut Criterion) {
     const CANDIDATES: u32 = 7641;
     let rows = 2_000_000usize;

@@ -48,6 +48,7 @@ fn main() {
         while !hs.io_satisfied() && pos < n {
             let end = (pos + 4096).min(n);
             hs.ingest_block(&zs[pos..end], &xs[pos..end]);
+            hs.settle(|_, _| {});
             pos += end - pos;
         }
         if !hs.io_satisfied() {

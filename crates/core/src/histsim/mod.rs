@@ -46,11 +46,20 @@
 //! the same tuples: per tuple ([`HistSim::ingest`]); per block
 //! ([`HistSim::ingest_block`], the fused kernel every single-threaded
 //! executor uses — it adds the block straight into the phase's count
-//! matrix and does the demand bookkeeping once per *distinct* candidate);
-//! and, for parallel drivers, phase-free delta *accumulation* on worker
-//! threads ([`accumulator::HistAccumulator`]) followed by a phase-aware
-//! *merge* on the statistics thread ([`HistSim::merge`]), which moves
-//! only the accumulator's non-zero cells.
+//! matrix and defers the demand bookkeeping to [`HistSim::settle`],
+//! which does it once per *distinct* candidate of every block ingested
+//! since the last settlement); and, for parallel drivers, phase-free
+//! delta *accumulation* on worker threads
+//! ([`accumulator::HistAccumulator`]) followed by a phase-aware *merge*
+//! on the statistics thread ([`HistSim::merge`]), which moves only the
+//! accumulator's non-zero cells and settles as it goes.
+//!
+//! Between [`HistSim::ingest_block`] and [`HistSim::settle`] the totals,
+//! the demand and the active set lag the count matrix: the phase's
+//! tests, [`HistSim::current_topk`] and [`HistSim::output`] refuse to
+//! run on unsettled blocks (a panic in every build), and
+//! [`HistSim::io_satisfied`] answers for stage 2/3 only as of the last
+//! settlement.
 
 pub mod accumulator;
 pub mod config;
@@ -174,17 +183,17 @@ pub struct HistSim {
     phase: Phase,
     members: Vec<u32>,
     diag: Diagnostics,
-    /// Distinct candidates of the block last given to
-    /// [`Self::ingest_block`], in first-touch order.
-    block: Slots<u32>,
-    /// Per-candidate tuple counts of the block being ingested; all zero
-    /// outside [`Self::ingest_block`].
-    block_n: Vec<u64>,
+    /// Distinct candidates of the blocks given to [`Self::ingest_block`]
+    /// since the last [`Self::settle`], in first-touch order.
+    unsettled: Slots<u32>,
+    /// Per-candidate tuple counts of those blocks; all zero once
+    /// settled.
+    unsettled_n: Vec<u64>,
 }
 
-/// Manual `Debug` over the *logical* state only: the per-block scratch
-/// (`block`, `block_n`) says which block came last, not what has been
-/// ingested, and `deactivated` lists candidates in the order the
+/// Manual `Debug` over the *logical* state only: the settlement list
+/// (`unsettled`, `unsettled_n`) is empty whenever a test compares
+/// states, and `deactivated` lists candidates in the order the
 /// ingestion path met them; either would break the byte-identical
 /// `Debug`-repr equivalence the ingestion property tests assert between
 /// the three paths.
@@ -257,8 +266,8 @@ impl HistSim {
                 effective_k,
                 ..Diagnostics::default()
             },
-            block: Slots::default(),
-            block_n: vec![0; num_candidates],
+            unsettled: Slots::default(),
+            unsettled_n: vec![0; num_candidates],
         })
     }
 
@@ -310,6 +319,8 @@ impl HistSim {
 
     /// True when the current I/O phase's demand is fully met and
     /// [`Self::complete_io_phase`] may be called with `exhausted = false`.
+    /// Stage 1 counts tuples as they are ingested; in stages 2 and 3 the
+    /// answer is as of the last [`Self::settle`].
     pub fn io_satisfied(&self) -> bool {
         match &self.phase {
             Phase::Stage1 { taken } => *taken >= self.stage1_goal(),
@@ -392,41 +403,50 @@ impl HistSim {
     }
 
     /// Ingests one block's worth of samples at once: `zs[i]`/`xs[i]` are
-    /// the candidate and group codes of the i-th tuple. Equivalent to
-    /// calling [`Self::ingest`] per tuple, as one fused kernel whose cost
-    /// is `O(tuples)` whatever the histogram width: each tuple is one
-    /// increment into the phase's count matrix (pruned candidates add 0,
-    /// branch-free) and one into the block's per-candidate tally, whose
-    /// zero test lists the candidate on first touch, branch-free; the
-    /// totals and the demand are then settled once per distinct
-    /// candidate.
-    ///
-    /// Returns the block's distinct candidates in first-touch order,
-    /// pruned ones included — what consumption tracking needs.
+    /// the candidate and group codes of the i-th tuple. Followed by
+    /// [`Self::settle`], equivalent to calling [`Self::ingest`] per
+    /// tuple, as one fused kernel whose cost is `O(tuples)` whatever the
+    /// histogram width: each tuple is one increment into the phase's
+    /// count matrix (pruned candidates add 0, branch-free) and one into
+    /// the unsettled per-candidate tally, whose zero test lists the
+    /// candidate on first touch, branch-free. Totals and demand wait for
+    /// the next settlement, so however many blocks come in between, each
+    /// distinct candidate is settled once.
     ///
     /// # Panics
     /// Panics on length mismatch, out-of-domain codes, or after
     /// completion.
-    pub fn ingest_block(&mut self, zs: &[u32], xs: &[u32]) -> &[u32] {
+    pub fn ingest_block(&mut self, zs: &[u32], xs: &[u32]) {
         let groups = self.counts.groups();
         check_block(zs, xs, self.counts.num_candidates(), groups);
         let round = self.landing(zs.len() as u64);
-        self.block.clear();
         let cells = self.counts.cells_mut(round);
-        let slots = self.block.spare(zs.len());
+        let slots = self.unsettled.spare(zs.len());
         let mut distinct = 0;
         for (&c, &g) in zs.iter().zip(xs) {
             let ci = c as usize;
             cells[ci * groups + g as usize] += u64::from(!self.pruned[ci]);
-            let tally = &mut self.block_n[ci];
+            let tally = &mut self.unsettled_n[ci];
             slots[distinct] = c;
             distinct += (*tally == 0) as usize;
             *tally += 1;
         }
-        self.block.commit(distinct);
-        for &c in self.block.as_slice() {
+        self.unsettled.commit(distinct);
+    }
+
+    /// Settles every block ingested through [`Self::ingest_block`] since
+    /// the last settlement: adds each distinct candidate's tuples to its
+    /// total, spends them against its demand, and reports
+    /// `on_settled(candidate, tuples)` in first-touch order — pruned
+    /// candidates included, whose tuples count for nothing but were
+    /// still read, which is what consumption tracking needs. Costs
+    /// `O(distinct candidates)` of those blocks; a no-op when nothing is
+    /// unsettled.
+    pub fn settle(&mut self, mut on_settled: impl FnMut(u32, u64)) {
+        let round = matches!(self.phase, Phase::Stage2 { .. });
+        for &c in self.unsettled.as_slice() {
             let ci = c as usize;
-            let added = std::mem::take(&mut self.block_n[ci]);
+            let added = std::mem::take(&mut self.unsettled_n[ci]);
             if !self.pruned[ci] {
                 self.counts.add_n(round, ci, added);
                 Self::spend(
@@ -437,8 +457,19 @@ impl HistSim {
                     added,
                 );
             }
+            on_settled(c, added);
         }
-        self.block.as_slice()
+        self.unsettled.clear();
+    }
+
+    /// Panics, in every build, if blocks ingested through
+    /// [`Self::ingest_block`] are waiting for [`Self::settle`]: `what`
+    /// would read totals or demand that lag the count matrix.
+    fn assert_settled(&self, what: &str) {
+        assert!(
+            self.unsettled.as_slice().is_empty(),
+            "{what} with unsettled blocks: call HistSim::settle first"
+        );
     }
 
     /// Folds a batch of phase-free count deltas (see [`HistAccumulator`])
@@ -534,7 +565,11 @@ impl HistSim {
     /// statistical test and advances the state machine. Pass
     /// `exhausted = true` iff the driver has consumed the entire table, in
     /// which case HistSim finishes immediately with exact results.
+    ///
+    /// # Panics
+    /// Panics if blocks are waiting for [`Self::settle`].
     pub fn complete_io_phase(&mut self, exhausted: bool) -> Result<()> {
+        self.assert_settled("complete_io_phase");
         if matches!(self.phase, Phase::Done) {
             return Err(CoreError::PhaseViolation(
                 "complete_io_phase after completion".into(),
@@ -858,7 +893,11 @@ impl HistSim {
     }
 
     /// Extracts the output. May only be called once the run is done.
+    ///
+    /// # Panics
+    /// Panics if blocks are waiting for [`Self::settle`].
     pub fn output(&self) -> Result<HistSimOutput> {
+        self.assert_settled("output");
         if !self.is_done() {
             return Err(CoreError::PhaseViolation(
                 "output requested before completion".into(),
@@ -894,7 +933,11 @@ impl HistSim {
     /// per candidate (`|V_Z|·|V_X|` float operations): call it when the
     /// estimate can have moved materially — a phase or round boundary —
     /// not per merged batch.
+    ///
+    /// # Panics
+    /// Panics if blocks are waiting for [`Self::settle`].
     pub fn current_topk(&self) -> Vec<u32> {
+        self.assert_settled("current_topk");
         if self.is_done() {
             return self.members.clone();
         }
@@ -908,13 +951,13 @@ impl HistSim {
             .collect()
     }
 
-    /// Samples ingested so far over all unpruned candidates — a running
+    /// Samples settled so far over all unpruned candidates — a running
     /// counter, cheap enough for per-quantum progress reporting.
     pub fn samples(&self) -> u64 {
         self.counts.total_samples()
     }
 
-    /// The cumulative sample count for a candidate (diagnostics).
+    /// The settled sample count for a candidate (diagnostics).
     pub fn samples_for(&self, c: u32) -> u64 {
         self.counts.n(c as usize) + self.counts.n_round(c as usize)
     }
@@ -1145,6 +1188,7 @@ mod tests {
         // second sample nor a second `mark_exact` lists it again.
         let zs = vec![0; need as usize + 1];
         hs.ingest_block(&zs, &vec![0; zs.len()]);
+        hs.settle(|_, _| {});
         hs.ingest(0, 1);
         hs.mark_exact(1);
         hs.mark_exact(1);
@@ -1202,6 +1246,7 @@ mod tests {
 
         let mut seq = mk();
         seq.ingest_block(&zs, &xs);
+        seq.settle(|_, _| {});
         let mut par = mk();
         let mut a = HistAccumulator::new(3, 2);
         let mut b = HistAccumulator::new(3, 2);
@@ -1221,6 +1266,7 @@ mod tests {
         let zs2: Vec<u32> = (0..30u32).map(|i| i % 3).collect();
         let xs2: Vec<u32> = (0..30u32).map(|i| i % 2).collect();
         seq.ingest_block(&zs2, &xs2);
+        seq.settle(|_, _| {});
         let mut acc = HistAccumulator::new(3, 2);
         acc.accumulate(&zs2, &xs2);
         par.merge(acc);
@@ -1267,6 +1313,85 @@ mod tests {
         }
         b.merge(acc);
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
+    }
+
+    /// Settlement reports each distinct candidate of every block since
+    /// the last one once, with its tuples summed across blocks, pruned
+    /// candidates included; until then totals and demand stay put.
+    #[test]
+    fn settle_reports_each_candidate_once_across_blocks() {
+        let cfg = HistSimConfig {
+            k: 1,
+            stage1_samples: 4,
+            sigma: 0.0,
+            epsilon: 0.05,
+            ..tiny_config()
+        };
+        let mut hs = HistSim::new(cfg, 3, 2, 100_000, &[0.5, 0.5]).unwrap();
+        hs.ingest_block(&[2, 0, 2], &[0, 1, 1]);
+        hs.ingest_block(&[1, 2], &[0, 0]);
+        assert_eq!(hs.samples(), 0, "totals wait for the settlement");
+        assert!(hs.io_satisfied(), "stage 1 counts tuples as they come");
+        let mut settled = Vec::new();
+        hs.settle(|c, n| settled.push((c, n)));
+        assert_eq!(settled, vec![(2, 3), (0, 1), (1, 1)]);
+        assert_eq!(hs.samples(), 5);
+        hs.settle(|c, n| panic!("settled twice: {c} {n}"));
+        hs.complete_io_phase(false).unwrap();
+        assert_eq!(hs.phase(), PhaseKind::Stage2);
+
+        hs.pruned[1] = true; // as if stage 1 had found it rare
+        let before = hs.samples_for(1);
+        let need = hs.remaining_slice()[0];
+        hs.ingest_block(&[1, 0, 1], &[0, 0, 1]);
+        assert_eq!(hs.remaining_slice()[0], need, "demand waits too");
+        let mut settled = Vec::new();
+        hs.settle(|c, n| settled.push((c, n)));
+        assert_eq!(settled, vec![(1, 2), (0, 1)], "pruned candidates reported");
+        assert_eq!(
+            hs.samples_for(1),
+            before,
+            "but their tuples count for nothing"
+        );
+        assert_eq!(hs.remaining_slice()[0], need.saturating_sub(1));
+    }
+
+    /// Every check that reads totals or demand refuses unsettled blocks
+    /// in release builds too: a lagging active set would end a phase
+    /// late, or test it on counts its totals do not match.
+    #[test]
+    fn unsettled_read_panics_in_all_builds() {
+        let mut hs = HistSim::new(tiny_config(), 2, 2, 10, &[0.5, 0.5]).unwrap();
+        hs.ingest_block(&[0, 1], &[0, 1]);
+        for (what, read) in [
+            (
+                "complete_io_phase",
+                Box::new(|hs: &mut HistSim| {
+                    let _ = hs.complete_io_phase(true);
+                }) as Box<dyn Fn(&mut HistSim)>,
+            ),
+            (
+                "current_topk",
+                Box::new(|hs: &mut HistSim| {
+                    hs.current_topk();
+                }),
+            ),
+            (
+                "output",
+                Box::new(|hs: &mut HistSim| {
+                    let _ = hs.output();
+                }),
+            ),
+        ] {
+            let mut probe = hs.clone();
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| read(&mut probe)));
+            let msg = r.expect_err(what);
+            let msg = msg.downcast_ref::<String>().expect("formatted message");
+            assert!(msg.contains(what) && msg.contains("unsettled"), "{msg}");
+        }
+        hs.settle(|_, _| {});
+        hs.complete_io_phase(true).unwrap();
+        assert_eq!(hs.current_topk(), hs.output().unwrap().candidate_ids());
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! including clear, re-dimension and reuse cycles (which exercise the
 //! non-zero-cell lists that `clear` and the merges walk instead of whole
 //! rows). And the three ways into `HistSim` — the fused `ingest_block`
-//! kernel, `accumulate` + `merge_ref`, per-tuple `ingest` — must leave
-//! byte-identical state through all three stages.
+//! kernel settled every k blocks, `accumulate` + `merge_ref`, per-tuple
+//! `ingest` — must leave byte-identical state through all three stages.
 
 use proptest::prelude::*;
 
@@ -188,18 +188,25 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Fused `ingest_block` ≡ `accumulate` + `merge_ref` (one accumulator,
-    /// cleared and reused per block) ≡ per-tuple `ingest`: three runs fed
-    /// the same blocks in lockstep stay byte-identical (`Debug` dumps the
-    /// whole logical state) after every block and every phase transition,
-    /// from stage 1 through stage 2's rounds and stage 3 to the output.
+    /// Fused `ingest_block`, settled every `k` blocks ≡ `accumulate` of
+    /// the same `k` blocks + one `merge_ref` ≡ per-tuple `ingest`: three
+    /// runs fed the same blocks in lockstep stay byte-identical (`Debug`
+    /// dumps the whole logical state) at every settlement and every
+    /// phase transition, from stage 1 through stage 2's rounds and stage
+    /// 3 to the output — for `k` ∈ {1, 3, 16} and a `k` drawn afresh
+    /// after each settlement. Each settlement reports exactly the
+    /// accumulator's touched candidates, in its first-touch order, with
+    /// its per-candidate totals.
     ///
-    /// The stream is built so that every stage is reached and every
-    /// branch of the bookkeeping runs: candidate `nc − 1` is rare and gets
+    /// Phases end where a driver ends them: stage 1 as soon as its
+    /// tuples are in (the fused kernel counts them as they come), stages
+    /// 2 and 3 at the first settlement that meets their demand. The
+    /// stream is built so that every stage is reached and every branch
+    /// of the bookkeeping runs: candidate `nc − 1` is rare and gets
     /// pruned by stage 1 but keeps appearing afterwards (its tuples must
     /// be dropped, its code still reported); candidate 0 matches the
     /// uniform target and the rest sit on one group each, so stage 2
-    /// separates them in a few rounds; and blocks overshoot the
+    /// separates them in a few rounds; and settlements overshoot the
     /// outstanding demand, so the decrement saturates. Histogram widths
     /// are the narrow, medium and wide cases of Table 3.
     #[test]
@@ -208,6 +215,7 @@ proptest! {
         ng in (0usize..3).prop_map(|i| [2, 24, 351][i]),
         nc in 4usize..10,
         block in 1usize..120,
+        every in (0usize..4).prop_map(|i| [1, 3, 16, 0][i]),
     ) {
         let config = HistSimConfig {
             k: 1,
@@ -224,13 +232,15 @@ proptest! {
         let mut acc = HistAccumulator::new(nc, ng);
 
         let rare = (nc - 1) as u32;
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) as u32
+        let lcg = |mut state: u64| {
+            move || {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) as u32
+            }
         };
+        let mut next = lcg(seed | 1);
         let mut drawn = 0u32;
         let mut tuple = move || {
             drawn += 1;
@@ -240,9 +250,12 @@ proptest! {
             let c = next() % rare;
             (c, if c == 0 { next() % ng as u32 } else { c % ng as u32 })
         };
+        let mut cadence = lcg(seed.rotate_left(17) | 1);
+        let mut settle_after = move || if every > 0 { every } else { 1 + cadence() as usize % 20 };
 
         let (mut stages, mut dropped, mut saturated) = (Vec::new(), false, false);
-        let mut blocks = 0;
+        let (mut blocks, mut unsettled, mut k) = (0, 0, settle_after());
+        let mut demand: Vec<u64> = fused.remaining_slice().to_vec();
         while !fused.is_done() {
             blocks += 1;
             prop_assert!(blocks < 20_000, "run failed to terminate");
@@ -251,18 +264,30 @@ proptest! {
                 stages.push(fused.phase());
             }
             dropped |= fused.is_pruned(rare) && zs.contains(&rare);
-            let before: Vec<u64> = fused.remaining_slice().to_vec();
 
+            fused.ingest_block(&zs, &xs);
             acc.accumulate(&zs, &xs);
-            prop_assert_eq!(fused.ingest_block(&zs, &xs), acc.touched());
-            merged.merge_ref(&acc);
-            acc.clear();
             for (&c, &g) in zs.iter().zip(&xs) {
                 single.ingest(c, g);
             }
-            saturated |= before.iter().enumerate().any(|(c, &r)| {
-                r > 0 && (zs.iter().filter(|&&z| z as usize == c).count() as u64) > r
-            });
+            unsettled += 1;
+            let stage1_met = fused.phase() == PhaseKind::Stage1 && fused.io_satisfied();
+            if unsettled < k && !stage1_met {
+                continue;
+            }
+
+            let mut settled = Vec::new();
+            fused.settle(|c, n| settled.push((c, n)));
+            let want: Vec<(u32, u64)> =
+                acc.touched().iter().map(|&c| (c, acc.n(c as usize))).collect();
+            prop_assert_eq!(settled, want);
+            saturated |= acc
+                .touched()
+                .iter()
+                .any(|&c| (1..acc.n(c as usize)).contains(&demand[c as usize]));
+            merged.merge_ref(&acc);
+            acc.clear();
+            (unsettled, k) = (0, settle_after());
 
             let want = format!("{single:?}");
             prop_assert_eq!(format!("{fused:?}"), want.clone());
@@ -275,13 +300,14 @@ proptest! {
                 prop_assert_eq!(format!("{fused:?}"), want.clone());
                 prop_assert_eq!(format!("{merged:?}"), want);
             }
+            demand = fused.remaining_slice().to_vec();
         }
         prop_assert_eq!(
             stages,
             vec![PhaseKind::Stage1, PhaseKind::Stage2, PhaseKind::Stage3]
         );
         prop_assert!(dropped, "no pruned candidate's tuple was ever offered");
-        prop_assert!(saturated || block < 40, "no block overshot its demand");
+        prop_assert!(saturated || block < 40, "no settlement overshot its demand");
         let want = format!("{:?}", single.output().unwrap());
         prop_assert_eq!(format!("{:?}", fused.output().unwrap()), want.clone());
         prop_assert_eq!(format!("{:?}", merged.output().unwrap()), want);

@@ -63,6 +63,7 @@ proptest! {
         for (zs, xs) in &blocks {
             seq.ingest_block(zs, xs);
         }
+        seq.settle(|_, _| {});
 
         // Sharded: round-robin blocks over k accumulators, merge them in
         // reversed shard order (order must not matter).
@@ -96,6 +97,7 @@ proptest! {
         let zs: Vec<u32> = tuples.iter().map(|t| t.0).collect();
         let xs: Vec<u32> = tuples.iter().map(|t| t.1).collect();
         seq.ingest_block(&zs, &xs);
+        seq.settle(|_, _| {});
 
         let mut shards: Vec<HistAccumulator> =
             (0..k_shards).map(|_| HistAccumulator::new(nc, ng)).collect();
@@ -147,6 +149,7 @@ proptest! {
                 let (zs, xs) = &blocks[next_block];
                 next_block += 1;
                 seq.ingest_block(zs, xs);
+                seq.settle(|_, _| {});
                 shards[i % k_shards].accumulate(zs, xs);
                 i += 1;
             }
@@ -219,6 +222,7 @@ proptest! {
         // shards' data and transitions.
         let (zs, xs): (Vec<u32>, Vec<u32>) = stage1.into_iter().unzip();
         hs.ingest_block(&zs, &xs);
+        hs.settle(|_, _| {});
         hs.complete_io_phase(false).unwrap();
         prop_assume!(!hs.is_done());
         prop_assert!(hs.is_pruned(rare), "rare candidate must be pruned by stage 1");

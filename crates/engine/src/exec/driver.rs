@@ -9,6 +9,16 @@
 //! (sequential), `FastMatch` (async lookahead) and the query service
 //! (sharded quanta, which `ParallelMatch` runs on) differ only in *how
 //! blocks are chosen and delivered*, not in how HistSim is driven.
+//!
+//! Consumption is counted in rows. Executors sample without replacement
+//! by never re-reading a block, so a candidate whose unread rows reach
+//! zero is *fully consumed*: its counts are exact, it can yield no more
+//! samples, and HistSim is told ([`HistSim::mark_exact`]) so demand on it
+//! is dropped. The starting counts are the bitmap index's per-value row
+//! counts; each settlement ([`HistSim::settle`]) or merged accumulator
+//! reports how many rows of each distinct candidate were read, so the
+//! tracking costs `O(distinct candidates)` per settlement, not a pass
+//! over the tuples.
 
 use std::time::Instant;
 
@@ -16,60 +26,9 @@ use fastmatch_core::error::Result;
 use fastmatch_core::histsim::{HistAccumulator, HistSim, PhaseKind};
 use fastmatch_store::io::IoStats;
 
-use crate::progress::ConsumptionTracker;
 use crate::query::QueryJob;
 use crate::result::{MatchOutput, RunStats};
 use crate::shared::{needs_full_publication, DemandMode, SharedDemand};
-
-/// What one service quantum has ingested since its last merge: the
-/// phase-free count deltas of every block read, plus each block's id and
-/// raw candidate codes so the statistics side can maintain consumption
-/// tracking without re-reading the block. Cleared and reused by its
-/// owner — steady-state pushes allocate nothing.
-#[derive(Debug)]
-pub(crate) struct ShardBatch {
-    /// Count deltas of every pushed block.
-    pub acc: HistAccumulator,
-    /// `(block id, end of its codes in zs)` per pushed block, in read
-    /// order.
-    blocks: Vec<(u32, usize)>,
-    /// The pushed blocks' candidate codes, concatenated
-    /// ([`ConsumptionTracker::block_read`] de-duplicates).
-    zs: Vec<u32>,
-}
-
-impl ShardBatch {
-    /// An empty batch over a `num_candidates × groups` domain.
-    pub fn new(num_candidates: usize, groups: usize) -> Self {
-        ShardBatch {
-            acc: HistAccumulator::new(num_candidates, groups),
-            blocks: Vec::new(),
-            zs: Vec::new(),
-        }
-    }
-
-    /// The per-block ingestion step of a quantum: one pass of the
-    /// accumulate kernel over block `b`'s tuples, and a note of which
-    /// candidates it held.
-    #[inline]
-    pub fn push_block(&mut self, b: usize, zs: &[u32], xs: &[u32]) {
-        self.acc.accumulate(zs, xs);
-        self.zs.extend_from_slice(zs);
-        self.blocks.push((b as u32, self.zs.len()));
-    }
-
-    /// Blocks pushed since the last [`Self::clear`].
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Empties the batch, keeping its storage.
-    pub fn clear(&mut self) {
-        self.acc.clear();
-        self.blocks.clear();
-        self.zs.clear();
-    }
-}
 
 /// The statistics engine shared by all HistSim executors: the state
 /// machine plus consumption tracking and run-stats packaging.
@@ -77,8 +36,9 @@ impl ShardBatch {
 pub(crate) struct Driver {
     /// The state machine being driven.
     pub hs: HistSim,
-    tracker: ConsumptionTracker,
-    /// Candidates the block being ingested just ran out of (reused).
+    /// Unread rows per candidate.
+    rows_left: Vec<u64>,
+    /// Candidates the settlement being applied just read out (reused).
     consumed: Vec<u32>,
     /// The phase [`Self::advance_and_publish`] last published (`None`
     /// before the first publication).
@@ -86,6 +46,24 @@ pub(crate) struct Driver {
     /// How many of [`HistSim::deactivated`] that publication covered.
     published_deactivations: usize,
     t0: Instant,
+}
+
+/// Counts `tuples` newly read rows of candidate `c` against its unread
+/// rows; `true` if that read the candidate out.
+///
+/// # Panics
+/// Panics, in every build, if more rows are read than the index counted:
+/// a block read twice or an under-counting index. Wrapping instead would
+/// keep the candidate "unread" forever and its demand open.
+#[inline]
+fn consume(rows_left: &mut [u64], c: u32, tuples: u64) -> bool {
+    let left = &mut rows_left[c as usize];
+    assert!(
+        tuples <= *left,
+        "candidate {c}: {tuples} rows read but only {left} unread in the index"
+    );
+    *left -= tuples;
+    *left == 0
 }
 
 impl Driver {
@@ -100,14 +78,15 @@ impl Driver {
             job.n_rows() as u64,
             &job.target,
         )?;
-        let tracker = ConsumptionTracker::new(&job.bitmap);
-        let absent: Vec<u32> = tracker.never_present().collect();
-        for c in absent {
-            hs.mark_exact(c);
+        let rows_left: Vec<u64> = (0..job.bitmap.num_values() as u32)
+            .map(|c| job.bitmap.rows_with_value(c))
+            .collect();
+        for (c, _) in rows_left.iter().enumerate().filter(|(_, &n)| n == 0) {
+            hs.mark_exact(c as u32);
         }
         Ok(Driver {
             hs,
-            tracker,
+            rows_left,
             consumed: Vec::new(),
             published_phase: None,
             published_deactivations: 0,
@@ -115,40 +94,50 @@ impl Driver {
         })
     }
 
-    /// Ingests one read block and updates consumption tracking — the
-    /// synchronous ingestion path. The block's tuples are traversed
-    /// exactly once, by [`HistSim::ingest_block`]; the distinct-candidate
-    /// list it returns drives consumption tracking in `O(distinct)`.
+    /// Ingests one read block — the synchronous ingestion path. The
+    /// block's tuples are traversed exactly once, by
+    /// [`HistSim::ingest_block`]; totals, demand and consumption are
+    /// settled for every block since the last settlement when the
+    /// driver next advances.
     #[inline]
-    pub fn ingest_block(&mut self, b: usize, zs: &[u32], xs: &[u32]) {
-        let consumed = &mut self.consumed;
-        self.tracker
-            .block_read(b, self.hs.ingest_block(zs, xs), |c| consumed.push(c));
-        for c in consumed.drain(..) {
+    pub fn ingest_block(&mut self, zs: &[u32], xs: &[u32]) {
+        self.hs.ingest_block(zs, xs);
+    }
+
+    /// Merges one quantum's accumulated deltas — the parallel ingestion
+    /// path. The accumulator's touched candidates and their totals say
+    /// how many rows of each were read.
+    pub fn merge_batch(&mut self, acc: &HistAccumulator) {
+        self.hs.merge_ref(acc);
+        for &c in acc.touched() {
+            if consume(&mut self.rows_left, c, acc.n(c as usize)) {
+                self.hs.mark_exact(c);
+            }
+        }
+    }
+
+    /// Settles the blocks ingested since the last settlement and marks
+    /// the candidates they read out exact.
+    fn settle(&mut self) {
+        let (rows_left, consumed) = (&mut self.rows_left, &mut self.consumed);
+        self.hs.settle(|c, tuples| {
+            if consume(rows_left, c, tuples) {
+                consumed.push(c);
+            }
+        });
+        for c in self.consumed.drain(..) {
             self.hs.mark_exact(c);
         }
     }
 
-    /// Merges a shard batch: folds the accumulated deltas into the state
-    /// machine and updates consumption tracking from the per-block
-    /// candidate codes — the parallel ingestion path.
-    pub fn merge_batch(&mut self, batch: &ShardBatch) {
-        self.hs.merge_ref(&batch.acc);
-        let hs = &mut self.hs;
-        let mut from = 0;
-        for &(b, to) in &batch.blocks {
-            self.tracker
-                .block_read(b as usize, &batch.zs[from..to], |c| hs.mark_exact(c));
-            from = to;
-        }
-    }
-
-    /// Advances the state machine through every phase whose demand is
-    /// already satisfied; `true` if that completed at least one phase or
-    /// stage-2 round. A driver that publishes demand advances only
-    /// through [`Self::advance_and_publish`] (and, at the very end,
-    /// [`Self::finish_exhausted`]), so that no step goes unpublished.
+    /// Settles, then advances the state machine through every phase
+    /// whose demand is already satisfied; `true` if that completed at
+    /// least one phase or stage-2 round. A driver that publishes demand
+    /// advances only through [`Self::advance_and_publish`] (and, at the
+    /// very end, [`Self::finish_exhausted`]), so that no step goes
+    /// unpublished.
     pub fn advance(&mut self) -> Result<bool> {
+        self.settle();
         let mut stepped = false;
         while self.hs.io_satisfied() && !self.hs.is_done() {
             self.hs.complete_io_phase(false)?;
@@ -293,7 +282,7 @@ mod tests {
         let mut reader = job.reader();
         let nb = layout.num_blocks();
         let start = rng.gen_range(0..nb);
-        let mut batch = ShardBatch::new(job.num_candidates(), job.num_groups());
+        let mut batch = HistAccumulator::new(job.num_candidates(), job.num_groups());
         let mut until_publish = rng.gen_range(1..24usize);
         for b in (start..nb).chain(0..start) {
             if d.hs.is_done() {
@@ -301,9 +290,9 @@ mod tests {
             }
             let (zs, xs) = reader.block_slices(b, 0, 1);
             if batched {
-                batch.push_block(b, zs, xs);
+                batch.accumulate(zs, xs);
             } else {
-                d.ingest_block(b, zs, xs);
+                d.ingest_block(zs, xs);
             }
             until_publish -= 1;
             if until_publish == 0 {
@@ -344,6 +333,128 @@ mod tests {
             assert!(
                 seen.exact_drops > 0,
                 "{path}: no demand dropped by mark_exact"
+            );
+        }
+    }
+
+    /// A table of 300 ten-row blocks read in order, built so that one
+    /// candidate of each kind runs out mid-table: 0 fills every block, 1
+    /// (as common as 0 where it occurs) is spread over blocks 0..200,
+    /// 2 is rare — two rows, in blocks 250 and 260, pruned by stage 1 —
+    /// and 3 never occurs.
+    fn consumption_job_parts() -> (Table, BlockLayout, BitmapIndex, HistSimConfig) {
+        let rows = 3_000usize;
+        let z = (0..rows)
+            .map(|r| match r {
+                2_505 | 2_607 => 2,
+                r if r < 2_000 && r % 2 == 1 => 1,
+                _ => 0,
+            })
+            .collect();
+        let x = (0..rows).map(|r| (r / 2 % 2) as u32).collect();
+        let schema = Schema::new(vec![AttrDef::new("z", 4), AttrDef::new("x", 2)]);
+        let table = Table::new(schema, vec![z, x]);
+        let layout = BlockLayout::new(rows, 10);
+        let bitmap = BitmapIndex::build(&table, 0, &layout);
+        let cfg = HistSimConfig {
+            k: 1,
+            epsilon: 0.02,
+            delta: 0.05,
+            sigma: 0.05,
+            stage1_samples: 500,
+            ..HistSimConfig::default()
+        };
+        (table, layout, bitmap, cfg)
+    }
+
+    /// Row-counted consumption fires `mark_exact` at the settlement or
+    /// merge that reads a candidate's last row — not one before, and
+    /// not later — on both ingestion paths: for a candidate spread over
+    /// many blocks, for a pruned candidate (whose tuples count for
+    /// nothing but are still read), and from the start for one that
+    /// never occurs.
+    #[test]
+    fn row_counted_consumption_marks_exact_at_the_last_row() {
+        let (table, layout, bitmap, cfg) = consumption_job_parts();
+        let totals = table.value_counts(0);
+        for batched in [false, true] {
+            let job = QueryJob::new(&table, layout, &bitmap, 0, 1, vec![1.0, 1.0], cfg.clone());
+            let mut d = Driver::new(&job).unwrap();
+            assert!(d.hs.is_exact(3), "never present: exact from the start");
+            let mut reader = job.reader();
+            let mut acc = HistAccumulator::new(4, 2);
+            let mut read = [0u64; 4];
+            let mut settlements = 0;
+            for b in 0..layout.num_blocks() {
+                let (zs, xs) = reader.block_slices(b, 0, 1);
+                for &c in zs {
+                    read[c as usize] += 1;
+                }
+                if batched {
+                    acc.accumulate(zs, xs);
+                    if b % 3 != 2 {
+                        continue;
+                    }
+                    d.merge_batch(&acc);
+                    acc.clear();
+                } else {
+                    d.ingest_block(zs, xs);
+                    if b % 3 != 2 {
+                        continue;
+                    }
+                }
+                d.advance().unwrap();
+                settlements += 1;
+                for c in 0..3u32 {
+                    assert_eq!(
+                        d.hs.is_exact(c),
+                        read[c as usize] == totals[c as usize],
+                        "batched {batched}, block {b}, candidate {c}"
+                    );
+                }
+                if d.hs.is_done() {
+                    break;
+                }
+            }
+            assert!(d.hs.is_pruned(2), "batched {batched}: 2 was not pruned");
+            assert!(
+                d.hs.is_exact(1) && d.hs.is_exact(2),
+                "batched {batched}: ended after {settlements} settlements, before 1 and 2 ran out"
+            );
+        }
+    }
+
+    /// Reading more rows of a candidate than the index counted panics in
+    /// release builds too, on both paths: the block-counted tracker only
+    /// `debug_assert!`ed it, so an under-counting index wrapped a `u32`
+    /// and kept the candidate's demand open for good.
+    #[test]
+    fn row_count_underflow_panics_in_all_builds() {
+        let (table, layout, bitmap, cfg) = consumption_job_parts();
+        for batched in [false, true] {
+            let job = QueryJob::new(&table, layout, &bitmap, 0, 1, vec![1.0, 1.0], cfg.clone());
+            let mut d = Driver::new(&job).unwrap();
+            let mut reader = job.reader();
+            // Block 250 holds one of candidate 2's two rows: the third
+            // read of it is one row more than the index counted.
+            let (zs, xs) = reader.block_slices(250, 0, 1);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for _ in 0..3 {
+                    if batched {
+                        let mut acc = HistAccumulator::new(4, 2);
+                        acc.accumulate(zs, xs);
+                        d.merge_batch(&acc);
+                    } else {
+                        d.ingest_block(zs, xs);
+                    }
+                    d.advance().unwrap();
+                }
+            }));
+            let msg = r.expect_err("a block read again must not pass");
+            let msg = msg.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                msg.contains("candidate 2: 1 rows read but only 0 unread"),
+                "{msg}"
             );
         }
     }

@@ -10,10 +10,15 @@
 //!   streams each window's decisions through a bounded channel;
 //! * the **I/O manager + statistics engine** (caller thread) reads each
 //!   marked run *as a run* ([`BlockReader::read_run`]), ingests its
-//!   blocks into HistSim one at a time, advances its stages, and
-//!   publishes which candidates are still active through
-//!   [`SharedDemand`] — every count after a stage or round boundary,
-//!   otherwise only the candidates that have run out since.
+//!   blocks into HistSim one at a time, and every `PUBLISH_EVERY`
+//!   blocks (at once when stage 1's tuples are in) settles them —
+//!   totals, demand and row-counted consumption, once per distinct
+//!   candidate of those blocks — advances its stages, and publishes
+//!   which candidates are still active through [`SharedDemand`]: every
+//!   count after a stage or round boundary, otherwise only the
+//!   candidates that have run out since. A stage-2/3 phase end is
+//!   therefore seen at most `PUBLISH_EVERY − 1` blocks late; the extra
+//!   blocks are valid samples, like a stale mark.
 //!
 //! Of Figure 6's three stages, **marking** (`ShardWalk::step`, the same
 //! walk the query service drives, and with it `ParallelMatch`) runs at
@@ -49,9 +54,9 @@ use crate::shared::{DemandMode, SharedDemand};
 /// Default lookahead window (paper default, §5.2).
 pub const DEFAULT_LOOKAHEAD: usize = 1024;
 
-/// How often (in blocks read) the I/O thread republishes per-candidate
-/// demand. Staleness of a few blocks is negligible next to the lookahead
-/// window itself.
+/// How often (in blocks read) the I/O thread settles what it has
+/// ingested and republishes per-candidate demand. Staleness of a few
+/// blocks is negligible next to the lookahead window itself.
 const PUBLISH_EVERY: u64 = 16;
 
 /// The full FastMatch executor.
@@ -207,8 +212,8 @@ fn io_and_stats_loop(
                     let run = start as usize..(start + len) as usize;
                     let mut published = Ok(false);
                     reader
-                        .read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
-                            d.ingest_block(b, zs, xs);
+                        .read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
+                            d.ingest_block(zs, xs);
                             reads_since_publish += 1;
                             if d.hs.io_satisfied() || reads_since_publish >= PUBLISH_EVERY {
                                 published = d.advance_and_publish(shared);

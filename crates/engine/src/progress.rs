@@ -1,15 +1,21 @@
-//! Per-candidate consumption tracking.
+//! Per-candidate consumption tracking by blocks, for drivers outside
+//! this crate.
 //!
 //! Executors sample without replacement by never re-reading a block. A
 //! candidate whose every block has been read is *fully consumed*: its
 //! counts are exact, it can never yield more samples, and HistSim must be
 //! told (`mark_exact`) so demand on it is dropped. [`ConsumptionTracker`]
 //! detects this the moment the candidate's last block is read, using the
-//! per-candidate block counts from the bitmap index.
+//! per-candidate block counts from the bitmap index. Deduplication of
+//! candidates within a block is done with per-candidate block stamps
+//! (blocks are never re-read, so a block id is a unique stamp), at O(1)
+//! per tuple.
 //!
-//! Deduplication of candidates within a block is done with per-candidate
-//! block stamps (blocks are never re-read, so a block id is a unique
-//! stamp), keeping the hot path at O(1) per tuple.
+//! The executors no longer use it: their shared driver counts unread
+//! *rows* per candidate (`BitmapIndex::rows_with_value`) and subtracts
+//! what each settlement reports, in O(distinct candidates) per
+//! settlement. The tracker stays only for the repo benchmark's trace
+//! walker, which imports it, and goes when that walker does.
 
 use fastmatch_store::bitmap::BitmapIndex;
 

@@ -28,10 +28,11 @@
 //! * **Per-query protocol** — each query runs the demand protocol of
 //!   the executors, over the walk FastMatch steps too (Figure 6's
 //!   marking stage is `exec::walk::ShardWalk::step`, called with what is
-//!   left of the quantum's budget as its limit): shard quanta fill phase-free
-//!   [`HistAccumulator`](fastmatch_core::histsim::HistAccumulator)
-//!   batches, merge into the authoritative driver under the query's
-//!   engine mutex, advance phases and republish demand. The paper's
+//!   left of the quantum's budget as its limit): shard quanta fill
+//!   phase-free [`HistAccumulator`] batches, merge into the
+//!   authoritative driver under the query's engine mutex (which settles
+//!   consumption from the batch's touched candidates, never its tuples),
+//!   advance phases and republish demand. The paper's
 //!   correctness argument carries over unchanged: any set of blocks of
 //!   the pre-permuted table is a uniform without-replacement sample, so
 //!   quantum scheduling changes *latency*, never the guarantee.
@@ -64,12 +65,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fastmatch_core::error::CoreError;
-use fastmatch_core::histsim::HistSimConfig;
+use fastmatch_core::histsim::{HistAccumulator, HistSimConfig};
 use fastmatch_store::backend::StorageBackend;
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::live::{LiveTable, Snapshot};
 
-use crate::exec::driver::{Driver, ShardBatch};
+use crate::exec::driver::Driver;
 use crate::exec::walk::{ShardWalk, Step};
 use crate::query::QueryJob;
 use crate::service::handle::QueryShared;
@@ -567,10 +568,10 @@ enum Next {
 }
 
 fn worker_loop(svc: &QueryService<'_>, worker: usize) {
-    // One batch per worker, re-dimensioned to each quantum's query: the
-    // resident ingestion storage is `workers` accumulators, however many
-    // queries and shards are admitted.
-    let mut batch = ShardBatch::new(0, 1);
+    // One accumulator per worker, re-dimensioned to each quantum's
+    // query: the resident ingestion storage is `workers` accumulators,
+    // however many queries and shards are admitted.
+    let mut batch = HistAccumulator::new(0, 1);
     while let Some(task) = svc.sched.pop(worker) {
         run_quantum(svc, task, &mut batch);
     }
@@ -580,7 +581,11 @@ fn worker_loop(svc: &QueryService<'_>, worker: usize) {
 /// (requeue / park / retire) and performs any terminal bookkeeping.
 /// `batch` is the calling worker's reused ingestion storage: empty on
 /// entry, empty again on return.
-fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch: &mut ShardBatch) {
+fn run_quantum<'env>(
+    svc: &QueryService<'env>,
+    mut task: ShardTask<'env>,
+    batch: &mut HistAccumulator,
+) {
     let query = Arc::clone(&task.query);
 
     // Terminal and cooperative checks, once per quantum.
@@ -608,7 +613,7 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch:
     // is spent or the walk has nothing more to give right now. The walk
     // keeps its place, so the next quantum resumes where this one stops.
     let job = &query.job;
-    batch.acc.reshape(job.num_candidates(), job.num_groups());
+    batch.reshape(job.num_candidates(), job.num_groups());
     let budget = svc.config.quantum_blocks;
     let mut reads = 0usize;
     let mut park_epoch: Option<u64> = None;
@@ -626,9 +631,9 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch:
                 reader.skip_blocks(run);
                 return true;
             }
-            let read = reader.read_run(run, job.z_attr, job.x_attr, |b, zs, xs| {
+            let read = reader.read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
                 reads += 1;
-                batch.push_block(b, zs, xs);
+                batch.accumulate(zs, xs);
                 true
             });
             failure = read.err().map(crate::exec::storage_err);
@@ -656,7 +661,7 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>, batch:
         if let Some(e) = failure {
             eng.set_verdict(Verdict::Failed(e));
             query.demand.set_mode(DemandMode::Stop);
-        } else if eng.verdict.is_none() && batch.len() > 0 {
+        } else if eng.verdict.is_none() && !batch.is_empty() {
             eng.stuck_rounds = 0;
             let d = eng.driver.as_mut().expect("driver taken before verdict");
             d.merge_batch(batch);
@@ -1040,7 +1045,7 @@ mod tests {
             .submit(QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], cfg()))
             .unwrap();
 
-        let mut batch = ShardBatch::new(0, 1);
+        let mut batch = HistAccumulator::new(0, 1);
         let mut storage = None;
         let mut walk_storage = std::collections::HashMap::new();
         let (mut merged_quanta, mut previews) = (0, 0);
@@ -1055,8 +1060,8 @@ mod tests {
                 "shard at block {shard}: walk buffers reallocated"
             );
             run_quantum(&svc, task, &mut batch);
-            assert_eq!(batch.len(), 0, "a quantum must hand the batch back empty");
-            let at = batch.acc.candidate_counts(0).as_ptr();
+            assert!(batch.is_empty(), "a quantum must hand the batch back empty");
+            let at = batch.candidate_counts(0).as_ptr();
             assert_eq!(*storage.get_or_insert(at), at, "accumulator reallocated");
 
             let now = h.progress();

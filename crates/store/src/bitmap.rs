@@ -15,10 +15,11 @@
 //! the line between candidates.
 //!
 //! The index also holds each value's block count (the popcount of its
-//! row), computed once when the index is built, so
-//! [`BitmapIndex::blocks_with_value`] — consumption tracking's starting
-//! point, read for every candidate of every query — is a lookup, not a
-//! pass over the row.
+//! row) and row count (how many tuples carry it), both computed in the
+//! pass that builds the index, so [`BitmapIndex::blocks_with_value`] and
+//! [`BitmapIndex::rows_with_value`] — the latter consumption tracking's
+//! starting point, read for every candidate of every query — are
+//! lookups, not passes over the data.
 
 use crate::block::BlockLayout;
 use crate::table::Table;
@@ -32,8 +33,10 @@ pub struct BitmapIndex {
     stride: usize,
     /// `words[v * stride + w]` holds blocks `64w .. 64w+63` for value `v`.
     words: Vec<u64>,
-    /// `counts[v]` = set bits of value `v`'s row.
-    counts: Vec<usize>,
+    /// `block_counts[v]` = set bits of value `v`'s row.
+    block_counts: Vec<usize>,
+    /// `row_counts[v]` = tuples with value `v`.
+    row_counts: Vec<u64>,
 }
 
 impl BitmapIndex {
@@ -44,21 +47,24 @@ impl BitmapIndex {
         let num_blocks = layout.num_blocks();
         let stride = num_blocks.div_ceil(64);
         let mut words = vec![0u64; num_values * stride];
+        let mut row_counts = vec![0u64; num_values];
         let col = table.column(attr);
         for b in 0..num_blocks {
             let (word, bit) = (b / 64, b % 64);
             for r in layout.rows_of_block(b) {
                 let v = col[r] as usize;
                 words[v * stride + word] |= 1u64 << bit;
+                row_counts[v] += 1;
             }
         }
-        let counts = popcounts(&words, num_values, stride);
+        let block_counts = popcounts(&words, num_values, stride);
         BitmapIndex {
             num_values,
             num_blocks,
             stride,
             words,
-            counts,
+            block_counts,
+            row_counts,
         }
     }
 
@@ -68,22 +74,26 @@ impl BitmapIndex {
     /// scan. `rows[v]` holds the presence words of value `v` (bit `b%64`
     /// of word `b/64` ⇔ some row with value `v` lies in block `b`); rows
     /// shorter than the stride are zero-padded, longer ones must carry no
-    /// bits at or beyond `num_blocks`. `counts[v]` is the number of bits
-    /// set in `rows[v]`, kept by the caller as it sets them, so no
+    /// bits at or beyond `num_blocks`. `block_counts[v]` is the number of
+    /// bits set in `rows[v]` and `row_counts[v]` the number of tuples
+    /// with value `v`, both kept by the caller as it sets bits, so no
     /// popcount runs here.
     ///
     /// # Panics
-    /// Panics if `rows.len()` or `counts.len()` differs from `num_values`,
+    /// Panics if `rows.len()`, `block_counts.len()` or `row_counts.len()`
+    /// differs from `num_values`,
     /// or a row sets a bit for a block `>= num_blocks` (the caller handed
     /// over bits from rows that are not part of the index's view).
     pub(crate) fn from_value_rows(
         num_values: usize,
         num_blocks: usize,
         rows: &[Vec<u64>],
-        counts: Vec<usize>,
+        block_counts: Vec<usize>,
+        row_counts: Vec<u64>,
     ) -> Self {
         assert_eq!(rows.len(), num_values, "one presence row per value");
-        assert_eq!(counts.len(), num_values, "one block count per value");
+        assert_eq!(block_counts.len(), num_values, "one block count per value");
+        assert_eq!(row_counts.len(), num_values, "one row count per value");
         let stride = num_blocks.div_ceil(64);
         let mut words = vec![0u64; num_values * stride];
         for (v, row) in rows.iter().enumerate() {
@@ -104,7 +114,7 @@ impl BitmapIndex {
             }
         }
         debug_assert_eq!(
-            counts,
+            block_counts,
             popcounts(&words, num_values, stride),
             "stale block counts"
         );
@@ -113,7 +123,8 @@ impl BitmapIndex {
             num_blocks,
             stride,
             words,
-            counts,
+            block_counts,
+            row_counts,
         }
     }
 
@@ -165,7 +176,13 @@ impl BitmapIndex {
     /// Number of blocks containing value `v` (the popcount of its row,
     /// kept since the index was built).
     pub fn blocks_with_value(&self, v: u32) -> usize {
-        self.counts[v as usize]
+        self.block_counts[v as usize]
+    }
+
+    /// Number of tuples with value `v` — the candidate's population
+    /// `Nᵢ`, kept since the index was built.
+    pub fn rows_with_value(&self, v: u32) -> u64 {
+        self.row_counts[v as usize]
     }
 }
 
@@ -231,6 +248,11 @@ mod tests {
         assert_eq!(idx.blocks_with_value(0), 1);
         assert_eq!(idx.blocks_with_value(1), 2);
         assert_eq!(idx.blocks_with_value(2), 2);
+        assert_eq!(
+            (0..3).map(|v| idx.rows_with_value(v)).collect::<Vec<_>>(),
+            t.value_counts(0)
+        );
+        assert_eq!(t.value_counts(0), vec![10, 11, 19]);
     }
 
     #[test]

@@ -81,9 +81,11 @@ impl MemTable {
 pub(crate) struct LiveBitmap {
     /// `rows[v][b / 64] >> (b % 64) & 1` ⇔ block `b` holds value `v`.
     rows: Vec<Vec<u64>>,
-    /// `counts[v]` = bits set in `rows[v]`, kept as they go from 0 to 1
-    /// so that freezing runs no popcount under the append lock.
-    counts: Vec<usize>,
+    /// `block_counts[v]` = bits set in `rows[v]`, kept as they go from 0
+    /// to 1 so that freezing runs no popcount under the append lock.
+    block_counts: Vec<usize>,
+    /// `row_counts[v]` = rows with value `v` set so far.
+    row_counts: Vec<u64>,
 }
 
 impl LiveBitmap {
@@ -91,11 +93,14 @@ impl LiveBitmap {
     pub fn new(num_values: u32) -> Self {
         LiveBitmap {
             rows: (0..num_values).map(|_| Vec::new()).collect(),
-            counts: vec![0; num_values as usize],
+            block_counts: vec![0; num_values as usize],
+            row_counts: vec![0; num_values as usize],
         }
     }
 
-    /// Marks value `v` present in block `b`.
+    /// Records one row with value `v` in block `b`: marks the value
+    /// present there and counts the row. Called exactly once per
+    /// appended or recovered row.
     #[inline]
     pub fn set(&mut self, v: u32, b: usize) {
         let row = &mut self.rows[v as usize];
@@ -104,7 +109,8 @@ impl LiveBitmap {
             row.resize(w + 1, 0);
         }
         let bit = 1u64 << (b % 64);
-        self.counts[v as usize] += usize::from(row[w] & bit == 0);
+        self.block_counts[v as usize] += usize::from(row[w] & bit == 0);
+        self.row_counts[v as usize] += 1;
         row[w] |= bit;
     }
 
@@ -117,7 +123,8 @@ impl LiveBitmap {
             self.rows.len(),
             num_blocks,
             &self.rows,
-            self.counts.clone(),
+            self.block_counts.clone(),
+            self.row_counts.clone(),
         )
     }
 }
@@ -182,6 +189,11 @@ mod tests {
         assert_eq!(
             (0..3).map(|v| idx.blocks_with_value(v)).collect::<Vec<_>>(),
             vec![3, 1, 0]
+        );
+        assert_eq!(
+            (0..3).map(|v| idx.rows_with_value(v)).collect::<Vec<_>>(),
+            vec![4, 3, 0],
+            "one row per set call"
         );
     }
 

@@ -2052,6 +2052,49 @@ mod tests {
         assert_eq!(lt.stats().seal_errors, 0);
     }
 
+    /// Per-value row counts equal an exact count of the data on every
+    /// path a `BitmapIndex` is made by: a scan-built index, a snapshot
+    /// after appends that cross seals (counted by `LiveBitmap::set` at
+    /// append time), and a cold reopen (counted again while recovery
+    /// folds each verified segment and the WAL tail into fresh bitmaps).
+    #[test]
+    fn bitmap_row_counts_equal_value_counts_through_seal_and_reopen() {
+        let skewed = |k: u64| [((k * k + k / 5) % 6) as u32, ((k * 3) % 4) as u32];
+        let check = |snap: &Snapshot, rows: u64, path: &str| {
+            let t = snap.to_table().unwrap();
+            assert_eq!(t.n_rows() as u64, rows, "{path}");
+            for attr in 0..2 {
+                let want = t.value_counts(attr);
+                let scanned = crate::bitmap::BitmapIndex::build(&t, attr, &snap.layout());
+                let got = snap.bitmap(attr);
+                for v in 0..got.num_values() as u32 {
+                    assert_eq!(scanned.rows_with_value(v), want[v as usize], "build");
+                    assert_eq!(
+                        got.rows_with_value(v),
+                        want[v as usize],
+                        "{path}: attr {attr} v {v}"
+                    );
+                }
+            }
+        };
+        let dir = TempBlockDir::new("live_row_counts");
+        let cfg = cfg_mem(4, 2)
+            .with_segment_dir(dir.path())
+            .with_background_sealer(false)
+            .with_wal_sync_every(1);
+        {
+            let lt = LiveTable::new(schema(), cfg.clone()).unwrap();
+            for k in 0..27u64 {
+                lt.append_row(&skewed(k)).unwrap();
+            }
+            assert!(lt.stats().persisted_segments >= 3, "appends crossed seals");
+            check(&lt.snapshot(), 27, "live snapshot");
+        }
+        let lt = LiveTable::open(schema(), cfg).unwrap();
+        assert!(lt.stats().recovered_rows > 0, "some rows came from the WAL");
+        check(&lt.snapshot(), 27, "cold reopen");
+    }
+
     #[test]
     fn open_of_an_empty_dir_is_a_fresh_table() {
         let dir = TempBlockDir::new("live_open_empty");
