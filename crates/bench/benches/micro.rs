@@ -1,6 +1,7 @@
 //! Criterion microbenchmarks of the algorithmic kernels: hypergeometric
 //! P-values (stage 1), Theorem-1 bounds (stage 2/3), distance evaluation,
-//! Holm–Bonferroni, bitmap probing and lookahead marking — of the
+//! Holm–Bonferroni, bitmap probing and lookahead marking (per `bool` and
+//! per word) — of the
 //! file backend's page load (`file_page_load`, ns per 600-byte page by
 //! read path) — and of the per-query costs that grow with |V_Z| or the
 //! table: consumption tracking's start (`tracker_init`), one demand
@@ -12,6 +13,7 @@ use fastmatch_core::stats::deviation::DeviationBound;
 use fastmatch_core::stats::holm_bonferroni::HolmBonferroni;
 use fastmatch_core::stats::hypergeometric::underrepresentation_pvalues;
 use fastmatch_core::Metric;
+use fastmatch_engine::policy::mark_lookahead;
 use fastmatch_engine::progress::ConsumptionTracker;
 use fastmatch_engine::shared::{DemandMode, SharedDemand};
 use fastmatch_store::backend::{MemBackend, StorageBackend};
@@ -110,6 +112,18 @@ fn bench_bitmap(c: &mut Criterion) {
                 idx.mark_active_range(cand, black_box(nb / 2), &mut marks);
             }
             marks.iter().filter(|&&m| m).count()
+        })
+    });
+    c.bench_function("bitmap_mark_window_words", |b| {
+        // The same window as a bitset, marked as the walk marks it: one
+        // word OR per candidate per 64 blocks, every block open.
+        let active: Vec<u32> = (0..64).map(|i| i * 31).collect();
+        let open = vec![!0u64; 1024 / 64];
+        let mut marks = vec![0u64; 1024 / 64];
+        b.iter(|| {
+            marks.fill(0);
+            mark_lookahead(&idx, &active, black_box(nb / 2), &open, &mut marks);
+            marks.iter().map(|w| w.count_ones()).sum::<u32>()
         })
     });
 }

@@ -5,9 +5,12 @@
 //!
 //! * the **sampling engine** (lookahead thread) steps one
 //!   [`ShardWalk`] over the whole table in windows of `lookahead`
-//!   blocks — Algorithm 3 marks each window for reading or skipping, one
-//!   pass over each active candidate's bitmap row per window — and
-//!   streams each window's decisions through a bounded channel;
+//!   blocks — Algorithm 3 marks each window for reading or skipping as a
+//!   bitset, one word OR per 64 blocks per active candidate
+//!   ([`BitmapIndex::or_window`]: 16 per candidate for the default
+//!   1024-block window), and stops consulting candidates once every
+//!   unvisited block of the window is marked — and streams each window's
+//!   decisions through a bounded channel;
 //! * the **I/O manager + statistics engine** (caller thread) reads each
 //!   marked run *as a run* ([`BlockReader::read_run`]), ingests its
 //!   blocks into HistSim one at a time, and every `PUBLISH_EVERY`

@@ -14,19 +14,30 @@
 //! ships each window's runs over a channel, a service quantum (which is
 //! also how `ParallelMatch` runs) reads them up to its block budget and
 //! comes back later. Who waits, merges and parks stays with them.
+//!
+//! The window, the visited set and the run extraction are bitsets. A
+//! step copies the window's visited bits into an `open` bitset (the
+//! window's unvisited blocks) and marks with word ORs
+//! ([`mark_lookahead`]: at most `⌈window/64⌉` per active candidate,
+//! none once every open block is marked); runs are found by scanning
+//! for the next bit that changes, and a marked run is set visited a
+//! word at a time.
 
 use std::ops::Range;
 
-use fastmatch_store::bitmap::BitmapIndex;
+use fastmatch_store::bitmap::{or_bits, BitmapIndex};
 
 use crate::exec::start_block;
 use crate::policy::mark_lookahead;
 use crate::shared::{DemandMode, SharedDemand};
 
-/// Lookahead window of the service's shard walks, in blocks: long
-/// enough that every cache line of a candidate's bitmap row is consumed
-/// whole, short enough that demand is re-read often. FastMatch's window
-/// is its `lookahead` option.
+/// Lookahead window of the service's shard walks, in blocks: four words
+/// (32 bytes) of each active candidate's bitmap row, so marking it costs
+/// at most four word ORs per active candidate. It is four default quanta
+/// long; a quantum whose budget runs out mid-window ends there, and the
+/// next one re-marks from its cursor, which at four words a candidate
+/// is cheaper than keeping marks across quanta that demand may have
+/// outdated. FastMatch's window is its `lookahead` option.
 const MARK_WINDOW: usize = 256;
 
 /// What one [`ShardWalk::step`] came to.
@@ -63,12 +74,20 @@ pub(crate) struct ShardWalk {
     start: usize,
     /// Position in pass order; `0` means a pass is about to begin.
     cursor: usize,
-    visited: Vec<bool>,
+    /// Blocks in the range.
+    len: usize,
+    /// One bit per range-local block: handed out as marked.
+    visited: Vec<u64>,
     visited_count: usize,
     pass_epoch: u64,
     fruitless: bool,
-    /// The mark window, reused by every step.
-    marks: Vec<bool>,
+    /// Window length in blocks.
+    window: usize,
+    /// The mark window, a bitset reused by every step: bit `i` stands for
+    /// the window's `i`-th block.
+    marks: Vec<u64>,
+    /// The window's unvisited blocks, in the same shape, reused too.
+    open: Vec<u64>,
     /// The active-candidate snapshot of the current window, reused too.
     active: Vec<u32>,
 }
@@ -84,11 +103,14 @@ impl ShardWalk {
             lo: blocks.start,
             start: if n == 0 { 0 } else { start % n },
             cursor: 0,
-            visited: vec![false; n],
+            len: n,
+            visited: vec![0; n.div_ceil(64)],
             visited_count: 0,
             pass_epoch: 0,
             fruitless: true,
-            marks: vec![false; window],
+            window,
+            marks: vec![0; window.div_ceil(64)],
+            open: vec![0; window.div_ceil(64)],
             active: Vec::with_capacity(num_candidates),
         }
     }
@@ -105,7 +127,7 @@ impl ShardWalk {
 
     /// Whether every block of the range has been handed out as marked.
     pub fn exhausted(&self) -> bool {
-        self.visited_count == self.visited.len()
+        self.visited_count == self.len
     }
 
     /// Marks the next window under `demand` and hands each maximal run of
@@ -121,7 +143,7 @@ impl ShardWalk {
         mut on_run: impl FnMut(Range<usize>, bool) -> bool,
     ) -> Step {
         debug_assert!(limit > 0, "a step must be allowed to make progress");
-        let n = self.visited.len();
+        let n = self.len;
         if self.exhausted() {
             return Step::Exhausted;
         }
@@ -137,29 +159,41 @@ impl ShardWalk {
         } else {
             (self.cursor - first_len, n - self.cursor)
         };
-        let win = self.marks.len().min(seg_left);
-        let marks = &mut self.marks[..win];
-        match demand.mode() {
-            DemandMode::Stop => return Step::Stop,
-            DemandMode::ReadAll => marks.fill(true),
-            DemandMode::AnyActive => {
-                marks.fill(false);
-                demand.active_into(&mut self.active);
-                mark_lookahead(bitmap, &self.active, self.lo + seg_off, marks);
-            }
+        let win = self.window.min(seg_left);
+        let words = win.div_ceil(64);
+        let (marks, open) = (&mut self.marks[..words], &mut self.open[..words]);
+        let mode = demand.mode();
+        if mode == DemandMode::Stop {
+            return Step::Stop;
+        }
+        // The window's unvisited blocks, clear past its end.
+        open.fill(0);
+        or_bits(&self.visited, seg_off, open);
+        for w in open.iter_mut() {
+            *w = !*w;
+        }
+        if win % 64 != 0 {
+            open[words - 1] &= (1 << (win % 64)) - 1;
+        }
+        if mode == DemandMode::ReadAll {
+            marks.fill(!0);
+        } else {
+            marks.fill(0);
+            demand.active_into(&mut self.active);
+            mark_lookahead(bitmap, &self.active, self.lo + seg_off, open, marks);
         }
         let (mut i, mut left) = (0, limit);
-        while i < win && left > 0 {
-            if self.visited[seg_off + i] {
-                i += 1;
-                continue;
+        while left > 0 {
+            i = first_set(words, |w| open[w], i).min(win);
+            if i == win {
+                break;
             }
-            let marked = marks[i];
-            let mut end = run_end(marks, &self.visited, seg_off, i);
+            let marked = marks[i / 64] >> (i % 64) & 1 == 1;
+            let mut end = run_end(marks, open, i);
             if marked {
                 end = i + (end - i).min(left);
                 left -= end - i;
-                self.visited[seg_off + i..seg_off + end].fill(true);
+                set_bits(&mut self.visited, seg_off + i..seg_off + end);
                 self.visited_count += end - i;
                 self.fruitless = false;
             }
@@ -184,14 +218,45 @@ impl ShardWalk {
     }
 }
 
+/// The first position at or after `i` whose bit is set in the bitset of
+/// `len` words that `word(w)` yields, or `64 · len` if there is none.
+fn first_set(len: usize, word: impl Fn(usize) -> u64, i: usize) -> usize {
+    let mut w = i / 64;
+    let mut bits = if w < len { word(w) & !0 << (i % 64) } else { 0 };
+    while bits == 0 {
+        w += 1;
+        if w >= len {
+            return 64 * len;
+        }
+        bits = word(w);
+    }
+    64 * w + bits.trailing_zeros() as usize
+}
+
 /// Where the run that starts at position `i` of a marked window ends:
-/// the first position whose block is already visited or marked
-/// differently from position `i`. `marks[i]` describes local block
-/// `seg_off + i`, `visited` is indexed by local block, and position `i`
-/// must be unvisited.
-fn run_end(marks: &[bool], visited: &[bool], seg_off: usize, i: usize) -> usize {
-    let tail = marks[i + 1..].iter().zip(&visited[seg_off + i + 1..]);
-    i + 1 + tail.take_while(|&(&m, &v)| !v && m == marks[i]).count()
+/// the first position whose block is not open (already visited, or past
+/// the window) or marked differently from position `i`. Bit `i` of
+/// `open` must be set, and `open` must be clear past the window.
+fn run_end(marks: &[u64], open: &[u64], i: usize) -> usize {
+    // Blocks of the run's kind (open and marked as position `i` is) read
+    // as zeros, so the run ends at the first set bit after `i`.
+    let flip = if marks[i / 64] >> (i % 64) & 1 == 1 {
+        0
+    } else {
+        !0
+    };
+    first_set(open.len(), |w| !(open[w] & (marks[w] ^ flip)), i)
+}
+
+/// Sets bits `r` of the bitset `bits`, a word at a time.
+fn set_bits(bits: &mut [u64], r: Range<usize>) {
+    let mut b = r.start;
+    while b < r.end {
+        let (w, lo) = (b / 64, b % 64);
+        let hi = (r.end - 64 * w).min(64);
+        bits[w] |= !0 >> (64 - (hi - lo)) << lo;
+        b = 64 * w + hi;
+    }
 }
 
 #[cfg(test)]
@@ -206,12 +271,13 @@ mod tests {
     use fastmatch_store::table::Table;
 
     impl ShardWalk {
-        /// Address and capacity of the mark window and of the
+        /// Address and capacity of the mark and open windows and of the
         /// active-candidate buffer, for tests (here and in the service)
         /// asserting that steps allocate nothing.
-        pub(crate) fn buffers(&self) -> [(usize, usize); 2] {
+        pub(crate) fn buffers(&self) -> [(usize, usize); 3] {
             [
                 (self.marks.as_ptr() as usize, self.marks.capacity()),
+                (self.open.as_ptr() as usize, self.open.capacity()),
                 (self.active.as_ptr() as usize, self.active.capacity()),
             ]
         }
@@ -295,14 +361,165 @@ mod tests {
         }
     }
 
+    /// ReadAll after an arbitrary AnyActive history: the marked runs
+    /// are the rotated order of all still-unvisited blocks, each once,
+    /// nothing is skipped, the walk is exhausted exactly when the
+    /// last of them is handed out — and cutting steps by random
+    /// limits changes none of it.
+    fn check_read_all(
+        n: usize,
+        lo: usize,
+        start: usize,
+        window: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let range = lo..lo + n;
+        let bitmap = bitmap(range.end + 3, rng);
+        let history_passes = rng.gen_range(0..3usize);
+        let history_seed = rng.gen_range(0..u64::MAX);
+
+        let mut traces = Vec::new();
+        for chopped in [false, true] {
+            // Both walks live the same AnyActive history …
+            let rng = &mut StdRng::seed_from_u64(history_seed);
+            let demand = SharedDemand::new(CANDIDATES);
+            let mut walk = ShardWalk::new(range.clone(), start, window, CANDIDATES);
+            let mut history = Trace::default();
+            for _ in 0..history_passes {
+                publish_random(&demand, rng);
+                run_pass(
+                    &mut walk,
+                    &bitmap,
+                    &demand,
+                    &range,
+                    || usize::MAX,
+                    &mut history,
+                );
+            }
+            let visited: Vec<usize> = history
+                .blocks
+                .iter()
+                .filter(|&&(_, m)| m)
+                .map(|&(b, _)| b)
+                .collect();
+            // … then read everything that is left, unbroken or chopped.
+            demand.set_mode(DemandMode::ReadAll);
+            let mut trace = Trace::default();
+            let exhausted = walk.exhausted();
+            let last = run_pass(
+                &mut walk,
+                &bitmap,
+                &demand,
+                &range,
+                || {
+                    if chopped {
+                        rng.gen_range(1..2 * window + 2)
+                    } else {
+                        usize::MAX
+                    }
+                },
+                &mut trace,
+            );
+            prop_assert_eq!(last, Step::Exhausted);
+            prop_assert!(walk.exhausted());
+            prop_assert_eq!(exhausted, trace.blocks.is_empty());
+            let rotated = (0..n).map(|p| lo + (start + p) % n.max(1));
+            let expect: Vec<(usize, bool)> = rotated
+                .filter(|b| !visited.contains(b))
+                .map(|b| (b, true))
+                .collect();
+            prop_assert_eq!(&trace.blocks, &expect);
+            // Exhausted stays exhausted and hands out nothing more.
+            let again = walk.step(&bitmap, &demand, 1, |_, _| panic!("run after exhaustion"));
+            prop_assert_eq!(again, Step::Exhausted);
+            traces.push((history, trace));
+        }
+        prop_assert_eq!(&traces[0], &traces[1]);
+        Ok(())
+    }
+
+    /// AnyActive under fixed demand, over several passes with the
+    /// demand changing between them: each pass marks exactly the
+    /// unvisited blocks holding an active candidate, offers exactly
+    /// the other unvisited blocks as skips, in rotated order; a pass
+    /// is fruitless iff it marked nothing; its epoch is the one
+    /// current when it began, whatever is published meanwhile; and
+    /// chopping by limits changes nothing.
+    fn check_any_active(
+        n: usize,
+        lo: usize,
+        start: usize,
+        window: usize,
+        seed: u64,
+    ) -> Result<(), TestCaseError> {
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let range = lo..lo + n;
+        let bitmap = bitmap(range.end + 3, rng);
+        let demand = SharedDemand::new(CANDIDATES);
+        let mut walk = ShardWalk::new(range.clone(), start, window, CANDIDATES);
+        let mut visited = vec![false; n];
+        for _ in 0..4 {
+            let active = publish_random(&demand, rng);
+            let epoch = demand.epoch();
+            let mut steps = 0;
+            let mut trace = Trace::default();
+            let chopped = rng.gen_range(0..2u32) == 1;
+            let last = run_pass(
+                &mut walk,
+                &bitmap,
+                &demand,
+                &range,
+                || {
+                    // The same demand again, after the pass's first
+                    // step: a new epoch mid-pass.
+                    steps += 1;
+                    if steps == 2 {
+                        let same: Vec<u64> = (0..CANDIDATES).map(|c| demand.remaining(c)).collect();
+                        demand.publish(DemandMode::AnyActive, Some(&same));
+                    }
+                    if chopped {
+                        rng.gen_range(1..2 * window + 2)
+                    } else {
+                        usize::MAX
+                    }
+                },
+                &mut trace,
+            );
+            let rotated = (0..n).map(|p| (start + p) % n).filter(|&l| !visited[l]);
+            let expect: Vec<(usize, bool)> = rotated
+                .map(|l| (lo + l, active.iter().any(|&c| bitmap.block_has(c, lo + l))))
+                .collect();
+            let marked = expect.iter().filter(|&&(_, m)| m).count();
+            for &(b, m) in &expect {
+                visited[b - lo] |= m;
+            }
+            if visited.iter().all(|&v| v) {
+                // The step that hands out the last block says so at
+                // once; blocks behind it in the pass are all visited.
+                prop_assert_eq!(last, Step::Exhausted);
+                let cut = trace.blocks.len();
+                prop_assert_eq!(&trace.blocks[..], &expect[..cut]);
+                prop_assert!(expect[cut..].iter().all(|&(_, m)| !m));
+                break;
+            }
+            prop_assert_eq!(&trace.blocks, &expect);
+            prop_assert_eq!(
+                last,
+                Step::PassEnd {
+                    fruitless: marked == 0,
+                    epoch
+                }
+            );
+            prop_assert!(!walk.exhausted());
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(200))]
 
-        /// ReadAll after an arbitrary AnyActive history: the marked runs
-        /// are the rotated order of all still-unvisited blocks, each once,
-        /// nothing is skipped, the walk is exhausted exactly when the
-        /// last of them is handed out — and cutting steps by random
-        /// limits changes none of it.
+        /// [`check_read_all`] over windows of up to 23 blocks.
         #[test]
         fn read_all_hands_out_the_rotated_rest_once(
             n in 0usize..90,
@@ -311,59 +528,10 @@ mod tests {
             window in 1usize..24,
             seed in 0u64..1_000_000,
         ) {
-            let rng = &mut StdRng::seed_from_u64(seed);
-            let range = lo..lo + n;
-            let bitmap = bitmap(range.end + 3, rng);
-            let history_passes = rng.gen_range(0..3usize);
-            let history_seed = rng.gen_range(0..u64::MAX);
-
-            let mut traces = Vec::new();
-            for chopped in [false, true] {
-                // Both walks live the same AnyActive history …
-                let rng = &mut StdRng::seed_from_u64(history_seed);
-                let demand = SharedDemand::new(CANDIDATES);
-                let mut walk = ShardWalk::new(range.clone(), start, window, CANDIDATES);
-                let mut history = Trace::default();
-                for _ in 0..history_passes {
-                    publish_random(&demand, rng);
-                    run_pass(&mut walk, &bitmap, &demand, &range, || usize::MAX, &mut history);
-                }
-                let visited: Vec<usize> =
-                    history.blocks.iter().filter(|&&(_, m)| m).map(|&(b, _)| b).collect();
-                // … then read everything that is left, unbroken or chopped.
-                demand.set_mode(DemandMode::ReadAll);
-                let mut trace = Trace::default();
-                let exhausted = walk.exhausted();
-                let last = run_pass(
-                    &mut walk,
-                    &bitmap,
-                    &demand,
-                    &range,
-                    || if chopped { rng.gen_range(1..2 * window + 2) } else { usize::MAX },
-                    &mut trace,
-                );
-                prop_assert_eq!(last, Step::Exhausted);
-                prop_assert!(walk.exhausted());
-                prop_assert_eq!(exhausted, trace.blocks.is_empty());
-                let rotated = (0..n).map(|p| lo + (start + p) % n.max(1));
-                let expect: Vec<(usize, bool)> =
-                    rotated.filter(|b| !visited.contains(b)).map(|b| (b, true)).collect();
-                prop_assert_eq!(&trace.blocks, &expect);
-                // Exhausted stays exhausted and hands out nothing more.
-                let again = walk.step(&bitmap, &demand, 1, |_, _| panic!("run after exhaustion"));
-                prop_assert_eq!(again, Step::Exhausted);
-                traces.push((history, trace));
-            }
-            prop_assert_eq!(&traces[0], &traces[1]);
+            check_read_all(n, lo, start, window, seed)?;
         }
 
-        /// AnyActive under fixed demand, over several passes with the
-        /// demand changing between them: each pass marks exactly the
-        /// unvisited blocks holding an active candidate, offers exactly
-        /// the other unvisited blocks as skips, in rotated order; a pass
-        /// is fruitless iff it marked nothing; its epoch is the one
-        /// current when it began, whatever is published meanwhile; and
-        /// chopping by limits changes nothing.
+        /// [`check_any_active`] over windows of up to 23 blocks.
         #[test]
         fn any_active_marks_exactly_the_demanded_blocks(
             n in 1usize..90,
@@ -372,57 +540,27 @@ mod tests {
             window in 1usize..24,
             seed in 0u64..1_000_000,
         ) {
-            let rng = &mut StdRng::seed_from_u64(seed);
-            let range = lo..lo + n;
-            let bitmap = bitmap(range.end + 3, rng);
-            let demand = SharedDemand::new(CANDIDATES);
-            let mut walk = ShardWalk::new(range.clone(), start, window, CANDIDATES);
-            let mut visited = vec![false; n];
-            for _ in 0..4 {
-                let active = publish_random(&demand, rng);
-                let epoch = demand.epoch();
-                let mut steps = 0;
-                let mut trace = Trace::default();
-                let chopped = rng.gen_range(0..2u32) == 1;
-                let last = run_pass(
-                    &mut walk,
-                    &bitmap,
-                    &demand,
-                    &range,
-                    || {
-                        // The same demand again, after the pass's first
-                        // step: a new epoch mid-pass.
-                        steps += 1;
-                        if steps == 2 {
-                            let same: Vec<u64> =
-                                (0..CANDIDATES).map(|c| demand.remaining(c)).collect();
-                            demand.publish(DemandMode::AnyActive, Some(&same));
-                        }
-                        if chopped { rng.gen_range(1..2 * window + 2) } else { usize::MAX }
-                    },
-                    &mut trace,
-                );
-                let rotated = (0..n).map(|p| (start + p) % n).filter(|&l| !visited[l]);
-                let expect: Vec<(usize, bool)> = rotated
-                    .map(|l| (lo + l, active.iter().any(|&c| bitmap.block_has(c, lo + l))))
-                    .collect();
-                let marked = expect.iter().filter(|&&(_, m)| m).count();
-                for &(b, m) in &expect {
-                    visited[b - lo] |= m;
-                }
-                if visited.iter().all(|&v| v) {
-                    // The step that hands out the last block says so at
-                    // once; blocks behind it in the pass are all visited.
-                    prop_assert_eq!(last, Step::Exhausted);
-                    let cut = trace.blocks.len();
-                    prop_assert_eq!(&trace.blocks[..], &expect[..cut]);
-                    prop_assert!(expect[cut..].iter().all(|&(_, m)| !m));
-                    break;
-                }
-                prop_assert_eq!(&trace.blocks, &expect);
-                prop_assert_eq!(last, Step::PassEnd { fruitless: marked == 0, epoch });
-                prop_assert!(!walk.exhausted());
-            }
+            check_any_active(n, lo, start, window, seed)?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        /// The two properties above over windows of up to five words,
+        /// unaligned to the visited set's words and to the bitmap's, and
+        /// over ranges of up to twelve words: marking, the saturation
+        /// exit and the run scan across word boundaries.
+        #[test]
+        fn wide_windows_keep_both_properties(
+            n in 0usize..760,
+            lo in 0usize..130,
+            start in 0usize..900,
+            window in 1usize..330,
+            seed in 0u64..1_000_000,
+        ) {
+            check_read_all(n, lo, start, window, seed)?;
+            check_any_active(n.max(1), lo, start, window, seed)?;
         }
     }
 
@@ -468,16 +606,43 @@ mod tests {
 
     #[test]
     fn run_end_splits_on_marks_and_visited() {
-        let marks = [true, true, false, false, true, true];
-        let mut visited = vec![false; 10];
-        visited[3 + 5] = true; // window position 5
-        assert_eq!(run_end(&marks, &visited, 3, 0), 2, "marks change");
-        assert_eq!(run_end(&marks, &visited, 3, 2), 4);
-        assert_eq!(
-            run_end(&marks, &visited, 3, 4),
-            5,
-            "visited block ends the run"
-        );
-        assert_eq!(run_end(&marks[..5], &visited, 3, 4), 5, "window end");
+        let marks = [0b11_0011];
+        let open = [0b01_1111]; // window position 5 visited
+        assert_eq!(run_end(&marks, &open, 0), 2, "marks change");
+        assert_eq!(run_end(&marks, &open, 2), 4);
+        assert_eq!(run_end(&marks, &open, 4), 5, "visited block ends the run");
+        assert_eq!(run_end(&marks, &[0b1_1111], 4), 5, "window end");
+        // Runs across word boundaries, to the window's last word.
+        let (marks, open) = ([!0, 0b1, 0], [!0, !0, 0b11]);
+        assert_eq!(run_end(&marks, &open, 3), 65);
+        assert_eq!(run_end(&marks, &open, 65), 130);
+        assert_eq!(run_end(&[!0, !0], &[!0, !0], 70), 128, "full window");
+        assert_eq!(first_set(3, |w| open[w], 66), 66);
+        let sparse = [0, 0b100, 0];
+        assert_eq!(first_set(3, |w| sparse[w], 1), 66);
+        assert_eq!(first_set(3, |w| sparse[w], 67), 192, "none left");
+    }
+
+    #[test]
+    fn set_bits_sets_exactly_the_range() {
+        for (lo, hi) in [
+            (0, 0),
+            (0, 64),
+            (3, 9),
+            (60, 70),
+            (5, 192),
+            (64, 128),
+            (127, 191),
+        ] {
+            let mut bits = vec![0u64; 3];
+            set_bits(&mut bits, lo..hi);
+            for b in 0..192 {
+                assert_eq!(
+                    bits[b / 64] >> (b % 64) & 1 == 1,
+                    (lo..hi).contains(&b),
+                    "{lo}..{hi} b={b}"
+                );
+            }
+        }
     }
 }

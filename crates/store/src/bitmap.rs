@@ -8,11 +8,18 @@
 //! (not per tuple, as earlier systems did) makes the index orders of
 //! magnitude smaller.
 //!
-//! [`BitmapIndex::mark_active_range`] is the cache-conscious lookahead
-//! primitive of Algorithm 3: for one candidate it ORs a whole range of
-//! blocks into a mark array, consuming each cache line of the bitmap once,
-//! instead of the bit-at-a-time access pattern of Algorithm 2 that evicts
-//! the line between candidates.
+//! [`BitmapIndex::or_window`] is the lookahead primitive of Algorithm 3:
+//! for one candidate it ORs the row's words for a whole window of blocks
+//! into a window bitset, 64 blocks per word OR (two shifted source words
+//! merged per output word when the window does not start on a word
+//! boundary). Marking a `w`-block window for `a` active candidates thus
+//! costs `a · ⌈w/64⌉` word ORs, instead of Algorithm 2's bit-at-a-time
+//! probe per block and candidate; the walk that calls it
+//! (`fastmatch-engine`'s `policy::mark_lookahead`) also stops ORing once
+//! every block it still cares about is marked.
+//! [`BitmapIndex::mark_active_range`] is the same kernel for callers
+//! that want one `bool` per block: `or_window`, then a scatter of the
+//! set bits.
 //!
 //! The index also holds each value's block count (the popcount of its
 //! row) and row count (how many tuples carry it), both computed in the
@@ -146,26 +153,45 @@ impl BitmapIndex {
         self.words[v as usize * self.stride + word] >> bit & 1 == 1
     }
 
+    /// ORs value `v`'s presence words for blocks
+    /// `start .. start + 64 · out.len()` into the window bitset `out`:
+    /// bit `j` of `out[k]` stands for block `start + 64k + j`. This is
+    /// Algorithm 3's inner loop a word at a time — `out.len()` word ORs
+    /// (two shifted source words merged per output word when `start` is
+    /// not a multiple of 64), whatever the window's bits are. Bits for
+    /// blocks at or past the end of the index are left as they were,
+    /// because the value's row has none there.
+    #[inline]
+    pub fn or_window(&self, v: u32, start: usize, out: &mut [u64]) {
+        or_bits(self.row(v), start, out);
+    }
+
     /// ORs the presence bits of value `v` for blocks
-    /// `start .. start + marks.len()` into `marks` (Algorithm 3's inner
-    /// loop). Blocks beyond the end of the index leave their mark slot
-    /// untouched.
+    /// `start .. start + marks.len()` into `marks`: one
+    /// [`or_window`](Self::or_window) word per 64 blocks, then a scatter
+    /// of its set bits. Blocks beyond the end of the index leave their
+    /// mark slot untouched.
     pub fn mark_active_range(&self, v: u32, start: usize, marks: &mut [bool]) {
-        let row = &self.words[v as usize * self.stride..(v as usize + 1) * self.stride];
-        let end = (start + marks.len()).min(self.num_blocks);
-        let mut b = start;
-        while b < end {
-            let word = row[b / 64];
-            if word == 0 {
-                // skip the rest of this word in one step
-                b = (b / 64 + 1) * 64;
-                continue;
+        let row = self.row(v);
+        for (k, chunk) in marks.chunks_mut(64).enumerate() {
+            let mut word = [0u64];
+            or_bits(row, start + 64 * k, &mut word);
+            let mut bits = word[0];
+            while bits != 0 {
+                let i = bits.trailing_zeros() as usize;
+                if i >= chunk.len() {
+                    break;
+                }
+                chunk[i] = true;
+                bits &= bits - 1;
             }
-            if word >> (b % 64) & 1 == 1 {
-                marks[b - start] = true;
-            }
-            b += 1;
         }
+    }
+
+    /// Value `v`'s presence words.
+    fn row(&self, v: u32) -> &[u64] {
+        let v = v as usize;
+        &self.words[v * self.stride..(v + 1) * self.stride]
     }
 
     /// Index memory footprint in bytes.
@@ -183,6 +209,28 @@ impl BitmapIndex {
     /// `Nᵢ`, kept since the index was built.
     pub fn rows_with_value(&self, v: u32) -> u64 {
         self.row_counts[v as usize]
+    }
+}
+
+/// ORs bits `start .. start + 64 · out.len()` of the bitset `src` into
+/// `out`, bit `start + 64k + j` of `src` landing on bit `j` of `out[k]`.
+/// Bits past the end of `src` read as zero. When `start` is not a
+/// multiple of 64, each output word merges two shifted source words.
+#[inline]
+pub fn or_bits(src: &[u64], start: usize, out: &mut [u64]) {
+    let src = src.get(start / 64..).unwrap_or(&[]);
+    let shift = start % 64;
+    if shift == 0 {
+        for (o, &w) in out.iter_mut().zip(src) {
+            *o |= w;
+        }
+        return;
+    }
+    for (o, pair) in out.iter_mut().zip(src.windows(2)) {
+        *o |= pair[0] >> shift | pair[1] << (64 - shift);
+    }
+    if let (Some(o), Some(&last)) = (out.get_mut(src.len().wrapping_sub(1)), src.last()) {
+        *o |= last >> shift;
     }
 }
 

@@ -77,29 +77,72 @@ proptest! {
         }
     }
 
-    /// Lookahead marking agrees with per-block probing at every offset.
+    /// Lookahead marking agrees with per-block probing at every offset:
+    /// windows of up to 200 blocks (so up to four words) from
+    /// word-unaligned starts, windows running past the end of the index
+    /// or starting beyond it, any subset of values, ORed into a window
+    /// that already holds marks — which stay.
     #[test]
     fn lookahead_equals_probing(
-        table in arb_table(300, 6),
-        bs in 1usize..20,
-        start_frac in 0.0f64..1.0,
-        window in 1usize..30,
+        table in arb_table(700, 6),
+        bs in 1usize..6,
+        start_frac in 0.0f64..1.1,
+        window in 1usize..200,
+        active_bits in 0u32..64,
+        seed in 0u64..1_000_000,
     ) {
         let layout = BlockLayout::new(table.n_rows(), bs);
         let idx = BitmapIndex::build(&table, 0, &layout);
-        let start = ((layout.num_blocks() as f64) * start_frac) as usize % layout.num_blocks().max(1);
-        let mut marks = vec![false; window];
-        for v in 0..6u32 {
+        let nb = layout.num_blocks();
+        let start = (nb as f64 * start_frac) as usize;
+        let active: Vec<u32> = (0..6).filter(|v| active_bits >> v & 1 == 1).collect();
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let before: Vec<bool> = (0..window).map(|_| rng.gen_range(0..4u32) == 0).collect();
+        let mut marks = before.clone();
+        for &v in &active {
             idx.mark_active_range(v, start, &mut marks);
         }
         for (i, &m) in marks.iter().enumerate() {
             let b = start + i;
-            if b < layout.num_blocks() {
-                let any = (0..6u32).any(|v| idx.block_has(v, b));
-                prop_assert_eq!(m, any);
-            } else {
-                prop_assert!(!m);
-            }
+            let any = b < nb && active.iter().any(|&v| idx.block_has(v, b));
+            prop_assert_eq!(m, before[i] || any, "block {} from {}", b, start);
+        }
+    }
+
+    /// The word kernel under `lookahead_equals_probing`: ORing values'
+    /// rows into a window bitset sets bit `j` of word `k` iff block
+    /// `start + 64k + j` holds one of them, keeps every bit already set,
+    /// and sets none at or past the end of the index — from aligned and
+    /// unaligned starts, over windows of up to five words.
+    #[test]
+    fn or_window_equals_probing(
+        table in arb_table(700, 6),
+        bs in 1usize..6,
+        start_frac in 0.0f64..1.1,
+        aligned in 0u32..4,
+        words in 1usize..6,
+        active_bits in 0u32..64,
+        seed in 0u64..1_000_000,
+    ) {
+        let layout = BlockLayout::new(table.n_rows(), bs);
+        let idx = BitmapIndex::build(&table, 0, &layout);
+        let nb = layout.num_blocks();
+        let mut start = (nb as f64 * start_frac) as usize;
+        if aligned == 0 {
+            start -= start % 64;
+        }
+        let active: Vec<u32> = (0..6).filter(|v| active_bits >> v & 1 == 1).collect();
+        let rng = &mut StdRng::seed_from_u64(seed);
+        let before: Vec<u64> = (0..words).map(|_| rng.gen_range(0..u64::MAX) & rng.gen_range(0..u64::MAX)).collect();
+        let mut out = before.clone();
+        for &v in &active {
+            idx.or_window(v, start, &mut out);
+        }
+        for i in 0..64 * words {
+            let b = start + i;
+            let bit = |w: &[u64]| w[i / 64] >> (i % 64) & 1 == 1;
+            let any = b < nb && active.iter().any(|&v| idx.block_has(v, b));
+            prop_assert_eq!(bit(&out), bit(&before) || any, "block {} from {}", b, start);
         }
     }
 
