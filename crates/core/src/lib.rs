@@ -40,7 +40,6 @@
 
 pub mod distance;
 pub mod error;
-pub mod extensions;
 pub mod guarantees;
 pub mod histogram;
 pub mod histsim;

@@ -1,5 +1,5 @@
-//! End-to-end tests of the Appendix A extensions through the in-memory
-//! sampling driver.
+//! End-to-end tests of the configuration-driven Appendix A extensions
+//! (A.1.5, A.2.1–A.2.3) through the in-memory sampling driver.
 
 use fastmatch_core::histsim::{HistSim, HistSimConfig, HistSimOutput};
 use fastmatch_core::sampler::{tuples_from_histograms, MemorySampler};
@@ -159,46 +159,4 @@ fn unseen_mass_test_absent_by_default() {
     };
     let out = run(cfg, &clustered_hists(), 8);
     assert_eq!(out.diagnostics.unseen_mass_rare, None);
-}
-
-#[test]
-fn measure_biased_sampling_supports_sum_queries() {
-    // Appendix A.1.1: COUNT over a measure-biased sample estimates SUM
-    // proportions. Candidate 0's group-0 tuples carry weight 10; under
-    // SUM semantics its histogram shifts toward group 0.
-    use fastmatch_core::extensions::measure_biased::measure_biased_tuples;
-    let mut tuples = Vec::new();
-    let mut weights = Vec::new();
-    for i in 0..40_000usize {
-        let g = (i % 2) as u32;
-        tuples.push((0u32, g));
-        weights.push(if g == 0 { 10.0 } else { 1.0 });
-    }
-    let biased = measure_biased_tuples(&tuples, &weights, 10_000, 9);
-    let g0 = biased.iter().filter(|t| t.1 == 0).count() as f64;
-    let frac = g0 / biased.len() as f64;
-    // SUM proportion of group 0 = 10/11 ≈ 0.909
-    assert!((frac - 10.0 / 11.0).abs() < 0.02, "frac = {frac}");
-}
-
-#[test]
-fn multi_attribute_support_loosens_but_preserves_correctness() {
-    // Appendix A.1.3: using an overestimated support (|VX1|·|VX2|) only
-    // increases sample counts; the run still returns the right answer.
-    use fastmatch_core::extensions::support_of_multiple_attributes;
-    let support = support_of_multiple_attributes(&[2, 2]);
-    assert_eq!(support, 4);
-    let cfg = HistSimConfig {
-        k: 1,
-        epsilon: 0.15,
-        delta: 0.05,
-        sigma: 0.0,
-        stage1_samples: 4_000,
-        ..HistSimConfig::default()
-    };
-    // The 4 groups of the test data can be seen as a 2×2 composite. The
-    // whole near-uniform cluster sits within ε of each other, so any of
-    // its members is a separation-correct answer.
-    let out = run(cfg, &clustered_hists(), 10);
-    assert!(out.candidate_ids()[0] < 7, "got {:?}", out.candidate_ids());
 }

@@ -175,24 +175,4 @@ proptest! {
         );
         prop_assert!(truth.check_reconstruction(&out.matches, cfg.epsilon));
     }
-
-    /// Weighted sampling without replacement returns distinct indices of
-    /// the requested size, never selecting zero-weight items.
-    #[test]
-    fn weighted_sampling_properties(
-        weights in prop::collection::vec(0.0f64..5.0, 1..60),
-        m in 1usize..20,
-        seed in 0u64..500,
-    ) {
-        use fastmatch_core::extensions::measure_biased::weighted_sample_without_replacement;
-        let s = weighted_sample_without_replacement(&weights, m, seed);
-        let positive = weights.iter().filter(|&&w| w > 0.0).count();
-        prop_assert_eq!(s.len(), m.min(positive));
-        let mut d = s.clone();
-        d.dedup();
-        prop_assert_eq!(d.len(), s.len(), "indices must be distinct");
-        for &i in &s {
-            prop_assert!(weights[i] > 0.0);
-        }
-    }
 }

@@ -10,11 +10,6 @@
 //!   scans into uniform without-replacement samples ([`shuffle`]);
 //! * one-bit-per-(value, block) bitmap indexes used by the AnyActive block
 //!   selection policy ([`bitmap::BitmapIndex`]);
-//! * per-block count *density maps* for boolean-predicate candidates
-//!   (Appendix A.1.2, [`density::DensityMap`]);
-//! * boolean predicates over attribute values ([`predicate::Predicate`]);
-//! * equal-width binning of continuous attributes (Appendix A.1.4 / A.1.6,
-//!   [`binning::Binner`]);
 //! * a pluggable storage abstraction ([`backend::StorageBackend`]) with
 //!   two implementations — the in-memory table view
 //!   ([`backend::MemBackend`]) and a checksummed on-disk columnar block
@@ -42,31 +37,25 @@
 #![forbid(unsafe_code)]
 
 pub mod backend;
-pub mod binning;
 pub mod bitmap;
 pub mod block;
 pub mod checksum;
-pub mod density;
 pub mod error;
 pub mod file;
 pub mod io;
 pub mod live;
-pub mod predicate;
 pub mod schema;
 pub mod shuffle;
 pub mod table;
 pub mod tempfile;
 
 pub use backend::{MemBackend, PageOrigin, StorageBackend};
-pub use binning::Binner;
 pub use bitmap::BitmapIndex;
 pub use block::BlockLayout;
-pub use density::DensityMap;
 pub use error::StoreError;
 pub use file::{write_table, write_table_atomic, CacheStats, FileBackend};
 pub use io::{BlockReader, IoStats, ShardedBlockReader};
-pub use live::{LiveStats, LiveTable, LiveTableConfig, Snapshot, ZoneMap};
-pub use predicate::Predicate;
+pub use live::{LiveStats, LiveTable, LiveTableConfig, Snapshot};
 pub use schema::{AttrDef, Schema};
 pub use table::Table;
 pub use tempfile::{TempBlockDir, TempBlockFile};

@@ -24,8 +24,8 @@
 //!    ids it *shadows* — recovery detects exactly this (a file whose
 //!    first delta is below the next expected id) and sweeps it.
 //!
-//! Rows are never reordered, so block contents, bitmaps and zone maps
-//! are all compaction-invariant — the equivalence test in
+//! Rows are never reordered, so block contents and bitmaps are
+//! compaction-invariant — the equivalence test in
 //! `store/tests/live.rs` pins this down blockwise under concurrent
 //! appenders.
 //!

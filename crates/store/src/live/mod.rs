@@ -62,10 +62,8 @@ pub(crate) mod memtable;
 pub(crate) mod segment;
 pub mod snapshot;
 pub mod wal;
-pub mod zone;
 
 pub use snapshot::Snapshot;
-pub use zone::ZoneMap;
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,7 +82,6 @@ use crate::live::segment::{SegmentEntry, SegmentWriter};
 use crate::live::wal::{
     durable_prefix_rows, replay_split, rotation_base, WalWriter, DEFAULT_WAL_SYNC_EVERY, WAL_FILE,
 };
-use crate::live::zone::LiveZones;
 use crate::schema::Schema;
 use crate::table::Table;
 
@@ -377,9 +374,6 @@ struct LiveState {
     entries: Vec<LiveSegment>,
     mem: MemTable,
     bitmaps: Vec<LiveBitmap>,
-    /// Per-attribute per-block min/max/count bounds, maintained in the
-    /// same critical section as `bitmaps` (see [`zone`]).
-    zones: Vec<LiveZones>,
     /// Rows covered by `entries`.
     sealed_rows: usize,
 }
@@ -471,7 +465,6 @@ struct Compactor {
 struct Recovered {
     entries: Vec<LiveSegment>,
     bitmaps: Vec<LiveBitmap>,
-    zones: Vec<LiveZones>,
     sealed_rows: usize,
     /// Deltas the recovered entries cover (the next delta id).
     deltas: u64,
@@ -487,7 +480,6 @@ impl Recovered {
                 .iter()
                 .map(|a| LiveBitmap::new(a.cardinality))
                 .collect(),
-            zones: schema.attrs().iter().map(|_| LiveZones::new()).collect(),
             sealed_rows: 0,
             deltas: 0,
             torn_segments: 0,
@@ -519,10 +511,9 @@ impl LiveTable {
     /// Re-opens a live table from its segment directory after a crash
     /// or clean shutdown: enumerates `segment-*.fmb` files in delta
     /// order, fully verifies each (header, schema, geometry and every
-    /// page checksum — rebuilding the presence bitmaps and zone maps
-    /// from the decoded codes), then replays the WAL tail into the
-    /// memtable and resumes serving. Recovery never panics on damaged
-    /// input:
+    /// page checksum — rebuilding the presence bitmaps from the decoded
+    /// codes), then replays the WAL tail into the memtable and resumes
+    /// serving. Recovery never panics on damaged input:
     ///
     /// * a torn or corrupt segment file ends the recovered prefix —
     ///   it and every later file are counted in
@@ -691,7 +682,6 @@ impl LiveTable {
                 entries: rec.entries,
                 mem: MemTable::new(n_attrs, rows_per_segment),
                 bitmaps: rec.bitmaps,
-                zones: rec.zones,
                 sealed_rows: rec.sealed_rows,
             }),
             wal: Mutex::new(wal),
@@ -878,8 +868,8 @@ impl LiveTable {
     /// replay: logs the batch to the WAL *first* (same critical
     /// section — the log's order is the append order), then copies
     /// `rows` rows of `cols` into the delta, maintaining bitmaps and
-    /// zone maps and freezing (and dispatching seals for) every delta
-    /// that fills on the way. Codes must be validated already.
+    /// freezing (and dispatching seals for) every delta that fills on
+    /// the way. Codes must be validated already.
     fn append_inner(&self, cols: &[&[u32]], rows: usize) -> std::ops::Range<u64> {
         let inner = &*self.inner;
         let tpb = inner.tuples_per_block;
@@ -893,16 +883,10 @@ impl LiveTable {
                 let take = s.mem.room().min(rows - off);
                 let base = s.sealed_rows + s.mem.rows();
                 s.mem.extend(cols, off, take);
-                {
-                    let LiveState { bitmaps, zones, .. } = &mut *s;
-                    for (a, col) in cols.iter().enumerate() {
-                        let bm = &mut bitmaps[a];
-                        let zs = &mut zones[a];
-                        for (i, &v) in col[off..off + take].iter().enumerate() {
-                            let b = (base + i) / tpb;
-                            bm.set(v, b);
-                            zs.note(b, v);
-                        }
+                for (a, col) in cols.iter().enumerate() {
+                    let bm = &mut s.bitmaps[a];
+                    for (i, &v) in col[off..off + take].iter().enumerate() {
+                        bm.set(v, (base + i) / tpb);
                     }
                 }
                 off += take;
@@ -962,11 +946,6 @@ impl LiveTable {
             .iter()
             .map(|bm| Arc::new(bm.freeze(num_blocks)))
             .collect();
-        let zones = s
-            .zones
-            .iter()
-            .map(|z| Arc::new(z.freeze(num_blocks)))
-            .collect();
         let seg_starts = build_seg_starts(s.entries.iter().map(|seg| seg.blocks));
         let mut entries = Vec::with_capacity(s.entries.len());
         let mut mem_rows = 0usize;
@@ -990,7 +969,6 @@ impl LiveTable {
             n_rows,
             num_blocks,
             bitmaps,
-            zones,
             pin: Arc::new(snapshot::SnapshotPin::new(
                 pinned_bytes,
                 Arc::clone(&inner.pinned),
@@ -1483,9 +1461,9 @@ fn scan_segment_dir(
 /// Opens and *fully verifies* one segment file — header, schema,
 /// block geometry, whole-delta row count, and every page checksum (by
 /// decoding every block) — then folds its codes into the recovered
-/// bitmaps and zone maps and appends its entry. Returns how many
-/// deltas the file covers. Any error means "treat as torn"; `rec` is
-/// only touched once the whole file has verified.
+/// bitmaps and appends its entry. Returns how many deltas the file
+/// covers. Any error means "treat as torn"; `rec` is only touched once
+/// the whole file has verified.
 fn load_segment(
     schema: &Schema,
     config: &LiveTableConfig,
@@ -1533,11 +1511,8 @@ fn load_segment(
     let base_block = rec.sealed_rows / tpb;
     for (a, col) in cols.iter().enumerate() {
         let bm = &mut rec.bitmaps[a];
-        let zs = &mut rec.zones[a];
         for (i, &v) in col.iter().enumerate() {
-            let b = base_block + i / tpb;
-            bm.set(v, b);
-            zs.note(b, v);
+            bm.set(v, base_block + i / tpb);
         }
     }
     rec.entries.push(LiveSegment {
@@ -2042,7 +2017,6 @@ mod tests {
                 assert_eq!(got_bm.blocks_with_value(v), popcount, "attr {attr} v {v}");
                 assert_eq!(got_bm.blocks_with_value(v), want_bm.blocks_with_value(v));
             }
-            assert_eq!(snap.zone_map(attr), &ZoneMap::build(&t, attr, &layout));
         }
         // The table keeps working after recovery: delta ids continue.
         for k in 21..40u64 {
@@ -2232,21 +2206,6 @@ mod tests {
             LiveTable::new(schema(), cfg_mem(4, 2).with_compaction(4)),
             Err(StoreError::Invalid(_))
         ));
-    }
-
-    #[test]
-    fn snapshot_zone_maps_match_a_scan_built_reference() {
-        let lt = LiveTable::new(schema(), cfg_mem(3, 2)).unwrap();
-        for k in 0..25u64 {
-            lt.append_row(&row_of(k)).unwrap();
-        }
-        let snap = lt.snapshot();
-        let t = snap.to_table().unwrap();
-        let layout = snap.layout();
-        for attr in 0..2 {
-            assert_eq!(snap.zone_map(attr), &ZoneMap::build(&t, attr, &layout));
-            assert_eq!(&*snap.zone_map_arc(attr), snap.zone_map(attr));
-        }
     }
 
     #[test]

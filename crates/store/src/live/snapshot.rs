@@ -34,7 +34,6 @@ use crate::bitmap::BitmapIndex;
 use crate::block::BlockLayout;
 use crate::error::Result;
 use crate::live::segment::SegmentEntry;
-use crate::live::zone::ZoneMap;
 use crate::schema::Schema;
 use crate::table::Table;
 
@@ -99,10 +98,6 @@ pub struct Snapshot {
     /// Exact presence indexes over this snapshot's rows, one per
     /// attribute, shared so a service can hand them to `'static` tasks.
     pub(crate) bitmaps: Vec<Arc<BitmapIndex>>,
-    /// Per-block min/max/count zone maps over this snapshot's rows,
-    /// one per attribute, frozen from the same locked state as the
-    /// bitmaps (see [`crate::live::zone`]).
-    pub(crate) zones: Vec<Arc<ZoneMap>>,
     /// Retention accounting; see [`SnapshotPin`].
     pub(crate) pin: Arc<SnapshotPin>,
 }
@@ -148,19 +143,6 @@ impl Snapshot {
     /// jobs that must co-own their index.
     pub fn bitmap_arc(&self, attr: usize) -> Arc<BitmapIndex> {
         Arc::clone(&self.bitmaps[attr])
-    }
-
-    /// The per-block min/max/count zone map of one attribute, frozen
-    /// at snapshot time under the append lock — equal to
-    /// [`ZoneMap::build`] over the materialized snapshot. Conservative
-    /// range-exclusion complement to [`Self::bitmap`].
-    pub fn zone_map(&self, attr: usize) -> &ZoneMap {
-        &self.zones[attr]
-    }
-
-    /// Shared-ownership form of [`Self::zone_map`].
-    pub fn zone_map_arc(&self, attr: usize) -> Arc<ZoneMap> {
-        Arc::clone(&self.zones[attr])
     }
 
     /// Materializes the snapshot into one in-memory [`Table`] — the

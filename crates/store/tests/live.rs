@@ -18,7 +18,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use fastmatch_store::backend::StorageBackend;
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::live::wal::WAL_FILE;
-use fastmatch_store::live::{LiveTable, LiveTableConfig};
+use fastmatch_store::live::{LiveTable, LiveTableConfig, Snapshot};
 use fastmatch_store::schema::{AttrDef, Schema};
 use fastmatch_store::table::Table;
 use fastmatch_store::tempfile::TempBlockDir;
@@ -283,6 +283,41 @@ fn assert_is_prefix(recovered: &Table, reference: &Table) {
     }
 }
 
+/// Asserts a snapshot's frozen bitmaps equal scan-built indexes over
+/// its materialization, for every attribute and value: block bits,
+/// per-value block counts and per-value row counts. After a recovery
+/// this pins that a segment's codes are folded in only once it has
+/// verified whole: a torn segment folded before its rows replay from
+/// the WAL would count those rows twice.
+fn assert_indexes_exact(snap: &Snapshot) {
+    let t = snap.to_table().unwrap();
+    let layout = snap.layout();
+    for attr in 0..t.schema().len() {
+        let want = BitmapIndex::build(&t, attr, &layout);
+        let got = snap.bitmap(attr);
+        assert_eq!(got.num_values(), want.num_values());
+        for v in 0..got.num_values() as u32 {
+            for blk in 0..layout.num_blocks() {
+                assert_eq!(
+                    got.block_has(v, blk),
+                    want.block_has(v, blk),
+                    "attr {attr} v {v}"
+                );
+            }
+            assert_eq!(
+                got.blocks_with_value(v),
+                want.blocks_with_value(v),
+                "attr {attr} v {v}"
+            );
+            assert_eq!(
+                got.rows_with_value(v),
+                want.rows_with_value(v),
+                "attr {attr} v {v}"
+            );
+        }
+    }
+}
+
 /// Seeds a small fully-durable table (inline sealer, per-record WAL
 /// fsync) on disk, returns its config and the pre-crash reference.
 fn seed_crash_table(dir: &Path, rows: u64) -> (LiveTableConfig, Table) {
@@ -307,40 +342,67 @@ fn seed_crash_table(dir: &Path, rows: u64) -> (LiveTableConfig, Table) {
     (cfg, reference)
 }
 
+/// Truncates a file to half its length.
+fn tear_in_half(path: &Path) {
+    let len = std::fs::metadata(path).unwrap().len();
+    std::fs::File::options()
+        .write(true)
+        .open(path)
+        .unwrap()
+        .set_len(len / 2)
+        .unwrap();
+}
+
+/// Flips one code byte of a block file's last page (the page's
+/// checksum is the file's final 8 bytes), leaving every earlier page
+/// intact.
+fn rot_last_page(path: &Path) {
+    let mut bytes = std::fs::read(path).unwrap();
+    let at = bytes.len() - 12;
+    bytes[at] ^= 0x01;
+    std::fs::write(path, &bytes).unwrap();
+}
+
 /// Crash injection, part 1: the *last segment file* is torn mid-page
-/// (rename completed but the sectors behind it were lost — or plain
-/// bit rot). The WAL's lag-one rotation keeps the newest sealed run's
-/// rows in the log, so recovery must still produce **every** appended
-/// row: the torn file is detected by checksum, counted, skipped, and
-/// its rows replayed from the WAL.
+/// (rename completed but the sectors behind it were lost) or, in a
+/// second image, has one rotten byte in its last page. The WAL's
+/// lag-one rotation keeps the newest sealed run's rows in the log, so
+/// recovery must still produce **every** appended row: the damaged file
+/// is detected, counted, skipped, and its rows replayed from the WAL.
+/// In the rotten image every page before the last decodes, so the
+/// index check also catches a fold of the file's codes before the
+/// whole file has verified.
 #[test]
 fn recovery_survives_a_torn_last_segment_with_nothing_lost() {
     let seed = TempBlockDir::new("crash_torn_seed");
     // 27 rows → segments 0..=2 on disk (24 rows), 3 in the memtable;
     // WAL base lags one run (16), covering rows 16..27.
     let (cfg, reference) = seed_crash_table(seed.path(), 27);
-    let crash = TempBlockDir::new("crash_torn_img");
-    clone_dir(seed.path(), crash.path());
-    // Tear the newest segment mid-page.
-    let last = crash.path().join("segment-000002.fmb");
-    let len = std::fs::metadata(&last).unwrap().len();
-    std::fs::File::options()
-        .write(true)
-        .open(&last)
-        .unwrap()
-        .set_len(len / 2)
-        .unwrap();
+    for (name, damage) in [("torn", tear_in_half as fn(&Path)), ("rot", rot_last_page)] {
+        let crash = TempBlockDir::new(&format!("crash_{name}_img"));
+        clone_dir(seed.path(), crash.path());
+        damage(&crash.path().join("segment-000002.fmb"));
 
-    let cfg = cfg.with_segment_dir(crash.path());
-    let live = LiveTable::open(soak_schema(), cfg).unwrap();
-    let stats = live.stats();
-    assert_eq!(stats.recovered_torn_segments, 1, "{stats:?}");
-    assert_eq!(stats.wal_errors, 0, "{stats:?}");
-    assert_eq!(stats.recovered_rows, 11, "rows 16..27 replay from the WAL");
-    assert_eq!(live.n_rows(), 27, "the torn segment cost nothing");
-    let recovered = live.snapshot().to_table().unwrap();
-    assert_eq!(recovered.n_rows(), reference.n_rows());
-    assert_is_prefix(&recovered, &reference);
+        let cfg = cfg.clone().with_segment_dir(crash.path());
+        let live = LiveTable::open(soak_schema(), cfg).unwrap();
+        let stats = live.stats();
+        assert_eq!(stats.recovered_torn_segments, 1, "{name}: {stats:?}");
+        assert_eq!(stats.wal_errors, 0, "{name}: {stats:?}");
+        assert_eq!(
+            stats.recovered_rows, 11,
+            "{name}: rows 16..27 replay from the WAL"
+        );
+        assert_eq!(
+            live.n_rows(),
+            27,
+            "{name}: the damaged segment cost nothing"
+        );
+        let snap = live.snapshot();
+        let recovered = snap.to_table().unwrap();
+        assert_eq!(recovered.n_rows(), reference.n_rows());
+        assert_is_prefix(&recovered, &reference);
+        assert_indexes_exact(&snap);
+    }
 }
 
 /// Crash injection, part 2: the WAL itself is damaged — truncated
@@ -374,7 +436,9 @@ fn recovery_survives_a_corrupt_wal_tail_with_exact_accounting() {
     );
     assert_eq!(stats.recovered_torn_segments, 0, "{stats:?}");
     assert_eq!(live.n_rows(), 26, "only the torn final record is lost");
-    assert_is_prefix(&live.snapshot().to_table().unwrap(), &reference);
+    let snap = live.snapshot();
+    assert_is_prefix(&snap.to_table().unwrap(), &reference);
+    assert_indexes_exact(&snap);
     drop(live);
 
     // Corruption: flip one byte deep in the record region. The damaged
@@ -398,7 +462,9 @@ fn recovery_survives_a_corrupt_wal_tail_with_exact_accounting() {
         (24..27).contains(&n),
         "sealed rows survive, the corrupt tail does not: {n}"
     );
-    assert_is_prefix(&live.snapshot().to_table().unwrap(), &reference);
+    let snap = live.snapshot();
+    assert_is_prefix(&snap.to_table().unwrap(), &reference);
+    assert_indexes_exact(&snap);
 }
 
 /// Crash injection, part 3 — the exhaustive sweep: a WAL-only table
@@ -456,8 +522,8 @@ fn wal_truncated_at_every_byte_recovers_the_exact_durable_prefix() {
 }
 
 /// A snapshot's frozen bitmap equals a scan-built index over its
-/// materialization — bits and per-value block counts — under ongoing
-/// appends, for every attribute.
+/// materialization — bits, per-value block and row counts — under
+/// ongoing appends, for every attribute.
 #[test]
 fn snapshot_bitmaps_are_exact_under_load() {
     let live = LiveTable::new(
@@ -478,19 +544,7 @@ fn snapshot_bitmaps_are_exact_under_load() {
             })
         };
         for _ in 0..10 {
-            let snap = live.snapshot();
-            let t = snap.to_table().unwrap();
-            let layout = snap.layout();
-            for attr in 0..2 {
-                let want = BitmapIndex::build(&t, attr, &layout);
-                let got = snap.bitmap(attr);
-                for v in 0..got.num_values() as u32 {
-                    for blk in 0..layout.num_blocks() {
-                        assert_eq!(got.block_has(v, blk), want.block_has(v, blk));
-                    }
-                    assert_eq!(got.blocks_with_value(v), want.blocks_with_value(v));
-                }
-            }
+            assert_indexes_exact(&live.snapshot());
         }
         handle.join().unwrap();
     });

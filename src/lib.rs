@@ -73,6 +73,6 @@ pub mod prelude {
     };
     pub use fastmatch_store::{
         BitmapIndex, BlockLayout, FileBackend, LiveStats, LiveTable, LiveTableConfig, MemBackend,
-        Snapshot, StorageBackend, StoreError, Table, TempBlockDir, TempBlockFile, ZoneMap,
+        Snapshot, StorageBackend, StoreError, Table, TempBlockDir, TempBlockFile,
     };
 }
