@@ -11,10 +11,14 @@
 //!    settled every 16 blocks (what `FastMatch` does between
 //!    publications), each settlement fed to a per-candidate row counter
 //!    as the engine's consumption tracking is, and through
-//!    `accumulate`, `merge_ref` and `clear` (what an outside walker
-//!    does), at |V_Z| ∈ {347, 7 641} (FLIGHTS and TAXI) × |V_X| ∈
-//!    {2, 24, 351} — the wide-histogram cliff as a layer number of its
-//!    own: every row must stay flat in |V_X|.
+//!    `accumulate`, `merge_ref` and `clear` merged every 1, 16 and 64
+//!    blocks (64 is a service quantum), × uniform group codes at
+//!    |V_X| ∈ {2, 7, 24, 64, 351}. Candidate codes come from a cubed
+//!    uniform over |V_Z| ∈ {347, 7 641} (FLIGHTS' and TAXI's
+//!    cardinalities) and from the candidate columns of synthetic FLIGHTS
+//!    (`Origin`) and TAXI (`Location`); each row reports the distinct
+//!    candidates a merge touches ÷ |V_Z| at each cadence, the property
+//!    that decides what a merge and a clear move.
 //!
 //! Emits a machine-readable summary to `BENCH_ingest.json` (current
 //! working directory) so CI can archive the perf trajectory.
@@ -26,6 +30,7 @@ use std::time::{Duration, Instant};
 
 use fastmatch_bench::report::render_table;
 use fastmatch_core::histsim::{HistAccumulator, HistSim, HistSimConfig};
+use fastmatch_data::datasets;
 
 fn env_usize(key: &str, default: usize) -> usize {
     std::env::var(key)
@@ -126,33 +131,69 @@ fn bench_kernel(total_tuples: usize, seed: u64) -> KernelResult {
 
 /// Per-block ingest cost at one domain.
 struct WidthResult {
+    /// Where the candidate codes come from.
+    codes: &'static str,
     candidates: usize,
     groups: usize,
     settle_every_block_ns_per_tuple: f64,
     settle_every_16_ns_per_tuple: f64,
-    merge_ns_per_tuple: f64,
+    /// `accumulate` + `merge_ref` + `clear`, one entry per `MERGE_EVERY`.
+    merge_ns_per_tuple: [f64; 3],
+    /// Mean distinct candidates per merge ÷ |V_Z|, per `MERGE_EVERY`.
+    touched_frac: [f64; 3],
 }
 
 /// Blocks per settlement on the batched row: `FastMatch`'s
 /// `PUBLISH_EVERY`.
 const SETTLE_EVERY: usize = 16;
 
+/// Blocks per merge on the accumulator rows: every block, `FastMatch`'s
+/// cadence, and a default service quantum.
+const MERGE_EVERY: [usize; 3] = [1, 16, 64];
+
+/// Repetitions per by-width figure (the best one is kept).
+const REPS: usize = 5;
+
 /// One 150-tuple block at a time into a `HistSim` that stays in stage 1
 /// (so every block lands in one matrix and nothing is pruned), against
-/// each Table 3 histogram width, with candidate codes skewed (a cubed
-/// uniform) over FLIGHTS' 347 and TAXI's 7 641 candidates.
+/// the Table 3 histogram widths and 64. Candidate codes are a cubed
+/// uniform (skewed, yet a 64-block merge touches nearly every
+/// candidate), the `Origin` column of synthetic FLIGHTS (16 hubs carry
+/// 62 % of the rows) and the `Location` column of synthetic TAXI.
 fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
     const TPB: usize = 150;
     let mut next = lcg(seed);
     let mut out = Vec::new();
-    for nc in [347usize, 7_641] {
-        for ng in [2usize, 24, 351] {
-            let zs: Vec<u32> = (0..total_tuples)
+    let mut columns: Vec<(&'static str, usize, Vec<u32>)> = [347usize, 7_641]
+        .map(|nc| {
+            let zs = (0..total_tuples)
                 .map(|_| {
                     let u = (next() % 1_000_000) as f64 / 1e6;
                     (u * u * u * nc as f64) as u32
                 })
                 .collect();
+            ("cubed uniform", nc, zs)
+        })
+        .into();
+    for (table, z_name, codes) in [
+        (
+            datasets::flights(total_tuples, seed),
+            "Origin",
+            "FLIGHTS Origin",
+        ),
+        (
+            datasets::taxi(total_tuples, seed),
+            "Location",
+            "TAXI Location",
+        ),
+    ] {
+        let z = table.schema().index_of(z_name).expect("dataset attribute");
+        let nc = table.schema().attr(z).cardinality as usize;
+        columns.push((codes, nc, table.column(z).to_vec()));
+    }
+    for (codes, nc, zs) in &columns {
+        let (nc, zs) = (*nc, zs.as_slice());
+        for ng in [2usize, 7, 24, 64, 351] {
             let xs: Vec<u32> = (0..total_tuples)
                 .map(|_| (next() % ng as u64) as u32)
                 .collect();
@@ -167,7 +208,7 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
 
             let mut fused = |every: usize| {
                 let mut hs = mk();
-                best_of(3, || {
+                best_of(REPS, || {
                     for (i, (zb, xb)) in zs.chunks(TPB).zip(xs.chunks(TPB)).enumerate() {
                         hs.ingest_block(zb, xb);
                         if (i + 1) % every == 0 {
@@ -179,29 +220,44 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
             };
             let every_block = fused(1);
             let every_16 = fused(SETTLE_EVERY);
-            let mut hs = mk();
             let mut acc = HistAccumulator::new(nc, ng);
-            let merge = best_of(3, || {
-                for (zb, xb) in zs.chunks(TPB).zip(xs.chunks(TPB)) {
-                    acc.accumulate(zb, xb);
-                    hs.merge_ref(&acc);
+            let mut merged = |every: usize| {
+                let mut hs = mk();
+                let (mut merges, mut touched) = (0u64, 0u64);
+                let mut merge = |acc: &mut HistAccumulator| {
+                    hs.merge_ref(acc);
                     for &c in acc.touched() {
                         rows_left[c as usize] -= acc.n(c as usize);
                     }
+                    merges += 1;
+                    touched += acc.touched().len() as u64;
                     acc.clear();
-                }
-            });
+                };
+                let wall = best_of(REPS, || {
+                    for (i, (zb, xb)) in zs.chunks(TPB).zip(xs.chunks(TPB)).enumerate() {
+                        acc.accumulate(zb, xb);
+                        if (i + 1) % every == 0 {
+                            merge(&mut acc);
+                        }
+                    }
+                    merge(&mut acc);
+                });
+                (wall, touched as f64 / merges as f64 / nc as f64)
+            };
+            let merges = MERGE_EVERY.map(&mut merged);
             assert!(
                 rows_left.iter().any(|&n| n < u64::MAX),
                 "ingest work must not be optimized away"
             );
             let per_tuple = |wall: Duration| wall.as_secs_f64() * 1e9 / total_tuples as f64;
             out.push(WidthResult {
+                codes,
                 candidates: nc,
                 groups: ng,
                 settle_every_block_ns_per_tuple: per_tuple(every_block),
                 settle_every_16_ns_per_tuple: per_tuple(every_16),
-                merge_ns_per_tuple: per_tuple(merge),
+                merge_ns_per_tuple: merges.map(|(wall, _)| per_tuple(wall)),
+                touched_frac: merges.map(|(_, frac)| frac),
             });
         }
     }
@@ -247,17 +303,25 @@ fn main() {
         render_table(
             &[
                 "150-tuple block into HistSim",
+                "candidate codes",
                 "ingest_block, settle every block ns/tuple",
                 "ingest_block, settle every 16 blocks ns/tuple",
-                "accumulate+merge_ref+clear ns/tuple",
+                "accumulate+merge_ref+clear, merge every block ns/tuple",
+                "… every 16 blocks ns/tuple",
+                "… every 64 blocks ns/tuple",
+                "touched ÷ |V_Z| per merge, every 1 / 16 / 64 blocks",
             ],
             &widths
                 .iter()
                 .map(|w| vec![
                     format!("|V_Z| = {}, |V_X| = {}", w.candidates, w.groups),
+                    w.codes.into(),
                     format!("{:.2}", w.settle_every_block_ns_per_tuple),
                     format!("{:.2}", w.settle_every_16_ns_per_tuple),
-                    format!("{:.2}", w.merge_ns_per_tuple),
+                    format!("{:.2}", w.merge_ns_per_tuple[0]),
+                    format!("{:.2}", w.merge_ns_per_tuple[1]),
+                    format!("{:.2}", w.merge_ns_per_tuple[2]),
+                    w.touched_frac.map(|f| format!("{f:.3}")).join(" / "),
                 ])
                 .collect::<Vec<_>>(),
         )
@@ -284,12 +348,18 @@ fn main() {
         widths
             .iter()
             .map(|w| format!(
-                "    {{\"candidates\": {}, \"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"fused_settle_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}}}",
+                "    {{\"codes\": \"{}\", \"candidates\": {}, \"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"fused_settle_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_64_ns_per_tuple\": {:.3}, \"touched_frac_per_merge\": [{:.4}, {:.4}, {:.4}]}}",
+                w.codes,
                 w.candidates,
                 w.groups,
                 w.settle_every_block_ns_per_tuple,
                 w.settle_every_16_ns_per_tuple,
-                w.merge_ns_per_tuple
+                w.merge_ns_per_tuple[0],
+                w.merge_ns_per_tuple[1],
+                w.merge_ns_per_tuple[2],
+                w.touched_frac[0],
+                w.touched_frac[1],
+                w.touched_frac[2]
             ))
             .collect::<Vec<_>>()
             .join(",\n"),

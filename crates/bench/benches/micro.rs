@@ -3,7 +3,8 @@
 //! Holm–Bonferroni, bitmap probing and lookahead marking (per `bool` and
 //! per word) — of the
 //! file backend's page load (`file_page_load`, ns per 600-byte page by
-//! read path) — and of the per-query costs that grow with |V_Z| or the
+//! read path) and its warm hit path under one and two concurrent readers
+//! (`file_warm_hit`, ns per block) — and of the per-query costs that grow with |V_Z| or the
 //! table: consumption tracking's start (`tracker_init`), one demand
 //! publication (`publish`) and an in-memory run read (`mem_run_read`).
 
@@ -224,6 +225,74 @@ fn bench_file_page_load(c: &mut Criterion) {
     });
 }
 
+/// ns per block of warm run reads over a file whose every page is
+/// cached: 64-block `read_run_pair_into` runs by one reader and by two
+/// readers at once on disjoint halves (what two service workers do),
+/// and 3-block runs by two readers (the service's marked runs average
+/// ~2.6 blocks). Each printed time covers `HALF` blocks per reader, so
+/// it divided by `HALF` is the per-block figure; the second reader runs
+/// on a thread spawned per iteration, which the two-reader times
+/// include.
+fn bench_file_warm_hit(c: &mut Criterion) {
+    const TPB: usize = 150;
+    const HALF: usize = 3_200;
+    let rows = 2 * HALF * TPB;
+    let cols: Vec<Vec<u32>> = (0..2u32)
+        .map(|a| {
+            (0..rows as u32)
+                .map(|r| r.wrapping_mul(40503 + a) % 347)
+                .collect()
+        })
+        .collect();
+    let table = Table::new(
+        Schema::new(vec![AttrDef::new("z", 347), AttrDef::new("x", 347)]),
+        cols,
+    );
+    let scratch = TempBlockFile::new("micro_warm_hit");
+    let backend = FileBackend::create(scratch.path(), &table, TPB)
+        .expect("persist failed")
+        .with_cache_blocks(4 * HALF);
+    drop(table);
+    let read_half = |half: usize, run: usize, zs: &mut Vec<u32>, xs: &mut Vec<u32>| {
+        let blocks = half * HALF..(half + 1) * HALF;
+        for first in blocks.clone().step_by(run) {
+            let last = (first + run).min(blocks.end);
+            backend
+                .read_run_pair_into(first..last, 0, 1, zs, xs, &mut |_, z, _, _| {
+                    black_box(z);
+                    true
+                })
+                .expect("read failed");
+        }
+    };
+    let (mut zs, mut xs) = (Vec::new(), Vec::new());
+    let (mut zs1, mut xs1) = (Vec::new(), Vec::new());
+    read_half(0, 64, &mut zs, &mut xs);
+    read_half(1, 64, &mut zs1, &mut xs1);
+    assert_eq!(backend.cache_stats().misses, 4 * HALF as u64);
+    c.bench_function("file_warm_hit/one_reader_x3200", |b| {
+        b.iter(|| read_half(0, 64, &mut zs, &mut xs))
+    });
+    for (name, run) in [
+        ("file_warm_hit/two_readers_x3200_each", 64),
+        ("file_warm_hit/two_readers_runs_of_3_x3200_each", 3),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                std::thread::scope(|s| {
+                    s.spawn(|| read_half(1, run, &mut zs1, &mut xs1));
+                    read_half(0, run, &mut zs, &mut xs);
+                })
+            })
+        });
+    }
+    assert_eq!(
+        backend.cache_stats().misses,
+        4 * HALF as u64,
+        "the file must stay cached"
+    );
+}
+
 /// TAXI's |V_Z| = 7 641 Locations over 2 M rows of 150-tuple blocks
 /// (13 334 blocks, a 12.7 MB bitmap): what the block-counted
 /// `ConsumptionTracker` pays to start (the executors' driver copies
@@ -301,6 +370,6 @@ fn bench_mem_run_read(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_hypergeometric, bench_deviation, bench_distance, bench_holm_bonferroni, bench_bitmap, bench_file_page_load, bench_demand, bench_mem_run_read
+    targets = bench_hypergeometric, bench_deviation, bench_distance, bench_holm_bonferroni, bench_bitmap, bench_file_page_load, bench_file_warm_hit, bench_demand, bench_mem_run_read
 }
 criterion_main!(benches);

@@ -4,9 +4,8 @@
 //! per-candidate/per-group *count deltas* without touching any HistSim
 //! phase state. That split is what makes multi-core ingestion possible:
 //! any number of accumulators can be filled concurrently from disjoint
-//! block ranges (no shared mutable state, no locks) and later folded into
-//! the authoritative state machine with [`super::HistSim::merge`], or into
-//! each other with [`HistAccumulator::merge_from`] for tree reductions.
+//! block ranges (no shared mutable state, no locks) and each folded into
+//! the authoritative state machine with [`super::HistSim::merge`].
 //!
 //! Counts are kept dense (candidate-major, like
 //! [`super::state::CountState`]) so accumulation itself is two array
@@ -207,24 +206,8 @@ impl HistAccumulator {
         })
     }
 
-    /// Adds `delta > 0` to one cell and its candidate's total, listing
-    /// either on first touch (the branching form shared by the cold
-    /// paths).
-    #[inline]
-    fn add(&mut self, c: u32, g: u32, delta: u64) {
-        let cell = &mut self.counts[c as usize * self.groups + g as usize];
-        if *cell == 0 {
-            self.cells.push((c, g));
-        }
-        *cell += delta;
-        let n = &mut self.n[c as usize];
-        if *n == 0 {
-            self.touched.push(c);
-        }
-        *n += delta;
-    }
-
-    /// Accumulates one tuple: candidate `c` observed with group `g`.
+    /// Accumulates one tuple: candidate `c` observed with group `g` (the
+    /// branching form of [`Self::accumulate`]).
     ///
     /// # Panics
     /// Panics if `c`/`g` are outside the declared domain.
@@ -235,7 +218,16 @@ impl HistAccumulator {
             "candidate {c} out of domain"
         );
         assert!((g as usize) < self.groups, "group {g} out of domain");
-        self.add(c, g, 1);
+        let cell = &mut self.counts[c as usize * self.groups + g as usize];
+        if *cell == 0 {
+            self.cells.push((c, g));
+        }
+        *cell += 1;
+        let n = &mut self.n[c as usize];
+        if *n == 0 {
+            self.touched.push(c);
+        }
+        *n += 1;
         self.tuples += 1;
     }
 
@@ -269,24 +261,6 @@ impl HistAccumulator {
         self.tuples += zs.len() as u64;
     }
 
-    /// Folds another accumulator's deltas into this one (shard merge /
-    /// tree reduction) in `O(other's non-zero cells)`. The other
-    /// accumulator is left untouched.
-    ///
-    /// # Panics
-    /// Panics if the domains differ.
-    pub fn merge_from(&mut self, other: &HistAccumulator) {
-        assert_eq!(self.groups, other.groups, "group domains must match");
-        assert_eq!(
-            self.num_candidates, other.num_candidates,
-            "candidate domains must match"
-        );
-        for (c, g, delta) in other.cells() {
-            self.add(c as u32, g as u32, delta);
-        }
-        self.tuples += other.tuples;
-    }
-
     /// Resets to the zeroed state in `O(non-zero cells)`, keeping the
     /// backing storage for reuse.
     pub fn clear(&mut self) {
@@ -317,28 +291,6 @@ mod tests {
         assert_eq!(a.candidate_counts(0), &[0, 2]);
         assert_eq!(a.candidate_counts(2), &[1, 0]);
         assert_eq!(a.touched(), &[0, 2]);
-    }
-
-    #[test]
-    fn merge_from_equals_joint_accumulation() {
-        let zs = [0u32, 1, 2, 1, 0, 2, 2];
-        let xs = [0u32, 1, 2, 0, 1, 2, 0];
-        let mut joint = HistAccumulator::new(3, 3);
-        joint.accumulate(&zs, &xs);
-        let mut left = HistAccumulator::new(3, 3);
-        let mut right = HistAccumulator::new(3, 3);
-        left.accumulate(&zs[..3], &xs[..3]);
-        right.accumulate(&zs[3..], &xs[3..]);
-        left.merge_from(&right);
-        assert_eq!(left.tuples(), joint.tuples());
-        for c in 0..3 {
-            assert_eq!(
-                left.candidate_counts(c),
-                joint.candidate_counts(c),
-                "candidate {c}"
-            );
-            assert_eq!(left.n(c), joint.n(c));
-        }
     }
 
     #[test]

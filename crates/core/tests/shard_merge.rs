@@ -80,40 +80,6 @@ proptest! {
         prop_assert_eq!(format!("{seq:?}"), format!("{par:?}"));
     }
 
-    /// Tree reduction: merging shard accumulators into one accumulator
-    /// first (merge_from), then into HistSim, equals both the flat-merge
-    /// and the sequential paths.
-    #[test]
-    fn tree_reduction_equals_flat_merge(
-        picks in prop::collection::vec((0u32..1000, 0u32..1000), 4..120),
-        nc in 2usize..10,
-        ng in 2usize..5,
-        k_shards in 2usize..5,
-    ) {
-        let tuples = stream_for(nc, ng, &picks);
-        let make = || HistSim::new(cfg(1, 1_000_000), nc, ng, 1_000_000, &vec![1.0 / ng as f64; ng]).unwrap();
-
-        let mut seq = make();
-        let zs: Vec<u32> = tuples.iter().map(|t| t.0).collect();
-        let xs: Vec<u32> = tuples.iter().map(|t| t.1).collect();
-        seq.ingest_block(&zs, &xs);
-        seq.settle(|_, _| {});
-
-        let mut shards: Vec<HistAccumulator> =
-            (0..k_shards).map(|_| HistAccumulator::new(nc, ng)).collect();
-        for (i, &(z, x)) in tuples.iter().enumerate() {
-            shards[i % k_shards].accumulate_one(z, x);
-        }
-        let mut root = HistAccumulator::new(nc, ng);
-        for s in &shards {
-            root.merge_from(s);
-        }
-        let mut par = make();
-        par.merge(root);
-
-        prop_assert_eq!(format!("{seq:?}"), format!("{par:?}"));
-    }
-
     /// Across phase boundaries and to completion: driving two runs with
     /// the same per-phase sample schedule — one per-block sequential, one
     /// shard-merged — produces byte-identical state at every phase

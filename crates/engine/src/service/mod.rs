@@ -1013,6 +1013,84 @@ mod tests {
         assert!(stats.quanta > 0, "quanta must be counted: {stats:?}");
     }
 
+    /// A quantum that reads but is never merged — its query got a
+    /// verdict while it read — still hands the worker's accumulator back
+    /// clean: the next query that worker serves, reshaped over the same
+    /// storage, finishes exactly as on a fresh accumulator — a wide
+    /// histogram after a narrow one and a narrow one after a wide one,
+    /// so a stale cell of the unmerged quantum would land inside the
+    /// next query's counts.
+    #[test]
+    fn unmerged_quantum_leaves_the_accumulator_clean_for_the_next_query() {
+        let wide = 60;
+        let schema = Schema::new(vec![
+            AttrDef::new("z", 4),
+            AttrDef::new("x", 2),
+            AttrDef::new("w", wide),
+        ]);
+        // Hashed codes, so every candidate meets every group.
+        let code = |r: u64, shift: u32, card: u32| {
+            ((r.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) % u64::from(card)) as u32
+        };
+        let t = Table::new(
+            schema,
+            [(40, 4), (48, 2), (56, wide)]
+                .map(|(shift, card)| (0..4096).map(|r| code(r, shift, card)).collect())
+                .to_vec(),
+        );
+        let layout = BlockLayout::new(t.n_rows(), 16);
+        let backend = MemBackend::new(&t, layout);
+        let bitmap = BitmapIndex::build(&t, 0, &layout);
+        let service = || QueryService {
+            backend: &backend,
+            config: ServiceConfig::default()
+                .with_workers(1)
+                .with_shards_per_query(1)
+                .with_quantum_blocks(8),
+            sched: Scheduler::new(1),
+            next_id: AtomicU64::new(0),
+            active: AtomicUsize::new(0),
+            next_home: AtomicUsize::new(0),
+        };
+        // Every candidate matches, so the output shows every histogram.
+        let all = || HistSimConfig { k: 4, ..cfg() };
+        let narrow = || QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], all());
+        let wide = || QueryRequest::new(&bitmap, 0, 2, vec![1.0; wide as usize], all());
+        fn finish<'a>(
+            svc: &QueryService<'a>,
+            request: QueryRequest<'a>,
+            batch: &mut HistAccumulator,
+        ) -> String {
+            let h = svc.submit(request).unwrap();
+            while !h.is_done() {
+                let task = svc.sched.pop(0).expect("a live query keeps a task queued");
+                run_quantum(svc, task, batch);
+            }
+            let out = h.wait().finished().expect("must finish").clone();
+            // Everything but the wall clock.
+            format!("{:?}", (out.output, out.stats.io, out.stats.samples))
+        }
+
+        for (unmerged, next) in [(wide(), narrow()), (narrow(), wide())] {
+            let svc = service();
+            let mut batch = HistAccumulator::new(0, 1);
+            let h = svc.submit(unmerged).unwrap();
+            let task = svc.sched.pop(0).unwrap();
+            let query = Arc::clone(&task.query);
+            query.engine.lock().unwrap().set_verdict(Verdict::Cancelled);
+            run_quantum(&svc, task, &mut batch);
+            let eng = query.engine.lock().unwrap();
+            assert!(eng.io.blocks_read > 0, "the quantum must have read");
+            drop(eng);
+            assert!(h.wait().finished().is_none());
+            assert!(batch.is_empty());
+
+            let reused = finish(&svc, next.clone(), &mut batch);
+            let fresh = finish(&service(), next, &mut HistAccumulator::new(0, 1));
+            assert_eq!(reused, fresh);
+        }
+    }
+
     /// Drives one query's quanta by hand (no worker threads) and checks
     /// what a quantum may cost and what it must publish: the worker's
     /// accumulator storage is allocated once and then only reused —

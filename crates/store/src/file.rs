@@ -29,8 +29,11 @@
 //! [`FileBackend`] serves reads through a bounded, sharded **block
 //! cache** with clock (second-chance) eviction: each cache shard is an
 //! independently locked clock ring, so the engine's per-shard workers
-//! rarely contend on the same lock, and the cache's footprint is capped
-//! at a fixed number of pages regardless of table size.
+//! rarely contend on the same lock, and the cache's codes are capped
+//! at a fixed number of pages regardless of table size. A shard finds a
+//! page through a direct page table, not a hash map: 4 bytes per page
+//! of the file in that shard, whatever the capacity — see
+//! [`FileBackend::with_cache_blocks`] for the memory bound.
 //!
 //! # One read path: chunks
 //!
@@ -75,9 +78,7 @@
 //! are always 0.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::fs::File;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::io::{BufWriter, Read, Write};
 use std::ops::Range;
 use std::path::Path;
@@ -363,44 +364,32 @@ impl CacheStats {
     }
 }
 
-/// Hasher of the cache's page keys. A key is `(attr << 32) | block`
-/// with both halves validated against the file's geometry, so SipHash's
-/// flood resistance buys nothing here and its ~20 ns are paid under the
-/// shard lock; one multiply, folded so the table's low index bits and
-/// its high tag bits both see every key bit, is enough.
-#[derive(Debug, Default, Clone, Copy)]
-struct PageKeyHasher(u64);
-
-impl Hasher for PageKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(self.0 ^ b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        let h = key.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-type PageMap = HashMap<u64, usize, BuildHasherDefault<PageKeyHasher>>;
-
+/// One clock slot: the page it holds (its index in the shard's page
+/// table) and its reference bit.
 #[derive(Debug)]
 struct Slot {
-    key: u64,
-    page: Vec<u32>,
+    page: usize,
     referenced: bool,
 }
 
+/// One independently locked clock ring. A page is found through a
+/// direct page table, not a hash map: a hit reads one table entry and
+/// the slot's codes, where a hash probe chased a control group, a
+/// bucket, the slot and the page's own allocation — each a cache miss
+/// once the cached file outgrows L2.
 #[derive(Debug, Default)]
 struct CacheShard {
+    /// Per page of the file in this shard, at the index
+    /// [`BlockCache::locate`] gives: 1 + the slot caching it, or 0.
+    /// Allocated zeroed at the first fill (`pages` entries), so it
+    /// grows with the file, not with `cap`.
+    table: Vec<u32>,
+    pages: usize,
     slots: Vec<Slot>,
-    map: PageMap,
+    /// The slots' codes, `stride` (tuples per block) per slot; the
+    /// file's short last page fills a prefix.
+    codes: Vec<u32>,
+    stride: usize,
     hand: usize,
     cap: usize,
 }
@@ -416,34 +405,48 @@ struct InsertOutcome {
 }
 
 impl CacheShard {
-    /// Inserts a page (the shard must have capacity), clock-evicting if
-    /// it is full. The victim's storage is overwritten in place, so a
-    /// full shard allocates nothing.
-    fn insert(&mut self, key: u64, codes: &[u32]) -> InsertOutcome {
+    /// The slot caching page `at`, if any.
+    fn slot(&self, at: usize) -> Option<usize> {
+        match self.table.get(at) {
+            Some(&slot) if slot > 0 => Some(slot as usize - 1),
+            _ => None,
+        }
+    }
+
+    /// Inserts page `at` (the shard must have capacity), clock-evicting
+    /// if it is full. The victim's storage is overwritten in place, so a
+    /// full shard allocates nothing; the slots' storage is reserved at
+    /// the first insert, so a filling shard never copies it either.
+    fn insert(&mut self, at: usize, codes: &[u32]) -> InsertOutcome {
+        if self.table.is_empty() {
+            self.table = vec![0; self.pages];
+            self.codes
+                .reserve_exact(self.cap.min(self.pages) * self.stride);
+        }
         let mut outcome = InsertOutcome::default();
         if self.slots.len() < self.cap {
-            self.map.insert(key, self.slots.len());
+            self.table[at] = self.slots.len() as u32 + 1;
             self.slots.push(Slot {
-                key,
-                page: codes.to_vec(),
+                page: at,
                 referenced: true,
             });
+            self.codes.extend_from_slice(codes);
+            self.codes.resize(self.slots.len() * self.stride, 0);
             return outcome;
         }
         loop {
             let victim = &mut self.slots[self.hand];
-            let at = self.hand;
+            let slot = self.hand;
             self.hand = (self.hand + 1) % self.cap;
             if victim.referenced {
                 victim.referenced = false;
                 outcome.second_chances_revoked += 1;
             } else {
-                self.map.remove(&victim.key);
-                self.map.insert(key, at);
-                victim.key = key;
-                victim.page.clear();
-                victim.page.extend_from_slice(codes);
+                self.table[victim.page] = 0;
+                self.table[at] = slot as u32 + 1;
+                victim.page = at;
                 victim.referenced = true;
+                self.codes[slot * self.stride..][..codes.len()].copy_from_slice(codes);
                 outcome.evicted = true;
                 return outcome;
             }
@@ -469,10 +472,13 @@ impl DemandTally {
     }
 }
 
-/// Bounded page cache: `CACHE_SHARDS` independently locked clock rings.
+/// Bounded page cache over one file's pages: `CACHE_SHARDS`
+/// independently locked clock rings.
 #[derive(Debug)]
 struct BlockCache {
     shards: Vec<Mutex<CacheShard>>,
+    /// Page-table entries per attribute in one shard.
+    blocks_per_shard: usize,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -480,23 +486,37 @@ struct BlockCache {
 }
 
 impl BlockCache {
-    /// An empty cache bounded at `capacity_blocks` pages, distributed
-    /// exactly: the first `capacity % SHARDS` shards get one extra slot,
-    /// so the total bound is the requested one (a shard with capacity 0
-    /// simply never caches).
-    fn new(capacity_blocks: usize) -> Self {
+    /// An empty cache bounded at `capacity_blocks` pages of a file of
+    /// `attrs` attributes × `num_blocks` blocks, distributed exactly:
+    /// the first `capacity % SHARDS` shards get one extra slot, so the
+    /// total bound is the requested one (a shard with capacity 0 simply
+    /// never caches).
+    fn new(
+        capacity_blocks: usize,
+        attrs: usize,
+        num_blocks: usize,
+        tuples_per_block: usize,
+    ) -> Self {
         assert!(capacity_blocks > 0, "cache capacity must be positive");
         let cap_of =
             |i| capacity_blocks / CACHE_SHARDS + usize::from(i < capacity_blocks % CACHE_SHARDS);
+        assert!(
+            cap_of(0) < u32::MAX as usize,
+            "cache capacity overflows its page table"
+        );
+        let blocks_per_shard = num_blocks.div_ceil(CACHE_SHARDS);
         BlockCache {
             shards: (0..CACHE_SHARDS)
                 .map(|i| {
                     Mutex::new(CacheShard {
+                        pages: attrs * blocks_per_shard,
+                        stride: tuples_per_block,
                         cap: cap_of(i),
                         ..CacheShard::default()
                     })
                 })
                 .collect(),
+            blocks_per_shard,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -504,23 +524,29 @@ impl BlockCache {
         }
     }
 
-    /// Consecutive block ids land in different shards, so the engine's
+    /// Where page `key` lives: its shard, and its index in that shard's
+    /// page table. The one page → shard mapping every cache access uses:
+    /// consecutive block ids land in different shards, so the engine's
     /// contiguous-range shard workers spread over all locks.
-    fn shard_of(&self, key: u64) -> &Mutex<CacheShard> {
-        &self.shards[(key % CACHE_SHARDS as u64) as usize]
+    fn locate(&self, key: u64) -> (usize, usize) {
+        let (attr, block) = ((key >> 32) as usize, (key & u64::from(u32::MAX)) as usize);
+        (
+            block % CACHE_SHARDS,
+            attr * self.blocks_per_shard + block / CACHE_SHARDS,
+        )
     }
 
     /// Demand probe: copies the cached page for `key` into `dest` (which
     /// must be exactly the page's length). `false` on a miss.
     fn copy_out(&self, key: u64, dest: &mut [u32]) -> bool {
-        let shard = self.shard_of(key);
+        let (s, at) = self.locate(key);
+        let shard = &self.shards[s];
         let mut guard = shard.lock().unwrap();
-        let Some(&i) = guard.map.get(&key) else {
+        let Some(slot) = guard.slot(at) else {
             return false;
         };
-        let slot = &mut guard.slots[i];
-        slot.referenced = true;
-        dest.copy_from_slice(&slot.page);
+        guard.slots[slot].referenced = true;
+        dest.copy_from_slice(&guard.codes[slot * guard.stride..][..dest.len()]);
         true
     }
 
@@ -529,12 +555,13 @@ impl BlockCache {
     /// page may both have hit the disk; that is benign — whoever arrives
     /// second finds the key and leaves it.
     fn fill(&self, key: u64, codes: &[u32]) {
-        let shard = self.shard_of(key);
+        let (s, at) = self.locate(key);
+        let shard = &self.shards[s];
         let mut guard = shard.lock().unwrap();
-        if guard.cap == 0 || guard.map.contains_key(&key) {
+        if guard.cap == 0 || guard.slot(at).is_some() {
             return;
         }
-        let outcome = guard.insert(key, codes);
+        let outcome = guard.insert(at, codes);
         drop(guard);
         if outcome.evicted {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -747,7 +774,12 @@ impl FileBackend {
             layout,
             data_off,
             attr_stride,
-            cache: BlockCache::new(DEFAULT_CACHE_BLOCKS),
+            cache: BlockCache::new(
+                DEFAULT_CACHE_BLOCKS,
+                n_attrs,
+                layout.num_blocks(),
+                tuples_per_block,
+            ),
         })
     }
 
@@ -760,8 +792,20 @@ impl FileBackend {
 
     /// Rebounds the block cache at `capacity_blocks` pages, dropping
     /// every cached page and resetting cache statistics.
+    ///
+    /// Memory: at most `capacity_blocks` pages of codes, plus a page
+    /// table of 4 bytes per page of the file (attributes × blocks, about
+    /// 0.7 % of the file's bytes at 150 tuples per block), allocated
+    /// zeroed at each shard's first fill whatever the capacity. A hit
+    /// is one table read and a copy; a capacity-sized hash index cost a
+    /// served query ~9 % more on a warm two-worker service (EXPERIMENTS.md).
     pub fn with_cache_blocks(mut self, capacity_blocks: usize) -> Self {
-        self.cache = BlockCache::new(capacity_blocks);
+        self.cache = BlockCache::new(
+            capacity_blocks,
+            self.schema.len(),
+            self.layout.num_blocks(),
+            self.layout.tuples_per_block(),
+        );
         self
     }
 
@@ -1197,18 +1241,74 @@ mod tests {
                 let t = &t;
                 scope.spawn(move || {
                     let layout = be.layout();
-                    let mut buf = Vec::new();
+                    let nb = layout.num_blocks();
+                    let (mut buf, mut xs) = (Vec::new(), Vec::new());
                     for round in 0..20 {
-                        for b in 0..layout.num_blocks() {
+                        for b in 0..nb {
                             let a = (b + w + round) % 2;
                             be.read_block_into(b, a, &mut buf).unwrap();
                             assert_eq!(buf.as_slice(), &t.column(a)[layout.rows_of_block(b)]);
                         }
+                        // Runs of every length up to a chunk and past it,
+                        // from a start that walks every shard offset.
+                        let start = (w * 7 + round * 3) % nb;
+                        let end = (start + 1 + (round * 11 + w) % 80).min(nb);
+                        let (z, x) = (round % 2, (round + 1) % 2);
+                        let mut next = start;
+                        be.read_run_pair_into(
+                            start..end,
+                            z,
+                            x,
+                            &mut buf,
+                            &mut xs,
+                            &mut |b, zc, xc, _| {
+                                assert_eq!(b, next);
+                                next += 1;
+                                assert_eq!(zc, &t.column(z)[layout.rows_of_block(b)]);
+                                assert_eq!(xc, &t.column(x)[layout.rows_of_block(b)]);
+                                true
+                            },
+                        )
+                        .unwrap();
+                        assert_eq!(next, end);
                     }
                 });
             }
         });
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// A shard's page table agrees with its clock slots through
+    /// thousands of evictions: every page a slot holds is found at that
+    /// slot with its codes, and no other page is found.
+    #[test]
+    fn shard_table_agrees_with_its_slots_under_eviction() {
+        let mut shard = CacheShard {
+            pages: 500,
+            stride: 2,
+            cap: 13,
+            ..CacheShard::default()
+        };
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut evictions = 0;
+        for round in 0..4000 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let page = (state % 500) as usize;
+            match shard.slot(page) {
+                Some(slot) => shard.slots[slot].referenced = round % 3 != 0,
+                None => evictions += usize::from(shard.insert(page, &[page as u32, 7]).evicted),
+            }
+            for p in 0..500 {
+                let held = shard.slots.iter().position(|s| s.page == p);
+                assert_eq!(shard.slot(p), held, "round {round}, page {p}");
+                if let Some(slot) = held {
+                    assert_eq!(&shard.codes[slot * 2..][..2], &[p as u32, 7]);
+                }
+            }
+        }
+        assert!(evictions > 3000, "{evictions}");
     }
 
     #[test]

@@ -4,11 +4,17 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use fastmatch_store::backend::{PageOrigin, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
+use fastmatch_store::file::{FileBackend, RUN_CHUNK_BLOCKS};
 use fastmatch_store::schema::{AttrDef, Schema};
 use fastmatch_store::shuffle::shuffle_table;
 use fastmatch_store::table::Table;
+use fastmatch_store::tempfile::TempBlockFile;
+
+/// One block as a read delivered it: id, both columns, page origins.
+type Delivered = (usize, Vec<u32>, Vec<u32>, [PageOrigin; 2]);
 
 fn arb_table(max_rows: usize, card: u32) -> impl Strategy<Value = Table> {
     prop::collection::vec(0..card, 1..max_rows).prop_map(move |col| {
@@ -137,5 +143,86 @@ proptest! {
         }
         prop_assert_eq!(covered, n);
         prop_assert_eq!(prev_end, n);
+    }
+
+    /// A run read equals block-by-block reads through the cache: it
+    /// delivers exactly what block-by-block pair reads deliver — the
+    /// same codes, the same `PageOrigin` per page — and leaves the same
+    /// `CacheStats`. Runs start at 16 consecutive offsets (so at every
+    /// offset modulo the cache's shard count), are 1 to
+    /// `RUN_CHUNK_BLOCKS` blocks long, may end on the file's short last
+    /// block, and read attribute pairs in either order or one attribute
+    /// twice. Two caches: one holding the whole file, partly warmed
+    /// through both backends alike (hits and misses mixed in a chunk),
+    /// and one smaller than the run, so reading the run evicts. There the
+    /// run's pages start cold and its two attributes differ, which is
+    /// where the two read orders must agree: a block read fills its
+    /// pages before the next block is probed, while a chunk probes all
+    /// its pages first and fills them attribute by attribute.
+    #[test]
+    fn run_reads_equal_block_reads_through_the_cache(
+        len in 1usize..RUN_CHUNK_BLOCKS + 1,
+        base in 0usize..120,
+        to_end in 0u32..3,
+        attrs in (0usize..4).prop_map(|i| [(0, 1), (1, 0), (2, 0), (1, 1)][i]),
+        evicting in 0u32..2,
+        warm in prop::collection::vec(0usize..1000, 0..60),
+    ) {
+        const TPB: usize = 6;
+        const BLOCKS: usize = 150;
+        let rows = (BLOCKS - 1) * TPB + 4;
+        let cols: Vec<Vec<u32>> = (0..3u32)
+            .map(|a| (0..rows as u32).map(|r| r.wrapping_mul(2654435761 + a) % 1000).collect())
+            .collect();
+        let schema = Schema::new((0..3).map(|a| AttrDef::new(format!("a{a}"), 1000)).collect());
+        let table = Table::new(schema, cols);
+        let file = TempBlockFile::new("run_vs_blocks");
+        let (z, x) = attrs;
+        prop_assume!(evicting == 0 || z != x);
+        FileBackend::create(file.path(), &table, TPB).unwrap();
+        for offset in 0..16 {
+            let (start, end) = if to_end == 0 {
+                (BLOCKS.saturating_sub(len), BLOCKS)
+            } else {
+                let start = (base + offset).min(BLOCKS - 1);
+                (start, (start + len).min(BLOCKS))
+            };
+            let cache = if evicting == 1 { (2 * (end - start) / 3).max(1) } else { 16 * BLOCKS };
+            let open = || FileBackend::open(file.path()).unwrap().with_cache_blocks(cache);
+            let (run, blocks) = (open(), open());
+            let (mut zs, mut xs) = (Vec::new(), Vec::new());
+            for &w in &warm {
+                let b = w % BLOCKS;
+                if evicting == 0 || !(start..end).contains(&b) {
+                    for be in [&run, &blocks] {
+                        be.read_block_pair_into(b, z, x, &mut zs, &mut xs).unwrap();
+                    }
+                }
+            }
+            prop_assert_eq!(run.cache_stats(), blocks.cache_stats());
+
+            let mut got: Vec<Delivered> = Vec::new();
+            let (mut rz, mut rx) = (Vec::new(), Vec::new());
+            let done = run
+                .read_run_pair_into(start..end, z, x, &mut rz, &mut rx, &mut |b, zc, xc, o| {
+                    got.push((b, zc.to_vec(), xc.to_vec(), o));
+                    true
+                })
+                .unwrap();
+            prop_assert!(done);
+            let want: Vec<_> = (start..end)
+                .map(|b| {
+                    let o = blocks.read_block_pair_into(b, z, x, &mut zs, &mut xs).unwrap();
+                    (b, zs.clone(), xs.clone(), o)
+                })
+                .collect();
+            prop_assert_eq!(&got, &want, "run {}..{}", start, end);
+            let layout = blocks.layout();
+            for (b, zc, xc, _) in &got {
+                prop_assert_eq!(zc.as_slice(), &table.column(z)[layout.rows_of_block(*b)]);
+                prop_assert_eq!(xc.as_slice(), &table.column(x)[layout.rows_of_block(*b)]);
+            }
+            prop_assert_eq!(run.cache_stats(), blocks.cache_stats(), "run {}..{}", start, end);
+        }
     }
 }
