@@ -139,18 +139,12 @@ impl Workload {
         }
     }
 
-    /// Builds a `QueryJob` for an executor run. The simulated per-block
-    /// latency (storage cost model) comes from `FASTMATCH_BLOCK_LATENCY_NS`
-    /// (default 0 = pure in-memory).
+    /// Builds an in-memory `QueryJob` for an executor run.
     pub fn job<'a>(
         &'a self,
         p: &'a Prepared,
         cfg: HistSimConfig,
     ) -> fastmatch_engine::query::QueryJob<'a> {
-        let latency: u64 = std::env::var("FASTMATCH_BLOCK_LATENCY_NS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
         let table = self.table(p.spec.dataset);
         fastmatch_engine::query::QueryJob::new(
             table,
@@ -161,7 +155,6 @@ impl Workload {
             p.target.clone(),
             cfg,
         )
-        .with_block_latency_ns(latency)
     }
 }
 

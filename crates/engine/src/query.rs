@@ -67,11 +67,6 @@ pub struct QueryJob<'a> {
     pub target: Vec<f64>,
     /// HistSim parameters.
     pub cfg: HistSimConfig,
-    /// Simulated extra latency per block read, in nanoseconds (0 = no
-    /// extra latency). Layered on top of whatever the source itself
-    /// costs; lets experiments model storage-bound systems on in-memory
-    /// data — the regime the paper's 2012-era testbed sits closer to.
-    pub block_latency_ns: u64,
 }
 
 impl<'a> QueryJob<'a> {
@@ -183,7 +178,6 @@ impl<'a> QueryJob<'a> {
             x_attr,
             target,
             cfg,
-            block_latency_ns: 0,
         };
         assert_eq!(
             job.bitmap.num_blocks(),
@@ -201,12 +195,6 @@ impl<'a> QueryJob<'a> {
             "target arity must equal |V_X|"
         );
         job
-    }
-
-    /// Sets the simulated per-block read latency.
-    pub fn with_block_latency_ns(mut self, ns: u64) -> Self {
-        self.block_latency_ns = ns;
-        self
     }
 
     /// Number of rows in the data source.
@@ -233,16 +221,15 @@ impl<'a> QueryJob<'a> {
         self.cardinality(self.x_attr) as usize
     }
 
-    /// A fresh block reader over the job's source, with the job's
-    /// simulated latency applied. Executors obtain all their I/O through
-    /// this, so they run unchanged over any storage regime.
+    /// A fresh block reader over the job's source. Executors obtain all
+    /// their I/O through this, so they run unchanged over any storage
+    /// regime.
     pub fn reader(&self) -> BlockReader<'a> {
-        let reader = match &self.source {
+        match &self.source {
             Source::Mem(table) => BlockReader::new(table, self.layout),
             Source::Backend(backend) => BlockReader::over_backend(*backend),
             Source::Shared(backend) => BlockReader::over_shared(Arc::clone(backend)),
-        };
-        reader.with_simulated_latency(self.block_latency_ns)
+        }
     }
 
     /// Calls `f` with the job's source as a [`StorageBackend`] (a

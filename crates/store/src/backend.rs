@@ -129,9 +129,7 @@ pub trait StorageBackend: Send + Sync + std::fmt::Debug {
 ///
 /// This is the seed system's original storage regime, now behind the
 /// trait. Page and pair reads copy column slices into the caller's
-/// buffers; a run read lends the slices themselves. Any latency model
-/// (e.g. [`crate::io::BlockReader::with_simulated_latency`]) is layered
-/// on top by the reader, not the backend.
+/// buffers; a run read lends the slices themselves.
 #[derive(Debug, Clone, Copy)]
 pub struct MemBackend<'a> {
     table: &'a Table,

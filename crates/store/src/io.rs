@@ -174,8 +174,6 @@ pub struct BlockReader<'a> {
     source: Source<'a>,
     layout: BlockLayout,
     stats: IoStats,
-    /// Simulated extra latency per block read, in nanoseconds (0 = off).
-    latency_ns_per_block: u64,
     /// Scratch pages for backend reads (empty on the in-memory path).
     zbuf: Vec<u32>,
     xbuf: Vec<u32>,
@@ -189,7 +187,6 @@ impl<'a> BlockReader<'a> {
             source: Source::Mem(table),
             layout,
             stats: IoStats::default(),
-            latency_ns_per_block: 0,
             zbuf: Vec::new(),
             xbuf: Vec::new(),
         }
@@ -202,7 +199,6 @@ impl<'a> BlockReader<'a> {
             layout: backend.layout(),
             source: Source::Backend(backend),
             stats: IoStats::default(),
-            latency_ns_per_block: 0,
             zbuf: Vec::new(),
             xbuf: Vec::new(),
         }
@@ -217,20 +213,9 @@ impl<'a> BlockReader<'a> {
             layout: backend.layout(),
             source: Source::Shared(backend),
             stats: IoStats::default(),
-            latency_ns_per_block: 0,
             zbuf: Vec::new(),
             xbuf: Vec::new(),
         }
-    }
-
-    /// Enables a simulated per-block latency (busy-wait of `ns`
-    /// nanoseconds on every block read), layered on top of whatever the
-    /// source itself costs. It is the crate's only latency model: it
-    /// charges every delivered block alike, cache hit or not, and
-    /// [`crate::file::FileBackend`] has no slow-medium model of its own.
-    pub fn with_simulated_latency(mut self, ns: u64) -> Self {
-        self.latency_ns_per_block = ns;
-        self
     }
 
     /// The layout in use.
@@ -291,9 +276,6 @@ impl<'a> BlockReader<'a> {
         z_attr: usize,
         x_attr: usize,
     ) -> Result<(&[u32], &[u32])> {
-        if self.latency_ns_per_block > 0 {
-            busy_wait_ns(self.latency_ns_per_block);
-        }
         let backend: &dyn StorageBackend = match &self.source {
             Source::Mem(table) => {
                 let table: &'a Table = table;
@@ -315,11 +297,10 @@ impl<'a> BlockReader<'a> {
     /// Reads the contiguous run `blocks`, calling `visit(b, z codes, x
     /// codes)` for each block in order until it returns `false` or the
     /// run ends — block for block what [`Self::try_block_slices`] would
-    /// have delivered (zero-copy on the in-memory path), with the
-    /// simulated per-block latency charged before each delivery.
-    /// Statistics count the blocks `visit` was given, however many the
-    /// backend fetched to serve them. A storage failure surfaces after
-    /// every block before the failing one has been delivered.
+    /// have delivered (zero-copy on the in-memory path). Statistics
+    /// count the blocks `visit` was given, however many the backend
+    /// fetched to serve them. A storage failure surfaces after every
+    /// block before the failing one has been delivered.
     pub fn read_run(
         &mut self,
         blocks: Range<usize>,
@@ -327,12 +308,8 @@ impl<'a> BlockReader<'a> {
         x_attr: usize,
         mut visit: impl FnMut(usize, &[u32], &[u32]) -> bool,
     ) -> Result<()> {
-        let latency = self.latency_ns_per_block;
         let stats = &mut self.stats;
         let mut deliver = |b: usize, zs: &[u32], xs: &[u32], origins: [PageOrigin; 2]| {
-            if latency > 0 {
-                busy_wait_ns(latency);
-            }
             stats.note_block(zs.len(), origins);
             visit(b, zs, xs)
         };
@@ -524,14 +501,6 @@ impl<'a> ShardedBlockReader<'a> {
             self.blocks
         );
         self.inner.skip_blocks(blocks.len() as u64);
-    }
-}
-
-fn busy_wait_ns(ns: u64) {
-    let start = std::time::Instant::now();
-    let target = std::time::Duration::from_nanos(ns);
-    while start.elapsed() < target {
-        std::hint::spin_loop();
     }
 }
 
@@ -761,17 +730,5 @@ mod tests {
             assert_eq!(stats.blocks_skipped, 1);
             assert_eq!((stats.pages_cache_hit, stats.pages_cache_miss), (0, 0));
         }
-    }
-
-    #[test]
-    fn simulated_latency_slows_reads() {
-        let t = table();
-        let layout = BlockLayout::new(20, 5);
-        let mut slow = BlockReader::new(&t, layout).with_simulated_latency(200_000);
-        let start = std::time::Instant::now();
-        for b in 0..4 {
-            slow.read_block_pair(b, 0, 1, |_, _| {});
-        }
-        assert!(start.elapsed() >= std::time::Duration::from_nanos(4 * 200_000));
     }
 }

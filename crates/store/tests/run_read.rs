@@ -173,7 +173,6 @@ fn snapshot_runs_equal_blocks_across_file_mem_and_tail() {
                 .with_tuples_per_block(tpb)
                 .with_blocks_per_segment(blocks_per_segment)
                 .with_coalesce_segments(1)
-                .with_wal(false)
                 .with_background_sealer(false)
                 .with_segment_dir(&segments),
         )

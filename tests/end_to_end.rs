@@ -169,26 +169,6 @@ fn paper_workload_smoke() {
 }
 
 #[test]
-fn block_latency_slows_scan_proportionally() {
-    let table = planted_table(100_000, 6);
-    let layout = BlockLayout::with_default_block(table.n_rows());
-    let bitmap = BitmapIndex::build(&table, 0, &layout);
-    let fast_job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(6), cfg());
-    let slow_job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(6), cfg())
-        .with_block_latency_ns(20_000);
-    let fast = ScanExec.run(&fast_job, 0).unwrap();
-    let slow = ScanExec.run(&slow_job, 0).unwrap();
-    let floor = std::time::Duration::from_nanos(20_000 * layout.num_blocks() as u64);
-    assert!(
-        slow.stats.wall >= floor,
-        "{:?} < {:?}",
-        slow.stats.wall,
-        floor
-    );
-    assert!(slow.stats.wall > fast.stats.wall);
-}
-
-#[test]
 fn facade_reexports_are_usable() {
     // The prelude's types compose: build a tiny run through fastmatch::core.
     use fastmatch::core::sampler::tuples_from_histograms;
