@@ -20,7 +20,7 @@ use fastmatch_engine::shared::{DemandMode, SharedDemand};
 use fastmatch_store::backend::{MemBackend, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
-use fastmatch_store::checksum::fnv1a64;
+use fastmatch_store::checksum::sum64;
 use fastmatch_store::file::FileBackend;
 use fastmatch_store::io::BlockReader;
 use fastmatch_store::schema::{AttrDef, Schema};
@@ -159,11 +159,11 @@ fn bench_file_page_load(c: &mut Criterion) {
     const PAGES: usize = 2 * BLOCKS;
     let (mut zs, mut xs) = (Vec::new(), Vec::new());
 
-    // What one page costs before any of this PR's batching: the
-    // single-stream checksum alone, and the single-page read.
+    // What one page costs unbatched: the single-stream checksum alone,
+    // and the single-page read.
     let page = vec![0x5au8; TPB * 4];
-    c.bench_function("file_page_load/serial_fnv1a64_only_x2048", |b| {
-        b.iter(|| (0..PAGES as u64).fold(0, |acc, i| acc ^ fnv1a64(i, black_box(&page))))
+    c.bench_function("file_page_load/serial_sum64_only_x2048", |b| {
+        b.iter(|| (0..PAGES as u64).fold(0, |acc, i| acc ^ sum64(i, black_box(&page))))
     });
     let cold = open(8);
     let mut start = 0usize;

@@ -10,9 +10,9 @@
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
-//! │ magic "FMCOL001"  tuples_per_block:u32  n_rows:u64  n_attrs:u32
+//! │ magic "FMCOL002"  tuples_per_block:u32  n_rows:u64  n_attrs:u32
 //! │ per attr: name_len:u16  name:utf8  cardinality:u32
-//! │ header_checksum:u64 (FNV-1a over all preceding header bytes) │
+//! │ header_checksum:u64 (sum64 over all preceding header bytes)  │
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ attr 0, block 0: codes (block_len·4 bytes LE)  checksum:u64  │
 //! │ attr 0, block 1: …                                           │
@@ -20,6 +20,11 @@
 //! │ attr 1, block 0: …                                           │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
+//!
+//! Every checksum is [`sum64`]. A file with another magic — `FMCOL001`,
+//! the format whose checksum was FNV-1a, included — is refused with a
+//! [`StoreError::Format`] naming the magic found and the one expected;
+//! there is no reader and no migration for an older format.
 //!
 //! All integers are little-endian. Page offsets are computable in O(1):
 //! every block before the last is full, so attribute `a`'s region has a
@@ -50,9 +55,9 @@
 //!    locks released) into a per-thread byte buffer that is reused from
 //!    read to read;
 //! 3. **verify** the fetched pages' checksums [`LANES`] at a time
-//!    ([`fnv1a64_each`]: same values, same `FMCOL001` file, about a
-//!    quarter of the single-stream cost per page — a block pair verifies
-//!    its two pages as two lanes);
+//!    ([`sum64_each`]: the same values as [`sum64`] page by page, with
+//!    four multiply chains in flight — a block pair verifies its two
+//!    pages as two lanes);
 //! 4. **decode** each verified page into the caller's buffer and fill a
 //!    cache slot by overwriting the clock victim's storage. A page that
 //!    fails verification is never cached; the blocks before it are still
@@ -92,13 +97,30 @@ use crate::backend::{BlockVisitor, PageOrigin, StorageBackend};
 use crate::block::BlockLayout;
 #[cfg(doc)]
 use crate::checksum::LANES;
-use crate::checksum::{fnv1a64, fnv1a64_each, FNV_BASIS};
+use crate::checksum::{sum64, sum64_each, BASIS};
 use crate::error::{Result, StoreError};
 use crate::schema::{AttrDef, Schema};
 use crate::table::Table;
 
 /// File magic: identifies format and version.
-const MAGIC: &[u8; 8] = b"FMCOL001";
+pub(crate) const MAGIC: &[u8; 8] = b"FMCOL002";
+
+/// The error for a file whose magic is not `expected`: it names both,
+/// so a file of another format version says which one it is.
+pub(crate) fn magic_error(found: &[u8], expected: &[u8; 8]) -> StoreError {
+    StoreError::Format(format!(
+        "magic {:?} found, {:?} expected",
+        String::from_utf8_lossy(found),
+        String::from_utf8_lossy(expected)
+    ))
+}
+
+/// Whether `found` is the magic of another version of the format
+/// `magic` names: the same 5-byte family (`FMCOL`, `FMWAL`), another
+/// 3-byte version.
+pub(crate) fn is_other_version(found: &[u8; 8], magic: &[u8; 8]) -> bool {
+    found[..5] == magic[..5] && found != magic
+}
 
 /// Bytes of the per-page checksum.
 const PAGE_CHECKSUM_BYTES: usize = 8;
@@ -121,7 +143,7 @@ pub const RUN_CHUNK_BLOCKS: usize = 64;
 
 /// Position key mixed into a page's checksum basis.
 fn page_basis(attr: usize, block: usize) -> u64 {
-    FNV_BASIS ^ ((attr as u64) << 32) ^ block as u64
+    BASIS ^ ((attr as u64) << 32) ^ block as u64
 }
 
 /// Bytes of one full page: its codes and its checksum.
@@ -246,7 +268,7 @@ fn write_table_impl(
         header.extend_from_slice(name);
         header.extend_from_slice(&attr.cardinality.to_le_bytes());
     }
-    header.extend_from_slice(&fnv1a64(FNV_BASIS, &header).to_le_bytes());
+    header.extend_from_slice(&sum64(BASIS, &header).to_le_bytes());
 
     let mut out = BufWriter::new(File::create(path)?);
     out.write_all(&header)?;
@@ -274,7 +296,7 @@ fn write_table_impl(
                     &mut chunk[at..at + code_bytes(b)],
                 );
             }
-            fnv1a64_each(
+            sum64_each(
                 b1 - b0,
                 |i| {
                     (
@@ -705,7 +727,7 @@ impl FileBackend {
         file.read_exact(&mut header)
             .map_err(|_| StoreError::Format("truncated header".into()))?;
         if &header[..8] != MAGIC {
-            return Err(StoreError::Format("bad magic".into()));
+            return Err(magic_error(&header[..8], MAGIC));
         }
         let tuples_per_block = le_u32(&header[8..]) as usize;
         let n_rows = le_u64(&header[12..]);
@@ -742,7 +764,7 @@ impl FileBackend {
         file.read_exact(&mut ck_buf)
             .map_err(|_| StoreError::Format("truncated header checksum".into()))?;
         let stored = u64::from_le_bytes(ck_buf);
-        let computed = fnv1a64(FNV_BASIS, &header);
+        let computed = sum64(BASIS, &header);
         if stored != computed {
             return Err(StoreError::Format(format!(
                 "header checksum mismatch (stored {stored:#x}, computed {computed:#x})"
@@ -893,7 +915,7 @@ impl FileBackend {
         } = scratch;
         sums.clear();
         sums.resize(pages.len(), 0);
-        fnv1a64_each(
+        sum64_each(
             pages.len(),
             |i| {
                 let p = &pages[i];
@@ -1170,10 +1192,13 @@ mod tests {
     fn bad_magic_is_rejected() {
         let path = tmp_path("magic");
         std::fs::write(&path, b"NOTAFILExxxxxxxxxxxxxxxxxxxx").unwrap();
-        assert!(matches!(
-            FileBackend::open(&path),
-            Err(StoreError::Format(_))
-        ));
+        let Err(StoreError::Format(msg)) = FileBackend::open(&path) else {
+            panic!("a bad magic must be a format error");
+        };
+        assert!(
+            msg.contains("NOTAFILE") && msg.contains("FMCOL002"),
+            "{msg}"
+        );
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -1323,7 +1348,7 @@ mod tests {
         header.extend_from_slice(&1u16.to_le_bytes());
         header.extend_from_slice(b"z");
         header.extend_from_slice(&4u32.to_le_bytes());
-        header.extend_from_slice(&fnv1a64(FNV_BASIS, &header).to_le_bytes());
+        header.extend_from_slice(&sum64(BASIS, &header).to_le_bytes());
         let path = tmp_path("overflow");
         std::fs::write(&path, &header).unwrap();
         assert!(matches!(
@@ -1403,8 +1428,8 @@ mod tests {
     fn page_checksums_are_position_keyed() {
         assert_ne!(page_basis(0, 1), page_basis(1, 0));
         assert_ne!(
-            fnv1a64(page_basis(0, 0), b"abc"),
-            fnv1a64(page_basis(0, 1), b"abc")
+            sum64(page_basis(0, 0), b"abc"),
+            sum64(page_basis(0, 1), b"abc")
         );
     }
 }

@@ -60,6 +60,8 @@ pub mod wal;
 
 pub use snapshot::Snapshot;
 
+use std::fs::File;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -70,12 +72,13 @@ use std::time::Instant;
 use crate::backend::StorageBackend;
 use crate::block::DEFAULT_TUPLES_PER_BLOCK;
 use crate::error::{Result, StoreError};
-use crate::file::{fsync_dir, FileBackend};
+use crate::file::{fsync_dir, is_other_version, magic_error, FileBackend, MAGIC};
 use crate::live::compact::{pick_compaction, CompactShared};
 use crate::live::memtable::{LiveBitmap, MemTable};
 use crate::live::segment::{SegmentEntry, SegmentWriter};
 use crate::live::wal::{
     durable_prefix_rows, replay_split, rotation_base, WalWriter, DEFAULT_WAL_SYNC_EVERY, WAL_FILE,
+    WAL_MAGIC,
 };
 use crate::schema::Schema;
 use crate::table::Table;
@@ -443,12 +446,20 @@ impl LiveTable {
     /// * a torn WAL tail or an unusable WAL is counted in
     ///   [`LiveStats::wal_errors`] and the valid prefix is kept.
     ///
+    /// A segment file or log in *another version* of its format (magic
+    /// `FMCOL…`/`FMWAL…` with another version, such as the FNV-1a
+    /// formats `FMCOL001` and `FMWAL001`) is not damage: `open` refuses
+    /// the directory before it sweeps, loads or rewrites anything, and
+    /// leaves it byte-for-byte as it was.
+    ///
     /// Rows replayed and the time recovery took are reported through
     /// [`LiveStats::recovered_rows`] / [`LiveStats::recovery_ns`].
     ///
     /// # Errors
     /// Configuration errors as in [`Self::new`] (a segment directory is
-    /// required here), plus I/O errors listing the directory. Damaged
+    /// required here), I/O errors listing the directory, and
+    /// [`StoreError::Format`] naming the magic found and the magic
+    /// expected for a file of another format version. Damaged
     /// *contents* are recovered around, never propagated.
     pub fn open(schema: Schema, config: LiveTableConfig) -> Result<Self> {
         let t0 = Instant::now();
@@ -458,6 +469,7 @@ impl LiveTable {
                 "open() requires a segment directory".into(),
             ));
         };
+        refuse_other_versions(&dir)?;
         let scan = scan_segment_dir(&schema, &config, &dir, rows_per_segment)?;
         // Read the old log back *before* build() truncates it. A WAL
         // that exists but cannot be trusted (bad header) or that ends
@@ -1264,6 +1276,32 @@ fn segment_index(name: &str) -> Option<usize> {
         return None;
     }
     digits.parse().ok()
+}
+
+/// Refuses a directory holding a segment file or a log in another
+/// version of its format, reading only the first 8 bytes of each. It
+/// runs before recovery touches the directory: recovery would count
+/// such a segment as torn and rewrite the log, losing its rows. A file
+/// too short to hold a magic, or unreadable, is left to recovery.
+fn refuse_other_versions(dir: &Path) -> Result<()> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        let expected = if segment_index(name).is_some() {
+            MAGIC
+        } else if name == WAL_FILE {
+            WAL_MAGIC
+        } else {
+            continue;
+        };
+        let mut found = [0u8; 8];
+        let read = File::open(entry.path()).and_then(|mut f| f.read_exact(&mut found));
+        if read.is_ok() && is_other_version(&found, expected) {
+            return Err(magic_error(&found, expected));
+        }
+    }
+    Ok(())
 }
 
 /// Directory-scan half of [`LiveTable::open`]: walks segment files in

@@ -10,10 +10,10 @@
 //!
 //! ```text
 //! ┌────────────────────────────────────────────────────────────┐
-//! │ magic "FMWAL001"  base_rows:u64  n_attrs:u32  checksum:u64 │
+//! │ magic "FMWAL002"  base_rows:u64  n_attrs:u32  checksum:u64 │
 //! ├────────────────────────────────────────────────────────────┤
 //! │ record 0: n_rows:u32  codes (n_attrs × n_rows × u32 LE)    │
-//! │           checksum:u64 (FNV-1a, keyed by record seq)       │
+//! │           checksum:u64 (sum64, keyed by record seq)        │
 //! │ record 1: …                                                │
 //! └────────────────────────────────────────────────────────────┘
 //! ```
@@ -22,9 +22,11 @@
 //! of the first logged row: rows below it were durably sealed when the
 //! log was (re)written, so replay adds `base_rows` to its running
 //! cursor and skips any row the recovered segments already cover
-//! ([`replay_split`]). Record checksums reuse the block file's FNV-1a
-//! discipline, keyed by record *sequence number* so a record copied to
-//! another slot fails verification just like a misplaced page.
+//! ([`replay_split`]). Header and records are checksummed by the block
+//! file's [`sum64`], records keyed by *sequence number* so a record
+//! copied to another slot fails verification just like a misplaced
+//! page. A log with another magic — `FMWAL001`, the FNV-1a format,
+//! included — is refused; there is no reader for an older format.
 //!
 //! **Group fsync** — `sync_every = n` fsyncs after every `n`th record
 //! (`1` = every record, the strictest setting; `0` never fsyncs and
@@ -54,12 +56,12 @@ use std::fs::File;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 
-use crate::checksum::{fnv1a64, FNV_BASIS};
+use crate::checksum::{sum64, BASIS};
 use crate::error::{Result, StoreError};
-use crate::file::{fsync_dir, le_u32, le_u64, tmp_sibling};
+use crate::file::{fsync_dir, le_u32, le_u64, magic_error, tmp_sibling};
 
 /// WAL file magic: identifies format and version.
-const WAL_MAGIC: &[u8; 8] = b"FMWAL001";
+pub(crate) const WAL_MAGIC: &[u8; 8] = b"FMWAL002";
 
 /// The WAL's file name inside a segment directory. Public so crash
 /// tests and operational tooling can find (and deliberately damage)
@@ -76,7 +78,7 @@ const HEADER_LEN: usize = 8 + 8 + 4 + 8;
 /// Checksum basis of record `seq`: sequence-keyed the way page
 /// checksums are position-keyed, and disjoint from the header basis.
 fn record_basis(seq: u64) -> u64 {
-    FNV_BASIS ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x57414c
+    BASIS ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x57414c
 }
 
 // ------------------------------------------------------------- decisions
@@ -230,7 +232,7 @@ impl WalWriter {
                 rec.extend_from_slice(&code.to_le_bytes());
             }
         }
-        let ck = fnv1a64(record_basis(self.seq), &rec);
+        let ck = sum64(record_basis(self.seq), &rec);
         rec.extend_from_slice(&ck.to_le_bytes());
         self.file.write_all(&rec)?;
         self.seq += 1;
@@ -273,7 +275,7 @@ fn header_bytes(base_rows: u64, n_attrs: usize) -> Vec<u8> {
     h.extend_from_slice(WAL_MAGIC);
     h.extend_from_slice(&base_rows.to_le_bytes());
     h.extend_from_slice(&(n_attrs as u32).to_le_bytes());
-    let ck = fnv1a64(FNV_BASIS, &h);
+    let ck = sum64(BASIS, &h);
     h.extend_from_slice(&ck.to_le_bytes());
     h
 }
@@ -310,10 +312,10 @@ pub(crate) fn replay(path: &Path, n_attrs: usize) -> Result<WalReplay> {
     }
     let (head, body) = bytes.split_at(HEADER_LEN);
     if &head[..8] != WAL_MAGIC {
-        return Err(StoreError::Format("bad WAL magic".into()));
+        return Err(magic_error(&head[..8], WAL_MAGIC));
     }
     let stored = le_u64(&head[HEADER_LEN - 8..]);
-    let computed = fnv1a64(FNV_BASIS, &head[..HEADER_LEN - 8]);
+    let computed = sum64(BASIS, &head[..HEADER_LEN - 8]);
     if stored != computed {
         return Err(StoreError::Format(format!(
             "WAL header checksum mismatch (stored {stored:#x}, computed {computed:#x})"
@@ -346,7 +348,7 @@ pub(crate) fn replay(path: &Path, n_attrs: usize) -> Result<WalReplay> {
         };
         let (data, ck) = rec.split_at(payload);
         let stored = le_u64(ck);
-        if stored != fnv1a64(record_basis(seq), data) {
+        if stored != sum64(record_basis(seq), data) {
             torn_tail = true;
             break;
         }

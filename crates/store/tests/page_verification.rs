@@ -1,27 +1,39 @@
 //! Every check kept: reading pages many at a time — one positioned read
 //! per span, checksums computed in interleaved lanes — must reject
 //! exactly what the page-at-a-time reader rejected, name the same page,
-//! and never let a bad page into the cache. The format is unchanged, so
-//! the writer is pinned byte for byte against a serial reference too.
+//! and never let a bad page into the cache. The writer is pinned byte
+//! for byte against a serial reference written here, and the checksum
+//! against an independent reference and its detection properties:
+//! every single-bit flip, a zero byte appended or dropped, and two
+//! flips of bit 63.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use fastmatch_store::backend::{PageOrigin, StorageBackend};
 use fastmatch_store::block::BlockLayout;
-use fastmatch_store::checksum::{fnv1a64, fnv1a64_each, FNV_BASIS, LANES};
+use fastmatch_store::checksum::{sum64, sum64_each, BASIS, LANES};
 use fastmatch_store::error::StoreError;
 use fastmatch_store::file::{write_table, FileBackend, RUN_CHUNK_BLOCKS};
 use fastmatch_store::schema::{AttrDef, Schema};
 use fastmatch_store::table::Table;
 use fastmatch_store::tempfile::TempBlockFile;
 
-/// An independent FNV-1a, so the reference does not share a line with
-/// the code under test.
-fn reference_fnv1a64(basis: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(basis, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
+/// The header basis, written out so a change to it is a format change
+/// this file notices.
+const HEADER_BASIS: u64 = 0x243f_6a88_85a3_08d3;
+
+/// An independent `sum64`, so the reference does not share a line with
+/// the code under test: words assembled byte by byte (the last one
+/// short, so zero-padded), then the length as one more word.
+fn reference_sum64(basis: u64, bytes: &[u8]) -> u64 {
+    let mix = |h: u64, w: u64| (h ^ w).wrapping_mul(0x9e37_79b1_85eb_ca87).rotate_left(31);
+    let words = bytes.chunks(8).map(|c| {
+        c.iter()
+            .enumerate()
+            .fold(0u64, |w, (k, &b)| w | u64::from(b) << (8 * k))
+    });
+    mix(words.fold(basis, mix), bytes.len() as u64)
 }
 
 fn table(rows: usize, seed: u64) -> Table {
@@ -32,12 +44,12 @@ fn table(rows: usize, seed: u64) -> Table {
     Table::new(schema, vec![z, x])
 }
 
-/// The `FMCOL001` image of `t`, page by page with single-stream
-/// checksums — what `write_table` wrote before it learned lanes.
+/// The `FMCOL002` image of `t`, page by page with single-stream
+/// reference checksums.
 fn serial_reference_image(t: &Table, tpb: usize) -> Vec<u8> {
     let layout = BlockLayout::new(t.n_rows(), tpb);
     let mut out = Vec::new();
-    out.extend_from_slice(b"FMCOL001");
+    out.extend_from_slice(b"FMCOL002");
     out.extend_from_slice(&(tpb as u32).to_le_bytes());
     out.extend_from_slice(&(t.n_rows() as u64).to_le_bytes());
     out.extend_from_slice(&(t.schema().len() as u32).to_le_bytes());
@@ -46,7 +58,7 @@ fn serial_reference_image(t: &Table, tpb: usize) -> Vec<u8> {
         out.extend_from_slice(attr.name.as_bytes());
         out.extend_from_slice(&attr.cardinality.to_le_bytes());
     }
-    let header_sum = reference_fnv1a64(0xcbf2_9ce4_8422_2325, &out);
+    let header_sum = reference_sum64(HEADER_BASIS, &out);
     out.extend_from_slice(&header_sum.to_le_bytes());
     for a in 0..t.schema().len() {
         for b in 0..layout.num_blocks() {
@@ -54,8 +66,8 @@ fn serial_reference_image(t: &Table, tpb: usize) -> Vec<u8> {
             for &code in &t.column(a)[layout.rows_of_block(b)] {
                 out.extend_from_slice(&code.to_le_bytes());
             }
-            let basis = 0xcbf2_9ce4_8422_2325 ^ ((a as u64) << 32) ^ b as u64;
-            let sum = reference_fnv1a64(basis, &out[from..]);
+            let basis = HEADER_BASIS ^ ((a as u64) << 32) ^ b as u64;
+            let sum = reference_sum64(basis, &out[from..]);
             out.extend_from_slice(&sum.to_le_bytes());
         }
     }
@@ -96,7 +108,7 @@ fn lane_kernel_equals_reference_for_every_lane_count_and_ragged_lanes() {
                 })
                 .collect();
             let mut seen = vec![None; n];
-            fnv1a64_each(
+            sum64_each(
                 n,
                 |i| (pages[i].0, pages[i].1.as_slice()),
                 |i, sum| {
@@ -104,13 +116,78 @@ fn lane_kernel_equals_reference_for_every_lane_count_and_ragged_lanes() {
                 },
             );
             for (i, (basis, bytes)) in pages.iter().enumerate() {
-                let want = reference_fnv1a64(*basis, bytes);
-                assert_eq!(fnv1a64(*basis, bytes), want);
+                let want = reference_sum64(*basis, bytes);
+                assert_eq!(sum64(*basis, bytes), want);
                 assert_eq!(seen[i], Some(want), "n={n} ragged={ragged} page {i}");
             }
         }
     }
-    assert_eq!(FNV_BASIS, 0xcbf2_9ce4_8422_2325);
+    assert_eq!(BASIS, HEADER_BASIS);
+}
+
+/// Random bytes of every length 0..=97: no word, a partial word, and
+/// every tail length past one to twelve whole words.
+fn strings_up_to_97() -> Vec<Vec<u8>> {
+    let mut rng = StdRng::seed_from_u64(0x5e7);
+    (0..=97)
+        .map(|len| (0..len).map(|_| rng.gen_range(0..256u32) as u8).collect())
+        .collect()
+}
+
+#[test]
+fn every_single_bit_flip_changes_the_sum_at_every_length() {
+    for bytes in strings_up_to_97() {
+        let sum = sum64(BASIS, &bytes);
+        assert_eq!(sum, reference_sum64(BASIS, &bytes));
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_ne!(sum64(BASIS, &flipped), sum, "len {} bit {bit}", bytes.len());
+        }
+    }
+}
+
+#[test]
+fn appending_or_dropping_a_zero_byte_changes_the_sum() {
+    // The zero byte lands in the padding of the last word, or starts a
+    // word of its own; only the folded-in length tells them apart.
+    for bytes in strings_up_to_97() {
+        let mut zero_ended = bytes.clone();
+        zero_ended.push(0);
+        let sums = [sum64(BASIS, &bytes), sum64(BASIS, &zero_ended)];
+        assert_ne!(sums[0], sums[1], "len {}", bytes.len());
+        // Dropping it is the same pair read the other way; dropping a
+        // zero byte that ends `bytes` itself is checked too.
+        let mut zeroed = bytes.clone();
+        if let Some(last) = zeroed.last_mut() {
+            *last = 0;
+            let dropped = &zeroed[..zeroed.len() - 1];
+            assert_ne!(
+                sum64(BASIS, &zeroed),
+                sum64(BASIS, dropped),
+                "len {}",
+                bytes.len()
+            );
+        }
+    }
+}
+
+#[test]
+fn flipping_bit_63_in_any_two_words_of_a_page_changes_the_sum() {
+    // Without the rotation a difference in bit 63 stays in bit 63 and a
+    // second flip there cancels it, whichever two words carry them.
+    let mut rng = StdRng::seed_from_u64(0xb1763);
+    let page: Vec<u8> = (0..600).map(|_| rng.gen_range(0..256u32) as u8).collect();
+    let sum = sum64(BASIS, &page);
+    let words = page.len() / 8;
+    for i in 0..words {
+        for j in i + 1..words {
+            let mut flipped = page.clone();
+            flipped[8 * i + 7] ^= 0x80;
+            flipped[8 * j + 7] ^= 0x80;
+            assert_ne!(sum64(BASIS, &flipped), sum, "words {i} and {j}");
+        }
+    }
 }
 
 #[test]
