@@ -7,11 +7,14 @@
 //! segment durable atomically (`write_table_atomic`) and then rotates
 //! the WAL with the *lag-one* base ([`rotation_base`]): the newest
 //! sealed run's rows stay in the log so a torn last segment is still
-//! recoverable. A crash may strike at any instant — optionally tearing
-//! the newest sealed file — after which recovery rebuilds from the
-//! durable segment prefix ([`durable_prefix_rows`]) and replays the
-//! WAL's surviving records ([`replay_split`]). Named invariants
-//! (DESIGN.md § "Concurrency protocols"):
+//! recoverable; a seal that does not rotate fsyncs the log instead. A
+//! crash may strike at any instant — optionally damaging any one
+//! sealed file, not only the newest — after which recovery loads the
+//! segment prefix up to the first damaged or missing file
+//! ([`durable_prefix_rows`]), decides with [`open_verdict`], and on a
+//! Replay verdict replays the WAL's surviving records
+//! ([`replay_split`]). Named invariants (DESIGN.md § "Concurrency
+//! protocols"):
 //!
 //! * `recovered-prefix-is-durable-prefix` — recovery yields exactly
 //!   the longest contiguous prefix of rows that were durable at the
@@ -24,16 +27,24 @@
 //!   seal time never advances the base past the start of the newest
 //!   durable run: unsealed rows *and* the run a torn last segment
 //!   would lose all stay in the log.
+//! * `open-is-lossless-or-refuses-unchanged` — an open either returns
+//!   every row that was durable before the crash, a damaged file's
+//!   rows included, or refuses and leaves the disk as it was; a crash
+//!   that damaged nothing never refuses.
 //!
 //! The model imports the exact decision functions the real open/seal
 //! paths run, so drift between implementation and model is a compile
 //! error or a checker violation. Test-only mutations reintroduce the
 //! plausible bugs: rotating without the lag, replay that skips its
-//! rows, and replay that re-appends already-sealed rows; the `finds_*`
-//! tests assert the explorer catches each one by name.
+//! rows, replay that re-appends already-sealed rows, recovery that
+//! drops the log when a damaged file at any index ends the prefix
+//! (the rule before `open_verdict`), and a seal that neither rotates
+//! nor fsyncs the log; the `finds_*` tests assert the explorer catches
+//! each one by name.
 
 use std::collections::VecDeque;
 
+use fastmatch_store::live::recover::{open_verdict, Verdict};
 use fastmatch_store::live::wal::{durable_prefix_rows, replay_split, rotation_base};
 
 use crate::explorer::{Model, Step, Violation};
@@ -62,9 +73,18 @@ struct Rec {
 enum CrashKind {
     /// Every sealed file intact.
     Clean,
-    /// The newest sealed file is torn (lost sectors behind a completed
-    /// rename, bit rot): recovery fails its checksum and skips it.
-    TornLastSegment,
+    /// The sealed file of entry `k` is damaged (lost sectors behind a
+    /// completed rename, bit rot): recovery fails its checksum there.
+    SegmentCorrupt(usize),
+}
+
+/// What recovery did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Outcome {
+    /// Opened with this many rows.
+    Replayed(usize),
+    /// Refused; the disk is left as the crash left it.
+    Refused,
 }
 
 /// Full protocol state.
@@ -83,8 +103,8 @@ pub struct State {
     records: Vec<Rec>,
     /// Set once the crash struck (no other actor runs afterwards).
     crashed: Option<CrashKind>,
-    /// Rows the post-crash recovery produced.
-    recovered: Option<usize>,
+    /// What the post-crash recovery did.
+    recovered: Option<Outcome>,
 }
 
 /// Test-only protocol mutations (plausible bugs). The non-`None`
@@ -102,6 +122,12 @@ enum Mutation {
     LossyReplay,
     /// Replay re-appends rows already covered by recovered segments.
     DoubleReplay,
+    /// The rule before `open_verdict`: any damaged file ends the
+    /// prefix as if torn, and a log whose base lies past it is dropped
+    /// while the sealed rows are served.
+    TornAtAnyIndex,
+    /// A seal that does not rotate the log leaves it unsynced.
+    NoSyncOnUnrotatedSeal,
 }
 
 /// The WAL/recovery model; see the [module docs](self).
@@ -139,29 +165,36 @@ impl WalRecovery {
     }
 
     /// The ghost truth recovery is judged against: the longest
-    /// contiguous row prefix durable at the crash, given the disk's
-    /// segment prefix and the WAL's synced coverage. Computed from the
-    /// crash state alone — independently of the replay arithmetic under
-    /// test.
-    fn durable_truth(sealed: usize, wal_base: usize, wal_synced: usize) -> usize {
-        if wal_base <= sealed {
-            sealed.max(wal_base + wal_synced)
+    /// contiguous row prefix durable at the crash, given the segment
+    /// prefix durable *before* any damage (a damaged file's rows were
+    /// durable) and the WAL's synced coverage. Computed from the crash
+    /// state alone — independently of the replay arithmetic under test.
+    fn durable_truth(s: &State) -> usize {
+        let sealed = durable_prefix_rows(s.entries.iter().map(|e| (e.rows, e.sealed)));
+        if s.wal_base <= sealed {
+            sealed.max(s.wal_base + Self::synced_rows(s))
         } else {
             sealed
         }
     }
 
-    /// The disk's durable entry list as recovery will see it after the
-    /// crash: torn newest file fails its checksum, so it reads as
-    /// unsealed.
+    /// The disk's entry list as recovery will see it after the crash: a
+    /// damaged file fails its checksum, so it reads as unsealed.
     fn disk_entries(s: &State, kind: CrashKind) -> Vec<(usize, bool)> {
         let mut disk: Vec<(usize, bool)> = s.entries.iter().map(|e| (e.rows, e.sealed)).collect();
-        if kind == CrashKind::TornLastSegment {
-            if let Some(last) = disk.iter_mut().rev().find(|(_, sealed)| *sealed) {
-                last.1 = false;
-            }
+        if let CrashKind::SegmentCorrupt(k) = kind {
+            disk[k].1 = false;
         }
         disk
+    }
+
+    /// Recovery's scan: the rows loaded before the first damaged or
+    /// missing file, and the segment files at or after it.
+    fn scan(s: &State, kind: CrashKind) -> (usize, usize) {
+        let disk = Self::disk_entries(s, kind);
+        let stop = disk.iter().position(|(_, ok)| !ok).unwrap_or(disk.len());
+        let dropped = s.entries[stop..].iter().filter(|e| e.sealed).count();
+        (durable_prefix_rows(disk), dropped)
     }
 }
 
@@ -194,7 +227,7 @@ impl Model for WalRecovery {
 
     fn enabled(&self, s: &State) -> Vec<Step> {
         let mut steps = Vec::new();
-        if let Some(_kind) = s.crashed {
+        if s.crashed.is_some() {
             if s.recovered.is_none() {
                 steps.push(Step::new(RECOVERY, 0, "recover: scan segments, replay WAL"));
             }
@@ -219,8 +252,14 @@ impl Model for WalRecovery {
             ));
         }
         steps.push(Step::new(CRASHER, 0, "crash (disk intact)"));
-        if s.entries.iter().any(|e| e.sealed) {
-            steps.push(Step::new(CRASHER, 1, "crash + newest sealed file torn"));
+        for (k, e) in s.entries.iter().enumerate() {
+            if e.sealed {
+                steps.push(Step::new(
+                    CRASHER,
+                    1 + k,
+                    format!("crash + sealed file of entry {k} corrupt"),
+                ));
+            }
         }
         steps
     }
@@ -265,9 +304,9 @@ impl Model for WalRecovery {
                         Mutation::NoRotationLag => (n.wal_base as u64).max(durable as u64),
                         _ => rotation_base(n.wal_base as u64, durable as u64, just as u64),
                     } as usize;
-                    if new_base > n.wal_base
-                        && durable == n.entries[..=job].iter().map(|e| e.rows).sum::<usize>()
-                    {
+                    let rotates = new_base > n.wal_base
+                        && durable == n.entries[..=job].iter().map(|e| e.rows).sum::<usize>();
+                    if rotates {
                         // rotate_to: one rewritten, fully fsynced log
                         // covering every retained row (rebuilt from the
                         // sealed run + later memory — skipped when a
@@ -280,6 +319,12 @@ impl Model for WalRecovery {
                             rows: n.appended - new_base,
                             synced: true,
                         }];
+                    } else if self.mutation != Mutation::NoSyncOnUnrotatedSeal {
+                        // sync_after_seal(): no rotation, so the log is fsynced
+                        // in place through the sealed run.
+                        for r in &mut n.records {
+                            r.synced = true;
+                        }
                     }
                 }
                 // Failure: the entry stays in memory, the WAL keeps
@@ -291,10 +336,9 @@ impl Model for WalRecovery {
                 }
             }
             CRASHER => {
-                let kind = if step.id == 0 {
-                    CrashKind::Clean
-                } else {
-                    CrashKind::TornLastSegment
+                let kind = match step.id {
+                    0 => CrashKind::Clean,
+                    k => CrashKind::SegmentCorrupt(k - 1),
                 };
                 // Power loss: unsynced records never reached the
                 // platter (a partial record fails its checksum and is
@@ -304,12 +348,19 @@ impl Model for WalRecovery {
             }
             RECOVERY => {
                 let kind = s.crashed.expect("recovery enabled only after a crash");
-                let sealed = durable_prefix_rows(Self::disk_entries(s, kind));
+                let (sealed, dropped) = Self::scan(s, kind);
+                let verdict = match self.mutation {
+                    Mutation::TornAtAnyIndex => Verdict::Replay,
+                    _ => open_verdict(sealed as u64, dropped, Some(n.wal_base as u64)),
+                };
+                if verdict == Verdict::Refuse {
+                    n.recovered = Some(Outcome::Refused);
+                    return n;
+                }
                 let mut recovered = sealed;
-                // replay(): records are contiguous from the base; a
-                // base past the recovered watermark means a gap the
-                // replay cannot bridge, so the log is dropped whole
-                // (counted as wal_errors in the real table).
+                // replay(): records are contiguous from the base. Only
+                // the old rule gets here with a base past the sealed
+                // rows; it dropped the log and served the segments.
                 if n.wal_base <= sealed {
                     let mut cursor = n.wal_base;
                     for rec in &n.records {
@@ -326,7 +377,7 @@ impl Model for WalRecovery {
                         cursor += rec.rows;
                     }
                 }
-                n.recovered = Some(recovered);
+                n.recovered = Some(Outcome::Replayed(recovered));
             }
             other => unreachable!("unknown actor {other}"),
         }
@@ -358,11 +409,25 @@ impl Model for WalRecovery {
                 ),
             ));
         }
-        let Some(recovered) = s.recovered else {
+        let Some(outcome) = s.recovered else {
             return Ok(());
         };
         let kind = s.crashed.expect("recovered implies crashed");
-        let sealed = durable_prefix_rows(Self::disk_entries(s, kind));
+        let truth = Self::durable_truth(s);
+        let recovered = match outcome {
+            Outcome::Replayed(rows) => rows,
+            // open-is-lossless-or-refuses-unchanged, refusal half: the
+            // model's recovery changes nothing when it refuses, so what
+            // is left to check is that a crash artifact is not refused.
+            Outcome::Refused if kind == CrashKind::Clean => {
+                return Err(Violation::new(
+                    "open-is-lossless-or-refuses-unchanged",
+                    "refused a directory the crash did not damage".to_string(),
+                ));
+            }
+            Outcome::Refused => return Ok(()),
+        };
+        let (sealed, _) = Self::scan(s, kind);
         let synced = Self::synced_rows(s);
         // no-replayed-row-lost: when the log connects to the recovered
         // watermark, every durably logged row must be in the table.
@@ -375,9 +440,16 @@ impl Model for WalRecovery {
                 ),
             ));
         }
+        // open-is-lossless-or-refuses-unchanged: an open that succeeds
+        // returns every durable row, a damaged file's included.
+        if recovered < truth {
+            return Err(Violation::new(
+                "open-is-lossless-or-refuses-unchanged",
+                format!("opened with {recovered} rows, {truth} were durable"),
+            ));
+        }
         // recovered-prefix-is-durable-prefix: exactly the ghost truth —
         // no invention or duplication either.
-        let truth = Self::durable_truth(sealed, s.wal_base, synced);
         if recovered != truth {
             return Err(Violation::new(
                 "recovered-prefix-is-durable-prefix",
@@ -409,8 +481,8 @@ mod tests {
     #[test]
     fn current_lifecycle_is_clean() {
         // 5 appends at 2 rows/delta: two freezes, seal success and
-        // failure, group fsyncs racing seals, clean and torn crashes
-        // at every reachable instant.
+        // failure, group fsyncs racing seals, clean crashes and crashes
+        // that damage any one sealed file, at every reachable instant.
         let stats = Explorer::new(WalRecovery::new(5, 2))
             .explore()
             .unwrap_or_else(|f| panic!("{f}"));
@@ -445,6 +517,32 @@ mod tests {
         assert_eq!(
             failure.violation.invariant,
             "recovered-prefix-is-durable-prefix"
+        );
+    }
+
+    #[test]
+    fn finds_torn_at_any_index() {
+        let failure = Explorer::new(WalRecovery::with_mutation(5, 2, Mutation::TornAtAnyIndex))
+            .explore()
+            .expect_err("dropping the log behind a damaged first file must lose rows");
+        assert_eq!(
+            failure.violation.invariant,
+            "open-is-lossless-or-refuses-unchanged"
+        );
+    }
+
+    #[test]
+    fn finds_unsynced_log_behind_unrotated_seal() {
+        let failure = Explorer::new(WalRecovery::with_mutation(
+            5,
+            2,
+            Mutation::NoSyncOnUnrotatedSeal,
+        ))
+        .explore()
+        .expect_err("a damaged first file with an unsynced log must lose rows");
+        assert_eq!(
+            failure.violation.invariant,
+            "open-is-lossless-or-refuses-unchanged"
         );
     }
 

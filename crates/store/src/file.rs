@@ -115,13 +115,6 @@ pub(crate) fn magic_error(found: &[u8], expected: &[u8; 8]) -> StoreError {
     ))
 }
 
-/// Whether `found` is the magic of another version of the format
-/// `magic` names: the same 5-byte family (`FMCOL`, `FMWAL`), another
-/// 3-byte version.
-pub(crate) fn is_other_version(found: &[u8; 8], magic: &[u8; 8]) -> bool {
-    found[..5] == magic[..5] && found != magic
-}
-
 /// Bytes of the per-page checksum.
 const PAGE_CHECKSUM_BYTES: usize = 8;
 

@@ -46,6 +46,9 @@
 //! * **Snapshots** ([`LiveTable::snapshot`]) are the read contract: a
 //!   sealed-segment watermark plus a frozen tail, implementing
 //!   [`crate::backend::StorageBackend`] — see [`snapshot`].
+//! * **Recovery** ([`LiveTable::open`]) reloads a segment directory
+//!   and replays its log, or refuses the directory and leaves it
+//!   unchanged — see [`recover`].
 //!
 //! Block geometry invariant: sealed segments hold only *full* blocks,
 //! so the global block id space is `segment-major` and a snapshot's
@@ -54,31 +57,29 @@
 
 pub mod compact;
 pub(crate) mod memtable;
+pub mod recover;
 pub(crate) mod segment;
 pub mod snapshot;
 pub mod wal;
 
 pub use snapshot::Snapshot;
 
-use std::fs::File;
-use std::io::Read;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::backend::StorageBackend;
 use crate::block::DEFAULT_TUPLES_PER_BLOCK;
 use crate::error::{Result, StoreError};
-use crate::file::{fsync_dir, is_other_version, magic_error, FileBackend, MAGIC};
+use crate::file::fsync_dir;
 use crate::live::compact::{pick_compaction, CompactShared};
 use crate::live::memtable::{LiveBitmap, MemTable};
+use crate::live::recover::{segment_index, Recovered};
 use crate::live::segment::{SegmentEntry, SegmentWriter};
 use crate::live::wal::{
-    durable_prefix_rows, replay_split, rotation_base, WalWriter, DEFAULT_WAL_SYNC_EVERY, WAL_FILE,
-    WAL_MAGIC,
+    durable_prefix_rows, rotation_base, WalWriter, DEFAULT_WAL_SYNC_EVERY, WAL_FILE,
 };
 use crate::schema::Schema;
 use crate::table::Table;
@@ -262,9 +263,13 @@ pub struct LiveStats {
     pub wal_syncs: u64,
     /// WAL truncations performed (one per seal that rotated the log).
     pub wal_rotations: u64,
-    /// WAL operations that failed (create, append, rotate, or an
-    /// unusable log at recovery). The table keeps serving — durability
-    /// degrades, correctness does not — mirroring `seal_errors`.
+    /// WAL operations that failed (install, append, rotate), plus, at
+    /// [`LiveTable::open`], a log whose replay stopped early: at a
+    /// record that failed its checksum (a torn unsynced tail, which in
+    /// this format looks the same as a damaged synced record) or one
+    /// with codes outside the dictionaries. The table keeps serving —
+    /// durability degrades, correctness does not — mirroring
+    /// `seal_errors`.
     pub wal_errors: u64,
     /// Rows [`LiveTable::open`] replayed from the WAL back into the
     /// table (rows already covered by recovered segment files are not
@@ -274,9 +279,10 @@ pub struct LiveStats {
     /// segment files, verifying checksums, rebuilding indexes and
     /// replaying the WAL.
     pub recovery_ns: u64,
-    /// Segment files [`LiveTable::open`] rejected as torn or corrupt
-    /// (checksum failure, bad geometry, or unreachable behind a gap).
-    /// Their rows are re-served from the WAL where it covers them.
+    /// Segment files [`LiveTable::open`] dropped because they failed
+    /// to load (torn, a checksum failure, bad geometry) or sit behind a
+    /// gap. `open` drops files only when the log covers their rows, so
+    /// none of their rows is lost; any other damage is refused.
     pub recovered_torn_segments: u64,
     /// Compaction merges performed.
     pub compactions: u64,
@@ -305,8 +311,6 @@ struct LiveInner {
     /// log inside the state critical section so the log's order is the
     /// append order); never the other way.
     wal: Mutex<Option<WalWriter>>,
-    /// Group-fsync interval rotation re-creates the log with.
-    wal_sync_every: usize,
     /// Serializes compaction passes (the background thread against
     /// [`LiveTable::compact_now`]); acquired before the state lock is
     /// taken and released between passes.
@@ -380,33 +384,6 @@ struct Compactor {
     join: Option<JoinHandle<()>>,
 }
 
-/// State the directory scan of [`LiveTable::open`] recovered, seeding
-/// the shared constructor.
-struct Recovered {
-    entries: Vec<LiveSegment>,
-    bitmaps: Vec<LiveBitmap>,
-    sealed_rows: usize,
-    /// Deltas the recovered entries cover (the next delta id).
-    deltas: u64,
-    torn_segments: u64,
-}
-
-impl Recovered {
-    fn empty(schema: &Schema) -> Self {
-        Recovered {
-            entries: Vec::new(),
-            bitmaps: schema
-                .attrs()
-                .iter()
-                .map(|a| LiveBitmap::new(a.cardinality))
-                .collect(),
-            sealed_rows: 0,
-            deltas: 0,
-            torn_segments: 0,
-        }
-    }
-}
-
 /// An append-only table serving snapshot-isolated readers; see the
 /// [module docs](self).
 #[derive(Debug)]
@@ -417,141 +394,53 @@ pub struct LiveTable {
 }
 
 impl LiveTable {
-    /// Creates an empty live table.
+    /// Creates an empty live table. With a segment directory, it
+    /// installs an empty log there.
     ///
     /// # Errors
     /// Rejects empty schemas, zero or overflowing block/segment sizes,
-    /// zero-sized segment caches, a zero coalescing cap and degenerate
-    /// compaction (fan-in below 2, or no segment directory) as
-    /// [`StoreError::Invalid`].
+    /// zero-sized segment caches, a zero coalescing cap, degenerate
+    /// compaction (fan-in below 2, or no segment directory) and a
+    /// segment directory that already holds a log or a segment file
+    /// (reopen those with [`Self::open`]) as [`StoreError::Invalid`].
     pub fn new(schema: Schema, config: LiveTableConfig) -> Result<Self> {
         let rows_per_segment = validate_config(&schema, &config)?;
-        Ok(Self::build(schema, config, rows_per_segment, None))
-    }
-
-    /// Re-opens a live table from its segment directory after a crash
-    /// or clean shutdown: enumerates `segment-*.fmb` files in delta
-    /// order, fully verifies each (header, schema, geometry and every
-    /// page checksum — rebuilding the presence bitmaps from the decoded
-    /// codes), then replays the WAL tail into the memtable and resumes
-    /// serving. Recovery never panics on damaged input:
-    ///
-    /// * a torn or corrupt segment file ends the recovered prefix —
-    ///   it and every later file are counted in
-    ///   [`LiveStats::recovered_torn_segments`] and their rows are
-    ///   re-served from the WAL where its lag covers them;
-    /// * stale files shadowed by a crashed compaction (first delta
-    ///   below the recovered watermark) are swept, as are `*.tmp`
-    ///   staging leftovers;
-    /// * a torn WAL tail or an unusable WAL is counted in
-    ///   [`LiveStats::wal_errors`] and the valid prefix is kept.
-    ///
-    /// A segment file or log in *another version* of its format (magic
-    /// `FMCOL…`/`FMWAL…` with another version, such as the FNV-1a
-    /// formats `FMCOL001` and `FMWAL001`) is not damage: `open` refuses
-    /// the directory before it sweeps, loads or rewrites anything, and
-    /// leaves it byte-for-byte as it was.
-    ///
-    /// Rows replayed and the time recovery took are reported through
-    /// [`LiveStats::recovered_rows`] / [`LiveStats::recovery_ns`].
-    ///
-    /// # Errors
-    /// Configuration errors as in [`Self::new`] (a segment directory is
-    /// required here), I/O errors listing the directory, and
-    /// [`StoreError::Format`] naming the magic found and the magic
-    /// expected for a file of another format version. Damaged
-    /// *contents* are recovered around, never propagated.
-    pub fn open(schema: Schema, config: LiveTableConfig) -> Result<Self> {
-        let t0 = Instant::now();
-        let rows_per_segment = validate_config(&schema, &config)?;
-        let Some(dir) = config.segment_dir.clone() else {
-            return Err(StoreError::Invalid(
-                "open() requires a segment directory".into(),
-            ));
-        };
-        refuse_other_versions(&dir)?;
-        let scan = scan_segment_dir(&schema, &config, &dir, rows_per_segment)?;
-        // Read the old log back *before* build() truncates it. A WAL
-        // that exists but cannot be trusted (bad header) or that ends
-        // torn is counted, never fatal.
-        let wal_path = dir.join(WAL_FILE);
-        let mut wal_faults = 0u64;
-        let old_wal = if wal_path.exists() {
-            match wal::replay(&wal_path, schema.len()) {
-                Ok(r) => {
-                    if r.torn_tail {
-                        wal_faults += 1;
-                    }
-                    Some(r)
-                }
-                Err(_) => {
-                    wal_faults += 1;
-                    None
-                }
-            }
-        } else {
-            None
-        };
-        let torn_segments = scan.torn_segments;
-        let sealed = scan.sealed_rows as u64;
-        let table = Self::build(schema, config, rows_per_segment, Some(scan));
-        let inner = &*table.inner;
-        inner
-            .recovered_torn
-            .fetch_add(torn_segments, Ordering::Relaxed);
-        inner.wal_errors.fetch_add(wal_faults, Ordering::Relaxed);
-        if let Some(r) = old_wal {
-            if r.base_rows > sealed {
-                // The lag did not cover how much the directory lost
-                // (more than one trailing run torn): attaching the log
-                // would leave a hole in the row order. Keep the sealed
-                // prefix, count the loss.
-                inner.wal_errors.fetch_add(1, Ordering::Relaxed);
-            } else {
-                let mut cursor = r.base_rows;
-                for rec in &r.records {
-                    let len = rec.first().map_or(0, |c| c.len()) as u64;
-                    let (skip, take) = replay_split(cursor, len, sealed);
-                    cursor += len;
-                    if take == 0 {
-                        continue;
-                    }
-                    let cols: Vec<&[u32]> = rec
-                        .iter()
-                        .map(|c| &c[skip as usize..(skip + take) as usize])
-                        .collect();
-                    if table.validate_codes(&cols).is_err() {
-                        // Checksummed yet out-of-dictionary: the log
-                        // belongs to a different schema generation.
-                        inner.wal_errors.fetch_add(1, Ordering::Relaxed);
-                        break;
-                    }
-                    // Replayed rows go through the normal append path —
-                    // re-logged to the fresh WAL, re-frozen and
-                    // re-sealed when they fill deltas.
-                    table.append_inner(&cols, take as usize);
-                    inner.recovered_rows.fetch_add(take, Ordering::Relaxed);
-                }
-                debug_assert_eq!(cursor, r.base_rows + r.rows, "replay walked every record");
+        if let Some(dir) = &config.segment_dir {
+            // An unreadable directory fails at the log install below and
+            // is counted there, like a failed seal.
+            let held = std::fs::read_dir(dir).into_iter().flatten().flatten();
+            let held = held
+                .map(|e| e.file_name().to_string_lossy().into_owned())
+                .find(|name| name == WAL_FILE || segment_index(name).is_some());
+            if let Some(name) = held {
+                return Err(StoreError::Invalid(format!(
+                    "{} already holds {name}: reopen it with LiveTable::open",
+                    dir.display()
+                )));
             }
         }
-        inner
-            .recovery_ns
-            .store(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+        let installed = config.segment_dir.as_ref().map(|dir| {
+            let wal_path = dir.join(WAL_FILE);
+            WalWriter::rotate_to(&wal_path, 0, schema.len(), config.wal_sync_every, &[])
+        });
+        let empty = Recovered::empty(&schema);
+        let table = Self::build(schema, config, rows_per_segment, empty);
+        if let Some(installed) = installed {
+            table.inner.attach_wal(installed);
+        }
         Ok(table)
     }
 
     /// Shared constructor behind [`Self::new`] (empty state) and
-    /// [`Self::open`] (recovered state). Creates the fresh WAL — which
-    /// truncates any previous log, so `open` replays first — and
-    /// spawns the sealer and compactor threads.
+    /// [`Self::open`] (recovered state). Spawns the sealer and
+    /// compactor threads; the table starts without a log, which its
+    /// caller installs with [`LiveInner::attach_wal`].
     fn build(
         schema: Schema,
         config: LiveTableConfig,
         rows_per_segment: usize,
-        recovered: Option<Recovered>,
+        rec: Recovered,
     ) -> Self {
-        let rec = recovered.unwrap_or_else(|| Recovered::empty(&schema));
         let writer = config.segment_dir.as_ref().map(|dir| {
             SegmentWriter::new(
                 dir.clone(),
@@ -560,27 +449,6 @@ impl LiveTable {
             )
         });
         let n_attrs = schema.len();
-        let mut wal_errors = 0u64;
-        let mut wal_syncs = 0u64;
-        let wal = config.segment_dir.as_ref().and_then(|dir| {
-            match WalWriter::create(
-                &dir.join(WAL_FILE),
-                rec.sealed_rows as u64,
-                n_attrs,
-                config.wal_sync_every,
-            ) {
-                Ok(w) => {
-                    wal_syncs = w.syncs();
-                    Some(w)
-                }
-                Err(_) => {
-                    // No log, degraded durability — same contract as a
-                    // failed seal: counted, still serving.
-                    wal_errors = 1;
-                    None
-                }
-            }
-        });
         let compact_shared =
             (writer.is_some() && config.compact_fan_in.is_some() && config.background_sealer)
                 .then(|| Arc::new(CompactShared::new()));
@@ -598,8 +466,7 @@ impl LiveTable {
                 bitmaps: rec.bitmaps,
                 sealed_rows: rec.sealed_rows,
             }),
-            wal: Mutex::new(wal),
-            wal_sync_every: config.wal_sync_every,
+            wal: Mutex::new(None),
             compact_gate: Mutex::new(()),
             compact: compact_shared,
             rows: AtomicU64::new(rec.sealed_rows as u64),
@@ -609,9 +476,9 @@ impl LiveTable {
             snapshots: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
             wal_records: AtomicU64::new(0),
-            wal_syncs: AtomicU64::new(wal_syncs),
+            wal_syncs: AtomicU64::new(0),
             wal_rotations: AtomicU64::new(0),
-            wal_errors: AtomicU64::new(wal_errors),
+            wal_errors: AtomicU64::new(0),
             recovered_rows: AtomicU64::new(0),
             recovery_ns: AtomicU64::new(0),
             recovered_torn: AtomicU64::new(0),
@@ -751,29 +618,14 @@ impl LiveTable {
         self.append_checked(&cols, rows)
     }
 
-    /// Rejects out-of-dictionary codes (used by the public appenders
-    /// and by WAL replay — checksummed records can still belong to a
-    /// different schema generation).
-    fn validate_codes(&self, cols: &[&[u32]]) -> Result<()> {
-        for (a, col) in cols.iter().enumerate() {
-            let card = self.inner.schema.attr(a).cardinality;
-            if let Some(&bad) = col.iter().find(|&&v| v >= card) {
-                return Err(StoreError::Invalid(format!(
-                    "code {bad} out of dictionary for attribute {a} (cardinality {card})"
-                )));
-            }
-        }
-        Ok(())
-    }
-
     /// Shared append path: validates codes, then applies the batch.
     fn append_checked(&self, cols: &[&[u32]], rows: usize) -> Result<std::ops::Range<u64>> {
-        self.validate_codes(cols)?;
+        validate_codes(&self.inner.schema, cols)?;
         Ok(self.append_inner(cols, rows))
     }
 
     /// Locked append body, shared by the public appenders and WAL
-    /// replay: logs the batch to the WAL *first* (same critical
+    /// replay: logs the batch to the WAL, if one is attached, *first* (same critical
     /// section — the log's order is the append order), then copies
     /// `rows` rows of `cols` into the delta, maintaining bitmaps and
     /// freezing (and dispatching seals for) every delta that fills on
@@ -1005,15 +857,12 @@ impl LiveInner {
         }
     }
 
-    /// Truncates the WAL after a seal landed durably. `pos` indexes the
+    /// Makes the log durable through every logged row after a seal
+    /// landed durably, truncating it when it can. `pos` indexes the
     /// just-spliced file entry (whose rows start at global row
-    /// `run_start` and whose data is still at hand as `run_table`).
-    /// The new base follows [`rotation_base`]'s one-run lag: the
-    /// newest sealed run's rows stay in the log until the *next* seal,
-    /// so a torn last segment file remains recoverable. Rotation is
-    /// skipped — log intact, just longer — whenever the retained rows
-    /// cannot all be reconstructed from memory: a seal-error hole
-    /// below `run_start`, or file-backed entries after it.
+    /// `run_start` and whose data is still at hand as `run_table`). A
+    /// seal that does not rotate still fsyncs the log: recovery relies
+    /// on the log holding the newest sealed run's rows.
     fn rotate_wal_after_seal(
         &self,
         s: &LiveState,
@@ -1023,15 +872,52 @@ impl LiveInner {
     ) {
         let mut wal = lock_unpoisoned(&self.wal);
         let Some(w) = wal.as_mut() else { return };
+        let rotation = self.rotation(s, pos, run_table, run_start, w.base_rows());
+        let rotates = rotation.is_some();
+        let syncs_before = w.syncs();
+        match w.sync_after_seal(rotation) {
+            Ok(()) => {
+                debug_assert!(
+                    !rotates || w.base_rows() + w.rows() == (s.sealed_rows + s.mem.rows()) as u64,
+                    "rotated log must cover exactly the rows past its base"
+                );
+                self.wal_syncs
+                    .fetch_add(w.syncs() - syncs_before, Ordering::Relaxed);
+                self.wal_rotations
+                    .fetch_add(u64::from(rotates), Ordering::Relaxed);
+            }
+            Err(_) => {
+                // The old log is still complete at its path; durability
+                // is unchanged, only truncation was missed.
+                self.wal_errors.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+    }
+
+    /// The rotation due after a seal: the new base, following
+    /// [`rotation_base`]'s one-run lag (the newest sealed run's rows
+    /// stay in the log until the *next* seal, so a torn last segment
+    /// file remains recoverable), and the records past it. `None` —
+    /// log intact, just longer — when the base would not advance or the
+    /// retained rows cannot all be rebuilt from memory: a seal-error
+    /// hole below `run_start`, or file-backed entries after it.
+    fn rotation<'a>(
+        &self,
+        s: &'a LiveState,
+        pos: usize,
+        run_table: &'a Table,
+        run_start: usize,
+        old_base: u64,
+    ) -> Option<(u64, Vec<Vec<&'a [u32]>>)> {
         let durable = durable_prefix_rows(s.entries.iter().map(|e| {
             (
                 e.blocks * self.tuples_per_block,
                 matches!(e.repr, SegmentEntry::File(_)),
             )
         })) as u64;
-        let new_base = rotation_base(w.base_rows(), durable, run_table.n_rows() as u64);
-        if new_base <= w.base_rows() || new_base < run_start as u64 {
-            return;
+        let new_base = rotation_base(old_base, durable, run_table.n_rows() as u64);
+        if new_base <= old_base || new_base < run_start as u64 {
+            return None;
         }
         let n_attrs = self.schema.len();
         let mut records: Vec<Vec<&[u32]>> = Vec::new();
@@ -1047,25 +933,23 @@ impl LiveInner {
                 // A file past the durable prefix means an earlier seal
                 // failed and left a hole; its in-memory rows are gone,
                 // so the old log must stay whole.
-                SegmentEntry::File(_) => return,
+                SegmentEntry::File(_) => return None,
             }
         }
         records.push(s.mem.columns().iter().map(|c| c.as_slice()).collect());
-        let path = w.path().to_path_buf();
-        match WalWriter::rotate_to(&path, new_base, n_attrs, self.wal_sync_every, &records) {
-            Ok(next) => {
-                debug_assert_eq!(
-                    next.base_rows() + next.rows(),
-                    (s.sealed_rows + s.mem.rows()) as u64,
-                    "rotated log must cover exactly the rows past its base"
-                );
-                self.wal_syncs.fetch_add(next.syncs(), Ordering::Relaxed);
-                self.wal_rotations.fetch_add(1, Ordering::Relaxed);
-                *w = next;
+        Some((new_base, records))
+    }
+
+    /// Puts a freshly installed log in place, counting its fsyncs — or
+    /// counts its failure: no log, degraded durability, the same
+    /// contract as a failed seal.
+    fn attach_wal(&self, installed: Result<WalWriter>) {
+        match installed {
+            Ok(w) => {
+                self.wal_syncs.fetch_add(w.syncs(), Ordering::Relaxed);
+                *lock_unpoisoned(&self.wal) = Some(w);
             }
             Err(_) => {
-                // The old log is still complete at its path; durability
-                // is unchanged, only truncation was missed.
                 self.wal_errors.fetch_add(1, Ordering::Relaxed);
             }
         }
@@ -1268,165 +1152,19 @@ fn validate_config(schema: &Schema, config: &LiveTableConfig) -> Result<usize> {
         .ok_or_else(|| StoreError::Invalid("segment size overflows".into()))
 }
 
-/// Parses a segment file name (`segment-NNNNNN.fmb`) to its first
-/// delta id.
-fn segment_index(name: &str) -> Option<usize> {
-    let digits = name.strip_prefix("segment-")?.strip_suffix(".fmb")?;
-    if digits.is_empty() || !digits.bytes().all(|b| b.is_ascii_digit()) {
-        return None;
-    }
-    digits.parse().ok()
-}
-
-/// Refuses a directory holding a segment file or a log in another
-/// version of its format, reading only the first 8 bytes of each. It
-/// runs before recovery touches the directory: recovery would count
-/// such a segment as torn and rewrite the log, losing its rows. A file
-/// too short to hold a magic, or unreadable, is left to recovery.
-fn refuse_other_versions(dir: &Path) -> Result<()> {
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let expected = if segment_index(name).is_some() {
-            MAGIC
-        } else if name == WAL_FILE {
-            WAL_MAGIC
-        } else {
-            continue;
-        };
-        let mut found = [0u8; 8];
-        let read = File::open(entry.path()).and_then(|mut f| f.read_exact(&mut found));
-        if read.is_ok() && is_other_version(&found, expected) {
-            return Err(magic_error(&found, expected));
+/// Rejects out-of-dictionary codes: used by the public appenders and
+/// by recovery, where a checksummed segment or log record can still
+/// belong to a different schema generation.
+fn validate_codes(schema: &Schema, cols: &[&[u32]]) -> Result<()> {
+    for (a, col) in cols.iter().enumerate() {
+        let card = schema.attr(a).cardinality;
+        if let Some(&bad) = col.iter().find(|&&v| v >= card) {
+            return Err(StoreError::Invalid(format!(
+                "code {bad} out of dictionary for attribute {a} (cardinality {card})"
+            )));
         }
     }
     Ok(())
-}
-
-/// Directory-scan half of [`LiveTable::open`]: walks segment files in
-/// delta order, loading each fully-verified one into the recovered
-/// state and stopping at the first torn/corrupt/unreachable file. See
-/// `open`'s docs for the exact sweep rules.
-fn scan_segment_dir(
-    schema: &Schema,
-    config: &LiveTableConfig,
-    dir: &Path,
-    rows_per_segment: usize,
-) -> Result<Recovered> {
-    let mut found: Vec<(usize, PathBuf)> = Vec::new();
-    for entry in std::fs::read_dir(dir)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if name.ends_with(".tmp") {
-            // Staging leftovers of a crashed atomic write: never
-            // observable data, always safe to sweep.
-            let _ = std::fs::remove_file(entry.path());
-            continue;
-        }
-        if let Some(index) = segment_index(name) {
-            found.push((index, entry.path()));
-        }
-    }
-    found.sort();
-    let mut rec = Recovered::empty(schema);
-    let mut torn = 0u64;
-    let mut expected = 0usize;
-    let mut it = found.into_iter();
-    while let Some((index, path)) = it.next() {
-        if index < expected {
-            // Shadowed by a merged file that already covers these
-            // deltas — a compaction crashed between its rename and its
-            // unlinks. Finish the unlink for it.
-            let _ = std::fs::remove_file(&path);
-            continue;
-        }
-        if index > expected {
-            // A gap: this file and everything after it cannot be
-            // placed contiguously in the row order; those rows are
-            // only recoverable from the WAL.
-            torn += 1 + it.count() as u64;
-            break;
-        }
-        match load_segment(schema, config, index, &path, rows_per_segment, &mut rec) {
-            Ok(deltas) => expected += deltas,
-            Err(_) => {
-                // Torn or corrupt: the recovered prefix ends here.
-                torn += 1 + it.count() as u64;
-                break;
-            }
-        }
-    }
-    rec.deltas = expected as u64;
-    rec.torn_segments = torn;
-    Ok(rec)
-}
-
-/// Opens and *fully verifies* one segment file — header, schema,
-/// block geometry, whole-delta row count, and every page checksum (by
-/// decoding every block) — then folds its codes into the recovered
-/// bitmaps and appends its entry. Returns how many deltas the file
-/// covers. Any error means "treat as torn"; `rec` is only touched once
-/// the whole file has verified.
-fn load_segment(
-    schema: &Schema,
-    config: &LiveTableConfig,
-    index: usize,
-    path: &Path,
-    rows_per_segment: usize,
-    rec: &mut Recovered,
-) -> Result<usize> {
-    let be = FileBackend::open(path)?.with_cache_blocks(config.segment_cache_blocks);
-    if be.schema() != schema {
-        return Err(StoreError::Format(format!(
-            "segment {index} schema does not match the table"
-        )));
-    }
-    let tpb = config.tuples_per_block;
-    if be.layout().tuples_per_block() != tpb {
-        return Err(StoreError::Format(format!(
-            "segment {index} block size does not match the table"
-        )));
-    }
-    let n_rows = be.n_rows();
-    if n_rows == 0 || n_rows % rows_per_segment != 0 {
-        return Err(StoreError::Format(format!(
-            "segment {index} holds {n_rows} rows, not a whole number of deltas"
-        )));
-    }
-    let blocks = n_rows / tpb;
-    let mut cols: Vec<Vec<u32>> = Vec::with_capacity(schema.len());
-    let mut buf = Vec::new();
-    for a in 0..schema.len() {
-        let card = schema.attr(a).cardinality;
-        let mut col = Vec::with_capacity(n_rows);
-        for b in 0..blocks {
-            be.read_block_into(b, a, &mut buf)?;
-            if let Some(&bad) = buf.iter().find(|&&v| v >= card) {
-                return Err(StoreError::Format(format!(
-                    "segment {index} code {bad} out of dictionary for attribute {a}"
-                )));
-            }
-            col.extend_from_slice(&buf);
-        }
-        cols.push(col);
-    }
-    // Everything verified; fold into the live indexes.
-    let base_block = rec.sealed_rows / tpb;
-    for (a, col) in cols.iter().enumerate() {
-        let bm = &mut rec.bitmaps[a];
-        for (i, &v) in col.iter().enumerate() {
-            bm.set(v, base_block + i / tpb);
-        }
-    }
-    rec.entries.push(LiveSegment {
-        first_delta: index as u64,
-        blocks,
-        repr: SegmentEntry::File(Arc::new(be)),
-    });
-    rec.sealed_rows += n_rows;
-    Ok(blocks / config.blocks_per_segment)
 }
 
 #[cfg(test)]
@@ -1580,6 +1318,31 @@ mod tests {
             cfg_mem(4, 2).with_compaction(4),
             "compaction requires a segment directory",
         );
+    }
+
+    #[test]
+    fn new_refuses_a_directory_that_holds_a_table() {
+        let dir = TempBlockDir::new("live_new_populated");
+        let cfg = cfg_mem(4, 2)
+            .with_segment_dir(dir.path())
+            .with_background_sealer(false);
+        let lt = LiveTable::new(schema(), cfg.clone()).unwrap();
+        for k in 0..9u64 {
+            lt.append_row(&row_of(k)).unwrap();
+        }
+        drop(lt);
+        let seg = dir.path().join("segment-000000.fmb");
+        let (log, sealed) = (
+            std::fs::read(dir.path().join(WAL_FILE)).unwrap(),
+            std::fs::read(&seg).unwrap(),
+        );
+        assert_rejected(schema(), cfg.clone(), "already holds");
+        assert_eq!(std::fs::read(dir.path().join(WAL_FILE)).unwrap(), log);
+        // A segment file alone is a table too.
+        std::fs::remove_file(dir.path().join(WAL_FILE)).unwrap();
+        assert_rejected(schema(), cfg.clone(), "segment-000000.fmb");
+        assert_eq!(std::fs::read(&seg).unwrap(), sealed);
+        assert_eq!(LiveTable::open(schema(), cfg).unwrap().n_rows(), 8);
     }
 
     #[test]
@@ -1869,7 +1632,7 @@ mod tests {
         assert_eq!(st.wal_rotations, 0, "nothing sealed yet");
         let r = wal::replay(&dir.path().join(WAL_FILE), 2).unwrap();
         assert_eq!(r.base_rows, 0);
-        assert_eq!(r.rows, 5);
+        assert_eq!(r.rows(), 5);
         // Fill past two seals: the second rotation lags one run, so the
         // log's base is the start of the newest sealed run.
         for k in 5..17u64 {
@@ -1881,7 +1644,7 @@ mod tests {
         assert_eq!(st.wal_errors, 0);
         let r = wal::replay(&dir.path().join(WAL_FILE), 2).unwrap();
         assert_eq!(r.base_rows, 8, "lag-one: newest sealed run stays logged");
-        assert_eq!(r.base_rows + r.rows, 17, "log covers every row past base");
+        assert_eq!(r.base_rows + r.rows(), 17, "log covers every row past base");
     }
 
     #[test]

@@ -46,11 +46,13 @@
 //! the old complete log or the new complete log — never neither.
 //!
 //! The pure decision functions ([`durable_prefix_rows`],
-//! [`rotation_base`], [`replay_split`]) are shared with the
+//! [`rotation_base`], [`replay_split`], and recovery's
+//! [`crate::live::recover::open_verdict`]) are shared with the
 //! `wal_recovery` model in `fastmatch-check`, which explores
 //! crash/replay interleavings against the invariants
-//! `recovered-prefix-is-durable-prefix`, `no-replayed-row-lost` and
-//! `seal-truncation-never-drops-unsealed-rows`.
+//! `recovered-prefix-is-durable-prefix`, `no-replayed-row-lost`,
+//! `seal-truncation-never-drops-unsealed-rows` and
+//! `open-is-lossless-or-refuses-unchanged`.
 
 use std::fs::File;
 use std::io::Write;
@@ -137,46 +139,21 @@ pub(crate) struct WalWriter {
     rows: u64,
     /// Records written (the next record's checksum key).
     seq: u64,
-    /// Records since the last fsync.
+    /// Records since the last fsync (counted at every interval, so a
+    /// seal can sync a log that never group-fsyncs).
     since_sync: usize,
     /// Fsyncs issued (group syncs + rotation syncs), for stats.
     syncs: u64,
 }
 
 impl WalWriter {
-    /// Creates a fresh log at `path` (truncating any previous file)
-    /// with the given base watermark, fsyncing the header and the
-    /// directory so an empty log is never confused with a missing one.
-    pub fn create(
-        path: &Path,
-        base_rows: u64,
-        n_attrs: usize,
-        sync_every: usize,
-    ) -> Result<WalWriter> {
-        let mut file = File::create(path)?;
-        file.write_all(&header_bytes(base_rows, n_attrs))?;
-        file.sync_all()?;
-        if let Some(dir) = path.parent() {
-            fsync_dir(dir)?;
-        }
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            n_attrs,
-            sync_every,
-            base_rows,
-            rows: 0,
-            seq: 0,
-            since_sync: 0,
-            syncs: 1,
-        })
-    }
-
-    /// Rewrites the log at `path` with a new base, carrying the given
+    /// Installs a log at `path` with the given base, carrying the given
     /// records (one per retained batch; column slices in schema order),
     /// via the same temp + fsync + rename + dir-fsync staging as
     /// segment files — a crash leaves old log or new log, never
-    /// neither. Returns the writer for the new file.
+    /// neither. Returns the writer for the new file. Creating a table,
+    /// reopening one and rotating after a seal all install the log this
+    /// way, so `wal.fmw` is only ever replaced, never rewritten.
     pub fn rotate_to(
         path: &Path,
         base_rows: u64,
@@ -186,13 +163,25 @@ impl WalWriter {
     ) -> Result<WalWriter> {
         let tmp = tmp_sibling(path);
         let staged = (|| -> Result<WalWriter> {
-            let mut writer = WalWriter::create(&tmp, base_rows, n_attrs, sync_every)?;
+            let mut file = File::create(&tmp)?;
+            file.write_all(&header_bytes(base_rows, n_attrs))?;
+            // No group fsync while staging: one fsync covers the file.
+            let mut writer = WalWriter {
+                file,
+                path: path.to_path_buf(),
+                n_attrs,
+                sync_every: 0,
+                base_rows,
+                rows: 0,
+                seq: 0,
+                since_sync: 0,
+                syncs: 1,
+            };
             for cols in records {
                 let len = cols.first().map_or(0, |c| c.len());
                 writer.append(cols, 0, len)?;
             }
             writer.file.sync_all()?;
-            writer.syncs += 1;
             std::fs::rename(&tmp, path)?;
             Ok(writer)
         })();
@@ -206,7 +195,7 @@ impl WalWriter {
         if let Some(dir) = path.parent() {
             fsync_dir(dir)?;
         }
-        writer.path = path.to_path_buf();
+        writer.sync_every = sync_every;
         writer.since_sync = 0;
         Ok(writer)
     }
@@ -237,15 +226,44 @@ impl WalWriter {
         self.file.write_all(&rec)?;
         self.seq += 1;
         self.rows += len as u64;
-        if self.sync_every > 0 {
-            self.since_sync += 1;
-            if self.since_sync >= self.sync_every {
-                self.file.sync_data()?;
-                self.since_sync = 0;
-                self.syncs += 1;
-            }
+        self.since_sync += 1;
+        if self.sync_every > 0 && self.since_sync >= self.sync_every {
+            self.sync()?;
         }
         Ok(())
+    }
+
+    /// Fsyncs the records logged since the last fsync, if any.
+    fn sync(&mut self) -> Result<()> {
+        if self.since_sync > 0 {
+            self.file.sync_data()?;
+            self.since_sync = 0;
+            self.syncs += 1;
+        }
+        Ok(())
+    }
+
+    /// Makes every logged record durable after a seal: rotates to the
+    /// given base and records (see [`Self::rotate_to`]) when a rotation
+    /// is due, else fsyncs the log in place. A failed rotation still
+    /// fsyncs the old log before returning its error. `syncs` keeps
+    /// counting across a rotation.
+    pub fn sync_after_seal(&mut self, rotation: Option<(u64, Vec<Vec<&[u32]>>)>) -> Result<()> {
+        let Some((base, records)) = rotation else {
+            return self.sync();
+        };
+        match Self::rotate_to(&self.path, base, self.n_attrs, self.sync_every, &records) {
+            Ok(next) => {
+                let syncs = self.syncs;
+                *self = next;
+                self.syncs += syncs;
+                Ok(())
+            }
+            Err(e) => {
+                let _ = self.sync();
+                Err(e)
+            }
+        }
     }
 
     /// The first global row this log covers.
@@ -261,11 +279,6 @@ impl WalWriter {
     /// Fsyncs issued so far on this log.
     pub fn syncs(&self) -> u64 {
         self.syncs
-    }
-
-    /// The log's path (rotation keeps it stable).
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 }
 
@@ -291,8 +304,6 @@ pub(crate) struct WalReplay {
     /// Decoded records in log order: one set of columns each, all of
     /// them checksum-verified.
     pub records: Vec<Vec<Vec<u32>>>,
-    /// Rows across `records`.
-    pub rows: u64,
     /// Whether the scan stopped at a torn/corrupt suffix (crash while
     /// appending) rather than clean end-of-file. The valid prefix is
     /// still good — a torn tail was by definition not yet durable.
@@ -300,8 +311,8 @@ pub(crate) struct WalReplay {
 }
 
 /// Reads the log at `path` back, verifying the header strictly (a log
-/// whose *header* cannot be trusted yields [`StoreError::Format`] — the
-/// caller treats that as "no usable WAL") and the records leniently:
+/// whose *header* cannot be trusted yields [`StoreError::Format`], and
+/// `LiveTable::open` refuses the directory) and the records leniently:
 /// the first record that is short, oversized or checksum-corrupt ends
 /// the scan with [`WalReplay::torn_tail`] set, and everything before
 /// it is returned.
@@ -329,7 +340,6 @@ pub(crate) fn replay(path: &Path, n_attrs: usize) -> Result<WalReplay> {
         )));
     }
     let mut records = Vec::new();
-    let mut rows = 0u64;
     let mut torn_tail = false;
     let mut cursor = 0usize;
     let mut seq = 0u64;
@@ -359,16 +369,22 @@ pub(crate) fn replay(path: &Path, n_attrs: usize) -> Result<WalReplay> {
             cols.push(col_bytes.chunks_exact(4).map(le_u32).collect());
         }
         records.push(cols);
-        rows += n_rows as u64;
         cursor += payload + 8;
         seq += 1;
     }
     Ok(WalReplay {
         base_rows,
         records,
-        rows,
         torn_tail,
     })
+}
+
+#[cfg(test)]
+impl WalReplay {
+    /// Rows across `records`.
+    pub(crate) fn rows(&self) -> u64 {
+        self.records.iter().map(|r| r[0].len() as u64).sum()
+    }
 }
 
 #[cfg(test)]
@@ -407,7 +423,7 @@ mod tests {
     fn log_roundtrips_records_in_order() {
         let dir = TempBlockDir::new("wal_roundtrip");
         let path = wal_path(&dir);
-        let mut w = WalWriter::create(&path, 7, 2, 1).unwrap();
+        let mut w = WalWriter::rotate_to(&path, 7, 2, 1, &[]).unwrap();
         w.append(&[&[1, 2, 3], &[4, 5, 0]], 0, 3).unwrap();
         w.append(&[&[9], &[1]], 0, 1).unwrap();
         w.append(&[&[], &[]], 0, 0).unwrap(); // no-op, no record
@@ -415,7 +431,7 @@ mod tests {
         let r = replay(&path, 2).unwrap();
         assert_eq!(r.base_rows, 7);
         assert!(!r.torn_tail);
-        assert_eq!(r.rows, 4);
+        assert_eq!(r.rows(), 4);
         assert_eq!(r.records.len(), 2);
         assert_eq!(r.records[0], vec![vec![1, 2, 3], vec![4, 5, 0]]);
         assert_eq!(r.records[1], vec![vec![9], vec![1]]);
@@ -425,7 +441,7 @@ mod tests {
     fn offset_append_logs_the_requested_rows_only() {
         let dir = TempBlockDir::new("wal_offset");
         let path = wal_path(&dir);
-        let mut w = WalWriter::create(&path, 0, 1, 0).unwrap();
+        let mut w = WalWriter::rotate_to(&path, 0, 1, 0, &[]).unwrap();
         w.append(&[&[10, 11, 12, 13]], 1, 2).unwrap();
         let r = replay(&path, 1).unwrap();
         assert_eq!(r.records, vec![vec![vec![11, 12]]]);
@@ -435,7 +451,7 @@ mod tests {
     fn torn_tail_keeps_the_valid_prefix() {
         let dir = TempBlockDir::new("wal_torn");
         let path = wal_path(&dir);
-        let mut w = WalWriter::create(&path, 0, 2, 1).unwrap();
+        let mut w = WalWriter::rotate_to(&path, 0, 2, 1, &[]).unwrap();
         w.append(&[&[1, 2], &[3, 4]], 0, 2).unwrap();
         w.append(&[&[5], &[6]], 0, 1).unwrap();
         drop(w);
@@ -445,7 +461,7 @@ mod tests {
         let r = replay(&path, 2).unwrap();
         assert!(r.torn_tail);
         assert_eq!(r.records.len(), 1);
-        assert_eq!(r.rows, 2);
+        assert_eq!(r.rows(), 2);
         // Corrupt (not short) tail: flip a payload byte of the last
         // record; the checksum must reject it the same way.
         let mut bytes2 = bytes.clone();
@@ -461,7 +477,7 @@ mod tests {
     fn garbage_length_prefix_is_a_torn_tail_not_an_allocation() {
         let dir = TempBlockDir::new("wal_garbage");
         let path = wal_path(&dir);
-        let mut w = WalWriter::create(&path, 0, 2, 1).unwrap();
+        let mut w = WalWriter::rotate_to(&path, 0, 2, 1, &[]).unwrap();
         w.append(&[&[1], &[2]], 0, 1).unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
@@ -477,14 +493,14 @@ mod tests {
     fn corrupt_header_is_a_format_error() {
         let dir = TempBlockDir::new("wal_badheader");
         let path = wal_path(&dir);
-        let w = WalWriter::create(&path, 3, 2, 1).unwrap();
+        let w = WalWriter::rotate_to(&path, 3, 2, 1, &[]).unwrap();
         drop(w);
         let mut bytes = std::fs::read(&path).unwrap();
         bytes[9] ^= 0x01; // base_rows field
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(replay(&path, 2), Err(StoreError::Format(_))));
         // Attribute-count mismatch is also refused outright.
-        WalWriter::create(&path, 3, 2, 1).unwrap();
+        WalWriter::rotate_to(&path, 3, 2, 1, &[]).unwrap();
         assert!(matches!(replay(&path, 5), Err(StoreError::Format(_))));
     }
 
@@ -494,7 +510,7 @@ mod tests {
         // one that moved, exactly like a misplaced page.
         let dir = TempBlockDir::new("wal_seqkey");
         let path = wal_path(&dir);
-        let mut w = WalWriter::create(&path, 0, 1, 1).unwrap();
+        let mut w = WalWriter::rotate_to(&path, 0, 1, 1, &[]).unwrap();
         w.append(&[&[1]], 0, 1).unwrap();
         w.append(&[&[2]], 0, 1).unwrap();
         drop(w);
@@ -514,7 +530,7 @@ mod tests {
     fn rotation_replaces_the_log_atomically() {
         let dir = TempBlockDir::new("wal_rotate");
         let path = wal_path(&dir);
-        let mut w = WalWriter::create(&path, 0, 2, 1).unwrap();
+        let mut w = WalWriter::rotate_to(&path, 0, 2, 1, &[]).unwrap();
         for k in 0..6u32 {
             w.append(&[&[k], &[k + 100]], 0, 1).unwrap();
         }
@@ -523,7 +539,7 @@ mod tests {
         let w2 = WalWriter::rotate_to(&path, 4, 2, 1, &retained).unwrap();
         assert_eq!(w2.base_rows(), 4);
         assert_eq!(w2.rows(), 2);
-        assert_eq!(w2.path(), path.as_path());
+        assert_eq!(w2.path, path);
         assert!(!tmp_sibling(&path).exists());
         let r = replay(&path, 2).unwrap();
         assert_eq!(r.base_rows, 4);
@@ -532,7 +548,7 @@ mod tests {
         let mut w2 = w2;
         w2.append(&[&[6], &[106]], 0, 1).unwrap();
         let r2 = replay(&path, 2).unwrap();
-        assert_eq!(r2.rows, 3);
+        assert_eq!(r2.rows(), 3);
         assert!(!r2.torn_tail);
     }
 
@@ -540,7 +556,7 @@ mod tests {
     fn group_fsync_counts_syncs() {
         let dir = TempBlockDir::new("wal_group");
         let path = wal_path(&dir);
-        let mut w = WalWriter::create(&path, 0, 1, 3).unwrap();
+        let mut w = WalWriter::rotate_to(&path, 0, 1, 3, &[]).unwrap();
         let created_syncs = w.syncs();
         for k in 0..7u32 {
             w.append(&[&[k]], 0, 1).unwrap();
@@ -548,7 +564,7 @@ mod tests {
         // 7 records at sync_every=3 → 2 group syncs (after 3 and 6).
         assert_eq!(w.syncs() - created_syncs, 2);
         // sync_every=0 never syncs on append.
-        let mut w0 = WalWriter::create(&path, 0, 1, 0).unwrap();
+        let mut w0 = WalWriter::rotate_to(&path, 0, 1, 0, &[]).unwrap();
         let base = w0.syncs();
         for k in 0..5u32 {
             w0.append(&[&[k]], 0, 1).unwrap();

@@ -469,10 +469,14 @@ fn recovery_survives_a_corrupt_wal_tail_with_exact_accounting() {
 
 /// Crash injection, part 3 — the exhaustive sweep: a WAL-only table
 /// (nothing sealed) truncated at **every possible byte length**. For
-/// each cut the recovered table must be exactly the longest run of
-/// whole records that fits — never a panic, never a row beyond the
-/// durable prefix, never a lost row before it, and a counted fault
-/// whenever the cut lands mid-record.
+/// each cut inside the records the recovered table must be exactly the
+/// longest run of whole records that fits — never a panic, never a row
+/// beyond the durable prefix, never a lost row before it, and a counted
+/// fault whenever the cut lands mid-record. A cut inside the header
+/// leaves a log that cannot be read; the log is only ever installed
+/// whole (temp file, fsync, rename), so that is damage, not a crash
+/// artifact, and `open` refuses it, naming the log, with the directory
+/// unchanged.
 #[test]
 fn wal_truncated_at_every_byte_recovers_the_exact_durable_prefix() {
     let seed = TempBlockDir::new("crash_sweep_seed");
@@ -504,14 +508,19 @@ fn wal_truncated_at_every_byte_recovers_the_exact_durable_prefix() {
         let img = dir.path().join(format!("cut-{cut:03}"));
         std::fs::create_dir_all(&img).unwrap();
         std::fs::write(img.join(WAL_FILE), &image[..cut]).unwrap();
-        let live = LiveTable::open(soak_schema(), cfg.clone().with_segment_dir(&img)).unwrap();
-        let want = if cut < HEADER {
-            0
-        } else {
-            ((cut - HEADER) / RECORD).min(rows as usize)
-        };
+        let opened = LiveTable::open(soak_schema(), cfg.clone().with_segment_dir(&img));
+        if cut < HEADER {
+            let e = opened
+                .err()
+                .unwrap_or_else(|| panic!("cut at byte {cut}: opened"));
+            assert!(e.to_string().contains(WAL_FILE), "cut at byte {cut}: {e}");
+            assert_eq!(std::fs::read(img.join(WAL_FILE)).unwrap(), &image[..cut]);
+            continue;
+        }
+        let live = opened.unwrap();
+        let want = ((cut - HEADER) / RECORD).min(rows as usize);
         assert_eq!(live.n_rows() as usize, want, "cut at byte {cut}");
-        let whole = cut >= HEADER && (cut - HEADER).is_multiple_of(RECORD);
+        let whole = (cut - HEADER).is_multiple_of(RECORD);
         assert_eq!(
             live.stats().wal_errors >= 1,
             !whole,

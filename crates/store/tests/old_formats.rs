@@ -1,13 +1,16 @@
-//! Files of another format version are refused, not recovered around.
+//! Files of another format version are refused unless the log covers
+//! them.
 //!
 //! `FMCOL001` block files and `FMWAL001` logs carried FNV-1a checksums;
 //! this build reads only `FMCOL002` and `FMWAL002`. Opening an older
-//! block file, or a live directory holding an older segment or log, is
-//! a `StoreError::Format` naming the magic found and the magic
-//! expected — and a refused live directory is left byte-for-byte as it
-//! was, where recovery would have counted the segment as torn and
-//! rewritten the log. The old files are made by overwriting the first
-//! 8 bytes of freshly written ones.
+//! block file is a `StoreError::Format` naming the magic found and the
+//! magic expected. A live directory is judged by the one recovery rule:
+//! an older log, or an older segment the log does not cover, is refused
+//! with that error and the directory is left byte-for-byte as it was;
+//! an older *last* segment beside a current log that covers it is a
+//! torn last file like any other and reopens with no row lost. The old
+//! files are made by overwriting the first 8 bytes of freshly written
+//! ones.
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -91,7 +94,6 @@ fn seed(dir: &Path) -> LiveTableConfig {
 fn a_live_directory_with_an_older_segment_or_log_is_refused_unchanged() {
     for (file, old, new) in [
         ("segment-000000.fmb", b"FMCOL001", "FMCOL002"),
-        ("segment-000002.fmb", b"FMCOL001", "FMCOL002"),
         (WAL_FILE, b"FMWAL001", "FMWAL002"),
     ] {
         let dir = TempBlockDir::new("old_live_dir");
@@ -116,9 +118,33 @@ fn a_live_directory_with_an_older_segment_or_log_is_refused_unchanged() {
 }
 
 #[test]
+fn an_older_last_segment_beside_a_covering_log_is_recovered_losslessly() {
+    let dir = TempBlockDir::new("old_last_segment");
+    let cfg = seed(dir.path());
+    set_magic(&dir.path().join("segment-000002.fmb"), b"FMCOL001");
+    let live = LiveTable::open(schema(), cfg.clone()).unwrap();
+    assert_eq!(
+        live.n_rows(),
+        27,
+        "the log's lag re-serves the last segment"
+    );
+    assert_eq!(live.stats().recovered_torn_segments, 1);
+    let rows = live.snapshot().to_table().unwrap();
+    for i in 0..27u32 {
+        assert_eq!(rows.code(0, i as usize), i % 8, "row {i}");
+        assert_eq!(rows.code(1, i as usize), (i * 5) % 16, "row {i}");
+    }
+    drop(live);
+    // The replay re-sealed the segment in the current format.
+    let live = LiveTable::open(schema(), cfg).unwrap();
+    assert_eq!(live.n_rows(), 27);
+    assert_eq!(live.stats().recovered_torn_segments, 0);
+}
+
+#[test]
 fn a_segment_with_foreign_magic_bytes_is_still_torn_not_refused() {
-    // Only another version of the family is refused: damage that leaves
-    // no `FMCOL` prefix is recovered around as before.
+    // Any damage to the last segment, a foreign magic included, is
+    // recovered around when the log covers its rows.
     let dir = TempBlockDir::new("foreign_magic");
     let cfg = seed(dir.path());
     set_magic(&dir.path().join("segment-000002.fmb"), b"XXXXXXXX");
