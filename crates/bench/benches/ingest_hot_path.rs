@@ -6,19 +6,29 @@
 //!    batches with clear-and-reuse cycles (the shard-worker access
 //!    pattern).
 //! 2. **Per-block ingest by histogram width**: ns/tuple to get one
-//!    150-tuple block into `HistSim`, through the fused
-//!    `HistSim::ingest_block` kernel settled after every block and
-//!    settled every 16 blocks (what `FastMatch` does between
-//!    publications), each settlement fed to a per-candidate row counter
-//!    as the engine's consumption tracking is, and through
-//!    `accumulate`, `merge_ref` and `clear` merged every 1, 16 and 64
-//!    blocks (64 is a service quantum), × uniform group codes at
-//!    |V_X| ∈ {2, 7, 24, 64, 351}. Candidate codes come from a cubed
-//!    uniform over |V_Z| ∈ {347, 7 641} (FLIGHTS' and TAXI's
-//!    cardinalities) and from the candidate columns of synthetic FLIGHTS
-//!    (`Origin`) and TAXI (`Location`); each row reports the distinct
-//!    candidates a merge touches ÷ |V_Z| at each cadence, the property
-//!    that decides what a merge and a clear move.
+//!    150-tuple block into a `HistSim` past stage 1 (§5.2's parameters,
+//!    stage 1 fed the first 1 % of the codes, as the executors spend
+//!    nearly all their blocks in stages 2 and 3), through
+//!    - the fused `HistSim::ingest_block` kernel — `Scan`'s two
+//!      increments per tuple, the cell's weighted by the candidate's 0/1
+//!      weight — settled after every block (what `ScanMatch` and
+//!      `SyncMatch` do) and every 16 blocks (what `FastMatch` does
+//!      between publications); each settlement walks the candidates
+//!      with demand and asks the engine's consumption check (rows read
+//!      against the index's row count) about each;
+//!    - `accumulate`, `merge_ref` and `clear`, merged and settled every
+//!      1, 16 and 64 blocks (64 is a service quantum);
+//!    - and, as the control, `Scan`'s own loop over the same blocks
+//!      (`cells[z·|V_X| + x] += 1; totals[z] += 1` on plain slices), so
+//!      the fused column reads as a multiple of a scanned tuple's cost
+//!      measured in the same run;
+//!
+//!    × uniform group codes at |V_X| ∈ {2, 7, 24, 64, 351}. Candidate
+//!    codes come from a cubed uniform over |V_Z| ∈ {347, 7 641}
+//!    (FLIGHTS' and TAXI's cardinalities) and from the candidate columns
+//!    of synthetic FLIGHTS (`Origin`) and TAXI (`Location`); each row
+//!    reports the distinct candidates a merge touches ÷ |V_Z| at each
+//!    cadence, the property that decides what a merge and a clear move.
 //!
 //! Emits a machine-readable summary to `BENCH_ingest.json` (current
 //! working directory) so CI can archive the perf trajectory.
@@ -45,6 +55,19 @@ fn best_of<F: FnMut()>(reps: usize, mut f: F) -> Duration {
     for _ in 0..reps {
         let t0 = Instant::now();
         f();
+        best = best.min(t0.elapsed());
+    }
+    best
+}
+
+/// Best-of-N wall clock for `f` run on a fresh clone of `start` (the
+/// clone is not timed).
+fn best_from<S: Clone, F: FnMut(&mut S)>(reps: usize, start: &S, mut f: F) -> Duration {
+    let mut best = Duration::MAX;
+    for _ in 0..reps {
+        let mut state = start.clone();
+        let t0 = Instant::now();
+        f(&mut state);
         best = best.min(t0.elapsed());
     }
     best
@@ -137,6 +160,11 @@ struct WidthResult {
     groups: usize,
     settle_every_block_ns_per_tuple: f64,
     settle_every_16_ns_per_tuple: f64,
+    /// `Scan`'s two-increment loop over the same blocks.
+    scan_ns_per_tuple: f64,
+    /// Median over `PAIRS` of the settled-every-16 pass's time ÷ the
+    /// control's, each pair timed back to back.
+    fused_over_scan: f64,
     /// `accumulate` + `merge_ref` + `clear`, one entry per `MERGE_EVERY`.
     merge_ns_per_tuple: [f64; 3],
     /// Mean distinct candidates per merge ÷ |V_Z|, per `MERGE_EVERY`.
@@ -154,8 +182,11 @@ const MERGE_EVERY: [usize; 3] = [1, 16, 64];
 /// Repetitions per by-width figure (the best one is kept).
 const REPS: usize = 5;
 
-/// One 150-tuple block at a time into a `HistSim` that stays in stage 1
-/// (so every block lands in one matrix and nothing is pruned), against
+/// Back-to-back pairs of the settled-every-16 pass and the `Scan`
+/// control per by-width row; their ratio is read as the median pair's.
+const PAIRS: usize = 7;
+
+/// One 150-tuple block at a time into a `HistSim` past stage 1, against
 /// the Table 3 histogram widths and 64. Candidate codes are a cubed
 /// uniform (skewed, yet a 64-block merge touches nearly every
 /// candidate), the `Origin` column of synthetic FLIGHTS (16 hubs carry
@@ -191,63 +222,83 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
         let nc = table.schema().attr(z).cardinality as usize;
         columns.push((codes, nc, table.column(z).to_vec()));
     }
+    // The engine's consumption check, against an index that counts
+    // every candidate's rows as unlimited.
+    let unread = |_: u32, read: u64| u64::MAX - read;
     for (codes, nc, zs) in &columns {
         let (nc, zs) = (*nc, zs.as_slice());
         for ng in [2usize, 7, 24, 64, 351] {
             let xs: Vec<u32> = (0..total_tuples)
                 .map(|_| (next() % ng as u64) as u32)
                 .collect();
+            let stage1 = (total_tuples / 100).max(1);
             let cfg = HistSimConfig {
-                stage1_samples: u64::MAX,
+                stage1_samples: stage1 as u64,
                 ..HistSimConfig::default()
             };
-            let mk = || HistSim::new(cfg.clone(), nc, ng, u64::MAX, &vec![1.0; ng]).unwrap();
-            // The engine's consumption tracking: unread rows per
-            // candidate, decremented by each settlement.
-            let mut rows_left = vec![u64::MAX; nc];
+            let mut staged =
+                HistSim::new(cfg, nc, ng, total_tuples as u64, &vec![1.0; ng]).unwrap();
+            staged.ingest_block(&zs[..stage1], &xs[..stage1]);
+            staged.settle(unread);
+            staged.complete_io_phase(false).unwrap();
 
-            let mut fused = |every: usize| {
-                let mut hs = mk();
-                best_of(REPS, || {
-                    for (i, (zb, xb)) in zs.chunks(TPB).zip(xs.chunks(TPB)).enumerate() {
-                        hs.ingest_block(zb, xb);
-                        if (i + 1) % every == 0 {
-                            hs.settle(|c, n| rows_left[c as usize] -= n);
-                        }
+            let fused_pass = |hs: &mut HistSim, every: usize| {
+                for (i, (zb, xb)) in zs.chunks(TPB).zip(xs.chunks(TPB)).enumerate() {
+                    hs.ingest_block(zb, xb);
+                    if (i + 1) % every == 0 {
+                        hs.settle(unread);
                     }
-                    hs.settle(|c, n| rows_left[c as usize] -= n);
-                })
+                }
+                hs.settle(unread);
+                assert!(hs.samples() > 0, "ingest work must not be optimized away");
             };
-            let every_block = fused(1);
-            let every_16 = fused(SETTLE_EVERY);
+            let every_block = best_from(REPS, &staged, |hs| fused_pass(hs, 1));
             let mut acc = HistAccumulator::new(nc, ng);
             let mut merged = |every: usize| {
-                let mut hs = mk();
                 let (mut merges, mut touched) = (0u64, 0u64);
-                let mut merge = |acc: &mut HistAccumulator| {
+                let mut merge = |hs: &mut HistSim, acc: &mut HistAccumulator| {
                     hs.merge_ref(acc);
-                    for &c in acc.touched() {
-                        rows_left[c as usize] -= acc.n(c as usize);
-                    }
+                    hs.settle(unread);
                     merges += 1;
                     touched += acc.touched().len() as u64;
                     acc.clear();
                 };
-                let wall = best_of(REPS, || {
+                let wall = best_from(REPS, &staged, |hs| {
                     for (i, (zb, xb)) in zs.chunks(TPB).zip(xs.chunks(TPB)).enumerate() {
                         acc.accumulate(zb, xb);
                         if (i + 1) % every == 0 {
-                            merge(&mut acc);
+                            merge(hs, &mut acc);
                         }
                     }
-                    merge(&mut acc);
+                    merge(hs, &mut acc);
                 });
                 (wall, touched as f64 / merges as f64 / nc as f64)
             };
             let merges = MERGE_EVERY.map(&mut merged);
+            // The control, `ScanExec`'s visitor on plain slices, timed in
+            // turn with the settled-every-16 fused pass, so that each
+            // pair of passes sees the same machine.
+            let (mut counts, mut totals) = (vec![0u64; nc * ng], vec![0u64; nc]);
+            let (cells, sums) = (counts.as_mut_slice(), totals.as_mut_slice());
+            let (mut every_16, mut scan) = (Duration::MAX, Duration::MAX);
+            let mut ratios = Vec::with_capacity(PAIRS);
+            for _ in 0..PAIRS {
+                let fused = best_from(1, &staged, |hs| fused_pass(hs, SETTLE_EVERY));
+                let control = best_of(1, || {
+                    for (zb, xb) in zs.chunks(TPB).zip(xs.chunks(TPB)) {
+                        for (&zc, &xc) in zb.iter().zip(xb) {
+                            cells[zc as usize * ng + xc as usize] += 1;
+                            sums[zc as usize] += 1;
+                        }
+                    }
+                });
+                (every_16, scan) = (every_16.min(fused), scan.min(control));
+                ratios.push(fused.as_secs_f64() / control.as_secs_f64());
+            }
+            ratios.sort_by(f64::total_cmp);
             assert!(
-                rows_left.iter().any(|&n| n < u64::MAX),
-                "ingest work must not be optimized away"
+                totals.iter().sum::<u64>() > 0,
+                "scan work must not be optimized away"
             );
             let per_tuple = |wall: Duration| wall.as_secs_f64() * 1e9 / total_tuples as f64;
             out.push(WidthResult {
@@ -256,6 +307,8 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
                 groups: ng,
                 settle_every_block_ns_per_tuple: per_tuple(every_block),
                 settle_every_16_ns_per_tuple: per_tuple(every_16),
+                scan_ns_per_tuple: per_tuple(scan),
+                fused_over_scan: ratios[PAIRS / 2],
                 merge_ns_per_tuple: merges.map(|(wall, _)| per_tuple(wall)),
                 touched_frac: merges.map(|(_, frac)| frac),
             });
@@ -306,7 +359,9 @@ fn main() {
                 "candidate codes",
                 "ingest_block, settle every block ns/tuple",
                 "ingest_block, settle every 16 blocks ns/tuple",
-                "accumulate+merge_ref+clear, merge every block ns/tuple",
+                "Scan's loop (control) ns/tuple",
+                "every 16 ÷ Scan (median pair)",
+                "accumulate+merge_ref+clear+settle, merge every block ns/tuple",
                 "… every 16 blocks ns/tuple",
                 "… every 64 blocks ns/tuple",
                 "touched ÷ |V_Z| per merge, every 1 / 16 / 64 blocks",
@@ -318,6 +373,8 @@ fn main() {
                     w.codes.into(),
                     format!("{:.2}", w.settle_every_block_ns_per_tuple),
                     format!("{:.2}", w.settle_every_16_ns_per_tuple),
+                    format!("{:.2}", w.scan_ns_per_tuple),
+                    format!("{:.2}", w.fused_over_scan),
                     format!("{:.2}", w.merge_ns_per_tuple[0]),
                     format!("{:.2}", w.merge_ns_per_tuple[1]),
                     format!("{:.2}", w.merge_ns_per_tuple[2]),
@@ -348,12 +405,14 @@ fn main() {
         widths
             .iter()
             .map(|w| format!(
-                "    {{\"codes\": \"{}\", \"candidates\": {}, \"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"fused_settle_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_64_ns_per_tuple\": {:.3}, \"touched_frac_per_merge\": [{:.4}, {:.4}, {:.4}]}}",
+                "    {{\"codes\": \"{}\", \"candidates\": {}, \"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"fused_settle_every_16_ns_per_tuple\": {:.3}, \"scan_control_ns_per_tuple\": {:.3}, \"fused_settle_every_16_over_scan\": {:.4}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_64_ns_per_tuple\": {:.3}, \"touched_frac_per_merge\": [{:.4}, {:.4}, {:.4}]}}",
                 w.codes,
                 w.candidates,
                 w.groups,
                 w.settle_every_block_ns_per_tuple,
                 w.settle_every_16_ns_per_tuple,
+                w.scan_ns_per_tuple,
+                w.fused_over_scan,
                 w.merge_ns_per_tuple[0],
                 w.merge_ns_per_tuple[1],
                 w.merge_ns_per_tuple[2],

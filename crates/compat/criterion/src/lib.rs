@@ -5,10 +5,12 @@
 //! vendors the API subset its `harness = false` benches use:
 //! [`Criterion::bench_function`], [`Bencher::iter`], [`black_box`] and the
 //! [`criterion_group!`] / [`criterion_main!`] macros. Measurement is a
-//! straightforward repeated-sample walltime estimate (median and mean of
-//! `sample_size` samples, each auto-scaled to a minimum per-sample
-//! duration) — no warmup-calibrated statistics, outlier analysis, or HTML
-//! reports.
+//! straightforward repeated-sample walltime estimate (median, quartiles
+//! and mean of `sample_size` samples, each auto-scaled to a minimum
+//! per-sample duration) — no warmup-calibrated statistics, outlier
+//! analysis, or HTML reports. A row whose interquartile range exceeds
+//! 10 % of its median is flagged `SPREAD`: a move between two such
+//! readings smaller than their spread says nothing.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -109,17 +111,63 @@ impl Criterion {
             f(&mut b);
             samples.push(b.elapsed.as_secs_f64() / b.iters as f64);
         }
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("times are never NaN"));
-        let median = samples[samples.len() / 2];
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let s = Summary::of(&mut samples);
+        let spread = if s.spread_exceeds(SPREAD_FLAG) {
+            format!(
+                "  SPREAD: IQR {:.0} % of median",
+                100.0 * s.iqr() / s.median
+            )
+        } else {
+            String::new()
+        };
         println!(
-            "{id:<48} median {:>12}  mean {:>12}  ({} samples x {} iters)",
-            format_time(median),
-            format_time(mean),
+            "{id:<48} median {:>12}  q1 {:>12}  q3 {:>12}  mean {:>12}  ({} samples x {} iters){spread}",
+            format_time(s.median),
+            format_time(s.q1),
+            format_time(s.q3),
+            format_time(s.mean),
             self.sample_size,
             b.iters
         );
         self
+    }
+}
+
+/// The interquartile range, as a fraction of the median, above which a
+/// row is flagged.
+const SPREAD_FLAG: f64 = 0.10;
+
+/// Order statistics of one benchmark's per-iteration times.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Summary {
+    q1: f64,
+    median: f64,
+    q3: f64,
+    mean: f64,
+}
+
+impl Summary {
+    /// Sorts `samples` and reads the quartiles at ranks ⌊n/4⌋, ⌊n/2⌋
+    /// and ⌊3n/4⌋.
+    fn of(samples: &mut [f64]) -> Self {
+        assert!(!samples.is_empty(), "no samples");
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("times are never NaN"));
+        let n = samples.len();
+        Summary {
+            q1: samples[n / 4],
+            median: samples[n / 2],
+            q3: samples[3 * n / 4],
+            mean: samples.iter().sum::<f64>() / n as f64,
+        }
+    }
+
+    fn iqr(&self) -> f64 {
+        self.q3 - self.q1
+    }
+
+    /// Whether the interquartile range exceeds `frac` of the median.
+    fn spread_exceeds(&self, frac: f64) -> bool {
+        self.iqr() > frac * self.median
     }
 }
 
@@ -183,6 +231,28 @@ mod tests {
             })
         });
         assert!(calls > 0);
+    }
+
+    /// Quartiles come out ordered whatever order the samples came in,
+    /// and only a row whose middle half spans more than 10 % of its
+    /// median is flagged.
+    #[test]
+    fn quartiles_are_ordered_and_spread_is_flagged() {
+        let mut tight: Vec<f64> = (0..20)
+            .map(|i| 100.0 + ((i * 7) % 20) as f64 * 0.2)
+            .collect();
+        let s = Summary::of(&mut tight);
+        assert!(s.q1 <= s.median && s.median <= s.q3, "{s:?}");
+        assert!(!s.spread_exceeds(SPREAD_FLAG), "{s:?}");
+        let mut wide: Vec<f64> = (0..20)
+            .map(|i| 100.0 + ((i * 13) % 20) as f64 * 5.0)
+            .collect();
+        let s = Summary::of(&mut wide);
+        assert!(s.q1 <= s.median && s.median <= s.q3, "{s:?}");
+        assert!(s.spread_exceeds(SPREAD_FLAG), "{s:?}");
+        let mut one = [3.0];
+        let s = Summary::of(&mut one);
+        assert_eq!((s.q1, s.median, s.q3), (3.0, 3.0, 3.0));
     }
 
     #[test]

@@ -25,7 +25,7 @@
 /// once per distinct candidate per block, which cost more than the two
 /// count increments together (EXPERIMENTS.md, PR 15).
 #[derive(Clone, Default)]
-pub(super) struct Slots<T> {
+struct Slots<T> {
     buf: Vec<T>,
     len: usize,
 }
@@ -70,7 +70,7 @@ impl<T: Copy + Default> Slots<T> {
 ///
 /// # Panics
 /// Panics on length mismatch or out-of-domain codes.
-pub(super) fn check_block(zs: &[u32], xs: &[u32], num_candidates: usize, groups: usize) {
+fn check_block(zs: &[u32], xs: &[u32], num_candidates: usize, groups: usize) {
     assert_eq!(zs.len(), xs.len(), "column slices must align");
     if let (Some(max_c), Some(max_g)) = (zs.iter().copied().max(), xs.iter().copied().max()) {
         assert!(

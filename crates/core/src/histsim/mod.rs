@@ -38,28 +38,39 @@
 //! Samples must be uniform draws without replacement from the underlying
 //! table; a tuple must never be ingested twice over the whole run. If the
 //! driver learns that a candidate's tuples have been fully consumed it
-//! should call [`HistSim::mark_exact`]; if the *entire table* has been
+//! should call [`HistSim::mark_exact`] (or let [`HistSim::settle`] and
+//! [`HistSim::sweep`] do it from per-candidate row counts); if the
+//! *entire table* has been
 //! consumed, pass `exhausted = true` and HistSim finishes with exact
 //! results.
 //!
-//! There are three ingestion paths, all leaving byte-identical state for
-//! the same tuples: per tuple ([`HistSim::ingest`]); per block
+//! There are three ingestion paths, all leaving byte-identical counts
+//! for the same tuples: per tuple ([`HistSim::ingest`]); per block
 //! ([`HistSim::ingest_block`], the fused kernel every single-threaded
-//! executor uses — it adds the block straight into the phase's count
-//! matrix and defers the demand bookkeeping to [`HistSim::settle`],
-//! which does it once per *distinct* candidate of every block ingested
-//! since the last settlement); and, for parallel drivers, phase-free
-//! delta *accumulation* on worker threads
-//! ([`accumulator::HistAccumulator`]) followed by a phase-aware *merge*
-//! on the statistics thread ([`HistSim::merge`]), which moves only the
-//! accumulator's non-zero cells and settles as it goes.
+//! executor uses); and, for parallel drivers, phase-free delta
+//! *accumulation* on worker threads ([`accumulator::HistAccumulator`])
+//! followed by a phase-aware *merge* on the statistics thread
+//! ([`HistSim::merge`]), which moves only the accumulator's non-zero
+//! cells. Every path counts each candidate's rows read (`nᵢ + n∂ᵢ`),
+//! pruned candidates included, so a driver that knows how many rows
+//! each candidate has can tell when one is read out.
 //!
-//! Between [`HistSim::ingest_block`] and [`HistSim::settle`] the totals,
-//! the demand and the active set lag the count matrix: the phase's
-//! tests, [`HistSim::current_topk`] and [`HistSim::output`] refuse to
-//! run on unsettled blocks (a panic in every build), and
-//! [`HistSim::io_satisfied`] answers for stage 2/3 only as of the last
-//! settlement.
+//! The fused kernel is `Scan`'s loop plus one weight: per tuple, one
+//! increment of its cell by the candidate's 0/1 weight (0 once pruned)
+//! and one of its row count. Counts and totals are therefore always
+//! current; only the demand waits. [`HistSim::settle`] brings it up to
+//! date by walking the candidates that still have demand — not the
+//! candidates the blocks touched — with one row-count load each: a
+//! candidate whose rows read reached its goal or its row total is
+//! checked, leaves the active set, and is marked exact if the driver
+//! reports it read out. Until then [`HistSim::io_satisfied`] answers for
+//! stage 2/3 as of the last settlement, and the phase's tests,
+//! [`HistSim::current_topk`] and [`HistSim::output`] refuse to run on
+//! unsettled blocks (a panic in every build). A driver that settles
+//! after every block calls [`HistSim::settle_block`] instead, which
+//! checks only that block's candidates. At a phase boundary the driver
+//! calls [`HistSim::sweep`], which marks exact every candidate read out
+//! so far, with demand or without.
 
 pub mod accumulator;
 pub mod config;
@@ -67,8 +78,6 @@ pub mod state;
 
 pub use accumulator::HistAccumulator;
 pub use config::HistSimConfig;
-
-use accumulator::{check_block, Slots};
 
 use crate::error::{CoreError, Result};
 use crate::histogram::Histogram;
@@ -169,12 +178,34 @@ pub struct HistSim {
     n_total_rows: u64,
     target: Vec<f64>,
     counts: CountState,
-    pruned: Vec<bool>,
+    /// Per-candidate weight of a sampled tuple: 1, or 0 once the
+    /// candidate is pruned (its tuples are then read, not sampled).
+    weight: Vec<u64>,
     exact: Vec<bool>,
-    /// Outstanding per-candidate demand for the current I/O phase.
+    /// Outstanding per-candidate demand for the current I/O phase; for
+    /// blocks given to [`Self::ingest_block`], as of the candidate's last
+    /// check (see [`Self::remaining_slice`]).
     remaining: Vec<u64>,
+    /// Rows read (`nᵢ + n∂ᵢ`) at which each candidate given demand in the
+    /// current I/O phase meets it: `remaining = goal − read`, floored at 0.
+    goal: Vec<u64>,
     /// Number of candidates with `remaining > 0`.
     active_count: usize,
+    /// The candidates given demand in the current I/O phase that had it
+    /// left when a settlement last checked them — a superset of the
+    /// active ones, since [`Self::mark_exact`], merges and per-tuple
+    /// ingestion deactivate without removing; settlement drops those
+    /// when it next checks them.
+    active: Vec<u32>,
+    /// Per candidate on the active list, the count the phase's tuples
+    /// land in (`n∂ᵢ` in stage 2, `nᵢ` in stage 3) below which it can
+    /// have neither met its demand nor been read out, as of its last
+    /// check: its goal, or its rows read plus unread, whichever is less.
+    /// 0 until first checked; `u64::MAX` once off the list.
+    check_at: Vec<u64>,
+    /// Positions in `active` a settlement found due for a check
+    /// (scratch, kept for its storage).
+    due: Vec<u32>,
     /// Candidates whose `remaining` reached 0 during the current I/O
     /// phase, in that order. Demand rises only when a phase begins, so a
     /// candidate is listed at most once per phase; the list is cleared
@@ -183,20 +214,28 @@ pub struct HistSim {
     phase: Phase,
     members: Vec<u32>,
     diag: Diagnostics,
-    /// Distinct candidates of the blocks given to [`Self::ingest_block`]
-    /// since the last [`Self::settle`], in first-touch order.
-    unsettled: Slots<u32>,
-    /// Per-candidate tuple counts of those blocks; all zero once
-    /// settled.
-    unsettled_n: Vec<u64>,
+    /// Whether blocks came through [`Self::ingest_block`] since the last
+    /// [`Self::settle`].
+    block_pending: bool,
+    /// How many more tuples, by any path, can certainly neither meet an
+    /// active candidate's demand nor read it out: the smallest distance
+    /// from a listed candidate's count to its `check_at` at the last
+    /// walk, less the tuples since. While it is positive a settlement
+    /// has nothing to do. 0 when a phase begins.
+    slack: u64,
+    /// Tuples that came in, by any path, since the last settlement.
+    since_settled: u64,
 }
 
-/// Manual `Debug` over the *logical* state only: the settlement list
-/// (`unsettled`, `unsettled_n`) is empty whenever a test compares
-/// states, and `deactivated` lists candidates in the order the
-/// ingestion path met them; either would break the byte-identical
-/// `Debug`-repr equivalence the ingestion property tests assert between
-/// the three paths.
+/// Manual `Debug` over the *logical* state only. `remaining` is left
+/// out because the fused path brings a candidate's count up to date
+/// only when a settlement checks it, so between checks the paths may
+/// hold different values; `goal` and the row counts, which are printed,
+/// determine it. `active` and `deactivated` list candidates in the
+/// order the ingestion path met them, and `check_at`, `slack` and the
+/// settlement flags are bookkeeping. Any of these would break the
+/// byte-identical `Debug`-repr equivalence the ingestion property tests
+/// assert between the three paths.
 impl std::fmt::Debug for HistSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistSim")
@@ -205,9 +244,9 @@ impl std::fmt::Debug for HistSim {
             .field("n_total_rows", &self.n_total_rows)
             .field("target", &self.target)
             .field("counts", &self.counts)
-            .field("pruned", &self.pruned)
+            .field("weight", &self.weight)
             .field("exact", &self.exact)
-            .field("remaining", &self.remaining)
+            .field("goal", &self.goal)
             .field("active_count", &self.active_count)
             .field("phase", &self.phase)
             .field("members", &self.members)
@@ -255,10 +294,14 @@ impl HistSim {
             n_total_rows,
             target,
             counts: CountState::new(num_candidates, groups),
-            pruned: vec![false; num_candidates],
+            weight: vec![1; num_candidates],
             exact: vec![false; num_candidates],
             remaining: vec![0; num_candidates],
+            goal: vec![0; num_candidates],
             active_count: 0,
+            active: Vec::new(),
+            check_at: vec![u64::MAX; num_candidates],
+            due: Vec::new(),
             deactivated: Vec::new(),
             phase: Phase::Stage1 { taken: 0 },
             members: Vec::new(),
@@ -266,8 +309,9 @@ impl HistSim {
                 effective_k,
                 ..Diagnostics::default()
             },
-            unsettled: Slots::default(),
-            unsettled_n: vec![0; num_candidates],
+            block_pending: false,
+            slack: 0,
+            since_settled: 0,
         })
     }
 
@@ -295,8 +339,21 @@ impl HistSim {
     }
 
     /// Per-candidate outstanding demand (0 during stage 1 and when done).
+    /// Whether a candidate's count is 0 — whether it is
+    /// [active](Self::is_active) — is current as of the last
+    /// [`Self::settle`] on every path. On the fused path a nonzero count
+    /// is brought up to date only when a settlement checks the candidate
+    /// (when it may have met its demand or run out of rows), so between
+    /// checks it may be larger than the true outstanding demand; merges
+    /// and per-tuple ingestion keep it current.
     pub fn remaining_slice(&self) -> &[u64] {
         &self.remaining
+    }
+
+    /// Number of [active](Self::is_active) candidates, as of the last
+    /// settlement on the fused path.
+    pub fn active_count(&self) -> usize {
+        self.active_count
     }
 
     /// Whether candidate `c` still needs samples in the current I/O phase
@@ -341,6 +398,8 @@ impl HistSim {
     /// Panics after completion.
     #[inline]
     fn landing(&mut self, tuples: u64) -> bool {
+        self.slack = self.slack.saturating_sub(tuples);
+        self.since_settled += tuples;
         match &mut self.phase {
             Phase::Stage1 { taken } => {
                 *taken += tuples;
@@ -352,122 +411,207 @@ impl HistSim {
         }
     }
 
-    /// Spends `added` fresh samples against candidate `ci`'s outstanding
-    /// demand — saturating, because a block or batch may overshoot it —
-    /// and lists the candidate as deactivated if that met its demand.
-    /// (Takes the fields rather than `&mut self` so callers can hold a
-    /// count matrix or the block list across the call.)
+    /// Brings candidate `ci`'s outstanding demand up to date with its
+    /// rows read, listing it as deactivated if that met its goal. A
+    /// no-op for a candidate without demand.
     #[inline]
-    fn spend(
-        remaining: &mut [u64],
-        active_count: &mut usize,
-        deactivated: &mut Vec<u32>,
-        ci: usize,
-        added: u64,
-    ) {
-        let r = &mut remaining[ci];
-        if *r > 0 {
-            *r = r.saturating_sub(added);
-            if *r == 0 {
-                *active_count -= 1;
-                deactivated.push(ci as u32);
+    fn refresh(&mut self, ci: usize) {
+        if self.remaining[ci] > 0 {
+            self.remaining[ci] = self.goal[ci].saturating_sub(self.counts.read(ci));
+            if self.remaining[ci] == 0 {
+                self.active_count -= 1;
+                self.deactivated.push(ci as u32);
             }
         }
     }
 
     /// Ingests one sampled tuple: candidate `c` (its `Z` code) observed
-    /// with group `g` (its `X` code). Stage 1 has nothing pruned and no
-    /// per-candidate demand, so one path serves all three stages.
+    /// with group `g` (its `X` code). Totals and demand are current
+    /// when it returns.
     ///
     /// # Panics
-    /// Panics if `c`/`g` are outside the declared domain (hot path; use
-    /// [`Self::try_ingest`] for checked ingestion) or after completion.
+    /// Panics if `c`/`g` are outside the declared domain (use
+    /// [`Self::try_ingest`] for a `Result`) or after completion.
     #[inline]
     pub fn ingest(&mut self, c: u32, g: u32) {
         let round = self.landing(1);
-        if self.pruned[c as usize] {
-            return;
-        }
-        if round {
-            self.counts.record_round(c, g);
-        } else {
-            self.counts.record_cumulative(c, g);
-        }
-        Self::spend(
-            &mut self.remaining,
-            &mut self.active_count,
-            &mut self.deactivated,
-            c as usize,
-            1,
-        );
+        self.counts.record_block(round, &[c], &[g], &self.weight);
+        self.refresh(c as usize);
     }
 
     /// Ingests one block's worth of samples at once: `zs[i]`/`xs[i]` are
     /// the candidate and group codes of the i-th tuple. Followed by
     /// [`Self::settle`], equivalent to calling [`Self::ingest`] per
-    /// tuple, as one fused kernel whose cost is `O(tuples)` whatever the
-    /// histogram width: each tuple is one increment into the phase's
-    /// count matrix (pruned candidates add 0, branch-free) and one into
-    /// the unsettled per-candidate tally, whose zero test lists the
-    /// candidate on first touch, branch-free. Totals and demand wait for
-    /// the next settlement, so however many blocks come in between, each
-    /// distinct candidate is settled once.
+    /// tuple. The fused kernel is `Scan`'s two increments per tuple, the
+    /// first weighted: the tuple's count cell in the phase's matrix gains
+    /// its candidate's 0/1 weight (0 once pruned, branch-free), and the
+    /// candidate's row count gains 1. Counts and totals are current when
+    /// it returns; demand waits for the next settlement.
     ///
     /// # Panics
     /// Panics on length mismatch, out-of-domain codes, or after
     /// completion.
     pub fn ingest_block(&mut self, zs: &[u32], xs: &[u32]) {
-        let groups = self.counts.groups();
-        check_block(zs, xs, self.counts.num_candidates(), groups);
         let round = self.landing(zs.len() as u64);
-        let cells = self.counts.cells_mut(round);
-        let slots = self.unsettled.spare(zs.len());
-        let mut distinct = 0;
-        for (&c, &g) in zs.iter().zip(xs) {
-            let ci = c as usize;
-            cells[ci * groups + g as usize] += u64::from(!self.pruned[ci]);
-            let tally = &mut self.unsettled_n[ci];
-            slots[distinct] = c;
-            distinct += (*tally == 0) as usize;
-            *tally += 1;
-        }
-        self.unsettled.commit(distinct);
+        self.counts.record_block(round, zs, xs, &self.weight);
+        self.block_pending = true;
     }
 
-    /// Settles every block ingested through [`Self::ingest_block`] since
-    /// the last settlement: adds each distinct candidate's tuples to its
-    /// total, spends them against its demand, and reports
-    /// `on_settled(candidate, tuples)` in first-touch order — pruned
-    /// candidates included, whose tuples count for nothing but were
-    /// still read, which is what consumption tracking needs. Costs
-    /// `O(distinct candidates)` of those blocks; a no-op when nothing is
-    /// unsettled.
-    pub fn settle(&mut self, mut on_settled: impl FnMut(u32, u64)) {
-        let round = matches!(self.phase, Phase::Stage2 { .. });
-        for &c in self.unsettled.as_slice() {
-            let ci = c as usize;
-            let added = std::mem::take(&mut self.unsettled_n[ci]);
-            if !self.pruned[ci] {
-                self.counts.add_n(round, ci, added);
-                Self::spend(
-                    &mut self.remaining,
-                    &mut self.active_count,
-                    &mut self.deactivated,
-                    ci,
-                    added,
-                );
-            }
-            on_settled(c, added);
+    /// Settles the blocks ingested since the last settlement. In stages
+    /// 2 and 3 it walks the active list — the candidates that had demand
+    /// left when last checked — comparing each one's row count with the
+    /// count at which it could next change: its goal, or its rows read
+    /// plus unread at its last check, whichever is less. A candidate
+    /// short of that is left alone. One that reached it is checked: if
+    /// the driver reports it read out — `unread(candidate, rows read)`
+    /// returns 0 — it is marked exact; otherwise its outstanding demand
+    /// becomes its goal less its rows read, and it leaves the list when
+    /// that is 0. (A candidate a merge or [`Self::mark_exact`]
+    /// deactivated stays listed until it reaches its check, which is what
+    /// keeps the three ingestion paths' exact marks equal.) A new phase
+    /// checks every listed candidate once. In stage 1, which has no
+    /// per-candidate demand, it asks `unread` about every candidate.
+    /// Costs one row-count load per listed candidate in stages 2 and 3,
+    /// plus a check per candidate due, and `O(|V_Z|)` in stage 1.
+    ///
+    /// It returns at once when fewer tuples came in since the last walk
+    /// than the smallest distance from a listed candidate's row count to
+    /// its check: then no active candidate can have met its demand or
+    /// been read out, so the active set is already exact.
+    pub fn settle(&mut self, mut unread: impl FnMut(u32, u64) -> u64) {
+        self.block_pending = false;
+        self.since_settled = 0;
+        if self.slack > 0 {
+            return;
         }
-        self.unsettled.clear();
+        match self.phase {
+            Phase::Stage1 { .. } => self.sweep(unread),
+            Phase::Stage2 { .. } | Phase::Stage3 => {
+                // A phase's tuples land in one of the two row counts (the
+                // round's in stage 2, the cumulative one in stage 3) and
+                // the other stays put, so one load tells whether a
+                // candidate has reached its check. The scan for those
+                // that have is a tight loop of its own; the checks then
+                // visit only them.
+                let round = matches!(self.phase, Phase::Stage2 { .. });
+                let landed = self.counts.landed(round);
+                let mut slack = u64::MAX;
+                let mut dropped = false;
+                self.due.clear();
+                for (i, &c) in self.active.iter().enumerate() {
+                    let (l, at) = (landed[c as usize], self.check_at[c as usize]);
+                    if at == u64::MAX {
+                        dropped = true;
+                    } else if l < at {
+                        slack = slack.min(at - l);
+                    } else {
+                        self.due.push(i as u32);
+                    }
+                }
+                for k in 0..self.due.len() {
+                    let c = self.active[self.due[k] as usize];
+                    self.check(c, round, &mut unread);
+                    let at = self.check_at[c as usize];
+                    if at == u64::MAX {
+                        dropped = true;
+                    } else {
+                        slack = slack.min(at - self.counts.landed(round)[c as usize]);
+                    }
+                }
+                if dropped {
+                    let check_at = &self.check_at;
+                    self.active.retain(|&c| check_at[c as usize] != u64::MAX);
+                }
+                self.slack = if self.active.is_empty() { 0 } else { slack };
+            }
+            Phase::Done => {}
+        }
+    }
+
+    /// Settles the one block ingested through [`Self::ingest_block`]
+    /// since the last settlement, by checking only the candidates its
+    /// tuples name — the only ones whose counts moved — as
+    /// [`Self::settle`] would check them. The result is the same as
+    /// [`Self::settle`]'s, at a cost of one block rather than one active
+    /// set: what a driver that settles before every block needs when
+    /// thousands of candidates hold demand.
+    ///
+    /// # Panics
+    /// Panics if tuples other than `zs`'s came in since the last
+    /// settlement.
+    pub fn settle_block(&mut self, zs: &[u32], mut unread: impl FnMut(u32, u64) -> u64) {
+        assert_eq!(
+            self.since_settled,
+            zs.len() as u64,
+            "settle_block after more than its block"
+        );
+        self.block_pending = false;
+        match self.phase {
+            Phase::Stage1 { .. } => {
+                for &c in zs {
+                    if unread(c, self.counts.read(c as usize)) == 0 {
+                        self.mark_exact(c);
+                    }
+                }
+            }
+            Phase::Stage2 { .. } | Phase::Stage3 => {
+                let round = matches!(self.phase, Phase::Stage2 { .. });
+                for &c in zs {
+                    let ci = c as usize;
+                    if self.counts.landed(round)[ci] >= self.check_at[ci] {
+                        self.check(c, round, &mut unread);
+                    }
+                }
+            }
+            Phase::Done => {}
+        }
+        // Nothing has come in since: a settlement before the next tuple
+        // has nothing to do.
+        self.slack = self.slack.max(1);
+        self.since_settled = 0;
+    }
+
+    /// Checks one candidate on the active list: marks it exact if
+    /// `unread` reports it read out, otherwise brings its outstanding
+    /// demand up to date; then sets when it must next be checked, or
+    /// takes it off the list if it is no longer active.
+    fn check(&mut self, c: u32, round: bool, unread: &mut impl FnMut(u32, u64) -> u64) {
+        let ci = c as usize;
+        let read = self.counts.read(ci);
+        let left = unread(c, read);
+        if left == 0 {
+            self.mark_exact(c);
+        } else {
+            self.refresh(ci);
+        }
+        self.check_at[ci] = if self.remaining[ci] == 0 {
+            u64::MAX
+        } else {
+            let landed = self.counts.landed(round)[ci];
+            self.goal[ci].min(read.saturating_add(left)) - (read - landed)
+        };
+    }
+
+    /// Marks exact every candidate that `unread(candidate, rows read)`
+    /// reports read out (returns 0), with demand or without: the
+    /// phase-boundary sweep a driver runs before
+    /// [`Self::complete_io_phase`], since a settlement looks only at the
+    /// active candidates and a test decides exact candidates' hypotheses
+    /// outright. Costs `O(|V_Z|)`.
+    pub fn sweep(&mut self, mut unread: impl FnMut(u32, u64) -> u64) {
+        for c in 0..self.counts.num_candidates() {
+            if unread(c as u32, self.counts.read(c)) == 0 {
+                self.mark_exact(c as u32);
+            }
+        }
     }
 
     /// Panics, in every build, if blocks ingested through
     /// [`Self::ingest_block`] are waiting for [`Self::settle`]: `what`
-    /// would read totals or demand that lag the count matrix.
+    /// would read an active set that lags the counts.
     fn assert_settled(&self, what: &str) {
         assert!(
-            self.unsettled.as_slice().is_empty(),
+            !self.block_pending,
             "{what} with unsettled blocks: call HistSim::settle first"
         );
     }
@@ -486,7 +630,8 @@ impl HistSim {
 
     /// [`Self::merge`] by reference, leaving the accumulator intact so
     /// callers can [`HistAccumulator::clear`] and reuse its storage.
-    /// Costs `O(non-zero cells)` of the accumulator.
+    /// Costs `O(non-zero cells)` of the accumulator. Totals and demand
+    /// are current when it returns.
     ///
     /// # Panics
     /// Panics if the accumulator's domain differs from this run's, or
@@ -506,23 +651,14 @@ impl HistSim {
         let groups = acc.groups();
         let cells = self.counts.cells_mut(round);
         for (c, g, delta) in acc.cells() {
-            if !self.pruned[c] {
+            if self.weight[c] != 0 {
                 cells[c * groups + g] += delta;
             }
         }
         for &c in acc.touched() {
             let ci = c as usize;
-            if !self.pruned[ci] {
-                let added = acc.n(ci);
-                self.counts.add_n(round, ci, added);
-                Self::spend(
-                    &mut self.remaining,
-                    &mut self.active_count,
-                    &mut self.deactivated,
-                    ci,
-                    added,
-                );
-            }
+            self.counts.add_n(round, ci, acc.n(ci), self.weight[ci]);
+            self.refresh(ci);
         }
     }
 
@@ -623,12 +759,12 @@ impl HistSim {
         }
         let hb = HolmBonferroni::test(&pvals, self.cfg.delta / 3.0);
         for c in 0..self.counts.num_candidates() {
-            self.pruned[c] = hb.rejected()[c];
+            self.weight[c] = u64::from(!hb.rejected()[c]);
         }
         if self.cfg.test_unseen_mass {
             self.diag.unseen_mass_rare = Some(*hb.rejected().last().unwrap());
         }
-        self.diag.pruned_candidates = self.pruned.iter().filter(|&&p| p).count();
+        self.diag.pruned_candidates = self.weight.iter().filter(|&&w| w == 0).count();
         self.enter_stage2_or_skip(1, self.cfg.delta / 6.0);
     }
 
@@ -636,11 +772,11 @@ impl HistSim {
 
     /// Number of unpruned candidates `|A|`.
     fn a_size(&self) -> usize {
-        self.pruned.iter().filter(|&&p| !p).count()
+        self.weight.iter().filter(|&&w| w != 0).count()
     }
 
     fn unpruned_mask(&self) -> Vec<bool> {
-        self.pruned.iter().map(|&p| !p).collect()
+        self.weight.iter().map(|&w| w != 0).collect()
     }
 
     /// Enters a stage-2 round, or skips straight to stage 3 when the
@@ -655,7 +791,7 @@ impl HistSim {
 
         if self.a_size() <= k {
             self.members = (0..self.counts.num_candidates() as u32)
-                .filter(|&c| !self.pruned[c as usize])
+                .filter(|&c| self.weight[c as usize] != 0)
                 .collect();
             self.enter_stage3();
             return;
@@ -678,9 +814,8 @@ impl HistSim {
 
         // Per-round targets n′ᵢ (Eq. 1) from the assumed deviations ε′ᵢ.
         let eps_half = self.cfg.epsilon / 2.0;
-        self.active_count = 0;
+        self.clear_demand();
         for i in 0..self.counts.num_candidates() {
-            self.remaining[i] = 0;
             if !eligible[i] || self.exact[i] {
                 continue;
             }
@@ -708,11 +843,7 @@ impl HistSim {
             // round targets are heuristics; the tests use actual samples.
             let eq1 = (base_n as f64 * self.cfg.round_multiplier).ceil() as u64;
             let refine_cap = (4 * self.counts.n(i)).max(64);
-            let target_n = eq1.min(refine_cap);
-            self.remaining[i] = target_n;
-            if target_n > 0 {
-                self.active_count += 1;
-            }
+            self.open_demand(i, eq1.min(refine_cap));
         }
         self.phase = Phase::Stage2 {
             round,
@@ -753,7 +884,7 @@ impl HistSim {
 
         let mut pvals = Vec::with_capacity(self.a_size());
         for (i, &in_m_i) in in_m.iter().enumerate().take(self.counts.num_candidates()) {
-            if self.pruned[i] {
+            if self.weight[i] == 0 {
                 continue;
             }
             let p = if self.exact[i] {
@@ -811,8 +942,7 @@ impl HistSim {
 
     fn enter_stage3(&mut self) {
         let k = self.members.len();
-        self.active_count = 0;
-        self.remaining.iter_mut().for_each(|r| *r = 0);
+        self.clear_demand();
         if k == 0 {
             self.finish(false);
             return;
@@ -823,18 +953,36 @@ impl HistSim {
         let target_n = self
             .bound
             .samples_needed(self.cfg.eps_reconstruction(), per_member_delta);
-        for &c in &self.members {
-            let ci = c as usize;
-            if self.exact[ci] {
-                continue;
-            }
-            let need = target_n.saturating_sub(self.counts.n(ci));
-            self.remaining[ci] = need;
-            if need > 0 {
-                self.active_count += 1;
+        for i in 0..self.members.len() {
+            let ci = self.members[i] as usize;
+            if !self.exact[ci] {
+                self.open_demand(ci, target_n.saturating_sub(self.counts.n(ci)));
             }
         }
         self.phase = Phase::Stage3;
+    }
+
+    /// Drops every candidate's demand, as a phase begins or the run ends.
+    fn clear_demand(&mut self) {
+        self.remaining.iter_mut().for_each(|r| *r = 0);
+        self.active_count = 0;
+        for &c in &self.active {
+            self.check_at[c as usize] = u64::MAX;
+        }
+        self.active.clear();
+        self.slack = 0;
+    }
+
+    /// Gives candidate `ci` a demand of `need` more samples in the phase
+    /// being entered.
+    fn open_demand(&mut self, ci: usize, need: u64) {
+        self.remaining[ci] = need;
+        self.goal[ci] = self.counts.read(ci) + need;
+        if need > 0 {
+            self.active_count += 1;
+            self.active.push(ci as u32);
+            self.check_at[ci] = 0;
+        }
     }
 
     fn complete_stage3(&mut self) {
@@ -852,10 +1000,10 @@ impl HistSim {
         let threshold = (self.cfg.sigma * self.n_total_rows as f64).ceil() as u64;
         for c in 0..self.counts.num_candidates() {
             if self.counts.n(c) < threshold {
-                self.pruned[c] = true;
+                self.weight[c] = 0;
             }
         }
-        self.diag.pruned_candidates = self.pruned.iter().filter(|&&p| p).count();
+        self.diag.pruned_candidates = self.weight.iter().filter(|&&w| w == 0).count();
         let eligible = self.unpruned_mask();
         self.counts
             .refresh_tau(self.cfg.metric, &self.target, &eligible);
@@ -880,8 +1028,7 @@ impl HistSim {
                 .expect("tau must not be NaN")
                 .then(a.cmp(&b))
         });
-        self.remaining.iter_mut().for_each(|r| *r = 0);
-        self.active_count = 0;
+        self.clear_demand();
         self.diag.exact_finish = exact;
         self.diag.total_samples = self.counts.total_samples();
         self.phase = Phase::Done;
@@ -921,7 +1068,7 @@ impl HistSim {
 
     /// Whether candidate `c` was pruned by stage 1.
     pub fn is_pruned(&self, c: u32) -> bool {
-        self.pruned[c as usize]
+        self.weight[c as usize] == 0
     }
 
     /// The current best *estimate* of the top-k: the `effective_k`
@@ -941,7 +1088,7 @@ impl HistSim {
         if self.is_done() {
             return self.members.clone();
         }
-        let eligible: Vec<bool> = self.pruned.iter().map(|&p| !p).collect();
+        let eligible = self.unpruned_mask();
         let taus: Vec<f64> = (0..self.counts.num_candidates())
             .map(|c| self.counts.tau_total(c, self.cfg.metric, &self.target))
             .collect();
@@ -951,15 +1098,10 @@ impl HistSim {
             .collect()
     }
 
-    /// Samples settled so far over all unpruned candidates — a running
+    /// Samples taken so far over all unpruned candidates — a running
     /// counter, cheap enough for per-quantum progress reporting.
     pub fn samples(&self) -> u64 {
         self.counts.total_samples()
-    }
-
-    /// The settled sample count for a candidate (diagnostics).
-    pub fn samples_for(&self, c: u32) -> u64 {
-        self.counts.n(c as usize) + self.counts.n_round(c as usize)
     }
 
     /// Run diagnostics (valid once done; partially filled before).
@@ -1188,7 +1330,7 @@ mod tests {
         // second sample nor a second `mark_exact` lists it again.
         let zs = vec![0; need as usize + 1];
         hs.ingest_block(&zs, &vec![0; zs.len()]);
-        hs.settle(|_, _| {});
+        hs.settle(|_, _| u64::MAX);
         hs.ingest(0, 1);
         hs.mark_exact(1);
         hs.mark_exact(1);
@@ -1246,7 +1388,7 @@ mod tests {
 
         let mut seq = mk();
         seq.ingest_block(&zs, &xs);
-        seq.settle(|_, _| {});
+        seq.settle(|_, _| u64::MAX);
         let mut par = mk();
         let mut a = HistAccumulator::new(3, 2);
         let mut b = HistAccumulator::new(3, 2);
@@ -1266,7 +1408,7 @@ mod tests {
         let zs2: Vec<u32> = (0..30u32).map(|i| i % 3).collect();
         let xs2: Vec<u32> = (0..30u32).map(|i| i % 2).collect();
         seq.ingest_block(&zs2, &xs2);
-        seq.settle(|_, _| {});
+        seq.settle(|_, _| u64::MAX);
         let mut acc = HistAccumulator::new(3, 2);
         acc.accumulate(&zs2, &xs2);
         par.merge(acc);
@@ -1315,11 +1457,12 @@ mod tests {
         assert_eq!(format!("{a:?}"), format!("{b:?}"));
     }
 
-    /// Settlement reports each distinct candidate of every block since
-    /// the last one once, with its tuples summed across blocks, pruned
-    /// candidates included; until then totals and demand stay put.
+    /// Counts are current as soon as a block is in, a pruned candidate's
+    /// rows included; settlement asks about every candidate in stage 1
+    /// and only about the active ones after, sets demand from goal and
+    /// rows read, and marks exact what the driver reports read out.
     #[test]
-    fn settle_reports_each_candidate_once_across_blocks() {
+    fn settlement_walks_the_active_set() {
         let cfg = HistSimConfig {
             k: 1,
             stage1_samples: 4,
@@ -1327,33 +1470,74 @@ mod tests {
             epsilon: 0.05,
             ..tiny_config()
         };
-        let mut hs = HistSim::new(cfg, 3, 2, 100_000, &[0.5, 0.5]).unwrap();
+        let mut hs = HistSim::new(cfg, 4, 2, 100_000, &[0.5, 0.5]).unwrap();
         hs.ingest_block(&[2, 0, 2], &[0, 1, 1]);
         hs.ingest_block(&[1, 2], &[0, 0]);
-        assert_eq!(hs.samples(), 0, "totals wait for the settlement");
+        assert_eq!(hs.samples(), 5, "totals do not wait for the settlement");
         assert!(hs.io_satisfied(), "stage 1 counts tuples as they come");
-        let mut settled = Vec::new();
-        hs.settle(|c, n| settled.push((c, n)));
-        assert_eq!(settled, vec![(2, 3), (0, 1), (1, 1)]);
-        assert_eq!(hs.samples(), 5);
-        hs.settle(|c, n| panic!("settled twice: {c} {n}"));
+        let mut asked = Vec::new();
+        hs.settle(|c, read| {
+            asked.push((c, read));
+            if c == 3 {
+                0
+            } else {
+                u64::MAX
+            }
+        });
+        assert_eq!(asked, vec![(0, 1), (1, 1), (2, 3), (3, 0)]);
+        assert!(hs.is_exact(3), "read out in stage 1");
         hs.complete_io_phase(false).unwrap();
         assert_eq!(hs.phase(), PhaseKind::Stage2);
+        assert!((0..3).all(|c| hs.is_active(c)) && !hs.is_active(3));
 
-        hs.pruned[1] = true; // as if stage 1 had found it rare
-        let before = hs.samples_for(1);
+        hs.weight[1] = 0; // as if stage 1 had found it rare
+        hs.mark_exact(2); // deactivated, but on the active list until a walk
         let need = hs.remaining_slice()[0];
         hs.ingest_block(&[1, 0, 1], &[0, 0, 1]);
-        assert_eq!(hs.remaining_slice()[0], need, "demand waits too");
-        let mut settled = Vec::new();
-        hs.settle(|c, n| settled.push((c, n)));
-        assert_eq!(settled, vec![(1, 2), (0, 1)], "pruned candidates reported");
+        assert_eq!(hs.counts.read(1), 3, "a pruned candidate's rows are read");
+        assert_eq!(hs.samples(), 6, "but add no samples");
+        assert_eq!(hs.remaining_slice()[0], need, "demand waits");
+        // Candidate 0 has five rows left; the others never run out.
+        let rows0 = hs.counts.read(0) + 5;
+        let unread = |c: u32, read: u64| {
+            if c == 0 {
+                rows0 - read
+            } else {
+                u64::MAX - read
+            }
+        };
+        let mut asked = Vec::new();
+        hs.settle(|c, read| {
+            asked.push((c, read));
+            unread(c, read)
+        });
         assert_eq!(
-            hs.samples_for(1),
-            before,
-            "but their tuples count for nothing"
+            asked,
+            vec![(0, 2), (1, 3), (2, 3)],
+            "the active list, not the block"
         );
-        assert_eq!(hs.remaining_slice()[0], need.saturating_sub(1));
+        assert_eq!(hs.remaining_slice()[0], need - 1);
+        let listed = |hs: &HistSim| hs.active.clone();
+        assert_eq!(listed(&hs), vec![0, 1], "mark_exact's drop leaves the list");
+
+        // Until candidate 0's last row no walk has anything to decide.
+        assert_eq!(hs.slack, 5);
+        hs.ingest_block(&[0; 4], &[1; 4]);
+        hs.settle(|c, read| panic!("walked at {c} {read}"));
+        assert!(hs.is_active(0) && !hs.block_pending);
+        assert_eq!(hs.remaining_slice()[0], need - 1, "counts wait for a check");
+        // Its last row: exact and inactive at the next walk, which checks
+        // no candidate short of its check.
+        hs.ingest_block(&[0], &[1]);
+        let mut asked = Vec::new();
+        hs.settle(|c, read| {
+            asked.push(c);
+            unread(c, read)
+        });
+        assert_eq!(asked, vec![0]);
+        assert!(hs.is_exact(0) && !hs.is_active(0));
+        assert_eq!(hs.deactivated(), &[2, 0]);
+        assert_eq!(listed(&hs), vec![1]);
     }
 
     /// Every check that reads totals or demand refuses unsettled blocks
@@ -1389,9 +1573,25 @@ mod tests {
             let msg = msg.downcast_ref::<String>().expect("formatted message");
             assert!(msg.contains(what) && msg.contains("unsettled"), "{msg}");
         }
-        hs.settle(|_, _| {});
+        hs.settle(|_, _| u64::MAX);
         hs.complete_io_phase(true).unwrap();
         assert_eq!(hs.current_topk(), hs.output().unwrap().candidate_ids());
+    }
+
+    /// The fused kernel checks the domain in its loop and names the
+    /// offending code, as the accumulator's batch check does.
+    #[test]
+    #[should_panic(expected = "candidate 7 out of domain")]
+    fn ingest_block_out_of_domain_candidate_panics() {
+        let mut hs = HistSim::new(tiny_config(), 2, 2, 100, &[0.5, 0.5]).unwrap();
+        hs.ingest_block(&[0, 7], &[0, 0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "group 5 out of domain")]
+    fn ingest_block_out_of_domain_group_panics() {
+        let mut hs = HistSim::new(tiny_config(), 2, 2, 100, &[0.5, 0.5]).unwrap();
+        hs.ingest_block(&[0, 1], &[0, 5]);
     }
 
     #[test]

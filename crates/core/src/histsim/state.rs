@@ -3,7 +3,10 @@
 //! Counts are stored candidate-major in two flat arrays: *cumulative*
 //! counts (`r`, `n` — every sample ever taken) and *round-fresh* counts
 //! (`r∂`, `n∂` — samples of the current stage-2 round only, so the round's
-//! statistical test never reuses data, as §3.4 requires).
+//! statistical test never reuses data, as §3.4 requires). A pruned
+//! candidate's rows still count in its `n` (they were read, which is
+//! what consumption tracking needs), but add nothing to its cells or to
+//! the running sample total.
 
 use crate::distance::Metric;
 use crate::histogram::Histogram;
@@ -15,15 +18,16 @@ pub struct CountState {
     groups: usize,
     /// Cumulative per-(candidate, group) counts, `candidate * groups + g`.
     counts: Vec<u64>,
-    /// Cumulative per-candidate totals `nᵢ`.
+    /// Cumulative per-candidate row counts `nᵢ`.
     n: Vec<u64>,
     /// Round-fresh per-(candidate, group) counts `r∂ᵢ`.
     round_counts: Vec<u64>,
-    /// Round-fresh per-candidate totals `n∂ᵢ`.
+    /// Round-fresh per-candidate row counts `n∂ᵢ`.
     n_round: Vec<u64>,
     /// Cumulative distance estimates `τᵢ` (recomputed on accumulation).
     tau: Vec<f64>,
-    /// Running total of every sample recorded (cumulative plus round).
+    /// Running total of the samples recorded for candidates unpruned at
+    /// the time (cumulative plus round).
     total: u64,
 }
 
@@ -52,31 +56,51 @@ impl CountState {
         self.groups
     }
 
-    /// Records a sample directly into the cumulative counts (stages 1 & 3).
+    /// The fused block kernel, `Scan`'s loop plus one weight: records the
+    /// tuples `zs[i]`/`xs[i]` into the matrix `round` selects
+    /// (round-fresh during stage-2 I/O, cumulative otherwise). Each tuple
+    /// adds its candidate's weight (1, or 0 once pruned) to its cell and
+    /// to the running total, and 1 to the candidate's row count, so `nᵢ +
+    /// n∂ᵢ` counts every row of the candidate ingested, pruned or not.
+    ///
+    /// # Panics
+    /// Panics on length mismatch or out-of-domain codes. The domain is
+    /// checked per tuple, at the cost of a bounds check: the weight
+    /// lookup is one (and, `weight` and the row counts being equally
+    /// long, it covers the row count's too), the group compare the
+    /// other. Two vectorized passes over the block before the loop cost
+    /// more.
     #[inline]
-    pub fn record_cumulative(&mut self, candidate: u32, group: u32) {
-        let c = candidate as usize;
-        let g = group as usize;
-        self.counts[c * self.groups + g] += 1;
-        self.n[c] += 1;
-        self.total += 1;
+    pub fn record_block(&mut self, round: bool, zs: &[u32], xs: &[u32], weight: &[u64]) {
+        assert_eq!(zs.len(), xs.len(), "column slices must align");
+        let groups = self.groups;
+        // Plain slices, not the `Vec`s: a store through a borrowed `Vec`
+        // might alias its own pointer, which the loop would then reload
+        // per tuple (the reason `ScanExec`'s visitor owns slices too).
+        let (cells, n): (&mut [u64], &mut [u64]) = if round {
+            (&mut self.round_counts, &mut self.n_round)
+        } else {
+            (&mut self.counts, &mut self.n)
+        };
+        let weight = &weight[..n.len()];
+        let mut kept = 0;
+        for (&c, &g) in zs.iter().zip(xs) {
+            let ci = c as usize;
+            let Some(&w) = weight.get(ci) else {
+                panic!("candidate {c} out of domain");
+            };
+            assert!((g as usize) < groups, "group {g} out of domain");
+            cells[ci * groups + g as usize] += w;
+            n[ci] += 1;
+            kept += w;
+        }
+        self.total += kept;
     }
 
-    /// Records a sample into the round-fresh counts (stage 2 I/O phases).
-    #[inline]
-    pub fn record_round(&mut self, candidate: u32, group: u32) {
-        let c = candidate as usize;
-        let g = group as usize;
-        self.round_counts[c * self.groups + g] += 1;
-        self.n_round[c] += 1;
-        self.total += 1;
-    }
-
-    /// The cell matrix bulk ingestion writes into — round-fresh
-    /// (`round`) during stage-2 I/O, cumulative otherwise — indexed
-    /// `candidate * groups + g`. The block kernel and the accumulator
-    /// merge add their cells here directly and then settle each touched
-    /// candidate's total once through [`Self::add_n`].
+    /// The cell matrix the accumulator merge adds its cells to, selected
+    /// as in [`Self::record_block`] and indexed `candidate * groups + g`;
+    /// the merge then counts each touched candidate's rows once through
+    /// [`Self::add_n`].
     #[inline]
     pub fn cells_mut(&mut self, round: bool) -> &mut [u64] {
         if round {
@@ -86,16 +110,35 @@ impl CountState {
         }
     }
 
-    /// Adds `added` samples to one candidate's total in the matrix
-    /// selected as in [`Self::cells_mut`].
+    /// Adds `added` rows to one candidate's row count in the matrix
+    /// selected as in [`Self::record_block`], and `added × weight` to the
+    /// running total (the candidate's weight is 0 once pruned).
     #[inline]
-    pub fn add_n(&mut self, round: bool, candidate: usize, added: u64) {
+    pub fn add_n(&mut self, round: bool, candidate: usize, added: u64, weight: u64) {
         if round {
             self.n_round[candidate] += added;
         } else {
             self.n[candidate] += added;
         }
-        self.total += added;
+        self.total += added * weight;
+    }
+
+    /// The row counts of the matrix `round` selects (as in
+    /// [`Self::record_block`]): `n∂` or `n`.
+    #[inline]
+    pub fn landed(&self, round: bool) -> &[u64] {
+        if round {
+            &self.n_round
+        } else {
+            &self.n
+        }
+    }
+
+    /// Rows of a candidate ingested so far, `nᵢ + n∂ᵢ`: its samples
+    /// while it is unpruned, and every row of it read either way.
+    #[inline]
+    pub fn read(&self, candidate: usize) -> u64 {
+        self.n[candidate] + self.n_round[candidate]
     }
 
     /// Cumulative sample count `nᵢ`.
@@ -108,8 +151,8 @@ impl CountState {
         self.n_round[candidate]
     }
 
-    /// Total samples taken so far across all candidates (cumulative plus
-    /// any un-accumulated round samples) — a running counter, O(1).
+    /// Samples of unpruned candidates taken so far (cumulative plus any
+    /// un-accumulated round samples) — a running counter, O(1).
     pub fn total_samples(&self) -> u64 {
         self.total
     }
@@ -257,12 +300,18 @@ fn distance_of_counts(counts: &[u64], n: u64, metric: Metric, target: &[f64]) ->
 mod tests {
     use super::*;
 
+    /// Records one tuple of an unpruned candidate.
+    fn record(s: &mut CountState, round: bool, c: u32, g: u32) {
+        let weight = vec![1; s.num_candidates()];
+        s.record_block(round, &[c], &[g], &weight);
+    }
+
     #[test]
     fn record_and_totals() {
         let mut s = CountState::new(3, 2);
-        s.record_cumulative(0, 0);
-        s.record_cumulative(0, 1);
-        s.record_cumulative(2, 1);
+        record(&mut s, false, 0, 0);
+        record(&mut s, false, 0, 1);
+        record(&mut s, false, 2, 1);
         assert_eq!(s.n(0), 2);
         assert_eq!(s.n(1), 0);
         assert_eq!(s.n(2), 1);
@@ -277,15 +326,15 @@ mod tests {
         let mut single = CountState::new(2, 3);
         bulk.cells_mut(false)[3] += 2;
         bulk.cells_mut(false)[5] += 1;
-        bulk.add_n(false, 1, 3);
+        bulk.add_n(false, 1, 3, 1);
         bulk.cells_mut(true)[1] += 4;
-        bulk.add_n(true, 0, 4);
+        bulk.add_n(true, 0, 4, 1);
         for _ in 0..2 {
-            single.record_cumulative(1, 0);
+            record(&mut single, false, 1, 0);
         }
-        single.record_cumulative(1, 2);
+        record(&mut single, false, 1, 2);
         for _ in 0..4 {
-            single.record_round(0, 1);
+            record(&mut single, true, 0, 1);
         }
         assert_eq!(format!("{bulk:?}"), format!("{single:?}"));
         assert_eq!(bulk.total_samples(), 7);
@@ -294,12 +343,26 @@ mod tests {
         assert_eq!(bulk.n(0), 4);
     }
 
+    /// A pruned candidate's rows are read, not sampled: they count in
+    /// its `n`, and nowhere else.
+    #[test]
+    fn pruned_rows_count_as_read_but_not_as_samples() {
+        let mut s = CountState::new(2, 2);
+        s.record_block(true, &[0, 1, 1, 0], &[1, 0, 1, 1], &[1, 0]);
+        assert_eq!((s.read(0), s.read(1)), (2, 2));
+        assert_eq!(s.total_samples(), 2);
+        s.accumulate_round();
+        assert_eq!(s.candidate_counts(0), &[0, 2]);
+        assert_eq!(s.candidate_counts(1), &[0, 0]);
+        assert_eq!(s.n(1), 2);
+    }
+
     #[test]
     fn round_counts_are_separate_until_accumulated() {
         let mut s = CountState::new(2, 2);
-        s.record_cumulative(0, 0);
-        s.record_round(0, 1);
-        s.record_round(1, 0);
+        record(&mut s, false, 0, 0);
+        record(&mut s, true, 0, 1);
+        record(&mut s, true, 1, 0);
         assert_eq!(s.n(0), 1);
         assert_eq!(s.n_round(0), 1);
         assert_eq!(s.candidate_counts(0), &[1, 0]);
@@ -314,8 +377,8 @@ mod tests {
     fn tau_reflects_cumulative_counts() {
         let mut s = CountState::new(1, 2);
         let target = [0.5, 0.5];
-        s.record_cumulative(0, 0);
-        s.record_cumulative(0, 0);
+        record(&mut s, false, 0, 0);
+        record(&mut s, false, 0, 0);
         s.refresh_tau_one(0, Metric::L1, &target);
         // empirical [1, 0] vs [0.5, 0.5] ⇒ l1 = 1.0
         assert!((s.tau(0) - 1.0).abs() < 1e-12);
@@ -339,10 +402,10 @@ mod tests {
         let mut s = CountState::new(1, 2);
         let target = [0.5, 0.5];
         // cumulative is perfectly balanced...
-        s.record_cumulative(0, 0);
-        s.record_cumulative(0, 1);
+        record(&mut s, false, 0, 0);
+        record(&mut s, false, 0, 1);
         // ...round is skewed
-        s.record_round(0, 0);
+        record(&mut s, true, 0, 0);
         let tr = s.tau_round(0, Metric::L1, &target).unwrap();
         assert!((tr - 1.0).abs() < 1e-12);
     }
@@ -351,8 +414,8 @@ mod tests {
     fn tau_total_includes_round() {
         let mut s = CountState::new(1, 2);
         let target = [0.5, 0.5];
-        s.record_cumulative(0, 0);
-        s.record_round(0, 1);
+        record(&mut s, false, 0, 0);
+        record(&mut s, true, 0, 1);
         let t = s.tau_total(0, Metric::L1, &target);
         assert!(t.abs() < 1e-12, "combined counts are balanced, t = {t}");
     }
@@ -360,8 +423,8 @@ mod tests {
     #[test]
     fn histogram_extraction_includes_round() {
         let mut s = CountState::new(2, 3);
-        s.record_cumulative(1, 0);
-        s.record_round(1, 2);
+        record(&mut s, false, 1, 0);
+        record(&mut s, true, 1, 2);
         let h = s.histogram(1);
         assert_eq!(h.counts(), &[1, 0, 1]);
     }
@@ -371,7 +434,7 @@ mod tests {
         let mut s = CountState::new(1, 3);
         let target = [0.2, 0.3, 0.5];
         for g in [0u32, 0, 1, 2, 2, 2] {
-            s.record_cumulative(0, g);
+            record(&mut s, false, 0, g);
         }
         for m in [Metric::L1, Metric::L2, Metric::TotalVariation] {
             s.refresh_tau_one(0, m, &target);

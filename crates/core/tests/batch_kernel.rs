@@ -190,21 +190,29 @@ proptest! {
     /// dumps the whole logical state) at every settlement and every
     /// phase transition, from stage 1 through stage 2's rounds and stage
     /// 3 to the output — for `k` ∈ {1, 3, 16, 64} (64 is the service's
-    /// quantum) and a `k` drawn afresh after each settlement. Each
-    /// settlement reports exactly the accumulator's touched candidates,
-    /// in its first-touch order, with its per-candidate totals.
+    /// quantum) and a `k` drawn afresh after each settlement. At each
+    /// settlement the three also agree on the active set, on the set of
+    /// candidates deactivated so far in the phase and on the exact
+    /// marks, whatever order each path met them in; at each phase
+    /// transition, on every outstanding count. The fused settlement asks
+    /// only about candidates that had demand left at the one before; a
+    /// settlement after a single block goes through `settle_block` every
+    /// other time.
     ///
     /// Phases end where a driver ends them: stage 1 as soon as its
     /// tuples are in (the fused kernel counts them as they come), stages
-    /// 2 and 3 at the first settlement that meets their demand. The
-    /// stream is built so that every stage is reached and every branch
-    /// of the bookkeeping runs: candidate `nc − 1` is rare and gets
-    /// pruned by stage 1 but keeps appearing afterwards (its tuples must
-    /// be dropped, its code still reported); candidate 0 matches the
-    /// uniform target and the rest sit on one group each, so stage 2
-    /// separates them in a few rounds; and settlements overshoot the
-    /// outstanding demand, so the decrement saturates. Histogram widths
-    /// are the narrow, medium and wide cases of Table 3 plus 64.
+    /// 2 and 3 at the first settlement that meets their demand, after a
+    /// sweep that marks exact whatever has been read out. The stream is
+    /// built so that every stage is reached and every branch of the
+    /// bookkeeping runs: candidate `nc − 1` is rare and gets pruned by
+    /// stage 1 but keeps appearing afterwards (its tuples must count as
+    /// read and add nothing else); candidate 1 has only `rows` rows, so
+    /// it is read out part-way, with or without demand; candidate 0
+    /// matches the uniform target and the rest sit on one group each, so
+    /// stage 2 separates them in a few rounds; and settlements overshoot
+    /// the outstanding demand, so the outstanding count floors at 0.
+    /// Histogram widths are the narrow, medium and wide cases of Table 3
+    /// plus 64.
     #[test]
     fn fused_block_equals_merge_equals_per_tuple_through_all_stages(
         seed in 0u64..u64::MAX,
@@ -212,6 +220,7 @@ proptest! {
         nc in 4usize..10,
         block in 1usize..120,
         every in (0usize..5).prop_map(|i| [1, 3, 16, 64, 0][i]),
+        rows in 100u64..3_000,
     ) {
         let config = HistSimConfig {
             k: 1,
@@ -237,21 +246,36 @@ proptest! {
             }
         };
         let mut next = lcg(seed | 1);
-        let mut drawn = 0u32;
+        let (mut drawn, mut ones) = (0u32, 0u64);
         let mut tuple = move || {
             drawn += 1;
             if drawn.is_multiple_of(100) {
                 return (rare, next() % ng as u32);
             }
-            let c = next() % rare;
+            let mut c = next() % rare;
+            if c == 1 {
+                ones += 1;
+                if ones > rows {
+                    c = 0;
+                }
+            }
             (c, if c == 0 { next() % ng as u32 } else { c % ng as u32 })
+        };
+        // The rows each candidate has: only candidate 1's run out.
+        let unread = |c: u32, read: u64| {
+            let total = if c == 1 { rows } else { u64::MAX };
+            assert!(read <= total, "candidate {c}: {read} rows read of {total}");
+            total - read
         };
         let mut cadence = lcg(seed.rotate_left(17) | 1);
         let mut settle_after = move || if every > 0 { every } else { 1 + cadence() as usize % 20 };
 
         let (mut stages, mut dropped, mut saturated) = (Vec::new(), false, false);
         let (mut blocks, mut unsettled, mut k) = (0, 0, settle_after());
-        let mut demand: Vec<u64> = fused.remaining_slice().to_vec();
+        // Outstanding demand at the last settlement, from the per-tuple
+        // run, whose counts are always current (the fused run's are only
+        // when a settlement checks the candidate).
+        let mut demand: Vec<u64> = single.remaining_slice().to_vec();
         while !fused.is_done() {
             blocks += 1;
             prop_assert!(blocks < 20_000, "run failed to terminate");
@@ -272,31 +296,60 @@ proptest! {
                 continue;
             }
 
-            let mut settled = Vec::new();
-            fused.settle(|c, n| settled.push((c, n)));
-            let want: Vec<(u32, u64)> =
-                acc.touched().iter().map(|&c| (c, acc.n(c as usize))).collect();
-            prop_assert_eq!(settled, want);
+            let stage1 = fused.phase() == PhaseKind::Stage1;
+            // Every other single-block settlement goes through
+            // `settle_block`, the path of executors that settle before
+            // every block.
+            let mut asked = Vec::new();
+            let ask = |c: u32, read: u64| {
+                asked.push(c);
+                unread(c, read)
+            };
+            if unsettled == 1 && blocks % 2 == 0 {
+                fused.settle_block(&zs, ask);
+            } else {
+                fused.settle(ask);
+            }
+            if !stage1 {
+                for &c in &asked {
+                    prop_assert!(demand[c as usize] > 0, "settlement asked about idle {c}");
+                }
+            }
             saturated |= acc
                 .touched()
                 .iter()
                 .any(|&c| (1..acc.n(c as usize)).contains(&demand[c as usize]));
             merged.merge_ref(&acc);
+            merged.settle(unread);
+            single.settle(unread);
             acc.clear();
             (unsettled, k) = (0, settle_after());
 
             let want = format!("{single:?}");
             prop_assert_eq!(format!("{fused:?}"), want.clone());
             prop_assert_eq!(format!("{merged:?}"), want);
+            let facts = |hs: &HistSim| {
+                let mut deactivated = hs.deactivated().to_vec();
+                deactivated.sort_unstable();
+                let per = |f: &dyn Fn(u32) -> bool| (0..nc as u32).map(f).collect::<Vec<_>>();
+                (deactivated, per(&|c| hs.is_active(c)), per(&|c| hs.is_exact(c)))
+            };
+            let want = facts(&single);
+            prop_assert_eq!(facts(&fused), want.clone());
+            prop_assert_eq!(facts(&merged), want);
             if fused.io_satisfied() {
                 for hs in [&mut fused, &mut merged, &mut single] {
+                    hs.sweep(unread);
                     hs.complete_io_phase(false).unwrap();
                 }
                 let want = format!("{single:?}");
                 prop_assert_eq!(format!("{fused:?}"), want.clone());
                 prop_assert_eq!(format!("{merged:?}"), want);
+                let want = single.remaining_slice();
+                prop_assert_eq!(fused.remaining_slice(), want);
+                prop_assert_eq!(merged.remaining_slice(), want);
             }
-            demand = fused.remaining_slice().to_vec();
+            demand = single.remaining_slice().to_vec();
         }
         prop_assert_eq!(
             stages,

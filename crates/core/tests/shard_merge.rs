@@ -63,7 +63,7 @@ proptest! {
         for (zs, xs) in &blocks {
             seq.ingest_block(zs, xs);
         }
-        seq.settle(|_, _| {});
+        seq.settle(|_, _| u64::MAX);
 
         // Sharded: round-robin blocks over k accumulators, merge them in
         // reversed shard order (order must not matter).
@@ -115,7 +115,7 @@ proptest! {
                 let (zs, xs) = &blocks[next_block];
                 next_block += 1;
                 seq.ingest_block(zs, xs);
-                seq.settle(|_, _| {});
+                seq.settle(|_, _| u64::MAX);
                 shards[i % k_shards].accumulate(zs, xs);
                 i += 1;
             }
@@ -188,19 +188,20 @@ proptest! {
         // shards' data and transitions.
         let (zs, xs): (Vec<u32>, Vec<u32>) = stage1.into_iter().unzip();
         hs.ingest_block(&zs, &xs);
-        hs.settle(|_, _| {});
+        hs.settle(|_, _| u64::MAX);
         hs.complete_io_phase(false).unwrap();
         prop_assume!(!hs.is_done());
         prop_assert!(hs.is_pruned(rare), "rare candidate must be pruned by stage 1");
 
-        let samples_before = hs.samples_for(rare);
+        let samples_before = hs.samples();
+        let kept = stale.tuples() - stale.n(rare as usize);
         let remaining_before: Vec<u64> = hs.remaining_slice().to_vec();
 
         // The stale batch lands after the transition.
         hs.merge(stale);
 
-        // The pruned candidate stays dead: no counts, no demand.
-        prop_assert_eq!(hs.samples_for(rare), samples_before,
+        // The pruned candidate stays dead: no samples, no demand.
+        prop_assert_eq!(hs.samples(), samples_before + kept,
             "stale merge resurrected a pruned candidate's counts");
         prop_assert!(hs.is_pruned(rare));
         prop_assert_eq!(hs.remaining_slice()[rare as usize], 0u64);

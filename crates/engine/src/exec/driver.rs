@@ -11,14 +11,18 @@
 //! blocks are chosen and delivered*, not in how HistSim is driven.
 //!
 //! Consumption is counted in rows. Executors sample without replacement
-//! by never re-reading a block, so a candidate whose unread rows reach
-//! zero is *fully consumed*: its counts are exact, it can yield no more
-//! samples, and HistSim is told ([`HistSim::mark_exact`]) so demand on it
-//! is dropped. The starting counts are the bitmap index's per-value row
-//! counts; each settlement ([`HistSim::settle`]) or merged accumulator
-//! reports how many rows of each distinct candidate were read, so the
-//! tracking costs `O(distinct candidates)` per settlement, not a pass
-//! over the tuples.
+//! by never re-reading a block, so a candidate whose rows read reach the
+//! bitmap index's row count for it is *fully consumed*: its counts are
+//! exact, it can yield no more samples, and HistSim is told
+//! ([`HistSim::mark_exact`]) so demand on it is dropped. HistSim counts
+//! every candidate's rows read on every ingestion path, so the driver
+//! keeps only the index's counts: each settlement ([`HistSim::settle`])
+//! walks the candidates that still have demand, in `O(active
+//! candidates)`, and compares them for each one whose rows read reached
+//! its goal or its row total (a settlement after a single block,
+//! [`HistSim::settle_block`], looks only at that block's candidates);
+//! each phase boundary ([`HistSim::sweep`]) compares them for every
+//! candidate, before the phase's test reads the exact marks.
 
 use std::time::Instant;
 
@@ -36,10 +40,8 @@ use crate::shared::{needs_full_publication, DemandMode, SharedDemand};
 pub(crate) struct Driver {
     /// The state machine being driven.
     pub hs: HistSim,
-    /// Unread rows per candidate.
-    rows_left: Vec<u64>,
-    /// Candidates the settlement being applied just read out (reused).
-    consumed: Vec<u32>,
+    /// Rows per candidate, as the bitmap index counts them.
+    rows: Vec<u64>,
     /// The phase [`Self::advance_and_publish`] last published (`None`
     /// before the first publication).
     published_phase: Option<PhaseKind>,
@@ -48,22 +50,22 @@ pub(crate) struct Driver {
     t0: Instant,
 }
 
-/// Counts `tuples` newly read rows of candidate `c` against its unread
-/// rows; `true` if that read the candidate out.
+/// Rows of candidate `c` not yet read, when `read` of its `rows` have
+/// been.
 ///
 /// # Panics
-/// Panics, in every build, if more rows are read than the index counted:
-/// a block read twice or an under-counting index. Wrapping instead would
-/// keep the candidate "unread" forever and its demand open.
+/// Panics, in every build, if more rows were read than the index
+/// counted: a block read twice or an under-counting index. Wrapping
+/// instead would keep the candidate "unread" forever and its demand
+/// open.
 #[inline]
-fn consume(rows_left: &mut [u64], c: u32, tuples: u64) -> bool {
-    let left = &mut rows_left[c as usize];
+fn unread(rows: &[u64], c: u32, read: u64) -> u64 {
+    let rows = rows[c as usize];
     assert!(
-        tuples <= *left,
-        "candidate {c}: {tuples} rows read but only {left} unread in the index"
+        read <= rows,
+        "candidate {c}: {read} rows read but the index counts only {rows}"
     );
-    *left -= tuples;
-    *left == 0
+    rows - read
 }
 
 impl Driver {
@@ -78,16 +80,13 @@ impl Driver {
             job.n_rows() as u64,
             &job.target,
         )?;
-        let rows_left: Vec<u64> = (0..job.bitmap.num_values() as u32)
+        let rows: Vec<u64> = (0..job.bitmap.num_values() as u32)
             .map(|c| job.bitmap.rows_with_value(c))
             .collect();
-        for (c, _) in rows_left.iter().enumerate().filter(|(_, &n)| n == 0) {
-            hs.mark_exact(c as u32);
-        }
+        hs.sweep(|c, read| unread(&rows, c, read));
         Ok(Driver {
             hs,
-            rows_left,
-            consumed: Vec::new(),
+            rows,
             published_phase: None,
             published_deactivations: 0,
             t0,
@@ -96,50 +95,44 @@ impl Driver {
 
     /// Ingests one read block — the synchronous ingestion path. The
     /// block's tuples are traversed exactly once, by
-    /// [`HistSim::ingest_block`]; totals, demand and consumption are
-    /// settled for every block since the last settlement when the
-    /// driver next advances.
+    /// [`HistSim::ingest_block`]; demand and consumption are settled
+    /// when the driver next advances.
     #[inline]
     pub fn ingest_block(&mut self, zs: &[u32], xs: &[u32]) {
         self.hs.ingest_block(zs, xs);
     }
 
-    /// Merges one quantum's accumulated deltas — the parallel ingestion
-    /// path. The accumulator's touched candidates and their totals say
-    /// how many rows of each were read.
-    pub fn merge_batch(&mut self, acc: &HistAccumulator) {
-        self.hs.merge_ref(acc);
-        for &c in acc.touched() {
-            if consume(&mut self.rows_left, c, acc.n(c as usize)) {
-                self.hs.mark_exact(c);
-            }
-        }
+    /// Ingests one read block and settles it at once — the path of the
+    /// executors that settle before every block (`ScanMatch`,
+    /// `SyncMatch`). Only the block's candidates can have changed, so the
+    /// settlement ([`HistSim::settle_block`]) looks at those and not at
+    /// the whole active set; the next [`Self::advance`] has nothing left
+    /// to settle.
+    pub fn read_block(&mut self, zs: &[u32], xs: &[u32]) {
+        self.hs.ingest_block(zs, xs);
+        let rows = &self.rows;
+        self.hs.settle_block(zs, |c, read| unread(rows, c, read));
     }
 
-    /// Settles the blocks ingested since the last settlement and marks
-    /// the candidates they read out exact.
-    fn settle(&mut self) {
-        let (rows_left, consumed) = (&mut self.rows_left, &mut self.consumed);
-        self.hs.settle(|c, tuples| {
-            if consume(rows_left, c, tuples) {
-                consumed.push(c);
-            }
-        });
-        for c in self.consumed.drain(..) {
-            self.hs.mark_exact(c);
-        }
+    /// Merges one quantum's accumulated deltas — the parallel ingestion
+    /// path. Consumption is settled when the driver next advances.
+    pub fn merge_batch(&mut self, acc: &HistAccumulator) {
+        self.hs.merge_ref(acc);
     }
 
     /// Settles, then advances the state machine through every phase
-    /// whose demand is already satisfied; `true` if that completed at
+    /// whose demand is already satisfied, each after the sweep that
+    /// marks exact every candidate read out; `true` if that completed at
     /// least one phase or stage-2 round. A driver that publishes demand
     /// advances only through [`Self::advance_and_publish`] (and, at the
     /// very end, [`Self::finish_exhausted`]), so that no step goes
     /// unpublished.
     pub fn advance(&mut self) -> Result<bool> {
-        self.settle();
+        let rows = &self.rows;
+        self.hs.settle(|c, read| unread(rows, c, read));
         let mut stepped = false;
         while self.hs.io_satisfied() && !self.hs.is_done() {
+            self.hs.sweep(|c, read| unread(rows, c, read));
             self.hs.complete_io_phase(false)?;
             stepped = true;
         }
@@ -179,6 +172,8 @@ impl Driver {
     pub fn finish_exhausted(&mut self) -> Result<()> {
         self.advance()?;
         if !self.hs.is_done() {
+            let rows = &self.rows;
+            self.hs.sweep(|c, read| unread(rows, c, read));
             self.hs.complete_io_phase(true)?;
         }
         Ok(())
@@ -367,12 +362,13 @@ mod tests {
         (table, layout, bitmap, cfg)
     }
 
-    /// Row-counted consumption fires `mark_exact` at the settlement or
-    /// merge that reads a candidate's last row — not one before, and
-    /// not later — on both ingestion paths: for a candidate spread over
-    /// many blocks, for a pruned candidate (whose tuples count for
-    /// nothing but are still read), and from the start for one that
-    /// never occurs.
+    /// Row-counted consumption fires `mark_exact` for a candidate with
+    /// demand at the settlement or merge that reads its last row — not
+    /// one before, and not later — and for any other candidate at the
+    /// next phase boundary, never early, on both ingestion paths: for a
+    /// candidate spread over many blocks, for a pruned candidate (whose
+    /// tuples count for nothing but are still read), and from the start
+    /// for one that never occurs.
     #[test]
     fn row_counted_consumption_marks_exact_at_the_last_row() {
         let (table, layout, bitmap, cfg) = consumption_job_parts();
@@ -403,18 +399,25 @@ mod tests {
                         continue;
                     }
                 }
-                d.advance().unwrap();
+                let in_stage1 = d.hs.phase() == PhaseKind::Stage1;
+                let had_demand: Vec<bool> = (0..3).map(|c| d.hs.is_active(c)).collect();
+                let stepped = d.advance().unwrap();
                 settlements += 1;
                 for c in 0..3u32 {
-                    assert_eq!(
-                        d.hs.is_exact(c),
-                        read[c as usize] == totals[c as usize],
-                        "batched {batched}, block {b}, candidate {c}"
-                    );
+                    let out = read[c as usize] == totals[c as usize];
+                    let exact = d.hs.is_exact(c);
+                    let cell = format!("batched {batched}, block {b}, candidate {c}");
+                    assert!(!exact || out, "{cell}: marked before its last row");
+                    if in_stage1 || stepped || had_demand[c as usize] {
+                        assert_eq!(exact, out, "{cell}");
+                    }
                 }
                 if d.hs.is_done() {
                     break;
                 }
+            }
+            if !d.hs.is_done() {
+                d.finish_exhausted().unwrap();
             }
             assert!(d.hs.is_pruned(2), "batched {batched}: 2 was not pruned");
             assert!(
@@ -427,7 +430,8 @@ mod tests {
     /// Reading more rows of a candidate than the index counted panics in
     /// release builds too, on both paths: the block-counted tracker only
     /// `debug_assert!`ed it, so an under-counting index wrapped a `u32`
-    /// and kept the candidate's demand open for good.
+    /// and kept the candidate's demand open for good. Stage 1 has no
+    /// active set, so each of its settlements checks every candidate.
     #[test]
     fn row_count_underflow_panics_in_all_builds() {
         let (table, layout, bitmap, cfg) = consumption_job_parts();
@@ -453,8 +457,81 @@ mod tests {
             let msg = r.expect_err("a block read again must not pass");
             let msg = msg.downcast_ref::<String>().expect("formatted message");
             assert!(
-                msg.contains("candidate 2: 1 rows read but only 0 unread"),
+                msg.contains("candidate 2: 3 rows read but the index counts only 2"),
                 "{msg}"
+            );
+        }
+    }
+
+    /// An index that under-counts a candidate nobody is waiting for is
+    /// caught by the next phase boundary, on both paths: a settlement
+    /// asks only about the candidates with demand, but the sweep before
+    /// each phase's test asks about all of them. Candidate 1 (every
+    /// tuple on group 0, far from the uniform target) meets its stage-2
+    /// demand within a few blocks and stops being active; its 600 rows
+    /// all lie in blocks 0..120, read in order, and the index counts
+    /// one fewer.
+    #[test]
+    fn undercounted_idle_candidate_panics_by_the_next_phase_boundary() {
+        let rows = 6_000usize;
+        let z: Vec<u32> = (0..rows)
+            .map(|r| u32::from(r < 1_200 && r % 2 == 1))
+            .collect();
+        let x = (0..rows)
+            .map(|r| if z[r] == 1 { 0 } else { (r / 2 % 2) as u32 })
+            .collect();
+        let schema = Schema::new(vec![AttrDef::new("z", 2), AttrDef::new("x", 2)]);
+        let mut short = z.clone();
+        short[1_199] = 0;
+        let table = Table::new(schema.clone(), vec![z, x]);
+        let layout = BlockLayout::new(rows, 10);
+        let short = Table::new(schema, vec![short, table.column(1).to_vec()]);
+        let bitmap = BitmapIndex::build(&short, 0, &layout);
+        let cfg = HistSimConfig {
+            k: 1,
+            epsilon: 0.05,
+            delta: 0.05,
+            sigma: 0.0,
+            stage1_samples: 200,
+            ..HistSimConfig::default()
+        };
+        for batched in [false, true] {
+            let job = QueryJob::new(&table, layout, &bitmap, 0, 1, vec![1.0, 1.0], cfg.clone());
+            let mut d = Driver::new(&job).unwrap();
+            let mut reader = job.reader();
+            let (mut boundaries, mut over_read_at) = (0, None);
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                for b in 0..layout.num_blocks() {
+                    let (zs, xs) = reader.block_slices(b, 0, 1);
+                    if batched {
+                        let mut acc = HistAccumulator::new(2, 2);
+                        acc.accumulate(zs, xs);
+                        d.merge_batch(&acc);
+                    } else {
+                        d.ingest_block(zs, xs);
+                    }
+                    if b == 119 {
+                        assert!(!d.hs.is_active(1), "batched {batched}: 1 still has demand");
+                        assert_ne!(d.hs.phase(), PhaseKind::Stage1);
+                        over_read_at = Some(boundaries);
+                    }
+                    boundaries += usize::from(d.advance().unwrap());
+                    if d.hs.is_done() {
+                        break;
+                    }
+                }
+                d.finish_exhausted().unwrap();
+            }));
+            let msg = r.expect_err("an under-counting index must not pass");
+            let msg = msg.downcast_ref::<String>().expect("formatted message");
+            assert!(
+                msg.contains("candidate 1: 600 rows read but the index counts only 599"),
+                "batched {batched}: {msg}"
+            );
+            assert_eq!(
+                over_read_at,
+                Some(boundaries),
+                "batched {batched}: a phase completed after the over-read"
             );
         }
     }

@@ -12,16 +12,18 @@
 //!   unvisited block of the window is marked — and streams each window's
 //!   decisions through a bounded channel;
 //! * the **I/O manager + statistics engine** (caller thread) reads each
-//!   marked run *as a run* ([`BlockReader::read_run`]), ingests its
-//!   blocks into HistSim one at a time, and every `PUBLISH_EVERY`
-//!   blocks (at once when stage 1's tuples are in) settles them —
-//!   totals, demand and row-counted consumption, once per distinct
-//!   candidate of those blocks — advances its stages, and publishes
-//!   which candidates are still active through [`SharedDemand`]: every
-//!   count after a stage or round boundary, otherwise only the
-//!   candidates that have run out since. A stage-2/3 phase end is
-//!   therefore seen at most `PUBLISH_EVERY − 1` blocks late; the extra
-//!   blocks are valid samples, like a stale mark.
+//!   marked run *as a run* ([`BlockReader::read_run`]) and ingests its
+//!   blocks into HistSim one at a time with the fused kernel, `Scan`'s
+//!   two increments per tuple (counts and rows read are current at
+//!   once). Every `PUBLISH_EVERY` blocks (at once when stage 1's tuples
+//!   are in; further apart while thousands of candidates hold demand,
+//!   since a settlement loads one row count per active candidate) it
+//!   settles them — demand and row-counted consumption — advances its
+//!   stages, and publishes which candidates are still active through
+//!   [`SharedDemand`]: every count after a stage or round boundary,
+//!   otherwise only the candidates that have run out since. A stage-2/3
+//!   phase end is therefore seen at most `PUBLISH_EVERY − 1` blocks
+//!   late; the extra blocks are valid samples, like a stale mark.
 //!
 //! Of Figure 6's three stages, **marking** (`ShardWalk::step`, the same
 //! walk the query service drives, and with it `ParallelMatch`) runs at
@@ -61,6 +63,22 @@ pub const DEFAULT_LOOKAHEAD: usize = 1024;
 /// ingested and republishes per-candidate demand. Staleness of a few
 /// blocks is negligible next to the lookahead window itself.
 const PUBLISH_EVERY: u64 = 16;
+
+/// Active candidates per block read that a settlement may cost. A
+/// settlement loads one row count per active candidate, so while more
+/// than `16 × ACTIVE_PER_BLOCK` candidates hold demand (TAXI's
+/// `Location` at 1 M rows, whose stage 1 of 10 000 samples prunes few of
+/// its 7 641 values, starts stage 2 with about 4 000), settlements are
+/// spaced to `active / ACTIVE_PER_BLOCK` blocks, which keeps their cost
+/// under one load per two tuples read. Phase ends are still seen within
+/// `PUBLISH_EVERY − 1` blocks once few candidates are left.
+const ACTIVE_PER_BLOCK: u64 = 64;
+
+/// Blocks read between settlements while `active` candidates hold
+/// demand.
+fn settle_every(active: usize) -> u64 {
+    PUBLISH_EVERY.max(active as u64 / ACTIVE_PER_BLOCK)
+}
 
 /// The full FastMatch executor.
 #[derive(Debug, Clone, Copy)]
@@ -218,7 +236,9 @@ fn io_and_stats_loop(
                         .read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
                             d.ingest_block(zs, xs);
                             reads_since_publish += 1;
-                            if d.hs.io_satisfied() || reads_since_publish >= PUBLISH_EVERY {
+                            if d.hs.io_satisfied()
+                                || reads_since_publish >= settle_every(d.hs.active_count())
+                            {
                                 published = d.advance_and_publish(shared);
                                 reads_since_publish = 0;
                             }

@@ -116,7 +116,7 @@ pub(crate) fn run_sequential(
                 let (zs, xs) = reader
                     .try_block_slices(b, job.z_attr, job.x_attr)
                     .map_err(storage_err)?;
-                d.ingest_block(zs, xs);
+                d.read_block(zs, xs);
                 read[b] = true;
                 blocks_read_total += 1;
                 pass_had_reads = true;

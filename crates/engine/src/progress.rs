@@ -11,11 +11,12 @@
 //! (blocks are never re-read, so a block id is a unique stamp), at O(1)
 //! per tuple.
 //!
-//! The executors no longer use it: their shared driver counts unread
-//! *rows* per candidate (`BitmapIndex::rows_with_value`) and subtracts
-//! what each settlement reports, in O(distinct candidates) per
-//! settlement. The tracker stays only for the repo benchmark's trace
-//! walker, which imports it, and goes when that walker does.
+//! The executors no longer use it: HistSim counts each candidate's rows
+//! read, and their shared driver compares that with the index's row
+//! count (`BitmapIndex::rows_with_value`) for the candidates with demand
+//! at each settlement and for every candidate at each phase boundary.
+//! The tracker stays only for the repo benchmark's trace walker, which
+//! imports it, and goes when that walker does.
 
 use fastmatch_store::bitmap::BitmapIndex;
 

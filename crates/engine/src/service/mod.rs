@@ -30,9 +30,10 @@
 //!   marking stage is `exec::walk::ShardWalk::step`, called with what is
 //!   left of the quantum's budget as its limit): shard quanta fill
 //!   phase-free [`HistAccumulator`] batches, merge into the
-//!   authoritative driver under the query's engine mutex (which settles
-//!   consumption from the batch's touched candidates, never its tuples),
-//!   advance phases and republish demand. The paper's
+//!   authoritative driver under the query's engine mutex (which counts
+//!   rows read from the batch's touched candidates, never its tuples,
+//!   and settles consumption over the active set), advance phases and
+//!   republish demand. The paper's
 //!   correctness argument carries over unchanged: any set of blocks of
 //!   the pre-permuted table is a uniform without-replacement sample, so
 //!   quantum scheduling changes *latency*, never the guarantee.
