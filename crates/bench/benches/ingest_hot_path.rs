@@ -16,8 +16,12 @@
 //!      between publications); each settlement walks the candidates
 //!      with demand and asks the engine's consumption check (rows read
 //!      against the index's row count) about each;
+//!    - the service's quantum: 64 blocks' codes copied block by block
+//!      into a reused buffer, then one `ingest_block` over the buffer
+//!      and one settlement (`fused_quantum_64`);
 //!    - `accumulate`, `merge_ref` and `clear`, merged and settled every
-//!      1, 16 and 64 blocks (64 is a service quantum);
+//!      1, 16 and 64 blocks (the path the service took before it handed
+//!      the engine its codes; the repo benchmark's walker still does);
 //!    - and, as the control, `Scan`'s own loop over the same blocks
 //!      (`cells[z·|V_X| + x] += 1; totals[z] += 1` on plain slices), so
 //!      the fused column reads as a multiple of a scanned tuple's cost
@@ -165,6 +169,12 @@ struct WidthResult {
     /// Median over `PAIRS` of the settled-every-16 pass's time ÷ the
     /// control's, each pair timed back to back.
     fused_over_scan: f64,
+    /// A service quantum: `QUANTUM` blocks copied, one `ingest_block`,
+    /// one settlement.
+    quantum_ns_per_tuple: f64,
+    /// Median over `PAIRS` of the quantum pass's time ÷ the control's,
+    /// timed in the same rounds as `fused_over_scan`.
+    quantum_over_scan: f64,
     /// `accumulate` + `merge_ref` + `clear`, one entry per `MERGE_EVERY`.
     merge_ns_per_tuple: [f64; 3],
     /// Mean distinct candidates per merge ÷ |V_Z|, per `MERGE_EVERY`.
@@ -179,11 +189,15 @@ const SETTLE_EVERY: usize = 16;
 /// cadence, and a default service quantum.
 const MERGE_EVERY: [usize; 3] = [1, 16, 64];
 
+/// Blocks per ingestion on the quantum row: a default service quantum.
+const QUANTUM: usize = 64;
+
 /// Repetitions per by-width figure (the best one is kept).
 const REPS: usize = 5;
 
-/// Back-to-back pairs of the settled-every-16 pass and the `Scan`
-/// control per by-width row; their ratio is read as the median pair's.
+/// Back-to-back rounds of the settled-every-16 pass, the quantum pass
+/// and the `Scan` control per by-width row; each ratio to the control is
+/// read as the median round's.
 const PAIRS: usize = 7;
 
 /// One 150-tuple block at a time into a `HistSim` past stage 1, against
@@ -253,6 +267,24 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
                 assert!(hs.samples() > 0, "ingest work must not be optimized away");
             };
             let every_block = best_from(REPS, &staged, |hs| fused_pass(hs, 1));
+            // What a service worker does with a quantum: copy each block's
+            // codes into its reused buffer, then hand the engine the whole
+            // buffer at once, then settle.
+            let (mut zbuf, mut xbuf) = (Vec::new(), Vec::new());
+            let mut quantum_pass = |hs: &mut HistSim| {
+                let quanta = zs.chunks(TPB * QUANTUM).zip(xs.chunks(TPB * QUANTUM));
+                for (zq, xq) in quanta {
+                    zbuf.clear();
+                    xbuf.clear();
+                    for (zb, xb) in zq.chunks(TPB).zip(xq.chunks(TPB)) {
+                        zbuf.extend_from_slice(zb);
+                        xbuf.extend_from_slice(xb);
+                    }
+                    hs.ingest_block(&zbuf, &xbuf);
+                    hs.settle(unread);
+                }
+                assert!(hs.samples() > 0, "ingest work must not be optimized away");
+            };
             let mut acc = HistAccumulator::new(nc, ng);
             let mut merged = |every: usize| {
                 let (mut merges, mut touched) = (0u64, 0u64);
@@ -280,10 +312,12 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
             // pair of passes sees the same machine.
             let (mut counts, mut totals) = (vec![0u64; nc * ng], vec![0u64; nc]);
             let (cells, sums) = (counts.as_mut_slice(), totals.as_mut_slice());
-            let (mut every_16, mut scan) = (Duration::MAX, Duration::MAX);
-            let mut ratios = Vec::with_capacity(PAIRS);
+            let (mut every_16, mut quantum, mut scan) =
+                (Duration::MAX, Duration::MAX, Duration::MAX);
+            let (mut ratios, mut quantum_ratios) = (Vec::new(), Vec::new());
             for _ in 0..PAIRS {
                 let fused = best_from(1, &staged, |hs| fused_pass(hs, SETTLE_EVERY));
+                let one_call = best_from(1, &staged, &mut quantum_pass);
                 let control = best_of(1, || {
                     for (zb, xb) in zs.chunks(TPB).zip(xs.chunks(TPB)) {
                         for (&zc, &xc) in zb.iter().zip(xb) {
@@ -293,9 +327,12 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
                     }
                 });
                 (every_16, scan) = (every_16.min(fused), scan.min(control));
+                quantum = quantum.min(one_call);
                 ratios.push(fused.as_secs_f64() / control.as_secs_f64());
+                quantum_ratios.push(one_call.as_secs_f64() / control.as_secs_f64());
             }
             ratios.sort_by(f64::total_cmp);
+            quantum_ratios.sort_by(f64::total_cmp);
             assert!(
                 totals.iter().sum::<u64>() > 0,
                 "scan work must not be optimized away"
@@ -309,6 +346,8 @@ fn bench_block_ingest(total_tuples: usize, seed: u64) -> Vec<WidthResult> {
                 settle_every_16_ns_per_tuple: per_tuple(every_16),
                 scan_ns_per_tuple: per_tuple(scan),
                 fused_over_scan: ratios[PAIRS / 2],
+                quantum_ns_per_tuple: per_tuple(quantum),
+                quantum_over_scan: quantum_ratios[PAIRS / 2],
                 merge_ns_per_tuple: merges.map(|(wall, _)| per_tuple(wall)),
                 touched_frac: merges.map(|(_, frac)| frac),
             });
@@ -360,7 +399,9 @@ fn main() {
                 "ingest_block, settle every block ns/tuple",
                 "ingest_block, settle every 16 blocks ns/tuple",
                 "Scan's loop (control) ns/tuple",
-                "every 16 ÷ Scan (median pair)",
+                "every 16 ÷ Scan (median round)",
+                "one ingest_block + settle per 64-block quantum ns/tuple",
+                "quantum ÷ Scan (median round)",
                 "accumulate+merge_ref+clear+settle, merge every block ns/tuple",
                 "… every 16 blocks ns/tuple",
                 "… every 64 blocks ns/tuple",
@@ -375,6 +416,8 @@ fn main() {
                     format!("{:.2}", w.settle_every_16_ns_per_tuple),
                     format!("{:.2}", w.scan_ns_per_tuple),
                     format!("{:.2}", w.fused_over_scan),
+                    format!("{:.2}", w.quantum_ns_per_tuple),
+                    format!("{:.2}", w.quantum_over_scan),
                     format!("{:.2}", w.merge_ns_per_tuple[0]),
                     format!("{:.2}", w.merge_ns_per_tuple[1]),
                     format!("{:.2}", w.merge_ns_per_tuple[2]),
@@ -405,7 +448,7 @@ fn main() {
         widths
             .iter()
             .map(|w| format!(
-                "    {{\"codes\": \"{}\", \"candidates\": {}, \"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"fused_settle_every_16_ns_per_tuple\": {:.3}, \"scan_control_ns_per_tuple\": {:.3}, \"fused_settle_every_16_over_scan\": {:.4}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_64_ns_per_tuple\": {:.3}, \"touched_frac_per_merge\": [{:.4}, {:.4}, {:.4}]}}",
+                "    {{\"codes\": \"{}\", \"candidates\": {}, \"groups\": {}, \"fused_ns_per_tuple\": {:.3}, \"fused_settle_every_16_ns_per_tuple\": {:.3}, \"scan_control_ns_per_tuple\": {:.3}, \"fused_settle_every_16_over_scan\": {:.4}, \"fused_quantum_64_ns_per_tuple\": {:.3}, \"fused_quantum_64_over_scan\": {:.4}, \"accumulate_merge_clear_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_16_ns_per_tuple\": {:.3}, \"accumulate_merge_clear_every_64_ns_per_tuple\": {:.3}, \"touched_frac_per_merge\": [{:.4}, {:.4}, {:.4}]}}",
                 w.codes,
                 w.candidates,
                 w.groups,
@@ -413,6 +456,8 @@ fn main() {
                 w.settle_every_16_ns_per_tuple,
                 w.scan_ns_per_tuple,
                 w.fused_over_scan,
+                w.quantum_ns_per_tuple,
+                w.quantum_over_scan,
                 w.merge_ns_per_tuple[0],
                 w.merge_ns_per_tuple[1],
                 w.merge_ns_per_tuple[2],

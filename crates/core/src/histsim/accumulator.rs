@@ -2,10 +2,15 @@
 //!
 //! [`HistAccumulator`] turns raw `(z, x)` sample batches into
 //! per-candidate/per-group *count deltas* without touching any HistSim
-//! phase state. That split is what makes multi-core ingestion possible:
-//! any number of accumulators can be filled concurrently from disjoint
-//! block ranges (no shared mutable state, no locks) and each folded into
-//! the authoritative state machine with [`super::HistSim::merge`].
+//! phase state, so any number of accumulators can be filled from
+//! disjoint block ranges (no shared mutable state, no locks) and each
+//! folded into the state machine with [`super::HistSim::merge_ref`].
+//!
+//! No product path uses it: every executor and the query service ingest
+//! through [`super::HistSim::ingest_block`]. `new`, `accumulate`,
+//! `touched` and `clear`, with `HistSim::merge_ref`, stay public and
+//! unchanged because the repo benchmark's trace walker calls them; they
+//! go when that walker does (ROADMAP item 7).
 //!
 //! Counts are kept dense (candidate-major, like
 //! [`super::state::CountState`]) so accumulation itself is two array
@@ -14,9 +19,7 @@
 //! cost `O(non-zero cells)`, never `O(touched × groups)`: a 150-tuple
 //! block over a 351-group histogram moves ~150 cells, not ~60 whole rows.
 //! Accumulators are meant to be reused: [`HistAccumulator::clear`] zeroes
-//! only the listed cells and keeps the backing storage, and
-//! [`HistAccumulator::reshape`] lets one buffer serve queries of
-//! different domains.
+//! only the listed cells and keeps the backing storage.
 
 /// A list the hot loops append to *without branching*: every item is
 /// written into the next free slot and the length advances only when the
@@ -91,11 +94,10 @@ fn check_block(zs: &[u32], xs: &[u32], num_candidates: usize, groups: usize) {
 pub struct HistAccumulator {
     num_candidates: usize,
     groups: usize,
-    /// Dense per-(candidate, group) deltas, `candidate * groups + g`.
-    /// Storage never shrinks ([`Self::reshape`]); everything outside
-    /// `cells` is zero.
+    /// Dense per-(candidate, group) deltas, `candidate * groups + g`;
+    /// everything outside `cells` is zero.
     counts: Vec<u64>,
-    /// Per-candidate delta totals (same storage rule as `counts`).
+    /// Per-candidate delta totals.
     n: Vec<u64>,
     /// The non-zero cells as `(candidate, group)`, in first-touch order.
     cells: Slots<(u32, u32)>,
@@ -124,39 +126,20 @@ impl std::fmt::Debug for HistAccumulator {
 
 impl HistAccumulator {
     /// Creates a zeroed accumulator for a `num_candidates × groups`
-    /// domain.
+    /// domain (kept for the benchmark's walker; see the module docs).
+    ///
+    /// # Panics
+    /// Panics if `groups` is zero.
     pub fn new(num_candidates: usize, groups: usize) -> Self {
-        let mut acc = HistAccumulator {
-            num_candidates: 0,
-            groups: 1,
-            counts: Vec::new(),
-            n: Vec::new(),
+        assert!(groups > 0, "histograms must have at least one group");
+        HistAccumulator {
+            num_candidates,
+            groups,
+            counts: vec![0; num_candidates * groups],
+            n: vec![0; num_candidates],
             cells: Slots::default(),
             touched: Slots::default(),
             tuples: 0,
-        };
-        acc.reshape(num_candidates, groups);
-        acc
-    }
-
-    /// Re-dimensions an **empty** accumulator to another domain, reusing
-    /// its storage: nothing is allocated or zeroed unless the new domain
-    /// is larger than any this accumulator has served (a cleared
-    /// accumulator is all zeros whatever its shape). This is what lets a
-    /// service worker keep one accumulator across the queries it serves.
-    ///
-    /// # Panics
-    /// Panics if the accumulator holds tuples or `groups` is zero.
-    pub fn reshape(&mut self, num_candidates: usize, groups: usize) {
-        assert!(groups > 0, "histograms must have at least one group");
-        assert!(self.is_empty(), "reshape of a non-empty accumulator");
-        self.num_candidates = num_candidates;
-        self.groups = groups;
-        if self.counts.len() < num_candidates * groups {
-            self.counts.resize(num_candidates * groups, 0);
-        }
-        if self.n.len() < num_candidates {
-            self.n.resize(num_candidates, 0);
         }
     }
 
@@ -181,7 +164,7 @@ impl HistAccumulator {
     }
 
     /// Candidates with at least one accumulated tuple, in first-touch
-    /// order.
+    /// order (kept for the benchmark's walker; see the module docs).
     pub fn touched(&self) -> &[u32] {
         self.touched.as_slice()
     }
@@ -232,7 +215,8 @@ impl HistAccumulator {
     }
 
     /// Accumulates one block's worth of samples: `zs[i]`/`xs[i]` are the
-    /// candidate and group codes of the i-th tuple. Equivalent to calling
+    /// candidate and group codes of the i-th tuple (kept for the
+    /// benchmark's walker; see the module docs). Equivalent to calling
     /// [`Self::accumulate_one`] per tuple, but implemented as the batched
     /// ingestion kernel: the whole batch is checked against the domain
     /// once, after which the inner loop is two increments and two
@@ -262,7 +246,8 @@ impl HistAccumulator {
     }
 
     /// Resets to the zeroed state in `O(non-zero cells)`, keeping the
-    /// backing storage for reuse.
+    /// backing storage for reuse (kept for the benchmark's walker; see
+    /// the module docs).
     pub fn clear(&mut self) {
         for &(c, g) in self.cells.as_slice() {
             self.counts[c as usize * self.groups + g as usize] = 0;
@@ -309,36 +294,6 @@ mod tests {
         a.accumulate_one(2, 1);
         assert_eq!(a.n(2), 1);
         assert_eq!(a.touched(), &[2]);
-    }
-
-    /// One buffer serves domains of different shapes: re-dimensioning a
-    /// cleared accumulator within its high-water size keeps the storage
-    /// (no allocation, nothing to zero), and stale shape never leaks into
-    /// the new one.
-    #[test]
-    fn reshape_reuses_storage_across_domains() {
-        let mut a = HistAccumulator::new(8, 16);
-        let storage = a.candidate_counts(0).as_ptr();
-        a.accumulate(&[7, 7, 3], &[15, 15, 0]);
-        a.clear();
-        a.reshape(4, 3);
-        assert_eq!((a.num_candidates(), a.groups()), (4, 3));
-        a.accumulate(&[3, 0], &[2, 1]);
-        assert_eq!(a.candidate_counts(3), &[0, 0, 1]);
-        assert_eq!(a.candidate_counts(0), &[0, 1, 0]);
-        assert_eq!(a.touched(), &[3, 0]);
-        a.clear();
-        a.reshape(8, 16);
-        assert_eq!(a.candidate_counts(0).as_ptr(), storage);
-        assert!((0..8).all(|c| a.n(c) == 0 && a.candidate_counts(c) == [0; 16]));
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn reshape_of_a_filled_accumulator_panics() {
-        let mut a = HistAccumulator::new(2, 2);
-        a.accumulate_one(1, 1);
-        a.reshape(3, 3);
     }
 
     #[test]

@@ -46,12 +46,12 @@
 //!
 //! There are three ingestion paths, all leaving byte-identical counts
 //! for the same tuples: per tuple ([`HistSim::ingest`]); per block
-//! ([`HistSim::ingest_block`], the fused kernel every single-threaded
-//! executor uses); and, for parallel drivers, phase-free delta
-//! *accumulation* on worker threads ([`accumulator::HistAccumulator`])
-//! followed by a phase-aware *merge* on the statistics thread
-//! ([`HistSim::merge`]), which moves only the accumulator's non-zero
-//! cells. Every path counts each candidate's rows read (`nᵢ + n∂ᵢ`),
+//! ([`HistSim::ingest_block`], the fused kernel every executor and the
+//! query service use — the service hands it a quantum's blocks at
+//! once); and phase-free delta *accumulation*
+//! ([`accumulator::HistAccumulator`]) followed by a phase-aware *merge*
+//! ([`HistSim::merge`]), which only the repo benchmark's trace walker
+//! still calls. Every path counts each candidate's rows read (`nᵢ + n∂ᵢ`),
 //! pruned candidates included, so a driver that knows how many rows
 //! each candidate has can tell when one is read out.
 //!
@@ -618,8 +618,7 @@ impl HistSim {
 
     /// Folds a batch of phase-free count deltas (see [`HistAccumulator`])
     /// into the state machine, consuming the accumulator. Equivalent to
-    /// ingesting the accumulated tuples one by one in any order — the
-    /// merge half of the shard-parallel ingestion protocol.
+    /// ingesting the accumulated tuples one by one in any order.
     ///
     /// # Panics
     /// Panics if the accumulator's domain differs from this run's, or
@@ -631,7 +630,9 @@ impl HistSim {
     /// [`Self::merge`] by reference, leaving the accumulator intact so
     /// callers can [`HistAccumulator::clear`] and reuse its storage.
     /// Costs `O(non-zero cells)` of the accumulator. Totals and demand
-    /// are current when it returns.
+    /// are current when it returns. No product path calls it; it stays
+    /// public and unchanged for the repo benchmark's trace walker, and
+    /// goes with it (ROADMAP item 7).
     ///
     /// # Panics
     /// Panics if the accumulator's domain differs from this run's, or

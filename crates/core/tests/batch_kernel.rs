@@ -137,43 +137,40 @@ proptest! {
     }
 
     /// A reused accumulator is indistinguishable from a fresh one: after
-    /// being filled (two batches), cleared and re-dimensioned — smaller
-    /// or larger, so spare storage from the old shape lies inside or
-    /// beyond the new one — it takes
-    /// a second stream to exactly the state a new accumulator reaches,
-    /// and merges into `HistSim` identically.
+    /// being filled (two batches, so the first-touch lists hold items
+    /// from both) and cleared, it takes a second stream over other cells
+    /// to exactly the state a new accumulator reaches, and merges into
+    /// `HistSim` identically.
     #[test]
     fn reused_accumulator_equals_fresh(
         picks in prop::collection::vec((0u32..1000, 0u32..1000), 4..160),
-        nc1 in 1usize..30,
-        ng1 in (0usize..6).prop_map(width),
-        nc2 in 1usize..30,
-        ng2 in (0usize..6).prop_map(width),
+        nc in 1usize..30,
+        ng in (0usize..6).prop_map(width),
         split in 0usize..160,
+        shift in 1u32..1000,
     ) {
         let split = split.min(picks.len());
-        let cols = |nc, ng, part: &[(u32, u32)]| -> (Vec<u32>, Vec<u32>) {
+        let cols = |part: &[(u32, u32)]| -> (Vec<u32>, Vec<u32>) {
             stream_for(nc, ng, part).into_iter().unzip()
         };
 
-        let mut reused = HistAccumulator::new(nc1, ng1);
-        let (zs, xs) = cols(nc1, ng1, &picks[..split]);
+        let mut reused = HistAccumulator::new(nc, ng);
+        let (zs, xs) = cols(&picks[..split]);
         reused.accumulate(&zs, &xs);
-        let (zs, xs) = cols(nc1, ng1, &picks[split..]);
+        let (zs, xs) = cols(&picks[split..]);
         reused.accumulate(&zs, &xs);
         reused.clear();
-        assert_identical(&reused, &HistAccumulator::new(nc1, ng1));
-
-        reused.reshape(nc2, ng2);
-        let mut fresh = HistAccumulator::new(nc2, ng2);
+        let mut fresh = HistAccumulator::new(nc, ng);
         assert_identical(&reused, &fresh);
-        let (zs, xs) = cols(nc2, ng2, &picks);
+
+        let again: Vec<(u32, u32)> = picks.iter().map(|&(c, g)| (c + shift, g + shift)).collect();
+        let (zs, xs) = cols(&again);
         reused.accumulate(&zs, &xs);
         fresh.accumulate(&zs, &xs);
         assert_identical(&reused, &fresh);
 
-        let target = vec![1.0; ng2];
-        let mk = || HistSim::new(HistSimConfig::default(), nc2, ng2, 1_000_000, &target).unwrap();
+        let target = vec![1.0; ng];
+        let mk = || HistSim::new(HistSimConfig::default(), nc, ng, 1_000_000, &target).unwrap();
         let (mut a, mut b) = (mk(), mk());
         a.merge_ref(&reused);
         b.merge_ref(&fresh);

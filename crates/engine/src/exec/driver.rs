@@ -27,7 +27,7 @@
 use std::time::Instant;
 
 use fastmatch_core::error::Result;
-use fastmatch_core::histsim::{HistAccumulator, HistSim, PhaseKind};
+use fastmatch_core::histsim::{HistSim, PhaseKind};
 use fastmatch_store::io::IoStats;
 
 use crate::query::QueryJob;
@@ -93,8 +93,9 @@ impl Driver {
         })
     }
 
-    /// Ingests one read block — the synchronous ingestion path. The
-    /// block's tuples are traversed exactly once, by
+    /// Ingests the codes of one or more read blocks — the path of
+    /// `FastMatch` (a block at a time) and of the service (a quantum's
+    /// blocks at once). The tuples are traversed exactly once, by
     /// [`HistSim::ingest_block`]; demand and consumption are settled
     /// when the driver next advances.
     #[inline]
@@ -112,12 +113,6 @@ impl Driver {
         self.hs.ingest_block(zs, xs);
         let rows = &self.rows;
         self.hs.settle_block(zs, |c, read| unread(rows, c, read));
-    }
-
-    /// Merges one quantum's accumulated deltas — the parallel ingestion
-    /// path. Consumption is settled when the driver next advances.
-    pub fn merge_batch(&mut self, acc: &HistAccumulator) {
-        self.hs.merge_ref(acc);
     }
 
     /// Settles, then advances the state machine through every phase
@@ -239,9 +234,10 @@ mod tests {
         }
     }
 
-    /// One random query, read once through in rotated order on the
-    /// `ingest_block` path or in `merge_batch` batches, publishing after
-    /// a random number of blocks each time.
+    /// One random query, read once through in rotated order, block by
+    /// block or — the service's shape — with the codes of the blocks
+    /// between two publications buffered and ingested in one call,
+    /// publishing after a random number of blocks each time.
     fn run(seed: u64, batched: bool, seen: &mut Seen) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let candidates = rng.gen_range(2..10u32);
@@ -277,7 +273,7 @@ mod tests {
         let mut reader = job.reader();
         let nb = layout.num_blocks();
         let start = rng.gen_range(0..nb);
-        let mut batch = HistAccumulator::new(job.num_candidates(), job.num_groups());
+        let (mut zbuf, mut xbuf) = (Vec::new(), Vec::new());
         let mut until_publish = rng.gen_range(1..24usize);
         for b in (start..nb).chain(0..start) {
             if d.hs.is_done() {
@@ -285,20 +281,22 @@ mod tests {
             }
             let (zs, xs) = reader.block_slices(b, 0, 1);
             if batched {
-                batch.accumulate(zs, xs);
+                zbuf.extend_from_slice(zs);
+                xbuf.extend_from_slice(xs);
             } else {
                 d.ingest_block(zs, xs);
             }
             until_publish -= 1;
             if until_publish == 0 {
-                d.merge_batch(&batch);
-                batch.clear();
+                d.ingest_block(&zbuf, &xbuf);
+                zbuf.clear();
+                xbuf.clear();
                 publish_and_check(&mut d, &shared, seen, seed);
                 until_publish = rng.gen_range(1..24usize);
             }
         }
         if !d.hs.is_done() {
-            d.merge_batch(&batch);
+            d.ingest_block(&zbuf, &xbuf);
             publish_and_check(&mut d, &shared, seen, seed);
             d.finish_exhausted().unwrap();
         }
@@ -315,11 +313,7 @@ mod tests {
             for seed in 0..60 {
                 run(seed, batched, &mut seen);
             }
-            let path = if batched {
-                "merge_batch"
-            } else {
-                "ingest_block"
-            };
+            let path = if batched { "buffered" } else { "per block" };
             assert!(
                 seen.by_stage.iter().all(|&n| n > 0),
                 "{path}: publications per stage {:?}",
@@ -378,7 +372,7 @@ mod tests {
             let mut d = Driver::new(&job).unwrap();
             assert!(d.hs.is_exact(3), "never present: exact from the start");
             let mut reader = job.reader();
-            let mut acc = HistAccumulator::new(4, 2);
+            let (mut zbuf, mut xbuf) = (Vec::new(), Vec::new());
             let mut read = [0u64; 4];
             let mut settlements = 0;
             for b in 0..layout.num_blocks() {
@@ -387,12 +381,14 @@ mod tests {
                     read[c as usize] += 1;
                 }
                 if batched {
-                    acc.accumulate(zs, xs);
+                    zbuf.extend_from_slice(zs);
+                    xbuf.extend_from_slice(xs);
                     if b % 3 != 2 {
                         continue;
                     }
-                    d.merge_batch(&acc);
-                    acc.clear();
+                    d.ingest_block(&zbuf, &xbuf);
+                    zbuf.clear();
+                    xbuf.clear();
                 } else {
                     d.ingest_block(zs, xs);
                     if b % 3 != 2 {
@@ -428,14 +424,15 @@ mod tests {
     }
 
     /// Reading more rows of a candidate than the index counted panics in
-    /// release builds too, on both paths: the block-counted tracker only
+    /// release builds too, whether a walk settles it or the block's own
+    /// settlement (`read_block`) does: the block-counted tracker only
     /// `debug_assert!`ed it, so an under-counting index wrapped a `u32`
     /// and kept the candidate's demand open for good. Stage 1 has no
     /// active set, so each of its settlements checks every candidate.
     #[test]
     fn row_count_underflow_panics_in_all_builds() {
         let (table, layout, bitmap, cfg) = consumption_job_parts();
-        for batched in [false, true] {
+        for by_block in [false, true] {
             let job = QueryJob::new(&table, layout, &bitmap, 0, 1, vec![1.0, 1.0], cfg.clone());
             let mut d = Driver::new(&job).unwrap();
             let mut reader = job.reader();
@@ -444,10 +441,8 @@ mod tests {
             let (zs, xs) = reader.block_slices(250, 0, 1);
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 for _ in 0..3 {
-                    if batched {
-                        let mut acc = HistAccumulator::new(4, 2);
-                        acc.accumulate(zs, xs);
-                        d.merge_batch(&acc);
+                    if by_block {
+                        d.read_block(zs, xs);
                     } else {
                         d.ingest_block(zs, xs);
                     }
@@ -464,8 +459,9 @@ mod tests {
     }
 
     /// An index that under-counts a candidate nobody is waiting for is
-    /// caught by the next phase boundary, on both paths: a settlement
-    /// asks only about the candidates with demand, but the sweep before
+    /// caught by the next phase boundary, whether a walk settles each
+    /// block or the block's own settlement (`read_block`) does: neither
+    /// asks about a candidate without demand, but the sweep before
     /// each phase's test asks about all of them. Candidate 1 (every
     /// tuple on group 0, far from the uniform target) meets its stage-2
     /// demand within a few blocks and stops being active; its 600 rows
@@ -495,7 +491,7 @@ mod tests {
             stage1_samples: 200,
             ..HistSimConfig::default()
         };
-        for batched in [false, true] {
+        for by_block in [false, true] {
             let job = QueryJob::new(&table, layout, &bitmap, 0, 1, vec![1.0, 1.0], cfg.clone());
             let mut d = Driver::new(&job).unwrap();
             let mut reader = job.reader();
@@ -503,15 +499,16 @@ mod tests {
             let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 for b in 0..layout.num_blocks() {
                     let (zs, xs) = reader.block_slices(b, 0, 1);
-                    if batched {
-                        let mut acc = HistAccumulator::new(2, 2);
-                        acc.accumulate(zs, xs);
-                        d.merge_batch(&acc);
+                    if by_block {
+                        d.read_block(zs, xs);
                     } else {
                         d.ingest_block(zs, xs);
                     }
                     if b == 119 {
-                        assert!(!d.hs.is_active(1), "batched {batched}: 1 still has demand");
+                        assert!(
+                            !d.hs.is_active(1),
+                            "by_block {by_block}: 1 still has demand"
+                        );
                         assert_ne!(d.hs.phase(), PhaseKind::Stage1);
                         over_read_at = Some(boundaries);
                     }
@@ -526,12 +523,12 @@ mod tests {
             let msg = msg.downcast_ref::<String>().expect("formatted message");
             assert!(
                 msg.contains("candidate 1: 600 rows read but the index counts only 599"),
-                "batched {batched}: {msg}"
+                "by_block {by_block}: {msg}"
             );
             assert_eq!(
                 over_read_at,
                 Some(boundaries),
-                "batched {batched}: a phase completed after the over-read"
+                "by_block {by_block}: a phase completed after the over-read"
             );
         }
     }

@@ -4,8 +4,9 @@
 //! §5.2 comparison ladder (each adds exactly one mechanism):
 //! `Scan` → `ScanMatch` (approximation) → `SyncMatch` (AnyActive block
 //! skipping) → `FastMatch` (asynchronous cache-conscious lookahead) →
-//! `ParallelMatch` (shard-parallel ingestion over mergeable accumulators,
-//! run as one query on a private [`crate::service::QueryService`]).
+//! `ParallelMatch` (shard-parallel reads and marking feeding one
+//! statistics engine, run as one query on a private
+//! [`crate::service::QueryService`]).
 //!
 //! All HistSim executors drive the state machine through the shared
 //! `driver::Driver` (crate-internal); they differ only in how blocks are

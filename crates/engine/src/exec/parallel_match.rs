@@ -1,19 +1,22 @@
 //! `ParallelMatch`: one query on a private [`QueryService`].
 //!
 //! FastMatch (paper §4) decouples *block selection* from the statistics
-//! engine but still funnels every tuple through one ingesting core.
-//! `ParallelMatch` splits ingestion itself, with the machinery the query
-//! service runs for every query it serves: the job is admitted as the
-//! only query of a service with one worker per shard. Each shard task
-//! steps a [`ShardWalk`](crate::exec::walk::ShardWalk) over its disjoint
-//! block range (Figure 6's marking stage, Algorithm 3), reads the marked
-//! runs (its I/O stage) into phase-free accumulator quanta, and merges
-//! them into the query's driver, which advances phases and republishes
-//! demand; a shard with nothing readable parks until the demand epoch
-//! moves. Stale demand snapshots only deliver extra valid samples (the
-//! table is pre-permuted, so any block set is a uniform
-//! without-replacement sample), and when every shard is exhausted the
-//! run finishes exact, as every executor does.
+//! engine on one sampling thread. `ParallelMatch` runs the sampling
+//! side on several, with the machinery the query service runs for every
+//! query it serves: the job is admitted as the only query of a service
+//! with one worker per shard. Each shard task steps a
+//! [`ShardWalk`](crate::exec::walk::ShardWalk) over its disjoint block
+//! range (Figure 6's marking stage, Algorithm 3), reads the marked runs
+//! (its I/O stage, verification included) into its worker's code
+//! buffer, and hands a quantum's codes to the query's driver in one
+//! call of the fused kernel, which settles, advances phases and
+//! republishes demand. Reads, verification and marking are parallel;
+//! ingestion has one holder at a time, the engine mutex. A shard with
+//! nothing readable parks until the demand epoch moves. Stale demand
+//! snapshots only deliver extra valid samples (the table is
+//! pre-permuted, so any block set is a uniform without-replacement
+//! sample), and when every shard is exhausted the run finishes exact,
+//! as every executor does.
 
 use fastmatch_core::error::{CoreError, Result};
 

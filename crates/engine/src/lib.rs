@@ -15,11 +15,11 @@
 //! * [`exec::FastMatchExec`] — AnyActive with asynchronous, cache-conscious
 //!   lookahead on a separate sampling-engine thread, Algorithm 3 style
 //!   (adds *decoupled lookahead*);
-//! * [`exec::ParallelMatchExec`] — shard-parallel ingestion: the query
+//! * [`exec::ParallelMatchExec`] — shard-parallel sampling: the query
 //!   runs alone on a private [`service::QueryService`] whose N workers
-//!   fill phase-free [`HistAccumulator`](fastmatch_core::histsim::HistAccumulator)
-//!   quanta from disjoint block ranges and merge them into the
-//!   authoritative state machine (adds *multi-core ingestion*).
+//!   read and mark disjoint block ranges and hand each quantum's codes
+//!   to the one state machine, one quantum at a time (adds *multi-core
+//!   reads and marking*).
 //!
 //! All approximate executors provide the same Guarantee 1/2 semantics; they
 //! differ only in how fast they reach HistSim's termination conditions.

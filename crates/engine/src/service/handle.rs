@@ -60,8 +60,8 @@ impl GuaranteeState {
 }
 
 /// A progressive snapshot of one running query. `phase`, `guarantee`,
-/// `samples` and `io` are refreshed after every merged ingestion
-/// quantum; `current_topk` when a merge completes a phase or a stage-2
+/// `samples` and `io` are refreshed after every ingested quantum;
+/// `current_topk` when an ingested quantum completes a phase or a stage-2
 /// round (and at completion), since recomputing the preview is a
 /// `|V_Z|·|V_X|` pass and its ranking moves materially only there.
 #[derive(Debug, Clone)]

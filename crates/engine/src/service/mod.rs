@@ -28,16 +28,19 @@
 //! * **Per-query protocol** — each query runs the demand protocol of
 //!   the executors, over the walk FastMatch steps too (Figure 6's
 //!   marking stage is `exec::walk::ShardWalk::step`, called with what is
-//!   left of the quantum's budget as its limit): shard quanta fill
-//!   phase-free [`HistAccumulator`] batches, merge into the
-//!   authoritative driver under the query's engine mutex (which counts
-//!   rows read from the batch's touched candidates, never its tuples,
-//!   and settles consumption over the active set), advance phases and
-//!   republish demand. The paper's
+//!   left of the quantum's budget as its limit): a shard quantum reads
+//!   its blocks into the worker's reused code buffer (at most
+//!   `quantum_blocks` blocks' `Z` and `X` codes), then, under the
+//!   query's engine mutex, hands them to the driver in one call of the
+//!   fused kernel every executor uses (`HistSim::ingest_block`), settles
+//!   over the active set, advances phases and republishes demand. Reads,
+//!   verification and marking run in parallel across shards; ingestion
+//!   has one holder at a time per query — the paper's single statistics
+//!   engine. The paper's
 //!   correctness argument carries over unchanged: any set of blocks of
 //!   the pre-permuted table is a uniform without-replacement sample, so
 //!   quantum scheduling changes *latency*, never the guarantee.
-//! * **Progressive results** — after every merged quantum the handle's
+//! * **Progressive results** — after every ingested quantum the handle's
 //!   snapshot is refreshed: phase, [`GuaranteeState`], samples so far,
 //!   and the query's attributed
 //!   [`IoStats`](fastmatch_store::io::IoStats) — including its private
@@ -66,7 +69,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fastmatch_core::error::CoreError;
-use fastmatch_core::histsim::{HistAccumulator, HistSimConfig};
+use fastmatch_core::histsim::HistSimConfig;
 use fastmatch_store::backend::StorageBackend;
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::live::{LiveTable, Snapshot};
@@ -569,23 +572,23 @@ enum Next {
 }
 
 fn worker_loop(svc: &QueryService<'_>, worker: usize) {
-    // One accumulator per worker, re-dimensioned to each quantum's
-    // query: the resident ingestion storage is `workers` accumulators,
-    // however many queries and shards are admitted.
-    let mut batch = HistAccumulator::new(0, 1);
+    // One code buffer per worker, whatever query each quantum serves:
+    // the resident ingestion storage is `workers` buffers of at most a
+    // quantum's codes, however many queries and shards are admitted.
+    let mut codes = (Vec::new(), Vec::new());
     while let Some(task) = svc.sched.pop(worker) {
-        run_quantum(svc, task, &mut batch);
+        run_quantum(svc, task, &mut codes);
     }
 }
 
 /// Runs one scheduling quantum of one shard task, then routes the task
 /// (requeue / park / retire) and performs any terminal bookkeeping.
-/// `batch` is the calling worker's reused ingestion storage: empty on
-/// entry, empty again on return.
+/// `codes` is the calling worker's reused buffer for the quantum's `Z`
+/// and `X` codes; whatever it holds on entry is discarded.
 fn run_quantum<'env>(
     svc: &QueryService<'env>,
     mut task: ShardTask<'env>,
-    batch: &mut HistAccumulator,
+    codes: &mut (Vec<u32>, Vec<u32>),
 ) {
     let query = Arc::clone(&task.query);
 
@@ -609,12 +612,15 @@ fn run_quantum<'env>(
         return;
     }
 
-    // The ingestion quantum: step the shard's walk, reading the marked
-    // runs it hands out into the worker's accumulator, until the budget
-    // is spent or the walk has nothing more to give right now. The walk
-    // keeps its place, so the next quantum resumes where this one stops.
+    // The ingestion quantum: step the shard's walk, appending the codes
+    // of the marked runs it hands out to the worker's buffer, until the
+    // budget is spent or the walk has nothing more to give right now.
+    // The walk keeps its place, so the next quantum resumes where this
+    // one stops.
     let job = &query.job;
-    batch.reshape(job.num_candidates(), job.num_groups());
+    let (zbuf, xbuf) = codes;
+    zbuf.clear();
+    xbuf.clear();
     let budget = svc.config.quantum_blocks;
     let mut reads = 0usize;
     let mut park_epoch: Option<u64> = None;
@@ -634,7 +640,8 @@ fn run_quantum<'env>(
             }
             let read = reader.read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
                 reads += 1;
-                batch.accumulate(zs, xs);
+                zbuf.extend_from_slice(zs);
+                xbuf.extend_from_slice(xs);
                 true
             });
             failure = read.err().map(crate::exec::storage_err);
@@ -653,19 +660,20 @@ fn run_quantum<'env>(
         }
     }
 
-    // Merge the quantum under the query's engine mutex, then decide the
-    // task's next life.
-    let mut merged = false;
+    // Ingest the quantum under the query's engine mutex — one call of
+    // the fused kernel over all its codes — then decide the task's next
+    // life.
+    let mut ingested = false;
     let next = {
         let mut eng = query.engine.lock().unwrap();
         task.flush_io(&mut eng);
         if let Some(e) = failure {
             eng.set_verdict(Verdict::Failed(e));
             query.demand.set_mode(DemandMode::Stop);
-        } else if eng.verdict.is_none() && !batch.is_empty() {
+        } else if eng.verdict.is_none() && !zbuf.is_empty() {
             eng.stuck_rounds = 0;
             let d = eng.driver.as_mut().expect("driver taken before verdict");
-            d.merge_batch(batch);
+            d.ingest_block(zbuf, xbuf);
             let advanced = d.advance_and_publish(&query.demand);
             let done = advanced.is_ok() && d.hs.is_done();
             let stepped = match advanced {
@@ -681,7 +689,7 @@ fn run_quantum<'env>(
                     false
                 }
             };
-            merged = true;
+            ingested = true;
             refresh_progress(&query, &eng, stepped);
         }
         if eng.verdict.is_some() || task.walk.exhausted() {
@@ -692,8 +700,8 @@ fn run_quantum<'env>(
             Next::Requeue
         }
     };
-    if merged {
-        // The merge republished demand (epoch bump): wake this query's
+    if ingested {
+        // The advance republished demand (epoch bump): wake this query's
         // parked shards so they re-evaluate under the fresh snapshot.
         svc.sched.wake_query(query.id);
     }
@@ -706,9 +714,6 @@ fn run_quantum<'env>(
             }
         }
     }
-    // Last, so the task is back with the scheduler before this worker
-    // spends time zeroing the cells it touched.
-    batch.clear();
 }
 
 /// Records a terminal reason (cancel / deadline), publishes `Stop`, and
@@ -723,7 +728,7 @@ fn finalize_reason(svc: &QueryService<'_>, query: &QueryState<'_>, verdict: Verd
 }
 
 /// The all-parked valve: every live shard of `query` parked with no
-/// merge in between. Demand should then be impossible to satisfy only
+/// ingested quantum in between. Demand should then be impossible to satisfy only
 /// transiently (a republication races the parks); republish to give the
 /// shards a fresh epoch, and fail the query loudly after
 /// [`MAX_STUCK_ROUNDS`] consecutive fruitless rounds rather than cycle
@@ -751,8 +756,8 @@ fn stuck_valve(svc: &QueryService<'_>, query: &QueryState<'_>) {
 }
 
 /// Refreshes the handle's progressive snapshot (caller holds the engine
-/// mutex). Every merged quantum pays only for the O(1) fields; the
-/// top-k preview is recomputed when the merge `stepped` the state
+/// mutex). Every ingested quantum pays only for the O(1) fields; the
+/// top-k preview is recomputed when the advance `stepped` the state
 /// machine over a phase or round boundary — which includes completion.
 fn refresh_progress(query: &QueryState<'_>, eng: &EngineState, stepped: bool) {
     let Some(d) = &eng.driver else { return };
@@ -1014,15 +1019,14 @@ mod tests {
         assert!(stats.quanta > 0, "quanta must be counted: {stats:?}");
     }
 
-    /// A quantum that reads but is never merged — its query got a
-    /// verdict while it read — still hands the worker's accumulator back
-    /// clean: the next query that worker serves, reshaped over the same
-    /// storage, finishes exactly as on a fresh accumulator — a wide
-    /// histogram after a narrow one and a narrow one after a wide one,
-    /// so a stale cell of the unmerged quantum would land inside the
-    /// next query's counts.
+    /// A quantum that reads but is never ingested — its query got a
+    /// verdict while it read — leaves nothing behind in the worker's code
+    /// buffer: the next query that worker serves finishes exactly as on a
+    /// fresh buffer — a wide histogram after a narrow one and a narrow
+    /// one after a wide one, so a stale code of the dropped quantum would
+    /// land inside the next query's counts (or outside its domain).
     #[test]
-    fn unmerged_quantum_leaves_the_accumulator_clean_for_the_next_query() {
+    fn uningested_quantum_leaves_no_codes_for_the_next_query() {
         let wide = 60;
         let schema = Schema::new(vec![
             AttrDef::new("z", 4),
@@ -1057,48 +1061,52 @@ mod tests {
         let all = || HistSimConfig { k: 4, ..cfg() };
         let narrow = || QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], all());
         let wide = || QueryRequest::new(&bitmap, 0, 2, vec![1.0; wide as usize], all());
+        type Codes = (Vec<u32>, Vec<u32>);
         fn finish<'a>(
             svc: &QueryService<'a>,
             request: QueryRequest<'a>,
-            batch: &mut HistAccumulator,
+            codes: &mut Codes,
         ) -> String {
             let h = svc.submit(request).unwrap();
             while !h.is_done() {
                 let task = svc.sched.pop(0).expect("a live query keeps a task queued");
-                run_quantum(svc, task, batch);
+                run_quantum(svc, task, codes);
             }
             let out = h.wait().finished().expect("must finish").clone();
             // Everything but the wall clock.
             format!("{:?}", (out.output, out.stats.io, out.stats.samples))
         }
 
-        for (unmerged, next) in [(wide(), narrow()), (narrow(), wide())] {
+        for (dropped, next) in [(wide(), narrow()), (narrow(), wide())] {
             let svc = service();
-            let mut batch = HistAccumulator::new(0, 1);
-            let h = svc.submit(unmerged).unwrap();
+            let mut codes = Codes::default();
+            let h = svc.submit(dropped).unwrap();
             let task = svc.sched.pop(0).unwrap();
             let query = Arc::clone(&task.query);
             query.engine.lock().unwrap().set_verdict(Verdict::Cancelled);
-            run_quantum(&svc, task, &mut batch);
+            run_quantum(&svc, task, &mut codes);
             let eng = query.engine.lock().unwrap();
             assert!(eng.io.blocks_read > 0, "the quantum must have read");
             drop(eng);
             assert!(h.wait().finished().is_none());
-            assert!(batch.is_empty());
+            assert!(
+                !codes.0.is_empty(),
+                "the dropped quantum's codes stay buffered"
+            );
 
-            let reused = finish(&svc, next.clone(), &mut batch);
-            let fresh = finish(&service(), next, &mut HistAccumulator::new(0, 1));
+            let reused = finish(&svc, next.clone(), &mut codes);
+            let fresh = finish(&service(), next, &mut Codes::default());
             assert_eq!(reused, fresh);
         }
     }
 
     /// Drives one query's quanta by hand (no worker threads) and checks
     /// what a quantum may cost and what it must publish: the worker's
-    /// accumulator storage is allocated once and then only reused —
-    /// no `|V_Z|·|V_X|`-sized allocation per quantum — and so are each
-    /// shard walk's mark window and active-candidate buffer (no
-    /// allocation per window either); `samples` advances
-    /// with every merged quantum (σ = 0: every tuple read counts); the
+    /// code buffer is allocated by the first quantum and then only
+    /// reused — no allocation per quantum — and so are each shard walk's
+    /// mark window and active-candidate buffer (no allocation per window
+    /// either); `samples` advances
+    /// with every ingested quantum (σ = 0: every tuple read counts); the
     /// top-k preview appears once stage 1 is over and equals the output
     /// at completion.
     #[test]
@@ -1124,10 +1132,10 @@ mod tests {
             .submit(QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], cfg()))
             .unwrap();
 
-        let mut batch = HistAccumulator::new(0, 1);
+        let mut codes = (Vec::new(), Vec::new());
         let mut storage = None;
         let mut walk_storage = std::collections::HashMap::new();
-        let (mut merged_quanta, mut previews) = (0, 0);
+        let (mut ingested_quanta, mut previews) = (0, 0);
         let mut last = h.progress();
         while !h.is_done() {
             let task = svc.sched.pop(0).expect("a live query keeps a task queued");
@@ -1138,14 +1146,13 @@ mod tests {
                 buffers,
                 "shard at block {shard}: walk buffers reallocated"
             );
-            run_quantum(&svc, task, &mut batch);
-            assert!(batch.is_empty(), "a quantum must hand the batch back empty");
-            let at = batch.candidate_counts(0).as_ptr();
-            assert_eq!(*storage.get_or_insert(at), at, "accumulator reallocated");
+            run_quantum(&svc, task, &mut codes);
+            let at = (codes.0.as_ptr(), codes.1.as_ptr());
+            assert_eq!(*storage.get_or_insert(at), at, "code buffer reallocated");
 
             let now = h.progress();
             if now.io.blocks_read > last.io.blocks_read && !h.is_done() {
-                merged_quanta += 1;
+                ingested_quanta += 1;
                 assert!(now.samples > last.samples, "{now:?} after {last:?}");
             }
             if now.phase != PhaseKind::Stage1 {
@@ -1154,7 +1161,10 @@ mod tests {
             }
             last = now;
         }
-        assert!(merged_quanta > 10, "only {merged_quanta} merged quanta");
+        assert!(
+            ingested_quanta > 10,
+            "only {ingested_quanta} ingested quanta"
+        );
         assert!(previews > 1, "the preview was never seen before completion");
         let out = h.wait();
         assert_eq!(last.current_topk, out.finished().unwrap().candidate_ids());

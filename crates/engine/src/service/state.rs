@@ -10,13 +10,13 @@
 //! interleave at quantum granularity over one pool instead of each
 //! spawning its own threads. Stealing is safe because a task is
 //! self-contained: it owns its reader and walk outright and every
-//! cross-task effect (merge, demand publication) is serialized by the
+//! cross-task effect (ingestion, demand publication) is serialized by the
 //! query's engine mutex, so *which* worker runs a quantum is immaterial.
 //!
 //! A task that completes a full pass over its shard without finding a
 //! readable block under the query's current demand snapshot *parks*:
 //! it leaves the ready queue and is only re-enqueued when the query's
-//! demand epoch changes (a sibling shard merged, or the stuck valve
+//! demand epoch changes (a sibling shard ingested, or the stuck valve
 //! republished). Parking is what keeps fruitless shards from burning
 //! pool capacity that other queries could use.
 //!
@@ -68,7 +68,8 @@ pub(crate) struct EngineState {
     pub io: IoStats,
     /// Shards not yet retired.
     pub live_shards: usize,
-    /// Consecutive all-parked valve rounds without a merge in between.
+    /// Consecutive all-parked valve rounds without an ingested quantum in
+    /// between.
     pub stuck_rounds: u32,
     /// Terminal reason, once known.
     pub verdict: Option<Verdict>,
@@ -341,7 +342,7 @@ impl<'a> Scheduler<'a> {
 
     /// Moves every parked task of `query_id` back to the ready queue
     /// (called after a demand republication for that query — any epoch
-    /// bump, merge or valve, wakes the whole query).
+    /// bump, ingested quantum or valve, wakes the whole query).
     pub fn wake_query(&self, query_id: u64) {
         let mut s = self.state.lock().unwrap();
         let mut woken = 0usize;

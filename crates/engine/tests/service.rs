@@ -4,17 +4,18 @@
 //! control surface (progress, cancellation, deadlines, admission) must
 //! behave under load.
 
-use std::time::Duration;
+use std::collections::HashMap;
+use std::time::{Duration, Instant};
 
 use fastmatch_core::histsim::HistSimConfig;
 use fastmatch_data::gen::{conditional_with_planted, generate_table, ColumnGen, ColumnSpec};
 use fastmatch_data::shapes::uniform;
-use fastmatch_engine::exec::{Executor, SyncMatchExec};
+use fastmatch_engine::exec::{Executor, ScanExec, SyncMatchExec};
 use fastmatch_engine::query::QueryJob;
 use fastmatch_engine::service::{
-    QueryOutcome, QueryRequest, QueryService, ServiceConfig, ServiceError,
+    QueryHandle, QueryOutcome, QueryRequest, QueryService, ServiceConfig, ServiceError,
 };
-use fastmatch_store::backend::StorageBackend;
+use fastmatch_store::backend::{MemBackend, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::file::FileBackend;
 use fastmatch_store::table::Table;
@@ -464,4 +465,100 @@ fn corrupt_page_fails_queries_cleanly() {
             other => panic!("corrupt file must fail the query, got {other:?}"),
         }
     });
+}
+
+/// Waits for `h` until `deadline`: a query whose worker died (a panic
+/// under its engine mutex) never resolves, and a test should then fail,
+/// not hang.
+fn wait_until(h: &QueryHandle, deadline: Instant) -> Option<QueryOutcome> {
+    while Instant::now() < deadline {
+        if let Some(outcome) = h.try_outcome() {
+            return Some(outcome);
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    None
+}
+
+/// Conservation: every quantum a shard reads reaches its query's
+/// statistics engine exactly once. With σ = 0 and an ε no sample count
+/// can meet, a query reads the whole table and finishes exact, so each
+/// matched candidate's histogram and `samples` must equal its exact
+/// histogram and row count from a full `ScanExec` pass. Two workers
+/// serve four shards per query with four queries in flight, over mem
+/// and file, for twelve seeds: a quantum dropped or ingested twice
+/// changes some count, or trips the driver's row-count check.
+#[test]
+fn every_quantum_is_ingested_exactly_once() {
+    let rows = 20_000;
+    let table = test_table(rows, 23);
+    let scratch = TempBlockFile::new("service_conservation");
+    let file = FileBackend::create(scratch.path(), &table, 64)
+        .unwrap()
+        .with_cache_blocks(64);
+    let mem = MemBackend::new(&table, file.layout());
+    let exact_cfg = HistSimConfig {
+        k: 5,
+        epsilon: 1e-9,
+        sigma: 0.0,
+        stage1_samples: 2_000,
+        ..config()
+    };
+    let service_cfg = ServiceConfig::default()
+        .with_workers(2)
+        .with_shards_per_query(4)
+        .with_quantum_blocks(8);
+    let backends: [(&str, &dyn StorageBackend); 2] = [("mem", &mem), ("file", &file)];
+    for (name, backend) in backends {
+        let bitmap = BitmapIndex::build(&table, 0, &backend.layout());
+        // Every present candidate's exact histogram and row count.
+        let all = HistSimConfig {
+            k: 60,
+            ..exact_cfg.clone()
+        };
+        let job = QueryJob::from_backend(backend, &bitmap, 0, 1, uniform(GROUPS), all);
+        let exact: HashMap<u32, (Vec<u64>, u64)> = ScanExec
+            .run(&job, 0)
+            .unwrap()
+            .output
+            .matches
+            .iter()
+            .map(|m| (m.candidate, (m.histogram.counts().to_vec(), m.samples)))
+            .collect();
+
+        let seeds: Vec<u64> = (0..12).map(|i| 500 + 11 * i).collect();
+        let outcomes = QueryService::serve(backend, service_cfg, |svc| {
+            let deadline = Instant::now() + Duration::from_secs(60);
+            let mut outcomes = Vec::new();
+            for flight in seeds.chunks(4) {
+                let handles: Vec<_> = flight
+                    .iter()
+                    .map(|&seed| {
+                        let req =
+                            QueryRequest::new(&bitmap, 0, 1, uniform(GROUPS), exact_cfg.clone());
+                        svc.submit(req.with_seed(seed)).unwrap()
+                    })
+                    .collect();
+                outcomes.extend(handles.iter().map(|h| wait_until(h, deadline)));
+            }
+            outcomes
+        });
+        for (seed, outcome) in seeds.iter().zip(outcomes) {
+            let at = format!("{name}, seed {seed}");
+            let out = match outcome {
+                Some(QueryOutcome::Finished(out)) => out,
+                other => panic!("{at}: {other:?}"),
+            };
+            assert_eq!(
+                out.stats.io.tuples_read, rows as u64,
+                "{at}: whole table read once"
+            );
+            assert_eq!(out.output.matches.len(), 5, "{at}");
+            for m in &out.output.matches {
+                let want = exact.get(&m.candidate).expect("a matched candidate occurs");
+                let got = (m.histogram.counts().to_vec(), m.samples);
+                assert_eq!(&got, want, "{at}: candidate {}", m.candidate);
+            }
+        }
+    }
 }
