@@ -3,10 +3,10 @@
 //! Every executor that runs the HistSim protocol repeats the same
 //! scaffolding: build the state machine, mark never-present candidates
 //! exact, feed it samples while tracking per-candidate consumption,
-//! advance phases whenever demand is met, publish fresh demand to any
-//! sampling-engine threads, and package the output with run statistics.
+//! advance phases whenever demand is met, publish fresh demand to the
+//! walk that marks blocks, and package the output with run statistics.
 //! [`Driver`] owns exactly that scaffolding so `ScanMatch`/`SyncMatch`
-//! (sequential), `FastMatch` (async lookahead) and the query service
+//! (sequential), `FastMatch` (lookahead marking) and the query service
 //! (sharded quanta, which `ParallelMatch` runs on) differ only in *how
 //! blocks are chosen and delivered*, not in how HistSim is driven.
 //!
@@ -135,7 +135,7 @@ impl Driver {
     }
 
     /// [`Self::advance`], then publishes the resulting demand snapshot for
-    /// sampling-engine / shard-worker threads — as one atomic publication
+    /// the walk and the service's shard workers — as one atomic publication
     /// (single epoch bump), so a woken reader never sees a fresh mode
     /// with stale demand or vice versa. The per-candidate counts go out
     /// in full only when [`needs_full_publication`] says demand may have

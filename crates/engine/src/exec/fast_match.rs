@@ -1,65 +1,64 @@
-//! `FastMatch`: AnyActive block selection with asynchronous,
-//! cache-conscious lookahead (paper §4).
+//! `FastMatch`: AnyActive block selection with cache-conscious lookahead
+//! (paper §4).
 //!
-//! Two threads, mirroring Figure 6:
+//! Figure 6's three stages run one after the other on the calling
+//! thread, one lookahead window at a time:
 //!
-//! * the **sampling engine** (lookahead thread) steps one
-//!   [`ShardWalk`] over the whole table in windows of `lookahead`
-//!   blocks — Algorithm 3 marks each window for reading or skipping as a
-//!   bitset, one word OR per 64 blocks per active candidate
-//!   ([`BitmapIndex::or_window`]: 16 per candidate for the default
-//!   1024-block window), and stops consulting candidates once every
-//!   unvisited block of the window is marked — and streams each window's
-//!   decisions through a bounded channel;
-//! * the **I/O manager + statistics engine** (caller thread) reads each
-//!   marked run *as a run* ([`BlockReader::read_run`]) and ingests its
-//!   blocks into HistSim one at a time with the fused kernel, `Scan`'s
-//!   two increments per tuple (counts and rows read are current at
-//!   once). Every `PUBLISH_EVERY` blocks (at once when stage 1's tuples
-//!   are in; further apart while thousands of candidates hold demand,
-//!   since a settlement loads one row count per active candidate) it
-//!   settles them — demand and row-counted consumption — advances its
-//!   stages, and publishes which candidates are still active through
-//!   [`SharedDemand`]: every count after a stage or round boundary,
-//!   otherwise only the candidates that have run out since. A stage-2/3
-//!   phase end is therefore seen at most `PUBLISH_EVERY − 1` blocks
-//!   late; the extra blocks are valid samples, like a stale mark.
+//! * **marking** steps one [`ShardWalk`] over the whole table in windows
+//!   of `lookahead` blocks (the same walk the query service drives, and
+//!   with it `ParallelMatch`) — Algorithm 3 marks each window for reading
+//!   or skipping as a bitset, one word OR per 64 blocks per active
+//!   candidate ([`BitmapIndex::or_window`]: 16 per candidate for the
+//!   default 1024-block window), and stops consulting candidates once
+//!   every unvisited block of the window is marked;
+//! * **I/O** reads each marked run of the window *as a run*
+//!   ([`BlockReader::read_run`]) and reads nothing ahead: the file
+//!   backend fetches it one positioned read per attribute and 64-block
+//!   chunk, the in-memory backend lends the table's own slices; unmarked
+//!   runs are counted as skipped;
+//! * **ingestion** is the visitor the run read calls per block: HistSim's
+//!   fused kernel, `Scan`'s two increments per tuple (counts and rows
+//!   read are current at once). Every `PUBLISH_EVERY` blocks (at once
+//!   when stage 1's tuples are in; further apart while thousands of
+//!   candidates hold demand, since a settlement loads one row count per
+//!   active candidate) it settles them — demand and row-counted
+//!   consumption — advances the stages, and publishes which candidates
+//!   are still active through [`SharedDemand`], which the next window's
+//!   marking reads.
 //!
-//! Of Figure 6's three stages, **marking** (`ShardWalk::step`, the same
-//! walk the query service drives, and with it `ParallelMatch`) runs at
-//! most two windows ahead of I/O (below). **I/O** is a demand read of
-//! the marked run and reads nothing ahead: the file backend fetches it
-//! one positioned read per attribute and 64-block chunk, the in-memory
-//! backend lends the table's own slices. **Ingestion** is the visitor
-//! the run read calls per block.
+//! A window is marked once, before any of its blocks is read, so its
+//! marks are at most one window stale: a candidate whose demand runs out
+//! while its window is being read still has its marked blocks in that
+//! window read — the freshness/decoupling trade-off of §4.2 Challenge 4.
+//! Stale marks only deliver extra valid samples, so correctness is
+//! unaffected; only efficiency is at stake. With no second thread, a run
+//! replays exactly at a fixed seed.
 //!
-//! The channel carries one message per marked window and holds two, so
-//! block selection runs at most two windows (`2 × lookahead` blocks)
-//! ahead of I/O — the freshness/decoupling trade-off of §4.2 Challenge 4.
-//! Active states seen by the sampling engine may be slightly stale;
-//! correctness is unaffected (stale reads only deliver extra valid
-//! samples), only efficiency is at stake.
-
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::Arc;
+//! Fresh marks leave many one-block gaps between marked runs once few
+//! candidates hold demand, and each gap splits a read in two (on the
+//! file backend, one more positioned read per attribute) and comes back
+//! as a one-block read in a later pass if demand moves onto it. The walk
+//! therefore also marks such lone gaps
+//! ([`ShardWalk::reading_lone_gaps`]): a 1 M-row TAXI query over the
+//! file reads its 6 667 blocks in about 470 runs instead of 1 900.
 
 use fastmatch_core::error::{CoreError, Result};
+#[cfg(doc)]
 use fastmatch_store::bitmap::BitmapIndex;
 #[cfg(doc)]
 use fastmatch_store::io::BlockReader;
-use fastmatch_store::io::IoStats;
 
 use crate::exec::driver::Driver;
 use crate::exec::walk::{ShardWalk, Step};
 use crate::exec::{start_block, storage_err, Executor};
 use crate::query::QueryJob;
 use crate::result::MatchOutput;
-use crate::shared::{DemandMode, SharedDemand};
+use crate::shared::SharedDemand;
 
 /// Default lookahead window (paper default, §5.2).
 pub const DEFAULT_LOOKAHEAD: usize = 1024;
 
-/// How often (in blocks read) the I/O thread settles what it has
+/// How often (in blocks read) the statistics engine settles what it has
 /// ingested and republishes per-candidate demand. Staleness of a few
 /// blocks is negligible next to the lookahead window itself.
 const PUBLISH_EVERY: u64 = 16;
@@ -103,25 +102,6 @@ impl FastMatchExec {
     }
 }
 
-/// Messages from the sampling engine to the I/O manager — one batch per
-/// marked lookahead window, so channel traffic (and any backpressure
-/// parking) is amortized over the whole window.
-enum Msg {
-    /// One window's decisions: contiguous `(start, len)` runs of blocks to
-    /// read, plus the number of blocks the window skipped.
-    Batch {
-        /// Contiguous block runs to read, in scan order.
-        runs: Vec<(u32, u32)>,
-        /// Blocks skipped by AnyActive in this window.
-        skipped: u32,
-    },
-    /// A full pass over the block sequence finished.
-    PassEnd,
-    /// Every block has been marked for reading at some point: the table is
-    /// fully consumed once the channel drains.
-    Exhausted,
-}
-
 impl Executor for FastMatchExec {
     fn name(&self) -> &'static str {
         "FastMatch"
@@ -129,153 +109,63 @@ impl Executor for FastMatchExec {
 
     fn run(&self, job: &QueryJob<'_>, seed: u64) -> Result<MatchOutput> {
         let mut d = Driver::new(job)?;
-
+        let mut reader = job.reader();
         let nb = job.layout.num_blocks();
-        let start = start_block(nb, seed);
-        let shared = Arc::new(SharedDemand::new(job.num_candidates()));
-        shared.set_mode(DemandMode::ReadAll); // stage 1
+        let shared = SharedDemand::new(job.num_candidates());
+        let mut walk = ShardWalk::new(
+            0..nb,
+            start_block(nb, seed),
+            self.lookahead,
+            job.num_candidates(),
+        )
+        .reading_lone_gaps();
+        let mut reads_since_publish = 0u64;
 
-        // One message per lookahead window; capacity 2 keeps the sampling
-        // engine at most two windows ahead of I/O (§4.2 Challenge 4's
-        // freshness bound).
-        let (tx, rx) = sync_channel::<Msg>(2);
-        let walk = ShardWalk::new(0..nb, start, self.lookahead, job.num_candidates());
-        let shared_for_marker = Arc::clone(&shared);
-
-        let mut result: Option<Result<IoStats>> = None;
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                sampling_engine(&job.bitmap, &shared_for_marker, tx, walk);
-            });
-            let r = io_and_stats_loop(job, &mut d, &shared, rx);
-            shared.set_mode(DemandMode::Stop);
-            result = Some(r);
-        });
-        result.expect("scope completed").and_then(|io| d.finish(io))
-    }
-}
-
-/// The lookahead thread: steps the walk one `lookahead` window at a time
-/// and ships each window's decisions as one message — marked runs in the
-/// shape the I/O manager reads them in, skipped blocks as a count.
-fn sampling_engine(
-    bitmap: &BitmapIndex,
-    shared: &SharedDemand,
-    tx: SyncSender<Msg>,
-    mut walk: ShardWalk,
-) {
-    loop {
-        let mut runs: Vec<(u32, u32)> = Vec::new();
-        let mut skipped = 0u32;
-        let step = walk.step(bitmap, shared, usize::MAX, |run, marked| {
-            if marked {
-                runs.push((run.start as u32, run.len() as u32));
-            } else {
-                skipped += run.len() as u32;
-            }
-            true
-        });
-        if (!runs.is_empty() || skipped > 0) && tx.send(Msg::Batch { runs, skipped }).is_err() {
-            break;
-        }
-        match step {
-            Step::Window => {}
-            Step::PassEnd { fruitless, epoch } => {
-                if tx.send(Msg::PassEnd).is_err() {
-                    break;
+        // The initial phase may already be satisfied (degenerate configs).
+        d.advance_and_publish(&shared)?;
+        while !d.hs.is_done() {
+            // Mark the next window under the demand published so far, then
+            // read its marked runs into the statistics engine.
+            let mut failure = Ok(());
+            let step = walk.step(&job.bitmap, &shared, usize::MAX, |run, marked| {
+                if !marked {
+                    reader.skip_blocks(run.len() as u64);
+                    return true;
                 }
-                if fruitless {
-                    shared.wait_past(epoch);
-                }
-            }
-            Step::Exhausted => {
-                let _ = tx.send(Msg::Exhausted);
-                break;
-            }
-            Step::Stop => break,
-        }
-    }
-}
-
-/// The I/O manager + statistics engine on the caller thread. Returns the
-/// run's I/O accounting; the caller packages it via [`Driver::finish`].
-fn io_and_stats_loop(
-    job: &QueryJob<'_>,
-    d: &mut Driver,
-    shared: &SharedDemand,
-    rx: Receiver<Msg>,
-) -> Result<IoStats> {
-    let mut reader = job.reader();
-    let mut reads_since_publish = 0u64;
-    let mut had_read_since_pass_end = true;
-    let mut idle_passes = 0u32;
-
-    // The initial phase may already be satisfied (degenerate configs).
-    d.advance_and_publish(shared)?;
-
-    while !d.hs.is_done() {
-        let msg = match rx.recv() {
-            Ok(m) => m,
-            Err(_) => {
-                return Err(CoreError::PhaseViolation(
-                    "sampling engine terminated early".into(),
-                ))
-            }
-        };
-        match msg {
-            Msg::Batch { runs, skipped } => {
-                reader.skip_blocks(skipped as u64);
-                for (start, len) in runs {
-                    had_read_since_pass_end = true;
-                    if d.hs.is_done() {
-                        break;
+                let read = reader.read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
+                    d.ingest_block(zs, xs);
+                    reads_since_publish += 1;
+                    if d.hs.io_satisfied()
+                        || reads_since_publish >= settle_every(d.hs.active_count())
+                    {
+                        reads_since_publish = 0;
+                        failure = d.advance_and_publish(&shared).map(|_| ());
                     }
-                    let run = start as usize..(start + len) as usize;
-                    let mut published = Ok(false);
-                    reader
-                        .read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
-                            d.ingest_block(zs, xs);
-                            reads_since_publish += 1;
-                            if d.hs.io_satisfied()
-                                || reads_since_publish >= settle_every(d.hs.active_count())
-                            {
-                                published = d.advance_and_publish(shared);
-                                reads_since_publish = 0;
-                            }
-                            published.is_ok() && !d.hs.is_done()
-                        })
-                        .map_err(storage_err)?;
-                    published?;
+                    failure.is_ok() && !d.hs.is_done()
+                });
+                if let Err(e) = read {
+                    failure = Err(storage_err(e));
                 }
-            }
-            Msg::PassEnd => {
-                d.advance_and_publish(shared)?;
-                if had_read_since_pass_end {
-                    idle_passes = 0;
-                } else {
-                    // Several idle passes in a row can be legitimate: the
-                    // sampling engine may queue PassEnd messages faster
-                    // than fresh demand propagates to it. Only a long
-                    // sustained streak (the engine polls for a new epoch
-                    // every 20 µs after an idle pass) indicates a genuine
-                    // bug.
-                    idle_passes += 1;
-                    if idle_passes >= 1000 && !d.hs.is_done() {
+                failure.is_ok() && !d.hs.is_done()
+            });
+            failure?;
+            match step {
+                Step::Window | Step::Stop => {}
+                Step::PassEnd { fruitless, .. } => {
+                    // Demand on a candidate implies unread blocks holding
+                    // it, so a pass that marked nothing must be followed
+                    // by a phase step; otherwise the next pass would find
+                    // nothing either.
+                    let stepped = d.advance_and_publish(&shared)?;
+                    if fruitless && !stepped && !d.hs.is_done() {
                         return Err(CoreError::PhaseViolation(
                             "no readable blocks for outstanding demand".into(),
                         ));
                     }
                 }
-                had_read_since_pass_end = false;
-            }
-            Msg::Exhausted => {
-                d.advance_and_publish(shared)?;
-                d.finish_exhausted()?;
+                Step::Exhausted => d.finish_exhausted()?,
             }
         }
+        d.finish(reader.stats())
     }
-    shared.set_mode(DemandMode::Stop);
-    drop(rx); // unblock the sampling engine
-
-    Ok(reader.stats())
 }

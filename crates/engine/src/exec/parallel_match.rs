@@ -1,10 +1,10 @@
 //! `ParallelMatch`: one query on a private [`QueryService`].
 //!
-//! FastMatch (paper §4) decouples *block selection* from the statistics
-//! engine on one sampling thread. `ParallelMatch` runs the sampling
-//! side on several, with the machinery the query service runs for every
-//! query it serves: the job is admitted as the only query of a service
-//! with one worker per shard. Each shard task steps a
+//! FastMatch (paper §4) marks, reads and ingests one lookahead window
+//! after another on the calling thread. `ParallelMatch` marks and reads
+//! on several threads, with the machinery the query service runs for
+//! every query it serves: the job is admitted as the only query of a
+//! service with one worker per shard. Each shard task steps a
 //! [`ShardWalk`](crate::exec::walk::ShardWalk) over its disjoint block
 //! range (Figure 6's marking stage, Algorithm 3), reads the marked runs
 //! (its I/O stage, verification included) into its worker's code

@@ -10,10 +10,11 @@
 //! later passes, when demand may have moved onto them.
 //!
 //! The walk decides *which blocks, in which order*. Its two drivers
-//! decide everything else around `step`: FastMatch's sampling engine
-//! ships each window's runs over a channel, a service quantum (which is
-//! also how `ParallelMatch` runs) reads them up to its block budget and
-//! comes back later. Who waits, merges and parks stays with them.
+//! decide everything else around `step`: FastMatch reads each window's
+//! marked runs on the calling thread before it steps again, a service
+//! quantum (which is also how `ParallelMatch` runs) reads them up to its
+//! block budget and comes back later. Who ingests, settles and parks
+//! stays with them.
 //!
 //! The window, the visited set and the run extraction are bitsets. A
 //! step copies the window's visited bits into an `open` bitset (the
@@ -90,6 +91,9 @@ pub(crate) struct ShardWalk {
     open: Vec<u64>,
     /// The active-candidate snapshot of the current window, reused too.
     active: Vec<u32>,
+    /// Whether AnyActive marking also marks lone gaps
+    /// ([`Self::reading_lone_gaps`]).
+    lone_gaps: bool,
 }
 
 impl ShardWalk {
@@ -112,7 +116,21 @@ impl ShardWalk {
             marks: vec![0; window.div_ceil(64)],
             open: vec![0; window.div_ceil(64)],
             active: Vec::with_capacity(num_candidates),
+            lone_gaps: false,
         }
+    }
+
+    /// This walk, marking under AnyActive also every *lone gap*: an
+    /// unvisited block that no active candidate occurs in, between two
+    /// marked unvisited blocks of the same window ([`fill_lone_gaps`]).
+    /// Skipping such a block splits one read into two now, and if demand
+    /// later moves onto it, costs a one-block read in a later pass;
+    /// reading it costs one block of samples that are valid like any
+    /// other. FastMatch, which marks one window at a time under fresh
+    /// demand, walks this way.
+    pub fn reading_lone_gaps(mut self) -> Self {
+        self.lone_gaps = true;
+        self
     }
 
     /// The walk of shard `shard` of a sharded query: [`MARK_WINDOW`]
@@ -181,6 +199,9 @@ impl ShardWalk {
             marks.fill(0);
             demand.active_into(&mut self.active);
             mark_lookahead(bitmap, &self.active, self.lo + seg_off, open, marks);
+            if self.lone_gaps {
+                fill_lone_gaps(marks, open);
+            }
         }
         let (mut i, mut left) = (0, limit);
         while left > 0 {
@@ -215,6 +236,21 @@ impl ShardWalk {
         } else {
             Step::Window
         }
+    }
+}
+
+/// Marks every open position of a window whose two neighbours are open
+/// and marked, a word at a time; neighbours are read before any position
+/// is filled, so two adjacent gaps stay unmarked. Positions past the
+/// window must be clear in `open`.
+fn fill_lone_gaps(marks: &mut [u64], open: &[u64]) {
+    let mut below = 0;
+    for w in 0..marks.len() {
+        let m = marks[w] & open[w];
+        let above = open.get(w + 1).map_or(0, |&o| marks[w + 1] & o & 1);
+        let (left, right) = (m << 1 | below, m >> 1 | above << 63);
+        below = m >> 63;
+        marks[w] |= open[w] & !marks[w] & left & right;
     }
 }
 
@@ -621,6 +657,44 @@ mod tests {
         let sparse = [0, 0b100, 0];
         assert_eq!(first_set(3, |w| sparse[w], 1), 66);
         assert_eq!(first_set(3, |w| sparse[w], 67), 192, "none left");
+    }
+
+    #[test]
+    fn lone_gaps_are_marked_and_wider_gaps_are_not() {
+        // Position by position: `m` marked and open, `.` open and
+        // unmarked, `v` visited; the expected marks after the fill.
+        let cases = [
+            ("m.m", "mmm"),
+            ("m..m", "m..m"),
+            (".m.m.", ".mmm."),
+            ("mv.m", "mv.m"),
+            ("m.vm", "m.vm"),
+            ("m.m.m", "mmmmm"),
+        ];
+        for (before, after) in cases {
+            let (mut marks, mut open) = (vec![0u64], vec![0u64]);
+            for (i, c) in before.chars().enumerate() {
+                marks[0] |= u64::from(c == 'm') << i;
+                open[0] |= u64::from(c != 'v') << i;
+            }
+            fill_lone_gaps(&mut marks, &open);
+            let got: String = (0..before.len())
+                .map(|i| match (open[0] >> i & 1, marks[0] >> i & 1) {
+                    (0, _) => 'v',
+                    (_, 1) => 'm',
+                    _ => '.',
+                })
+                .collect();
+            assert_eq!(got, after, "{before}");
+        }
+        // Across word boundaries, both ways.
+        let open = [!0u64, !0, 0b111];
+        let mut marks = [1 << 62, 1 << 0 | 1 << 63, 1 << 1];
+        fill_lone_gaps(&mut marks, &open);
+        assert_eq!(
+            marks,
+            [1 << 62 | 1 << 63, 1 << 0 | 1 << 63, 1 << 0 | 1 << 1]
+        );
     }
 
     #[test]

@@ -12,9 +12,9 @@
 //!   skipping (adds *approximation*);
 //! * [`exec::SyncMatchExec`] — AnyActive block selection applied
 //!   synchronously per block, Algorithm 2 style (adds *block skipping*);
-//! * [`exec::FastMatchExec`] — AnyActive with asynchronous, cache-conscious
-//!   lookahead on a separate sampling-engine thread, Algorithm 3 style
-//!   (adds *decoupled lookahead*);
+//! * [`exec::FastMatchExec`] — AnyActive with cache-conscious lookahead:
+//!   each window is marked a word at a time before its blocks are read,
+//!   Algorithm 3 style (adds *lookahead marking*);
 //! * [`exec::ParallelMatchExec`] — shard-parallel sampling: the query
 //!   runs alone on a private [`service::QueryService`] whose N workers
 //!   read and mark disjoint block ranges and hand each quantum's codes

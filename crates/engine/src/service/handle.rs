@@ -173,24 +173,29 @@ impl QueryShared {
         }
     }
 
-    /// Publishes the terminal outcome. `progress` replaces the snapshot
-    /// only for finished queries; for cancelled/expired/failed ones the
-    /// last progressive snapshot is kept (it is the client's best-effort
-    /// answer) with just its I/O brought up to the final attribution.
+    /// Publishes the terminal outcome, unless one was published already
+    /// (the first publication wins); `true` if this call resolved the
+    /// handle. `progress` replaces the snapshot only for finished
+    /// queries; for cancelled/expired/failed ones the last progressive
+    /// snapshot is kept (it is the client's best-effort answer) with just
+    /// its I/O brought up to the final attribution.
     pub(crate) fn publish_outcome(
         &self,
         progress: Option<QueryProgress>,
         final_io: IoStats,
         outcome: QueryOutcome,
-    ) {
+    ) -> bool {
         let mut inner = self.inner.lock().unwrap();
-        debug_assert!(inner.outcome.is_none(), "outcome published twice");
+        if inner.outcome.is_some() {
+            return false;
+        }
         match progress {
             Some(p) => inner.progress = p,
             None => inner.progress.io = final_io,
         }
         inner.outcome = Some(outcome);
         self.cv.notify_all();
+        true
     }
 }
 

@@ -65,7 +65,7 @@ pub use handle::{GuaranteeState, QueryHandle, QueryOutcome, QueryProgress};
 pub use state::{admission_has_capacity, all_shards_parked, queue_scan_order, SchedStats};
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use fastmatch_core::error::CoreError;
@@ -591,6 +591,7 @@ fn run_quantum<'env>(
     codes: &mut (Vec<u32>, Vec<u32>),
 ) {
     let query = Arc::clone(&task.query);
+    let _unwind = FailOnUnwind { svc, query: &query };
 
     // Terminal and cooperative checks, once per quantum.
     if svc.sched.is_shutdown() || query.shared.cancel_requested() {
@@ -716,6 +717,51 @@ fn run_quantum<'env>(
     }
 }
 
+/// Fails the query of a quantum that unwinds — a panic in the walk, a
+/// read or the driver, such as its row-count assert. The task dies with
+/// its worker and never retires, so no last retire would publish the
+/// query's outcome. On the way out this records `Verdict::Failed`,
+/// publishes `Stop` (the query's other shards retire at their next
+/// quantum), resolves the handle with the failure and releases the
+/// admission slot. The panic then leaves the worker as before, and
+/// [`QueryService::serve`] re-raises it when it joins the pool.
+///
+/// A `Drop` must not panic while the worker unwinds, so the guard takes
+/// the engine mutex whether the panic poisoned it or not. Once the
+/// verdict is recorded the engine state is valid for every later holder
+/// (no quantum ingests into a query with a verdict, and a failed
+/// query's driver is never finished), so the guard clears the poison:
+/// the query's other shards then lock it to retire instead of panicking
+/// their workers too.
+struct FailOnUnwind<'a, 'env> {
+    svc: &'a QueryService<'env>,
+    query: &'a QueryState<'env>,
+}
+
+impl Drop for FailOnUnwind<'_, '_> {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            return;
+        }
+        let (svc, query) = (self.svc, self.query);
+        let failed = || CoreError::PhaseViolation("a service worker panicked on this query".into());
+        let io = {
+            let mut eng = query.engine.lock().unwrap_or_else(PoisonError::into_inner);
+            eng.set_verdict(Verdict::Failed(failed()));
+            query.demand.set_mode(DemandMode::Stop);
+            query.engine.clear_poison();
+            eng.io
+        };
+        if query
+            .shared
+            .publish_outcome(None, io, QueryOutcome::Failed(failed()))
+        {
+            svc.active.fetch_sub(1, Ordering::Relaxed);
+        }
+        svc.sched.wake_query(query.id);
+    }
+}
+
 /// Records a terminal reason (cancel / deadline), publishes `Stop`, and
 /// wakes the query's parked shards so every task retires promptly.
 fn finalize_reason(svc: &QueryService<'_>, query: &QueryState<'_>, verdict: Verdict) {
@@ -817,10 +863,10 @@ fn retire<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
     };
     if let Some((outcome, io)) = publish {
         query.demand.set_mode(DemandMode::Stop);
-        query
-            .shared
-            .publish_outcome(final_progress(&outcome), io, outcome);
-        svc.active.fetch_sub(1, Ordering::Relaxed);
+        let progress = final_progress(&outcome);
+        if query.shared.publish_outcome(progress, io, outcome) {
+            svc.active.fetch_sub(1, Ordering::Relaxed);
+        }
     } else {
         // The live set shrank: the query's remaining shards may all be
         // parked already, and with this shard gone no parking transition

@@ -93,7 +93,7 @@ pub(crate) struct QueryState<'a> {
     /// The prepared query (holds the backend + bitmap references).
     pub job: QueryJob<'a>,
     /// Demand snapshot published to all of this query's shard tasks —
-    /// the same protocol FastMatch's sampling engine follows.
+    /// the same protocol FastMatch's walk follows.
     pub demand: SharedDemand,
     /// Driver + accounting, under the query's engine mutex.
     pub engine: Mutex<EngineState>,

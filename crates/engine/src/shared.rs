@@ -1,11 +1,13 @@
-//! Lock-free state shared between FastMatch's statistics/I/O side and its
-//! lookahead (sampling-engine) thread (paper §4.2, Challenge 4).
+//! Lock-free demand state between a query's statistics engine and its
+//! readers (paper §4.2, Challenge 4).
 //!
-//! The lookahead thread needs each candidate's *active* status to apply
-//! AnyActive selection; the main thread owns the authoritative HistSim
-//! demand and publishes snapshots here. Freshness is deliberately relaxed
-//! — the whole point of lookahead is that slightly stale active states are
-//! acceptable in exchange for never blocking I/O.
+//! The readers are the demand-marked walk (`exec::walk::ShardWalk`),
+//! which needs each candidate's *active* status to apply AnyActive
+//! selection to its next window, and the query service's parked shards,
+//! which wait for the demand epoch to move. The statistics engine owns
+//! the authoritative HistSim demand and publishes snapshots here.
+//! Freshness is deliberately relaxed: a window marked under a snapshot
+//! that has since moved only delivers extra valid samples.
 //!
 //! ## Publication ordering
 //!
@@ -42,14 +44,14 @@ use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
 use fastmatch_core::histsim::PhaseKind;
 
-/// Demand mode published to the lookahead thread.
+/// Demand mode published to the walk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DemandMode {
     /// Read every unread block (stage 1 and exact fallback).
     ReadAll,
     /// Apply AnyActive selection with the published per-candidate demand.
     AnyActive,
-    /// The run is over; the lookahead thread should exit.
+    /// The run is over; the walk hands out nothing more.
     Stop,
 }
 
@@ -210,16 +212,6 @@ impl SharedDemand {
     /// state.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Sleeps the calling thread until a publication moves the epoch
-    /// past `epoch` (or the mode is `Stop`) — what a thread-owning reader
-    /// does after a pass that found nothing readable, since re-marking
-    /// under identical demand would be wasted work.
-    pub(crate) fn wait_past(&self, epoch: u64) {
-        while self.epoch() == epoch && self.mode() != DemandMode::Stop {
-            std::thread::sleep(std::time::Duration::from_micros(20));
-        }
     }
 
     /// Reads the current mode.

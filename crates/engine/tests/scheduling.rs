@@ -18,13 +18,18 @@ use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
 use fastmatch_store::table::Table;
 
-/// The planted fixture the executor tests use: the matched set is
-/// unambiguous, so every correct scheduler returns the same ids.
+/// A planted fixture whose matched set is unambiguous, so every correct
+/// scheduler returns the same ids. Every member sits well above σ =
+/// 0.01: Zipf(1.2) over 60 values gives value 7 a selectivity of about
+/// 0.024 and value 9 about 0.019. (The executor tests plant value 15,
+/// at 0.0106 within sampling noise of σ, which stage 1 may prune under
+/// some interleavings of the workers' quanta — a false prune within δ
+/// that made a set-equality property fail in a few percent of runs.)
 fn test_table(rows: usize, seed: u64) -> Table {
     let dists = conditional_with_planted(
         60,
         &uniform(8),
-        &[(0, 0.0), (2, 0.015), (5, 0.03), (9, 0.04), (15, 0.05)],
+        &[(0, 0.0), (2, 0.015), (5, 0.03), (9, 0.04), (7, 0.05)],
         0.20,
         seed ^ 0xab,
     );

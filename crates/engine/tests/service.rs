@@ -5,6 +5,8 @@
 //! behave under load.
 
 use std::collections::HashMap;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use fastmatch_core::histsim::HistSimConfig;
@@ -17,6 +19,7 @@ use fastmatch_engine::service::{
 };
 use fastmatch_store::backend::{MemBackend, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
+use fastmatch_store::block::BlockLayout;
 use fastmatch_store::file::FileBackend;
 use fastmatch_store::table::Table;
 use fastmatch_store::tempfile::TempBlockFile;
@@ -467,9 +470,49 @@ fn corrupt_page_fails_queries_cleanly() {
     });
 }
 
-/// Waits for `h` until `deadline`: a query whose worker died (a panic
-/// under its engine mutex) never resolves, and a test should then fail,
-/// not hang.
+/// A worker that panics under a query's engine mutex fails that query:
+/// `wait()` returns `Failed` instead of blocking for good. The bitmap has
+/// the table's shape but indexes its candidate codes reversed, so
+/// candidate 0, about a third of the rows, is indexed with the rarest
+/// value's row count, and the driver's row-count assert panics the
+/// worker at the first settlement. `serve` re-raises the worker's panic
+/// when it joins the pool; the handle must have resolved before that.
+#[test]
+fn worker_panic_fails_the_query_instead_of_hanging_its_handle() {
+    let table = test_table(20_000, 5);
+    let reversed: Vec<u32> = table.column(0).iter().map(|&z| 59 - z).collect();
+    let other = Table::new(
+        table.schema().clone(),
+        vec![reversed, table.column(1).to_vec()],
+    );
+    let layout = BlockLayout::new(table.n_rows(), 64);
+    let bitmap = BitmapIndex::build(&other, 0, &layout);
+    let backend = MemBackend::new(&table, layout);
+    let svc_cfg = ServiceConfig::default()
+        .with_workers(1)
+        .with_shards_per_query(1);
+    let mut resolved = None;
+    let served = panic::catch_unwind(AssertUnwindSafe(|| {
+        QueryService::serve(&backend, svc_cfg, |svc| {
+            let req = QueryRequest::new(&bitmap, 0, 1, uniform(GROUPS), config());
+            let handle = svc.submit(req.with_seed(1)).unwrap();
+            let (tx, rx) = mpsc::channel();
+            // The receiver is gone if the deadline passed first.
+            std::thread::spawn(move || drop(tx.send(handle.wait())));
+            resolved = Some(rx.recv_timeout(Duration::from_secs(60)));
+        })
+    }));
+    match resolved {
+        Some(Ok(QueryOutcome::Failed(e))) => {
+            assert!(e.to_string().contains("panicked"), "{e}")
+        }
+        other => panic!("the handle must resolve Failed, got {other:?}"),
+    }
+    assert!(served.is_err(), "serve re-raises the worker's panic");
+}
+
+/// Waits for `h` until `deadline`, so that a query that never resolves
+/// fails the test instead of hanging it.
 fn wait_until(h: &QueryHandle, deadline: Instant) -> Option<QueryOutcome> {
     while Instant::now() < deadline {
         if let Some(outcome) = h.try_outcome() {

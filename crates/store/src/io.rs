@@ -339,8 +339,8 @@ impl<'a> BlockReader<'a> {
         self.stats.blocks_skipped += 1;
     }
 
-    /// Records `n` skipped blocks at once (used when a lookahead thread
-    /// reports skips in bulk).
+    /// Records `n` skipped blocks at once (used when a marked lookahead
+    /// window's unmarked runs are accounted in bulk).
     #[inline]
     pub fn skip_blocks(&mut self, n: u64) {
         self.stats.blocks_skipped += n;
