@@ -49,11 +49,34 @@ pub struct HistSimConfig {
     /// terminate in 1–2 attempts, matching the paper's reported 4–5 round
     /// worst case. Set to 1.0 for the literal Eq. 1 behaviour.
     pub round_multiplier: f64,
+    /// How stage 1 decides which candidates are rare: from the exact row
+    /// counts a driver hands over with [`super::HistSim::with_row_counts`]
+    /// (the default), or by the paper's sampled test. A run given no
+    /// counts runs the sampled test whatever this says.
+    pub rare: RarePruning,
+}
+
+/// How stage 1 prunes rare candidates (`Nᵢ/N < σ`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum RarePruning {
+    /// Prune exactly the candidates whose known row count is below
+    /// [`super::rare_threshold`]. Stage 1's samples are still drawn for
+    /// stage 2's first estimates, but no test is run and no error is
+    /// made, so Guarantees 1 and 2 hold a fortiori.
+    #[default]
+    FromCounts,
+    /// The paper's stage 1 (§3, Algorithm 1): a hypergeometric
+    /// underrepresentation test per candidate under Holm–Bonferroni at
+    /// level δ/3, plus Appendix A.1.5's unseen-mass test when enabled.
+    Sampled,
 }
 
 impl Default for HistSimConfig {
     /// The default experimental settings of §5.2: `k = 10`, `ε = 0.04`,
-    /// `δ = 0.01`, `σ = 0.0008`, `m = 5·10⁵`, ℓ1 distance.
+    /// `δ = 0.01`, `σ = 0.0008`, `m = 5·10⁵`, ℓ1 distance — with one
+    /// deviation: stage 1 prunes from exact row counts when the driver
+    /// has them ([`RarePruning::FromCounts`]), where §5.2 tests a sample.
+    /// [`RarePruning::Sampled`] is the paper's stage 1.
     fn default() -> Self {
         HistSimConfig {
             k: 10,
@@ -66,6 +89,7 @@ impl Default for HistSimConfig {
             k_range: None,
             test_unseen_mass: false,
             round_multiplier: 4.0,
+            rare: RarePruning::FromCounts,
         }
     }
 }
@@ -144,6 +168,9 @@ mod tests {
         assert_eq!(c.sigma, 0.0008);
         assert_eq!(c.stage1_samples, 500_000);
         assert_eq!(c.metric, Metric::L1);
+        // The one deviation from §5.2: rare candidates are pruned from
+        // exact counts when the driver has them, not by a sampled test.
+        assert_eq!(c.rare, RarePruning::FromCounts);
         assert!(c.validate(24).is_ok());
     }
 

@@ -7,7 +7,10 @@
 //! 1. **Stage 1 — prune rare candidates.** Take `m` uniform samples without
 //!    replacement; flag candidates whose observed counts are surprisingly
 //!    low under the null `Nᵢ ≥ ⌈σN⌉` (hypergeometric underrepresentation
-//!    test + Holm–Bonferroni at level `δ/3`).
+//!    test + Holm–Bonferroni at level `δ/3`). A run handed every
+//!    candidate's row count ([`HistSim::with_row_counts`]) prunes from
+//!    them instead, exactly and without error, unless its config
+//!    declares [`RarePruning::Sampled`].
 //! 2. **Stage 2 — identify the top-k.** In rounds: estimate the matching
 //!    set `M` from cumulative distances, pick the split point
 //!    `s = ½(max_{i∈M} τᵢ + min_{j∈A∖M} τⱼ)`, draw *fresh* samples until
@@ -77,7 +80,7 @@ pub mod config;
 pub mod state;
 
 pub use accumulator::HistAccumulator;
-pub use config::HistSimConfig;
+pub use config::{HistSimConfig, RarePruning};
 
 use crate::error::{CoreError, Result};
 use crate::histogram::Histogram;
@@ -135,6 +138,29 @@ enum Phase {
     Done,
 }
 
+/// The fewest rows a candidate needs not to be rare: the least `n` with
+/// `n / N ≥ σ` as `f64` division decides it. That is `⌈σN⌉`, except
+/// where the rounding of `σ·N` would put the ceiling one off (σ = 0.07,
+/// N = 100: `0.07 * 100.0` is `7.000000000000001`, yet 7 / 100 ≥ 0.07);
+/// it is the comparison [`crate::guarantees::GroundTruth`] makes, so
+/// "rare" means one thing in pruning and in checking. Known-count stage
+/// 1 and the exact finish both prune below it.
+///
+/// # Panics
+/// Panics if `n_total` is 0.
+pub fn rare_threshold(sigma: f64, n_total: u64) -> u64 {
+    assert!(n_total > 0, "rare_threshold over an empty table");
+    let n = n_total as f64;
+    let mut t = (sigma * n).ceil() as u64;
+    while t > 0 && (t - 1) as f64 / n >= sigma {
+        t -= 1;
+    }
+    while (t as f64 / n) < sigma {
+        t += 1;
+    }
+    t
+}
+
 /// One matched candidate in the output, with its estimated histogram.
 #[derive(Debug, Clone)]
 pub struct MatchedCandidate {
@@ -163,10 +189,16 @@ pub struct Diagnostics {
     /// exact rather than approximate).
     pub exact_finish: bool,
     /// Appendix A.1.5 dummy-candidate verdict: `Some(true)` means unseen
-    /// candidates are collectively certified rare.
+    /// candidates are collectively certified rare. `None` when the test
+    /// did not run: it was not asked for, or stage 1 pruned from exact
+    /// row counts, where no value is unseen and the test is vacuous.
     pub unseen_mass_rare: Option<bool>,
     /// The `k` actually used (equals `cfg.k` unless `k_range` adapted it).
     pub effective_k: usize,
+    /// How stage 1 decided which candidates are rare:
+    /// [`RarePruning::FromCounts`] for a run handed row counts whose
+    /// config asks for it, [`RarePruning::Sampled`] otherwise.
+    pub rare_pruning: RarePruning,
 }
 
 /// The HistSim state machine. See the [module docs](self) for the driving
@@ -177,6 +209,9 @@ pub struct HistSim {
     bound: DeviationBound,
     n_total_rows: u64,
     target: Vec<f64>,
+    /// Every candidate's row count `Nᵢ`, when the driver knows them and
+    /// the config asks stage 1 to prune from them.
+    row_counts: Option<Vec<u64>>,
     counts: CountState,
     /// Per-candidate weight of a sampled tuple: 1, or 0 once the
     /// candidate is pruned (its tuples are then read, not sampled).
@@ -243,6 +278,7 @@ impl std::fmt::Debug for HistSim {
             .field("bound", &self.bound)
             .field("n_total_rows", &self.n_total_rows)
             .field("target", &self.target)
+            .field("row_counts", &self.row_counts)
             .field("counts", &self.counts)
             .field("weight", &self.weight)
             .field("exact", &self.exact)
@@ -293,6 +329,7 @@ impl HistSim {
             bound,
             n_total_rows,
             target,
+            row_counts: None,
             counts: CountState::new(num_candidates, groups),
             weight: vec![1; num_candidates],
             exact: vec![false; num_candidates],
@@ -307,12 +344,44 @@ impl HistSim {
             members: Vec::new(),
             diag: Diagnostics {
                 effective_k,
+                rare_pruning: RarePruning::Sampled,
                 ..Diagnostics::default()
             },
             block_pending: false,
             slack: 0,
             since_settled: 0,
         })
+    }
+
+    /// Hands the run every candidate's row count `Nᵢ`, so that stage 1
+    /// prunes exactly the candidates below [`rare_threshold`] instead of
+    /// testing a sample (DESIGN.md § *Stage 1 from the index's exact row
+    /// counts*). A config that declares [`RarePruning::Sampled`] keeps
+    /// the paper's test; the counts are checked and then dropped.
+    ///
+    /// Refuses a slice whose length is not the number of candidates or
+    /// whose sum is not the table's row count: such counts describe
+    /// another table.
+    pub fn with_row_counts(mut self, counts: &[u64]) -> Result<Self> {
+        if counts.len() != self.counts.num_candidates() {
+            return Err(CoreError::InvalidConfig(format!(
+                "{} row counts for {} candidates",
+                counts.len(),
+                self.counts.num_candidates()
+            )));
+        }
+        let sum: u64 = counts.iter().sum();
+        if sum != self.n_total_rows {
+            return Err(CoreError::InvalidConfig(format!(
+                "row counts sum to {sum} but the table has {} rows",
+                self.n_total_rows
+            )));
+        }
+        if self.cfg.rare == RarePruning::FromCounts {
+            self.row_counts = Some(counts.to_vec());
+            self.diag.rare_pruning = RarePruning::FromCounts;
+        }
+        Ok(self)
     }
 
     /// Current phase.
@@ -738,6 +807,23 @@ impl HistSim {
 
     fn complete_stage1(&mut self, taken: u64) {
         self.diag.stage1_samples_taken = taken;
+        if let Some(rows) = &self.row_counts {
+            // Exact pruning: no test, no error, and no value is unseen, so
+            // Appendix A.1.5's dummy test is vacuous and skipped.
+            let threshold = rare_threshold(self.cfg.sigma, self.n_total_rows);
+            for (w, &r) in self.weight.iter_mut().zip(rows) {
+                *w = u64::from(r >= threshold);
+            }
+        } else {
+            self.test_rare(taken);
+        }
+        self.diag.pruned_candidates = self.weight.iter().filter(|&&w| w == 0).count();
+        self.enter_stage2_or_skip(1, self.cfg.delta / 6.0);
+    }
+
+    /// The paper's stage-1 test: prunes the candidates whose sample
+    /// counts reject `Nᵢ ≥ ⌈σN⌉` under Holm–Bonferroni at level δ/3.
+    fn test_rare(&mut self, taken: u64) {
         let n_is: Vec<u64> = (0..self.counts.num_candidates())
             .map(|c| self.counts.n(c))
             .collect();
@@ -765,8 +851,6 @@ impl HistSim {
         if self.cfg.test_unseen_mass {
             self.diag.unseen_mass_rare = Some(*hb.rejected().last().unwrap());
         }
-        self.diag.pruned_candidates = self.weight.iter().filter(|&&w| w == 0).count();
-        self.enter_stage2_or_skip(1, self.cfg.delta / 6.0);
     }
 
     // ---------------------------------------------------------------- stage 2
@@ -998,7 +1082,7 @@ impl HistSim {
     fn finish_exact(&mut self) {
         self.counts.accumulate_round();
         // Exact pruning: Nᵢ/N < σ.
-        let threshold = (self.cfg.sigma * self.n_total_rows as f64).ceil() as u64;
+        let threshold = rare_threshold(self.cfg.sigma, self.n_total_rows);
         for c in 0..self.counts.num_candidates() {
             if self.counts.n(c) < threshold {
                 self.weight[c] = 0;
@@ -1627,5 +1711,123 @@ mod tests {
             hs2.ingest(0, 0);
         }));
         assert!(r.is_err());
+    }
+
+    #[test]
+    fn rare_threshold_is_the_least_count_at_sigma() {
+        // σN integral: the threshold is σN itself, even where the f64
+        // product lands just above it (0.07 · 100 = 7.000000000000001).
+        assert_eq!(rare_threshold(0.01, 1_000), 10);
+        assert_eq!(rare_threshold(0.07, 100), 7);
+        assert_eq!(rare_threshold(0.005, 40_000), 200);
+        // σN not integral: the ceiling.
+        assert_eq!(rare_threshold(0.0008, 12_345), 10);
+        assert_eq!(rare_threshold(0.3, 7), 3);
+        // The ends of σ's range.
+        assert_eq!(rare_threshold(0.0, 1_000), 0);
+        assert_eq!(rare_threshold(1.0, 1_000), 1_000);
+        // Always the least n with n / N ≥ σ, as f64 division decides it.
+        for n_total in [1u64, 7, 100, 999, 40_000, 1_000_003] {
+            for sigma in [0.0008, 0.001, 0.005, 0.01, 0.07, 0.1, 0.29, 0.5] {
+                let t = rare_threshold(sigma, n_total);
+                let n = n_total as f64;
+                assert!(t as f64 / n >= sigma, "σ {sigma}, N {n_total}: {t}");
+                assert!(
+                    t == 0 || ((t - 1) as f64 / n) < sigma,
+                    "σ {sigma}, N {n_total}: {t}"
+                );
+            }
+        }
+    }
+
+    /// Six candidates over 1 000 rows at σ = 0.01 (threshold 10): 1 (9
+    /// rows) and 4 (none) are rare, 2 sits exactly at the threshold.
+    const ROWS: [u64; 6] = [500, 9, 10, 11, 0, 470];
+
+    fn known_count_config() -> HistSimConfig {
+        HistSimConfig {
+            k: 2,
+            epsilon: 0.2,
+            delta: 0.05,
+            sigma: 0.01,
+            stage1_samples: 50,
+            test_unseen_mass: true,
+            ..HistSimConfig::default()
+        }
+    }
+
+    /// Completes stage 1 on 50 samples that all fall on candidate 1 — a
+    /// rare one — so a sampled test would see every other candidate at 0.
+    fn finish_stage1(mut hs: HistSim) -> HistSim {
+        for i in 0..50u32 {
+            hs.ingest(1, i % 2);
+        }
+        hs.complete_io_phase(false).unwrap();
+        hs
+    }
+
+    #[test]
+    fn known_count_stage1_prunes_exactly_the_rare_candidates() {
+        let hs = HistSim::new(known_count_config(), 6, 2, 1_000, &[0.5, 0.5])
+            .unwrap()
+            .with_row_counts(&ROWS)
+            .unwrap();
+        let hs = finish_stage1(hs);
+        let threshold = rare_threshold(0.01, 1_000);
+        for (c, &rows) in ROWS.iter().enumerate() {
+            assert_eq!(hs.is_pruned(c as u32), rows < threshold, "candidate {c}");
+        }
+        let d = hs.diagnostics();
+        assert_eq!(d.pruned_candidates, 2);
+        assert_eq!(d.rare_pruning, RarePruning::FromCounts);
+        // No value is unseen: Appendix A.1.5's test does not run.
+        assert_eq!(d.unseen_mass_rare, None);
+    }
+
+    #[test]
+    fn without_counts_stage1_runs_the_sampled_test() {
+        let hs = HistSim::new(known_count_config(), 6, 2, 1_000, &[0.5, 0.5]).unwrap();
+        assert_eq!(hs.diagnostics().rare_pruning, RarePruning::Sampled);
+        let hs = finish_stage1(hs);
+        // 50 samples cannot reject Nᵢ ≥ 10 of 1 000 for any candidate, so
+        // the test prunes nothing — not even the rare candidate 4 — and
+        // runs the unseen-mass test it was asked for.
+        assert!((0..6).all(|c| !hs.is_pruned(c)));
+        let d = hs.diagnostics();
+        assert_eq!(d.rare_pruning, RarePruning::Sampled);
+        assert_eq!(d.unseen_mass_rare, Some(false));
+    }
+
+    #[test]
+    fn a_sampled_config_keeps_the_test_when_handed_counts() {
+        let cfg = HistSimConfig {
+            rare: RarePruning::Sampled,
+            ..known_count_config()
+        };
+        let hs = HistSim::new(cfg, 6, 2, 1_000, &[0.5, 0.5])
+            .unwrap()
+            .with_row_counts(&ROWS)
+            .unwrap();
+        let hs = finish_stage1(hs);
+        assert!((0..6).all(|c| !hs.is_pruned(c)));
+        assert_eq!(hs.diagnostics().rare_pruning, RarePruning::Sampled);
+    }
+
+    #[test]
+    fn with_row_counts_refuses_counts_of_another_table() {
+        let hs = HistSim::new(known_count_config(), 6, 2, 1_000, &[0.5, 0.5]).unwrap();
+        let short = hs.clone().with_row_counts(&ROWS[..5]).unwrap_err();
+        assert!(
+            short.to_string().contains("5 row counts for 6 candidates"),
+            "{short}"
+        );
+        let mut off = ROWS;
+        off[0] += 1;
+        let sum = hs.with_row_counts(&off).unwrap_err();
+        assert!(
+            sum.to_string()
+                .contains("row counts sum to 1001 but the table has 1000 rows"),
+            "{sum}"
+        );
     }
 }

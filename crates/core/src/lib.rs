@@ -52,5 +52,6 @@ pub use error::{CoreError, Result};
 pub use histogram::Histogram;
 pub use histsim::{
     Demand, HistAccumulator, HistSim, HistSimConfig, HistSimOutput, MatchedCandidate, PhaseKind,
+    RarePruning,
 };
 pub use sampler::{MemorySampler, Sample};

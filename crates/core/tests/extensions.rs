@@ -1,7 +1,7 @@
 //! End-to-end tests of the configuration-driven Appendix A extensions
 //! (A.1.5, A.2.1–A.2.3) through the in-memory sampling driver.
 
-use fastmatch_core::histsim::{HistSim, HistSimConfig, HistSimOutput};
+use fastmatch_core::histsim::{HistSim, HistSimConfig, HistSimOutput, RarePruning};
 use fastmatch_core::sampler::{tuples_from_histograms, MemorySampler};
 use fastmatch_core::Metric;
 
@@ -145,6 +145,8 @@ fn unseen_mass_test_reports_when_domain_sampled_enough() {
     };
     let out = run(cfg, &clustered_hists(), 7);
     assert_eq!(out.diagnostics.unseen_mass_rare, Some(true));
+    // `MemorySampler` hands HistSim no row counts: stage 1 is sampled.
+    assert_eq!(out.diagnostics.rare_pruning, RarePruning::Sampled);
 }
 
 #[test]

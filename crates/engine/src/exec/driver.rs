@@ -22,7 +22,10 @@
 //! its goal or its row total (a settlement after a single block,
 //! [`HistSim::settle_block`], looks only at that block's candidates);
 //! each phase boundary ([`HistSim::sweep`]) compares them for every
-//! candidate, before the phase's test reads the exact marks.
+//! candidate, before the phase's test reads the exact marks. The same
+//! counts go to [`HistSim::with_row_counts`], so that stage 1 prunes the
+//! rare candidates from them unless the query declares the paper's
+//! sampled test.
 
 use std::time::Instant;
 
@@ -69,20 +72,25 @@ fn unread(rows: &[u64], c: u32, read: u64) -> u64 {
 }
 
 impl Driver {
-    /// Builds the state machine for `job` and marks candidates that never
-    /// occur in the data as exact (they can yield no samples).
+    /// Builds the state machine for `job`, hands it the index's row
+    /// counts (stage 1 prunes from them unless the config declares
+    /// [`fastmatch_core::histsim::RarePruning::Sampled`]), and marks
+    /// candidates that never occur in the data as exact (they can yield
+    /// no samples). Fails if the index's counts do not describe the
+    /// job's table.
     pub fn new(job: &QueryJob<'_>) -> Result<Self> {
         let t0 = Instant::now();
+        let rows: Vec<u64> = (0..job.bitmap.num_values() as u32)
+            .map(|c| job.bitmap.rows_with_value(c))
+            .collect();
         let mut hs = HistSim::new(
             job.cfg.clone(),
             job.num_candidates(),
             job.num_groups(),
             job.n_rows() as u64,
             &job.target,
-        )?;
-        let rows: Vec<u64> = (0..job.bitmap.num_values() as u32)
-            .map(|c| job.bitmap.rows_with_value(c))
-            .collect();
+        )?
+        .with_row_counts(&rows)?;
         hs.sweep(|c, read| unread(&rows, c, read));
         Ok(Driver {
             hs,
@@ -184,6 +192,7 @@ impl Driver {
             samples: output.diagnostics.total_samples,
             exact_finish: output.diagnostics.exact_finish,
             pruned: output.diagnostics.pruned_candidates,
+            rare_pruning: output.diagnostics.rare_pruning,
         };
         Ok(MatchOutput { output, stats })
     }

@@ -9,7 +9,7 @@ use std::time::Instant;
 
 use fastmatch_core::error::Result;
 use fastmatch_core::histogram::Histogram;
-use fastmatch_core::histsim::{Diagnostics, HistSimOutput, MatchedCandidate};
+use fastmatch_core::histsim::{Diagnostics, HistSimOutput, MatchedCandidate, RarePruning};
 use fastmatch_core::topk::k_smallest_indices;
 
 use crate::exec::{storage_err, Executor};
@@ -88,6 +88,7 @@ impl Executor for ScanExec {
                 exact_finish: true,
                 unseen_mass_rare: None,
                 effective_k: job.cfg.k,
+                rare_pruning: RarePruning::FromCounts,
             },
         };
         let stats = RunStats {
@@ -97,6 +98,7 @@ impl Executor for ScanExec {
             samples,
             exact_finish: true,
             pruned,
+            rare_pruning: RarePruning::FromCounts,
         };
         Ok(MatchOutput { output, stats })
     }

@@ -2,7 +2,7 @@
 
 use std::time::Duration;
 
-use fastmatch_core::histsim::HistSimOutput;
+use fastmatch_core::histsim::{HistSimOutput, RarePruning};
 use fastmatch_store::io::IoStats;
 
 /// Statistics of one executor run.
@@ -20,6 +20,9 @@ pub struct RunStats {
     pub exact_finish: bool,
     /// Candidates pruned in stage 1.
     pub pruned: usize,
+    /// How stage 1 decided which candidates are rare (`Scan`: from the
+    /// exact counts it reads).
+    pub rare_pruning: RarePruning,
 }
 
 /// The result of running a query through an executor.

@@ -4,7 +4,7 @@
 //! tolerance semantics.
 
 use fastmatch_core::guarantees::GroundTruth;
-use fastmatch_core::histsim::HistSimConfig;
+use fastmatch_core::histsim::{HistSimConfig, RarePruning};
 use fastmatch_core::Metric;
 use fastmatch_data::gen::{
     conditional_with_planted, conditional_with_planted_pool, generate_table, ColumnGen, ColumnSpec,
@@ -281,7 +281,9 @@ fn pool_table(rows: usize, seed: u64) -> Table {
 }
 
 /// The executor-equivalence matrix: all five executors × four storage
-/// backends × two datasets × two block layouts. On the planted fixtures
+/// backends × two datasets × two block layouts × both stage-1 modes
+/// (pruning from the index's row counts, and the paper's sampled test).
+/// On the planted fixtures
 /// the correct matched set is unambiguous, so every cell must return the
 /// *identical* matched set and reach the same guarantee level — which
 /// covers every future executor or backend addition by construction (new
@@ -393,70 +395,80 @@ fn executor_backend_dataset_layout_matrix() {
                 ("live-snapshot", &live_snapshot),
             ];
             for (backend_name, backend) in backends {
-                for e in executors() {
-                    let cell = format!(
-                        "{} × {} × tpb{} × {}",
-                        e.name(),
-                        backend_name,
-                        tuples_per_block,
-                        ds.name
-                    );
-                    let job =
-                        QueryJob::from_backend(backend, &bitmap, 0, 1, uniform(8), ds.cfg.clone());
-                    let out = e
-                        .run(&job, 19)
-                        .unwrap_or_else(|err| panic!("{cell}: {err}"));
-                    let mut ids = out.candidate_ids();
-                    ids.sort_unstable();
-                    assert_eq!(ids, truth, "{cell}: matched set diverged");
-                    // Same guarantee level everywhere: both guarantees
-                    // certified (trivially so for the exact cells).
-                    assert!(
-                        gt.check_separation(&out.candidate_ids(), ds.cfg.epsilon, ds.cfg.sigma),
-                        "{cell}: separation violated"
-                    );
-                    assert!(
-                        gt.check_reconstruction(&out.output.matches, ds.cfg.epsilon),
-                        "{cell}: reconstruction violated"
-                    );
-                    if e.name() == "Scan" {
-                        assert!(out.stats.exact_finish, "{cell}: Scan must be exact");
+                for rare in [RarePruning::FromCounts, RarePruning::Sampled] {
+                    let cfg = HistSimConfig {
+                        rare,
+                        ..ds.cfg.clone()
+                    };
+                    for e in executors() {
+                        let cell = format!(
+                            "{} × {} × tpb{} × {} × {:?}",
+                            e.name(),
+                            backend_name,
+                            tuples_per_block,
+                            ds.name,
+                            rare
+                        );
+                        let job =
+                            QueryJob::from_backend(backend, &bitmap, 0, 1, uniform(8), cfg.clone());
+                        let out = e
+                            .run(&job, 19)
+                            .unwrap_or_else(|err| panic!("{cell}: {err}"));
+                        let mut ids = out.candidate_ids();
+                        ids.sort_unstable();
+                        assert_eq!(ids, truth, "{cell}: matched set diverged");
+                        // Same guarantee level everywhere: both guarantees
+                        // certified (trivially so for the exact cells).
+                        assert!(
+                            gt.check_separation(&out.candidate_ids(), cfg.epsilon, cfg.sigma),
+                            "{cell}: separation violated"
+                        );
+                        assert!(
+                            gt.check_reconstruction(&out.output.matches, cfg.epsilon),
+                            "{cell}: reconstruction violated"
+                        );
+                        if e.name() == "Scan" {
+                            assert!(out.stats.exact_finish, "{cell}: Scan must be exact");
+                        } else {
+                            assert_eq!(out.stats.rare_pruning, rare, "{cell}");
+                        }
+                        assert!(out.stats.io.blocks_read > 0, "{cell}: no blocks read");
                     }
-                    assert!(out.stats.io.blocks_read > 0, "{cell}: no blocks read");
-                }
-                // One service row per backend: quantum scheduling must
-                // change latency only, never the matched set or
-                // guarantees.
-                {
-                    let cell = format!(
-                        "service × {} × tpb{} × {}",
-                        backend_name, tuples_per_block, ds.name
-                    );
-                    let svc_cfg = ServiceConfig::default()
-                        .with_workers(2)
-                        .with_quantum_blocks(16);
-                    let outcome = QueryService::serve(backend, svc_cfg, |svc| {
-                        svc.submit(
-                            QueryRequest::new(&bitmap, 0, 1, uniform(8), ds.cfg.clone())
-                                .with_seed(19),
-                        )
-                        .unwrap()
-                        .wait()
-                    });
-                    let out = outcome
-                        .finished()
-                        .unwrap_or_else(|| panic!("{cell}: {outcome:?}"));
-                    let mut ids = out.candidate_ids();
-                    ids.sort_unstable();
-                    assert_eq!(ids, truth, "{cell}: matched set diverged");
-                    assert!(
-                        gt.check_separation(&out.candidate_ids(), ds.cfg.epsilon, ds.cfg.sigma),
-                        "{cell}: separation violated"
-                    );
-                    assert!(
-                        gt.check_reconstruction(&out.output.matches, ds.cfg.epsilon),
-                        "{cell}: reconstruction violated"
-                    );
+                    // One service row per backend and mode: quantum
+                    // scheduling must change latency only, never the
+                    // matched set or guarantees.
+                    {
+                        let cell = format!(
+                            "service × {} × tpb{} × {} × {:?}",
+                            backend_name, tuples_per_block, ds.name, rare
+                        );
+                        let svc_cfg = ServiceConfig::default()
+                            .with_workers(2)
+                            .with_quantum_blocks(16);
+                        let outcome = QueryService::serve(backend, svc_cfg, |svc| {
+                            svc.submit(
+                                QueryRequest::new(&bitmap, 0, 1, uniform(8), cfg.clone())
+                                    .with_seed(19),
+                            )
+                            .unwrap()
+                            .wait()
+                        });
+                        let out = outcome
+                            .finished()
+                            .unwrap_or_else(|| panic!("{cell}: {outcome:?}"));
+                        let mut ids = out.candidate_ids();
+                        ids.sort_unstable();
+                        assert_eq!(ids, truth, "{cell}: matched set diverged");
+                        assert!(
+                            gt.check_separation(&out.candidate_ids(), cfg.epsilon, cfg.sigma),
+                            "{cell}: separation violated"
+                        );
+                        assert!(
+                            gt.check_reconstruction(&out.output.matches, cfg.epsilon),
+                            "{cell}: reconstruction violated"
+                        );
+                        assert_eq!(out.stats.rare_pruning, rare, "{cell}");
+                    }
                 }
             }
             let cs = file_backend.cache_stats();

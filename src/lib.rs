@@ -45,6 +45,8 @@
 //! let mut sampler = MemorySampler::new(tuples, 3, 42);
 //! let out = sampler.run(&mut hs).unwrap();
 //! assert_eq!(out.candidate_ids(), vec![1]);
+//! // Built without row counts, HistSim runs the paper's sampled stage 1.
+//! assert_eq!(out.diagnostics.rare_pruning, RarePruning::Sampled);
 //! ```
 //!
 //! See `examples/` for realistic end-to-end scenarios over the storage
@@ -59,7 +61,9 @@ pub use fastmatch_store as store;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use fastmatch_core::histsim::{HistSim, HistSimConfig, HistSimOutput, MatchedCandidate};
+    pub use fastmatch_core::histsim::{
+        HistSim, HistSimConfig, HistSimOutput, MatchedCandidate, RarePruning,
+    };
     pub use fastmatch_core::sampler::{tuples_from_histograms, MemorySampler, Sample};
     pub use fastmatch_core::{guarantees::GroundTruth, Histogram, Metric};
     pub use fastmatch_engine::exec::{
