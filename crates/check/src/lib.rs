@@ -2,7 +2,7 @@
 //!
 //! The engine and store rely on three hand-rolled synchronization
 //! protocols — the lock-free demand snapshot ([`fastmatch_engine::shared`]),
-//! the shared scheduler's admission, stealing and park accounting, and
+//! the shared scheduler's admission and stealing, and
 //! the live-table append → freeze → seal → snapshot lifecycle. Unit
 //! tests exercise a handful of interleavings of each;
 //! this crate exhaustively enumerates *all* interleavings at small
@@ -19,16 +19,15 @@
 //! * [`models`] — four models that mirror the real code path for path,
 //!   sharing the extracted pure step functions
 //!   ([`fastmatch_engine::shared::PUBLISH_ORDER`],
-//!   [`fastmatch_engine::service::all_shards_parked`],
 //!   [`fastmatch_engine::service::queue_scan_order`],
 //!   [`fastmatch_store::live::build_seg_starts`], …) so the model and
 //!   the implementation cannot drift apart silently.
 //!
-//! Two historical races — the two-bump demand publish and the
-//! anonymous park tally (in the service's form: a retire that skips the
-//! all-parked re-check) — are kept as test-only mutations; the
-//! checker demonstrably re-finds both (see the `finds_pr2_*` tests),
-//! which is the evidence that it would catch their recurrence.
+//! A historical race — the two-bump demand publish — is kept as a
+//! test-only mutation, beside plausible bugs in the demand publication
+//! and the live table's seal and recovery; the checker demonstrably
+//! re-finds each (see the `finds_*` tests), which is the evidence that
+//! it would catch their recurrence.
 //!
 //! See DESIGN.md § "Concurrency protocols" for the prose version of
 //! every invariant checked here.

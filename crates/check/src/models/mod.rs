@@ -4,10 +4,10 @@
 //! * [`demand_publish`] — the lock-free demand snapshot's
 //!   remaining → mode → epoch publication order, and the choice between
 //!   full and deactivation publications ([`fastmatch_engine::shared`]).
-//! * [`admission_steal`] — the service's admission bound, per-worker
-//!   queues with stealing and the park accounting of shard tasks
+//! * [`admission_steal`] — the service's admission bound and its
+//!   per-worker queues with stealing, one task per query
 //!   ([`fastmatch_engine::service::queue_scan_order`],
-//!   [`fastmatch_engine::service::all_shards_parked`]).
+//!   [`fastmatch_engine::service::admission_has_capacity`]).
 //! * [`live_lifecycle`] — the live table's append → freeze →
 //!   install-before-seal → snapshot lifecycle
 //!   ([`fastmatch_store::live`]).

@@ -57,12 +57,7 @@ fn demand_publish() -> DemandPublish {
 }
 
 fn admission_steal() -> AdmissionSteal {
-    AdmissionSteal::new(3, [2, 1, 3, 1].map(|u| vec![(u, 0)]).to_vec(), 3)
-}
-
-/// Parking shards, one query run to its exact finish.
-fn admission_steal_parking() -> AdmissionSteal {
-    AdmissionSteal::new(4, vec![vec![(2, 1), (0, 2), (1, 0), (0, 1)]], 1).without_shutdown()
+    AdmissionSteal::new(3, &[2, 1, 3, 1], 3)
 }
 
 fn live_lifecycle() -> LiveLifecycle {
@@ -81,11 +76,6 @@ fn demand_publish_soak_slice() {
 #[test]
 fn admission_steal_soak_slice() {
     soak(admission_steal(), SLICE);
-}
-
-#[test]
-fn admission_steal_parking_soak_slice() {
-    soak(admission_steal_parking(), SLICE);
 }
 
 #[test]
@@ -108,12 +98,6 @@ fn demand_publish_soak_long() {
 #[ignore = "long soak; run with --ignored, scale with FASTMATCH_CHECK_ITERS"]
 fn admission_steal_soak_long() {
     soak(admission_steal(), long_iters());
-}
-
-#[test]
-#[ignore = "long soak; run with --ignored, scale with FASTMATCH_CHECK_ITERS"]
-fn admission_steal_parking_soak_long() {
-    soak(admission_steal_parking(), long_iters());
 }
 
 #[test]

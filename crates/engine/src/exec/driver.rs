@@ -7,8 +7,8 @@
 //! walk that marks blocks, and package the output with run statistics.
 //! [`Driver`] owns exactly that scaffolding so `ScanMatch`/`SyncMatch`
 //! (sequential), `FastMatch` (lookahead marking) and the query service
-//! (sharded quanta, which `ParallelMatch` runs on) differ only in *how
-//! blocks are chosen and delivered*, not in how HistSim is driven.
+//! (scheduled quanta) differ only in *how blocks are chosen and
+//! delivered*, not in how HistSim is driven.
 //!
 //! Consumption is counted in rows. Executors sample without replacement
 //! by never re-reading a block, so a candidate whose rows read reach the
@@ -101,9 +101,9 @@ impl Driver {
         })
     }
 
-    /// Ingests the codes of one or more read blocks — the path of
-    /// `FastMatch` (a block at a time) and of the service (a quantum's
-    /// blocks at once). The tuples are traversed exactly once, by
+    /// Ingests the codes of a read block — the path of `FastMatch` and of
+    /// the service, a block at a time as the run read delivers it. The
+    /// tuples are traversed exactly once, by
     /// [`HistSim::ingest_block`]; demand and consumption are settled
     /// when the driver next advances.
     #[inline]
@@ -143,13 +143,13 @@ impl Driver {
     }
 
     /// [`Self::advance`], then publishes the resulting demand snapshot for
-    /// the walk and the service's shard workers — as one atomic publication
-    /// (single epoch bump), so a woken reader never sees a fresh mode
-    /// with stale demand or vice versa. The per-candidate counts go out
-    /// in full only when [`needs_full_publication`] says demand may have
-    /// risen; otherwise only the candidates deactivated since the last
-    /// publication are zeroed, which keeps the published active set
-    /// equal to HistSim's at a cost of O(deactivations), not O(|V_Z|).
+    /// the walk — as one atomic publication (single epoch bump), so a
+    /// woken reader never sees a fresh mode with stale demand or vice
+    /// versa. The per-candidate counts go out in full only when
+    /// [`needs_full_publication`] says demand may have risen; otherwise
+    /// only the candidates deactivated since the last publication are
+    /// zeroed, which keeps the published active set equal to HistSim's
+    /// at a cost of O(deactivations), not O(|V_Z|).
     pub fn advance_and_publish(&mut self, shared: &SharedDemand) -> Result<bool> {
         let stepped = self.advance()?;
         let phase = self.hs.phase();

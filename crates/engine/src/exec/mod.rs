@@ -3,10 +3,9 @@
 //! [`Executor`] is the common interface; the implementations extend the
 //! §5.2 comparison ladder (each adds exactly one mechanism):
 //! `Scan` → `ScanMatch` (approximation) → `SyncMatch` (AnyActive block
-//! skipping) → `FastMatch` (asynchronous cache-conscious lookahead) →
-//! `ParallelMatch` (shard-parallel reads and marking feeding one
-//! statistics engine, run as one query on a private
-//! [`crate::service::QueryService`]).
+//! skipping) → `FastMatch` (asynchronous cache-conscious lookahead).
+//! [`crate::service::QueryService`] runs many queries at once, each
+//! through the same walk and statistics engine as `FastMatch`.
 //!
 //! All HistSim executors drive the state machine through the shared
 //! `driver::Driver` (crate-internal); they differ only in how blocks are
@@ -14,14 +13,12 @@
 
 pub(crate) mod driver;
 mod fast_match;
-mod parallel_match;
 mod scan;
 mod scan_match;
 mod sync_match;
 pub(crate) mod walk;
 
 pub use fast_match::FastMatchExec;
-pub use parallel_match::ParallelMatchExec;
 pub use scan::ScanExec;
 pub use scan_match::ScanMatchExec;
 pub use sync_match::SyncMatchExec;

@@ -9,7 +9,9 @@ use std::time::Instant;
 
 use fastmatch_core::error::Result;
 use fastmatch_core::histogram::Histogram;
-use fastmatch_core::histsim::{Diagnostics, HistSimOutput, MatchedCandidate, RarePruning};
+use fastmatch_core::histsim::{
+    rare_threshold, Diagnostics, HistSimOutput, MatchedCandidate, RarePruning,
+};
 use fastmatch_core::topk::k_smallest_indices;
 
 use crate::exec::{storage_err, Executor};
@@ -48,13 +50,14 @@ impl Executor for ScanExec {
             })
             .map_err(storage_err)?;
 
-        let n = job.n_rows() as f64;
-        let sigma_threshold = job.cfg.sigma * n;
+        // Rare as every executor and the ground truth decide it; an empty
+        // table has no candidate to keep either way.
+        let min_rows = rare_threshold(job.cfg.sigma, (job.n_rows() as u64).max(1));
         let metric = job.cfg.metric;
         let mut tau = vec![f64::MAX; vz];
         let mut eligible = vec![false; vz];
         for c in 0..vz {
-            if (totals[c] as f64) < sigma_threshold || totals[c] == 0 {
+            if totals[c] < min_rows || totals[c] == 0 {
                 continue;
             }
             eligible[c] = true;

@@ -12,9 +12,8 @@
 //! The walk decides *which blocks, in which order*. Its two drivers
 //! decide everything else around `step`: FastMatch reads each window's
 //! marked runs on the calling thread before it steps again, a service
-//! quantum (which is also how `ParallelMatch` runs) reads them up to its
-//! block budget and comes back later. Who ingests, settles and parks
-//! stays with them.
+//! quantum reads them up to its block budget and comes back later. When
+//! to settle and what a fruitless pass means stays with them.
 //!
 //! The window, the visited set and the run extraction are bitsets. A
 //! step copies the window's visited bits into an `open` bitset (the
@@ -32,7 +31,7 @@ use crate::exec::start_block;
 use crate::policy::mark_lookahead;
 use crate::shared::{DemandMode, SharedDemand};
 
-/// Lookahead window of the service's shard walks, in blocks: four words
+/// Lookahead window of the service's walks, in blocks: four words
 /// (32 bytes) of each active candidate's bitmap row, so marking it costs
 /// at most four word ORs per active candidate. It is four default quanta
 /// long; a quantum whose budget runs out mid-window ends there, and the
@@ -133,14 +132,13 @@ impl ShardWalk {
         self
     }
 
-    /// The walk of shard `shard` of a sharded query: [`MARK_WINDOW`]
-    /// blocks at a time, from a start derived from the query's seed and
-    /// the shard's index — repeated runs draw different samples,
-    /// mirroring the random scan start of the sequential executors.
-    pub fn for_shard(blocks: Range<usize>, shard: usize, seed: u64, num_candidates: usize) -> Self {
-        let seed = seed.wrapping_add(shard as u64).wrapping_mul(0x9e37_79b9);
-        let start = start_block(blocks.len(), seed);
-        Self::new(blocks, start, MARK_WINDOW, num_candidates)
+    /// The walk of a served query over `blocks` blocks: [`MARK_WINDOW`]
+    /// blocks at a time, from a start derived from the query's seed —
+    /// repeated runs draw different samples, mirroring the random scan
+    /// start of the sequential executors.
+    pub fn served(blocks: usize, seed: u64, num_candidates: usize) -> Self {
+        let start = start_block(blocks, seed.wrapping_mul(0x9e37_79b9));
+        Self::new(0..blocks, start, MARK_WINDOW, num_candidates)
     }
 
     /// Whether every block of the range has been handed out as marked.

@@ -3,7 +3,7 @@
 //! The FastMatch system (paper §4): executors that drive the HistSim
 //! state machine over the block storage substrate.
 //!
-//! Five executors extend the paper's §5.2 comparison lineup; each differs
+//! Four executors extend the paper's §5.2 comparison lineup; each differs
 //! from the next in exactly one mechanism, so comparing adjacent pairs
 //! isolates one design decision:
 //!
@@ -14,19 +14,14 @@
 //!   synchronously per block, Algorithm 2 style (adds *block skipping*);
 //! * [`exec::FastMatchExec`] — AnyActive with cache-conscious lookahead:
 //!   each window is marked a word at a time before its blocks are read,
-//!   Algorithm 3 style (adds *lookahead marking*);
-//! * [`exec::ParallelMatchExec`] — shard-parallel sampling: the query
-//!   runs alone on a private [`service::QueryService`] whose N workers
-//!   read and mark disjoint block ranges and hand each quantum's codes
-//!   to the one state machine, one quantum at a time (adds *multi-core
-//!   reads and marking*).
+//!   Algorithm 3 style (adds *lookahead marking*).
 //!
 //! All approximate executors provide the same Guarantee 1/2 semantics; they
 //! differ only in how fast they reach HistSim's termination conditions.
 //!
 //! On top of the single-query executors, [`service::QueryService`] serves
 //! **many queries concurrently** over one shared storage backend: a
-//! bounded worker pool multiplexes (query, shard) ingestion quanta, with
+//! bounded worker pool multiplexes the queries' ingestion quanta, with
 //! per-query progressive results, cooperative cancellation, deadlines and
 //! attributed I/O — see the [`service`] module docs.
 
@@ -41,9 +36,7 @@ pub mod result;
 pub mod service;
 pub mod shared;
 
-pub use exec::{
-    Executor, FastMatchExec, ParallelMatchExec, ScanExec, ScanMatchExec, SyncMatchExec,
-};
+pub use exec::{Executor, FastMatchExec, ScanExec, ScanMatchExec, SyncMatchExec};
 pub use query::QueryJob;
 pub use result::{MatchOutput, RunStats};
 pub use service::{

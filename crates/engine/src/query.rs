@@ -233,9 +233,10 @@ impl<'a> QueryJob<'a> {
     }
 
     /// Calls `f` with the job's source as a [`StorageBackend`] (a
-    /// [`MemBackend`] view of an in-memory table), for a query service
-    /// serving this job alone. The job's own reads keep their source.
-    pub(crate) fn with_backend<R>(&self, f: impl FnOnce(&dyn StorageBackend) -> R) -> R {
+    /// [`MemBackend`] view of an in-memory table), e.g. to serve the
+    /// job's query on a [`QueryService`](crate::service::QueryService).
+    /// The job's own reads keep their source.
+    pub fn with_backend<R>(&self, f: impl FnOnce(&dyn StorageBackend) -> R) -> R {
         match &self.source {
             Source::Mem(table) => f(&MemBackend::new(table, self.layout)),
             Source::Backend(backend) => f(*backend),

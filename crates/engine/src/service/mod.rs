@@ -6,51 +6,48 @@
 //! regime this module exists for. [`QueryService`] is that layer:
 //!
 //! * **Admission** — [`QueryService::submit`] validates a
-//!   [`QueryRequest`], builds its HistSim driver, splits the shared
-//!   backend's block range into shard tasks, and returns a `'static`
-//!   [`QueryHandle`]. Admission is bounded
+//!   [`QueryRequest`], builds its HistSim driver and its walk over the
+//!   shared backend's blocks into one query task, and returns a
+//!   `'static` [`QueryHandle`]. Admission is bounded
 //!   ([`ServiceConfig::max_admitted`]); beyond the bound `submit`
 //!   rejects with [`ServiceError::Saturated`] instead of queueing
 //!   unboundedly.
 //! * **Scheduling** — one bounded worker pool serves *all* queries.
-//!   The schedulable unit is a (query, shard) pair running one bounded
+//!   The schedulable unit is one query's task running one bounded
 //!   ingestion quantum, after which the task goes back to its home
-//!   queue's FIFO tail. Queries therefore multiplex over shards at
-//!   quantum granularity — 16 queries × 4 shards is 64 interleaved
-//!   tasks on the same pool, not 16 private pools — and no query can
-//!   monopolize a worker for longer than one quantum. A quantum reads
-//!   at most [`ServiceConfig::quantum_blocks`] blocks — a declared
-//!   count, never a clocked estimate. Idle workers steal queued tasks
-//!   from busy siblings, and shards with nothing readable under the
-//!   query's current demand *park* and stop consuming pool capacity
-//!   until the query's demand epoch moves (`state` module docs,
-//!   crate-internal).
+//!   queue's FIFO tail. Queries therefore multiplex at quantum
+//!   granularity — 16 queries are 16 interleaved tasks on the same pool,
+//!   not 16 private pools — and no query can monopolize a worker for
+//!   longer than one quantum. A quantum reads at most
+//!   [`ServiceConfig::quantum_blocks`] blocks — a declared count, never
+//!   a clocked estimate. Idle workers steal queued tasks from busy
+//!   siblings (`state` module docs, crate-internal).
 //! * **Per-query protocol** — each query runs the demand protocol of
 //!   the executors, over the walk FastMatch steps too (Figure 6's
 //!   marking stage is `exec::walk::ShardWalk::step`, called with what is
-//!   left of the quantum's budget as its limit): a shard quantum reads
-//!   its blocks into the worker's reused code buffer (at most
-//!   `quantum_blocks` blocks' `Z` and `X` codes), then, under the
-//!   query's engine mutex, hands them to the driver in one call of the
-//!   fused kernel every executor uses (`HistSim::ingest_block`), settles
-//!   over the active set, advances phases and republishes demand. Reads,
-//!   verification and marking run in parallel across shards; ingestion
-//!   has one holder at a time per query — the paper's single statistics
-//!   engine. The paper's
-//!   correctness argument carries over unchanged: any set of blocks of
-//!   the pre-permuted table is a uniform without-replacement sample, so
-//!   quantum scheduling changes *latency*, never the guarantee.
+//!   left of the quantum's budget as its limit): a quantum hands each
+//!   block of the marked runs to the driver as the run read delivers it
+//!   — the fused kernel every executor uses (`HistSim::ingest_block`) —
+//!   then settles over the active set, advances phases and republishes
+//!   demand, once. Only the worker running a quantum touches the task,
+//!   so the query's one statistics engine needs no lock. A pass that
+//!   finds nothing to read must be followed by an advance that steps,
+//!   or the query fails (FastMatch's rule). The paper's correctness
+//!   argument carries over unchanged: any set of blocks of the
+//!   pre-permuted table is a uniform without-replacement sample, so
+//!   quantum scheduling changes *latency*, never the guarantee. At a
+//!   fixed seed a query reads the same blocks, in the same quanta,
+//!   whatever else the pool serves, so it replays exactly.
 //! * **Progressive results** — after every ingested quantum the handle's
 //!   snapshot is refreshed: phase, [`GuaranteeState`], samples so far,
-//!   and the query's attributed
-//!   [`IoStats`](fastmatch_store::io::IoStats) — including its private
+//!   and the query's attributed [`IoStats`] — including its private
 //!   hit/miss view of the *shared* block cache. The top-k preview, a
 //!   `|V_Z|·|V_X|` pass, is recomputed when the state machine completes
 //!   a phase or a stage-2 round.
 //! * **Cancellation & deadlines** — cooperative: workers observe the
 //!   cancel flag and the deadline at quantum boundaries, so a stuck
-//!   disk read is never interrupted mid-page, and a cancelled query's
-//!   shards retire within one quantum each.
+//!   disk read is never interrupted mid-page, and a cancelled query
+//!   resolves within one quantum.
 //!
 //! Worker threads are scoped ([`QueryService::serve`]), so the service
 //! borrows the backend and bitmaps instead of forcing `Arc`-wrapping
@@ -62,37 +59,31 @@ mod handle;
 mod state;
 
 pub use handle::{GuaranteeState, QueryHandle, QueryOutcome, QueryProgress};
-pub use state::{admission_has_capacity, all_shards_parked, queue_scan_order, SchedStats};
+pub use state::{admission_has_capacity, queue_scan_order, SchedStats};
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fastmatch_core::error::CoreError;
 use fastmatch_core::histsim::HistSimConfig;
 use fastmatch_store::backend::StorageBackend;
 use fastmatch_store::bitmap::BitmapIndex;
+use fastmatch_store::io::IoStats;
 use fastmatch_store::live::{LiveTable, Snapshot};
 
 use crate::exec::driver::Driver;
 use crate::exec::walk::{ShardWalk, Step};
 use crate::query::QueryJob;
 use crate::service::handle::QueryShared;
-use crate::service::state::{EngineState, QueryState, Scheduler, ShardTask, Verdict};
-use crate::shared::{DemandMode, SharedDemand};
-
-/// Consecutive all-parked valve rounds (demand republished, every shard
-/// still finds nothing readable) after which a query fails loudly
-/// instead of cycling forever.
-const MAX_STUCK_ROUNDS: u32 = 16;
+use crate::service::state::{QueryTask, Scheduler};
+use crate::shared::SharedDemand;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Worker threads in the shared pool.
     pub workers: usize,
-    /// Ingestion shards per query (clamped to the block count).
-    pub shards_per_query: usize,
     /// Maximum blocks read per scheduling quantum.
     pub quantum_blocks: usize,
     /// Maximum queries admitted and not yet terminal.
@@ -106,7 +97,6 @@ impl Default for ServiceConfig {
             .unwrap_or(4);
         ServiceConfig {
             workers: cores.clamp(1, 8),
-            shards_per_query: 4,
             quantum_blocks: 64,
             max_admitted: 4096,
         }
@@ -121,16 +111,6 @@ impl ServiceConfig {
     pub fn with_workers(mut self, workers: usize) -> Self {
         assert!(workers > 0, "worker pool must be positive");
         self.workers = workers;
-        self
-    }
-
-    /// Sets the ingestion shard count per query.
-    ///
-    /// # Panics
-    /// Panics if `shards` is zero.
-    pub fn with_shards_per_query(mut self, shards: usize) -> Self {
-        assert!(shards > 0, "shard count must be positive");
-        self.shards_per_query = shards;
         self
     }
 
@@ -169,7 +149,7 @@ pub struct QueryRequest<'a> {
     pub target: Vec<f64>,
     /// HistSim parameters.
     pub cfg: HistSimConfig,
-    /// Seed for the per-shard random scan starts.
+    /// Seed for the random scan start.
     pub seed: u64,
     /// Relative deadline: the query resolves to
     /// [`QueryOutcome::DeadlineExpired`] if it is still running this
@@ -224,7 +204,7 @@ pub struct SnapshotRequest {
     pub target: Vec<f64>,
     /// HistSim parameters.
     pub cfg: HistSimConfig,
-    /// Seed for the per-shard random scan starts.
+    /// Seed for the random scan start.
     pub seed: u64,
     /// Relative deadline, as in [`QueryRequest::deadline`].
     pub deadline: Option<Duration>,
@@ -295,7 +275,7 @@ pub struct QueryService<'env> {
     sched: Scheduler<'env>,
     next_id: AtomicU64,
     active: AtomicUsize,
-    /// Round-robin cursor for shard tasks' home queues.
+    /// Round-robin cursor for query tasks' home queues.
     next_home: AtomicUsize,
 }
 
@@ -309,7 +289,6 @@ impl<'env> QueryService<'env> {
         f: impl FnOnce(&QueryService<'env>) -> R,
     ) -> R {
         assert!(config.workers > 0, "worker pool must be positive");
-        assert!(config.shards_per_query > 0, "shard count must be positive");
         assert!(config.quantum_blocks > 0, "quantum must be positive");
         assert!(config.max_admitted > 0, "admission bound must be positive");
         let svc = QueryService {
@@ -433,23 +412,21 @@ impl<'env> QueryService<'env> {
     }
 
     /// Builds the driver for an already-reserved admission slot, then
-    /// decomposes the query into shard tasks on the shared scheduler —
-    /// the backend-agnostic tail of every submit path.
+    /// queues the query's task on the shared scheduler — the
+    /// backend-agnostic tail of every submit path.
     fn admit_reserved(
         &self,
         job: QueryJob<'env>,
         seed: u64,
         deadline: Option<Duration>,
     ) -> Result<QueryHandle, ServiceError> {
-        let admitted = (|| {
-            let mut driver = Driver::new(&job).map_err(ServiceError::Invalid)?;
+        let admitted = (|| -> Result<_, CoreError> {
+            let mut driver = Driver::new(&job)?;
             let demand = SharedDemand::new(job.num_candidates());
             // Initial publication: degenerate configs may already satisfy
-            // stage boundaries, and shard tasks must never observe the
+            // stage boundaries, and the walk must never observe the
             // pre-publication zero state as real demand.
-            driver
-                .advance_and_publish(&demand)
-                .map_err(ServiceError::Invalid)?;
+            driver.advance_and_publish(&demand)?;
             Ok((driver, demand))
         })();
         let (driver, demand) = match admitted {
@@ -457,66 +434,31 @@ impl<'env> QueryService<'env> {
             Err(e) => {
                 // Validation failed: release the reserved admission slot.
                 self.active.fetch_sub(1, Ordering::Relaxed);
-                return Err(e);
+                return Err(ServiceError::Invalid(e));
             }
         };
-        let done_at_submit = driver.hs.is_done();
-
-        let nb = job.layout.num_blocks();
-        let shards = self.config.shards_per_query.min(nb).max(1);
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let shared = Arc::new(QueryShared::new(id));
-        let reader = job.reader();
-        let query = Arc::new(QueryState {
-            id,
+        let shared = Arc::new(QueryShared::new(
+            self.next_id.fetch_add(1, Ordering::Relaxed),
+        ));
+        // The admission slot reserved above is released when the query's
+        // outcome is published.
+        let task = Box::new(QueryTask {
+            walk: ShardWalk::served(job.layout.num_blocks(), seed, job.num_candidates()),
+            reader: job.reader(),
             job,
+            driver,
             demand,
-            engine: Mutex::new(EngineState {
-                driver: Some(driver),
-                io: Default::default(),
-                live_shards: shards,
-                stuck_rounds: 0,
-                verdict: done_at_submit.then_some(Verdict::Completed),
-            }),
             shared: Arc::clone(&shared),
             deadline: deadline.map(|d| Instant::now() + d),
-            live_shards_hint: AtomicUsize::new(shards),
+            home: self.next_home.fetch_add(1, Ordering::Relaxed) % self.config.workers,
         });
-        // The admission slot reserved above is released when the query's
-        // outcome is published (the last shard's retire).
-        for w in 0..shards {
-            let shard_reader = reader.shard(w, shards);
-            let walk =
-                ShardWalk::for_shard(shard_reader.blocks(), w, seed, query.job.num_candidates());
-            let home = self.next_home.fetch_add(1, Ordering::Relaxed) % self.config.workers;
-            self.sched.enqueue(ShardTask {
-                query: Arc::clone(&query),
-                reader: shard_reader,
-                walk,
-                flushed: Default::default(),
-                home,
-            });
+        if task.driver.hs.is_done() {
+            complete(self, task);
+        } else {
+            self.sched.enqueue(task);
         }
         Ok(QueryHandle { shared })
     }
-}
-
-/// Runs `job` as the only query of a private service over the job's own
-/// source, and waits for its outcome — all there is to `ParallelMatch`.
-/// The pool, its shutdown and the admission are [`QueryService::serve`]'s
-/// and `admit_reserved`'s; only `submit`'s request validation is left
-/// out, the job being built already.
-pub(crate) fn run_job(
-    job: &QueryJob<'_>,
-    config: ServiceConfig,
-    seed: u64,
-) -> Result<QueryOutcome, ServiceError> {
-    job.with_backend(|backend| {
-        QueryService::serve(backend, config, |svc| {
-            svc.reserve_slot()?;
-            Ok(svc.admit_reserved(job.clone(), seed, None)?.wait())
-        })
-    })
 }
 
 /// Checks, before an admission slot is taken, everything `QueryJob`'s
@@ -561,88 +503,58 @@ fn validate(
     Ok(())
 }
 
-/// What a finished quantum wants the scheduler to do with its task.
-enum Next {
-    /// More work possible now: requeue at the FIFO tail.
-    Requeue,
-    /// A full pass found nothing readable under this epoch: park.
-    Park { pass_epoch: u64 },
-    /// The shard is finished (exhausted, or the query is terminal).
-    Retire,
-}
-
 fn worker_loop(svc: &QueryService<'_>, worker: usize) {
-    // One code buffer per worker, whatever query each quantum serves:
-    // the resident ingestion storage is `workers` buffers of at most a
-    // quantum's codes, however many queries and shards are admitted.
-    let mut codes = (Vec::new(), Vec::new());
     while let Some(task) = svc.sched.pop(worker) {
-        run_quantum(svc, task, &mut codes);
+        run_quantum(svc, task);
     }
 }
 
-/// Runs one scheduling quantum of one shard task, then routes the task
-/// (requeue / park / retire) and performs any terminal bookkeeping.
-/// `codes` is the calling worker's reused buffer for the quantum's `Z`
-/// and `X` codes; whatever it holds on entry is discarded.
-fn run_quantum<'env>(
-    svc: &QueryService<'env>,
-    mut task: ShardTask<'env>,
-    codes: &mut (Vec<u32>, Vec<u32>),
-) {
-    let query = Arc::clone(&task.query);
-    let _unwind = FailOnUnwind { svc, query: &query };
+/// Runs one scheduling quantum of one query, then requeues the task or,
+/// when the query is over, publishes its outcome.
+fn run_quantum<'env>(svc: &QueryService<'env>, mut task: Box<QueryTask<'env>>) {
+    let _unwind = FailOnUnwind {
+        svc,
+        shared: Arc::clone(&task.shared),
+        io: task.reader.stats(),
+    };
 
-    // Terminal and cooperative checks, once per quantum.
-    if svc.sched.is_shutdown() || query.shared.cancel_requested() {
-        finalize_reason(svc, &query, Verdict::Cancelled);
-        retire(svc, task);
-        return;
+    // Cooperative checks, once per quantum.
+    if svc.sched.is_shutdown() || task.shared.cancel_requested() {
+        return publish(svc, &task, QueryOutcome::Cancelled);
     }
-    if query.deadline_expired() {
-        finalize_reason(svc, &query, Verdict::DeadlineExpired);
-        retire(svc, task);
-        return;
-    }
-    if query.demand.mode() == DemandMode::Stop {
-        retire(svc, task);
-        return;
-    }
-    if task.walk.exhausted() {
-        retire(svc, task);
-        return;
+    if task.deadline_expired() {
+        return publish(svc, &task, QueryOutcome::DeadlineExpired);
     }
 
-    // The ingestion quantum: step the shard's walk, appending the codes
-    // of the marked runs it hands out to the worker's buffer, until the
-    // budget is spent or the walk has nothing more to give right now.
-    // The walk keeps its place, so the next quantum resumes where this
-    // one stops.
-    let job = &query.job;
-    let (zbuf, xbuf) = codes;
-    zbuf.clear();
-    xbuf.clear();
+    // The ingestion quantum: step the walk, handing each block of the
+    // marked runs it hands out to the driver as the run read delivers
+    // it, until the budget is spent or the walk has nothing more to give
+    // right now. The walk keeps its place, so the next quantum resumes
+    // where this one stops.
+    svc.sched.note_quantum();
     let budget = svc.config.quantum_blocks;
     let mut reads = 0usize;
-    let mut park_epoch: Option<u64> = None;
+    let mut fruitless = false;
     let mut failure: Option<CoreError> = None;
-    svc.sched.note_quantum();
-
-    let (walk, reader) = (&mut task.walk, &mut task.reader);
+    let QueryTask {
+        job,
+        driver,
+        demand,
+        walk,
+        reader,
+        ..
+    } = &mut *task;
     while reads < budget {
         // Marked runs are read as runs (the walk cuts them to the budget
-        // left), unmarked ones skipped through the range-validated bulk
-        // API — only over blocks this quantum actually examined.
-        let left = budget - reads;
-        let step = walk.step(&job.bitmap, &query.demand, left, |run, marked| {
+        // left), unmarked ones only counted as skipped.
+        let step = walk.step(&job.bitmap, demand, budget - reads, |run, marked| {
             if !marked {
-                reader.skip_blocks(run);
+                reader.skip_blocks(run.len() as u64);
                 return true;
             }
             let read = reader.read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
                 reads += 1;
-                zbuf.extend_from_slice(zs);
-                xbuf.extend_from_slice(xs);
+                driver.ingest_block(zs, xs);
                 true
             });
             failure = read.err().map(crate::exec::storage_err);
@@ -650,10 +562,9 @@ fn run_quantum<'env>(
         });
         match step {
             Step::PassEnd {
-                fruitless: true,
-                epoch,
+                fruitless: true, ..
             } => {
-                park_epoch = Some(epoch);
+                fruitless = true;
                 break;
             }
             Step::Exhausted | Step::Stop => break,
@@ -661,81 +572,45 @@ fn run_quantum<'env>(
         }
     }
 
-    // Ingest the quantum under the query's engine mutex — one call of
-    // the fused kernel over all its codes — then decide the task's next
-    // life.
-    let mut ingested = false;
-    let next = {
-        let mut eng = query.engine.lock().unwrap();
-        task.flush_io(&mut eng);
-        if let Some(e) = failure {
-            eng.set_verdict(Verdict::Failed(e));
-            query.demand.set_mode(DemandMode::Stop);
-        } else if eng.verdict.is_none() && !zbuf.is_empty() {
-            eng.stuck_rounds = 0;
-            let d = eng.driver.as_mut().expect("driver taken before verdict");
-            d.ingest_block(zbuf, xbuf);
-            let advanced = d.advance_and_publish(&query.demand);
-            let done = advanced.is_ok() && d.hs.is_done();
-            let stepped = match advanced {
-                Ok(stepped) => {
-                    if done {
-                        eng.set_verdict(Verdict::Completed);
-                    }
-                    stepped
-                }
-                Err(e) => {
-                    eng.set_verdict(Verdict::Failed(e));
-                    query.demand.set_mode(DemandMode::Stop);
-                    false
-                }
-            };
-            ingested = true;
-            refresh_progress(&query, &eng, stepped);
-        }
-        if eng.verdict.is_some() || task.walk.exhausted() {
-            Next::Retire
-        } else if let Some(pass_epoch) = park_epoch {
-            Next::Park { pass_epoch }
-        } else {
-            Next::Requeue
-        }
-    };
-    if ingested {
-        // The advance republished demand (epoch bump): wake this query's
-        // parked shards so they re-evaluate under the fresh snapshot.
-        svc.sched.wake_query(query.id);
+    // One settlement per quantum that read something, and after a pass
+    // that found nothing to read. Published demand only ever overstates
+    // the true active set, and every truly active candidate has unread
+    // rows in an unvisited block, so a fruitless pass must be followed by
+    // an advance that steps (FastMatch's rule).
+    if let Some(e) = failure {
+        return publish(svc, &task, QueryOutcome::Failed(e));
     }
-    match next {
-        Next::Requeue => svc.sched.enqueue(task),
-        Next::Retire => retire(svc, task),
-        Next::Park { pass_epoch } => {
-            if svc.sched.park(task, pass_epoch) {
-                stuck_valve(svc, &query);
+    if reads > 0 || fruitless {
+        match driver.advance_and_publish(demand) {
+            Ok(_) if driver.hs.is_done() => return complete(svc, task),
+            Ok(false) if fruitless => {
+                let stuck =
+                    CoreError::PhaseViolation("no readable blocks for outstanding demand".into());
+                return publish(svc, &task, QueryOutcome::Failed(stuck));
             }
+            Ok(stepped) => refresh_progress(&task, stepped),
+            Err(e) => return publish(svc, &task, QueryOutcome::Failed(e)),
         }
     }
+    if task.walk.exhausted() {
+        // Every block is read and the state machine has not terminated:
+        // the results are exact.
+        return complete(svc, task);
+    }
+    svc.sched.enqueue(task);
 }
 
 /// Fails the query of a quantum that unwinds — a panic in the walk, a
 /// read or the driver, such as its row-count assert. The task dies with
-/// its worker and never retires, so no last retire would publish the
-/// query's outcome. On the way out this records `Verdict::Failed`,
-/// publishes `Stop` (the query's other shards retire at their next
-/// quantum), resolves the handle with the failure and releases the
-/// admission slot. The panic then leaves the worker as before, and
-/// [`QueryService::serve`] re-raises it when it joins the pool.
-///
-/// A `Drop` must not panic while the worker unwinds, so the guard takes
-/// the engine mutex whether the panic poisoned it or not. Once the
-/// verdict is recorded the engine state is valid for every later holder
-/// (no quantum ingests into a query with a verdict, and a failed
-/// query's driver is never finished), so the guard clears the poison:
-/// the query's other shards then lock it to retire instead of panicking
-/// their workers too.
+/// its worker, so no later quantum would publish the query's outcome. On
+/// the way out this resolves the handle with the failure, with the I/O
+/// of the quanta before this one, and releases the admission slot. The
+/// panic then leaves the worker as before, and [`QueryService::serve`]
+/// re-raises it when it joins the pool.
 struct FailOnUnwind<'a, 'env> {
     svc: &'a QueryService<'env>,
-    query: &'a QueryState<'env>,
+    shared: Arc<QueryShared>,
+    io: IoStats,
 }
 
 impl Drop for FailOnUnwind<'_, '_> {
@@ -743,140 +618,65 @@ impl Drop for FailOnUnwind<'_, '_> {
         if !std::thread::panicking() {
             return;
         }
-        let (svc, query) = (self.svc, self.query);
-        let failed = || CoreError::PhaseViolation("a service worker panicked on this query".into());
-        let io = {
-            let mut eng = query.engine.lock().unwrap_or_else(PoisonError::into_inner);
-            eng.set_verdict(Verdict::Failed(failed()));
-            query.demand.set_mode(DemandMode::Stop);
-            query.engine.clear_poison();
-            eng.io
-        };
-        if query
-            .shared
-            .publish_outcome(None, io, QueryOutcome::Failed(failed()))
-        {
-            svc.active.fetch_sub(1, Ordering::Relaxed);
-        }
-        svc.sched.wake_query(query.id);
+        let failed = CoreError::PhaseViolation("a service worker panicked on this query".into());
+        resolve(
+            self.svc,
+            &self.shared,
+            self.io,
+            QueryOutcome::Failed(failed),
+        );
     }
 }
 
-/// Records a terminal reason (cancel / deadline), publishes `Stop`, and
-/// wakes the query's parked shards so every task retires promptly.
-fn finalize_reason(svc: &QueryService<'_>, query: &QueryState<'_>, verdict: Verdict) {
-    {
-        let mut eng = query.engine.lock().unwrap();
-        eng.set_verdict(verdict);
-        query.demand.set_mode(DemandMode::Stop);
-    }
-    svc.sched.wake_query(query.id);
-}
-
-/// The all-parked valve: every live shard of `query` parked with no
-/// ingested quantum in between. Demand should then be impossible to satisfy only
-/// transiently (a republication races the parks); republish to give the
-/// shards a fresh epoch, and fail the query loudly after
-/// [`MAX_STUCK_ROUNDS`] consecutive fruitless rounds rather than cycle
-/// forever.
-fn stuck_valve(svc: &QueryService<'_>, query: &QueryState<'_>) {
-    {
-        let mut eng = query.engine.lock().unwrap();
-        if eng.verdict.is_none() {
-            eng.stuck_rounds += 1;
-            if eng.stuck_rounds >= MAX_STUCK_ROUNDS {
-                eng.set_verdict(Verdict::Failed(CoreError::PhaseViolation(
-                    "no readable blocks for outstanding demand".into(),
-                )));
-                query.demand.set_mode(DemandMode::Stop);
-            } else {
-                let d = eng.driver.as_mut().expect("driver taken before verdict");
-                if let Err(e) = d.advance_and_publish(&query.demand) {
-                    eng.set_verdict(Verdict::Failed(e));
-                    query.demand.set_mode(DemandMode::Stop);
-                }
-            }
-        }
-    }
-    svc.sched.wake_query(query.id);
-}
-
-/// Refreshes the handle's progressive snapshot (caller holds the engine
-/// mutex). Every ingested quantum pays only for the O(1) fields; the
-/// top-k preview is recomputed when the advance `stepped` the state
-/// machine over a phase or round boundary — which includes completion.
-fn refresh_progress(query: &QueryState<'_>, eng: &EngineState, stepped: bool) {
-    let Some(d) = &eng.driver else { return };
-    let phase = d.hs.phase();
-    query.shared.set_progress(
+/// Refreshes the handle's progressive snapshot after an ingested
+/// quantum. Every one pays only for the O(1) fields; the top-k preview
+/// is recomputed when the advance `stepped` the state machine over a
+/// phase or round boundary.
+fn refresh_progress(task: &QueryTask<'_>, stepped: bool) {
+    let hs = &task.driver.hs;
+    let phase = hs.phase();
+    task.shared.set_progress(
         phase,
-        GuaranteeState::from_phase(phase, d.hs.diagnostics().exact_finish),
-        d.hs.samples(),
-        eng.io,
-        stepped.then(|| d.hs.current_topk()),
+        GuaranteeState::from_phase(phase, hs.diagnostics().exact_finish),
+        hs.samples(),
+        task.reader.stats(),
+        stepped.then(|| hs.current_topk()),
     );
 }
 
-/// Retires one shard task: folds its remaining I/O into the query and,
-/// when it is the *last* live shard, converts the verdict into the
-/// published outcome (finishing the driver, exhausted-exact if no
-/// verdict was recorded).
-fn retire<'env>(svc: &QueryService<'env>, mut task: ShardTask<'env>) {
-    let query = Arc::clone(&task.query);
-    let publish = {
-        let mut eng = query.engine.lock().unwrap();
-        task.flush_io(&mut eng);
-        eng.live_shards -= 1;
-        query
-            .live_shards_hint
-            .store(eng.live_shards, Ordering::Relaxed);
-        if eng.live_shards > 0 {
-            None
-        } else {
-            let verdict = eng.verdict.take();
-            let driver = eng.driver.take();
-            let io = eng.io;
-            let outcome = match verdict {
-                Some(Verdict::Cancelled) => QueryOutcome::Cancelled,
-                Some(Verdict::DeadlineExpired) => QueryOutcome::DeadlineExpired,
-                Some(Verdict::Failed(e)) => QueryOutcome::Failed(e),
-                // `Completed`, or no verdict at all — the latter means
-                // every shard consumed its whole block range without the
-                // state machine terminating: the table is exhausted and
-                // the results are exact.
-                Some(Verdict::Completed) | None => {
-                    let mut d = driver.expect("driver must exist until the last retire");
-                    let run = (|| {
-                        if !d.hs.is_done() {
-                            d.finish_exhausted()?;
-                        }
-                        d.finish(io)
-                    })();
-                    match run {
-                        Ok(out) => QueryOutcome::Finished(out),
-                        Err(e) => QueryOutcome::Failed(e),
-                    }
-                }
-            };
-            Some((outcome, io))
+/// Publishes the outcome of a query whose state machine terminated, or
+/// whose walk read every block (exhausted-exact).
+fn complete<'env>(svc: &QueryService<'env>, task: Box<QueryTask<'env>>) {
+    let QueryTask {
+        mut driver,
+        reader,
+        shared,
+        ..
+    } = *task;
+    let io = reader.stats();
+    let run = (|| {
+        if !driver.hs.is_done() {
+            driver.finish_exhausted()?;
         }
+        driver.finish(io)
+    })();
+    let outcome = match run {
+        Ok(out) => QueryOutcome::Finished(out),
+        Err(e) => QueryOutcome::Failed(e),
     };
-    if let Some((outcome, io)) = publish {
-        query.demand.set_mode(DemandMode::Stop);
-        let progress = final_progress(&outcome);
-        if query.shared.publish_outcome(progress, io, outcome) {
-            svc.active.fetch_sub(1, Ordering::Relaxed);
-        }
-    } else {
-        // The live set shrank: the query's remaining shards may all be
-        // parked already, and with this shard gone no parking transition
-        // is left to trigger the valve — re-evaluate all-parked here
-        // (`fastmatch-check`'s `admission_steal` model strands a parked
-        // shard without this re-check).
-        let live = query.live_shards_hint.load(Ordering::Relaxed);
-        if svc.sched.all_parked(query.id, live) {
-            stuck_valve(svc, &query);
-        }
+    resolve(svc, &shared, io, outcome);
+}
+
+/// Publishes a cancelled, expired or failed outcome.
+fn publish(svc: &QueryService<'_>, task: &QueryTask<'_>, outcome: QueryOutcome) {
+    resolve(svc, &task.shared, task.reader.stats(), outcome);
+}
+
+/// Resolves the handle with `outcome` and releases the admission slot.
+fn resolve(svc: &QueryService<'_>, shared: &QueryShared, io: IoStats, outcome: QueryOutcome) {
+    let progress = final_progress(&outcome);
+    if shared.publish_outcome(progress, io, outcome) {
+        svc.active.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -1065,96 +865,13 @@ mod tests {
         assert!(stats.quanta > 0, "quanta must be counted: {stats:?}");
     }
 
-    /// A quantum that reads but is never ingested — its query got a
-    /// verdict while it read — leaves nothing behind in the worker's code
-    /// buffer: the next query that worker serves finishes exactly as on a
-    /// fresh buffer — a wide histogram after a narrow one and a narrow
-    /// one after a wide one, so a stale code of the dropped quantum would
-    /// land inside the next query's counts (or outside its domain).
-    #[test]
-    fn uningested_quantum_leaves_no_codes_for_the_next_query() {
-        let wide = 60;
-        let schema = Schema::new(vec![
-            AttrDef::new("z", 4),
-            AttrDef::new("x", 2),
-            AttrDef::new("w", wide),
-        ]);
-        // Hashed codes, so every candidate meets every group.
-        let code = |r: u64, shift: u32, card: u32| {
-            ((r.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> shift) % u64::from(card)) as u32
-        };
-        let t = Table::new(
-            schema,
-            [(40, 4), (48, 2), (56, wide)]
-                .map(|(shift, card)| (0..4096).map(|r| code(r, shift, card)).collect())
-                .to_vec(),
-        );
-        let layout = BlockLayout::new(t.n_rows(), 16);
-        let backend = MemBackend::new(&t, layout);
-        let bitmap = BitmapIndex::build(&t, 0, &layout);
-        let service = || QueryService {
-            backend: &backend,
-            config: ServiceConfig::default()
-                .with_workers(1)
-                .with_shards_per_query(1)
-                .with_quantum_blocks(8),
-            sched: Scheduler::new(1),
-            next_id: AtomicU64::new(0),
-            active: AtomicUsize::new(0),
-            next_home: AtomicUsize::new(0),
-        };
-        // Every candidate matches, so the output shows every histogram.
-        let all = || HistSimConfig { k: 4, ..cfg() };
-        let narrow = || QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], all());
-        let wide = || QueryRequest::new(&bitmap, 0, 2, vec![1.0; wide as usize], all());
-        type Codes = (Vec<u32>, Vec<u32>);
-        fn finish<'a>(
-            svc: &QueryService<'a>,
-            request: QueryRequest<'a>,
-            codes: &mut Codes,
-        ) -> String {
-            let h = svc.submit(request).unwrap();
-            while !h.is_done() {
-                let task = svc.sched.pop(0).expect("a live query keeps a task queued");
-                run_quantum(svc, task, codes);
-            }
-            let out = h.wait().finished().expect("must finish").clone();
-            // Everything but the wall clock.
-            format!("{:?}", (out.output, out.stats.io, out.stats.samples))
-        }
-
-        for (dropped, next) in [(wide(), narrow()), (narrow(), wide())] {
-            let svc = service();
-            let mut codes = Codes::default();
-            let h = svc.submit(dropped).unwrap();
-            let task = svc.sched.pop(0).unwrap();
-            let query = Arc::clone(&task.query);
-            query.engine.lock().unwrap().set_verdict(Verdict::Cancelled);
-            run_quantum(&svc, task, &mut codes);
-            let eng = query.engine.lock().unwrap();
-            assert!(eng.io.blocks_read > 0, "the quantum must have read");
-            drop(eng);
-            assert!(h.wait().finished().is_none());
-            assert!(
-                !codes.0.is_empty(),
-                "the dropped quantum's codes stay buffered"
-            );
-
-            let reused = finish(&svc, next.clone(), &mut codes);
-            let fresh = finish(&service(), next, &mut Codes::default());
-            assert_eq!(reused, fresh);
-        }
-    }
-
     /// Drives one query's quanta by hand (no worker threads) and checks
-    /// what a quantum may cost and what it must publish: the worker's
-    /// code buffer is allocated by the first quantum and then only
-    /// reused — no allocation per quantum — and so are each shard walk's
-    /// mark window and active-candidate buffer (no allocation per window
-    /// either); `samples` advances
-    /// with every ingested quantum (σ = 0: every tuple read counts); the
-    /// top-k preview appears once stage 1 is over and equals the output
-    /// at completion.
+    /// what a quantum may cost and what it must publish: the walk's mark
+    /// window and active-candidate buffer are allocated once and then
+    /// only reused — no allocation per quantum or per window; `samples`
+    /// advances with every ingested quantum (σ = 0: every tuple read
+    /// counts); the top-k preview appears once stage 1 is over and
+    /// equals the output at completion.
     #[test]
     fn quanta_reuse_worker_storage_and_refresh_progress() {
         use fastmatch_core::histsim::PhaseKind;
@@ -1164,7 +881,6 @@ mod tests {
         let bitmap = BitmapIndex::build(&t, 0, &layout);
         let config = ServiceConfig::default()
             .with_workers(1)
-            .with_shards_per_query(2)
             .with_quantum_blocks(4);
         let svc = QueryService {
             backend: &backend,
@@ -1178,23 +894,21 @@ mod tests {
             .submit(QueryRequest::new(&bitmap, 0, 1, vec![0.5, 0.5], cfg()))
             .unwrap();
 
-        let mut codes = (Vec::new(), Vec::new());
-        let mut storage = None;
-        let mut walk_storage = std::collections::HashMap::new();
+        let mut walk_storage = None;
         let (mut ingested_quanta, mut previews) = (0, 0);
         let mut last = h.progress();
         while !h.is_done() {
-            let task = svc.sched.pop(0).expect("a live query keeps a task queued");
+            let task = svc
+                .sched
+                .pop(0)
+                .expect("a live query keeps its task queued");
             let buffers = task.walk.buffers();
-            let shard = task.reader.blocks().start;
             assert_eq!(
-                *walk_storage.entry(shard).or_insert(buffers),
+                *walk_storage.get_or_insert(buffers),
                 buffers,
-                "shard at block {shard}: walk buffers reallocated"
+                "walk buffers reallocated"
             );
-            run_quantum(&svc, task, &mut codes);
-            let at = (codes.0.as_ptr(), codes.1.as_ptr());
-            assert_eq!(*storage.get_or_insert(at), at, "code buffer reallocated");
+            run_quantum(&svc, task);
 
             let now = h.progress();
             if now.io.blocks_read > last.io.blocks_read && !h.is_done() {

@@ -1,11 +1,15 @@
 //! Lock-free demand state between a query's statistics engine and its
 //! readers (paper §4.2, Challenge 4).
 //!
-//! The readers are the demand-marked walk (`exec::walk::ShardWalk`),
+//! The reader is the demand-marked walk (`exec::walk::ShardWalk`),
 //! which needs each candidate's *active* status to apply AnyActive
-//! selection to its next window, and the query service's parked shards,
-//! which wait for the demand epoch to move. The statistics engine owns
-//! the authoritative HistSim demand and publishes snapshots here.
+//! selection to its next window and reads the demand epoch when a pass
+//! begins. FastMatch and the query service both step the walk on the
+//! thread that owns the statistics engine, so no reader runs
+//! concurrently with a publication today; the ordering below is what a
+//! concurrent reader would need, and the `demand_publish` model keeps
+//! checking it. The statistics engine owns the authoritative HistSim
+//! demand and publishes snapshots here.
 //! Freshness is deliberately relaxed: a window marked under a snapshot
 //! that has since moved only delivers extra valid samples.
 //!

@@ -3,7 +3,7 @@
 //!
 //! Each cell runs one query (40 000 rows of its synthetic dataset,
 //! generated from `seed`) with `seed` as the run's start seed, through
-//! `ScanMatch`, `SyncMatch`, `FastMatch` and a one-worker, one-shard
+//! `ScanMatch`, `SyncMatch`, `FastMatch` and a one-worker
 //! `QueryService`, over `MemBackend` and over a persisted `FileBackend`.
 //! The cell records the matched ids in output order, the samples taken,
 //! the stage-2 rounds, the blocks read and skipped, and whether the run
@@ -417,9 +417,7 @@ fn decisions(rare: RarePruning) -> Vec<String> {
                         assert_eq!(out.stats.rare_pruning, rare, "{cell}");
                         lines.push(line(&cell, &out));
                     }
-                    let svc_cfg = ServiceConfig::default()
-                        .with_workers(1)
-                        .with_shards_per_query(1);
+                    let svc_cfg = ServiceConfig::default().with_workers(1);
                     let outcome = QueryService::serve(backend, svc_cfg, |svc| {
                         svc.submit(
                             QueryRequest::new(&bitmap, z, x, target.clone(), cfg.clone())

@@ -10,17 +10,18 @@ use fastmatch_data::gen::{
     conditional_with_planted, conditional_with_planted_pool, generate_table, ColumnGen, ColumnSpec,
 };
 use fastmatch_data::shapes::{far_pool, uniform};
-use fastmatch_engine::exec::{
-    Executor, FastMatchExec, ParallelMatchExec, ScanExec, ScanMatchExec, SyncMatchExec,
-};
+use fastmatch_engine::exec::{Executor, FastMatchExec, ScanExec, ScanMatchExec, SyncMatchExec};
 use fastmatch_engine::query::QueryJob;
-use fastmatch_engine::service::{QueryRequest, QueryService, ServiceConfig};
 use fastmatch_store::backend::{MemBackend, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
 use fastmatch_store::live::{LiveTable, LiveTableConfig};
+use fastmatch_store::schema::{AttrDef, Schema};
 use fastmatch_store::table::Table;
 use fastmatch_store::tempfile::{TempBlockDir, TempBlockFile};
+
+mod common;
+use common::Served;
 
 /// A 60-candidate dataset with 5 planted near-uniform candidates.
 ///
@@ -72,7 +73,7 @@ fn run_all(rows: usize, seed: u64) -> Vec<(String, fastmatch_engine::result::Mat
         Box::new(ScanMatchExec),
         Box::new(SyncMatchExec),
         Box::new(FastMatchExec::with_lookahead(64)),
-        Box::new(ParallelMatchExec::with_shards(4)),
+        Box::new(Served),
     ];
     execs
         .into_iter()
@@ -134,6 +135,42 @@ fn scan_returns_the_exact_topk() {
     assert_eq!(out.stats.io.blocks_read as usize, layout.num_blocks());
 }
 
+/// `Scan` decides rarity as the other executors and the ground truth
+/// do: 7 rows of 100 are not rare at σ = 0.07, although `0.07 * 100.0`
+/// rounds to just above 7. Candidate 0 is the one closest to the
+/// target, so pruning it would change the answer.
+#[test]
+fn scan_keeps_a_candidate_exactly_at_the_rare_threshold() {
+    let schema = Schema::new(vec![AttrDef::new("z", 3), AttrDef::new("x", 2)]);
+    let mut z = vec![0u32; 7];
+    z.extend([1; 50]);
+    z.extend([2; 43]);
+    // Candidate 0 splits its rows 4 : 3, candidate 1 40 : 10 and
+    // candidate 2 38 : 5.
+    let mut x = vec![0u32, 1, 0, 1, 0, 1, 0];
+    x.extend((0..50).map(|r| u32::from(r % 5 == 0)));
+    x.extend((0..43).map(|r| u32::from(r % 10 == 0)));
+    let pairs: Vec<(u32, u32)> = z.iter().copied().zip(x.iter().copied()).collect();
+    let table = Table::new(schema, vec![z, x]);
+    let cfg = HistSimConfig {
+        k: 1,
+        epsilon: 0.1,
+        delta: 0.05,
+        sigma: 0.07,
+        stage1_samples: 50,
+        ..HistSimConfig::default()
+    };
+    let gt = GroundTruth::from_tuples(pairs, 3, 2, uniform(2), Metric::L1);
+    assert_eq!(gt.true_topk(1, cfg.sigma), vec![0]);
+    let layout = BlockLayout::new(table.n_rows(), 10);
+    let bitmap = BitmapIndex::build(&table, 0, &layout);
+    let job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(2), cfg);
+    for e in [&ScanExec as &dyn Executor, &ScanMatchExec] {
+        let out = e.run(&job, 1).unwrap();
+        assert_eq!(out.candidate_ids(), vec![0], "{}", e.name());
+    }
+}
+
 #[test]
 fn approximate_executors_read_less_than_scan() {
     let results = run_all(IO_TEST_ROWS, 23);
@@ -191,7 +228,7 @@ fn tiny_table_degenerates_to_exact() {
         Box::new(ScanMatchExec),
         Box::new(SyncMatchExec),
         Box::new(FastMatchExec::with_lookahead(16)),
-        Box::new(ParallelMatchExec::with_shards(4)),
+        Box::new(Served),
     ];
     for e in execs {
         let out = e.run(&job, 77).unwrap_or_else(|_| panic!("{}", e.name()));
@@ -218,49 +255,6 @@ fn sigma_zero_disables_pruning() {
     assert_eq!(out.stats.pruned, 0);
 }
 
-#[test]
-fn parallel_match_agrees_with_sync_match() {
-    // On the planted fixture the correct candidate set is unambiguous (the
-    // five planted members sit far inside the ε-boundary), so the sharded
-    // executor must return exactly the set the synchronous one does —
-    // multi-core ingestion changes the schedule, not the answer.
-    for seed in [11u64, 23] {
-        let rows = 300_000;
-        let table = test_table(rows, seed);
-        let layout = BlockLayout::new(table.n_rows(), 64);
-        let bitmap = BitmapIndex::build(&table, 0, &layout);
-        let job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(8), config());
-        let sync = SyncMatchExec.run(&job, seed).unwrap();
-        let par = ParallelMatchExec::with_shards(4).run(&job, seed).unwrap();
-        let mut sync_ids = sync.candidate_ids();
-        let mut par_ids = par.candidate_ids();
-        sync_ids.sort_unstable();
-        par_ids.sort_unstable();
-        assert_eq!(par_ids, sync_ids, "seed {seed}");
-    }
-}
-
-#[test]
-fn shard_count_does_not_change_correctness() {
-    let rows = 200_000;
-    let table = test_table(rows, 17);
-    let gt = ground_truth(&table);
-    let layout = BlockLayout::new(table.n_rows(), 64);
-    let bitmap = BitmapIndex::build(&table, 0, &layout);
-    for shards in [1usize, 2, 4, 8] {
-        let job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(8), config());
-        let out = ParallelMatchExec::with_shards(shards).run(&job, 5).unwrap();
-        assert!(
-            gt.check_separation(&out.candidate_ids(), config().epsilon, config().sigma),
-            "{shards} shards: separation"
-        );
-        assert!(
-            gt.check_reconstruction(&out.output.matches, config().epsilon),
-            "{shards} shards: reconstruction"
-        );
-    }
-}
-
 /// The second matrix dataset: 48 candidates with four planted members
 /// and a far background pool — different cardinality, plant structure
 /// and Zipf skew than [`test_table`].
@@ -280,9 +274,10 @@ fn pool_table(rows: usize, seed: u64) -> Table {
     generate_table(&specs, rows, seed)
 }
 
-/// The executor-equivalence matrix: all five executors × four storage
-/// backends × two datasets × two block layouts × both stage-1 modes
-/// (pruning from the index's row counts, and the paper's sampled test).
+/// The executor-equivalence matrix: all four executors and the served
+/// query × four storage backends × two datasets × two block layouts ×
+/// both stage-1 modes (pruning from the index's row counts, and the
+/// paper's sampled test).
 /// On the planted fixtures
 /// the correct matched set is unambiguous, so every cell must return the
 /// *identical* matched set and reach the same guarantee level — which
@@ -324,7 +319,7 @@ fn executor_backend_dataset_layout_matrix() {
             Box::new(ScanMatchExec),
             Box::new(SyncMatchExec),
             Box::new(FastMatchExec::with_lookahead(64)),
-            Box::new(ParallelMatchExec::with_shards(4)),
+            Box::new(Served),
         ]
     };
     for ds in &datasets {
@@ -434,41 +429,6 @@ fn executor_backend_dataset_layout_matrix() {
                         }
                         assert!(out.stats.io.blocks_read > 0, "{cell}: no blocks read");
                     }
-                    // One service row per backend and mode: quantum
-                    // scheduling must change latency only, never the
-                    // matched set or guarantees.
-                    {
-                        let cell = format!(
-                            "service × {} × tpb{} × {} × {:?}",
-                            backend_name, tuples_per_block, ds.name, rare
-                        );
-                        let svc_cfg = ServiceConfig::default()
-                            .with_workers(2)
-                            .with_quantum_blocks(16);
-                        let outcome = QueryService::serve(backend, svc_cfg, |svc| {
-                            svc.submit(
-                                QueryRequest::new(&bitmap, 0, 1, uniform(8), cfg.clone())
-                                    .with_seed(19),
-                            )
-                            .unwrap()
-                            .wait()
-                        });
-                        let out = outcome
-                            .finished()
-                            .unwrap_or_else(|| panic!("{cell}: {outcome:?}"));
-                        let mut ids = out.candidate_ids();
-                        ids.sort_unstable();
-                        assert_eq!(ids, truth, "{cell}: matched set diverged");
-                        assert!(
-                            gt.check_separation(&out.candidate_ids(), cfg.epsilon, cfg.sigma),
-                            "{cell}: separation violated"
-                        );
-                        assert!(
-                            gt.check_reconstruction(&out.output.matches, cfg.epsilon),
-                            "{cell}: reconstruction violated"
-                        );
-                        assert_eq!(out.stats.rare_pruning, rare, "{cell}");
-                    }
                 }
             }
             let cs = file_backend.cache_stats();
@@ -478,50 +438,13 @@ fn executor_backend_dataset_layout_matrix() {
     }
 }
 
-/// Tiny tables: 0 blocks (empty) must error out cleanly, and 1 or
-/// shards−1 blocks must terminate with the exact answer for every shard
-/// count — no worker may park forever on an empty or starved shard.
+/// A served query is one task that one worker at a time advances, so a
+/// fixed seed replays one schedule on a 2-worker pool: everything a run
+/// reports but its wall time is identical across runs, over memory and
+/// over files. The table is large enough for stage 2 to skip blocks,
+/// where a timing-dependent driver would diverge first.
 #[test]
-fn parallel_match_handles_tiny_tables_across_shard_counts() {
-    // nb = 1 block and nb = 3 blocks (one fewer than the 4-shard
-    // default), across shard counts from 1 to twice the block count.
-    for &(rows, tpb) in &[(64usize, 64usize), (192, 64)] {
-        let table = test_table(rows, 3);
-        let layout = BlockLayout::new(table.n_rows(), tpb);
-        let bitmap = BitmapIndex::build(&table, 0, &layout);
-        let cfg = HistSimConfig {
-            sigma: 0.0,
-            ..config()
-        };
-        let job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(8), cfg.clone());
-        let reference = SyncMatchExec.run(&job, 7).unwrap();
-        let mut ref_ids = reference.candidate_ids();
-        ref_ids.sort_unstable();
-        for shards in [1usize, 2, 4, 8] {
-            let out = ParallelMatchExec::with_shards(shards)
-                .run(&job, 7)
-                .unwrap_or_else(|e| {
-                    panic!("{} blocks / {shards} shards: {e}", layout.num_blocks())
-                });
-            let mut ids = out.candidate_ids();
-            ids.sort_unstable();
-            assert_eq!(
-                ids,
-                ref_ids,
-                "{} blocks / {shards} shards",
-                layout.num_blocks()
-            );
-        }
-    }
-}
-
-/// `ParallelMatch` at one shard is a single-worker service, so a fixed
-/// seed replays one schedule: everything a run reports but its wall time
-/// is identical across runs, over memory and over files. The table is
-/// large enough for stage 2 to skip blocks, where a timing-dependent
-/// driver would diverge first.
-#[test]
-fn parallel_match_with_one_shard_replays_exactly() {
+fn served_query_replays_exactly() {
     let table = test_table(600_000, 29);
     let layout = BlockLayout::new(table.n_rows(), 64);
     let bitmap = BitmapIndex::build(&table, 0, &layout);
@@ -532,7 +455,7 @@ fn parallel_match_with_one_shard_replays_exactly() {
     for (name, backend) in backends {
         let job = QueryJob::from_backend(backend, &bitmap, 0, 1, uniform(8), config());
         let replay = || {
-            let out = ParallelMatchExec::with_shards(1).run(&job, 13).unwrap();
+            let out = Served.run(&job, 13).unwrap();
             let s = &out.stats;
             let io = (s.io.blocks_read, s.io.blocks_skipped);
             (out.candidate_ids(), s.samples, s.stage2_rounds, io)
@@ -555,7 +478,7 @@ fn empty_table_errors_instead_of_hanging() {
         Box::new(ScanMatchExec),
         Box::new(SyncMatchExec),
         Box::new(FastMatchExec::with_lookahead(16)),
-        Box::new(ParallelMatchExec::with_shards(4)),
+        Box::new(Served),
     ];
     for e in execs {
         assert!(
@@ -567,9 +490,7 @@ fn empty_table_errors_instead_of_hanging() {
 }
 
 /// Sharding a reader more ways than there are blocks yields empty
-/// shards. (A shard task over an empty or fully read range retires at
-/// its next quantum and never parks: `empty_table_errors_instead_of_hanging`
-/// above and `tiny_tables_terminate_across_pool_sizes` in `service.rs`.)
+/// shards.
 #[test]
 fn oversharded_reader_yields_empty_shards() {
     let table = test_table(128, 5); // 2 blocks of 64
@@ -583,8 +504,8 @@ fn oversharded_reader_yields_empty_shards() {
     }
 }
 
-/// A corrupt page must fail every executor — including the threaded
-/// ones — with `CoreError::Storage`, not a panic or a silently wrong
+/// A corrupt page must fail every executor — including the served
+/// query — with `CoreError::Storage`, not a panic or a silently wrong
 /// answer.
 #[test]
 fn corrupt_page_fails_all_executors_with_storage_error() {
@@ -604,7 +525,7 @@ fn corrupt_page_fails_all_executors_with_storage_error() {
         Box::new(ScanMatchExec),
         Box::new(SyncMatchExec),
         Box::new(FastMatchExec::with_lookahead(64)),
-        Box::new(ParallelMatchExec::with_shards(4)),
+        Box::new(Served),
     ];
     for e in execs {
         // Stage 1 wants every row of this small table, so each executor

@@ -8,7 +8,7 @@
 //! and queried through the classic `MemBackend` path. The fixtures are
 //! planted (wide top-k boundary gap), so the correct matched set at any
 //! sufficiently deep prefix is unambiguous and set equality is a sound
-//! assertion for the threaded executors too.
+//! assertion for the served query too.
 
 use std::sync::Arc;
 
@@ -18,9 +18,7 @@ use fastmatch_core::Metric;
 use fastmatch_data::gen::{conditional_with_planted, generate_table, ColumnGen, ColumnSpec};
 use fastmatch_data::shapes::uniform;
 use fastmatch_data::AppendBatches;
-use fastmatch_engine::exec::{
-    Executor, FastMatchExec, ParallelMatchExec, ScanExec, ScanMatchExec, SyncMatchExec,
-};
+use fastmatch_engine::exec::{Executor, FastMatchExec, ScanExec, ScanMatchExec, SyncMatchExec};
 use fastmatch_engine::query::QueryJob;
 use fastmatch_engine::service::{
     QueryOutcome, QueryService, ServiceConfig, ServiceError, SnapshotRequest,
@@ -31,6 +29,9 @@ use fastmatch_store::block::BlockLayout;
 use fastmatch_store::live::{LiveTable, LiveTableConfig};
 use fastmatch_store::table::Table;
 use fastmatch_store::tempfile::TempBlockDir;
+
+mod common;
+use common::Served;
 
 const CANDIDATES: usize = 60;
 const GROUPS: usize = 8;
@@ -74,7 +75,7 @@ fn executors() -> Vec<Box<dyn Executor>> {
         Box::new(ScanMatchExec),
         Box::new(SyncMatchExec),
         Box::new(FastMatchExec::with_lookahead(64)),
-        Box::new(ParallelMatchExec::with_shards(4)),
+        Box::new(Served),
     ]
 }
 

@@ -81,10 +81,10 @@ proptest! {
 
     /// The service preserves the executor-equivalence property across
     /// randomized workloads and scheduler parameters: whatever the
-    /// quantum, pool and shard count, the matched set equals the
+    /// quantum and pool size, the matched set equals the
     /// single-threaded reference executor's and the guarantee level
-    /// that of the default quantum. (The deterministic 5-executors ×
-    /// 4-backends matrix in `executors.rs` carries a service row over
+    /// that of the default quantum. (The deterministic executor ×
+    /// backend matrix in `executors.rs` carries a served column over
     /// every backend; this property randomizes the knobs.)
     #[test]
     fn randomized_quanta_preserve_matched_sets(
@@ -92,7 +92,6 @@ proptest! {
         seed in 0u64..1_000,
         quantum_blocks in 4usize..96,
         workers in 1usize..5,
-        shards in 1usize..6,
     ) {
         let table = test_table(rows, seed);
         let layout = BlockLayout::new(table.n_rows(), 64);
@@ -104,9 +103,7 @@ proptest! {
         let mut ref_ids = reference.candidate_ids();
         ref_ids.sort_unstable();
 
-        let base = ServiceConfig::default()
-            .with_workers(workers)
-            .with_shards_per_query(shards);
+        let base = ServiceConfig::default().with_workers(workers);
         let (default_ids, default_g) =
             serve_one(&backend, &bitmap, config(), base, seed);
         let (ids, g) = serve_one(
@@ -137,7 +134,6 @@ fn no_admitted_query_starves() {
     const K: u64 = 4_000;
     let svc_cfg = ServiceConfig::default()
         .with_workers(2)
-        .with_shards_per_query(2)
         .with_quantum_blocks(4);
     QueryService::serve(&backend, svc_cfg, |svc| {
         let handles: Vec<_> = (0..QUERIES)
@@ -188,10 +184,11 @@ fn no_admitted_query_starves() {
     });
 }
 
-/// With one single-shard query homed on worker 0 and a second worker
-/// whose own queue stays empty, the only way worker 1 ever runs a
-/// quantum is by stealing — over thousands of requeues it practically
-/// always does.
+/// Each query's task is homed on the worker after the previous one's,
+/// so with one query at a time on four workers, three of them have
+/// empty queues: the only way they ever run a quantum is by stealing the
+/// lone requeued task — over thousands of requeues they practically
+/// always do.
 #[test]
 fn idle_workers_steal_queued_tasks() {
     let table = test_table(250_000, 7);
@@ -200,7 +197,6 @@ fn idle_workers_steal_queued_tasks() {
     let backend = MemBackend::new(&table, layout);
     let svc_cfg = ServiceConfig::default()
         .with_workers(4)
-        .with_shards_per_query(8)
         .with_quantum_blocks(2);
     let stats = QueryService::serve(&backend, svc_cfg, |svc| {
         for round in 0..3 {

@@ -92,7 +92,6 @@ fn sixteen_concurrent_queries_match_their_serial_runs() {
     // worker pool (more queries than workers forces real interleaving).
     let service_cfg = ServiceConfig::default()
         .with_workers(4)
-        .with_shards_per_query(4)
         .with_quantum_blocks(32);
     let outcomes = QueryService::serve(&backend, service_cfg, |svc| {
         let handles: Vec<_> = seeds
@@ -151,65 +150,61 @@ fn sixteen_concurrent_queries_match_their_serial_runs() {
     );
 }
 
-/// Concurrency must not change the answer relative to a *service* run of
-/// concurrency 1 either (same machinery, no interleaving).
+/// Served queries replay exactly under concurrency: each seed served
+/// alone on a one-worker pool and the same seeds in flight together on
+/// two workers return the same whole output, wall time and cache
+/// attribution aside — ids, histograms and distances, samples, stage-2
+/// rounds, exact finish, and blocks read and skipped — over memory and
+/// over a file. A query is one task that one worker at a time advances,
+/// so what its neighbours do can move its latency, never its decisions.
 #[test]
 fn concurrent_service_agrees_with_serial_service() {
     let rows = 120_000;
     let table = test_table(rows, 23);
     let scratch = TempBlockFile::new("service_serial_vs_conc");
-    let backend = FileBackend::create(scratch.path(), &table, 64)
+    let file = FileBackend::create(scratch.path(), &table, 64)
         .unwrap()
         .with_cache_blocks(512);
-    let bitmap = BitmapIndex::build(&table, 0, &backend.layout());
+    let mem = MemBackend::new(&table, file.layout());
+    let bitmap = BitmapIndex::build(&table, 0, &file.layout());
     let seeds = [5u64, 17, 29, 43];
-
-    let run = |workers: usize, concurrent: bool| -> Vec<Vec<u32>> {
-        QueryService::serve(
-            &backend,
-            ServiceConfig::default().with_workers(workers),
-            |svc| {
-                if concurrent {
-                    let handles: Vec<_> = seeds
-                        .iter()
-                        .map(|&s| {
-                            svc.submit(
-                                QueryRequest::new(&bitmap, 0, 1, uniform(GROUPS), config())
-                                    .with_seed(s),
-                            )
-                            .unwrap()
-                        })
-                        .collect();
-                    handles
-                        .iter()
-                        .map(|h| {
-                            let mut ids = h.wait().finished().expect("must finish").candidate_ids();
-                            ids.sort_unstable();
-                            ids
-                        })
-                        .collect()
-                } else {
-                    seeds
-                        .iter()
-                        .map(|&s| {
-                            let h = svc
-                                .submit(
-                                    QueryRequest::new(&bitmap, 0, 1, uniform(GROUPS), config())
-                                        .with_seed(s),
-                                )
-                                .unwrap();
-                            let mut ids = h.wait().finished().expect("must finish").candidate_ids();
-                            ids.sort_unstable();
-                            ids
-                        })
-                        .collect()
-                }
-            },
+    let request =
+        |seed| QueryRequest::new(&bitmap, 0, 1, uniform(GROUPS), config()).with_seed(seed);
+    // Everything a run reports but its wall time and its view of the
+    // shared cache.
+    let replayed = |h: &QueryHandle| {
+        let out = h.wait().finished().expect("must finish").clone();
+        let (s, io) = (&out.stats, out.stats.io);
+        format!(
+            "{:?}",
+            (
+                &out.output,
+                (s.samples, s.stage2_rounds, s.exact_finish),
+                (io.blocks_read, io.blocks_skipped, io.tuples_read),
+            )
         )
     };
-    let serial = run(1, false);
-    let concurrent = run(4, true);
-    assert_eq!(serial, concurrent);
+    let backends: [(&str, &dyn StorageBackend); 2] = [("mem", &mem), ("file", &file)];
+    for (name, backend) in backends {
+        let serial: Vec<String> =
+            QueryService::serve(backend, ServiceConfig::default().with_workers(1), |svc| {
+                seeds
+                    .iter()
+                    .map(|&seed| replayed(&svc.submit(request(seed)).unwrap()))
+                    .collect()
+            });
+        let concurrent: Vec<String> =
+            QueryService::serve(backend, ServiceConfig::default().with_workers(2), |svc| {
+                let handles: Vec<_> = seeds
+                    .iter()
+                    .map(|&seed| svc.submit(request(seed)).unwrap())
+                    .collect();
+                handles.iter().map(replayed).collect()
+            });
+        for (i, seed) in seeds.iter().enumerate() {
+            assert_eq!(serial[i], concurrent[i], "{name}, seed {seed}");
+        }
+    }
 }
 
 /// Progressive results: a long query's snapshot must move through the
@@ -399,9 +394,9 @@ fn service_rejects_malformed_requests_and_keeps_serving() {
     });
 }
 
-/// Tiny tables: one block, and one fewer block than the shard count —
-/// shard clamping, instant-retiring shards and parked-sibling wakeups
-/// must all terminate with the exact answer, at every pool size.
+/// Tiny tables: one block, and three — fewer blocks than a quantum or
+/// a mark window — must terminate with the exact answer, at every pool
+/// size.
 #[test]
 fn tiny_tables_terminate_across_pool_sizes() {
     for &(rows, tpb) in &[(64usize, 64usize), (192, 64)] {
@@ -419,9 +414,7 @@ fn tiny_tables_terminate_across_pool_sizes() {
         for workers in [1usize, 2, 4] {
             let outcome = QueryService::serve(
                 &backend,
-                ServiceConfig::default()
-                    .with_workers(workers)
-                    .with_shards_per_query(4),
+                ServiceConfig::default().with_workers(workers),
                 |svc| {
                     svc.submit(
                         QueryRequest::new(&bitmap, 0, 1, uniform(GROUPS), cfg.clone()).with_seed(7),
@@ -470,7 +463,7 @@ fn corrupt_page_fails_queries_cleanly() {
     });
 }
 
-/// A worker that panics under a query's engine mutex fails that query:
+/// A worker that panics in a query's quantum fails that query:
 /// `wait()` returns `Failed` instead of blocking for good. The bitmap has
 /// the table's shape but indexes its candidate codes reversed, so
 /// candidate 0, about a third of the rows, is indexed with the rarest
@@ -488,9 +481,7 @@ fn worker_panic_fails_the_query_instead_of_hanging_its_handle() {
     let layout = BlockLayout::new(table.n_rows(), 64);
     let bitmap = BitmapIndex::build(&other, 0, &layout);
     let backend = MemBackend::new(&table, layout);
-    let svc_cfg = ServiceConfig::default()
-        .with_workers(1)
-        .with_shards_per_query(1);
+    let svc_cfg = ServiceConfig::default().with_workers(1);
     let mut resolved = None;
     let served = panic::catch_unwind(AssertUnwindSafe(|| {
         QueryService::serve(&backend, svc_cfg, |svc| {
@@ -523,14 +514,14 @@ fn wait_until(h: &QueryHandle, deadline: Instant) -> Option<QueryOutcome> {
     None
 }
 
-/// Conservation: every quantum a shard reads reaches its query's
+/// Conservation: every quantum a query reads reaches its
 /// statistics engine exactly once. With σ = 0 and an ε no sample count
 /// can meet, a query reads the whole table and finishes exact, so each
 /// matched candidate's histogram and `samples` must equal its exact
 /// histogram and row count from a full `ScanExec` pass. Two workers
-/// serve four shards per query with four queries in flight, over mem
-/// and file, for twelve seeds: a quantum dropped or ingested twice
-/// changes some count, or trips the driver's row-count check.
+/// serve four queries in flight, over mem and file, for twelve seeds: a
+/// quantum dropped or ingested twice changes some count, or trips the
+/// driver's row-count check.
 #[test]
 fn every_quantum_is_ingested_exactly_once() {
     let rows = 20_000;
@@ -549,7 +540,6 @@ fn every_quantum_is_ingested_exactly_once() {
     };
     let service_cfg = ServiceConfig::default()
         .with_workers(2)
-        .with_shards_per_query(4)
         .with_quantum_blocks(8);
     let backends: [(&str, &dyn StorageBackend); 2] = [("mem", &mem), ("file", &file)];
     for (name, backend) in backends {

@@ -1,7 +1,7 @@
 //! Querying a persisted dataset: generate a synthetic table, shuffle and
 //! persist it as a checksummed block file, then run the executor ladder
-//! directly against the file through a bounded block cache — no table in
-//! memory at query time.
+//! and a served query directly against the file through a bounded block
+//! cache — no table in memory at query time.
 //!
 //! ```text
 //! cargo run --release --example file_backed
@@ -77,21 +77,32 @@ fn main() {
         ..HistSimConfig::default()
     };
 
-    // --- 3. The executor ladder, entirely over the file backend.
-    let execs: Vec<Box<dyn Executor>> = vec![
-        Box::new(SyncMatchExec),
-        Box::new(FastMatchExec::default()),
-        Box::new(ParallelMatchExec::default()),
-    ];
+    // --- 3. The executor ladder, entirely over the file backend, then
+    // the same query served on a 2-worker `QueryService`.
+    let execs: Vec<Box<dyn Executor>> =
+        vec![Box::new(SyncMatchExec), Box::new(FastMatchExec::default())];
+    let mut runs: Vec<(&str, MatchOutput)> = execs
+        .iter()
+        .map(|e| {
+            let job = QueryJob::from_backend(&backend, &bitmap, 0, 1, uniform(groups), cfg.clone());
+            let out = e
+                .run(&job, 17)
+                .unwrap_or_else(|err| panic!("{}: {err}", e.name()));
+            (e.name(), out)
+        })
+        .collect();
+    let served = QueryService::serve(&backend, ServiceConfig::default().with_workers(2), |svc| {
+        svc.submit(QueryRequest::new(&bitmap, 0, 1, uniform(groups), cfg.clone()).with_seed(17))
+            .expect("admission failed")
+            .wait()
+    });
+    let served = served.finished().expect("the served query failed").clone();
+    runs.push(("Service", served));
     let mut reference: Option<Vec<u32>> = None;
-    for e in execs {
-        let job = QueryJob::from_backend(&backend, &bitmap, 0, 1, uniform(groups), cfg.clone());
-        let out = e
-            .run(&job, 17)
-            .unwrap_or_else(|err| panic!("{}: {err}", e.name()));
+    for (name, out) in runs {
         println!(
             "{:<13}: {:>8.2} ms, {} blocks read / {} skipped, matches {:?}",
-            e.name(),
+            name,
             out.stats.wall.as_secs_f64() * 1e3,
             out.stats.io.blocks_read,
             out.stats.io.blocks_skipped,
@@ -110,5 +121,5 @@ fn main() {
         cs.hits, cs.misses, cs.evictions
     );
     std::fs::remove_file(&path).ok();
-    println!("all file-backed executors agree");
+    println!("all file-backed runs agree");
 }

@@ -71,8 +71,8 @@ fn main() {
     // --- 2. Online: a service session over the shared backend.
     let service_cfg = ServiceConfig::default();
     println!(
-        "service: {} workers, {} shards/query, quantum {} blocks",
-        service_cfg.workers, service_cfg.shards_per_query, service_cfg.quantum_blocks
+        "service: {} workers, quantum {} blocks",
+        service_cfg.workers, service_cfg.quantum_blocks
     );
     QueryService::serve(&backend, service_cfg, |svc| {
         // Eight ordinary queries with distinct seeds…

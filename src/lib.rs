@@ -14,7 +14,7 @@
 //! * [`data`] (`fastmatch-data`) — synthetic evaluation datasets and the
 //!   Table 3 query workload;
 //! * [`engine`] (`fastmatch-engine`) — the `Scan` / `ScanMatch` /
-//!   `SyncMatch` / `FastMatch` / `ParallelMatch` executors, plus the
+//!   `SyncMatch` / `FastMatch` executors, plus the
 //!   multi-query `QueryService` scheduler (many concurrent queries over
 //!   one shared backend, with progressive results, cancellation and
 //!   deadlines).
@@ -67,7 +67,7 @@ pub mod prelude {
     pub use fastmatch_core::sampler::{tuples_from_histograms, MemorySampler, Sample};
     pub use fastmatch_core::{guarantees::GroundTruth, Histogram, Metric};
     pub use fastmatch_engine::exec::{
-        Executor, FastMatchExec, ParallelMatchExec, ScanExec, ScanMatchExec, SyncMatchExec,
+        Executor, FastMatchExec, ScanExec, ScanMatchExec, SyncMatchExec,
     };
     pub use fastmatch_engine::query::QueryJob;
     pub use fastmatch_engine::result::MatchOutput;

@@ -59,21 +59,31 @@ fn full_pipeline_all_executors() {
         Box::new(ScanMatchExec),
         Box::new(SyncMatchExec),
         Box::new(FastMatchExec::default()),
-        Box::new(ParallelMatchExec::default()),
     ];
-    for e in execs {
-        let job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(6), cfg());
-        let out = e.run(&job, 5).unwrap_or_else(|_| panic!("{}", e.name()));
-        assert_eq!(out.candidate_ids()[0], 0, "{}", e.name());
+    let mut runs: Vec<(&str, MatchOutput)> = execs
+        .iter()
+        .map(|e| {
+            let job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(6), cfg());
+            let out = e.run(&job, 5).unwrap_or_else(|_| panic!("{}", e.name()));
+            (e.name(), out)
+        })
+        .collect();
+    // The served column: the same query on a 2-worker `QueryService`.
+    let backend = MemBackend::new(&table, layout);
+    let served = QueryService::serve(&backend, ServiceConfig::default().with_workers(2), |svc| {
+        let req = QueryRequest::new(&bitmap, 0, 1, uniform(6), cfg()).with_seed(5);
+        svc.submit(req).unwrap().wait()
+    });
+    runs.push(("Service", served.finished().expect("Service").clone()));
+    for (name, out) in runs {
+        assert_eq!(out.candidate_ids()[0], 0, "{name}");
         assert!(
             truth.check_separation(&out.candidate_ids(), 0.1, 0.001),
-            "{}",
-            e.name()
+            "{name}"
         );
         assert!(
             truth.check_reconstruction(&out.output.matches, 0.1),
-            "{}",
-            e.name()
+            "{name}"
         );
     }
 }

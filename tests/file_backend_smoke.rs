@@ -1,7 +1,7 @@
 //! End-to-end smoke test for the file-backed storage path, run as its own
-//! CI step: build a small synthetic dataset on disk (in `$TMPDIR`), run
-//! `ParallelMatch` against the file, and require matched-set agreement
-//! with the in-memory `SyncMatch` baseline.
+//! CI step: build a small synthetic dataset on disk (in `$TMPDIR`), serve
+//! a query against the file on a 2-worker `QueryService`, and require
+//! matched-set agreement with the in-memory `SyncMatch` baseline.
 
 use fastmatch::prelude::*;
 use fastmatch_data::gen::{conditional_with_planted_pool, generate_table, ColumnGen, ColumnSpec};
@@ -9,7 +9,7 @@ use fastmatch_data::shapes::{far_pool, uniform};
 use fastmatch_store::shuffle::shuffle_table;
 
 #[test]
-fn parallel_match_over_files_agrees_with_sync_match() {
+fn served_query_over_files_agrees_with_sync_match() {
     let groups = 8usize;
     let dists = conditional_with_planted_pool(
         48,
@@ -50,20 +50,23 @@ fn parallel_match_over_files_agrees_with_sync_match() {
     let mem_job = QueryJob::new(&table, layout, &bitmap, 0, 1, uniform(groups), cfg.clone());
     let sync = SyncMatchExec.run(&mem_job, 3).expect("SyncMatch failed");
 
-    let file_job = QueryJob::from_backend(&backend, &bitmap, 0, 1, uniform(groups), cfg);
-    let par = ParallelMatchExec::with_shards(4)
-        .run(&file_job, 3)
-        .expect("ParallelMatch over files failed");
+    let outcome = QueryService::serve(&backend, ServiceConfig::default().with_workers(2), |svc| {
+        let req = QueryRequest::new(&bitmap, 0, 1, uniform(groups), cfg).with_seed(3);
+        svc.submit(req).unwrap().wait()
+    });
+    let served = outcome
+        .finished()
+        .expect("the served query over files failed");
 
     let mut sync_ids = sync.candidate_ids();
-    let mut par_ids = par.candidate_ids();
+    let mut served_ids = served.candidate_ids();
     sync_ids.sort_unstable();
-    par_ids.sort_unstable();
+    served_ids.sort_unstable();
     assert_eq!(
-        par_ids, sync_ids,
-        "file-backed ParallelMatch must find the matched set of the in-memory baseline"
+        served_ids, sync_ids,
+        "the file-backed served query must find the matched set of the in-memory baseline"
     );
-    assert!(par.stats.io.blocks_read > 0);
+    assert!(served.stats.io.blocks_read > 0);
     assert!(
         backend.cache_stats().misses > 0,
         "the run must have performed real file reads"
