@@ -182,7 +182,7 @@ struct WidthResult {
 }
 
 /// Blocks per settlement on the batched row: `FastMatch`'s
-/// `PUBLISH_EVERY`.
+/// `SETTLE_EVERY`.
 const SETTLE_EVERY: usize = 16;
 
 /// Blocks per merge on the accumulator rows: every block, `FastMatch`'s

@@ -5,8 +5,8 @@
 //! file backend's page load (`file_page_load`, ns per 600-byte page by
 //! read path) and its warm hit path under one and two concurrent readers
 //! (`file_warm_hit`, ns per block) — and of the per-query costs that grow with |V_Z| or the
-//! table: consumption tracking's start (`tracker_init`), one demand
-//! publication (`publish`) and an in-memory run read (`mem_run_read`).
+//! table: consumption tracking's start (`tracker_init`) and an in-memory
+//! run read (`mem_run_read`).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -16,7 +16,6 @@ use fastmatch_core::stats::hypergeometric::underrepresentation_pvalues;
 use fastmatch_core::Metric;
 use fastmatch_engine::policy::mark_lookahead;
 use fastmatch_engine::progress::ConsumptionTracker;
-use fastmatch_engine::shared::{DemandMode, SharedDemand};
 use fastmatch_store::backend::{MemBackend, StorageBackend};
 use fastmatch_store::bitmap::BitmapIndex;
 use fastmatch_store::block::BlockLayout;
@@ -296,9 +295,7 @@ fn bench_file_warm_hit(c: &mut Criterion) {
 /// TAXI's |V_Z| = 7 641 Locations over 2 M rows of 150-tuple blocks
 /// (13 334 blocks, a 12.7 MB bitmap): what the block-counted
 /// `ConsumptionTracker` pays to start (the executors' driver copies
-/// `rows_with_value` instead, the same |V_Z| lookups), and what one
-/// demand publication costs — every count, or 0 for 16 candidates that
-/// ran out since the last one.
+/// `rows_with_value` instead, the same |V_Z| lookups).
 fn bench_demand(c: &mut Criterion) {
     const CANDIDATES: u32 = 7641;
     let rows = 2_000_000usize;
@@ -310,15 +307,6 @@ fn bench_demand(c: &mut Criterion) {
     drop(t);
     c.bench_function("tracker_init/7641", |b| {
         b.iter(|| ConsumptionTracker::new(black_box(&bitmap)))
-    });
-    let shared = SharedDemand::new(CANDIDATES as usize);
-    let remaining: Vec<u64> = (0..u64::from(CANDIDATES)).map(|c| c % 5).collect();
-    c.bench_function("publish/7641_full", |b| {
-        b.iter(|| shared.publish(DemandMode::AnyActive, Some(black_box(&remaining))))
-    });
-    let deactivated: Vec<u32> = (0..16).map(|i| i * 477).collect();
-    c.bench_function("publish/7641_deactivations", |b| {
-        b.iter(|| shared.publish_deactivations(DemandMode::AnyActive, black_box(&deactivated)))
     });
 }
 

@@ -1,9 +1,6 @@
-//! The four protocol models, each mirroring one concurrency core of
+//! The three protocol models, each mirroring one concurrency core of
 //! the real system path for path:
 //!
-//! * [`demand_publish`] — the lock-free demand snapshot's
-//!   remaining → mode → epoch publication order, and the choice between
-//!   full and deactivation publications ([`fastmatch_engine::shared`]).
 //! * [`admission_steal`] — the service's admission bound and its
 //!   per-worker queues with stealing, one task per query
 //!   ([`fastmatch_engine::service::queue_scan_order`],
@@ -22,11 +19,9 @@
 //! catches them.
 
 pub mod admission_steal;
-pub mod demand_publish;
 pub mod live_lifecycle;
 pub mod wal_recovery;
 
 pub use admission_steal::AdmissionSteal;
-pub use demand_publish::DemandPublish;
 pub use live_lifecycle::LiveLifecycle;
 pub use wal_recovery::WalRecovery;

@@ -1,4 +1,4 @@
-//! Randomized-schedule soaks over the four protocol models.
+//! Randomized-schedule soaks over the three protocol models.
 //!
 //! Two tiers:
 //!
@@ -15,7 +15,7 @@
 //! workers, more rounds, more tasks — trading completeness for reach.
 
 use fastmatch_check::explorer::{Explorer, Model};
-use fastmatch_check::models::{AdmissionSteal, DemandPublish, LiveLifecycle, WalRecovery};
+use fastmatch_check::models::{AdmissionSteal, LiveLifecycle, WalRecovery};
 
 /// Fixed seed for the CI slices; the long soaks perturb it per chunk.
 const SEED: u64 = 0xfa57_4a7c_0dec_0de5;
@@ -52,10 +52,6 @@ fn soak<M: Model>(model: M, iters: usize) {
 }
 
 /// Soak scopes: bigger than the exhaustive unit-test scopes.
-fn demand_publish() -> DemandPublish {
-    DemandPublish::new(4, 3, 4)
-}
-
 fn admission_steal() -> AdmissionSteal {
     AdmissionSteal::new(3, &[2, 1, 3, 1], 3)
 }
@@ -66,11 +62,6 @@ fn live_lifecycle() -> LiveLifecycle {
 
 fn wal_recovery() -> WalRecovery {
     WalRecovery::new(9, 2)
-}
-
-#[test]
-fn demand_publish_soak_slice() {
-    soak(demand_publish(), SLICE);
 }
 
 #[test]
@@ -86,12 +77,6 @@ fn live_lifecycle_soak_slice() {
 #[test]
 fn wal_recovery_soak_slice() {
     soak(wal_recovery(), SLICE);
-}
-
-#[test]
-#[ignore = "long soak; run with --ignored, scale with FASTMATCH_CHECK_ITERS"]
-fn demand_publish_soak_long() {
-    soak(demand_publish(), long_iters());
 }
 
 #[test]

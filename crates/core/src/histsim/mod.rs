@@ -241,11 +241,6 @@ pub struct HistSim {
     /// Positions in `active` a settlement found due for a check
     /// (scratch, kept for its storage).
     due: Vec<u32>,
-    /// Candidates whose `remaining` reached 0 during the current I/O
-    /// phase, in that order. Demand rises only when a phase begins, so a
-    /// candidate is listed at most once per phase; the list is cleared
-    /// when the phase completes.
-    deactivated: Vec<u32>,
     phase: Phase,
     members: Vec<u32>,
     diag: Diagnostics,
@@ -266,11 +261,11 @@ pub struct HistSim {
 /// out because the fused path brings a candidate's count up to date
 /// only when a settlement checks it, so between checks the paths may
 /// hold different values; `goal` and the row counts, which are printed,
-/// determine it. `active` and `deactivated` list candidates in the
-/// order the ingestion path met them, and `check_at`, `slack` and the
-/// settlement flags are bookkeeping. Any of these would break the
-/// byte-identical `Debug`-repr equivalence the ingestion property tests
-/// assert between the three paths.
+/// determine it. `active` lists candidates in the order the ingestion
+/// path met them, and `check_at`, `slack` and the settlement flags are
+/// bookkeeping. Any of these would break the byte-identical
+/// `Debug`-repr equivalence the ingestion property tests assert between
+/// the three paths.
 impl std::fmt::Debug for HistSim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("HistSim")
@@ -339,7 +334,6 @@ impl HistSim {
             active: Vec::new(),
             check_at: vec![u64::MAX; num_candidates],
             due: Vec::new(),
-            deactivated: Vec::new(),
             phase: Phase::Stage1 { taken: 0 },
             members: Vec::new(),
             diag: Diagnostics {
@@ -432,17 +426,6 @@ impl HistSim {
         self.remaining[c as usize] > 0
     }
 
-    /// The candidates that stopped being [active](Self::is_active) during
-    /// the current I/O phase, in the order they did — each at most once,
-    /// because demand rises only when a phase begins. Empty in stage 1,
-    /// once done, and right after a phase completes. A publisher that
-    /// has sent out the whole of [`Self::remaining_slice`] at some point
-    /// of the phase keeps the sign of its copy current by zeroing the
-    /// entries listed since.
-    pub fn deactivated(&self) -> &[u32] {
-        &self.deactivated
-    }
-
     /// True when the current I/O phase's demand is fully met and
     /// [`Self::complete_io_phase`] may be called with `exhausted = false`.
     /// Stage 1 counts tuples as they are ingested; in stages 2 and 3 the
@@ -481,15 +464,13 @@ impl HistSim {
     }
 
     /// Brings candidate `ci`'s outstanding demand up to date with its
-    /// rows read, listing it as deactivated if that met its goal. A
-    /// no-op for a candidate without demand.
+    /// rows read. A no-op for a candidate without demand.
     #[inline]
     fn refresh(&mut self, ci: usize) {
         if self.remaining[ci] > 0 {
             self.remaining[ci] = self.goal[ci].saturating_sub(self.counts.read(ci));
             if self.remaining[ci] == 0 {
                 self.active_count -= 1;
-                self.deactivated.push(ci as u32);
             }
         }
     }
@@ -757,7 +738,6 @@ impl HistSim {
             if self.remaining[ci] > 0 {
                 self.remaining[ci] = 0;
                 self.active_count -= 1;
-                self.deactivated.push(c);
             }
         }
     }
@@ -786,7 +766,6 @@ impl HistSim {
                 "complete_io_phase called before demand was satisfied".into(),
             ));
         }
-        self.deactivated.clear();
         if exhausted {
             self.finish_exact();
             return Ok(());
@@ -1392,41 +1371,6 @@ mod tests {
     }
 
     #[test]
-    fn deactivations_are_listed_once_per_phase() {
-        let cfg = HistSimConfig {
-            k: 1,
-            stage1_samples: 8,
-            sigma: 0.0,
-            epsilon: 0.05,
-            ..tiny_config()
-        };
-        let mut hs = HistSim::new(cfg, 3, 2, 100_000, &[0.5, 0.5]).unwrap();
-        for i in 0..8u32 {
-            hs.ingest(i % 3, (i / 3) % 2);
-            hs.mark_exact(2); // stage 1 has no demand to drop
-        }
-        assert!(hs.deactivated().is_empty());
-        hs.complete_io_phase(false).unwrap();
-        assert_eq!(hs.phase(), PhaseKind::Stage2);
-        assert!(hs.deactivated().is_empty());
-        let need = hs.remaining_slice()[0];
-        assert!(need > 0 && hs.is_active(1));
-        // Met by samples (overshooting), then by exhaustion; neither a
-        // second sample nor a second `mark_exact` lists it again.
-        let zs = vec![0; need as usize + 1];
-        hs.ingest_block(&zs, &vec![0; zs.len()]);
-        hs.settle(|_, _| u64::MAX);
-        hs.ingest(0, 1);
-        hs.mark_exact(1);
-        hs.mark_exact(1);
-        hs.mark_exact(0);
-        assert_eq!(hs.deactivated(), &[0, 1]);
-        assert!(hs.io_satisfied());
-        hs.complete_io_phase(false).unwrap();
-        assert!(hs.deactivated().is_empty(), "cleared at phase completion");
-    }
-
-    #[test]
     fn stage2_demands_depend_on_distance_gaps() {
         // Candidates far from the boundary should need fewer samples than
         // candidates near it (Eq. 1: n′ ∝ 1/ε′²).
@@ -1621,7 +1565,6 @@ mod tests {
         });
         assert_eq!(asked, vec![0]);
         assert!(hs.is_exact(0) && !hs.is_active(0));
-        assert_eq!(hs.deactivated(), &[2, 0]);
         assert_eq!(listed(&hs), vec![1]);
     }
 

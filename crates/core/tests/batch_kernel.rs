@@ -188,9 +188,8 @@ proptest! {
     /// phase transition, from stage 1 through stage 2's rounds and stage
     /// 3 to the output — for `k` ∈ {1, 3, 16, 64} (64 is the service's
     /// quantum) and a `k` drawn afresh after each settlement. At each
-    /// settlement the three also agree on the active set, on the set of
-    /// candidates deactivated so far in the phase and on the exact
-    /// marks, whatever order each path met them in; at each phase
+    /// settlement the three also agree on the active set and on the
+    /// exact marks, whatever order each path met them in; at each phase
     /// transition, on every outstanding count. The fused settlement asks
     /// only about candidates that had demand left at the one before; a
     /// settlement after a single block goes through `settle_block` every
@@ -326,10 +325,8 @@ proptest! {
             prop_assert_eq!(format!("{fused:?}"), want.clone());
             prop_assert_eq!(format!("{merged:?}"), want);
             let facts = |hs: &HistSim| {
-                let mut deactivated = hs.deactivated().to_vec();
-                deactivated.sort_unstable();
                 let per = |f: &dyn Fn(u32) -> bool| (0..nc as u32).map(f).collect::<Vec<_>>();
-                (deactivated, per(&|c| hs.is_active(c)), per(&|c| hs.is_exact(c)))
+                (per(&|c| hs.is_active(c)), per(&|c| hs.is_exact(c)))
             };
             let want = facts(&single);
             prop_assert_eq!(facts(&fused), want.clone());

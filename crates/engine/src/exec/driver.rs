@@ -3,8 +3,9 @@
 //! Every executor that runs the HistSim protocol repeats the same
 //! scaffolding: build the state machine, mark never-present candidates
 //! exact, feed it samples while tracking per-candidate consumption,
-//! advance phases whenever demand is met, publish fresh demand to the
-//! walk that marks blocks, and package the output with run statistics.
+//! advance phases whenever demand is met, and package the output with
+//! run statistics. The walk that marks blocks reads the demand it leaves
+//! straight from [`HistSim::demand`].
 //! [`Driver`] owns exactly that scaffolding so `ScanMatch`/`SyncMatch`
 //! (sequential), `FastMatch` (lookahead marking) and the query service
 //! (scheduled quanta) differ only in *how blocks are chosen and
@@ -30,12 +31,11 @@
 use std::time::Instant;
 
 use fastmatch_core::error::Result;
-use fastmatch_core::histsim::{HistSim, PhaseKind};
+use fastmatch_core::histsim::HistSim;
 use fastmatch_store::io::IoStats;
 
 use crate::query::QueryJob;
 use crate::result::{MatchOutput, RunStats};
-use crate::shared::{needs_full_publication, DemandMode, SharedDemand};
 
 /// The statistics engine shared by all HistSim executors: the state
 /// machine plus consumption tracking and run-stats packaging.
@@ -45,11 +45,6 @@ pub(crate) struct Driver {
     pub hs: HistSim,
     /// Rows per candidate, as the bitmap index counts them.
     rows: Vec<u64>,
-    /// The phase [`Self::advance_and_publish`] last published (`None`
-    /// before the first publication).
-    published_phase: Option<PhaseKind>,
-    /// How many of [`HistSim::deactivated`] that publication covered.
-    published_deactivations: usize,
     t0: Instant,
 }
 
@@ -92,13 +87,7 @@ impl Driver {
         )?
         .with_row_counts(&rows)?;
         hs.sweep(|c, read| unread(&rows, c, read));
-        Ok(Driver {
-            hs,
-            rows,
-            published_phase: None,
-            published_deactivations: 0,
-            t0,
-        })
+        Ok(Driver { hs, rows, t0 })
     }
 
     /// Ingests the codes of a read block — the path of `FastMatch` and of
@@ -126,10 +115,10 @@ impl Driver {
     /// Settles, then advances the state machine through every phase
     /// whose demand is already satisfied, each after the sweep that
     /// marks exact every candidate read out; `true` if that completed at
-    /// least one phase or stage-2 round. A driver that publishes demand
-    /// advances only through [`Self::advance_and_publish`] (and, at the
-    /// very end, [`Self::finish_exhausted`]), so that no step goes
-    /// unpublished.
+    /// least one phase or stage-2 round. Only an advance changes which
+    /// candidates are active — [`Self::ingest_block`] does not — so a
+    /// walk marking between two advances marks under the state the first
+    /// one left.
     pub fn advance(&mut self) -> Result<bool> {
         let rows = &self.rows;
         self.hs.settle(|c, read| unread(rows, c, read));
@@ -139,35 +128,6 @@ impl Driver {
             self.hs.complete_io_phase(false)?;
             stepped = true;
         }
-        Ok(stepped)
-    }
-
-    /// [`Self::advance`], then publishes the resulting demand snapshot for
-    /// the walk — as one atomic publication (single epoch bump), so a
-    /// woken reader never sees a fresh mode with stale demand or vice
-    /// versa. The per-candidate counts go out in full only when
-    /// [`needs_full_publication`] says demand may have risen; otherwise
-    /// only the candidates deactivated since the last publication are
-    /// zeroed, which keeps the published active set equal to HistSim's
-    /// at a cost of O(deactivations), not O(|V_Z|).
-    pub fn advance_and_publish(&mut self, shared: &SharedDemand) -> Result<bool> {
-        let stepped = self.advance()?;
-        let phase = self.hs.phase();
-        let deactivated = self.hs.deactivated();
-        match phase {
-            PhaseKind::Stage1 => shared.publish(DemandMode::ReadAll, None),
-            PhaseKind::Stage2 | PhaseKind::Stage3 => {
-                if needs_full_publication(stepped, self.published_phase, phase) {
-                    shared.publish(DemandMode::AnyActive, Some(self.hs.remaining_slice()));
-                } else {
-                    let since = &deactivated[self.published_deactivations..];
-                    shared.publish_deactivations(DemandMode::AnyActive, since);
-                }
-            }
-            PhaseKind::Done => shared.publish(DemandMode::Stop, None),
-        }
-        self.published_phase = Some(phase);
-        self.published_deactivations = deactivated.len();
         Ok(stepped)
     }
 
@@ -201,7 +161,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fastmatch_core::histsim::HistSimConfig;
+    use fastmatch_core::histsim::{HistSimConfig, PhaseKind};
     use fastmatch_store::bitmap::BitmapIndex;
     use fastmatch_store::block::BlockLayout;
     use fastmatch_store::schema::{AttrDef, Schema};
@@ -209,44 +169,55 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// What the publications of one run went through.
+    /// What the advances of one run went through.
     #[derive(Default)]
     struct Seen {
-        /// Publications made in stage 1, 2 and 3.
+        /// Advances that left the run in stage 1, 2 and 3.
         by_stage: [usize; 3],
-        /// Publications after which a candidate whose demand was dropped
-        /// by `mark_exact` (consumed, still short of its demand) was
-        /// listed as deactivated.
+        /// Advances after which a candidate that had demand before lost
+        /// it to `mark_exact` (consumed, still short of its demand).
         exact_drops: usize,
     }
 
-    /// Publishes and checks that the published active set is HistSim's.
-    fn publish_and_check(d: &mut Driver, shared: &SharedDemand, seen: &mut Seen, seed: u64) {
-        d.advance_and_publish(shared).unwrap();
-        match d.hs.phase() {
+    /// What a walk marks under: the phase, and in stages 2 and 3 which
+    /// candidates are active.
+    fn marking_view(hs: &HistSim) -> (PhaseKind, Vec<bool>) {
+        let n = hs.remaining_slice().len() as u32;
+        (hs.phase(), (0..n).map(|c| hs.is_active(c)).collect())
+    }
+
+    /// Checks that nothing since the last advance moved what a walk
+    /// marks under, then advances and returns the new view.
+    fn check_and_advance(
+        d: &mut Driver,
+        last: &(PhaseKind, Vec<bool>),
+        seen: &mut Seen,
+        seed: u64,
+    ) -> (PhaseKind, Vec<bool>) {
+        assert_eq!(
+            &marking_view(&d.hs),
+            last,
+            "seed {seed}: moved by ingestion"
+        );
+        d.advance().unwrap();
+        let now = marking_view(&d.hs);
+        match now.0 {
             PhaseKind::Stage1 => seen.by_stage[0] += 1,
             PhaseKind::Stage2 => seen.by_stage[1] += 1,
             PhaseKind::Stage3 => seen.by_stage[2] += 1,
-            PhaseKind::Done => return,
+            PhaseKind::Done => return now,
         }
-        let hs = &d.hs;
-        if hs.deactivated().iter().any(|&c| hs.is_exact(c)) {
+        let dropped = (0..now.1.len()).any(|c| last.1[c] && !now.1[c] && d.hs.is_exact(c as u32));
+        if last.0 == now.0 && dropped {
             seen.exact_drops += 1;
         }
-        for c in 0..shared.len() {
-            assert_eq!(
-                shared.is_active(c),
-                hs.is_active(c as u32),
-                "seed {seed}: candidate {c} in {:?}",
-                hs.phase()
-            );
-        }
+        now
     }
 
     /// One random query, read once through in rotated order, block by
     /// block or — the service's shape — with the codes of the blocks
-    /// between two publications buffered and ingested in one call,
-    /// publishing after a random number of blocks each time.
+    /// between two advances buffered and ingested in one call, advancing
+    /// after a random number of blocks each time.
     fn run(seed: u64, batched: bool, seen: &mut Seen) {
         let rng = &mut StdRng::seed_from_u64(seed);
         let candidates = rng.gen_range(2..10u32);
@@ -276,14 +247,14 @@ mod tests {
         let target = (0..groups).map(|g| 1.0 + g as f64).collect();
         let job = QueryJob::new(&table, layout, &bitmap, 0, 1, target, cfg);
         let mut d = Driver::new(&job).unwrap();
-        let shared = SharedDemand::new(job.num_candidates());
-        publish_and_check(&mut d, &shared, seen, seed);
+        let view = marking_view(&d.hs);
+        let mut view = check_and_advance(&mut d, &view, seen, seed);
 
         let mut reader = job.reader();
         let nb = layout.num_blocks();
         let start = rng.gen_range(0..nb);
         let (mut zbuf, mut xbuf) = (Vec::new(), Vec::new());
-        let mut until_publish = rng.gen_range(1..24usize);
+        let mut until_advance = rng.gen_range(1..24usize);
         for b in (start..nb).chain(0..start) {
             if d.hs.is_done() {
                 break;
@@ -295,28 +266,30 @@ mod tests {
             } else {
                 d.ingest_block(zs, xs);
             }
-            until_publish -= 1;
-            if until_publish == 0 {
+            until_advance -= 1;
+            if until_advance == 0 {
                 d.ingest_block(&zbuf, &xbuf);
                 zbuf.clear();
                 xbuf.clear();
-                publish_and_check(&mut d, &shared, seen, seed);
-                until_publish = rng.gen_range(1..24usize);
+                view = check_and_advance(&mut d, &view, seen, seed);
+                until_advance = rng.gen_range(1..24usize);
             }
         }
         if !d.hs.is_done() {
             d.ingest_block(&zbuf, &xbuf);
-            publish_and_check(&mut d, &shared, seen, seed);
+            check_and_advance(&mut d, &view, seen, seed);
             d.finish_exhausted().unwrap();
         }
         assert!(d.hs.is_done());
     }
 
-    /// After every `advance_and_publish` — full or deactivation-only —
-    /// the published active set equals HistSim's, over random tables,
-    /// through all three stages, on both ingestion paths.
+    /// Ingesting blocks moves neither the phase nor the active set: only
+    /// an advance does. Both drivers mark windows between advances from
+    /// [`HistSim::demand`], so each window is marked under the state of
+    /// the last advance, over random tables, through all three stages,
+    /// on both ingestion paths.
     #[test]
-    fn published_active_set_tracks_histsim() {
+    fn only_an_advance_moves_what_the_walk_marks_under() {
         for batched in [false, true] {
             let mut seen = Seen::default();
             for seed in 0..60 {
@@ -325,7 +298,7 @@ mod tests {
             let path = if batched { "buffered" } else { "per block" };
             assert!(
                 seen.by_stage.iter().all(|&n| n > 0),
-                "{path}: publications per stage {:?}",
+                "{path}: advances per stage {:?}",
                 seen.by_stage
             );
             assert!(

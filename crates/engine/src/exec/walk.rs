@@ -2,21 +2,25 @@
 //! §4.2, Figure 6) — written once.
 //!
 //! A [`ShardWalk`] visits a contiguous block range in multi-pass rotated
-//! order. Each [`ShardWalk::step`] marks the next lookahead window under
-//! the query's current [`SharedDemand`] and hands the window's unvisited
-//! blocks to the caller as maximal runs: marked runs to read, unmarked
-//! ones to account as skipped. Marked blocks are visited the moment they
-//! are handed out and never offered again; skipped ones stay eligible for
-//! later passes, when demand may have moved onto them.
+//! order, a lookahead window at a time, in two calls per window:
+//! [`ShardWalk::mark`] marks the next window under HistSim's current
+//! [`Demand`], read at the moment it marks, and [`ShardWalk::hand_out`]
+//! hands the window's unvisited blocks to the caller as maximal runs:
+//! marked runs to read, unmarked ones to account as skipped. Marked
+//! blocks are visited the moment they are handed out and never offered
+//! again; skipped ones stay eligible for later passes, when demand may
+//! have moved onto them. The two calls are separate so that the caller's
+//! run visitor may ingest into the very `HistSim` the marks were read
+//! from.
 //!
 //! The walk decides *which blocks, in which order*. Its two drivers
-//! decide everything else around `step`: FastMatch reads each window's
-//! marked runs on the calling thread before it steps again, a service
+//! decide everything else around it: FastMatch reads each window's
+//! marked runs on the calling thread before it marks again, a service
 //! quantum reads them up to its block budget and comes back later. When
 //! to settle and what a fruitless pass means stays with them.
 //!
-//! The window, the visited set and the run extraction are bitsets. A
-//! step copies the window's visited bits into an `open` bitset (the
+//! The window, the visited set and the run extraction are bitsets.
+//! Marking copies the window's visited bits into an `open` bitset (the
 //! window's unvisited blocks) and marks with word ORs
 //! ([`mark_lookahead`]: at most `⌈window/64⌉` per active candidate,
 //! none once every open block is marked); runs are found by scanning
@@ -25,11 +29,11 @@
 
 use std::ops::Range;
 
+use fastmatch_core::histsim::Demand;
 use fastmatch_store::bitmap::{or_bits, BitmapIndex};
 
 use crate::exec::start_block;
 use crate::policy::mark_lookahead;
-use crate::shared::{DemandMode, SharedDemand};
 
 /// Lookahead window of the service's walks, in blocks: four words
 /// (32 bytes) of each active candidate's bitmap row, so marking it costs
@@ -40,27 +44,24 @@ use crate::shared::{DemandMode, SharedDemand};
 /// outdated. FastMatch's window is its `lookahead` option.
 const MARK_WINDOW: usize = 256;
 
-/// What one [`ShardWalk::step`] came to.
+/// What a window's [`ShardWalk::mark`] or [`ShardWalk::hand_out`] came
+/// to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Step {
     /// A window (or, under a `limit`, part of one) was handed out and the
     /// pass goes on.
     Window,
-    /// The step completed a pass over the range.
+    /// The hand-out completed a pass over the range.
     PassEnd {
         /// No block was handed out as marked since the pass began: under
         /// unchanged demand the next pass would find nothing either.
         fruitless: bool,
-        /// The demand epoch read when the pass began (before any of its
-        /// demand), so "has demand moved since?" cannot miss a
-        /// publication.
-        epoch: u64,
     },
     /// Every block of the range has been handed out as marked (at once
     /// for an empty range).
     Exhausted,
-    /// Demand says `Stop`, or `on_run` declined to go on: the walk is
-    /// over.
+    /// Demand is [`Demand::Finished`], or `on_run` declined to go on:
+    /// the walk is over.
     Stop,
 }
 
@@ -79,16 +80,19 @@ pub(crate) struct ShardWalk {
     /// One bit per range-local block: handed out as marked.
     visited: Vec<u64>,
     visited_count: usize,
-    pass_epoch: u64,
     fruitless: bool,
     /// Window length in blocks.
     window: usize,
-    /// The mark window, a bitset reused by every step: bit `i` stands for
-    /// the window's `i`-th block.
+    /// The marked window: its range-local first block and its length,
+    /// which a pass's wrap may cut short of `window`.
+    win_off: usize,
+    win_len: usize,
+    /// The mark window, a bitset reused by every window: bit `i` stands
+    /// for the window's `i`-th block.
     marks: Vec<u64>,
     /// The window's unvisited blocks, in the same shape, reused too.
     open: Vec<u64>,
-    /// The active-candidate snapshot of the current window, reused too.
+    /// The active candidates the window was marked for, reused too.
     active: Vec<u32>,
     /// Whether AnyActive marking also marks lone gaps
     /// ([`Self::reading_lone_gaps`]).
@@ -109,9 +113,10 @@ impl ShardWalk {
             len: n,
             visited: vec![0; n.div_ceil(64)],
             visited_count: 0,
-            pass_epoch: 0,
             fruitless: true,
             window,
+            win_off: 0,
+            win_len: 0,
             marks: vec![0; window.div_ceil(64)],
             open: vec![0; window.div_ceil(64)],
             active: Vec::with_capacity(num_candidates),
@@ -146,25 +151,19 @@ impl ShardWalk {
         self.visited_count == self.len
     }
 
-    /// Marks the next window under `demand` and hands each maximal run of
-    /// its unvisited blocks to `on_run(blocks, marked)`, in pass order.
-    /// Marked runs are cut so that one step hands out at most `limit`
-    /// (> 0) marked blocks — the step then ends right behind the last of
-    /// them, and the next one re-marks from there.
-    pub fn step(
-        &mut self,
-        bitmap: &BitmapIndex,
-        demand: &SharedDemand,
-        limit: usize,
-        mut on_run: impl FnMut(Range<usize>, bool) -> bool,
-    ) -> Step {
-        debug_assert!(limit > 0, "a step must be allowed to make progress");
+    /// Marks the next window under `demand`, HistSim's demand as of the
+    /// caller's last advance: [`Demand::Stage1Uniform`] marks every block,
+    /// [`Demand::PerCandidate`] the blocks holding a candidate whose
+    /// count is above 0. Returns what the walk came to instead when it
+    /// has nothing to hand out: [`Step::Exhausted`], or [`Step::Stop`]
+    /// under [`Demand::Finished`]. Otherwise [`Self::hand_out`] hands the
+    /// window out.
+    pub fn mark(&mut self, bitmap: &BitmapIndex, demand: Demand<'_>) -> Option<Step> {
         let n = self.len;
         if self.exhausted() {
-            return Step::Exhausted;
+            return Some(Step::Exhausted);
         }
         if self.cursor == 0 {
-            self.pass_epoch = demand.epoch();
             self.fruitless = true;
         }
         // A pass is two contiguous segments, `start..n` then `0..start`;
@@ -176,12 +175,14 @@ impl ShardWalk {
             (self.cursor - first_len, n - self.cursor)
         };
         let win = self.window.min(seg_left);
+        (self.win_off, self.win_len) = (seg_off, win);
         let words = win.div_ceil(64);
         let (marks, open) = (&mut self.marks[..words], &mut self.open[..words]);
-        let mode = demand.mode();
-        if mode == DemandMode::Stop {
-            return Step::Stop;
-        }
+        let remaining = match demand {
+            Demand::Finished => return Some(Step::Stop),
+            Demand::Stage1Uniform { .. } => None,
+            Demand::PerCandidate { remaining } => Some(remaining),
+        };
         // The window's unvisited blocks, clear past its end.
         open.fill(0);
         or_bits(&self.visited, seg_off, open);
@@ -191,16 +192,36 @@ impl ShardWalk {
         if win % 64 != 0 {
             open[words - 1] &= (1 << (win % 64)) - 1;
         }
-        if mode == DemandMode::ReadAll {
-            marks.fill(!0);
-        } else {
-            marks.fill(0);
-            demand.active_into(&mut self.active);
-            mark_lookahead(bitmap, &self.active, self.lo + seg_off, open, marks);
-            if self.lone_gaps {
-                fill_lone_gaps(marks, open);
+        match remaining {
+            None => marks.fill(!0),
+            Some(remaining) => {
+                marks.fill(0);
+                self.active.clear();
+                let active = remaining.iter().enumerate().filter(|&(_, &r)| r > 0);
+                self.active.extend(active.map(|(c, _)| c as u32));
+                mark_lookahead(bitmap, &self.active, self.lo + seg_off, open, marks);
+                if self.lone_gaps {
+                    fill_lone_gaps(marks, open);
+                }
             }
         }
+        None
+    }
+
+    /// Hands each maximal run of the window [`Self::mark`] marked last to
+    /// `on_run(blocks, marked)`, in pass order. Marked runs are cut so
+    /// that one call hands out at most `limit` (> 0) marked blocks — the
+    /// call then ends right behind the last of them, and the next window
+    /// is marked from there.
+    pub fn hand_out(
+        &mut self,
+        limit: usize,
+        mut on_run: impl FnMut(Range<usize>, bool) -> bool,
+    ) -> Step {
+        debug_assert!(limit > 0, "a hand-out must be allowed to make progress");
+        let (seg_off, win) = (self.win_off, self.win_len);
+        let words = win.div_ceil(64);
+        let (marks, open) = (&self.marks[..words], &self.open[..words]);
         let (mut i, mut left) = (0, limit);
         while left > 0 {
             i = first_set(words, |w| open[w], i).min(win);
@@ -225,11 +246,10 @@ impl ShardWalk {
         self.cursor += i;
         if self.exhausted() {
             Step::Exhausted
-        } else if self.cursor == n {
+        } else if self.cursor == self.len {
             self.cursor = 0;
             Step::PassEnd {
                 fruitless: self.fruitless,
-                epoch: self.pass_epoch,
             }
         } else {
             Step::Window
@@ -307,7 +327,7 @@ mod tests {
     impl ShardWalk {
         /// Address and capacity of the mark and open windows and of the
         /// active-candidate buffer, for tests (here and in the service)
-        /// asserting that steps allocate nothing.
+        /// asserting that marking and handing out allocate nothing.
         pub(crate) fn buffers(&self) -> [(usize, usize); 3] {
             [
                 (self.marks.as_ptr() as usize, self.marks.capacity()),
@@ -334,15 +354,25 @@ mod tests {
         BitmapIndex::build(&table, 0, &layout)
     }
 
-    /// Publishes AnyActive demand over a random candidate subset and
-    /// returns the subset.
-    fn publish_random(demand: &SharedDemand, rng: &mut StdRng) -> Vec<u32> {
-        let remaining: Vec<u64> = (0..CANDIDATES)
+    /// Per-candidate demand over a random candidate subset, as
+    /// [`Demand::PerCandidate`] carries it: 0 or 1 per candidate.
+    fn random_remaining(rng: &mut StdRng) -> Vec<u64> {
+        (0..CANDIDATES)
             .map(|_| rng.gen_range(0..3u64) / 2)
-            .collect();
-        demand.publish(DemandMode::AnyActive, Some(&remaining));
-        let active = (0..CANDIDATES as u32).filter(|&c| remaining[c as usize] > 0);
-        active.collect()
+            .collect()
+    }
+
+    /// One window: [`ShardWalk::mark`], then, if it leaves something to
+    /// hand out, [`ShardWalk::hand_out`].
+    fn step(
+        walk: &mut ShardWalk,
+        bitmap: &BitmapIndex,
+        demand: Demand<'_>,
+        limit: usize,
+        on_run: impl FnMut(Range<usize>, bool) -> bool,
+    ) -> Step {
+        walk.mark(bitmap, demand)
+            .unwrap_or_else(|| walk.hand_out(limit, on_run))
     }
 
     /// Everything a sequence of steps did, run by run and step by step.
@@ -361,7 +391,7 @@ mod tests {
     fn run_pass(
         walk: &mut ShardWalk,
         bitmap: &BitmapIndex,
-        demand: &SharedDemand,
+        demand: Demand<'_>,
         range: &Range<usize>,
         mut limits: impl FnMut() -> usize,
         trace: &mut Trace,
@@ -370,7 +400,7 @@ mod tests {
         loop {
             let limit = limits();
             let mut handed = 0usize;
-            let step = walk.step(bitmap, demand, limit, |run, marked| {
+            let step = step(walk, bitmap, demand, limit, |run, marked| {
                 assert!(!run.is_empty(), "empty run");
                 assert!(
                     range.start <= run.start && run.end <= range.end,
@@ -395,7 +425,7 @@ mod tests {
         }
     }
 
-    /// ReadAll after an arbitrary AnyActive history: the marked runs
+    /// Stage-1 demand after an arbitrary AnyActive history: the marked runs
     /// are the rotated order of all still-unvisited blocks, each once,
     /// nothing is skipped, the walk is exhausted exactly when the
     /// last of them is handed out — and cutting steps by random
@@ -417,15 +447,16 @@ mod tests {
         for chopped in [false, true] {
             // Both walks live the same AnyActive history …
             let rng = &mut StdRng::seed_from_u64(history_seed);
-            let demand = SharedDemand::new(CANDIDATES);
             let mut walk = ShardWalk::new(range.clone(), start, window, CANDIDATES);
             let mut history = Trace::default();
             for _ in 0..history_passes {
-                publish_random(&demand, rng);
+                let remaining = random_remaining(rng);
                 run_pass(
                     &mut walk,
                     &bitmap,
-                    &demand,
+                    Demand::PerCandidate {
+                        remaining: &remaining,
+                    },
                     &range,
                     || usize::MAX,
                     &mut history,
@@ -438,13 +469,13 @@ mod tests {
                 .map(|&(b, _)| b)
                 .collect();
             // … then read everything that is left, unbroken or chopped.
-            demand.set_mode(DemandMode::ReadAll);
+            let demand = Demand::Stage1Uniform { remaining: 1 };
             let mut trace = Trace::default();
             let exhausted = walk.exhausted();
             let last = run_pass(
                 &mut walk,
                 &bitmap,
-                &demand,
+                demand,
                 &range,
                 || {
                     if chopped {
@@ -465,7 +496,9 @@ mod tests {
                 .collect();
             prop_assert_eq!(&trace.blocks, &expect);
             // Exhausted stays exhausted and hands out nothing more.
-            let again = walk.step(&bitmap, &demand, 1, |_, _| panic!("run after exhaustion"));
+            let again = step(&mut walk, &bitmap, demand, 1, |_, _| {
+                panic!("run after exhaustion")
+            });
             prop_assert_eq!(again, Step::Exhausted);
             traces.push((history, trace));
         }
@@ -477,9 +510,8 @@ mod tests {
     /// demand changing between them: each pass marks exactly the
     /// unvisited blocks holding an active candidate, offers exactly
     /// the other unvisited blocks as skips, in rotated order; a pass
-    /// is fruitless iff it marked nothing; its epoch is the one
-    /// current when it began, whatever is published meanwhile; and
-    /// chopping by limits changes nothing.
+    /// is fruitless iff it marked nothing; and chopping by limits
+    /// changes nothing.
     fn check_any_active(
         n: usize,
         lo: usize,
@@ -490,28 +522,23 @@ mod tests {
         let rng = &mut StdRng::seed_from_u64(seed);
         let range = lo..lo + n;
         let bitmap = bitmap(range.end + 3, rng);
-        let demand = SharedDemand::new(CANDIDATES);
         let mut walk = ShardWalk::new(range.clone(), start, window, CANDIDATES);
         let mut visited = vec![false; n];
         for _ in 0..4 {
-            let active = publish_random(&demand, rng);
-            let epoch = demand.epoch();
-            let mut steps = 0;
+            let remaining = random_remaining(rng);
+            let active: Vec<u32> = (0..CANDIDATES as u32)
+                .filter(|&c| remaining[c as usize] > 0)
+                .collect();
             let mut trace = Trace::default();
             let chopped = rng.gen_range(0..2u32) == 1;
             let last = run_pass(
                 &mut walk,
                 &bitmap,
-                &demand,
+                Demand::PerCandidate {
+                    remaining: &remaining,
+                },
                 &range,
                 || {
-                    // The same demand again, after the pass's first
-                    // step: a new epoch mid-pass.
-                    steps += 1;
-                    if steps == 2 {
-                        let same: Vec<u64> = (0..CANDIDATES).map(|c| demand.remaining(c)).collect();
-                        demand.publish(DemandMode::AnyActive, Some(&same));
-                    }
                     if chopped {
                         rng.gen_range(1..2 * window + 2)
                     } else {
@@ -541,8 +568,7 @@ mod tests {
             prop_assert_eq!(
                 last,
                 Step::PassEnd {
-                    fruitless: marked == 0,
-                    epoch
+                    fruitless: marked == 0
                 }
             );
             prop_assert!(!walk.exhausted());
@@ -602,36 +628,34 @@ mod tests {
     fn empty_range_is_exhausted_at_once() {
         let rng = &mut StdRng::seed_from_u64(1);
         let bitmap = bitmap(4, rng);
-        let demand = SharedDemand::new(CANDIDATES);
         let mut walk = ShardWalk::new(2..2, 7, 8, CANDIDATES);
         assert!(walk.exhausted());
-        let step = walk.step(&bitmap, &demand, 1, |_, _| panic!("run in an empty range"));
-        assert_eq!(step, Step::Exhausted);
+        let demand = Demand::Stage1Uniform { remaining: 1 };
+        assert_eq!(walk.mark(&bitmap, demand), Some(Step::Exhausted));
     }
 
     #[test]
     fn stop_is_observed_within_one_window() {
         let rng = &mut StdRng::seed_from_u64(2);
         let bitmap = bitmap(64, rng);
-        let demand = SharedDemand::new(CANDIDATES);
         let mut walk = ShardWalk::new(0..64, 5, 8, CANDIDATES);
         let mut handed = 0;
         let count = |run: Range<usize>, _| {
             handed += run.len();
             true
         };
-        assert_eq!(walk.step(&bitmap, &demand, usize::MAX, count), Step::Window);
-        assert_eq!(handed, 8, "one step is one window");
-        // Published Stop: the very next step hands out nothing.
-        demand.set_mode(DemandMode::Stop);
-        let step = walk.step(&bitmap, &demand, usize::MAX, |_, _| {
-            panic!("run after Stop")
-        });
-        assert_eq!(step, Step::Stop);
-        // A driver that declines a run ends the step on the spot.
-        demand.set_mode(DemandMode::AnyActive); // nobody active: all skips
+        let stage1 = Demand::Stage1Uniform { remaining: 1 };
+        assert_eq!(walk.mark(&bitmap, stage1), None);
+        assert_eq!(walk.hand_out(usize::MAX, count), Step::Window);
+        assert_eq!(handed, 8, "one window at a time");
+        // Finished demand: the very next window hands out nothing.
+        assert_eq!(walk.mark(&bitmap, Demand::Finished), Some(Step::Stop));
+        // A driver that declines a run ends the hand-out on the spot.
+        let idle = [0; CANDIDATES]; // nobody active: all skips
+        let demand = Demand::PerCandidate { remaining: &idle };
+        assert_eq!(walk.mark(&bitmap, demand), None);
         let mut calls = 0;
-        let step = walk.step(&bitmap, &demand, usize::MAX, |_, _| {
+        let step = walk.hand_out(usize::MAX, |_, _| {
             calls += 1;
             false
         });

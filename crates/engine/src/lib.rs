@@ -34,7 +34,6 @@ pub mod progress;
 pub mod query;
 pub mod result;
 pub mod service;
-pub mod shared;
 
 pub use exec::{Executor, FastMatchExec, ScanExec, ScanMatchExec, SyncMatchExec};
 pub use query::QueryJob;

@@ -24,12 +24,12 @@
 //!   siblings (`state` module docs, crate-internal).
 //! * **Per-query protocol** — each query runs the demand protocol of
 //!   the executors, over the walk FastMatch steps too (Figure 6's
-//!   marking stage is `exec::walk::ShardWalk::step`, called with what is
+//!   marking stage is `exec::walk::ShardWalk::mark`, under the query's
+//!   `HistSim` demand, and `ShardWalk::hand_out` is called with what is
 //!   left of the quantum's budget as its limit): a quantum hands each
 //!   block of the marked runs to the driver as the run read delivers it
 //!   — the fused kernel every executor uses (`HistSim::ingest_block`) —
-//!   then settles over the active set, advances phases and republishes
-//!   demand, once. Only the worker running a quantum touches the task,
+//!   then settles over the active set and advances phases, once. Only the worker running a quantum touches the task,
 //!   so the query's one statistics engine needs no lock. A pass that
 //!   finds nothing to read must be followed by an advance that steps,
 //!   or the query fails (FastMatch's rule). The paper's correctness
@@ -77,7 +77,6 @@ use crate::exec::walk::{ShardWalk, Step};
 use crate::query::QueryJob;
 use crate::service::handle::QueryShared;
 use crate::service::state::{QueryTask, Scheduler};
-use crate::shared::SharedDemand;
 
 /// Service tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -422,15 +421,12 @@ impl<'env> QueryService<'env> {
     ) -> Result<QueryHandle, ServiceError> {
         let admitted = (|| -> Result<_, CoreError> {
             let mut driver = Driver::new(&job)?;
-            let demand = SharedDemand::new(job.num_candidates());
-            // Initial publication: degenerate configs may already satisfy
-            // stage boundaries, and the walk must never observe the
-            // pre-publication zero state as real demand.
-            driver.advance_and_publish(&demand)?;
-            Ok((driver, demand))
+            // Degenerate configs may already satisfy stage boundaries.
+            driver.advance()?;
+            Ok(driver)
         })();
-        let (driver, demand) = match admitted {
-            Ok(parts) => parts,
+        let driver = match admitted {
+            Ok(driver) => driver,
             Err(e) => {
                 // Validation failed: release the reserved admission slot.
                 self.active.fetch_sub(1, Ordering::Relaxed);
@@ -447,7 +443,6 @@ impl<'env> QueryService<'env> {
             reader: job.reader(),
             job,
             driver,
-            demand,
             shared: Arc::clone(&shared),
             deadline: deadline.map(|d| Instant::now() + d),
             home: self.next_home.fetch_add(1, Ordering::Relaxed) % self.config.workers,
@@ -526,11 +521,11 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: Box<QueryTask<'env>>) {
         return publish(svc, &task, QueryOutcome::DeadlineExpired);
     }
 
-    // The ingestion quantum: step the walk, handing each block of the
-    // marked runs it hands out to the driver as the run read delivers
-    // it, until the budget is spent or the walk has nothing more to give
-    // right now. The walk keeps its place, so the next quantum resumes
-    // where this one stops.
+    // The ingestion quantum: mark the walk's next window under the
+    // driver's demand and hand each block of its marked runs to the
+    // driver as the run read delivers it, until the budget is spent or
+    // the walk has nothing more to give right now. The walk keeps its
+    // place, so the next quantum resumes where this one stops.
     svc.sched.note_quantum();
     let budget = svc.config.quantum_blocks;
     let mut reads = 0usize;
@@ -539,7 +534,6 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: Box<QueryTask<'env>>) {
     let QueryTask {
         job,
         driver,
-        demand,
         walk,
         reader,
         ..
@@ -547,23 +541,24 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: Box<QueryTask<'env>>) {
     while reads < budget {
         // Marked runs are read as runs (the walk cuts them to the budget
         // left), unmarked ones only counted as skipped.
-        let step = walk.step(&job.bitmap, demand, budget - reads, |run, marked| {
-            if !marked {
-                reader.skip_blocks(run.len() as u64);
-                return true;
-            }
-            let read = reader.read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
-                reads += 1;
-                driver.ingest_block(zs, xs);
-                true
-            });
-            failure = read.err().map(crate::exec::storage_err);
-            failure.is_none()
+        let marked = walk.mark(&job.bitmap, driver.hs.demand());
+        let step = marked.unwrap_or_else(|| {
+            walk.hand_out(budget - reads, |run, marked| {
+                if !marked {
+                    reader.skip_blocks(run.len() as u64);
+                    return true;
+                }
+                let read = reader.read_run(run, job.z_attr, job.x_attr, |_, zs, xs| {
+                    reads += 1;
+                    driver.ingest_block(zs, xs);
+                    true
+                });
+                failure = read.err().map(crate::exec::storage_err);
+                failure.is_none()
+            })
         });
         match step {
-            Step::PassEnd {
-                fruitless: true, ..
-            } => {
+            Step::PassEnd { fruitless: true } => {
                 fruitless = true;
                 break;
             }
@@ -573,15 +568,15 @@ fn run_quantum<'env>(svc: &QueryService<'env>, mut task: Box<QueryTask<'env>>) {
     }
 
     // One settlement per quantum that read something, and after a pass
-    // that found nothing to read. Published demand only ever overstates
-    // the true active set, and every truly active candidate has unread
-    // rows in an unvisited block, so a fruitless pass must be followed by
-    // an advance that steps (FastMatch's rule).
+    // that found nothing to read. The demand of the last advance only
+    // ever overstates the true active set, and every truly active
+    // candidate has unread rows in an unvisited block, so a fruitless
+    // pass must be followed by an advance that steps (FastMatch's rule).
     if let Some(e) = failure {
         return publish(svc, &task, QueryOutcome::Failed(e));
     }
     if reads > 0 || fruitless {
-        match driver.advance_and_publish(demand) {
+        match driver.advance() {
             Ok(_) if driver.hs.is_done() => return complete(svc, task),
             Ok(false) if fruitless => {
                 let stuck =
@@ -866,7 +861,7 @@ mod tests {
     }
 
     /// Drives one query's quanta by hand (no worker threads) and checks
-    /// what a quantum may cost and what it must publish: the walk's mark
+    /// what a quantum may cost and what it must report: the walk's mark
     /// window and active-candidate buffer are allocated once and then
     /// only reused — no allocation per quantum or per window; `samples`
     /// advances with every ingested quantum (σ = 0: every tuple read

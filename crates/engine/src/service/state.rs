@@ -29,7 +29,6 @@ use crate::exec::driver::Driver;
 use crate::exec::walk::ShardWalk;
 use crate::query::QueryJob;
 use crate::service::handle::QueryShared;
-use crate::shared::SharedDemand;
 
 /// One admitted query: everything its quanta read and write. Owned by
 /// exactly one of {a ready queue, a worker} at any time.
@@ -37,11 +36,9 @@ use crate::shared::SharedDemand;
 pub(crate) struct QueryTask<'a> {
     /// The prepared query (holds the backend + bitmap references).
     pub job: QueryJob<'a>,
-    /// The statistics engine.
+    /// The statistics engine; the walk marks under its demand, as
+    /// FastMatch's does.
     pub driver: Driver,
-    /// Demand as the driver last published it — what the walk marks
-    /// under, the same protocol FastMatch follows.
-    pub demand: SharedDemand,
     /// The multi-pass demand-marked walk over the whole block range,
     /// kept across quanta: each quantum resumes where the last one
     /// stopped.

@@ -18,8 +18,8 @@
 //!
 //! `FastMatch` runs with a [`LOOKAHEAD`]-block window. The default
 //! window (1 024 blocks) would cover a whole 267-block table, so it
-//! would mark one window under stage 1's `ReadAll` and the cells would
-//! pin a scan; one word of bitmap per candidate per window makes its
+//! would mark one window under stage 1, which marks every block, and the
+//! cells would pin a scan; one word of bitmap per candidate per window makes its
 //! rows pin marking and skipping too.
 //!
 //! The table is meant to change only on purpose. A change to the

@@ -489,21 +489,6 @@ fn empty_table_errors_instead_of_hanging() {
     }
 }
 
-/// Sharding a reader more ways than there are blocks yields empty
-/// shards.
-#[test]
-fn oversharded_reader_yields_empty_shards() {
-    let table = test_table(128, 5); // 2 blocks of 64
-    let layout = BlockLayout::new(table.n_rows(), 64);
-    let reader = fastmatch_store::io::BlockReader::new(&table, layout);
-    for i in 0..6 {
-        let shard = reader.shard(i, 6);
-        if i >= 2 {
-            assert_eq!(shard.num_blocks(), 0, "shard {i} of 6 over 2 blocks");
-        }
-    }
-}
-
 /// A corrupt page must fail every executor — including the served
 /// query — with `CoreError::Storage`, not a panic or a silently wrong
 /// answer.

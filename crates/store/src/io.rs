@@ -17,11 +17,6 @@
 //! *delivered* to the visitor, the page counters count two pages per
 //! delivered block — but lets a backend fetch them together, a chunk of
 //! blocks per read call, instead of one block at a time.
-//!
-//! For multi-core executors, [`BlockReader::shard`] splits the block
-//! sequence into `n` disjoint contiguous ranges, each served by its own
-//! [`ShardedBlockReader`] with independent [`IoStats`]; per-shard stats
-//! aggregate back into a whole-run view with [`IoStats::merge`] (or `+=`).
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -92,65 +87,10 @@ impl IoStats {
         self.blocks_read += 1;
         self.tuples_read += tuples as u64;
     }
-
-    /// Folds another accounting record into this one (shard aggregation).
-    pub fn merge(&mut self, other: IoStats) {
-        self.blocks_read += other.blocks_read;
-        self.blocks_skipped += other.blocks_skipped;
-        self.tuples_read += other.tuples_read;
-        self.pages_cache_hit += other.pages_cache_hit;
-        self.pages_cache_miss += other.pages_cache_miss;
-    }
-
-    /// The per-field difference `self − other`; `other` must be an
-    /// earlier snapshot of the same accounting stream (every counter
-    /// monotone ≤ `self`'s). Used to charge one scheduling quantum's I/O
-    /// to its query without zeroing the underlying reader.
-    ///
-    /// # Panics
-    /// Panics — in **all** build profiles — if any field of `other`
-    /// exceeds `self`'s. A misordered snapshot would otherwise wrap the
-    /// `u64` subtraction and silently corrupt every downstream per-query
-    /// attribution, so it must fail loudly rather than only under
-    /// `debug_assertions`.
-    pub fn since(&self, other: IoStats) -> IoStats {
-        assert!(
-            self.blocks_read >= other.blocks_read
-                && self.blocks_skipped >= other.blocks_skipped
-                && self.tuples_read >= other.tuples_read
-                && self.pages_cache_hit >= other.pages_cache_hit
-                && self.pages_cache_miss >= other.pages_cache_miss,
-            "IoStats::since with a later snapshot: {self:?} since {other:?}"
-        );
-        IoStats {
-            blocks_read: self.blocks_read - other.blocks_read,
-            blocks_skipped: self.blocks_skipped - other.blocks_skipped,
-            tuples_read: self.tuples_read - other.tuples_read,
-            pages_cache_hit: self.pages_cache_hit - other.pages_cache_hit,
-            pages_cache_miss: self.pages_cache_miss - other.pages_cache_miss,
-        }
-    }
-}
-
-impl std::ops::AddAssign for IoStats {
-    fn add_assign(&mut self, other: IoStats) {
-        self.merge(other);
-    }
-}
-
-impl std::iter::Sum for IoStats {
-    fn sum<I: Iterator<Item = IoStats>>(iter: I) -> IoStats {
-        let mut total = IoStats::default();
-        for s in iter {
-            total.merge(s);
-        }
-        total
-    }
 }
 
 /// Where a reader's blocks come from. References or `Arc` handles only —
-/// cheap to clone, so sharding and cloning a reader never duplicates
-/// data.
+/// cheap to clone, so cloning a reader never duplicates data.
 #[derive(Debug, Clone)]
 enum Source<'a> {
     /// Direct in-memory table access: `block_slices` and `read_run` are
@@ -168,7 +108,7 @@ enum Source<'a> {
 
 /// Synchronous block reader over a storage source with a fixed layout.
 /// Cloning yields an independent reader over the same (shared, immutable)
-/// data; use [`BlockReader::shard`] for views with zeroed statistics.
+/// data.
 #[derive(Debug, Clone)]
 pub struct BlockReader<'a> {
     source: Source<'a>,
@@ -345,163 +285,6 @@ impl<'a> BlockReader<'a> {
     pub fn skip_blocks(&mut self, n: u64) {
         self.stats.blocks_skipped += n;
     }
-
-    /// Returns shard `index` of `of`: an independent reader restricted to
-    /// a contiguous range of blocks, with zeroed statistics. The `of`
-    /// shards partition `0..num_blocks` exactly (sizes differ by at most
-    /// one), so concurrent shard readers never touch the same block.
-    ///
-    /// # Panics
-    /// Panics unless `index < of`.
-    pub fn shard(&self, index: usize, of: usize) -> ShardedBlockReader<'a> {
-        assert!(of > 0, "shard count must be positive");
-        assert!(index < of, "shard index {index} out of {of}");
-        let nb = self.layout.num_blocks();
-        let base = nb / of;
-        let rem = nb % of;
-        let start = index * base + index.min(rem);
-        let len = base + usize::from(index < rem);
-        let mut inner = self.clone();
-        inner.stats = IoStats::default();
-        ShardedBlockReader {
-            inner,
-            blocks: start..start + len,
-        }
-    }
-}
-
-/// A [`BlockReader`] view restricted to one shard's contiguous block
-/// range, created by [`BlockReader::shard`]. Accesses outside the range
-/// panic, so disjointness across concurrent shard workers is enforced,
-/// not just intended. Statistics are per shard; aggregate them with
-/// [`IoStats::merge`].
-#[derive(Debug, Clone)]
-pub struct ShardedBlockReader<'a> {
-    inner: BlockReader<'a>,
-    blocks: Range<usize>,
-}
-
-impl<'a> ShardedBlockReader<'a> {
-    /// The block ids this shard owns.
-    pub fn blocks(&self) -> Range<usize> {
-        self.blocks.clone()
-    }
-
-    /// Number of blocks in the shard.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Whether block `b` belongs to this shard.
-    pub fn contains(&self, b: usize) -> bool {
-        self.blocks.contains(&b)
-    }
-
-    /// The layout in use.
-    pub fn layout(&self) -> &BlockLayout {
-        self.inner.layout()
-    }
-
-    /// This shard's accumulated statistics.
-    pub fn stats(&self) -> IoStats {
-        self.inner.stats()
-    }
-
-    /// Reads block `b` (which must belong to the shard), returning the raw
-    /// code slices of the two given attributes. See
-    /// [`BlockReader::block_slices`].
-    ///
-    /// # Panics
-    /// Panics if `b` lies outside the shard's range, or if the storage
-    /// read fails (see [`Self::try_block_slices`]).
-    #[inline]
-    pub fn block_slices(&mut self, b: usize, z_attr: usize, x_attr: usize) -> (&[u32], &[u32]) {
-        assert!(
-            self.blocks.contains(&b),
-            "block {b} outside shard range {:?}",
-            self.blocks
-        );
-        self.inner.block_slices(b, z_attr, x_attr)
-    }
-
-    /// Fallible twin of [`Self::block_slices`].
-    ///
-    /// # Panics
-    /// Panics if `b` lies outside the shard's range (a caller bug, unlike
-    /// a storage failure).
-    #[inline]
-    pub fn try_block_slices(
-        &mut self,
-        b: usize,
-        z_attr: usize,
-        x_attr: usize,
-    ) -> Result<(&[u32], &[u32])> {
-        assert!(
-            self.blocks.contains(&b),
-            "block {b} outside shard range {:?}",
-            self.blocks
-        );
-        self.inner.try_block_slices(b, z_attr, x_attr)
-    }
-
-    /// Reads a contiguous run of the shard's blocks; see
-    /// [`BlockReader::read_run`].
-    ///
-    /// # Panics
-    /// Panics if any block of a non-empty `blocks` lies outside the
-    /// shard's range.
-    pub fn read_run(
-        &mut self,
-        blocks: Range<usize>,
-        z_attr: usize,
-        x_attr: usize,
-        visit: impl FnMut(usize, &[u32], &[u32]) -> bool,
-    ) -> Result<()> {
-        assert!(
-            blocks.is_empty()
-                || (blocks.start >= self.blocks.start && blocks.end <= self.blocks.end),
-            "blocks {blocks:?} outside shard range {:?}",
-            self.blocks
-        );
-        self.inner.read_run(blocks, z_attr, x_attr, visit)
-    }
-
-    /// Records that block `b` (which must belong to the shard) was
-    /// deliberately skipped.
-    ///
-    /// # Panics
-    /// Panics if `b` lies outside the shard's range.
-    #[inline]
-    pub fn skip_block(&mut self, b: usize) {
-        assert!(
-            self.blocks.contains(&b),
-            "block {b} outside shard range {:?}",
-            self.blocks
-        );
-        self.inner.skip_block(b);
-    }
-
-    /// Bulk twin of [`Self::skip_block`]: records a whole contiguous run
-    /// of deliberately skipped blocks at once, with the same shard-range
-    /// validation — so window-granular skip accounting from lookahead
-    /// marking neither loops per block nor bypasses the range check via
-    /// the inner reader. An empty range is a no-op.
-    ///
-    /// # Panics
-    /// Panics if any block of a non-empty `blocks` lies outside the
-    /// shard's range.
-    #[inline]
-    pub fn skip_blocks(&mut self, blocks: Range<usize>) {
-        if blocks.is_empty() {
-            return;
-        }
-        assert!(
-            blocks.start >= self.blocks.start && blocks.end <= self.blocks.end,
-            "blocks {blocks:?} outside shard range {:?}",
-            self.blocks
-        );
-        self.inner.skip_blocks(blocks.len() as u64);
-    }
 }
 
 #[cfg(test)]
@@ -557,144 +340,6 @@ mod tests {
         let t = table();
         let reader = BlockReader::new(&t, BlockLayout::new(20, 5));
         assert_eq!(reader.stats().read_fraction(), 1.0);
-    }
-
-    #[test]
-    fn shards_partition_blocks_exactly() {
-        let t = table();
-        for nb_size in [3usize, 5, 7] {
-            let reader = BlockReader::new(&t, BlockLayout::new(20, nb_size));
-            let nb = reader.layout().num_blocks();
-            for of in 1..=6usize {
-                let mut covered = vec![false; nb];
-                let mut prev_end = 0usize;
-                for i in 0..of {
-                    let s = reader.shard(i, of);
-                    let r = s.blocks();
-                    assert_eq!(r.start, prev_end, "shard {i}/{of} not contiguous");
-                    prev_end = r.end;
-                    for b in r {
-                        assert!(!covered[b], "block {b} covered twice");
-                        covered[b] = true;
-                    }
-                }
-                assert_eq!(prev_end, nb);
-                assert!(covered.iter().all(|&c| c), "of = {of}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_sizes_differ_by_at_most_one() {
-        let t = table();
-        let reader = BlockReader::new(&t, BlockLayout::new(20, 3)); // 7 blocks
-        let sizes: Vec<usize> = (0..3).map(|i| reader.shard(i, 3).num_blocks()).collect();
-        assert_eq!(sizes.iter().sum::<usize>(), 7);
-        assert_eq!(
-            *sizes.iter().max().unwrap() - *sizes.iter().min().unwrap(),
-            1
-        );
-    }
-
-    #[test]
-    fn per_shard_stats_aggregate_to_sequential_totals() {
-        let t = table();
-        let layout = BlockLayout::new(20, 5); // 4 blocks
-                                              // Sequential reference: read blocks 0, 2, 3; skip 1.
-        let mut seq = BlockReader::new(&t, layout);
-        for b in [0usize, 2, 3] {
-            seq.block_slices(b, 0, 1);
-        }
-        seq.skip_block(1);
-        // Sharded: 2 shards of 2 blocks, same read/skip pattern.
-        let reader = BlockReader::new(&t, layout);
-        let mut s0 = reader.shard(0, 2);
-        let mut s1 = reader.shard(1, 2);
-        s0.block_slices(0, 0, 1);
-        s0.skip_block(1);
-        s1.block_slices(2, 0, 1);
-        s1.block_slices(3, 0, 1);
-        let total: IoStats = [s0.stats(), s1.stats()].into_iter().sum();
-        assert_eq!(total, seq.stats());
-        let mut merged = s0.stats();
-        merged += s1.stats();
-        assert_eq!(merged, total);
-    }
-
-    #[test]
-    fn shard_delivers_same_slices_as_whole_reader() {
-        let t = table();
-        let layout = BlockLayout::new(20, 7);
-        let mut whole = BlockReader::new(&t, layout);
-        let mut shard = BlockReader::new(&t, layout).shard(1, 3); // owns block 1
-        let (wz, wx) = whole.block_slices(1, 0, 1);
-        let (wz, wx) = (wz.to_vec(), wx.to_vec());
-        let (sz, sx) = shard.block_slices(1, 0, 1);
-        assert_eq!(wz, sz);
-        assert_eq!(wx, sx);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside shard range")]
-    fn shard_rejects_foreign_blocks() {
-        let t = table();
-        let mut s = BlockReader::new(&t, BlockLayout::new(20, 5)).shard(0, 2);
-        s.block_slices(3, 0, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "shard index")]
-    fn shard_index_must_be_in_range() {
-        let t = table();
-        BlockReader::new(&t, BlockLayout::new(20, 5)).shard(2, 2);
-    }
-
-    #[test]
-    fn since_subtracts_fieldwise() {
-        let t = table();
-        let layout = BlockLayout::new(20, 5);
-        let mut reader = BlockReader::new(&t, layout);
-        reader.block_slices(0, 0, 1);
-        let snap = reader.stats();
-        reader.block_slices(1, 0, 1);
-        reader.skip_block(2);
-        let delta = reader.stats().since(snap);
-        assert_eq!(delta.blocks_read, 1);
-        assert_eq!(delta.blocks_skipped, 1);
-        assert_eq!(delta.tuples_read, 5);
-    }
-
-    /// The monotonicity guard must hold in *release* builds too: this
-    /// test runs under every profile, and CI additionally executes it
-    /// with `--release` — a wrapped subtraction instead of a panic here
-    /// means per-query attribution is being silently corrupted.
-    #[test]
-    #[should_panic(expected = "later snapshot")]
-    fn since_panics_on_misordered_snapshots_in_all_builds() {
-        let earlier = IoStats::default();
-        let later = IoStats {
-            blocks_read: 3,
-            ..IoStats::default()
-        };
-        let _ = earlier.since(later);
-    }
-
-    #[test]
-    fn shard_skip_blocks_accounts_in_bulk() {
-        let t = table();
-        let layout = BlockLayout::new(20, 5); // 4 blocks
-        let mut s = BlockReader::new(&t, layout).shard(0, 1);
-        s.skip_blocks(1..4);
-        s.skip_blocks(2..2); // empty: no-op, even though degenerate
-        assert_eq!(s.stats().blocks_skipped, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "outside shard range")]
-    fn shard_skip_blocks_rejects_foreign_ranges() {
-        let t = table();
-        let mut s = BlockReader::new(&t, BlockLayout::new(20, 5)).shard(0, 2);
-        s.skip_blocks(1..3); // block 2 belongs to shard 1
     }
 
     #[test]

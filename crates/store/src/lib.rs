@@ -28,10 +28,7 @@
 //! * a block reader over any backend that accounts blocks read/skipped
 //!   and tuples touched, with an optional simulated per-block latency so
 //!   storage-media cost models can be explored ([`io::BlockReader`]),
-//!   block by block or a marked run at a time, and
-//!   shardable into disjoint block-range views with per-shard,
-//!   aggregatable statistics for multi-core executors
-//!   ([`io::ShardedBlockReader`]).
+//!   block by block or a marked run at a time.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -54,7 +51,7 @@ pub use bitmap::BitmapIndex;
 pub use block::BlockLayout;
 pub use error::StoreError;
 pub use file::{write_table, write_table_atomic, CacheStats, FileBackend};
-pub use io::{BlockReader, IoStats, ShardedBlockReader};
+pub use io::{BlockReader, IoStats};
 pub use live::{LiveStats, LiveTable, LiveTableConfig, Snapshot};
 pub use schema::{AttrDef, Schema};
 pub use table::Table;

@@ -6,10 +6,9 @@
 //! segment's worth of rows) and the exact per-attribute
 //! [`BitmapIndex`]es covering precisely those rows. It implements
 //! [`StorageBackend`], so everything built on the reading contract —
-//! all five executors, [`crate::io::BlockReader`] /
-//! [`crate::io::ShardedBlockReader`], run reads, the engine's query
-//! service — runs over a snapshot **unchanged**, while writers
-//! keep appending to the live table underneath.
+//! all four executors, [`crate::io::BlockReader`], run reads, the
+//! engine's query service — runs over a snapshot **unchanged**, while
+//! writers keep appending to the live table underneath.
 //!
 //! Consistency argument: every sealed segment is immutable from the
 //! moment it is frozen, the tail is copied under the same lock that
